@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -410,6 +409,9 @@ def _dispatch(scn: Scenario, out_dir: Path, tolerance_scale: float, seed=None):
 def _check_magnitude_recurrence(stats, golden, scn):
     fresh = stats["quad"]
     frozen = golden["quad"]
+    if len(fresh) != len(frozen):
+        return False, (f"{len(fresh)} fresh values against {len(frozen)} "
+                       f"frozen ones: quad_check_max does not match the golden")
     freeze_dev = max(abs(f - z) for f, z in zip(fresh, frozen))
     ok = (stats["ratio_defect"] <= golden["magnitude_tol"]
           and freeze_dev <= golden["freeze_tol"]
@@ -499,16 +501,9 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
         if claim["scenario"] not in needed:
             needed.append(claim["scenario"])
 
-    results = {}
-
-    def run(name):
-        scn = load_scenario(by_name[name])
-        out_dir = out_root / Path(name).stem
-        return name, _dispatch(scn, out_dir, tolerance_scale)
-
-    with ThreadPoolExecutor(max_workers=min(2, len(needed))) as pool:
-        for name, (code, stats) in pool.map(run, needed):
-            results[name] = (code, stats)
+    results = {name: _dispatch(load_scenario(by_name[name]),
+                               out_root / Path(name).stem, tolerance_scale)
+               for name in needed}
 
     all_ok = True
     rows = []

@@ -118,14 +118,17 @@ def test_criterion_4_norm_growth_audit():
 
 
 def test_criterion_5_unitary_contrast():
+    t0 = time.perf_counter()
     m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
     traj = unitary_propagate(pure_state(32), m, 100_000, UNITS)
     dev = float(np.max(np.abs(traj.norms - 1.0)))
-    ok = dev < 1e-10
+    elapsed = time.perf_counter() - t0
+    ok = dev < 1e-10 and elapsed < 5.0
     record("5 unitary contrast",
            ok, f"max |norm^2 - 1| = {dev:.3e} over 1e5 Cayley steps "
-               f"(tol 1e-10)")
+               f"(tol 1e-10), {elapsed:.2f}s (< 5s)")
     assert dev < 1e-10
+    assert elapsed < 5.0
 
 
 def test_criterion_6_velocity_jump_and_covariance():

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from expansionlab.cli import cmd_expand, cmd_gauge, cmd_propagate, main
+from expansionlab.cli import (_check_magnitude_recurrence, cmd_expand,
+                              cmd_gauge, cmd_propagate, main)
 from expansionlab.scenario import load_scenario
 
 SCENARIOS = Path(resources.files("expansionlab") / "data" / "scenarios")
@@ -171,6 +172,17 @@ def test_reproduce_all_exit_3_on_tampered_golden(tmp_path):
     assert r.returncode == 3
     assert "FAIL" in r.stdout
     assert "velocity-jump" in r.stdout
+
+
+def test_magnitude_recurrence_check_fails_on_truncated_values():
+    # quad_check_max = 1 yields 2 fresh values against 21 frozen ones; a
+    # comparison that stops at the shorter list would pass on the first two
+    golden = json.loads((GOLDEN / "landau_planewave.json").read_text())
+    stats = {"quad": golden["quad"][:2], "ratio_defect": 0.0,
+             "worst_route_diff": 0.0}
+    ok, detail = _check_magnitude_recurrence(stats, golden, None)
+    assert ok is False
+    assert "2 fresh values against 21" in detail
 
 
 def test_main_requires_subcommand():

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from expansionlab.gauge import GaugeJumpScenario
 from expansionlab.propagation import (HamiltonianModel,
                                       PropagationContractError, Trajectory,
                                       Units, bohr_frequencies,
@@ -214,6 +216,86 @@ def test_unitary_norm_preserved_per_step():
     m = HamiltonianModel(rng.standard_normal(6),
                          [(lambda t: math.cos(3.0 * t), h1)], (0.0, 2.0))
     traj = unitary_propagate(pure_state(6), m, 500, UNITS)
+    assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
+
+
+def cayley_oracle(c0, model, n_slices, units=UNITS):
+    """Literal Cayley stepping: one linear solve per step at the midpoint."""
+    c = np.asarray(c0, dtype=complex)
+    t0, t1 = model.window
+    dt = (t1 - t0) / n_slices
+    omega = bohr_frequencies(model, units)
+    eye = np.eye(model.dim)
+    half = 0.5j * dt / units.hbar
+    states = [c]
+    for i in range(n_slices):
+        tm = t0 + dt * i + 0.5 * dt
+        m = model.h1(tm) * np.exp(1j * omega * tm)
+        c = np.linalg.solve(eye + half * m, c - half * (m @ c))
+        states.append(c)
+    return np.array(states)
+
+
+def random_hermitian(rng, dim):
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (raw + raw.conj().T)
+
+
+def test_unitary_matches_solve_oracle_box_dipole():
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    traj = unitary_propagate(pure_state(32), m, 2000, UNITS)
+    oracle = cayley_oracle(pure_state(32), m, 2000)
+    assert np.max(np.abs(traj.states - oracle)) <= 1e-11
+
+
+def test_unitary_matches_solve_oracle_random_hermitian():
+    rng = np.random.default_rng(21)
+    m = HamiltonianModel(np.sort(rng.uniform(0.0, 40.0, 16)),
+                         [(lambda t: math.sin(2.0 * t),
+                           random_hermitian(rng, 16))], (0.0, 3.0))
+    c0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    c0 /= np.linalg.norm(c0)
+    traj = unitary_propagate(c0, m, 1500, UNITS)
+    assert np.max(np.abs(traj.states - cayley_oracle(c0, m, 1500))) <= 1e-11
+
+
+@pytest.mark.parametrize("switch", ["ramp", "step"])
+def test_unitary_matches_solve_oracle_with_identity_term(switch):
+    # -A(t) p plus a (A^2/2) I term: the identity term folds into the shift
+    scn = GaugeJumpScenario(switch=switch)
+    m = scn.hamiltonian()
+    c0 = pure_state(scn.n_basis)
+    traj = unitary_propagate(c0, m, scn.n_slices, scn.units)
+    oracle = cayley_oracle(c0, m, scn.n_slices, scn.units)
+    assert np.max(np.abs(traj.states - oracle)) <= 1e-11
+
+
+def test_unitary_non_commuting_terms_match_solve_oracle():
+    rng = np.random.default_rng(8)
+    a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+    assert np.max(np.abs(a @ b - b @ a)) > 1e-3
+    m = HamiltonianModel(rng.standard_normal(6),
+                         [(lambda t: math.cos(3.0 * t), a),
+                          (lambda t: t * t, b)], (0.0, 2.0))
+    traj = unitary_propagate(pure_state(6, 2), m, 400, UNITS)
+    oracle = cayley_oracle(pure_state(6, 2), m, 400)
+    assert np.max(np.abs(traj.states - oracle)) <= 1e-11
+    assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 12),
+       amplitude=st.floats(0.01, 50.0), freq=st.floats(0.0, 20.0),
+       n_slices=st.integers(1, 300))
+def test_unitary_norm_preserved_per_step_property(seed, dim, amplitude, freq,
+                                                  n_slices):
+    rng = np.random.default_rng(seed)
+    m = HamiltonianModel(rng.uniform(0.0, 100.0, dim),
+                         [(lambda t: amplitude * math.cos(freq * t),
+                           random_hermitian(rng, dim))], (0.0, 1.0))
+    c0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    c0 /= np.linalg.norm(c0)
+    traj = unitary_propagate(c0, m, n_slices, UNITS)
     assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
 
 
