@@ -22,8 +22,10 @@ import numpy as np
 
 from . import __version__, basis, expansion, gauge, propagation, svgplot
 from .basis import Box1D, BoxIndex, LandauIndex, LandauUniformField, SpacePoint
-from .gauge import (GaugeFieldMismatchError, GaugeFunction, GaugeJumpScenario,
-                    PhaseFitScenario, zero_gauge_function)
+from .gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
+                    GaugeFunction, GaugeJumpScenario, NormalizationError,
+                    PhaseFitScenario, ReferenceUnavailableError,
+                    zero_gauge_function)
 from .propagation import Units
 from .scenario import RunManifest, Scenario, ScenarioError, load_scenario
 from .specfun import (QuadratureError, QuadratureSpec, SeriesDivergenceError,
@@ -465,8 +467,12 @@ def _check_velocity_jump(stats, golden, scn):
 def _check_phase_fit(stats, golden, scn):
     if stats["fit_sizes"] != golden["fit_sizes"]:
         return False, "fit sizes differ from golden"
-    dev = max(abs(f - z) for f, z in zip(stats["final_residuals"],
-                                         golden["residuals"]))
+    fresh = stats["final_residuals"]
+    frozen = golden["residuals"]
+    if len(fresh) != len(frozen):
+        return False, (f"{len(fresh)} fresh residuals against {len(frozen)} "
+                       f"frozen ones")
+    dev = max(abs(f - z) for f, z in zip(fresh, frozen))
     ok = dev <= golden["curve_tol"] \
         and stats["control_max_residual"] <= golden["stationary_tol"]
     return ok, (f"curve deviation {dev:.3e}, control residual "
@@ -567,12 +573,6 @@ def main(argv=None) -> int:
         else:
             code, _ = cmd_gauge(scn, out_dir, args.tolerance_scale)
         return code
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (QuadratureError, SeriesDivergenceError) as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return 2
@@ -580,6 +580,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"field-difference norm: {exc.defect!r}", file=sys.stderr)
         return 3
+    except (GaugeConsistencyError, NormalizationError) as exc:
+        # ValueErrors too, so caught before the configuration errors below
+        print(f"error: physical consistency: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, FileNotFoundError, ReferenceUnavailableError) as exc:
+        # scenario errors and the argument checks of every constructor
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -265,17 +265,6 @@ def reconstruct(series: CoefficientSeries, point: SpacePoint) -> complex:
     return total
 
 
-def reconstruct_dx(series: CoefficientSeries, point: SpacePoint) -> complex:
-    """d/dx of the truncated synthesis; box families only."""
-    if not isinstance(series.family, Box1D):
-        raise basis.BasisIndexError(
-            "x-derivative synthesis is only provided for the box family")
-    total = 0.0 + 0.0j
-    for ix, c in series.entries:
-        total += c * basis.box_eigenfunction_dx(ix.n, point.x, series.family.width)
-    return total
-
-
 def coefficient_csv_rows(series: CoefficientSeries):
     """Rows for the coefficient table: n, re, im, abs, abs_sq, partial_sum, quad_err."""
     rows = []

@@ -4,24 +4,26 @@ The covariance set transforms everything together: A' = A + grad f,
 Phi' = Phi - df/dt, the wave function picks up exp(i f), and observables are
 rebuilt from the primed potentials. The velocity operator is v = p - A with
 p = -i hbar d/dx on the well domain. Experiments run on the 1-D box embedded
-along the x axis; gauge functions remain full fields of (t, r).
+along the x axis; gauge functions remain full fields of (t, r). Observables
+are weighted sums over psi and d psi/dx sampled on 2 N + 32 Gauss-Legendre
+nodes for N sine terms; the jump experiment re-checks its last time on twice
+the nodes and raises QuadratureError if a value moves beyond round-off.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import expansion, propagation
-from .basis import Box1D, SpacePoint, box_eigenfunction
-from .expansion import CoefficientSeries
+from . import propagation
 from .propagation import (HamiltonianModel, Units, box_energies, hard_step,
                           momentum_matrix_elements_box, smooth_ramp,
                           smooth_ramp_dt, unitary_propagate)
-from .specfun import QuadratureSpec, integrate_interval
+from .specfun import QuadratureError
 
 
 class GaugeConsistencyError(ValueError):
@@ -166,140 +168,77 @@ def field_mismatch(p1: Potentials, p2: Potentials, times, points,
 
 @dataclass(frozen=True)
 class LineState:
-    """A wave function on [lo, hi], embedded along the x axis."""
+    """psi and d psi/dx at quadrature nodes x (weights w) on the x axis."""
 
-    value: Callable
-    dx: Callable
-    lo: float
-    hi: float
-
-
-def line_state_from_series(series: CoefficientSeries) -> LineState:
-    """Synthesize a box CoefficientSeries into a pointwise state."""
-    if not isinstance(series.family, Box1D):
-        raise ValueError("only box coefficient series synthesize to a line state")
-    width = series.family.width
-    return LineState(
-        value=lambda x: expansion.reconstruct(series, SpacePoint.cartesian(x)),
-        dx=lambda x: expansion.reconstruct_dx(series, SpacePoint.cartesian(x)),
-        lo=0.0, hi=width)
+    x: np.ndarray
+    w: np.ndarray
+    value: np.ndarray
+    dx: np.ndarray
 
 
-def _box_line_state(width: float, amplitudes: np.ndarray) -> LineState:
-    # fast synthesis used inside experiments; amplitudes already carry the
-    # stationary phases
+def _on_line(field: Callable, t: float, x: np.ndarray) -> np.ndarray:
+    """A field of (t, r) at every r = (x, 0, 0), stacked along axis 0."""
+    zero = np.zeros_like(x)
+    return np.array([field(t, r) for r in np.column_stack([x, zero, zero])],
+                    dtype=float)
+
+
+def _box_modes(width: float, n_modes: int, x: np.ndarray):
+    """Wave numbers n pi / L and the (n_modes, len(x)) table of box modes."""
+    k = np.arange(1, n_modes + 1) * math.pi / width
+    return k, math.sqrt(2.0 / width) * np.sin(np.outer(k, x))
+
+
+_gauss_legendre = functools.lru_cache(maxsize=None)(
+    np.polynomial.legendre.leggauss)
+
+
+def box_line_state(width: float, amplitudes) -> LineState:
+    """Synthesize sum_n a_n psi_n on 2 len(a) + 32 Gauss-Legendre nodes.
+
+    The amplitudes carry their stationary phases. The node count grows with
+    the highest wave number, 2 n pi / L, in a product of two such states.
+    """
     amps = np.asarray(amplitudes, dtype=complex)
-    freqs = np.arange(1, amps.size + 1) * math.pi / width
-    scale = math.sqrt(2.0 / width)
-
-    def value(x):
-        return scale * complex(np.sin(freqs * x) @ amps)
-
-    def dx(x):
-        return scale * complex(np.cos(freqs * x) @ (freqs * amps))
-
-    return LineState(value, dx, 0.0, width)
+    nodes, weights = _gauss_legendre(2 * amps.size + 32)
+    x = 0.5 * width * (nodes + 1.0)
+    k, sines = _box_modes(width, amps.size, x)
+    cosines = math.sqrt(2.0 / width) * np.cos(np.outer(k, x))
+    return LineState(x, 0.5 * width * weights, amps @ sines,
+                     (k * amps) @ cosines)
 
 
-def _as_line_state(state) -> LineState:
-    if isinstance(state, LineState):
-        return state
-    if isinstance(state, CoefficientSeries):
-        return line_state_from_series(state)
-    raise ValueError(f"cannot interpret {type(state).__name__} as a state")
-
-
-def phase_transform(state, g: GaugeFunction, t: float) -> LineState:
+def phase_transform(state: LineState, g: GaugeFunction, t: float) -> LineState:
     """Multiply the state by exp(i f(t, r)); the density is untouched.
 
-    Coefficient series are synthesized pointwise first. The derivative picks
-    up the chain-rule term i (df/dx) psi, kept analytic through g.grad_f.
+    The derivative picks up the chain-rule term i (df/dx) psi, kept analytic
+    through g.grad_f.
     """
-    line = _as_line_state(state)
-
-    def value(x):
-        return cmath_exp(g.f(t, _embed(x))) * line.value(x)
-
-    def dx(x):
-        ph = cmath_exp(g.f(t, _embed(x)))
-        gx = np.asarray(g.grad_f(t, _embed(x)), dtype=float)[0]
-        return ph * (1j * gx * line.value(x) + line.dx(x))
-
-    return LineState(value, dx, line.lo, line.hi)
+    phase = np.exp(1j * _on_line(g.f, t, state.x))
+    gx = _on_line(g.grad_f, t, state.x)[:, 0]
+    return LineState(state.x, state.w, phase * state.value,
+                     phase * (1j * gx * state.value + state.dx))
 
 
-def _embed(x: float) -> np.ndarray:
-    return np.array([x, 0.0, 0.0])
-
-
-def cmath_exp(f_value: float) -> complex:
-    return complex(math.cos(f_value), math.sin(f_value))
-
-
-def momentum_expectation(state, units: Units = Units(),
-                         quadrature: QuadratureSpec | None = None) -> np.ndarray:
-    """<p> = <psi| -i hbar grad |psi> by quadrature; y and z vanish on a line."""
-    line = _as_line_state(state)
-    spec = quadrature or QuadratureSpec()
-
-    def integrand_re(x):
-        return (line.value(x).conjugate() * (-1j * units.hbar * line.dx(x))).real
-
-    px, _ = integrate_interval(integrand_re, line.lo, line.hi, spec)
-    return np.array([px, 0.0, 0.0])
-
-
-def state_norm(state, quadrature: QuadratureSpec | None = None) -> float:
-    line = _as_line_state(state)
-    spec = quadrature or QuadratureSpec()
-    val, _ = integrate_interval(lambda x: abs(line.value(x)) ** 2,
-                                line.lo, line.hi, spec)
-    return val
-
-
-def velocity_expectation(state, A, t: float, units: Units = Units(),
-                         quadrature: QuadratureSpec | None = None,
-                         norm_tol: float = 1e-6) -> np.ndarray:
-    """<v> = <psi| -i hbar grad |psi> - <psi| A |psi>, both by quadrature."""
-    v, _ = velocity_and_momentum(state, A, t, units, quadrature, norm_tol)
-    return v
-
-
-def velocity_and_momentum(state, A, t: float, units: Units = Units(),
-                          quadrature: QuadratureSpec | None = None,
-                          norm_tol: float = 1e-6):
-    if isinstance(A, Potentials):
-        A = A.vector
-    line = _as_line_state(state)
-    spec = quadrature or QuadratureSpec()
-    norm = state_norm(line, spec)
+def velocity_and_momentum(state: LineState, A, t: float,
+                          units: Units = Units(), norm_tol: float = 1e-6):
+    """<v> = <p - A(t, r)> and <p> = <-i hbar d/dx> as sums over the nodes."""
+    density = np.abs(state.value) ** 2
+    norm = float(state.w @ density)
     if abs(norm - 1.0) > norm_tol:
         raise NormalizationError(
             f"state norm {norm!r} deviates from 1 beyond {norm_tol!r}", norm)
-    p = momentum_expectation(line, units, spec)
+    p_density = (state.value.conjugate() * (-1j * units.hbar * state.dx)).real
+    a = _on_line(A, t, state.x)
 
     # v_x as a single integrand: when the state is co-transformed with the
-    # potentials, the grad-f terms cancel pointwise, so the two gauges feed
-    # the quadrature the same numbers instead of cancelling across two
-    # separately-estimated integrals
-    def vx_integrand(x):
-        val = line.value(x)
-        ax = float(np.asarray(A(t, _embed(x)), dtype=float)[0])
-        return (val.conjugate() * (-1j * units.hbar * line.dx(x))).real \
-            - ax * abs(val) ** 2
-
-    vx, _ = integrate_interval(vx_integrand, line.lo, line.hi, spec)
-
+    # potentials, the grad-f terms cancel node by node, so the two gauges sum
+    # the same numbers instead of cancelling across two separate sums
+    vx = float(state.w @ (p_density - a[:, 0] * density))
     # p_y = p_z = 0 on a line state, so those components are plain -<A_j>
-    a_perp = np.empty(2)
-    for j in (1, 2):
-        def integrand(x, _j=j):
-            return abs(line.value(x)) ** 2 \
-                * float(np.asarray(A(t, _embed(x)), dtype=float)[_j])
-
-        a_perp[j - 1], _ = integrate_interval(integrand, line.lo, line.hi,
-                                              spec)
-    return np.array([vx, -a_perp[0], -a_perp[1]]), p
+    a_perp = (state.w * density) @ a[:, 1:]
+    return (np.array([vx, -a_perp[0], -a_perp[1]]),
+            np.array([float(state.w @ p_density), 0.0, 0.0]))
 
 
 @dataclass
@@ -459,8 +398,14 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     pot2 = scenario.second_potentials()
     g = scenario.gauge_function()
 
-    sample_times = [-scenario.t_end * f for f in (1.0, 0.5, 0.25)] \
-        + [scenario.t_end * f for f in (0.25, 0.5, 1.0)]
+    sample_times = [s * f * scenario.t_end for s in (-1.0, 1.0)
+                    for f in (1.0, 0.5, 0.25)]
+    if scenario.switch == "ramp":
+        # f'' jumps where a ramp ends: keep every probe more than the
+        # consistency check's 1e-5 central-difference step away from it
+        sample_times = [scenario.ramp_time + 2e-5
+                        if abs(t - scenario.ramp_time) <= 1e-5 else t
+                        for t in sample_times]
     sample_points = [np.array([x * scenario.width, 0.0, 0.0])
                      for x in (0.2, 0.5, 0.8)]
     g_defect = float(g.consistency_defect(sample_times, sample_points))
@@ -481,37 +426,44 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     c0[scenario.initial_index - 1] = 1.0
     traj = unitary_propagate(c0, model, scenario.n_slices, units)
 
+    def observe(amps, t):
+        """Rows v1, p1, naive v2 (state not co-transformed), v2, p2."""
+        psi1 = box_line_state(scenario.width, amps)
+        psi2 = phase_transform(psi1, g, t)
+        return np.array([*velocity_and_momentum(psi1, pot1.vector, t, units),
+                         velocity_and_momentum(psi1, pot2.vector, t, units)[0],
+                         *velocity_and_momentum(psi2, pot2.vector, t, units)])
+
     # pre-switch reference: stationary bound state, potentials still off
-    psi_pre = _box_line_state(scenario.width, c0)
-    v_pre, _ = velocity_and_momentum(psi_pre, lambda t, r: np.zeros(3), -1.0,
-                                     units)
+    v_pre, _ = velocity_and_momentum(box_line_state(scenario.width, c0),
+                                     lambda t, r: np.zeros(3), -1.0, units)
 
     idx = sorted(set([0, 1] + list(range(0, scenario.n_slices + 1,
                                          scenario.observe_stride))
                      + [scenario.n_slices]))
-    energies = model.energies
-    times, v1s, p1s, v2s, p2s, naive, covar = [], [], [], [], [], [], []
-    for i in idx:
-        t = float(traj.times[i])
-        amps = traj.states[i] * np.exp(-1j * energies * t / units.hbar)
-        psi1 = _box_line_state(scenario.width, amps)
-        v1, p1 = velocity_and_momentum(psi1, pot1, t, units)
-        v2n, _ = velocity_and_momentum(psi1, pot2, t, units)
-        psi2 = phase_transform(psi1, g, t)
-        v2, p2 = velocity_and_momentum(psi2, pot2, t, units)
-        times.append(t)
-        v1s.append(v1)
-        p1s.append(p1)
-        v2s.append(v2)
-        p2s.append(p2)
-        naive.append(float(np.linalg.norm(v2n - v1)))
-        covar.append(float(np.linalg.norm(v2 - v1)))
+    times = traj.times[idx]
+    amps = traj.states[idx] \
+        * np.exp(-1j * np.outer(times, model.energies) / units.hbar)
+    obs = np.array([observe(a, t) for a, t in zip(amps, times)])
 
-    rep1 = ObservableReport("gauge1", np.array(times), np.array(v1s),
-                            np.array(p1s), v_pre)
-    rep2 = ObservableReport("gauge2", np.array(times), np.array(v2s),
-                            np.array(p2s), v_pre)
-    return GaugeJumpResult(rep1, rep2, np.array(naive), np.array(covar),
+    # zero-padding to 2 n + 16 amplitudes doubles the nodes; a value that
+    # moves by more than round-off at the observables' scale (largest basis
+    # momentum or value) was not resolved, so the run has not converged
+    fine = observe(np.concatenate([amps[-1], np.zeros(amps.shape[1] + 16)]),
+                   times[-1])
+    split = float(np.max(np.abs(fine - obs[-1])))
+    if split > 1e-12 * max(1.0, float(np.max(np.abs(fine))), units.hbar
+                           * math.pi * scenario.n_basis / scenario.width):
+        raise QuadratureError(
+            f"gauge observables at t = {float(times[-1])!r} moved by "
+            f"{split!r} when the quadrature nodes were doubled",
+            float(fine[0, 0]), split)
+
+    v1, p1, v2n, v2, p2 = obs.transpose(1, 0, 2)
+    rep1 = ObservableReport("gauge1", times, v1, p1, v_pre)
+    rep2 = ObservableReport("gauge2", times, v2, p2, v_pre)
+    return GaugeJumpResult(rep1, rep2, np.linalg.norm(v2n - v1, axis=1),
+                           np.linalg.norm(v2 - v1, axis=1),
                            float(defect), float(scale), float(g_defect), v_pre)
 
 
@@ -600,34 +552,26 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
     w[0] *= 0.5
     w[-1] *= 0.5
     n_max = max(scenario.fit_sizes)
-    sines_ref = np.array([[box_eigenfunction(n, x, width) for x in xs]
-                          for n in range(1, scenario.n_reference + 1)])
+    _, sines_ref = _box_modes(width, scenario.n_reference, xs)
     sines_fit = sines_ref[:n_max]
 
     fit_idx = sorted(set(list(range(0, scenario.n_slices + 1,
                                     scenario.fit_stride))
                          + [scenario.n_slices]))
-    energies = model.energies
-    fit_times = []
+    fit_times = traj.times[fit_idx]
+    amps = traj.states[fit_idx] \
+        * np.exp(-1j * np.outer(fit_times, model.energies) / units.hbar)
     rows = []
-    for i in fit_idx:
-        t = float(traj.times[i])
-        amps = traj.states[i] * np.exp(-1j * energies * t / units.hbar)
-        psi = amps @ sines_ref
-        phase = np.array([cmath_exp(-g.f(t, np.array([x, 0.0, 0.0])))
-                          for x in xs])
-        target = phase * psi
+    for t, a in zip(fit_times, amps):
+        target = np.exp(-1j * _on_line(g.f, t, xs)) * (a @ sines_ref)
         coefs = sines_fit @ (w * target)
-        row = []
-        for n in scenario.fit_sizes:
-            resid_vec = target - coefs[:n] @ sines_fit[:n]
-            row.append(math.sqrt(float(np.sum(w * np.abs(resid_vec) ** 2))))
-        fit_times.append(t)
-        rows.append(row)
+        rows.append([math.sqrt(float(np.sum(
+            w * np.abs(target - coefs[:n] @ sines_fit[:n]) ** 2)))
+            for n in scenario.fit_sizes])
 
     residuals = np.array(rows)
     final = residuals[-1]
     plateaued = bool(final[-1] > plateau_tol
                      and final[-1] > 0.5 * final[-2])
-    return PhaseFitReport(scenario.fit_sizes, np.array(fit_times), residuals,
+    return PhaseFitReport(scenario.fit_sizes, fit_times, residuals,
                           plateau_tol, plateaued)

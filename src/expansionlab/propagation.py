@@ -145,7 +145,13 @@ class Trajectory:
                 raise PropagationContractError("norms must align with times")
 
     def compute_norms(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.states, self.states.conj()).real
+        # 2^11-row chunks keep the conjugate copy small on long runs
+        norms = np.empty(self.times.size)
+        for lo in range(0, norms.size, 2 ** 11):
+            rows = self.states[lo:lo + 2 ** 11]
+            norms[lo:lo + 2 ** 11] = np.einsum("ij,ij->i", rows,
+                                               rows.conj()).real
+        return norms
 
     @property
     def dim(self) -> int:

@@ -132,16 +132,19 @@ def test_criterion_5_unitary_contrast():
 
 
 def test_criterion_6_velocity_jump_and_covariance():
+    t0 = time.perf_counter()
     scn = GaugeJumpScenario()
     res = gauge_jump_experiment(scn)
     jump_defect = abs(res.report_gauge1.jump_metric - scn.amplitude)
     covar = float(np.max(res.covariant_discrepancy))
-    ok = jump_defect < 1e-8 and covar < 1e-10
+    elapsed = time.perf_counter() - t0
+    ok = jump_defect < 1e-8 and covar < 1e-10 and elapsed < 1.0
     record("6 velocity jump",
            ok, f"|jump - A0| = {jump_defect:.3e} (tol 1e-8), covariant "
-               f"discrepancy {covar:.3e} (tol 1e-10)")
+               f"discrepancy {covar:.3e} (tol 1e-10), {elapsed:.2f}s (< 1s)")
     assert jump_defect < 1e-8
     assert covar < 1e-10
+    assert elapsed < 1.0
 
 
 def test_criterion_7_phase_factored_residuals():

@@ -7,10 +7,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from expansionlab.cli import (_check_magnitude_recurrence, cmd_expand,
-                              cmd_gauge, cmd_propagate, main)
+from expansionlab import gauge
+from expansionlab.cli import (_check_magnitude_recurrence, _check_phase_fit,
+                              cmd_expand, cmd_gauge, cmd_propagate, main)
+from expansionlab.gauge import GaugeFunction, GaugeJumpScenario, LineState
 from expansionlab.scenario import load_scenario
 
 SCENARIOS = Path(resources.files("expansionlab") / "data" / "scenarios")
@@ -183,6 +186,79 @@ def test_magnitude_recurrence_check_fails_on_truncated_values():
     ok, detail = _check_magnitude_recurrence(stats, golden, None)
     assert ok is False
     assert "2 fresh values against 21" in detail
+
+
+def test_phase_fit_check_fails_on_truncated_golden():
+    # a golden cut to two residuals must not pass on the two it still holds
+    golden = json.loads((GOLDEN / "phase_fit.json").read_text())
+    fresh = list(golden["residuals"])
+    fresh[2:] = [1.0] * (len(fresh) - 2)
+    golden["residuals"] = golden["residuals"][:2]
+    stats = {"fit_sizes": golden["fit_sizes"], "final_residuals": fresh,
+             "control_max_residual": 0.0}
+    ok, detail = _check_phase_fit(stats, golden, None)
+    assert ok is False
+    assert "8 fresh residuals against 2" in detail
+
+
+def write_scenario(path, kind, **keys):
+    lines = ["expansionlab-scenario v1", f"kind = {kind}", "name = t"]
+    lines += [f"{k} = {v}" for k, v in keys.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command,keys,message", [
+    ("gauge", dict(experiment="jump", n_basis=24, initial_index=30),
+     "initial index"),
+    ("expand", dict(family="landau", magnetic_length=-1, n_max=5,
+                    quad_check_max=2), "magnetic length"),
+    ("propagate", dict(perturbation="dipole-ramp", n_basis=1, n_slices=10),
+     "n_basis"),
+    ("gauge", dict(experiment="phase-fit", n_reference=16,
+                   fit_sizes="2, 4, 32", n_slices=10), "reference basis"),
+], ids=["initial-index", "magnetic-length", "dipole-basis",
+        "phase-fit-basis"])
+def test_exit_1_on_constructor_errors(tmp_path, command, keys, message):
+    path = write_scenario(tmp_path / "bad.scn", command, **keys)
+    r = run_cli(command, "--scenario", str(path),
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error:") and message in r.stderr
+
+
+def _sign_flipped_gauge(self):
+    return GaugeFunction(
+        f=lambda t, r: -self.amplitude * r[0],
+        grad_f=lambda t, r: np.array([self.amplitude, 0.0, 0.0]),
+        dt_f=lambda t, r: 0.0)
+
+
+_box_line_state = gauge.box_line_state
+
+
+def _doubled_line_state(width, amplitudes):
+    line = _box_line_state(width, amplitudes)
+    return LineState(line.x, line.w, 2.0 * line.value, 2.0 * line.dx)
+
+
+@pytest.mark.parametrize("target,replacement,error", [
+    (GaugeJumpScenario, ("gauge_function", _sign_flipped_gauge),
+     "finite differences"),
+    (gauge, ("box_line_state", _doubled_line_state), "state norm"),
+], ids=["gauge-consistency", "normalization"])
+def test_exit_3_on_consistency_errors(tmp_path, monkeypatch, capsys, target,
+                                      replacement, error):
+    monkeypatch.setattr(target, *replacement)
+    path = write_scenario(tmp_path / "step.scn", "gauge", experiment="jump",
+                          n_slices=8)
+    code = main(["gauge", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("error:") and error in err
 
 
 def test_main_requires_subcommand():

@@ -7,21 +7,22 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from expansionlab.basis import Box1D, BoxIndex, box_eigenfunction
-from expansionlab.expansion import CoefficientSeries
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expansionlab.basis import box_eigenfunction, box_eigenfunction_dx
 from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 GaugeFunction, GaugeJumpScenario, LineState,
                                 NormalizationError, PhaseFitScenario,
                                 Potentials, ReferenceUnavailableError,
-                                electric_field, field_mismatch,
-                                free_potentials, gauge_jump_experiment,
-                                line_state_from_series, magnetic_field,
-                                momentum_expectation,
+                                box_line_state, electric_field,
+                                field_mismatch, free_potentials,
+                                gauge_jump_experiment, magnetic_field,
                                 phase_factored_expansion_test, phase_transform,
-                                state_norm, transform_potentials,
-                                velocity_expectation, write_observable_csv,
-                                zero_gauge_function)
+                                transform_potentials, velocity_and_momentum,
+                                write_observable_csv, zero_gauge_function)
 from expansionlab.propagation import Units, smooth_ramp, smooth_ramp_dt
+from expansionlab.specfun import QuadratureError
 
 UNITS = Units()
 
@@ -35,8 +36,18 @@ def linear_gauge(k):
 
 
 def eigenstate_line(n=1, width=1.0):
-    series = CoefficientSeries(Box1D(width), [(BoxIndex(n), 1.0 + 0j)])
-    return line_state_from_series(series)
+    amps = np.zeros(n)
+    amps[-1] = 1.0
+    return box_line_state(width, amps)
+
+
+def no_potential(t, r):
+    return np.zeros(3)
+
+
+def padded(amps):
+    """The same state on twice the nodes (2 n + 16 amplitudes)."""
+    return np.concatenate([amps, np.zeros(len(amps) + 16)])
 
 
 def load_golden(name):
@@ -115,54 +126,98 @@ def test_gauge_function_consistency_defect():
 
 def test_phase_transform_preserves_density():
     line = eigenstate_line(2)
-    g = linear_gauge(0.9)
-    out = phase_transform(line, g, 0.0)
-    for x in (0.1, 0.37, 0.62, 0.9):
-        assert abs(out.value(x)) == pytest.approx(abs(line.value(x)),
-                                                  abs=1e-15)
+    out = phase_transform(line, linear_gauge(0.9), 0.0)
+    assert np.max(np.abs(np.abs(out.value) - np.abs(line.value))) < 1e-15
+    assert np.array_equal(out.x, line.x) and np.array_equal(out.w, line.w)
 
 
 def test_phase_transform_shifts_momentum_by_hbar_k():
     # e^{ikx} psi boosts <p> by hbar k
     line = eigenstate_line(1)
     k = 2.7
-    before = momentum_expectation(line, UNITS)
-    after = momentum_expectation(phase_transform(line, linear_gauge(k), 0.0),
-                                 UNITS)
+    _, before = velocity_and_momentum(line, no_potential, 0.0, UNITS)
+    _, after = velocity_and_momentum(
+        phase_transform(line, linear_gauge(k), 0.0), no_potential, 0.0, UNITS)
     assert before[0] == pytest.approx(0.0, abs=1e-12)
     assert after[0] - before[0] == pytest.approx(k * UNITS.hbar, rel=1e-10)
 
     h2 = Units(2.0)
-    after2 = momentum_expectation(
-        phase_transform(line, linear_gauge(k), 0.0), h2)
+    _, after2 = velocity_and_momentum(
+        phase_transform(line, linear_gauge(k), 0.0), no_potential, 0.0, h2)
     assert after2[0] == pytest.approx(k * h2.hbar, rel=1e-10)
 
 
 def test_velocity_real_bound_state_no_potential_is_zero():
-    line = eigenstate_line(3)
-    v = velocity_expectation(line, lambda t, r: np.zeros(3), 0.0, UNITS)
+    v, _ = velocity_and_momentum(eigenstate_line(3), no_potential, 0.0, UNITS)
     assert np.max(np.abs(v)) < 1e-12
 
 
 def test_velocity_shifts_by_minus_average_A():
     # switched-on uniform A: <v> = <p> - A with <psi_s|A|psi_s> = A
-    line = eigenstate_line(1)
     a0 = np.array([0.2, -0.1, 0.05])
-    v = velocity_expectation(line, lambda t, r: a0, 0.0, UNITS)
+    v, _ = velocity_and_momentum(eigenstate_line(1), lambda t, r: a0, 0.0,
+                                 UNITS)
     assert np.allclose(v, -a0, atol=1e-10)
 
 
 def test_velocity_rejects_unnormalized_state():
     line = eigenstate_line(1)
-    doubled = LineState(lambda x: 2.0 * line.value(x),
-                        lambda x: 2.0 * line.dx(x), line.lo, line.hi)
+    doubled = LineState(line.x, line.w, 2.0 * line.value, 2.0 * line.dx)
     with pytest.raises(NormalizationError) as excinfo:
-        velocity_expectation(doubled, lambda t, r: np.zeros(3), 0.0, UNITS)
+        velocity_and_momentum(doubled, no_potential, 0.0, UNITS)
     assert excinfo.value.measured_norm == pytest.approx(4.0, rel=1e-10)
 
 
 def test_state_norm_of_eigenstate():
-    assert state_norm(eigenstate_line(4)) == pytest.approx(1.0, abs=1e-12)
+    line = eigenstate_line(4)
+    assert line.w @ np.abs(line.value) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_box_line_state_matches_eigenfunction():
+    width = 1.7
+    amps = np.array([0.0, 0.6, 0.0, -0.8j])
+    line = box_line_state(width, amps)
+    assert line.x.size == 2 * amps.size + 32
+    assert np.all((line.x > 0.0) & (line.x < width))
+    assert np.sum(line.w) == pytest.approx(width, rel=1e-14)
+    for x, value, dx in zip(line.x, line.value, line.dx):
+        want = 0.6 * box_eigenfunction(2, x, width) \
+            - 0.8j * box_eigenfunction(4, x, width)
+        want_dx = 0.6 * box_eigenfunction_dx(2, x, width) \
+            - 0.8j * box_eigenfunction_dx(4, x, width)
+        assert abs(value - want) < 1e-14
+        assert abs(dx - want_dx) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 48),
+       seed=st.integers(0, 2 ** 32 - 1),
+       k=st.floats(-20.0, 20.0),
+       a_x=st.floats(-2.0, 2.0))
+def test_linear_gauge_boost_and_covariance_on_nodes(n, seed, k, a_x):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    amps /= np.linalg.norm(amps)
+    g = linear_gauge(k)
+    pot = Potentials(lambda t, r: np.array([a_x, 0.0, 0.0]),
+                     lambda t, r: 0.0)
+    pot_k = transform_potentials(pot, g)
+
+    def observables(coefficients):
+        line = box_line_state(1.0, coefficients)
+        v, p = velocity_and_momentum(line, pot.vector, 0.0, UNITS)
+        v_k, p_k = velocity_and_momentum(phase_transform(line, g, 0.0),
+                                         pot_k.vector, 0.0, UNITS)
+        return np.concatenate([v, p, v_k, p_k])
+
+    coarse = observables(amps)
+    fine = observables(padded(amps))
+    # round-off grows with the largest momentum the sums carry
+    scale = UNITS.hbar * (n * math.pi + abs(k)) + abs(a_x)
+    assert np.max(np.abs(coarse - fine)) < 1e-13 * scale
+    v, p, v_k, p_k = coarse.reshape(4, 3)
+    assert abs(p_k[0] - p[0] - UNITS.hbar * k) < 1e-13 * scale
+    assert np.max(np.abs(v_k - v)) < 1e-12
 
 
 def test_jump_zero_disturbance():
@@ -222,6 +277,35 @@ def test_jump_inconsistent_gauge_function_rejected(monkeypatch):
                         lambda self: broken)
     with pytest.raises(GaugeConsistencyError):
         gauge_jump_experiment(scn)
+
+
+@pytest.mark.parametrize("ramp_time", [0.25, 0.5, 1.0])
+def test_jump_ramp_ending_on_a_probe_time_is_accepted(ramp_time):
+    # the consistency probes sit at +-{0.25, 0.5, 1} t_end; a ramp that ends
+    # on one of them must not fail the analytic gauge function
+    scn = GaugeJumpScenario(switch="ramp", ramp_time=ramp_time, t_end=1.0,
+                            n_slices=40, observe_stride=10)
+    assert any(abs(t - ramp_time) < 1e-12
+               for t in (0.25 * scn.t_end, 0.5 * scn.t_end, scn.t_end))
+    res = gauge_jump_experiment(scn)
+    assert res.gauge_consistency_defect < 1e-6
+    assert float(np.max(res.covariant_discrepancy)) < 1e-10
+
+
+def test_jump_node_doubling_flags_unresolved_gauge(monkeypatch):
+    # a time-independent gauge leaves E and B alone and its derivatives are
+    # consistent, but 80 nodes cannot resolve grad f = 0.3 cos(300 x)
+    wiggle = GaugeFunction(
+        f=lambda t, r: 0.001 * np.sin(300.0 * r[0]),
+        grad_f=lambda t, r: np.array([0.3 * np.cos(300.0 * r[0]), 0.0, 0.0]),
+        dt_f=lambda t, r: 0.0)
+    monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
+                        lambda self: wiggle)
+    with pytest.raises(QuadratureError) as excinfo:
+        gauge_jump_experiment(GaugeJumpScenario(n_slices=20,
+                                                observe_stride=10))
+    assert excinfo.value.error_estimate > 1e-12
+    assert "doubled" in str(excinfo.value)
 
 
 def test_observable_csv_schema(tmp_path):
@@ -293,18 +377,6 @@ def test_phase_fit_report_text_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("basis_size,residual_t")
     assert len(lines) == 1 + len(report.fit_sizes)
-
-
-def test_line_state_from_series_matches_eigenfunction():
-    width = 1.0
-    series = CoefficientSeries(Box1D(width), [(BoxIndex(2), 1.0 + 0j)])
-    line = line_state_from_series(series)
-    for x in (0.2, 0.55, 0.81):
-        assert line.value(x) == pytest.approx(
-            complex(box_eigenfunction(2, x, width)), rel=1e-12)
-    h = 1e-6
-    fd = (line.value(0.4 + h) - line.value(0.4 - h)) / (2.0 * h)
-    assert line.dx(0.4) == pytest.approx(fd, rel=1e-8)
 
 
 def test_free_potentials_are_zero():
