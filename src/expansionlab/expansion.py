@@ -105,11 +105,12 @@ class ConvergenceReport:
 
 
 def _angular_average(target, rho: float, l: int, z: float = 0.0,
-                     tol: float = 1e-12) -> complex:
+                     tol: float = 1e-12) -> tuple[complex, bool]:
     """(1/2pi) int e^(-i l phi) target(rho, phi) dphi by doubling trapezoid.
 
     The periodic trapezoid rule is spectrally accurate, so band-limited
-    targets converge after one doubling.
+    targets converge after one doubling. Returns (average, converged); when
+    1024 points do not settle it, the last estimate comes back unconverged.
     """
     m = 16
     prev = None
@@ -119,10 +120,10 @@ def _angular_average(target, rho: float, l: int, z: float = 0.0,
                         dtype=complex)
         avg = complex(np.mean(vals * np.exp(-1j * l * phis)))
         if prev is not None and abs(avg - prev) <= max(1e-14, tol * abs(avg)):
-            return avg
+            return avg, True
         prev = avg
         m *= 2
-    return prev
+    return prev, False
 
 
 def _complex_quad(integrand, runner):
@@ -137,23 +138,30 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
     target is a callable of SpacePoint. Landau projections run on the fixed
     transverse slice z = 0 (angular integral by periodic trapezoid, radial by
     adaptive quadrature); box projections integrate over [0, L]. A coefficient
-    whose quadrature fails to converge keeps its best estimate and is flagged;
-    the series is still returned.
+    whose quadrature fails to converge, or whose angular average is still
+    moving at 1024 points, keeps its best estimate and is flagged; the series
+    is still returned.
     """
     entries, errors, flags = [], [], []
     if isinstance(family, LandauUniformField):
         a = family.magnetic_length
         spec = quadrature or basis.default_quadrature(family)
         for ix in indices:
+            unsettled = []
+
             def radial_integrand(rho, _ix=ix):
                 if rho == 0.0 and _ix.l != 0:
                     return 0.0 + 0.0j
                 r = basis.landau_radial(_ix.n, _ix.l, rho, a)
-                avg = _angular_average(target, rho, _ix.l)
+                avg, converged = _angular_average(target, rho, _ix.l)
+                if not converged:
+                    unsettled.append(rho)
                 return math.sqrt(2.0 * math.pi) * r * rho * avg
 
             runner = lambda f: integrate_semi_infinite(f, spec)
             value, err, flag = _guarded(radial_integrand, runner)
+            if unsettled:
+                flag = FLAG_NO_CONVERGENCE
             entries.append((ix, value))
             errors.append(err)
             flags.append(flag)

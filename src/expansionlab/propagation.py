@@ -2,11 +2,14 @@
 
 The coefficient system is i hbar dC_n/dt = sum_l C_l (H1)_{nl} exp(i w_{nl} t)
 with Bohr frequencies w_{nl} = (eps_n - eps_l)/hbar; stationary time factors
-follow exp(-i eps t / hbar). euler_propagate is a literal transcription of the
-first-order update with left-endpoint phases, kept deliberately naive: its
-norm growth is a reported outcome, not a defect to be patched. The Cayley
-(Crank-Nicolson) stepper is the norm-preserving contrast oracle. When the
-perturbation is one matrix X with a scalar profile plus multiples of the
+follow exp(-i eps t / hbar). euler_propagate applies the first-order update
+with left-endpoint phases exactly as written, kept deliberately naive: its
+norm growth is a reported outcome, not a defect to be patched. It samples
+the profiles once per run and factors each phase as exp(i w_{nl} t) =
+d_n(t) conj(d_l(t)), d(t) = exp(i eps t / hbar), so a step is one
+matrix-vector product per term; rhs() keeps the literal dim x dim form. The
+Cayley (Crank-Nicolson) stepper is the norm-preserving contrast oracle. When
+the perturbation is one matrix X with a scalar profile plus multiples of the
 identity, it steps in the eigenbasis of X: the Cayley factor is diagonal
 there and the free evolution between midpoints is one constant unitary, so a
 step is one diagonal scale and one matrix-vector product. Other models take
@@ -190,15 +193,31 @@ def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
     C_k(t_{i+1}) = C_k(t_i) - (i/hbar) sum_{k'} C_{k'}(t_i) (H1)_{kk'}
     exp(i w_{kk'} t_i) dt. Norm growth along the way is recorded, never
     corrected.
+
+    The update is evaluated without forming the dim x dim phase matrix: the
+    profiles are sampled once on the left endpoints with -i dt/hbar folded
+    in as a_{ij}, and exp(i w_{nl} t) = d_n(t) conj(d_l(t)) with d(t) =
+    exp(i eps t / hbar), built in row chunks. A step is C_{i+1} = C_i + d *
+    sum_j a_{ij} X_j (conj(d) * C_i). Every left endpoint lies inside the
+    window, so h1's window rule never zeroes a step.
     """
-    c, times, dt, omega = _prepare(c0, model, n_slices, units)
+    c, times, dt, _ = _prepare(c0, model, n_slices, units)
     states = np.empty((n_slices + 1, model.dim), dtype=complex)
     states[0] = c
-    for i in range(n_slices):
-        t = times[i]
-        m = model.h1(t) * np.exp(1j * omega * t)
-        c = c - 1j / units.hbar * (m @ c) * dt
-        states[i + 1] = c
+    left = times[:-1]
+    a = np.array([[profile(t) for profile, _ in model.terms] for t in left],
+                 dtype=complex) * (-1j * dt / units.hbar)
+    xs = np.array([m for _, m in model.terms],
+                  dtype=complex).reshape(-1, model.dim)
+    freq = model.energies / units.hbar
+    rows = max(1, _CHUNK_ENTRIES // model.dim)
+    for lo in range(0, n_slices, rows):
+        d = np.exp(1j * np.outer(left[lo:lo + rows], freq))
+        for i, (dn, dl) in enumerate(zip(d, d.conj()), lo):
+            z = np.dot(a[i], (xs @ (dl * c)).reshape(-1, model.dim))
+            c = states[i + 1]
+            np.multiply(dn, z, out=c)
+            c += states[i]
     return Trajectory(times, states, "euler")
 
 

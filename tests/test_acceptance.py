@@ -95,6 +95,7 @@ def test_criterion_3_one_step_arithmetic():
 
 
 def test_criterion_4_norm_growth_audit():
+    t0 = time.perf_counter()
     m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
     traj = euler_propagate(pure_state(32), m, 1000, UNITS)
     report = norm_audit(traj, m, UNITS)
@@ -105,16 +106,18 @@ def test_criterion_4_norm_growth_audit():
         per_step.append((t.norms[-1] - 1.0) / n)
     exponents = [math.log2(a / b) for a, b in zip(per_step, per_step[1:])]
     expo_ok = all(1.9 <= e <= 2.1 for e in exponents)
+    elapsed = time.perf_counter() - t0
     ok = (report.monotone and report.first_strict_step is not None
-          and report.passed and expo_ok)
+          and report.passed and expo_ok and elapsed < 2.0)
     record("4 norm-growth audit",
            ok, f"monotone, strict from step {report.first_strict_step}, "
                f"refinement exponents {[round(e, 4) for e in exponents]} "
-               f"(within [1.9, 2.1])")
+               f"(within [1.9, 2.1]), {elapsed:.2f}s (< 2s)")
     assert report.monotone
     assert report.first_strict_step is not None
     assert report.passed
     assert expo_ok
+    assert elapsed < 2.0
 
 
 def test_criterion_5_unitary_contrast():

@@ -222,6 +222,19 @@ def test_flagged_coefficients_survive_with_best_estimate():
     assert all(np.isfinite(c) for c in series.coefficients())
 
 
+def test_unsettled_angular_average_flags_landau_coefficient():
+    # a sawtooth in phi (jump at phi = 0) moves the doubling trapezoid by
+    # pi/2m at every doubling, so 1024 points never settle it
+    def target(p):
+        return complex(math.exp(-0.25 * p.rho ** 2) * p.phi)
+
+    series = project(target, LandauUniformField(1.0), [LandauIndex(0)],
+                     QuadratureSpec(upper_cutoff=12.0))
+    assert series.flags == [FLAG_NO_CONVERGENCE]
+    assert series.flagged()
+    assert np.isfinite(series.coefficients()[0])
+
+
 def test_coefficient_csv_schema(tmp_path):
     fam = Box1D(1.0)
     series = project(gaussian_target(), fam,

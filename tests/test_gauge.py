@@ -124,6 +124,39 @@ def test_gauge_function_consistency_defect():
     assert broken.consistency_defect(times, points) > 0.1
 
 
+def oscillating_gauge(error=0.0):
+    """f = 0.01 sin(300 x), exact when error = 0; |f'''| reaches 2.7e5."""
+    return GaugeFunction(
+        f=lambda t, r: 0.01 * np.sin(300.0 * r[0]),
+        grad_f=lambda t, r: np.array([3.0 * (1.0 + error)
+                                      * np.cos(300.0 * r[0]), 0.0, 0.0]),
+        dt_f=lambda t, r: 0.0)
+
+
+def test_consistency_defect_accepts_fast_exact_gauge():
+    # the jump experiment's probes and its 1e-6 bound; a plain central
+    # difference reads 1.5e-6 here from its O(h^2 f''') truncation error
+    times = [s * f * 2e-5 for s in (-1.0, 1.0) for f in (1.0, 0.5, 0.25)]
+    points = [np.array([x, 0.0, 0.0]) for x in (0.2, 0.5, 0.8)]
+    assert oscillating_gauge().consistency_defect(times, points) < 1e-8
+    assert oscillating_gauge(1e-4).consistency_defect(times, points) > 1e-6
+
+
+def test_jump_consistency_check_passes_fast_exact_gauge(monkeypatch):
+    # accepted by the consistency check, the exact gauge then fails only the
+    # node-doubling guard, which 80 nodes cannot satisfy at 300 x
+    monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
+                        lambda self: oscillating_gauge())
+    with pytest.raises(QuadratureError):
+        gauge_jump_experiment(GaugeJumpScenario(n_slices=20,
+                                                observe_stride=10))
+    monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
+                        lambda self: oscillating_gauge(1e-4))
+    with pytest.raises(GaugeConsistencyError):
+        gauge_jump_experiment(GaugeJumpScenario(n_slices=20,
+                                                observe_stride=10))
+
+
 def test_phase_transform_preserves_density():
     line = eigenstate_line(2)
     out = phase_transform(line, linear_gauge(0.9), 0.0)

@@ -299,6 +299,85 @@ def test_unitary_norm_preserved_per_step_property(seed, dim, amplitude, freq,
     assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
 
 
+def euler_oracle(c0, model, n_slices, units=UNITS):
+    """Literal first-order slicing: C <- C + dt rhs(C, t_i), dim x dim phases."""
+    c = np.asarray(c0, dtype=complex)
+    t0, t1 = model.window
+    dt = (t1 - t0) / n_slices
+    times = t0 + dt * np.arange(n_slices + 1)
+    states = [c]
+    for t in times[:-1]:
+        c = c + dt * rhs(c, t, model, units)
+        states.append(c)
+    return Trajectory(times, np.array(states), "euler")
+
+
+def assert_euler_matches_oracle(c0, model, n_slices, units=UNITS):
+    traj = euler_propagate(c0, model, n_slices, units)
+    oracle = euler_oracle(c0, model, n_slices, units)
+    assert np.max(np.abs(traj.states - oracle.states)) <= 1e-13
+    report = norm_audit(traj, model, units)
+    expected = norm_audit(oracle, model, units)
+    assert report.first_strict_step == expected.first_strict_step
+    assert report.monotone == expected.monotone
+    return report
+
+
+def test_euler_matches_rhs_oracle_box_dipole_ramp():
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    report = assert_euler_matches_oracle(pure_state(32), m, 1000)
+    assert report.first_strict_step == 3
+
+
+def test_euler_matches_rhs_oracle_dipole_step():
+    m = box_dipole_model(1.0, 48, 0.5, 0.2, (0.0, 0.5), UNITS, "step")
+    assert_euler_matches_oracle(pure_state(48, 1), m, 420)
+
+
+def test_euler_matches_rhs_oracle_random_hermitian():
+    rng = np.random.default_rng(21)
+    m = HamiltonianModel(np.sort(rng.uniform(0.0, 40.0, 16)),
+                         [(lambda t: math.sin(2.0 * t),
+                           random_hermitian(rng, 16))], (0.0, 3.0))
+    assert_euler_matches_oracle(pure_state(16, 3), m, 1500)
+
+
+def test_euler_matches_rhs_oracle_with_identity_term():
+    scn = GaugeJumpScenario(switch="step")
+    assert_euler_matches_oracle(pure_state(scn.n_basis), scn.hamiltonian(),
+                                scn.n_slices, scn.units)
+
+
+def test_euler_matches_rhs_oracle_non_commuting_terms():
+    rng = np.random.default_rng(8)
+    a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+    m = HamiltonianModel(rng.standard_normal(6),
+                         [(lambda t: math.cos(3.0 * t), a),
+                          (lambda t: t * t, b),
+                          (lambda t: 0.5 + t, 2.0 * np.eye(6))], (0.0, 2.0))
+    assert_euler_matches_oracle(pure_state(6, 2), m, 400)
+
+
+def test_euler_matches_rhs_oracle_shifted_window():
+    m = box_dipole_model(1.0, 16, 1.0, 0.4, (0.3, 1.2), UNITS, "ramp")
+    assert_euler_matches_oracle(pure_state(16), m, 700)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 12),
+       amplitude=st.floats(0.01, 5.0), freq=st.floats(0.0, 20.0),
+       n_slices=st.integers(10, 300), s=st.integers(0, 11))
+def test_euler_norm_never_falls_and_step1_closed_form_property(
+        seed, dim, amplitude, freq, n_slices, s):
+    rng = np.random.default_rng(seed)
+    m = HamiltonianModel(rng.uniform(0.0, 100.0, dim),
+                         [(lambda t: amplitude * math.cos(freq * t),
+                           random_hermitian(rng, dim))], (0.0, 1.0))
+    traj = euler_propagate(pure_state(dim, s % dim), m, n_slices, UNITS)
+    assert np.all(np.diff(traj.norms) >= -1e-15 * traj.norms[:-1])
+    assert norm_audit(traj, m, UNITS).closed_form_defect <= 1e-12
+
+
 def test_unitary_zero_coupling_constant():
     m = HamiltonianModel((0.5, 1.5), [], (0.0, 1.0))
     traj = unitary_propagate(pure_state(2), m, 50, UNITS)
