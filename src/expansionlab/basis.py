@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import specfun
 from .specfun import QuadratureSpec, integrate_interval, integrate_semi_infinite
 
@@ -183,6 +185,16 @@ def box_eigenfunction(n: int, x: float, width: float) -> float:
     if x < 0.0 or x > width:
         return 0.0
     return math.sqrt(2.0 / width) * math.sin(n * math.pi * x / width)
+
+
+def box_modes(width: float, n_modes: int, x: np.ndarray):
+    """Wave numbers n pi / L and the (n_modes, len(x)) table of box modes.
+
+    Row n - 1 holds box_eigenfunction(n, x, L) at every x in [0, L], up to
+    round-off (the argument is (n pi / L) x rather than n pi x / L).
+    """
+    k = np.arange(1, n_modes + 1) * math.pi / width
+    return k, math.sqrt(2.0 / width) * np.sin(np.outer(k, x))
 
 
 def box_eigenfunction_dx(n: int, x: float, width: float) -> float:

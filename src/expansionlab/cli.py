@@ -3,9 +3,12 @@
 Each command reads a flat key-value scenario file, writes CSV artifacts, a
 plot, and a manifest with checksums into the output directory, and returns a
 contract exit code: 0 success, 1 configuration error, 2 numerical
-non-convergence, 3 physical-consistency failure. reproduce-all runs the
-bundled claim scenarios and compares fresh results against the golden tables
-(override their location with EXPANSIONLAB_GOLDEN_DIR).
+non-convergence, 3 physical-consistency failure. Exceptions map to a code
+by class: specfun.NonConvergenceError to 2, gauge.PhysicalConsistencyError to
+3, and ValueError, FileNotFoundError and ReferenceUnavailableError to 1; the
+three families are disjoint. reproduce-all runs the bundled claim scenarios
+and compares fresh results against the golden tables (override their
+location with EXPANSIONLAB_GOLDEN_DIR).
 """
 
 from __future__ import annotations
@@ -22,14 +25,13 @@ import numpy as np
 
 from . import __version__, basis, expansion, gauge, propagation, svgplot
 from .basis import Box1D, BoxIndex, LandauIndex, LandauUniformField, SpacePoint
-from .gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
-                    GaugeFunction, GaugeJumpScenario, NormalizationError,
-                    PhaseFitScenario, ReferenceUnavailableError,
+from .gauge import (GaugeFieldMismatchError, GaugeFunction,
+                    GaugeJumpScenario, PhaseFitScenario,
+                    PhysicalConsistencyError, ReferenceUnavailableError,
                     zero_gauge_function)
 from .propagation import Units
 from .scenario import RunManifest, Scenario, ScenarioError, load_scenario
-from .specfun import (QuadratureError, QuadratureSpec, SeriesDivergenceError,
-                      integrate_interval)
+from .specfun import NonConvergenceError, QuadratureSpec, integrate_interval
 
 
 def _golden_dir() -> Path:
@@ -75,17 +77,8 @@ def _expand_landau(scn: Scenario, out_dir: Path, scale: float):
 
     closed = [expansion.landau_plane_wave_coefficient(n, a)
               for n in range(n_max + 1)]
-    quad_vals, quad_errs, flags = [], [], []
-    for n in range(quad_max + 1):
-        try:
-            v, e = expansion.landau_plane_wave_overlap(n, a, spec)
-            quad_vals.append(v)
-            quad_errs.append(e)
-            flags.append("")
-        except QuadratureError as exc:
-            quad_vals.append(exc.best_estimate)
-            quad_errs.append(exc.error_estimate)
-            flags.append(expansion.FLAG_NO_CONVERGENCE)
+    quad_vals, quad_errs, flags = map(
+        list, zip(*expansion.landau_plane_wave_overlaps(quad_max, a, spec)))
 
     report = expansion.convergence_scan(
         lambda n: expansion.landau_plane_wave_coefficient(n, a), n_max)
@@ -164,8 +157,10 @@ def _expand_box(scn: Scenario, out_dir: Path, scale: float):
     report = expansion.convergence_scan(lambda n: coef[n], n_max, n_start=1)
 
     xs = np.linspace(0.0, width, 201)
-    round_trip = max(abs(expansion.reconstruct(series, SpacePoint.cartesian(x))
-                         - target(SpacePoint.cartesian(x))) for x in xs)
+    _, modes = basis.box_modes(width, n_max, xs)
+    synthesis = (series.coefficients() @ modes).tolist()
+    round_trip = max(abs(value - target(SpacePoint.cartesian(x)))
+                     for value, x in zip(synthesis, xs))
 
     csv_path = out_dir / "coefficients.csv"
     expansion.write_coefficient_csv(series, csv_path)
@@ -573,19 +568,17 @@ def main(argv=None) -> int:
         else:
             code, _ = cmd_gauge(scn, out_dir, args.tolerance_scale)
         return code
-    except (QuadratureError, SeriesDivergenceError) as exc:
+    except NonConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return 2
-    except GaugeFieldMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"field-difference norm: {exc.defect!r}", file=sys.stderr)
-        return 3
-    except (GaugeConsistencyError, NormalizationError) as exc:
-        # ValueErrors too, so caught before the configuration errors below
+    except PhysicalConsistencyError as exc:
         print(f"error: physical consistency: {exc}", file=sys.stderr)
+        if isinstance(exc, GaugeFieldMismatchError):
+            print(f"field-difference norm: {exc.defect!r}", file=sys.stderr)
         return 3
     except (ValueError, FileNotFoundError, ReferenceUnavailableError) as exc:
-        # scenario errors and the argument checks of every constructor
+        # scenario errors and the argument checks of every constructor; the
+        # three handlers catch disjoint classes, so their order is immaterial
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,11 @@ int_0^inf exp(-rho^2/4a^2) F(-n, 1, rho^2/2a^2) rho d rho, with the
 delta-function factor from the z direction dropped and the proportionality
 constant set to 1 (only ratios and convergence verdicts matter here). The
 Gaussian and the polynomial argument share the single magnetic length a.
+
+The quadrature route is one QUADPACK call per n (per coefficient in
+project), and the calls of one tower share their node values: QUADPACK meets
+the same nodes for every n, so each node's Laguerre row, or target value, is
+computed once per call of landau_plane_wave_overlaps or project.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import basis
 from .basis import Box1D, LandauUniformField, SpacePoint
 from .specfun import (QuadratureError, QuadratureSpec, integrate_interval,
-                      integrate_semi_infinite, laguerre)
+                      integrate_semi_infinite, laguerre, laguerre_row)
 
 FLAG_OK = ""
 FLAG_NO_CONVERGENCE = "no-convergence"
@@ -132,6 +137,18 @@ def _complex_quad(integrand, runner):
     return complex(re, im), math.hypot(re_err, im_err)
 
 
+def _memo(fn):
+    """fn with its values kept per argument, as long as the result lives."""
+    values = {}
+
+    def at(key):
+        value = values.get(key)
+        if value is None:
+            value = values[key] = fn(key)
+        return value
+    return at
+
+
 def project(target, family, indices, quadrature: QuadratureSpec | None = None) -> CoefficientSeries:
     """Coefficients C_n = <psi_n | target> by the quadrature oracle.
 
@@ -141,11 +158,17 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
     whose quadrature fails to converge, or whose angular average is still
     moving at 1024 points, keeps its best estimate and is flagged; the series
     is still returned.
+
+    Each coefficient is one QUADPACK call per real and imaginary part; the
+    target is evaluated once per distinct quadrature node (an angular average
+    once per node and l) and shared across the indices.
     """
     entries, errors, flags = [], [], []
     if isinstance(family, LandauUniformField):
         a = family.magnetic_length
         spec = quadrature or basis.default_quadrature(family)
+        runner = lambda f: integrate_semi_infinite(f, spec)
+        average = _memo(lambda key: _angular_average(target, *key))
         for ix in indices:
             unsettled = []
 
@@ -153,13 +176,13 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
                 if rho == 0.0 and _ix.l != 0:
                     return 0.0 + 0.0j
                 r = basis.landau_radial(_ix.n, _ix.l, rho, a)
-                avg, converged = _angular_average(target, rho, _ix.l)
+                avg, converged = average((rho, _ix.l))
                 if not converged:
                     unsettled.append(rho)
                 return math.sqrt(2.0 * math.pi) * r * rho * avg
 
-            runner = lambda f: integrate_semi_infinite(f, spec)
-            value, err, flag = _guarded(radial_integrand, runner)
+            value, err, flag = _flagged(
+                lambda: _complex_quad(radial_integrand, runner))
             if unsettled:
                 flag = FLAG_NO_CONVERGENCE
             entries.append((ix, value))
@@ -168,13 +191,13 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
     elif isinstance(family, Box1D):
         width = family.width
         spec = quadrature or QuadratureSpec()
+        runner = lambda f: integrate_interval(f, 0.0, width, spec)
+        on_axis = _memo(lambda x: target(SpacePoint.cartesian(x, 0.0, 0.0)))
         for ix in indices:
             def integrand(x, _ix=ix):
-                return basis.box_eigenfunction(_ix.n, x, width) \
-                    * target(SpacePoint.cartesian(x, 0.0, 0.0))
+                return basis.box_eigenfunction(_ix.n, x, width) * on_axis(x)
 
-            runner = lambda f: integrate_interval(f, 0.0, width, spec)
-            value, err, flag = _guarded(integrand, runner)
+            value, err, flag = _flagged(lambda: _complex_quad(integrand, runner))
             entries.append((ix, value))
             errors.append(err)
             flags.append(flag)
@@ -184,12 +207,13 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
     return CoefficientSeries(family, entries, errors, flags)
 
 
-def _guarded(integrand, runner):
+def _flagged(integrate):
+    """(value, error, flag) of integrate(); non-convergence keeps the best estimate."""
     try:
-        value, err = _complex_quad(integrand, runner)
+        value, err = integrate()
         return value, err, FLAG_OK
     except QuadratureError as exc:
-        return complex(exc.best_estimate), exc.error_estimate, FLAG_NO_CONVERGENCE
+        return exc.best_estimate, exc.error_estimate, FLAG_NO_CONVERGENCE
 
 
 def landau_plane_wave_coefficient(n: int, a: float = 1.0) -> float:
@@ -210,7 +234,11 @@ def landau_plane_wave_coefficient(n: int, a: float = 1.0) -> float:
 
 def landau_plane_wave_overlap(n: int, a: float = 1.0,
                               quadrature: QuadratureSpec | None = None):
-    """Quadrature route for the same radial overlap; returns (value, error)."""
+    """Quadrature route for the same radial overlap; returns (value, error).
+
+    The literal one-n route; landau_plane_wave_overlaps runs the whole tower
+    and is checked against this one bit for bit.
+    """
     if not a > 0.0:
         raise basis.BasisDomainError("magnetic length must be positive")
     spec = quadrature or QuadratureSpec(upper_cutoff=40.0 * a)
@@ -220,6 +248,31 @@ def landau_plane_wave_overlap(n: int, a: float = 1.0,
         return math.exp(-0.25 * rho * rho / (a * a)) * laguerre(n, u) * rho
 
     return integrate_semi_infinite(integrand, spec)
+
+
+def landau_plane_wave_overlaps(n_max: int, a: float = 1.0,
+                               quadrature: QuadratureSpec | None = None):
+    """The quadrature route for n = 0 .. n_max: a list of (value, error, flag).
+
+    One QUADPACK call per n, each with the integrand of
+    landau_plane_wave_overlap bit for bit; the calls share their node values:
+    each distinct rho gets its Gaussian and the whole row
+    L_0(u) .. L_n_max(u) once. A non-converged n keeps its best estimate and
+    is flagged 'no-convergence'.
+    """
+    if not a > 0.0:
+        raise basis.BasisDomainError("magnetic length must be positive")
+    spec = quadrature or QuadratureSpec(upper_cutoff=40.0 * a)
+    node = _memo(lambda rho: (math.exp(-0.25 * rho * rho / (a * a)),
+                              laguerre_row(n_max, rho * rho / (2.0 * a * a))))
+    out = []
+    for n in range(n_max + 1):
+        def integrand(rho, _n=n):
+            gauss, row = node(rho)
+            return gauss * row[_n] * rho
+
+        out.append(_flagged(lambda: integrate_semi_infinite(integrand, spec)))
+    return out
 
 
 def parseval_defect(series: CoefficientSeries) -> float:

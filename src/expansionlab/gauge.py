@@ -20,17 +20,22 @@ from typing import Callable
 import numpy as np
 
 from . import propagation
+from .basis import box_modes
 from .propagation import (HamiltonianModel, Units, box_energies, hard_step,
                           momentum_matrix_elements_box, smooth_ramp,
                           smooth_ramp_dt, unitary_propagate)
 from .specfun import QuadratureError
 
 
-class GaugeConsistencyError(ValueError):
+class PhysicalConsistencyError(Exception):
+    """A physical-consistency check failed; the command line exits with 3."""
+
+
+class GaugeConsistencyError(PhysicalConsistencyError):
     """A gauge function's stated derivatives disagree with finite differences."""
 
 
-class GaugeFieldMismatchError(ValueError):
+class GaugeFieldMismatchError(PhysicalConsistencyError):
     """A gauge pair does not represent the same electromagnetic field."""
 
     def __init__(self, message: str, defect: float):
@@ -38,7 +43,7 @@ class GaugeFieldMismatchError(ValueError):
         self.defect = defect
 
 
-class NormalizationError(ValueError):
+class NormalizationError(PhysicalConsistencyError):
     """State handed to an observable is not unit-normalized."""
 
     def __init__(self, message: str, measured_norm: float):
@@ -194,12 +199,6 @@ def _on_line(field: Callable, t: float, x: np.ndarray) -> np.ndarray:
                     dtype=float)
 
 
-def _box_modes(width: float, n_modes: int, x: np.ndarray):
-    """Wave numbers n pi / L and the (n_modes, len(x)) table of box modes."""
-    k = np.arange(1, n_modes + 1) * math.pi / width
-    return k, math.sqrt(2.0 / width) * np.sin(np.outer(k, x))
-
-
 _gauss_legendre = functools.lru_cache(maxsize=None)(
     np.polynomial.legendre.leggauss)
 
@@ -213,7 +212,7 @@ def box_line_state(width: float, amplitudes) -> LineState:
     amps = np.asarray(amplitudes, dtype=complex)
     nodes, weights = _gauss_legendre(2 * amps.size + 32)
     x = 0.5 * width * (nodes + 1.0)
-    k, sines = _box_modes(width, amps.size, x)
+    k, sines = box_modes(width, amps.size, x)
     cosines = math.sqrt(2.0 / width) * np.cos(np.outer(k, x))
     return LineState(x, 0.5 * width * weights, amps @ sines,
                      (k * amps) @ cosines)
@@ -563,7 +562,7 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
     w[0] *= 0.5
     w[-1] *= 0.5
     n_max = max(scenario.fit_sizes)
-    _, sines_ref = _box_modes(width, scenario.n_reference, xs)
+    _, sines_ref = box_modes(width, scenario.n_reference, xs)
     sines_fit = sines_ref[:n_max]
 
     fit_idx = sorted(set(list(range(0, scenario.n_slices + 1,

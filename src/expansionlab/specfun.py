@@ -8,11 +8,18 @@ because plain float summation loses up to six orders of magnitude to
 cancellation near n = 50, u = 50. The recurrence evaluators below are the fast
 float path used inside integrands; the two routes are cross-certified in the
 test suite.
+
+The quadrature oracle is one QUADPACK call per integral, so a tower of
+coefficients is one call per n. QUADPACK bisects a given interval the same
+dyadic way for every integrand, so those calls keep meeting the same 21-point
+Kronrod nodes; callers share node values across them (laguerre_row gives
+every order at one node) without changing a single integrand value.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -29,11 +36,15 @@ class SpecfunDomainError(ValueError):
     """Arguments outside the supported domain."""
 
 
-class SeriesDivergenceError(RuntimeError):
+class NonConvergenceError(RuntimeError):
+    """A numerical method did not converge; the command line exits with 2."""
+
+
+class SeriesDivergenceError(NonConvergenceError):
     """A non-terminating series failed its convergence guard."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NonConvergenceError):
     """Adaptive quadrature did not converge. Carries the best estimate."""
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):
@@ -207,6 +218,25 @@ def laguerre(n: int, u: float) -> float:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
     return cur
+
+
+def laguerre_row(n_max: int, u: float) -> array:
+    """L_0(u) .. L_n_max(u) by the same recurrence as laguerre, bit for bit.
+
+    One recurrence serves a whole tower of orders at one node; the row is an
+    array('d') because callers keep one per quadrature node.
+    """
+    if n_max < 0:
+        raise SpecfunDomainError("Laguerre order must be non-negative")
+    row = array("d", [1.0])
+    if n_max == 0:
+        return row
+    prev, cur = 1.0, 1.0 - u
+    row.append(cur)
+    for k in range(1, n_max):
+        prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+        row.append(cur)
+    return row
 
 
 def laguerre_associated(n: int, alpha: float, u: float) -> float:

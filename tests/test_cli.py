@@ -1,5 +1,6 @@
 """CLI exit-code contract, artifact schemas, and reproducibility."""
 
+import inspect
 import json
 import shutil
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expansionlab import gauge
+import expansionlab
+from expansionlab import (basis, cli, gauge, propagation, scenario, specfun,
+                          svgplot)
 from expansionlab.cli import (_check_magnitude_recurrence, _check_phase_fit,
                               cmd_expand, cmd_gauge, cmd_propagate, main)
 from expansionlab.gauge import GaugeFunction, GaugeJumpScenario, LineState
@@ -259,6 +262,57 @@ def test_exit_3_on_consistency_errors(tmp_path, monkeypatch, capsys, target,
     assert code == 3
     assert "Traceback" not in err
     assert err.startswith("error:") and error in err
+
+
+EXIT_CODES = [
+    (specfun.NonConvergenceError("no convergence"), 2),
+    (specfun.QuadratureError("no convergence", 0.0, 1.0), 2),
+    (specfun.SeriesDivergenceError("no convergence"), 2),
+    (gauge.PhysicalConsistencyError("inconsistent"), 3),
+    (gauge.GaugeConsistencyError("inconsistent"), 3),
+    (gauge.GaugeFieldMismatchError("inconsistent", 0.5), 3),
+    (gauge.NormalizationError("inconsistent", 2.0), 3),
+    (scenario.ScenarioError("bad.scn", 3, "malformed"), 1),
+    (basis.BasisDomainError("malformed"), 1),
+    (basis.BasisIndexError("malformed"), 1),
+    (basis.NonNormalizableBasisError("malformed"), 1),
+    (propagation.PropagationContractError("malformed"), 1),
+    (specfun.SpecfunDomainError("malformed"), 1),
+    (gauge.ReferenceUnavailableError("malformed"), 1),
+]
+
+
+def _package_exception_classes():
+    classes = set()
+    for mod in (expansionlab, basis, cli, expansionlab.expansion, gauge,
+                propagation, scenario, specfun, svgplot):
+        classes |= {obj for obj in vars(mod).values()
+                    if inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__.startswith("expansionlab")}
+    return classes
+
+
+@pytest.mark.parametrize("exc,code", EXIT_CODES,
+                         ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_exit_code_of_every_package_exception(tmp_path, monkeypatch, capsys,
+                                              exc, code):
+    def raise_it(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_scenario", raise_it)
+    assert main(["expand", "--scenario", "any.scn",
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_exit_code_families_are_disjoint_and_cover_the_package():
+    assert {type(e) for e, _ in EXIT_CODES} == _package_exception_classes()
+    families = [specfun.NonConvergenceError, gauge.PhysicalConsistencyError,
+                (ValueError, FileNotFoundError,
+                 gauge.ReferenceUnavailableError)]
+    for exc, _ in EXIT_CODES:
+        assert sum(isinstance(exc, f) for f in families) == 1, type(exc)
 
 
 def test_main_requires_subcommand():

@@ -1,8 +1,11 @@
 """Scenario file parsing, line-precise errors, and run manifests."""
 
 import json
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expansionlab.scenario import (HEADER, RunManifest, ScenarioError,
                                    file_sha256, load_scenario,
@@ -123,3 +126,61 @@ def test_manifest_is_deterministic(tmp_path):
     assert data["scenario_sha256"] == "f" * 64
     assert data["outputs"][0]["path"] == "artifact.csv"
     assert len(data["outputs"][0]["sha256"]) == 64
+
+
+# keys are identifiers; values may hold spaces and '=' but never '#', which
+# starts a comment, and are stripped like the parser strips them
+_keys = st.from_regex(r"[a-z_][a-z0-9_]{0,11}", fullmatch=True).filter(
+    lambda k: k not in ("kind", "name"))
+_values = st.text(string.ascii_letters + string.digits + " .,=-+_:/()",
+                  min_size=1, max_size=20).map(str.strip).filter(bool)
+_scenario_dicts = st.dictionaries(_keys, _values, max_size=8)
+
+
+def _scenario_lines(keys, values, blanks):
+    """Header, kind, name and the pairs, with comments and blanks interleaved."""
+    pairs = [("kind", "expand"), ("name", "demo")] + list(zip(keys, values))
+    lines = ["# generated", HEADER]
+    for (k, v), gap in zip(pairs, blanks):
+        lines += ["", "# note"][:gap]
+        lines.append(f"{k} = {v}")
+    return lines
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=_scenario_dicts, blanks=st.lists(st.integers(0, 2), min_size=10,
+                                             max_size=10))
+def test_generated_scenario_parses_back(data, blanks):
+    lines = _scenario_lines(list(data), list(data.values()), blanks)
+    scn = parse_scenario_text("\n".join(lines) + "\n", "gen.scn")
+    assert {k: v for k, (v, _) in scn.raw.items()} \
+        == {"kind": "expand", "name": "demo", **data}
+    for key, (value, line) in scn.raw.items():
+        assert lines[line - 1] == f"{key} = {value}"
+    assert all(scn.get_str(k) == v for k, v in data.items())
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=_scenario_dicts, blanks=st.lists(st.integers(0, 2), min_size=10,
+                                             max_size=10),
+       defect=st.sampled_from(["header", "no-equals", "empty-key",
+                               "duplicate"]),
+       where=st.integers(0, 10))
+def test_malformed_scenario_error_starts_with_origin_and_line(data, blanks,
+                                                             defect, where):
+    lines = _scenario_lines(list(data), list(data.values()), blanks)
+    start = lines.index(HEADER) + 1
+    if defect == "header":
+        bad = start - 1
+        lines[bad] = "expansionlab-scenario v0"
+    else:
+        if defect == "duplicate":
+            start = lines.index("kind = expand") + 1
+        bad = start + where % (len(lines) - start + 1)
+        lines.insert(bad, {"no-equals": "just-a-token",
+                           "empty-key": " = value",
+                           "duplicate": "kind = expand"}[defect])
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario_text("\n".join(lines) + "\n", "gen.scn")
+    assert excinfo.value.line == bad + 1
+    assert str(excinfo.value).startswith(f"gen.scn:{bad + 1}: ")

@@ -11,7 +11,7 @@ from expansionlab.specfun import (CONVERGENCE_GUARD, DEFAULT_QUADRATURE,
                                   SpecfunDomainError,
                                   confluent_hypergeometric,
                                   integrate_interval, integrate_semi_infinite,
-                                  laguerre, laguerre_associated)
+                                  laguerre, laguerre_associated, laguerre_row)
 
 # The e^{-u} weight decays far more slowly than the Gaussian weights this
 # package meets elsewhere: e^{-u} L_m L_n still contributes percent-level
@@ -79,6 +79,14 @@ def test_laguerre_degenerate_and_linear():
     assert laguerre(0, 17.3) == 1.0
     for u in (0.0, 0.7, 5.0):
         assert laguerre(1, u) == pytest.approx(1.0 - u, abs=1e-15)
+
+
+def test_laguerre_row_is_the_recurrence_bit_for_bit():
+    for u in (0.0, 0.37, 1.0, 12.5, 400.0):
+        assert list(laguerre_row(70, u)) == [laguerre(n, u) for n in range(71)]
+    assert list(laguerre_row(0, 3.0)) == [1.0]
+    with pytest.raises(SpecfunDomainError):
+        laguerre_row(-1, 1.0)
 
 
 def test_laguerre_against_polynomial_series():
