@@ -28,7 +28,7 @@ from .basis import Box1D, BoxIndex, LandauIndex, LandauUniformField, SpacePoint
 from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     GaugeJumpScenario, PhaseFitScenario,
                     PhysicalConsistencyError, ReferenceUnavailableError,
-                    zero_gauge_function)
+                    _along_x, zero_gauge_function)
 from .propagation import Units
 from .scenario import RunManifest, Scenario, ScenarioError, load_scenario
 from .specfun import NonConvergenceError, QuadratureSpec, integrate_interval
@@ -134,6 +134,7 @@ def _expand_box(scn: Scenario, out_dir: Path, scale: float):
     family = Box1D(width)
     spec = QuadratureSpec().scaled(scale)
 
+    norm_flag = ""
     if target_kind == "eigenstate":
         n0 = scn.get_int("target_n", 1)
 
@@ -143,7 +144,11 @@ def _expand_box(scn: Scenario, out_dir: Path, scale: float):
         sigma = scn.get_float("sigma", width / 10.0)
         center = scn.get_float("center", width / 2.0)
         raw = lambda x: math.exp(-0.5 * ((x - center) / sigma) ** 2)
-        nrm_sq, _ = integrate_interval(lambda x: raw(x) ** 2, 0.0, width, spec)
+        # an unconverged norm keeps its best estimate and flags the run, as
+        # an unconverged coefficient does
+        nrm_sq, nrm_err, norm_flag = expansion._flagged(
+            lambda: integrate_interval(lambda x: raw(x) ** 2, 0.0, width,
+                                       spec))
         const = 1.0 / math.sqrt(nrm_sq)
 
         def target(p: SpacePoint):
@@ -165,16 +170,18 @@ def _expand_box(scn: Scenario, out_dir: Path, scale: float):
     csv_path = out_dir / "coefficients.csv"
     expansion.write_coefficient_csv(series, csv_path)
     report_path = out_dir / "convergence_report.txt"
-    _write_text(report_path, "\n".join([
-        f"scenario: {scn.name}",
-        f"parseval defect at N={n_max}: {defect!r}",
-        f"max pointwise round-trip error (201-point grid): {round_trip!r}",
-        "", report.to_text()]))
+    lines = [f"scenario: {scn.name}",
+             f"parseval defect at N={n_max}: {defect!r}",
+             f"max pointwise round-trip error (201-point grid): {round_trip!r}"]
+    if norm_flag:
+        lines.append(f"target normalisation: {norm_flag} (best estimate "
+                     f"{nrm_sq!r}, error estimate {nrm_err!r})")
+    _write_text(report_path, "\n".join(lines + ["", report.to_text()]))
     svg_path = out_dir / "partial_sums.svg"
     svgplot.line_chart(svg_path, "partial sums of |C_n|^2", "N",
                        "sum_{n<=N} |C_n|^2",
                        [("partial sums", report.ns, report.partial_sums)])
-    code = 2 if series.flagged() else 0
+    code = 2 if series.flagged() or norm_flag else 0
     stats = {
         "kind": "expand-box",
         "parseval_defect": defect,
@@ -319,8 +326,8 @@ def _phase_fit_inputs(scn: Scenario):
     tau = scn.get_float("phase_ramp_time", fit.ramp_time)
     g = GaugeFunction(
         f=lambda t, r: strength * propagation.smooth_ramp(t, tau) * r[0],
-        grad_f=lambda t, r: np.array(
-            [strength * propagation.smooth_ramp(t, tau), 0.0, 0.0]),
+        grad_f=lambda t, r: _along_x(
+            strength * propagation.smooth_ramp(t, tau), r),
         dt_f=lambda t, r: strength * propagation.smooth_ramp_dt(t, tau) * r[0])
     return fit, g
 
@@ -429,8 +436,10 @@ def _check_divergence(stats, golden, scn):
 def _check_euler_growth(stats, golden, scn):
     rel = abs(stats["euler_final_norm"] - golden["final_norm_sq"]) \
         / golden["final_norm_sq"]
-    expo_ok = all(golden["exponent_range"][0] <= e <= golden["exponent_range"][1]
-                  for e in stats["growth_exponents"])
+    # an empty exponent list is a refinement study that never ran
+    expo_ok = bool(stats["growth_exponents"]) and all(
+        golden["exponent_range"][0] <= e <= golden["exponent_range"][1]
+        for e in stats["growth_exponents"])
     ok = (rel <= golden["final_norm_rtol"] and stats["monotone"]
           and stats["first_strict_step"] == golden["first_strict_step"]
           and stats["audit_passed"] and expo_ok)
@@ -483,6 +492,30 @@ _CHECKERS = {
     "phase-factored-fit": _check_phase_fit,
 }
 
+# the golden keys each checker reads, verified before any scenario runs
+_GOLDEN_KEYS = {
+    "equal-magnitude-recurrence": ("quad", "magnitude_tol", "freeze_tol",
+                                   "route_tol"),
+    "series-divergence": ("verdict", "slope", "slope_rtol"),
+    "euler-norm-growth": ("final_norm_sq", "final_norm_rtol",
+                          "first_strict_step", "exponent_range"),
+    "unitary-contrast": ("n_steps", "max_norm_dev"),
+    "velocity-jump": ("amplitude", "jump_tol", "covariant_tol"),
+    "phase-factored-fit": ("fit_sizes", "residuals", "curve_tol",
+                           "stationary_tol"),
+}
+
+
+def _golden_problem(claim, golden) -> str:
+    """Why claim cannot be checked against golden, or '' if it can."""
+    if claim["id"] not in _CHECKERS:
+        return f"claim '{claim['id']}' has no checker"
+    missing = [k for k in _GOLDEN_KEYS[claim["id"]] if k not in golden]
+    if missing:
+        return (f"golden {claim['golden']} lacks {', '.join(missing)}, "
+                f"which claim '{claim['id']}' reads")
+    return ""
+
 
 def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
                       tolerance_scale: float = 1.0) -> int:
@@ -501,6 +534,12 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
             return 1
         if claim["scenario"] not in needed:
             needed.append(claim["scenario"])
+    goldens = [_load_golden(claim["golden"]) for claim in claims]
+    for claim, golden in zip(claims, goldens):
+        problem = _golden_problem(claim, golden)
+        if problem:
+            print(f"error: {problem}", file=sys.stderr)
+            return 1
 
     results = {name: _dispatch(load_scenario(by_name[name]),
                                out_root / Path(name).stem, tolerance_scale)
@@ -508,9 +547,8 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
 
     all_ok = True
     rows = []
-    for claim in claims:
+    for claim, golden in zip(claims, goldens):
         code, stats = results[claim["scenario"]]
-        golden = _load_golden(claim["golden"])
         scn = load_scenario(by_name[claim["scenario"]])
         ok, detail = _CHECKERS[claim["id"]](stats, golden, scn)
         if code != 0:

@@ -8,6 +8,15 @@ along the x axis; gauge functions remain full fields of (t, r). Observables
 are weighted sums over psi and d psi/dx sampled on 2 N + 32 Gauss-Legendre
 nodes for N sine terms; the jump experiment re-checks its last time on twice
 the nodes and raises QuadratureError if a value moves beyond round-off.
+
+Field contract. A field (potential, gauge function or derivative) is called
+as field(t, r) with a float time t and points r as a (3, N) array, axis 0
+the coordinate. A scalar field returns shape (N,), a vector field (3, N); a
+single point r of shape (3,) gives a scalar or a (3,) vector. Fields are
+never asked to guess which axis holds the points, so N = 3 is unambiguous; a
+uniform vector is broadcast over the points by _along_x. The observables
+take states and times with leading time axes and call each field once per
+time with every node at once.
 """
 
 from __future__ import annotations
@@ -59,10 +68,11 @@ class ReferenceUnavailableError(RuntimeError):
 class GaugeFunction:
     """A differentiable gauge function f(t, r) with its analytic derivatives.
 
-    grad_f returns the spatial gradient as a 3-vector, dt_f the time
-    derivative. Keeping the derivatives analytic (not finite-differenced) is
-    what lets covariance checks reach 1e-10; consistency_defect certifies them
-    against Richardson-extrapolated central differences at sample points.
+    All three are fields under the module's contract: f and dt_f scalar,
+    grad_f the spatial gradient as a vector field. Keeping the derivatives
+    analytic (not finite-differenced) is what lets covariance checks reach
+    1e-10; consistency_defect certifies them against Richardson-extrapolated
+    central differences at sample points.
     """
 
     f: Callable
@@ -70,22 +80,21 @@ class GaugeFunction:
     dt_f: Callable
 
     def consistency_defect(self, times, points, step: float = 1e-5) -> float:
+        """Largest relative derivative defect over the times and points (3, N)."""
+        r = np.asarray(points, dtype=float)
         worst = 0.0
         for t in times:
             ht = step if t == 0.0 else min(step, abs(t) / 2.0)
-            for r in points:
-                r = np.asarray(r, dtype=float)
-                fd_t = _richardson(
-                    lambda h: self.f(t + h, r) - self.f(t - h, r), ht)
-                worst = max(worst, _rel(fd_t, self.dt_f(t, r)))
-                grad = np.asarray(self.grad_f(t, r), dtype=float)
-                for j in range(3):
-                    unit = np.zeros(3)
-                    unit[j] = 1.0
-                    fd_j = _richardson(
-                        lambda h: self.f(t, r + h * unit) - self.f(t, r - h * unit),
-                        step)
-                    worst = max(worst, _rel(fd_j, grad[j]))
+            fd_t = _richardson(lambda h: self.f(t + h, r) - self.f(t - h, r),
+                               ht)
+            worst = max(worst, _rel(fd_t, self.dt_f(t, r)))
+            grad = self.grad_f(t, r)
+            for j in range(3):
+                unit = _unit(r, j)
+                fd_j = _richardson(
+                    lambda h: self.f(t, r + h * unit) - self.f(t, r - h * unit),
+                    step)
+                worst = max(worst, _rel(fd_j, grad[j]))
         return worst
 
 
@@ -98,61 +107,76 @@ def _richardson(diff: Callable, h: float) -> float:
     return (4.0 * diff(0.5 * h) / h - diff(h) / (2.0 * h)) / 3.0
 
 
-def _rel(measured: float, stated: float) -> float:
-    return abs(measured - stated) / max(1.0, abs(stated))
+def _rel(measured, stated) -> float:
+    return float(np.max(np.abs(measured - stated)
+                        / np.maximum(1.0, np.abs(stated))))
+
+
+def _unit(r: np.ndarray, j: int) -> np.ndarray:
+    """The unit vector along coordinate j at every point of r."""
+    unit = np.zeros_like(r)
+    unit[j] = 1.0
+    return unit
+
+
+def _along_x(a: float, r) -> np.ndarray:
+    """The uniform vector (a, 0, 0) at every point of r, shaped like r."""
+    out = np.zeros(np.shape(r))
+    out[0] = a
+    return out
+
+
+def _zero_scalar(t: float, r) -> np.ndarray:
+    return np.zeros(np.shape(r)[1:])
+
+
+def _zero_vector(t: float, r) -> np.ndarray:
+    return np.zeros(np.shape(r))
 
 
 def zero_gauge_function() -> GaugeFunction:
-    return GaugeFunction(lambda t, r: 0.0,
-                         lambda t, r: np.zeros(3),
-                         lambda t, r: 0.0)
+    return GaugeFunction(_zero_scalar, _zero_vector, _zero_scalar)
 
 
 @dataclass(frozen=True)
 class Potentials:
-    """Vector and scalar potentials as callables of (t, r)."""
+    """Vector and scalar potentials as fields of (t, r)."""
 
     vector: Callable
     scalar: Callable
 
 
 def free_potentials() -> Potentials:
-    return Potentials(lambda t, r: np.zeros(3), lambda t, r: 0.0)
+    return Potentials(_zero_vector, _zero_scalar)
 
 
 def transform_potentials(p: Potentials, g: GaugeFunction) -> Potentials:
     """A' = A + grad f, Phi' = Phi - df/dt, pointwise."""
-    return Potentials(
-        lambda t, r: np.asarray(p.vector(t, r), dtype=float)
-        + np.asarray(g.grad_f(t, r), dtype=float),
-        lambda t, r: p.scalar(t, r) - g.dt_f(t, r))
+    return Potentials(lambda t, r: p.vector(t, r) + g.grad_f(t, r),
+                      lambda t, r: p.scalar(t, r) - g.dt_f(t, r))
 
 
 def electric_field(p: Potentials, t: float, r, t_step: float = 1e-6,
                    x_step: float = 1e-6) -> np.ndarray:
-    """E = -grad Phi - dA/dt by central differences."""
+    """E = -grad Phi - dA/dt by central differences, shaped like r."""
     r = np.asarray(r, dtype=float)
-    e = np.empty(3)
-    da = (np.asarray(p.vector(t + t_step, r), dtype=float)
-          - np.asarray(p.vector(t - t_step, r), dtype=float)) / (2.0 * t_step)
+    da = (p.vector(t + t_step, r) - p.vector(t - t_step, r)) / (2.0 * t_step)
+    e = np.empty_like(r)
     for j in range(3):
-        shift = np.zeros(3)
-        shift[j] = x_step
+        shift = x_step * _unit(r, j)
         dphi = (p.scalar(t, r + shift) - p.scalar(t, r - shift)) / (2.0 * x_step)
         e[j] = -dphi - da[j]
     return e
 
 
 def magnetic_field(p: Potentials, t: float, r, x_step: float = 1e-6) -> np.ndarray:
-    """B = curl A by central differences."""
+    """B = curl A by central differences, shaped like r."""
     r = np.asarray(r, dtype=float)
-    jac = np.empty((3, 3))
+    jac = np.empty((3,) + r.shape)
     for j in range(3):
-        shift = np.zeros(3)
-        shift[j] = x_step
-        hi = np.asarray(p.vector(t, r + shift), dtype=float)
-        lo = np.asarray(p.vector(t, r - shift), dtype=float)
-        jac[:, j] = (hi - lo) / (2.0 * x_step)
+        shift = x_step * _unit(r, j)
+        jac[:, j] = (p.vector(t, r + shift) - p.vector(t, r - shift)) \
+            / (2.0 * x_step)
     return np.array([jac[2, 1] - jac[1, 2],
                      jac[0, 2] - jac[2, 0],
                      jac[1, 0] - jac[0, 1]])
@@ -160,31 +184,34 @@ def magnetic_field(p: Potentials, t: float, r, x_step: float = 1e-6) -> np.ndarr
 
 def field_mismatch(p1: Potentials, p2: Potentials, times, points,
                    t_step: float = 1e-6):
-    """Max |E1-E2|, |B1-B2| over the sample grid, plus the field scale.
+    """Max |E1-E2|, |B1-B2| over the times and points (3, N), plus the scale.
 
     Time steps shrink near t = 0 so a switch instant is never straddled;
     callers should still sample away from the switch itself, where a stepped
     field is distributional.
     """
+    r = np.asarray(points, dtype=float)
     defect = 0.0
     scale = 0.0
     for t in times:
         ht = t_step if t == 0.0 else min(t_step, abs(t) / 2.0)
-        for r in points:
-            e1 = electric_field(p1, t, r, ht)
-            e2 = electric_field(p2, t, r, ht)
-            b1 = magnetic_field(p1, t, r)
-            b2 = magnetic_field(p2, t, r)
-            defect = max(defect, float(np.max(np.abs(e1 - e2))),
-                         float(np.max(np.abs(b1 - b2))))
-            scale = max(scale, float(np.max(np.abs(e1))),
-                        float(np.max(np.abs(b1))))
+        e1 = electric_field(p1, t, r, ht)
+        e2 = electric_field(p2, t, r, ht)
+        b1 = magnetic_field(p1, t, r)
+        b2 = magnetic_field(p2, t, r)
+        defect = max(defect, float(np.max(np.abs(e1 - e2))),
+                     float(np.max(np.abs(b1 - b2))))
+        scale = max(scale, float(np.max(np.abs(e1))),
+                    float(np.max(np.abs(b1))))
     return defect, scale
 
 
 @dataclass(frozen=True)
 class LineState:
-    """psi and d psi/dx at quadrature nodes x (weights w) on the x axis."""
+    """psi and d psi/dx at quadrature nodes x (weights w) on the x axis.
+
+    value and dx have shape (..., len(x)): any leading axes index times.
+    """
 
     x: np.ndarray
     w: np.ndarray
@@ -192,11 +219,13 @@ class LineState:
     dx: np.ndarray
 
 
-def _on_line(field: Callable, t: float, x: np.ndarray) -> np.ndarray:
-    """A field of (t, r) at every r = (x, 0, 0), stacked along axis 0."""
+def _on_line(field: Callable, t, x: np.ndarray) -> np.ndarray:
+    """A field at every r = (x, 0, 0), one call per time; t's axes lead."""
     zero = np.zeros_like(x)
-    return np.array([field(t, r) for r in np.column_stack([x, zero, zero])],
-                    dtype=float)
+    r = np.stack([x, zero, zero])
+    t = np.asarray(t, dtype=float)
+    values = [field(float(s), r) for s in t.flat]
+    return np.reshape(values, t.shape + np.shape(values[0]))
 
 
 _gauss_legendre = functools.lru_cache(maxsize=None)(
@@ -204,51 +233,63 @@ _gauss_legendre = functools.lru_cache(maxsize=None)(
 
 
 def box_line_state(width: float, amplitudes) -> LineState:
-    """Synthesize sum_n a_n psi_n on 2 len(a) + 32 Gauss-Legendre nodes.
+    """Synthesize sum_n a_n psi_n on 2 n + 32 Gauss-Legendre nodes.
 
-    The amplitudes carry their stationary phases. The node count grows with
-    the highest wave number, 2 n pi / L, in a product of two such states.
+    amplitudes has shape (..., n), with leading axes over times; each row
+    carries its stationary phases. One sine-and-cosine table and one matrix
+    product give value and d/dx for every row. The node count grows with the
+    highest wave number, 2 n pi / L, in a product of two such states.
     """
     amps = np.asarray(amplitudes, dtype=complex)
-    nodes, weights = _gauss_legendre(2 * amps.size + 32)
+    n = amps.shape[-1]
+    nodes, weights = _gauss_legendre(2 * n + 32)
     x = 0.5 * width * (nodes + 1.0)
-    k, sines = box_modes(width, amps.size, x)
+    k, sines = box_modes(width, n, x)
     cosines = math.sqrt(2.0 / width) * np.cos(np.outer(k, x))
-    return LineState(x, 0.5 * width * weights, amps @ sines,
-                     (k * amps) @ cosines)
+    both = amps @ np.concatenate([sines, k[:, None] * cosines], axis=1)
+    return LineState(x, 0.5 * width * weights, both[..., :x.size],
+                     both[..., x.size:])
 
 
-def phase_transform(state: LineState, g: GaugeFunction, t: float) -> LineState:
+def phase_transform(state: LineState, g: GaugeFunction, t) -> LineState:
     """Multiply the state by exp(i f(t, r)); the density is untouched.
 
-    The derivative picks up the chain-rule term i (df/dx) psi, kept analytic
+    t is a time or an array of times matching the state's leading axes. The
+    derivative picks up the chain-rule term i (df/dx) psi, kept analytic
     through g.grad_f.
     """
     phase = np.exp(1j * _on_line(g.f, t, state.x))
-    gx = _on_line(g.grad_f, t, state.x)[:, 0]
+    gx = _on_line(g.grad_f, t, state.x)[..., 0, :]
     return LineState(state.x, state.w, phase * state.value,
                      phase * (1j * gx * state.value + state.dx))
 
 
-def velocity_and_momentum(state: LineState, A, t: float,
+def velocity_and_momentum(state: LineState, A, t,
                           units: Units = Units(), norm_tol: float = 1e-6):
-    """<v> = <p - A(t, r)> and <p> = <-i hbar d/dx> as sums over the nodes."""
+    """<v> = <p - A(t, r)> and <p> = <-i hbar d/dx> as sums over the nodes.
+
+    t is a time or an array of times matching the state's leading axes; the
+    results have shape (..., 3), and every row must be unit-normalized.
+    """
     density = np.abs(state.value) ** 2
-    norm = float(state.w @ density)
-    if abs(norm - 1.0) > norm_tol:
+    norm = density @ state.w
+    bad = np.flatnonzero(np.abs(norm - 1.0) > norm_tol)
+    if bad.size:
+        worst = float(np.ravel(norm)[bad[0]])
         raise NormalizationError(
-            f"state norm {norm!r} deviates from 1 beyond {norm_tol!r}", norm)
+            f"state norm {worst!r} deviates from 1 beyond {norm_tol!r}", worst)
     p_density = (state.value.conjugate() * (-1j * units.hbar * state.dx)).real
     a = _on_line(A, t, state.x)
 
     # v_x as a single integrand: when the state is co-transformed with the
     # potentials, the grad-f terms cancel node by node, so the two gauges sum
     # the same numbers instead of cancelling across two separate sums
-    vx = float(state.w @ (p_density - a[:, 0] * density))
+    vx = (p_density - a[..., 0, :] * density) @ state.w
     # p_y = p_z = 0 on a line state, so those components are plain -<A_j>
-    a_perp = (state.w * density) @ a[:, 1:]
-    return (np.array([vx, -a_perp[0], -a_perp[1]]),
-            np.array([float(state.w @ p_density), 0.0, 0.0]))
+    a_perp = (a[..., 1:, :] @ (state.w * density)[..., None])[..., 0]
+    zero = np.zeros_like(vx)
+    return (np.stack([vx, -a_perp[..., 0], -a_perp[..., 1]], axis=-1),
+            np.stack([p_density @ state.w, zero, zero], axis=-1))
 
 
 @dataclass
@@ -278,14 +319,14 @@ class ObservableReport:
 
 
 def write_observable_csv(path, reports):
+    """One row per report and time; floats via repr for byte determinism."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,gauge_label,vx,vy,vz,px,py,pz\n")
         for rep in reports:
-            for i, t in enumerate(rep.times):
-                row = [repr(float(t)), rep.gauge_label]
-                row += [repr(float(v)) for v in rep.v_series[i]]
-                row += [repr(float(v)) for v in rep.p_series[i]]
-                fh.write(",".join(row) + "\n")
+            for t, v, p in zip(rep.times.tolist(), rep.v_series.tolist(),
+                               rep.p_series.tolist()):
+                fh.write(",".join([repr(t), rep.gauge_label, *map(repr, v),
+                                   *map(repr, p)]) + "\n")
 
 
 @dataclass
@@ -331,16 +372,15 @@ class GaugeJumpScenario:
         return self.amplitude * smooth_ramp_dt(t, self.ramp_time)
 
     def drive_potentials(self) -> Potentials:
-        return Potentials(
-            lambda t, r: np.array([self.amplitude_of_t(t), 0.0, 0.0]),
-            lambda t, r: 0.0)
+        return Potentials(lambda t, r: _along_x(self.amplitude_of_t(t), r),
+                          _zero_scalar)
 
     def gauge_function(self) -> GaugeFunction:
         if self.second_gauge == "identity":
             return zero_gauge_function()
         return GaugeFunction(
             f=lambda t, r: -self.amplitude_of_t(t) * r[0],
-            grad_f=lambda t, r: np.array([-self.amplitude_of_t(t), 0.0, 0.0]),
+            grad_f=lambda t, r: _along_x(-self.amplitude_of_t(t), r),
             dt_f=lambda t, r: -self.amplitude_dt(t) * r[0])
 
     def second_potentials(self) -> Potentials:
@@ -351,9 +391,9 @@ class GaugeJumpScenario:
             # amplitude, so its electric field differs wherever A varies; the
             # experiment's field check must reject it
             return Potentials(
-                lambda t, r: np.array(
-                    [self.amplitude_of_t(t) * self.mismatch_factor, 0.0, 0.0]),
-                lambda t, r: 0.0)
+                lambda t, r: _along_x(
+                    self.amplitude_of_t(t) * self.mismatch_factor, r),
+                _zero_scalar)
         g = self.gauge_function()
         return transform_potentials(self.drive_potentials(), g)
 
@@ -416,8 +456,8 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
         sample_times = [scenario.ramp_time + 2e-5
                         if abs(t - scenario.ramp_time) <= 1e-5 else t
                         for t in sample_times]
-    sample_points = [np.array([x * scenario.width, 0.0, 0.0])
-                     for x in (0.2, 0.5, 0.8)]
+    sample_points = np.zeros((3, 3))
+    sample_points[0] = np.array([0.2, 0.5, 0.8]) * scenario.width
     g_defect = float(g.consistency_defect(sample_times, sample_points))
     if g_defect > 1e-6:
         raise GaugeConsistencyError(
@@ -437,16 +477,20 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     traj = unitary_propagate(c0, model, scenario.n_slices, units)
 
     def observe(amps, t):
-        """Rows v1, p1, naive v2 (state not co-transformed), v2, p2."""
+        """Rows v1, p1, naive v2 (state not co-transformed), v2, p2.
+
+        amps (..., n) and t (...) share their leading time axes.
+        """
         psi1 = box_line_state(scenario.width, amps)
         psi2 = phase_transform(psi1, g, t)
-        return np.array([*velocity_and_momentum(psi1, pot1.vector, t, units),
+        return np.stack([*velocity_and_momentum(psi1, pot1.vector, t, units),
                          velocity_and_momentum(psi1, pot2.vector, t, units)[0],
-                         *velocity_and_momentum(psi2, pot2.vector, t, units)])
+                         *velocity_and_momentum(psi2, pot2.vector, t, units)],
+                        axis=-2)
 
     # pre-switch reference: stationary bound state, potentials still off
     v_pre, _ = velocity_and_momentum(box_line_state(scenario.width, c0),
-                                     lambda t, r: np.zeros(3), -1.0, units)
+                                     free_potentials().vector, -1.0, units)
 
     idx = sorted(set([0, 1] + list(range(0, scenario.n_slices + 1,
                                          scenario.observe_stride))
@@ -454,7 +498,7 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     times = traj.times[idx]
     amps = traj.states[idx] \
         * np.exp(-1j * np.outer(times, model.energies) / units.hbar)
-    obs = np.array([observe(a, t) for a, t in zip(amps, times)])
+    obs = observe(amps, times)
 
     # zero-padding to 2 n + 16 amplitudes doubles the nodes; a value that
     # moves by more than round-off at the observables' scale (largest basis

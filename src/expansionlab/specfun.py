@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from scipy import integrate as _scipy_integrate
-
 # Non-terminating series are only trusted on a modest argument range; beyond
 # this the float partial sums are not reliable and callers get an error.
 CONVERGENCE_GUARD = 60.0
@@ -257,9 +255,12 @@ def laguerre_associated(n: int, alpha: float, u: float) -> float:
 
 def _run_quad(integrand: Callable[[float], float], lo: float, hi: float,
               spec: QuadratureSpec):
-    res = _scipy_integrate.quad(integrand, lo, hi, epsabs=spec.abs_tol,
-                                epsrel=spec.rel_tol,
-                                limit=spec.max_subdivisions, full_output=1)
+    # imported here: only projections and the Landau overlap integrate, and
+    # scipy.integrate costs most of the package's import time
+    from scipy.integrate import quad
+
+    res = quad(integrand, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+               limit=spec.max_subdivisions, full_output=1)
     if len(res) > 3:
         value, err = res[0], res[1]
         raise QuadratureError(

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 import expansionlab
 from expansionlab import (basis, cli, gauge, propagation, scenario, specfun,
                           svgplot)
-from expansionlab.cli import (_check_magnitude_recurrence, _check_phase_fit,
+from expansionlab.cli import (_check_euler_growth,
+                              _check_magnitude_recurrence, _check_phase_fit,
                               cmd_expand, cmd_gauge, cmd_propagate, main)
 from expansionlab.gauge import GaugeFunction, GaugeJumpScenario, LineState
 from expansionlab.scenario import load_scenario
@@ -149,6 +151,20 @@ def test_exit_2_on_forced_non_convergence(tmp_path):
     assert "NO" in report
 
 
+def test_exit_2_on_box_normalisation_non_convergence(tmp_path):
+    # the Gaussian's norm integral fails first; the run must still write its
+    # flagged artifacts, like the Landau route
+    out = tmp_path / "out"
+    r = run_cli("expand", "--scenario", str(SCENARIOS / "box_gaussian.scn"),
+                "--out", str(out), "--tolerance-scale", "1e-6")
+    assert r.returncode == 2
+    for name in ("coefficients.csv", "convergence_report.txt",
+                 "partial_sums.svg", "manifest.json"):
+        assert (out / name).exists()
+    report = (out / "convergence_report.txt").read_text()
+    assert "target normalisation: no-convergence" in report
+
+
 def test_exit_3_on_mismatched_gauge_pair(tmp_path):
     r = run_cli("gauge",
                 "--scenario", str(SCENARIOS / "gauge_mismatch.scn"),
@@ -178,6 +194,60 @@ def test_reproduce_all_exit_3_on_tampered_golden(tmp_path):
     assert r.returncode == 3
     assert "FAIL" in r.stdout
     assert "velocity-jump" in r.stdout
+
+
+def _unknown_claim(golden_dir):
+    path = golden_dir / "claims.json"
+    claims = json.loads(path.read_text())
+    claims["claims"][0]["id"] = "no-such-claim"
+    path.write_text(json.dumps(claims))
+
+
+def _golden_without_key(golden_dir):
+    path = golden_dir / "gauge_jump.json"
+    g = json.loads(path.read_text())
+    del g["covariant_tol"]
+    path.write_text(json.dumps(g))
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_unknown_claim, "claim 'no-such-claim' has no checker"),
+    (_golden_without_key, "gauge_jump.json lacks covariant_tol"),
+], ids=["unknown-claim", "missing-key"])
+def test_reproduce_all_exit_1_on_bad_golden_before_running(tmp_path, tamper,
+                                                           message):
+    bad = tmp_path / "golden"
+    shutil.copytree(GOLDEN, bad)
+    tamper(bad)
+    out = tmp_path / "out"
+    r = run_cli("reproduce-all", "--out", str(out),
+                env_extra={"EXPANSIONLAB_GOLDEN_DIR": str(bad)})
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error:") and message in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_golden_keys_are_what_each_checker_reads():
+    # the pre-run golden check is only as good as this table
+    assert cli._GOLDEN_KEYS.keys() == cli._CHECKERS.keys()
+    for claim_id, checker in cli._CHECKERS.items():
+        read = set(re.findall(r'golden\["(\w+)"\]',
+                              inspect.getsource(checker)))
+        assert read == set(cli._GOLDEN_KEYS[claim_id]), claim_id
+
+
+def test_euler_growth_check_fails_on_empty_exponents():
+    golden = json.loads((GOLDEN / "box_dipole_audit.json").read_text())
+    stats = {"euler_final_norm": golden["final_norm_sq"], "monotone": True,
+             "first_strict_step": golden["first_strict_step"],
+             "audit_passed": True, "growth_exponents": []}
+    ok, _ = _check_euler_growth(stats, golden, None)
+    assert ok is False
+    stats["growth_exponents"] = [sum(golden["exponent_range"]) / 2.0]
+    ok, _ = _check_euler_growth(stats, golden, None)
+    assert ok is True
 
 
 def test_magnitude_recurrence_check_fails_on_truncated_values():
@@ -234,8 +304,8 @@ def test_exit_1_on_constructor_errors(tmp_path, command, keys, message):
 def _sign_flipped_gauge(self):
     return GaugeFunction(
         f=lambda t, r: -self.amplitude * r[0],
-        grad_f=lambda t, r: np.array([self.amplitude, 0.0, 0.0]),
-        dt_f=lambda t, r: 0.0)
+        grad_f=lambda t, r: gauge._along_x(self.amplitude, r),
+        dt_f=lambda t, r: 0.0 * r[0])
 
 
 _box_line_state = gauge.box_line_state

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansionlab.basis import box_eigenfunction, box_eigenfunction_dx
+from expansionlab.cli import _gauge_jump_scenario, _phase_fit_inputs
 from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 GaugeFunction, GaugeJumpScenario, LineState,
                                 NormalizationError, PhaseFitScenario,
@@ -21,7 +22,9 @@ from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 phase_factored_expansion_test, phase_transform,
                                 transform_potentials, velocity_and_momentum,
                                 write_observable_csv, zero_gauge_function)
+from expansionlab.gauge import _along_x
 from expansionlab.propagation import Units, smooth_ramp, smooth_ramp_dt
+from expansionlab.scenario import load_scenario
 from expansionlab.specfun import QuadratureError
 
 UNITS = Units()
@@ -31,8 +34,8 @@ def linear_gauge(k):
     """f(t, r) = k x, the momentum-boost gauge function."""
     return GaugeFunction(
         f=lambda t, r: k * r[0],
-        grad_f=lambda t, r: np.array([k, 0.0, 0.0]),
-        dt_f=lambda t, r: 0.0)
+        grad_f=lambda t, r: _along_x(k, r),
+        dt_f=lambda t, r: 0.0 * r[0])
 
 
 def eigenstate_line(n=1, width=1.0):
@@ -42,7 +45,24 @@ def eigenstate_line(n=1, width=1.0):
 
 
 def no_potential(t, r):
-    return np.zeros(3)
+    return np.zeros(np.shape(r))
+
+
+def uniform_scalar(value):
+    """The field equal to value(t) at every point."""
+    return lambda t, r: np.full(np.shape(r)[1:], value(t))
+
+
+def uniform_vector(a):
+    """The constant vector a at every point of r (3, N)."""
+    return lambda t, r: np.outer(a, np.ones(r.shape[1]))
+
+
+def line_points(*xs):
+    """Points (x, 0, 0) as a (3, N) array."""
+    r = np.zeros((3, len(xs)))
+    r[0] = xs
+    return r
 
 
 def padded(amps):
@@ -57,29 +77,30 @@ def load_golden(name):
 
 def test_transform_potentials_shifts_by_gradients():
     a0 = np.array([0.3, 0.0, 0.1])
-    pots = Potentials(lambda t, r: a0, lambda t, r: 0.5)
+    pots = Potentials(uniform_vector(a0), uniform_scalar(lambda t: 0.5))
     g = GaugeFunction(
         f=lambda t, r: 2.0 * r[0] - 3.0 * t,
-        grad_f=lambda t, r: np.array([2.0, 0.0, 0.0]),
-        dt_f=lambda t, r: -3.0)
+        grad_f=lambda t, r: _along_x(2.0, r),
+        dt_f=uniform_scalar(lambda t: -3.0))
     out = transform_potentials(pots, g)
-    r = np.array([0.4, 0.0, 0.0])
-    assert np.allclose(out.vector(1.0, r), a0 + np.array([2.0, 0.0, 0.0]))
-    assert out.scalar(1.0, r) == pytest.approx(0.5 + 3.0)
+    r = line_points(0.4, 0.7)
+    assert np.allclose(out.vector(1.0, r),
+                       (a0 + np.array([2.0, 0.0, 0.0]))[:, None])
+    assert np.allclose(out.scalar(1.0, r), 0.5 + 3.0)
 
 
 def test_transformed_pair_has_identical_fields():
     tau = 0.4
     pots = Potentials(
-        lambda t, r: np.array([0.2 * smooth_ramp(t, tau), 0.0, 0.0]),
-        lambda t, r: 0.0)
+        lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
+        uniform_scalar(lambda t: 0.0))
     g = GaugeFunction(
         f=lambda t, r: -0.2 * smooth_ramp(t, tau) * r[0],
-        grad_f=lambda t, r: np.array([-0.2 * smooth_ramp(t, tau), 0.0, 0.0]),
+        grad_f=lambda t, r: _along_x(-0.2 * smooth_ramp(t, tau), r),
         dt_f=lambda t, r: -0.2 * smooth_ramp_dt(t, tau) * r[0])
     pair = transform_potentials(pots, g)
     times = [0.1, 0.2, 0.35]
-    points = [np.array([x, 0.0, 0.0]) for x in (0.25, 0.5, 0.75)]
+    points = line_points(0.25, 0.5, 0.75)
     defect, scale = field_mismatch(pots, pair, times, points, 1e-6)
     assert scale > 0.0
     assert defect < 1e-6 * scale
@@ -88,13 +109,13 @@ def test_transformed_pair_has_identical_fields():
 def test_scaled_pair_is_detected_as_different_fields():
     tau = 0.4
     pots = Potentials(
-        lambda t, r: np.array([0.2 * smooth_ramp(t, tau), 0.0, 0.0]),
-        lambda t, r: 0.0)
+        lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
+        uniform_scalar(lambda t: 0.0))
     scaled = Potentials(
-        lambda t, r: np.array([0.3 * smooth_ramp(t, tau), 0.0, 0.0]),
-        lambda t, r: 0.0)
+        lambda t, r: _along_x(0.3 * smooth_ramp(t, tau), r),
+        uniform_scalar(lambda t: 0.0))
     times = [0.1, 0.2, 0.35]
-    points = [np.array([x, 0.0, 0.0]) for x in (0.25, 0.5, 0.75)]
+    points = line_points(0.25, 0.5, 0.75)
     defect, scale = field_mismatch(pots, scaled, times, points, 1e-6)
     assert defect > 0.1 * scale
 
@@ -102,8 +123,8 @@ def test_scaled_pair_is_detected_as_different_fields():
 def test_field_reconstruction_uniform_vector_potential():
     tau = 0.4
     pots = Potentials(
-        lambda t, r: np.array([0.2 * smooth_ramp(t, tau), 0.0, 0.0]),
-        lambda t, r: 0.0)
+        lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
+        uniform_scalar(lambda t: 0.0))
     r = np.array([0.5, 0.0, 0.0])
     e = electric_field(pots, 0.2, r, 1e-6)
     assert e[0] == pytest.approx(-0.2 * smooth_ramp_dt(0.2, tau), rel=1e-6)
@@ -114,13 +135,13 @@ def test_field_reconstruction_uniform_vector_potential():
 def test_gauge_function_consistency_defect():
     g = linear_gauge(1.3)
     times = [0.0, 0.5]
-    points = [np.array([0.3, 0.0, 0.0])]
+    points = line_points(0.3)
     assert g.consistency_defect(times, points) < 1e-8
 
     broken = GaugeFunction(
         f=lambda t, r: 1.3 * r[0],
-        grad_f=lambda t, r: np.array([2.6, 0.0, 0.0]),  # wrong on purpose
-        dt_f=lambda t, r: 0.0)
+        grad_f=lambda t, r: _along_x(2.6, r),  # wrong on purpose
+        dt_f=lambda t, r: 0.0 * r[0])
     assert broken.consistency_defect(times, points) > 0.1
 
 
@@ -128,16 +149,17 @@ def oscillating_gauge(error=0.0):
     """f = 0.01 sin(300 x), exact when error = 0; |f'''| reaches 2.7e5."""
     return GaugeFunction(
         f=lambda t, r: 0.01 * np.sin(300.0 * r[0]),
-        grad_f=lambda t, r: np.array([3.0 * (1.0 + error)
-                                      * np.cos(300.0 * r[0]), 0.0, 0.0]),
-        dt_f=lambda t, r: 0.0)
+        grad_f=lambda t, r: np.stack([3.0 * (1.0 + error)
+                                      * np.cos(300.0 * r[0]),
+                                      0.0 * r[1], 0.0 * r[2]]),
+        dt_f=lambda t, r: 0.0 * r[0])
 
 
 def test_consistency_defect_accepts_fast_exact_gauge():
     # the jump experiment's probes and its 1e-6 bound; a plain central
     # difference reads 1.5e-6 here from its O(h^2 f''') truncation error
     times = [s * f * 2e-5 for s in (-1.0, 1.0) for f in (1.0, 0.5, 0.25)]
-    points = [np.array([x, 0.0, 0.0]) for x in (0.2, 0.5, 0.8)]
+    points = line_points(0.2, 0.5, 0.8)
     assert oscillating_gauge().consistency_defect(times, points) < 1e-8
     assert oscillating_gauge(1e-4).consistency_defect(times, points) > 1e-6
 
@@ -188,7 +210,7 @@ def test_velocity_real_bound_state_no_potential_is_zero():
 def test_velocity_shifts_by_minus_average_A():
     # switched-on uniform A: <v> = <p> - A with <psi_s|A|psi_s> = A
     a0 = np.array([0.2, -0.1, 0.05])
-    v, _ = velocity_and_momentum(eigenstate_line(1), lambda t, r: a0, 0.0,
+    v, _ = velocity_and_momentum(eigenstate_line(1), uniform_vector(a0), 0.0,
                                  UNITS)
     assert np.allclose(v, -a0, atol=1e-10)
 
@@ -232,8 +254,8 @@ def test_linear_gauge_boost_and_covariance_on_nodes(n, seed, k, a_x):
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amps /= np.linalg.norm(amps)
     g = linear_gauge(k)
-    pot = Potentials(lambda t, r: np.array([a_x, 0.0, 0.0]),
-                     lambda t, r: 0.0)
+    pot = Potentials(lambda t, r: _along_x(a_x, r),
+                     uniform_scalar(lambda t: 0.0))
     pot_k = transform_potentials(pot, g)
 
     def observables(coefficients):
@@ -304,8 +326,8 @@ def test_jump_inconsistent_gauge_function_rejected(monkeypatch):
     scn = GaugeJumpScenario()
     broken = GaugeFunction(
         f=lambda t, r: -scn.amplitude * r[0],
-        grad_f=lambda t, r: np.array([scn.amplitude, 0.0, 0.0]),  # sign flip
-        dt_f=lambda t, r: 0.0)
+        grad_f=lambda t, r: _along_x(scn.amplitude, r),  # sign flip
+        dt_f=lambda t, r: 0.0 * r[0])
     monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
                         lambda self: broken)
     with pytest.raises(GaugeConsistencyError):
@@ -330,8 +352,9 @@ def test_jump_node_doubling_flags_unresolved_gauge(monkeypatch):
     # consistent, but 80 nodes cannot resolve grad f = 0.3 cos(300 x)
     wiggle = GaugeFunction(
         f=lambda t, r: 0.001 * np.sin(300.0 * r[0]),
-        grad_f=lambda t, r: np.array([0.3 * np.cos(300.0 * r[0]), 0.0, 0.0]),
-        dt_f=lambda t, r: 0.0)
+        grad_f=lambda t, r: np.stack([0.3 * np.cos(300.0 * r[0]),
+                                      0.0 * r[1], 0.0 * r[2]]),
+        dt_f=lambda t, r: 0.0 * r[0])
     monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
                         lambda self: wiggle)
     with pytest.raises(QuadratureError) as excinfo:
@@ -367,9 +390,9 @@ def test_phase_fit_global_phase_equals_stationary():
                            fit_stride=50)
     base = phase_factored_expansion_test(scn, zero_gauge_function())
     g = GaugeFunction(
-        f=lambda t, r: 0.7 * t - 0.3,
-        grad_f=lambda t, r: np.zeros(3),
-        dt_f=lambda t, r: 0.7)
+        f=uniform_scalar(lambda t: 0.7 * t - 0.3),
+        grad_f=no_potential,
+        dt_f=uniform_scalar(lambda t: 0.7))
     shifted = phase_factored_expansion_test(scn, g)
     assert np.max(np.abs(shifted.residuals - base.residuals)) < 1e-12
 
@@ -380,8 +403,7 @@ def test_phase_fit_driven_matches_frozen_curve():
     strength, tau = 0.8, 0.3
     g = GaugeFunction(
         f=lambda t, r: strength * smooth_ramp(t, tau) * r[0],
-        grad_f=lambda t, r: np.array([strength * smooth_ramp(t, tau),
-                                      0.0, 0.0]),
+        grad_f=lambda t, r: _along_x(strength * smooth_ramp(t, tau), r),
         dt_f=lambda t, r: strength * smooth_ramp_dt(t, tau) * r[0])
     report = phase_factored_expansion_test(scn, g)
     assert list(report.fit_sizes) == golden["fit_sizes"]
@@ -414,6 +436,137 @@ def test_phase_fit_report_text_and_csv(tmp_path):
 
 def test_free_potentials_are_zero():
     pots = free_potentials()
-    r = np.array([0.3, 0.1, -0.2])
+    r = np.array([[0.3, 0.5], [0.1, 0.0], [-0.2, 0.4]])
     assert np.max(np.abs(pots.vector(1.0, r))) == 0.0
-    assert pots.scalar(1.0, r) == 0.0
+    assert np.max(np.abs(pots.scalar(1.0, r))) == 0.0
+
+
+def nonuniform_gauge():
+    """f = x y + t z: every component of grad f differs between points."""
+    return GaugeFunction(f=lambda t, r: r[0] * r[1] + t * r[2],
+                         grad_f=lambda t, r: np.stack([r[1], r[0],
+                                                       t + 0.0 * r[2]]),
+                         dt_f=lambda t, r: r[2])
+
+
+def bundled_fields():
+    """(label, field, is_vector) of every field the package builds."""
+    fields = []
+
+    def add(label, pots=None, g=None):
+        if pots is not None:
+            fields.extend([(f"{label}.vector", pots.vector, True),
+                           (f"{label}.scalar", pots.scalar, False)])
+        if g is not None:
+            fields.extend([(f"{label}.f", g.f, False),
+                           (f"{label}.grad_f", g.grad_f, True),
+                           (f"{label}.dt_f", g.dt_f, False)])
+
+    for switch in ("step", "ramp"):
+        for second in ("transformed", "identity", "mismatched"):
+            scn = GaugeJumpScenario(switch=switch, second_gauge=second,
+                                    ramp_time=0.4, t_end=1.0)
+            add(f"{switch}-{second}", pots=scn.second_potentials())
+        add(f"{switch}-drive", pots=scn.drive_potentials(),
+            g=scn.gauge_function())
+    add("zero", g=zero_gauge_function())
+    add("free", pots=free_potentials())
+    add("transformed-nonuniform",
+        pots=transform_potentials(free_potentials(), nonuniform_gauge()))
+    scn = load_scenario(resources.files("expansionlab") / "data"
+                        / "scenarios" / "phase_fit.scn")
+    add("phase-fit", g=_phase_fit_inputs(scn)[1])
+    return fields
+
+
+BUNDLED_FIELDS = bundled_fields()
+
+
+@pytest.mark.parametrize("n_points", [1, 3, 5])
+@pytest.mark.parametrize("label,fld,is_vector", BUNDLED_FIELDS,
+                         ids=[f[0] for f in BUNDLED_FIELDS])
+def test_field_contract_shapes(label, fld, is_vector, n_points):
+    # distinct coordinates everywhere, so a field that mixes up the point
+    # axis and the coordinate axis cannot pass at N = 3
+    r = np.random.default_rng(n_points).uniform(0.1, 0.9, (3, n_points))
+    t = 0.2
+    out = fld(t, r)
+    assert np.shape(out) == ((3, n_points) if is_vector else (n_points,))
+    per_point = np.array([fld(t, r[:, i]) for i in range(n_points)])
+    assert per_point.shape == ((n_points, 3) if is_vector else (n_points,))
+    assert np.array_equal(out, per_point.T)
+
+
+def observe_oracle(amps, t, g, A, width=1.0):
+    """v and p of exp(i f) sum a_n psi_n at one time, one sum per component."""
+    n = amps.size
+    nodes, weights = np.polynomial.legendre.leggauss(2 * n + 32)
+    x, w = 0.5 * width * (nodes + 1.0), 0.5 * width * weights
+    k = np.arange(1, n + 1) * math.pi / width
+    value = amps @ (math.sqrt(2.0 / width) * np.sin(np.outer(k, x)))
+    dx = (k * amps) @ (math.sqrt(2.0 / width) * np.cos(np.outer(k, x)))
+    r = np.stack([x, 0.0 * x, 0.0 * x])
+    phase = np.exp(1j * g.f(t, r))
+    value, dx = phase * value, phase * (1j * g.grad_f(t, r)[0] * value + dx)
+    density = np.abs(value) ** 2
+    p_density = (value.conjugate() * (-1j * UNITS.hbar * dx)).real
+    a = A(t, r)
+    return np.array([w @ (p_density - a[0] * density), -w @ (a[1] * density),
+                     -w @ (a[2] * density), w @ p_density, 0.0, 0.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 32),
+       seed=st.integers(0, 2 ** 32 - 1),
+       times=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=8),
+       amplitude=st.floats(-3.0, 3.0))
+def test_batched_observables_match_per_time_oracle(n, seed, times,
+                                                   amplitude):
+    scn = GaugeJumpScenario(switch="ramp", ramp_time=0.4, t_end=1.0,
+                            amplitude=amplitude, n_basis=n)
+    g, pot = scn.gauge_function(), scn.second_potentials()
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((len(times), n)) \
+        + 1j * rng.standard_normal((len(times), n))
+    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    t = np.array(times)
+    v, p = velocity_and_momentum(
+        phase_transform(box_line_state(1.0, amps), g, t), pot.vector, t,
+        UNITS)
+    assert v.shape == p.shape == (len(times), 3)
+    want = np.array([observe_oracle(a, s, g, pot.vector)
+                     for a, s in zip(amps, times)])
+    scale = UNITS.hbar * n * math.pi + abs(amplitude) + 1.0
+    assert np.max(np.abs(np.hstack([v, p]) - want)) <= 1e-14 * scale
+
+
+def test_batched_observables_check_every_row_norm():
+    amps = np.zeros((3, 4), dtype=complex)
+    amps[:, 0] = 1.0
+    amps[1, 0] = 1.5
+    with pytest.raises(NormalizationError) as excinfo:
+        velocity_and_momentum(box_line_state(1.0, amps), no_potential,
+                              np.zeros(3), UNITS)
+    assert excinfo.value.measured_norm == pytest.approx(2.25, rel=1e-12)
+
+
+def reference_observable_csv(reports):
+    """The per-value formatter the CSV writer must match byte for byte."""
+    lines = ["t,gauge_label,vx,vy,vz,px,py,pz\n"]
+    for rep in reports:
+        for i, t in enumerate(rep.times):
+            row = [repr(float(t)), rep.gauge_label]
+            row += [repr(float(v)) for v in rep.v_series[i]]
+            row += [repr(float(v)) for v in rep.p_series[i]]
+            lines.append(",".join(row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_observable_csv_bytes_match_reference_formatter(tmp_path):
+    scn = load_scenario(resources.files("expansionlab") / "data"
+                        / "scenarios" / "gauge_step.scn")
+    res = gauge_jump_experiment(_gauge_jump_scenario(scn))
+    reports = [res.report_gauge1, res.report_gauge2]
+    path = tmp_path / "observables.csv"
+    write_observable_csv(path, reports)
+    assert path.read_bytes() == reference_observable_csv(reports)
