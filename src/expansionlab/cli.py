@@ -7,13 +7,15 @@ non-convergence, 3 physical-consistency failure. Exceptions map to a code
 by class: specfun.NonConvergenceError to 2, gauge.PhysicalConsistencyError to
 3, and ValueError, FileNotFoundError and ReferenceUnavailableError to 1; the
 three families are disjoint. reproduce-all runs the bundled claim scenarios
-and compares fresh results against the golden tables (override their
-location with EXPANSIONLAB_GOLDEN_DIR).
+and holds each fresh result to its golden table (EXPANSIONLAB_GOLDEN_DIR
+overrides their location) through _CLAIM_ROWS, one row per compared
+quantity; it exits 3 if a row fails, else 2 if a scenario did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -366,13 +368,7 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
 
     fit_scn, g = _phase_fit_inputs(scn)
     report = gauge.phase_factored_expansion_test(fit_scn, g)
-    control_scn = PhaseFitScenario(
-        width=fit_scn.width, n_reference=fit_scn.n_reference,
-        initial_index=fit_scn.initial_index, amplitude=0.0,
-        ramp_time=fit_scn.ramp_time, t_end=fit_scn.t_end,
-        n_slices=fit_scn.n_slices, fit_sizes=fit_scn.fit_sizes,
-        n_grid=fit_scn.n_grid, fit_stride=fit_scn.fit_stride,
-        units=fit_scn.units)
+    control_scn = dataclasses.replace(fit_scn, amplitude=0.0)
     control = gauge.phase_factored_expansion_test(control_scn,
                                                   zero_gauge_function())
     control_max = float(np.max(control.residuals))
@@ -410,111 +406,85 @@ def _dispatch(scn: Scenario, out_dir: Path, tolerance_scale: float, seed=None):
     return cmd_gauge(scn, out_dir, tolerance_scale)
 
 
-def _check_magnitude_recurrence(stats, golden, scn):
-    fresh = stats["quad"]
-    frozen = golden["quad"]
-    if len(fresh) != len(frozen):
-        return False, (f"{len(fresh)} fresh values against {len(frozen)} "
-                       f"frozen ones: quad_check_max does not match the golden")
-    freeze_dev = max(abs(f - z) for f, z in zip(fresh, frozen))
-    ok = (stats["ratio_defect"] <= golden["magnitude_tol"]
-          and freeze_dev <= golden["freeze_tol"]
-          and stats["worst_route_diff"] <= golden["route_tol"])
-    return ok, (f"ratio defect {stats['ratio_defect']:.3e}, "
-                f"golden deviation {freeze_dev:.3e}, "
-                f"route split {stats['worst_route_diff']:.3e}")
+# One row per compared quantity; a claim passes when all its rows do, and its
+# golden must hold every key they name. Tests of a stat against golden[ref] or
+# golden[bound]: "<=", "<" bound; "near" max |stat - ref| <= bound over equal-
+# length, non-empty lists (a scalar is a list of one); "rel" |stat - ref| <=
+# bound * |ref|; "==" ref; "true"; "in range" a non-empty list inside bound =
+# [lo, hi]. The unitary-contrast row's ref is the run length it is measured on.
+_CLAIM_ROWS = (  # (claim id, stat key, test, golden ref key, golden bound key)
+    ("equal-magnitude-recurrence", "ratio_defect", "<=", None, "magnitude_tol"),
+    ("equal-magnitude-recurrence", "quad", "near", "quad", "freeze_tol"),
+    ("equal-magnitude-recurrence", "worst_route_diff", "<=", None, "route_tol"),
+    ("series-divergence", "verdict", "==", "verdict", None),
+    ("series-divergence", "slope", "rel", "slope", "slope_rtol"),
+    ("euler-norm-growth", "euler_final_norm", "rel", "final_norm_sq", "final_norm_rtol"),
+    ("euler-norm-growth", "monotone", "true", None, None),
+    ("euler-norm-growth", "first_strict_step", "==", "first_strict_step", None),
+    ("euler-norm-growth", "audit_passed", "true", None, None),
+    ("euler-norm-growth", "growth_exponents", "in range", None, "exponent_range"),
+    ("unitary-contrast", "long_run_max_dev", "<", "n_steps", "max_norm_dev"),
+    ("velocity-jump", "jump_metric", "near", "amplitude", "jump_tol"),
+    ("velocity-jump", "max_covariant_discrepancy", "<=", None, "covariant_tol"),
+    ("phase-factored-fit", "fit_sizes", "==", "fit_sizes", None),
+    ("phase-factored-fit", "final_residuals", "near", "residuals", "curve_tol"),
+    ("phase-factored-fit", "control_max_residual", "<=", None, "stationary_tol"),
+)
 
 
-def _check_divergence(stats, golden, scn):
-    slope_ok = abs(stats["slope"] - golden["slope"]) \
-        <= golden["slope_rtol"] * golden["slope"]
-    ok = stats["verdict"] == golden["verdict"] and slope_ok
-    return ok, (f"verdict {stats['verdict']}, slope {stats['slope']:.6f} "
-                f"(expected {golden['slope']:.6f})")
+def _compare(test, x, ref, bound):
+    """(passed, the measured value next to what it is held to) of one row."""
+    dev = "dev " if test in ("near", "rel") else ""
+    if test == "near":
+        fresh, frozen = (v if isinstance(v, list) else [v] for v in (x, ref))
+        if not fresh or len(fresh) != len(frozen):
+            return False, (f"{len(fresh)} fresh values against "
+                           f"{len(frozen)} frozen ones")
+        test, x = "<=", max(abs(f - z) for f, z in zip(fresh, frozen))
+    elif test == "rel":
+        test, x, bound = "<=", abs(x - ref), bound * abs(ref)
+    if test in ("<=", "<"):
+        ok = x <= bound if test == "<=" else x < bound
+        return ok, f"{dev}{x:.3e} {test if ok else 'exceeds'} {bound:.3e}"
+    if test == "==":
+        return x == ref, f"{x} {'==' if x == ref else '!='} {ref}"
+    if test == "true":
+        return bool(x), str(x)
+    lo, hi = bound
+    ok = bool(x) and all(lo <= e <= hi for e in x)
+    return ok, f"{[round(e, 4) for e in x]} {'in' if ok else 'not in'} {bound}"
 
 
-def _check_euler_growth(stats, golden, scn):
-    rel = abs(stats["euler_final_norm"] - golden["final_norm_sq"]) \
-        / golden["final_norm_sq"]
-    # an empty exponent list is a refinement study that never ran
-    expo_ok = bool(stats["growth_exponents"]) and all(
-        golden["exponent_range"][0] <= e <= golden["exponent_range"][1]
-        for e in stats["growth_exponents"])
-    ok = (rel <= golden["final_norm_rtol"] and stats["monotone"]
-          and stats["first_strict_step"] == golden["first_strict_step"]
-          and stats["audit_passed"] and expo_ok)
-    return ok, (f"final norm dev {rel:.3e}, first strict step "
-                f"{stats['first_strict_step']}, exponents "
-                f"{[round(e, 4) for e in stats['growth_exponents']]}")
-
-
-def _check_unitary_contrast(stats, golden, scn):
-    units = Units(scn.get_float("hbar", 1.0))
-    model = _model_from_scenario(scn, units=units)
-    s = scn.get_int("initial_index", 1)
-    c0 = np.zeros(model.dim, dtype=complex)
-    c0[s - 1] = 1.0
-    traj = propagation.unitary_propagate(c0, model, golden["n_steps"], units)
-    dev = float(np.max(np.abs(traj.norms - 1.0)))
-    return dev < golden["max_norm_dev"], \
-        f"max |norm^2 - 1| = {dev:.3e} over {golden['n_steps']} steps"
-
-
-def _check_velocity_jump(stats, golden, scn):
-    jump_dev = abs(stats["jump_metric"] - golden["amplitude"])
-    ok = (jump_dev <= golden["jump_tol"]
-          and stats["max_covariant_discrepancy"] <= golden["covariant_tol"])
-    return ok, (f"|jump - A0| = {jump_dev:.3e}, covariant discrepancy "
-                f"{stats['max_covariant_discrepancy']:.3e}")
-
-
-def _check_phase_fit(stats, golden, scn):
-    if stats["fit_sizes"] != golden["fit_sizes"]:
-        return False, "fit sizes differ from golden"
-    fresh = stats["final_residuals"]
-    frozen = golden["residuals"]
-    if len(fresh) != len(frozen):
-        return False, (f"{len(fresh)} fresh residuals against {len(frozen)} "
-                       f"frozen ones")
-    dev = max(abs(f - z) for f, z in zip(fresh, frozen))
-    ok = dev <= golden["curve_tol"] \
-        and stats["control_max_residual"] <= golden["stationary_tol"]
-    return ok, (f"curve deviation {dev:.3e}, control residual "
-                f"{stats['control_max_residual']:.3e}")
-
-
-_CHECKERS = {
-    "equal-magnitude-recurrence": _check_magnitude_recurrence,
-    "series-divergence": _check_divergence,
-    "euler-norm-growth": _check_euler_growth,
-    "unitary-contrast": _check_unitary_contrast,
-    "velocity-jump": _check_velocity_jump,
-    "phase-factored-fit": _check_phase_fit,
-}
-
-# the golden keys each checker reads, verified before any scenario runs
-_GOLDEN_KEYS = {
-    "equal-magnitude-recurrence": ("quad", "magnitude_tol", "freeze_tol",
-                                   "route_tol"),
-    "series-divergence": ("verdict", "slope", "slope_rtol"),
-    "euler-norm-growth": ("final_norm_sq", "final_norm_rtol",
-                          "first_strict_step", "exponent_range"),
-    "unitary-contrast": ("n_steps", "max_norm_dev"),
-    "velocity-jump": ("amplitude", "jump_tol", "covariant_tol"),
-    "phase-factored-fit": ("fit_sizes", "residuals", "curve_tol",
-                           "stationary_tol"),
-}
+def _check_claim(claim_id, stats, golden):
+    """(passed, detail) of every table row of claim_id, stats against golden."""
+    rows = [(stat, *_compare(test, stats[stat], ref and golden[ref],
+                             bound and golden[bound]))
+            for cid, stat, test, ref, bound in _CLAIM_ROWS if cid == claim_id]
+    return (all(ok for _, ok, _ in rows),
+            ", ".join(f"{stat} {text}" for stat, _, text in rows))
 
 
 def _golden_problem(claim, golden) -> str:
     """Why claim cannot be checked against golden, or '' if it can."""
-    if claim["id"] not in _CHECKERS:
+    rows = [row for row in _CLAIM_ROWS if row[0] == claim["id"]]
+    if not rows:
         return f"claim '{claim['id']}' has no checker"
-    missing = [k for k in _GOLDEN_KEYS[claim["id"]] if k not in golden]
+    missing = [k for k in dict.fromkeys(k for row in rows for k in row[3:])
+               if k and k not in golden]
     if missing:
         return (f"golden {claim['golden']} lacks {', '.join(missing)}, "
                 f"which claim '{claim['id']}' reads")
     return ""
+
+
+def _long_run_max_dev(scn: Scenario, n_steps: int) -> float:
+    """max |norm^2 - 1| of an n_steps-slice Cayley run of a propagate scenario."""
+    units = Units(scn.get_float("hbar", 1.0))
+    model = _model_from_scenario(scn, units=units)
+    s = scn.get_int("initial_index", 1)
+    c0 = np.eye(model.dim, dtype=complex)[s - 1]
+    traj = propagation.unitary_propagate(c0, model, n_steps, units)
+    return float(np.max(np.abs(traj.norms - 1.0)))
 
 
 def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
@@ -525,15 +495,12 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
         return 1
     claims = _load_golden("claims.json")["claims"]
     by_name = {p.name: p for p in scn_files}
-    needed = []
     for claim in claims:
         if claim["scenario"] not in by_name:
             print(f"error: claim '{claim['id']}' needs scenario "
                   f"{claim['scenario']}, not found in {scenario_dir}",
                   file=sys.stderr)
             return 1
-        if claim["scenario"] not in needed:
-            needed.append(claim["scenario"])
     goldens = [_load_golden(claim["golden"]) for claim in claims]
     for claim, golden in zip(claims, goldens):
         problem = _golden_problem(claim, golden)
@@ -541,20 +508,21 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
             print(f"error: {problem}", file=sys.stderr)
             return 1
 
-    results = {name: _dispatch(load_scenario(by_name[name]),
-                               out_root / Path(name).stem, tolerance_scale)
-               for name in needed}
+    scenarios = {c["scenario"]: load_scenario(by_name[c["scenario"]])
+                 for c in claims}
+    results = {name: _dispatch(scenarios[name], out_root / Path(name).stem,
+                               tolerance_scale)
+               for name in scenarios}
 
-    all_ok = True
     rows = []
     for claim, golden in zip(claims, goldens):
         code, stats = results[claim["scenario"]]
-        scn = load_scenario(by_name[claim["scenario"]])
-        ok, detail = _CHECKERS[claim["id"]](stats, golden, scn)
+        if claim["id"] == "unitary-contrast":
+            stats = dict(stats, long_run_max_dev=_long_run_max_dev(
+                scenarios[claim["scenario"]], golden["n_steps"]))
+        ok, detail = _check_claim(claim["id"], stats, golden)
         if code != 0:
-            ok = False
             detail += f" (scenario exit {code})"
-        all_ok = all_ok and ok
         rows.append((claim["id"], claim["scenario"],
                      "PASS" if ok else "FAIL", detail))
 
@@ -563,7 +531,9 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
     print(f"{'claim':<{id_w}}  {'scenario':<{scn_w}}  result  detail")
     for cid, sname, verdict, detail in rows:
         print(f"{cid:<{id_w}}  {sname:<{scn_w}}  {verdict:<6}  {detail}")
-    return 0 if all_ok else 3
+    # a failed row exits 3, ahead of a scenario that did not converge (exit 2)
+    return 3 if any(r[2] == "FAIL" for r in rows) else max(
+        code for code, _ in results.values())
 
 
 # ------------------------------------------------------------------ main

@@ -49,22 +49,19 @@ class CoefficientSeries:
             self.flags = [FLAG_OK] * len(self.entries)
         if not (len(self.entries) == len(self.quad_errors) == len(self.flags)):
             raise ValueError("entries, quad_errors, and flags must align")
-        order = sorted(range(len(self.entries)),
-                       key=lambda i: basis.principal_number(self.entries[i][0]))
-        self.entries = [(self.entries[i][0], complex(self.entries[i][1]))
-                        for i in order]
-        self.quad_errors = [self.quad_errors[i] for i in order]
-        self.flags = [self.flags[i] for i in order]
-        ns = [basis.principal_number(ix) for ix, _ in self.entries]
+        rows = sorted(zip(self.entries, self.quad_errors, self.flags),
+                      key=lambda row: basis.principal_number(row[0][0]))
+        self.entries = [(ix, complex(c)) for (ix, c), _, _ in rows]
+        self.quad_errors = [err for _, err, _ in rows]
+        self.flags = [flag for _, _, flag in rows]
         if len(set(self.indices())) != len(self.entries):
             raise ValueError("coefficient entries must have distinct indices")
-        self._ns = ns
 
     def indices(self):
         return [ix for ix, _ in self.entries]
 
     def principal_numbers(self):
-        return list(self._ns)
+        return [basis.principal_number(ix) for ix in self.indices()]
 
     def coefficients(self) -> np.ndarray:
         return np.array([c for _, c in self.entries], dtype=complex)
@@ -72,13 +69,6 @@ class CoefficientSeries:
     def abs_sq(self) -> np.ndarray:
         c = self.coefficients()
         return (c * c.conj()).real
-
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.abs_sq())
-
-    @property
-    def truncation(self) -> int:
-        return self._ns[-1] if self._ns else 0
 
     def flagged(self) -> bool:
         return any(f != FLAG_OK for f in self.flags)

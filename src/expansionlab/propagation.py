@@ -444,8 +444,6 @@ def box_dipole_model(width: float, n_basis: int, amplitude: float,
         switch = lambda t: amplitude * smooth_ramp(t, ramp_time)
     elif profile == "step":
         switch = lambda t: amplitude * hard_step(t)
-    elif profile == "constant":
-        switch = lambda t: amplitude
     else:
         raise PropagationContractError(f"unknown switch profile {profile!r}")
     return HamiltonianModel(box_energies(width, n_basis, units), [(switch, x)],

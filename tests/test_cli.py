@@ -1,8 +1,9 @@
 """CLI exit-code contract, artifact schemas, and reproducibility."""
 
+import copy
 import inspect
 import json
-import re
+import math
 import shutil
 import subprocess
 import sys
@@ -15,9 +16,8 @@ import pytest
 import expansionlab
 from expansionlab import (basis, cli, gauge, propagation, scenario, specfun,
                           svgplot)
-from expansionlab.cli import (_check_euler_growth,
-                              _check_magnitude_recurrence, _check_phase_fit,
-                              cmd_expand, cmd_gauge, cmd_propagate, main)
+from expansionlab.cli import (_check_claim, cmd_expand, cmd_gauge,
+                              cmd_propagate, main)
 from expansionlab.gauge import GaugeFunction, GaugeJumpScenario, LineState
 from expansionlab.scenario import load_scenario
 
@@ -229,13 +229,138 @@ def test_reproduce_all_exit_1_on_bad_golden_before_running(tmp_path, tamper,
     assert not out.exists()
 
 
-def test_golden_keys_are_what_each_checker_reads():
-    # the pre-run golden check is only as good as this table
-    assert cli._GOLDEN_KEYS.keys() == cli._CHECKERS.keys()
-    for claim_id, checker in cli._CHECKERS.items():
-        read = set(re.findall(r'golden\["(\w+)"\]',
-                              inspect.getsource(checker)))
-        assert read == set(cli._GOLDEN_KEYS[claim_id]), claim_id
+CLAIMS = json.loads((GOLDEN / "claims.json").read_text())["claims"]
+GOLDEN_OF = {c["id"]: c["golden"] for c in CLAIMS}
+ROWS = cli._CLAIM_ROWS
+# (claim id, golden key) of every key the claim table names
+NAMED_KEYS = list(dict.fromkeys((r[0], k) for r in ROWS for k in r[3:] if k))
+
+
+@pytest.fixture(scope="module")
+def claim_stats(tmp_path_factory):
+    """The stats each claim was checked on in one bundled reproduce-all run."""
+    seen = {}
+    check = cli._check_claim
+
+    def record(claim_id, stats, golden):
+        seen[claim_id] = copy.deepcopy(stats)
+        return check(claim_id, stats, golden)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_check_claim", record)
+        rc = cli.cmd_reproduce_all(SCENARIOS, tmp_path_factory.mktemp("out"))
+    assert rc == 0
+    return seen
+
+
+def _golden_files():
+    return {name: json.loads((GOLDEN / name).read_text())
+            for name in set(GOLDEN_OF.values())}
+
+
+def _failing_claims(stats, goldens):
+    return {cid for cid, name in GOLDEN_OF.items()
+            if not _check_claim(cid, stats[cid], goldens[name])[0]}
+
+
+def _push_past(row, stats, golden, past=True):
+    """Move golden just past the row's bound; a "true" row has no golden.
+
+    With past=False an ordered row's bound lands on the measured value
+    instead, which "<=" and "near" must still pass.
+    """
+    _, stat, test, ref, bound = row
+    x = stats[stat]
+    below = (lambda v: math.nextafter(v, -math.inf)) if past else float
+    if test == "<=":
+        golden[bound] = below(x)
+    elif test == "<":
+        golden[bound] = x if past else math.nextafter(x, math.inf)
+    elif test == "near":
+        fresh, frozen = (v if isinstance(v, list) else [v]
+                         for v in (x, golden[ref]))
+        golden[bound] = below(max(abs(f - z) for f, z in zip(fresh, frozen)))
+    elif test == "rel":
+        dev = abs(x - golden[ref])
+        golden[bound] = dev / abs(golden[ref]) * (1 - 1e-9) if dev else -1e-300
+    elif test == "==":
+        v = golden[ref]
+        golden[ref] = (v + "-x" if isinstance(v, str)
+                       else v[:-1] + [v[-1] + 1] if isinstance(v, list)
+                       else v + 1)
+    elif test == "true":
+        stats[stat] = False
+    else:
+        assert test == "in range"
+        golden[bound] = [golden[bound][0], math.nextafter(max(x), -math.inf)]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[f"{r[0]}:{r[1]}" for r in ROWS])
+def test_golden_pushed_past_a_row_fails_exactly_its_claim(claim_stats, row):
+    # mutation check of the claim table: every row must be able to fail, and
+    # fail only its own claim (two claims share landau_planewave.json)
+    assert _failing_claims(claim_stats, _golden_files()) == set()
+    stats, goldens = copy.deepcopy(claim_stats), _golden_files()
+    _push_past(row, stats[row[0]], goldens[GOLDEN_OF[row[0]]])
+    assert _failing_claims(stats, goldens) == {row[0]}
+    if row[2] in ("<=", "<", "near"):
+        goldens = _golden_files()
+        _push_past(row, stats[row[0]], goldens[GOLDEN_OF[row[0]]], past=False)
+        assert _failing_claims(claim_stats, goldens) == set()
+
+
+@pytest.mark.parametrize("claim_id,key", NAMED_KEYS,
+                         ids=[f"{c}:{k}" for c, k in NAMED_KEYS])
+def test_reproduce_all_exit_1_on_golden_without_a_named_key(
+        tmp_path, monkeypatch, capsys, claim_id, key):
+    bad = tmp_path / "golden"
+    shutil.copytree(GOLDEN, bad)
+    path = bad / GOLDEN_OF[claim_id]
+    g = json.loads(path.read_text())
+    del g[key]
+    path.write_text(json.dumps(g))
+    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: golden {GOLDEN_OF[claim_id]} lacks {key}, "
+                   f"which claim '{claim_id}' reads\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0], ids=["negated", "zero"])
+def test_reproduce_all_fails_on_signed_or_zero_relative_reference(
+        tmp_path, monkeypatch, capsys, factor):
+    # |x - ref| <= rtol * |ref|: a negative reference once gave a negative
+    # deviation that always passed, and a zero one a division by zero
+    tampered = tmp_path / "golden"
+    shutil.copytree(GOLDEN, tampered)
+    path = tampered / "box_dipole_audit.json"
+    g = json.loads(path.read_text())
+    g["final_norm_sq"] *= factor
+    path.write_text(json.dumps(g))
+    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(tampered))
+    assert main(["reproduce-all", "--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    failed = [line.split()[0] for line in out.splitlines() if " FAIL " in line]
+    assert failed == ["euler-norm-growth"]
+    assert "Traceback" not in err
+
+
+def test_reproduce_all_exit_2_when_only_a_scenario_does_not_converge(
+        tmp_path, capsys):
+    # every compared value is within its bound, but the Landau quadrature
+    # route is flagged: non-convergence (2), not a golden mismatch (3)
+    code = main(["reproduce-all", "--out", str(tmp_path / "out"),
+                 "--tolerance-scale", "1e-6"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert code == 2
+    assert all(" PASS " in line for line in lines)
+    assert [line.split()[0] for line in lines
+            if line.endswith("(scenario exit 2)")] \
+        == ["equal-magnitude-recurrence", "series-divergence"]
+    # the detail shows each measured value next to its bound
+    assert "long_run_max_dev" in lines[3] and "< 1.000e-10" in lines[3]
 
 
 def test_euler_growth_check_fails_on_empty_exponents():
@@ -243,10 +368,11 @@ def test_euler_growth_check_fails_on_empty_exponents():
     stats = {"euler_final_norm": golden["final_norm_sq"], "monotone": True,
              "first_strict_step": golden["first_strict_step"],
              "audit_passed": True, "growth_exponents": []}
-    ok, _ = _check_euler_growth(stats, golden, None)
+    ok, detail = _check_claim("euler-norm-growth", stats, golden)
     assert ok is False
+    assert "growth_exponents [] not in" in detail
     stats["growth_exponents"] = [sum(golden["exponent_range"]) / 2.0]
-    ok, _ = _check_euler_growth(stats, golden, None)
+    ok, _ = _check_claim("euler-norm-growth", stats, golden)
     assert ok is True
 
 
@@ -256,9 +382,24 @@ def test_magnitude_recurrence_check_fails_on_truncated_values():
     golden = json.loads((GOLDEN / "landau_planewave.json").read_text())
     stats = {"quad": golden["quad"][:2], "ratio_defect": 0.0,
              "worst_route_diff": 0.0}
-    ok, detail = _check_magnitude_recurrence(stats, golden, None)
+    ok, detail = _check_claim("equal-magnitude-recurrence", stats, golden)
     assert ok is False
-    assert "2 fresh values against 21" in detail
+    assert "quad 2 fresh values against 21" in detail
+    # nothing compared is no pass either
+    stats["quad"] = golden["quad"] = []
+    ok, detail = _check_claim("equal-magnitude-recurrence", stats, golden)
+    assert ok is False
+    assert "quad 0 fresh values against 0" in detail
+
+
+@pytest.mark.parametrize("x,passed", [(-4.1, True), (-3.7, False),
+                                      (4.0, False)])
+def test_relative_row_scales_by_the_magnitude_of_a_negative_reference(
+        x, passed):
+    # slope within 5 % of -4: |x + 4| <= 0.05 * 4
+    stats = {"verdict": "divergent", "slope": x}
+    golden = {"verdict": "divergent", "slope": -4.0, "slope_rtol": 0.05}
+    assert _check_claim("series-divergence", stats, golden)[0] is passed
 
 
 def test_phase_fit_check_fails_on_truncated_golden():
@@ -269,9 +410,9 @@ def test_phase_fit_check_fails_on_truncated_golden():
     golden["residuals"] = golden["residuals"][:2]
     stats = {"fit_sizes": golden["fit_sizes"], "final_residuals": fresh,
              "control_max_residual": 0.0}
-    ok, detail = _check_phase_fit(stats, golden, None)
+    ok, detail = _check_claim("phase-factored-fit", stats, golden)
     assert ok is False
-    assert "8 fresh residuals against 2" in detail
+    assert "final_residuals 8 fresh values against 2" in detail
 
 
 def write_scenario(path, kind, **keys):
