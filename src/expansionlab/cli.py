@@ -70,7 +70,7 @@ def _manifest(scn: Scenario, command: str, tolerance_scale: float,
 
 # ---------------------------------------------------------------- expand
 
-def _expand_landau(scn: Scenario, out_dir: Path, scale: float):
+def _expand_landau(scn: Scenario, scale: float):
     a = scn.get_float("magnetic_length", 1.0)
     n_max = scn.get_int("n_max", 200)
     quad_max = scn.get_int("quad_check_max", 20)
@@ -82,12 +82,10 @@ def _expand_landau(scn: Scenario, out_dir: Path, scale: float):
     quad_vals, quad_errs, flags = map(
         list, zip(*expansion.landau_plane_wave_overlaps(quad_max, a, spec)))
 
-    report = expansion.convergence_scan(
-        lambda n: expansion.landau_plane_wave_coefficient(n, a), n_max)
+    report = expansion.convergence_scan(closed.__getitem__, n_max)
     series = expansion.CoefficientSeries(
-        family, [(LandauIndex(n), complex(c)) for n, c in enumerate(closed)])
-    csv_path = out_dir / "coefficients.csv"
-    expansion.write_coefficient_csv(series, csv_path)
+        family, [(LandauIndex(n), c, 0.0, expansion.FLAG_OK)
+                 for n, c in enumerate(closed)])
 
     lines = [f"scenario: {scn.name}", "",
              "closed-form route vs quadrature route (l=0 radial overlap):",
@@ -105,31 +103,20 @@ def _expand_landau(scn: Scenario, out_dir: Path, scale: float):
     ratio_defect = max(abs(r - 1.0) for r in ratios)
     lines += ["",
               f"magnitude ratio defect max |.|C(n+1)|/|C(n)| - 1| = "
-              f"{ratio_defect!r}",
-              "", report.to_text()]
-    report_path = out_dir / "convergence_report.txt"
-    _write_text(report_path, "\n".join(lines))
-
-    svg_path = out_dir / "partial_sums.svg"
-    svgplot.line_chart(svg_path, "partial sums of |C_n|^2", "N",
-                       "sum_{n<=N} |C_n|^2",
-                       [("partial sums", report.ns, report.partial_sums)])
+              f"{ratio_defect!r}"]
     code = 2 if any(f for f in flags) else 0
     stats = {
         "kind": "expand-landau",
-        "a": a,
-        "closed": closed[:quad_max + 1],
         "quad": quad_vals,
-        "quad_err": quad_errs,
         "ratio_defect": ratio_defect,
         "worst_route_diff": worst_diff,
         "verdict": report.verdict,
         "slope": report.slope,
     }
-    return code, stats, [csv_path, report_path, svg_path]
+    return code, stats, series, lines, report
 
 
-def _expand_box(scn: Scenario, out_dir: Path, scale: float):
+def _expand_box(scn: Scenario, scale: float):
     width = scn.get_float("width", 1.0)
     n_max = scn.get_int("n_max", 50)
     target_kind = scn.get_str("target", choices={"eigenstate", "gaussian"})
@@ -144,6 +131,9 @@ def _expand_box(scn: Scenario, out_dir: Path, scale: float):
             return complex(basis.box_eigenfunction(n0, p.x, width))
     else:
         sigma = scn.get_float("sigma", width / 10.0)
+        if not sigma > 0.0:
+            raise ScenarioError(scn.origin, None,
+                                f"key 'sigma' must be positive, got {sigma!r}")
         center = scn.get_float("center", width / 2.0)
         raw = lambda x: math.exp(-0.5 * ((x - center) / sigma) ** 2)
         # an unconverged norm keeps its best estimate and flags the run, as
@@ -159,30 +149,22 @@ def _expand_box(scn: Scenario, out_dir: Path, scale: float):
     indices = [BoxIndex(n) for n in range(1, n_max + 1)]
     series = expansion.project(target, family, indices, spec)
     defect = expansion.parseval_defect(series)
-    coef = {n: c for n, c in zip(series.principal_numbers(),
-                                 series.coefficients())}
-    report = expansion.convergence_scan(lambda n: coef[n], n_max, n_start=1)
+    coefs = series.coefficients()
+    report = expansion.convergence_scan(lambda n: coefs[n - 1], n_max,
+                                        n_start=1)
 
     xs = np.linspace(0.0, width, 201)
     _, modes = basis.box_modes(width, n_max, xs)
-    synthesis = (series.coefficients() @ modes).tolist()
+    synthesis = (coefs @ modes).tolist()
     round_trip = max(abs(value - target(SpacePoint.cartesian(x)))
                      for value, x in zip(synthesis, xs))
 
-    csv_path = out_dir / "coefficients.csv"
-    expansion.write_coefficient_csv(series, csv_path)
-    report_path = out_dir / "convergence_report.txt"
     lines = [f"scenario: {scn.name}",
              f"parseval defect at N={n_max}: {defect!r}",
              f"max pointwise round-trip error (201-point grid): {round_trip!r}"]
     if norm_flag:
         lines.append(f"target normalisation: {norm_flag} (best estimate "
                      f"{nrm_sq!r}, error estimate {nrm_err!r})")
-    _write_text(report_path, "\n".join(lines + ["", report.to_text()]))
-    svg_path = out_dir / "partial_sums.svg"
-    svgplot.line_chart(svg_path, "partial sums of |C_n|^2", "N",
-                       "sum_{n<=N} |C_n|^2",
-                       [("partial sums", report.ns, report.partial_sums)])
     code = 2 if series.flagged() or norm_flag else 0
     stats = {
         "kind": "expand-box",
@@ -190,17 +172,25 @@ def _expand_box(scn: Scenario, out_dir: Path, scale: float):
         "round_trip": float(round_trip),
         "verdict": report.verdict,
     }
-    return code, stats, [csv_path, report_path, svg_path]
+    return code, stats, series, lines, report
 
 
 def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
     family = scn.get_str("family", choices={"landau", "box"})
     out_dir.mkdir(parents=True, exist_ok=True)
-    if family == "landau":
-        code, stats, outputs = _expand_landau(scn, out_dir, tolerance_scale)
-    else:
-        code, stats, outputs = _expand_box(scn, out_dir, tolerance_scale)
-    _manifest(scn, "expand", tolerance_scale, None, out_dir, outputs)
+    expand = _expand_landau if family == "landau" else _expand_box
+    code, stats, series, lines, report = expand(scn, tolerance_scale)
+
+    csv_path = out_dir / "coefficients.csv"
+    expansion.write_coefficient_csv(series, csv_path)
+    report_path = out_dir / "convergence_report.txt"
+    _write_text(report_path, "\n".join(lines + ["", report.to_text()]))
+    svg_path = out_dir / "partial_sums.svg"
+    svgplot.line_chart(svg_path, "partial sums of |C_n|^2", "N",
+                       "sum_{n<=N} |C_n|^2",
+                       [("partial sums", report.ns, report.partial_sums)])
+    _manifest(scn, "expand", tolerance_scale, None, out_dir,
+              [csv_path, report_path, svg_path])
     return code, stats
 
 
@@ -464,6 +454,29 @@ def _check_claim(claim_id, stats, golden):
             ", ".join(f"{stat} {text}" for stat, _, text in rows))
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and v != [] and all(map(_number, v))
+
+
+# What a row reads in its golden, by (role, test): a description and a test.
+# "==" compares any value; "<" is the unitary row, whose ref is its run length.
+_SHAPES = {
+    **{("bound", test): ("a number", _number)
+       for test in ("<=", "<", "near", "rel")},
+    ("ref", "rel"): ("a number", _number),
+    ("ref", "near"): ("a number or a non-empty list of numbers",
+                      lambda v: _number(v) or _numbers(v)),
+    ("ref", "<"): ("a positive int", lambda v: type(v) is int and v > 0),
+    ("bound", "in range"): ("a list [lo, hi] of two numbers with lo <= hi",
+                            lambda v: _numbers(v) and len(v) == 2
+                            and v[0] <= v[1]),
+}
+
+
 def _golden_problem(claim, golden) -> str:
     """Why claim cannot be checked against golden, or '' if it can."""
     rows = [row for row in _CLAIM_ROWS if row[0] == claim["id"]]
@@ -474,6 +487,13 @@ def _golden_problem(claim, golden) -> str:
     if missing:
         return (f"golden {claim['golden']} lacks {', '.join(missing)}, "
                 f"which claim '{claim['id']}' reads")
+    for _, _, test, *keys in rows:
+        for role, key in zip(("ref", "bound"), keys):
+            what, fits = _SHAPES.get((role, test), ("", None))
+            if key and fits and not fits(golden[key]):
+                return (f"golden {claim['golden']} has {key} = "
+                        f"{golden[key]!r}, but claim '{claim['id']}' reads "
+                        f"it as {what}")
     return ""
 
 

@@ -11,12 +11,15 @@ The quadrature route is one QUADPACK call per n (per coefficient in
 project), and the calls of one tower share their node values: QUADPACK meets
 the same nodes for every n, so each node's Laguerre row, or target value, is
 computed once per call of landau_plane_wave_overlaps or project.
+
+A CoefficientSeries is one table of (index, coefficient, error, flag)
+entries, and each entry is one row of coefficients.csv.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,50 +31,36 @@ from .specfun import (QuadratureError, QuadratureSpec, integrate_interval,
 FLAG_OK = ""
 FLAG_NO_CONVERGENCE = "no-convergence"
 
+# convergence_scan's verdict thresholds
+SCAN_INCREMENT_TOL = 1e-12
+SCAN_DIVERGENCE_FACTOR = 10.0
+SCAN_REFERENCE_N = 10
+
 
 @dataclass
 class CoefficientSeries:
     """Projection coefficients over a basis family, ordered by principal number.
 
-    Each entry carries the quadrature error estimate of its coefficient and a
-    flag ('' or 'no-convergence'); closed-form entries have error 0.
+    entries holds one (index, coefficient, error, flag) per coefficient: the
+    quadrature error estimate of the coefficient and its flag ('' or
+    'no-convergence'); closed-form entries carry error 0.0 and flag ''.
     """
 
     family: object
     entries: list
-    quad_errors: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.quad_errors:
-            self.quad_errors = [0.0] * len(self.entries)
-        if not self.flags:
-            self.flags = [FLAG_OK] * len(self.entries)
-        if not (len(self.entries) == len(self.quad_errors) == len(self.flags)):
-            raise ValueError("entries, quad_errors, and flags must align")
-        rows = sorted(zip(self.entries, self.quad_errors, self.flags),
-                      key=lambda row: basis.principal_number(row[0][0]))
-        self.entries = [(ix, complex(c)) for (ix, c), _, _ in rows]
-        self.quad_errors = [err for _, err, _ in rows]
-        self.flags = [flag for _, _, flag in rows]
-        if len(set(self.indices())) != len(self.entries):
+        self.entries = sorted(
+            ((ix, complex(c), err, flag) for ix, c, err, flag in self.entries),
+            key=lambda entry: basis.principal_number(entry[0]))
+        if len({entry[0] for entry in self.entries}) != len(self.entries):
             raise ValueError("coefficient entries must have distinct indices")
 
-    def indices(self):
-        return [ix for ix, _ in self.entries]
-
-    def principal_numbers(self):
-        return [basis.principal_number(ix) for ix in self.indices()]
-
     def coefficients(self) -> np.ndarray:
-        return np.array([c for _, c in self.entries], dtype=complex)
-
-    def abs_sq(self) -> np.ndarray:
-        c = self.coefficients()
-        return (c * c.conj()).real
+        return np.array([entry[1] for entry in self.entries], dtype=complex)
 
     def flagged(self) -> bool:
-        return any(f != FLAG_OK for f in self.flags)
+        return any(entry[3] != FLAG_OK for entry in self.entries)
 
 
 @dataclass
@@ -99,22 +88,22 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _angular_average(target, rho: float, l: int, z: float = 0.0,
-                     tol: float = 1e-12) -> tuple[complex, bool]:
-    """(1/2pi) int e^(-i l phi) target(rho, phi) dphi by doubling trapezoid.
+def _angular_average(target, rho: float, l: int) -> tuple[complex, bool]:
+    """(1/2pi) int e^(-i l phi) target(rho, phi, 0) dphi by doubling trapezoid.
 
     The periodic trapezoid rule is spectrally accurate, so band-limited
-    targets converge after one doubling. Returns (average, converged); when
-    1024 points do not settle it, the last estimate comes back unconverged.
+    targets converge after one doubling, to a relative 1e-12. Returns
+    (average, converged); when 1024 points do not settle it, the last
+    estimate comes back unconverged.
     """
     m = 16
     prev = None
     while m <= 1024:
         phis = np.arange(m) * (2.0 * math.pi / m)
-        vals = np.array([target(SpacePoint.cylindrical(rho, p, z)) for p in phis],
-                        dtype=complex)
+        vals = np.array([target(SpacePoint.cylindrical(rho, p, 0.0))
+                         for p in phis], dtype=complex)
         avg = complex(np.mean(vals * np.exp(-1j * l * phis)))
-        if prev is not None and abs(avg - prev) <= max(1e-14, tol * abs(avg)):
+        if prev is not None and abs(avg - prev) <= max(1e-14, 1e-12 * abs(avg)):
             return avg, True
         prev = avg
         m *= 2
@@ -153,7 +142,7 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
     target is evaluated once per distinct quadrature node (an angular average
     once per node and l) and shared across the indices.
     """
-    entries, errors, flags = [], [], []
+    entries = []
     if isinstance(family, LandauUniformField):
         a = family.magnetic_length
         spec = quadrature or basis.default_quadrature(family)
@@ -175,9 +164,7 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
                 lambda: _complex_quad(radial_integrand, runner))
             if unsettled:
                 flag = FLAG_NO_CONVERGENCE
-            entries.append((ix, value))
-            errors.append(err)
-            flags.append(flag)
+            entries.append((ix, value, err, flag))
     elif isinstance(family, Box1D):
         width = family.width
         spec = quadrature or QuadratureSpec()
@@ -187,14 +174,12 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
             def integrand(x, _ix=ix):
                 return basis.box_eigenfunction(_ix.n, x, width) * on_axis(x)
 
-            value, err, flag = _flagged(lambda: _complex_quad(integrand, runner))
-            entries.append((ix, value))
-            errors.append(err)
-            flags.append(flag)
+            entries.append((ix, *_flagged(
+                lambda: _complex_quad(integrand, runner))))
     else:
         raise basis.BasisIndexError(
             f"projection is not defined for {type(family).__name__}")
-    return CoefficientSeries(family, entries, errors, flags)
+    return CoefficientSeries(family, entries)
 
 
 def _flagged(integrate):
@@ -267,19 +252,18 @@ def landau_plane_wave_overlaps(n_max: int, a: float = 1.0,
 
 def parseval_defect(series: CoefficientSeries) -> float:
     """|sum |C_n|^2 - 1| at the series truncation (target assumed unit-normalized)."""
-    return abs(float(np.sum(series.abs_sq())) - 1.0)
+    c = series.coefficients()
+    return abs(float(np.sum((c * c.conj()).real)) - 1.0)
 
 
-def convergence_scan(coefficient_fn, n_max: int, *, n_start: int = 0,
-                     increment_tol: float = 1e-12,
-                     divergence_factor: float = 10.0,
-                     reference_n: int = 10) -> ConvergenceReport:
+def convergence_scan(coefficient_fn, n_max: int, *,
+                     n_start: int = 0) -> ConvergenceReport:
     """Scan partial sums of |coefficient_fn(n)|^2 for n in [n_start, n_max].
 
-    Divergent: the final partial sum exceeds divergence_factor times the value
-    at reference_n and the linear fit has positive slope. Convergent: the
-    increments fall below increment_tol (relative to the running sum) and stay
-    there. Otherwise inconclusive.
+    Divergent: the final partial sum exceeds SCAN_DIVERGENCE_FACTOR times the
+    value at SCAN_REFERENCE_N and the linear fit has positive slope.
+    Convergent: the increments fall below SCAN_INCREMENT_TOL (relative to the
+    running sum) and stay there. Otherwise inconclusive.
     """
     if n_max < n_start:
         raise ValueError("n_max must be at least n_start")
@@ -290,16 +274,16 @@ def convergence_scan(coefficient_fn, n_max: int, *, n_start: int = 0,
     first_converged = None
     for i in range(len(ns)):
         tail = inc[i:]
-        if np.all(tail <= increment_tol * max(1.0, sums[-1])):
+        if np.all(tail <= SCAN_INCREMENT_TOL * max(1.0, sums[-1])):
             first_converged = ns[i]
             break
 
-    ref_pos = min(max(reference_n - n_start, 0), len(ns) - 1)
+    ref_pos = min(max(SCAN_REFERENCE_N - n_start, 0), len(ns) - 1)
     slope = float(np.polyfit(ns, sums, 1)[0]) if len(ns) > 1 else 0.0
 
     if first_converged is not None and first_converged < n_max:
         verdict = "convergent"
-    elif sums[-1] > divergence_factor * max(sums[ref_pos], 0.0) \
+    elif sums[-1] > SCAN_DIVERGENCE_FACTOR * max(sums[ref_pos], 0.0) \
             and sums[ref_pos] > 0.0 and slope > 0.0:
         verdict = "divergent"
     else:
@@ -311,38 +295,20 @@ def convergence_scan(coefficient_fn, n_max: int, *, n_start: int = 0,
 def reconstruct(series: CoefficientSeries, point: SpacePoint) -> complex:
     """Truncated synthesis sum_n C_n psi_n(point)."""
     total = 0.0 + 0.0j
-    for ix, c in series.entries:
+    for ix, c, _, _ in series.entries:
         total += c * basis.evaluate(series.family, ix, point)
     return total
 
 
-def coefficient_csv_rows(series: CoefficientSeries):
-    """Rows for the coefficient table: n, re, im, abs, abs_sq, partial_sum, quad_err."""
-    rows = []
-    partial = 0.0
-    for (ix, c), err, flag in zip(series.entries, series.quad_errors, series.flags):
-        mag_sq = (c * c.conjugate()).real
-        partial += mag_sq
-        rows.append({
-            "n": basis.principal_number(ix),
-            "re": c.real,
-            "im": c.imag,
-            "abs": abs(c),
-            "abs_sq": mag_sq,
-            "partial_sum": partial,
-            "quad_err": err if flag == FLAG_OK else f"{err!r}:{flag}",
-        })
-    return rows
-
-
 def write_coefficient_csv(series: CoefficientSeries, path):
-    """Write the coefficient table; floats via repr for byte determinism."""
-    rows = coefficient_csv_rows(series)
+    """One row per entry, floats via repr; a flagged quad_err reads err:flag."""
+    partial = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,re,im,abs,abs_sq,partial_sum,quad_err\n")
-        for r in rows:
+        for ix, c, err, flag in series.entries:
+            mag_sq = (c * c.conjugate()).real
+            partial += mag_sq
             fh.write(",".join([
-                str(r["n"]), repr(r["re"]), repr(r["im"]), repr(r["abs"]),
-                repr(r["abs_sq"]), repr(r["partial_sum"]),
-                r["quad_err"] if isinstance(r["quad_err"], str) else repr(r["quad_err"]),
-            ]) + "\n")
+                str(basis.principal_number(ix)), repr(c.real), repr(c.imag),
+                repr(abs(c)), repr(mag_sq), repr(partial),
+                f"{err!r}:{flag}" if flag else repr(err)]) + "\n")

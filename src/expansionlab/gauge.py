@@ -35,6 +35,11 @@ from .propagation import (HamiltonianModel, Units, box_energies, hard_step,
                           smooth_ramp_dt, unitary_propagate)
 from .specfun import QuadratureError
 
+DIFF_STEP = 1e-5     # central-difference step of consistency_defect
+X_STEP = 1e-6        # spatial step of electric_field and magnetic_field
+NORM_TOL = 1e-6      # largest |norm - 1| velocity_and_momentum accepts
+PLATEAU_TOL = 1e-10  # residual floor of the phase-factored fit
+
 
 class PhysicalConsistencyError(Exception):
     """A physical-consistency check failed; the command line exits with 3."""
@@ -79,12 +84,12 @@ class GaugeFunction:
     grad_f: Callable
     dt_f: Callable
 
-    def consistency_defect(self, times, points, step: float = 1e-5) -> float:
+    def consistency_defect(self, times, points) -> float:
         """Largest relative derivative defect over the times and points (3, N)."""
         r = np.asarray(points, dtype=float)
         worst = 0.0
         for t in times:
-            ht = step if t == 0.0 else min(step, abs(t) / 2.0)
+            ht = DIFF_STEP if t == 0.0 else min(DIFF_STEP, abs(t) / 2.0)
             fd_t = _richardson(lambda h: self.f(t + h, r) - self.f(t - h, r),
                                ht)
             worst = max(worst, _rel(fd_t, self.dt_f(t, r)))
@@ -93,7 +98,7 @@ class GaugeFunction:
                 unit = _unit(r, j)
                 fd_j = _richardson(
                     lambda h: self.f(t, r + h * unit) - self.f(t, r - h * unit),
-                    step)
+                    DIFF_STEP)
                 worst = max(worst, _rel(fd_j, grad[j]))
         return worst
 
@@ -156,27 +161,26 @@ def transform_potentials(p: Potentials, g: GaugeFunction) -> Potentials:
                       lambda t, r: p.scalar(t, r) - g.dt_f(t, r))
 
 
-def electric_field(p: Potentials, t: float, r, t_step: float = 1e-6,
-                   x_step: float = 1e-6) -> np.ndarray:
+def electric_field(p: Potentials, t: float, r, t_step: float = 1e-6) -> np.ndarray:
     """E = -grad Phi - dA/dt by central differences, shaped like r."""
     r = np.asarray(r, dtype=float)
     da = (p.vector(t + t_step, r) - p.vector(t - t_step, r)) / (2.0 * t_step)
     e = np.empty_like(r)
     for j in range(3):
-        shift = x_step * _unit(r, j)
-        dphi = (p.scalar(t, r + shift) - p.scalar(t, r - shift)) / (2.0 * x_step)
+        shift = X_STEP * _unit(r, j)
+        dphi = (p.scalar(t, r + shift) - p.scalar(t, r - shift)) / (2.0 * X_STEP)
         e[j] = -dphi - da[j]
     return e
 
 
-def magnetic_field(p: Potentials, t: float, r, x_step: float = 1e-6) -> np.ndarray:
+def magnetic_field(p: Potentials, t: float, r) -> np.ndarray:
     """B = curl A by central differences, shaped like r."""
     r = np.asarray(r, dtype=float)
     jac = np.empty((3,) + r.shape)
     for j in range(3):
-        shift = x_step * _unit(r, j)
+        shift = X_STEP * _unit(r, j)
         jac[:, j] = (p.vector(t, r + shift) - p.vector(t, r - shift)) \
-            / (2.0 * x_step)
+            / (2.0 * X_STEP)
     return np.array([jac[2, 1] - jac[1, 2],
                      jac[0, 2] - jac[2, 0],
                      jac[1, 0] - jac[0, 1]])
@@ -264,8 +268,7 @@ def phase_transform(state: LineState, g: GaugeFunction, t) -> LineState:
                      phase * (1j * gx * state.value + state.dx))
 
 
-def velocity_and_momentum(state: LineState, A, t,
-                          units: Units = Units(), norm_tol: float = 1e-6):
+def velocity_and_momentum(state: LineState, A, t, units: Units = Units()):
     """<v> = <p - A(t, r)> and <p> = <-i hbar d/dx> as sums over the nodes.
 
     t is a time or an array of times matching the state's leading axes; the
@@ -273,11 +276,11 @@ def velocity_and_momentum(state: LineState, A, t,
     """
     density = np.abs(state.value) ** 2
     norm = density @ state.w
-    bad = np.flatnonzero(np.abs(norm - 1.0) > norm_tol)
+    bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
     if bad.size:
         worst = float(np.ravel(norm)[bad[0]])
         raise NormalizationError(
-            f"state norm {worst!r} deviates from 1 beyond {norm_tol!r}", worst)
+            f"state norm {worst!r} deviates from 1 beyond {NORM_TOL!r}", worst)
     p_density = (state.value.conjugate() * (-1j * units.hbar * state.dx)).real
     a = _on_line(A, t, state.x)
 
@@ -329,6 +332,13 @@ def write_observable_csv(path, reports):
                                    *map(repr, p)]) + "\n")
 
 
+def _require_positive(**values):
+    """Reject a value that is not positive, named by its scenario-file key."""
+    for key, value in values.items():
+        if not value > 0:
+            raise ValueError(f"key '{key}' must be positive, got {value!r}")
+
+
 @dataclass
 class GaugeJumpScenario:
     """A bound state disturbed by a uniform A(t) switched on at t = 0.
@@ -352,6 +362,8 @@ class GaugeJumpScenario:
     units: Units = field(default_factory=Units)
 
     def __post_init__(self):
+        _require_positive(well_width=self.width,
+                          observe_stride=self.observe_stride)
         if self.initial_index < 1 or self.initial_index > self.n_basis:
             raise ValueError("initial index must select a basis state")
         if self.switch not in ("step", "ramp"):
@@ -538,6 +550,8 @@ class PhaseFitScenario:
     units: Units = field(default_factory=Units)
 
     def __post_init__(self):
+        _require_positive(well_width=self.width, n_grid=self.n_grid,
+                          fit_stride=self.fit_stride)
         self.fit_sizes = tuple(int(n) for n in self.fit_sizes)
         if sorted(self.fit_sizes) != list(self.fit_sizes):
             raise ValueError("fit sizes must be increasing")
@@ -552,7 +566,6 @@ class PhaseFitReport:
     fit_sizes: tuple
     fit_times: np.ndarray
     residuals: np.ndarray       # (len(fit_times), len(fit_sizes))
-    plateau_tol: float
     plateaued: bool
 
     def final_residuals(self) -> np.ndarray:
@@ -562,7 +575,7 @@ class PhaseFitReport:
         lines = ["basis_size residual(final time)"]
         for n, r in zip(self.fit_sizes, self.final_residuals()):
             lines.append(f"{n:10d} {r!r}")
-        lines.append(f"plateaued above {self.plateau_tol!r}: {self.plateaued}")
+        lines.append(f"plateaued above {PLATEAU_TOL!r}: {self.plateaued}")
         return "\n".join(lines)
 
     def write_csv(self, path):
@@ -576,8 +589,7 @@ class PhaseFitReport:
 
 
 def phase_factored_expansion_test(scenario: PhaseFitScenario,
-                                  g: GaugeFunction,
-                                  plateau_tol: float = 1e-10) -> PhaseFitReport:
+                                  g: GaugeFunction) -> PhaseFitReport:
     """Fit exp(i f) sum C_n psi_n to a reference propagated wave function.
 
     The reference runs on n_reference basis states with the norm-preserving
@@ -625,7 +637,6 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
 
     residuals = np.array(rows)
     final = residuals[-1]
-    plateaued = bool(final[-1] > plateau_tol
+    plateaued = bool(final[-1] > PLATEAU_TOL
                      and final[-1] > 0.5 * final[-2])
-    return PhaseFitReport(scenario.fit_sizes, fit_times, residuals,
-                          plateau_tol, plateaued)
+    return PhaseFitReport(scenario.fit_sizes, fit_times, residuals, plateaued)

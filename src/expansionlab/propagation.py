@@ -456,11 +456,12 @@ def write_trajectory_csv(trajectory: Trajectory, path, tracked: int = 8):
     header = ["step", "t", "norm_sq"]
     for j in range(1, k + 1):
         header += [f"re_c{j}", f"im_c{j}"]
+    # a complex row viewed as floats interleaves re and im per coefficient
+    parts = np.ascontiguousarray(trajectory.states[:, :k]).view(float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i, t in enumerate(trajectory.times):
-            row = [str(i), repr(float(t)), repr(float(trajectory.norms[i]))]
-            for j in range(k):
-                c = trajectory.states[i, j]
-                row += [repr(float(c.real)), repr(float(c.imag))]
-            fh.write(",".join(row) + "\n")
+        for i, (t, norm, values) in enumerate(zip(
+                trajectory.times.tolist(), trajectory.norms.tolist(),
+                parts.tolist())):
+            fh.write(",".join([str(i), repr(t), repr(norm),
+                               *map(repr, values)]) + "\n")

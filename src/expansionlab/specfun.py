@@ -160,8 +160,7 @@ def _reject_gamma_pole(gamma: float):
             f"gamma={gamma!r} is a non-positive integer (pole of the series)")
 
 
-def confluent_hypergeometric(alpha: float, gamma: float, u: float,
-                             guard: float = CONVERGENCE_GUARD) -> float:
+def confluent_hypergeometric(alpha: float, gamma: float, u: float) -> float:
     """Kummer's series F(alpha, gamma, u) = sum_k (alpha)_k/(gamma)_k u^k/k!.
 
     Terminating case (alpha a non-positive integer): the partial sums are
@@ -182,10 +181,10 @@ def confluent_hypergeometric(alpha: float, gamma: float, u: float,
             term = term * (a + k) * uu / ((g + k) * (k + 1))
         return float(acc)
 
-    if abs(u) > guard:
+    if abs(u) > CONVERGENCE_GUARD:
         raise SeriesDivergenceError(
-            f"|u|={abs(u)!r} exceeds the convergence guard {guard!r} for the "
-            "non-terminating series")
+            f"|u|={abs(u)!r} exceeds the convergence guard "
+            f"{CONVERGENCE_GUARD!r} for the non-terminating series")
     acc = 0.0
     term = 1.0
     small_streak = 0

@@ -328,6 +328,52 @@ def test_reproduce_all_exit_1_on_golden_without_a_named_key(
     assert not out.exists()
 
 
+# one wrong-shaped value per (role, test) of the claim table; an "==" row
+# compares any value, so its ref has no shape to get wrong
+WRONG_SHAPE = {("bound", "<="): True, ("bound", "<"): "1e-10",
+               ("bound", "near"): None, ("bound", "rel"): [0.05],
+               ("ref", "rel"): "1.0", ("ref", "near"): [], ("ref", "<"): 0,
+               ("bound", "in range"): 2.0}
+MALFORMED = [(cid, key, WRONG_SHAPE[role, test])
+             for cid, _, test, *keys in ROWS
+             for role, key in zip(("ref", "bound"), keys)
+             if key and test != "=="]
+
+
+@pytest.mark.parametrize("claim_id,key,value", MALFORMED,
+                         ids=[f"{c}:{k}" for c, k, _ in MALFORMED])
+def test_reproduce_all_exit_1_on_malformed_golden_value(
+        tmp_path, monkeypatch, capsys, claim_id, key, value):
+    # checked before any scenario runs: no output directory, one error line
+    bad = tmp_path / "golden"
+    shutil.copytree(GOLDEN, bad)
+    path = bad / GOLDEN_OF[claim_id]
+    g = json.loads(path.read_text())
+    g[key] = value
+    path.write_text(json.dumps(g))
+    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: golden {GOLDEN_OF[claim_id]} has {key} = "
+                          f"{value!r}, but claim '{claim_id}' reads it as ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_golden_shape_check_of_single_values():
+    claim = {"id": "euler-norm-growth", "golden": "box_dipole_audit.json"}
+    golden = json.loads((GOLDEN / claim["golden"]).read_text())
+    for key, value, shaped in [("exponent_range", [2.1, 1.9], False),
+                               ("exponent_range", [1.9, 2.1, 2.3], False),
+                               ("exponent_range", [1.9, "2.1"], False),
+                               ("exponent_range", [2, 2], True),
+                               ("final_norm_sq", 1, True),
+                               ("final_norm_rtol", False, False)]:
+        problem = cli._golden_problem(claim, dict(golden, **{key: value}))
+        assert (problem == "") is shaped, (key, value, problem)
+
+
 @pytest.mark.parametrize("factor", [-1.0, 0.0], ids=["negated", "zero"])
 def test_reproduce_all_fails_on_signed_or_zero_relative_reference(
         tmp_path, monkeypatch, capsys, factor):
@@ -440,6 +486,26 @@ def test_exit_1_on_constructor_errors(tmp_path, command, keys, message):
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error:") and message in r.stderr
+
+
+@pytest.mark.parametrize("command,keys,key", [
+    ("gauge", dict(experiment="phase-fit", n_grid=0), "n_grid"),
+    ("gauge", dict(experiment="phase-fit", fit_stride=0), "fit_stride"),
+    ("gauge", dict(experiment="phase-fit", well_width=0.0), "well_width"),
+    ("gauge", dict(experiment="jump", well_width=0.0), "well_width"),
+    ("gauge", dict(experiment="jump", observe_stride=0), "observe_stride"),
+    ("expand", dict(family="box", target="gaussian", sigma=0.0), "sigma"),
+], ids=["phase-fit-n_grid", "phase-fit-fit_stride", "phase-fit-well_width",
+        "jump-well_width", "jump-observe_stride", "box-sigma"])
+def test_exit_1_on_out_of_range_scenario_values(tmp_path, command, keys, key):
+    path = write_scenario(tmp_path / "bad.scn", command, **keys)
+    r = run_cli(command, "--scenario", str(path),
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and f"key '{key}'" in lines[0]
 
 
 def _sign_flipped_gauge(self):

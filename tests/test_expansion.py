@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from expansionlab.basis import (Box1D, BoxIndex, LandauIndex,
                                 LandauUniformField, SpacePoint,
                                 box_eigenfunction, default_quadrature,
-                                landau_eigenfunction, plane_wave)
+                                landau_eigenfunction, plane_wave,
+                                principal_number)
 from expansionlab.cli import cmd_expand
 from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
-                                    CoefficientSeries, coefficient_csv_rows,
-                                    convergence_scan,
+                                    CoefficientSeries, convergence_scan,
                                     landau_plane_wave_coefficient,
                                     landau_plane_wave_overlap,
                                     landau_plane_wave_overlaps,
@@ -136,8 +136,7 @@ def literal_box_projection(target, width, ns, spec):
 def test_project_box_matches_literal_quadrature_loop(target, width, spec):
     ns = range(1, 51)
     series = project(target, Box1D(width), [BoxIndex(n) for n in ns], spec)
-    assert list(zip(series.coefficients().tolist(), series.quad_errors,
-                    series.flags)) \
+    assert [(c, err, flag) for _, c, err, flag in series.entries] \
         == literal_box_projection(target, width, ns, spec)
 
 
@@ -158,7 +157,7 @@ def test_project_landau_eigenstate_round_trip():
     target = lambda p: landau_eigenfunction(LandauIndex(2), p, 1.0)
     series = project(target, fam, [LandauIndex(n) for n in range(5)],
                      default_quadrature(fam))
-    coef = dict(zip(series.principal_numbers(), series.coefficients()))
+    coef = {ix.n: c for ix, c, _, _ in series.entries}
     assert abs(coef[2] - 1.0) < 1e-8
     for n in (0, 1, 3, 4):
         assert abs(coef[n]) < 1e-8
@@ -169,7 +168,7 @@ def test_project_box_eigenstate_is_delta():
     target = lambda p: complex(box_eigenfunction(1, p.x, 1.0))
     series = project(target, fam, [BoxIndex(n) for n in range(1, 6)],
                      QuadratureSpec())
-    coef = dict(zip(series.principal_numbers(), series.coefficients()))
+    coef = {ix.n: c for ix, c, _, _ in series.entries}
     assert abs(coef[1] - 1.0) < 1e-12
     assert parseval_defect(series) < 1e-12
 
@@ -294,7 +293,7 @@ def test_reconstruction_gap_at_ten_magnetic_lengths():
         series = CoefficientSeries(
             LandauUniformField(a),
             [(LandauIndex(n, 0, kz),
-              complex(landau_plane_wave_coefficient(n, a)))
+              complex(landau_plane_wave_coefficient(n, a)), 0.0, FLAG_OK)
              for n in range(n_max + 1)])
         val = reconstruct(series, point)
         gaps.append(abs(abs(val) - target_mod) / target_mod)
@@ -306,12 +305,17 @@ def test_reconstruction_gap_at_ten_magnetic_lengths():
 
 def test_coefficient_series_ordering_and_distinctness():
     fam = Box1D(1.0)
-    series = CoefficientSeries(fam, [(BoxIndex(3), 3.0 + 0j),
-                                     (BoxIndex(1), 1.0 + 0j)])
-    assert series.principal_numbers() == [1, 3]
+    series = CoefficientSeries(
+        fam, [(BoxIndex(3), 3.0, 0.3, FLAG_NO_CONVERGENCE),
+              (BoxIndex(1), 1.0 + 0j, 0.1, FLAG_OK)])
+    # sorted by principal number; each error and flag travels with its
+    # coefficient
+    assert series.entries == [(BoxIndex(1), 1.0 + 0j, 0.1, FLAG_OK),
+                              (BoxIndex(3), 3.0 + 0j, 0.3, FLAG_NO_CONVERGENCE)]
+    assert type(series.entries[1][1]) is complex
     with pytest.raises(ValueError):
-        CoefficientSeries(fam, [(BoxIndex(1), 1.0 + 0j),
-                                (BoxIndex(1), 2.0 + 0j)])
+        CoefficientSeries(fam, [(BoxIndex(1), 1.0 + 0j, 0.0, FLAG_OK),
+                                (BoxIndex(1), 2.0 + 0j, 0.0, FLAG_OK)])
 
 
 def test_flagged_coefficients_survive_with_best_estimate():
@@ -320,7 +324,7 @@ def test_flagged_coefficients_survive_with_best_estimate():
     target = gaussian_target()
     series = project(target, fam, [BoxIndex(n) for n in range(1, 4)], starved)
     assert series.flagged()
-    assert any(f == FLAG_NO_CONVERGENCE for f in series.flags)
+    assert any(flag == FLAG_NO_CONVERGENCE for *_, flag in series.entries)
     assert all(np.isfinite(c) for c in series.coefficients())
 
 
@@ -334,7 +338,8 @@ def test_unsettled_angular_average_flags_landau_coefficient():
     series = project(target, LandauUniformField(1.0),
                      [LandauIndex(0), LandauIndex(1)],
                      QuadratureSpec(upper_cutoff=12.0))
-    assert series.flags == [FLAG_NO_CONVERGENCE, FLAG_NO_CONVERGENCE]
+    assert [flag for *_, flag in series.entries] \
+        == [FLAG_NO_CONVERGENCE, FLAG_NO_CONVERGENCE]
     assert series.flagged()
     assert np.all(np.isfinite(series.coefficients()))
 
@@ -343,19 +348,61 @@ def test_coefficient_csv_schema(tmp_path):
     fam = Box1D(1.0)
     series = project(gaussian_target(), fam,
                      [BoxIndex(n) for n in range(1, 6)], QuadratureSpec())
-    rows = coefficient_csv_rows(series)
-    assert [r["n"] for r in rows] == [1, 2, 3, 4, 5]
-    partial = 0.0
-    for r in rows:
-        assert r["abs_sq"] == pytest.approx(r["re"] ** 2 + r["im"] ** 2)
-        partial += r["abs_sq"]
-        assert r["partial_sum"] == pytest.approx(partial)
-
     path = tmp_path / "coef.csv"
     write_coefficient_csv(series, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,re,im,abs,abs_sq,partial_sum,quad_err"
     assert len(lines) == 6
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == pytest.approx(rows[0]["re"])
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
+    partial = 0.0
+    for (_, re, im, mag, abs_sq, partial_sum, _), (_, c, _, _) in zip(
+            rows, series.entries):
+        assert (re, im) == (c.real, c.imag)
+        assert mag == pytest.approx(math.hypot(re, im))
+        assert abs_sq == pytest.approx(re ** 2 + im ** 2)
+        partial += abs_sq
+        assert partial_sum == pytest.approx(partial)
+
+
+def reference_coefficient_csv(series):
+    """The per-value formatter the CSV writer must match byte for byte."""
+    lines = ["n,re,im,abs,abs_sq,partial_sum,quad_err\n"]
+    partial = 0.0
+    for ix, c, err, flag in series.entries:
+        mag_sq = (c * c.conjugate()).real
+        partial += mag_sq
+        quad_err = err if flag == FLAG_OK else f"{err!r}:{flag}"
+        lines.append(",".join([
+            str(principal_number(ix)), repr(c.real), repr(c.imag), repr(abs(c)),
+            repr(mag_sq), repr(partial),
+            quad_err if isinstance(quad_err, str) else repr(quad_err)]) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def closed_form_series():
+    """The Landau closed-form table as expand builds it: error 0.0, flag ''."""
+    return CoefficientSeries(
+        LandauUniformField(1.3),
+        [(LandauIndex(n), landau_plane_wave_coefficient(n, 1.3), 0.0, FLAG_OK)
+         for n in range(41)])
+
+
+@pytest.mark.parametrize("build,flagged", [
+    (lambda: project(gaussian_target(), Box1D(1.0),
+                     [BoxIndex(n) for n in range(1, 21)], QuadratureSpec()),
+     False),
+    (lambda: project(gaussian_target(), Box1D(1.0),
+                     [BoxIndex(n) for n in range(1, 21)],
+                     QuadratureSpec(max_subdivisions=1)), True),
+    (closed_form_series, False),
+], ids=["converged", "flagged", "closed-form"])
+def test_coefficient_csv_bytes_match_reference_formatter(tmp_path, build,
+                                                         flagged):
+    series = build()
+    assert series.flagged() == flagged
+    path = tmp_path / "coefficients.csv"
+    write_coefficient_csv(series, path)
+    data = path.read_bytes()
+    assert data == reference_coefficient_csv(series)
+    assert (f":{FLAG_NO_CONVERGENCE}\n".encode() in data) == flagged

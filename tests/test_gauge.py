@@ -128,7 +128,7 @@ def test_field_reconstruction_uniform_vector_potential():
     r = np.array([0.5, 0.0, 0.0])
     e = electric_field(pots, 0.2, r, 1e-6)
     assert e[0] == pytest.approx(-0.2 * smooth_ramp_dt(0.2, tau), rel=1e-6)
-    b = magnetic_field(pots, 0.2, r, 1e-6)
+    b = magnetic_field(pots, 0.2, r)
     assert np.max(np.abs(b)) < 1e-9
 
 

@@ -15,7 +15,7 @@ from expansionlab.propagation import (HamiltonianModel,
                                       euler_propagate, hard_step,
                                       momentum_matrix_elements_box, norm_audit,
                                       rhs, smooth_ramp, smooth_ramp_dt,
-                                      unitary_propagate)
+                                      unitary_propagate, write_trajectory_csv)
 from expansionlab.specfun import QuadratureSpec, integrate_interval
 
 UNITS = Units()
@@ -523,8 +523,6 @@ def test_truncation_monitored_by_doubling():
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    from expansionlab.propagation import write_trajectory_csv
-
     m = two_level_model(t_end=1.0)
     traj = euler_propagate(pure_state(2), m, 10, UNITS)
     path = tmp_path / "traj.csv"
@@ -536,3 +534,32 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert int(last[0]) == 10
     assert float(last[2]) == pytest.approx(traj.norms[-1], rel=1e-15)
     assert float(last[3]) == pytest.approx(traj.states[-1, 0].real, rel=1e-15)
+
+
+def reference_trajectory_csv(trajectory, tracked):
+    """The per-value formatter the CSV writer must match byte for byte."""
+    k = min(tracked, trajectory.dim)
+    header = ["step", "t", "norm_sq"]
+    for j in range(1, k + 1):
+        header += [f"re_c{j}", f"im_c{j}"]
+    lines = [",".join(header) + "\n"]
+    for i, t in enumerate(trajectory.times):
+        row = [str(i), repr(float(t)), repr(float(trajectory.norms[i]))]
+        for j in range(k):
+            c = trajectory.states[i, j]
+            row += [repr(float(c.real)), repr(float(c.imag))]
+        lines.append(",".join(row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("stepper", [euler_propagate, unitary_propagate],
+                         ids=["euler", "cayley"])
+@pytest.mark.parametrize("tracked", [3, 8, 40])
+def test_trajectory_csv_bytes_match_reference_formatter(tmp_path, stepper,
+                                                        tracked):
+    # box dipole ramp, dim 12, 1000 slices: tracked below, at and above dim
+    model = box_dipole_model(1.0, 12, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    traj = stepper(pure_state(12, 1), model, 1000, UNITS)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path, tracked)
+    assert path.read_bytes() == reference_trajectory_csv(traj, tracked)
