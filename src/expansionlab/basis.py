@@ -1,4 +1,4 @@
-"""Eigenfunction families: Landau levels, free plane waves, and a 1-D box.
+"""Eigenfunction families: Landau levels, a 1-D box, and the free plane wave.
 
 Natural units m = Q = c = 1 throughout; hbar lives in propagation.Units.
 Landau states are handled on a fixed-k_z transverse slice, with the z factor
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .specfun import QuadratureSpec, integrate_interval, integrate_semi_infinite
+from .specfun import QuadratureSpec
 
 _LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
 
@@ -26,10 +26,6 @@ class BasisDomainError(ValueError):
 
 class BasisIndexError(ValueError):
     """Quantum numbers invalid for, or mismatched with, a family."""
-
-
-class NonNormalizableBasisError(ValueError):
-    """The family has no finite normalization integral."""
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,6 @@ class LandauUniformField:
 
 
 @dataclass(frozen=True)
-class PlaneWave:
-    """Free-particle continuum family; the wave vector lives on the index."""
-
-
-@dataclass(frozen=True)
 class Box1D:
     """Infinite well on [0, L], the concrete mechanical well used in scenarios."""
 
@@ -95,17 +86,6 @@ class LandauIndex:
     def __post_init__(self):
         if self.n < 0:
             raise BasisIndexError("Landau n must be non-negative")
-
-
-@dataclass(frozen=True)
-class PlaneWaveIndex:
-    k: tuple
-
-    def __post_init__(self):
-        k = tuple(float(c) for c in self.k)
-        if len(k) != 3:
-            raise BasisIndexError("plane-wave index needs a 3-component k")
-        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -169,8 +149,6 @@ def landau_eigenfunction(index: LandauIndex, point: SpacePoint, a: float) -> com
 
 def plane_wave(k, point: SpacePoint) -> complex:
     """(8 pi^3)^(-1/2) exp(i k . r), delta-normalized over k."""
-    if isinstance(k, PlaneWaveIndex):
-        k = k.k
     kx, ky, kz = k
     phase = kx * point.x + ky * point.y + kz * point.z
     return cmath.exp(1j * phase) / math.sqrt(8.0 * math.pi ** 3)
@@ -214,11 +192,6 @@ def evaluate(family, index, point: SpacePoint) -> complex:
             raise BasisIndexError(
                 f"Landau family cannot evaluate a {type(index).__name__}")
         return landau_eigenfunction(index, point, family.magnetic_length)
-    if isinstance(family, PlaneWave):
-        if not isinstance(index, PlaneWaveIndex):
-            raise BasisIndexError(
-                f"plane-wave family cannot evaluate a {type(index).__name__}")
-        return plane_wave(index.k, point)
     if isinstance(family, Box1D):
         if not isinstance(index, BoxIndex):
             raise BasisIndexError(
@@ -240,43 +213,3 @@ def default_quadrature(family) -> QuadratureSpec:
     if isinstance(family, LandauUniformField):
         return QuadratureSpec(upper_cutoff=40.0 * family.magnetic_length)
     return QuadratureSpec()
-
-
-def normalization_defect(family, index, quadrature: QuadratureSpec | None = None) -> float:
-    """|integral of |psi|^2 - 1| on the family's natural domain.
-
-    Landau indices are integrated over the transverse plane at fixed k_z (the
-    angular factor integrates exactly, leaving the radial quadrature); box
-    states over [0, L]. Plane waves are delta-normalized and have no finite
-    normalization integral.
-    """
-    if isinstance(family, PlaneWave):
-        raise NonNormalizableBasisError(
-            "plane waves are delta-normalized; the squared modulus integrates "
-            "to delta(k - k'), not to a finite number")
-    if isinstance(family, LandauUniformField):
-        if not isinstance(index, LandauIndex):
-            raise BasisIndexError(
-                f"Landau family cannot normalize a {type(index).__name__}")
-        a = family.magnetic_length
-        spec = quadrature or default_quadrature(family)
-
-        def integrand(rho):
-            r = landau_radial(index.n, index.l, rho, a)
-            return r * r * rho
-
-        value, _ = integrate_semi_infinite(integrand, spec)
-        return abs(value - 1.0)
-    if isinstance(family, Box1D):
-        if not isinstance(index, BoxIndex):
-            raise BasisIndexError(
-                f"box family cannot normalize a {type(index).__name__}")
-        spec = quadrature or QuadratureSpec()
-
-        def integrand(x):
-            f = box_eigenfunction(index.n, x, family.width)
-            return f * f
-
-        value, _ = integrate_interval(integrand, 0.0, family.width, spec)
-        return abs(value - 1.0)
-    raise BasisIndexError(f"unknown basis family {type(family).__name__}")

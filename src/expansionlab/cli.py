@@ -1,12 +1,12 @@
 """Scenario-driven command line: expand, propagate, gauge, reproduce-all.
 
-Each command reads a flat key-value scenario file, writes CSV artifacts, a
+Each command reads a scenario file of its own kind, writes CSV artifacts, a
 plot, and a manifest with checksums into the output directory, and returns a
-contract exit code: 0 success, 1 configuration error, 2 numerical
+contract exit code: 0 success, 1 configuration or usage error, 2 numerical
 non-convergence, 3 physical-consistency failure. Exceptions map to a code
 by class: specfun.NonConvergenceError to 2, gauge.PhysicalConsistencyError to
-3, and ValueError, FileNotFoundError and ReferenceUnavailableError to 1; the
-three families are disjoint. reproduce-all runs the bundled claim scenarios
+3, and ValueError, OSError and ReferenceUnavailableError to 1; the three
+families are disjoint. reproduce-all runs the bundled claim scenarios
 and holds each fresh result to its golden table (EXPANSIONLAB_GOLDEN_DIR
 overrides their location) through _CLAIM_ROWS, one row per compared
 quantity; it exits 3 if a row fails, else 2 if a scenario did not converge.
@@ -75,6 +75,10 @@ def _expand_landau(scn: Scenario, scale: float):
     n_max = scn.get_int("n_max", 200)
     quad_max = scn.get_int("quad_check_max", 20)
     family = LandauUniformField(a)
+    if not 1 <= quad_max <= n_max:
+        raise ScenarioError(scn.origin, None,
+                            f"key 'quad_check_max' must lie in 1..n_max = "
+                            f"{n_max}, got {quad_max}")
     spec = QuadratureSpec(upper_cutoff=40.0 * a).scaled(scale)
 
     closed = [expansion.landau_plane_wave_coefficient(n, a)
@@ -558,17 +562,25 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
 
 # ------------------------------------------------------------------ main
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's 2 means non-convergence here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="expansionlab",
-        description="eigenfunction-expansion audit bench")
+    parser = _Parser(prog="expansionlab",
+                     description="eigenfunction-expansion audit bench")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("expand", "propagate", "gauge"):
         p = sub.add_parser(name, help=f"run a {name} scenario")
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--tolerance-scale", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=None)
+        if name == "propagate":
+            p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("reproduce-all",
                        help="run every bundled claim scenario against goldens")
     p.add_argument("--scenario-dir", default=None,
@@ -587,14 +599,11 @@ def main(argv=None) -> int:
             return cmd_reproduce_all(scenario_dir, Path(args.out),
                                      args.tolerance_scale)
         scn = load_scenario(args.scenario)
-        out_dir = Path(args.out)
-        if args.command == "expand":
-            code, _ = cmd_expand(scn, out_dir, args.tolerance_scale)
-        elif args.command == "propagate":
-            code, _ = cmd_propagate(scn, out_dir, args.tolerance_scale,
-                                    args.seed)
-        else:
-            code, _ = cmd_gauge(scn, out_dir, args.tolerance_scale)
+        if scn.kind != args.command:
+            raise ScenarioError(scn.origin, None, f"scenario kind '{scn.kind}' "
+                                f"cannot run under command '{args.command}'")
+        code, _ = _dispatch(scn, Path(args.out), args.tolerance_scale,
+                            getattr(args, "seed", None))
         return code
     except NonConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
@@ -604,9 +613,9 @@ def main(argv=None) -> int:
         if isinstance(exc, GaugeFieldMismatchError):
             print(f"field-difference norm: {exc.defect!r}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, ReferenceUnavailableError) as exc:
-        # scenario errors and the argument checks of every constructor; the
-        # three handlers catch disjoint classes, so their order is immaterial
+    except (ValueError, OSError, ReferenceUnavailableError) as exc:
+        # scenario, path and constructor argument errors; the three handlers
+        # catch disjoint classes, so their order is immaterial
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

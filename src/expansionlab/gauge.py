@@ -553,6 +553,9 @@ class PhaseFitScenario:
         _require_positive(well_width=self.width, n_grid=self.n_grid,
                           fit_stride=self.fit_stride)
         self.fit_sizes = tuple(int(n) for n in self.fit_sizes)
+        if len(self.fit_sizes) < 2:
+            raise ValueError(f"key 'fit_sizes' needs at least two sizes for "
+                             f"the plateau verdict, got {list(self.fit_sizes)}")
         if sorted(self.fit_sizes) != list(self.fit_sizes):
             raise ValueError("fit sizes must be increasing")
         if self.initial_index < 1 or self.initial_index > min(self.fit_sizes):

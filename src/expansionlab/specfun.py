@@ -22,7 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 # Non-terminating series are only trusted on a modest argument range; beyond
 # this the float partial sums are not reliable and callers get an error.
@@ -84,82 +84,6 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class PolynomialSeries:
-    """A real polynomial stored as ascending-power coefficients.
-
-    Used for the terminating hypergeometric series, where the coefficient list
-    is exact and the only error is in the final evaluation.
-    """
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs:
-            raise SpecfunDomainError("a polynomial needs at least one coefficient")
-        if len(coeffs) > 1 and coeffs[-1] == 0.0:
-            raise SpecfunDomainError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, u: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * u + c
-        return acc
-
-    def terms(self, u: float) -> list:
-        """The individual terms c_k u^k, in ascending order."""
-        return [c * u ** k for k, c in enumerate(self.coefficients)]
-
-    def term_ratios(self, u: float) -> list:
-        """|t_{k+1} / t_k| diagnostics; inf where a term vanishes."""
-        t = self.terms(u)
-        out = []
-        for a, b in zip(t, t[1:]):
-            out.append(abs(b / a) if a != 0.0 else math.inf)
-        return out
-
-    @classmethod
-    def confluent(cls, alpha: float, gamma: float) -> "PolynomialSeries":
-        """The terminating series F(alpha, gamma, u) as an exact polynomial."""
-        n = _terminating_order(alpha)
-        if n is None:
-            raise SpecfunDomainError(
-                f"alpha={alpha!r} does not terminate; only non-positive integer "
-                "alpha yields a polynomial")
-        _reject_gamma_pole(gamma)
-        coeffs = []
-        term = Fraction(1)
-        a = Fraction(alpha)
-        g = Fraction(gamma)
-        for k in range(n + 1):
-            coeffs.append(float(term))
-            term = term * (a + k) / ((g + k) * (k + 1))
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def laguerre(cls, n: int) -> "PolynomialSeries":
-        return cls.confluent(-float(n), 1.0)
-
-
-def _terminating_order(alpha: float):
-    # terminating iff alpha is a non-positive integer
-    if alpha <= 0.0 and float(alpha) == math.floor(alpha):
-        return int(-alpha)
-    return None
-
-
-def _reject_gamma_pole(gamma: float):
-    if gamma <= 0.0 and float(gamma) == math.floor(gamma):
-        raise SpecfunDomainError(
-            f"gamma={gamma!r} is a non-positive integer (pole of the series)")
-
-
 def confluent_hypergeometric(alpha: float, gamma: float, u: float) -> float:
     """Kummer's series F(alpha, gamma, u) = sum_k (alpha)_k/(gamma)_k u^k/k!.
 
@@ -168,15 +92,16 @@ def confluent_hypergeometric(alpha: float, gamma: float, u: float) -> float:
     carries only the final rounding. Non-terminating case: plain ascending
     float summation with a convergence guard; |u| beyond the guard raises.
     """
-    _reject_gamma_pole(gamma)
-    n = _terminating_order(alpha)
-    if n is not None:
+    if gamma <= 0.0 and float(gamma) == math.floor(gamma):
+        raise SpecfunDomainError(
+            f"gamma={gamma!r} is a non-positive integer (pole of the series)")
+    if alpha <= 0.0 and float(alpha) == math.floor(alpha):
         acc = Fraction(0)
         term = Fraction(1)
         a = Fraction(alpha)
         g = Fraction(gamma)
         uu = Fraction(u)
-        for k in range(n + 1):
+        for k in range(int(-alpha) + 1):
             acc += term
             term = term * (a + k) * uu / ((g + k) * (k + 1))
         return float(acc)
@@ -203,22 +128,15 @@ def confluent_hypergeometric(alpha: float, gamma: float, u: float) -> float:
 
 
 def laguerre(n: int, u: float) -> float:
-    """L_n(u) by the stable three-term recurrence.
+    """L_n(u), the top entry of laguerre_row(n, u).
 
     Cross-check oracle for confluent_hypergeometric via L_n(u) = F(-n, 1, u).
     """
-    if n < 0:
-        raise SpecfunDomainError("Laguerre order must be non-negative")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - u
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
-    return cur
+    return laguerre_row(n, u)[n]
 
 
 def laguerre_row(n_max: int, u: float) -> array:
-    """L_0(u) .. L_n_max(u) by the same recurrence as laguerre, bit for bit.
+    """L_0(u) .. L_n_max(u) by the stable three-term recurrence.
 
     One recurrence serves a whole tower of orders at one node; the row is an
     array('d') because callers keep one per quadrature node.

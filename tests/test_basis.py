@@ -7,14 +7,13 @@ import pytest
 
 from expansionlab.basis import (BasisDomainError, BasisIndexError, Box1D,
                                 BoxIndex, LandauIndex, LandauUniformField,
-                                NonNormalizableBasisError, PlaneWave,
-                                PlaneWaveIndex, SpacePoint, box_eigenfunction,
+                                SpacePoint, box_eigenfunction,
                                 box_eigenfunction_dx, default_quadrature,
                                 evaluate, landau_eigenfunction,
                                 landau_normalization, landau_radial,
-                                normalization_defect, plane_wave,
-                                principal_number)
-from expansionlab.specfun import QuadratureSpec, integrate_semi_infinite
+                                plane_wave, principal_number)
+from expansionlab.specfun import (QuadratureSpec, integrate_interval,
+                                  integrate_semi_infinite)
 
 
 def test_space_point_cylindrical_round_trip():
@@ -62,16 +61,20 @@ def test_landau_normalization_large_arguments_use_log_route():
 
 def test_landau_radial_orthonormality_per_l_sector():
     # int_0^inf R_m R_n rho d rho = delta_mn, the transverse-plane inner
-    # product with the angular factor already integrated out
-    for l in (0, 1, 2):
-        for m in range(0, 6):
-            for n in range(m, 6):
-                val, _ = integrate_semi_infinite(
-                    lambda rho: landau_radial(m, l, rho, 1.0)
-                    * landau_radial(n, l, rho, 1.0) * rho,
-                    default_quadrature(LandauUniformField(1.0)))
-                expected = 1.0 if m == n else 0.0
-                assert val == pytest.approx(expected, abs=1e-8)
+    # product with the angular factor already integrated out; the norms
+    # themselves hold to 1e-10
+    for a in (1.0, 0.5):
+        for l in (0, 1, 2):
+            for m in range(0, 6):
+                for n in range(m, 6):
+                    val, _ = integrate_semi_infinite(
+                        lambda rho: landau_radial(m, l, rho, a)
+                        * landau_radial(n, l, rho, a) * rho,
+                        default_quadrature(LandauUniformField(a)))
+                    if m == n:
+                        assert val == pytest.approx(1.0, abs=1e-10)
+                    else:
+                        assert val == pytest.approx(0.0, abs=1e-8)
 
 
 def test_landau_orthonormality_full_eigenfunction_l0():
@@ -130,6 +133,11 @@ def test_box_eigenfunction_values_and_support():
     assert box_eigenfunction(2, 0.5 * L, L) == pytest.approx(0.0, abs=1e-15)
     assert box_eigenfunction(3, -0.1, L) == 0.0
     assert box_eigenfunction(3, L + 0.1, L) == 0.0
+    for n, width in ((4, 1.0), (1, 3.0)):
+        norm, _ = integrate_interval(
+            lambda x: box_eigenfunction(n, x, width) ** 2, 0.0, width,
+            QuadratureSpec())
+        assert abs(norm - 1.0) < 1e-12
 
 
 def test_box_eigenfunction_dx_is_the_derivative():
@@ -137,21 +145,6 @@ def test_box_eigenfunction_dx_is_the_derivative():
     fd = (box_eigenfunction(n, x + h, L) - box_eigenfunction(n, x - h, L)) \
         / (2.0 * h)
     assert box_eigenfunction_dx(n, x, L) == pytest.approx(fd, rel=1e-8)
-
-
-def test_normalization_defect_landau_and_box():
-    assert normalization_defect(LandauUniformField(1.0),
-                                LandauIndex(2, 1)) < 1e-10
-    assert normalization_defect(LandauUniformField(0.5),
-                                LandauIndex(4, 0)) < 1e-10
-    assert normalization_defect(Box1D(1.0), BoxIndex(4)) < 1e-12
-    assert normalization_defect(Box1D(3.0), BoxIndex(1)) < 1e-12
-
-
-def test_plane_wave_normalization_defect_raises():
-    with pytest.raises(NonNormalizableBasisError) as excinfo:
-        normalization_defect(PlaneWave(), PlaneWaveIndex((1.0, 0.0, 0.0)))
-    assert "delta" in str(excinfo.value)
 
 
 def test_evaluate_dispatch_and_mismatch():

@@ -552,7 +552,6 @@ EXIT_CODES = [
     (scenario.ScenarioError("bad.scn", 3, "malformed"), 1),
     (basis.BasisDomainError("malformed"), 1),
     (basis.BasisIndexError("malformed"), 1),
-    (basis.NonNormalizableBasisError("malformed"), 1),
     (propagation.PropagationContractError("malformed"), 1),
     (specfun.SpecfunDomainError("malformed"), 1),
     (gauge.ReferenceUnavailableError("malformed"), 1),
@@ -586,12 +585,51 @@ def test_exit_code_of_every_package_exception(tmp_path, monkeypatch, capsys,
 def test_exit_code_families_are_disjoint_and_cover_the_package():
     assert {type(e) for e, _ in EXIT_CODES} == _package_exception_classes()
     families = [specfun.NonConvergenceError, gauge.PhysicalConsistencyError,
-                (ValueError, FileNotFoundError,
-                 gauge.ReferenceUnavailableError)]
+                (ValueError, OSError, gauge.ReferenceUnavailableError)]
     for exc, _ in EXIT_CODES:
         assert sum(isinstance(exc, f) for f in families) == 1, type(exc)
 
 
 def test_main_requires_subcommand():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main([])
+    assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("argv,keys,named", [
+    (["expand", "--out", "OUT"], None, "--scenario"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT", "--seed", "3"], None,
+     "--seed"),
+    (["gauge", "--scenario", "TMP", "--out", "OUT"], None, "Is a directory"),
+    (["expand", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="jump")),
+     "kind 'gauge' cannot run under command 'expand'"),
+    (["expand", "--scenario", "SCN", "--out", "OUT"],
+     ("expand", dict(family="landau", n_max=5, quad_check_max=10)),
+     "key 'quad_check_max'"),
+    (["expand", "--scenario", "SCN", "--out", "OUT"],
+     ("expand", dict(family="landau", n_max=5, quad_check_max=0)),
+     "key 'quad_check_max'"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="phase-fit", fit_sizes=4, n_slices=10)),
+     "key 'fit_sizes'"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="phase-fit", fit_sizes=",", n_slices=10)),
+     "key 'fit_sizes'"),
+], ids=["usage", "seed-off-propagate", "directory-as-scenario", "kind-mismatch",
+        "quad-check-above-n-max", "quad-check-zero", "one-fit-size",
+        "no-fit-size"])
+def test_exit_1_with_one_error_line(tmp_path, argv, keys, named):
+    # usage errors, unreadable paths and scenarios the command cannot run
+    # are configuration errors: exit 1, one error line, no traceback
+    scn = tmp_path / "bad.scn"
+    if keys:
+        write_scenario(scn, keys[0], **keys[1])
+    subs = {"OUT": str(tmp_path / "out"), "TMP": str(tmp_path),
+            "SCN": str(scn)}
+    r = run_cli(*(subs.get(a, a) for a in argv))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("error:") and named in errors[0]

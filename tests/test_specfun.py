@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from expansionlab.specfun import (CONVERGENCE_GUARD, DEFAULT_QUADRATURE,
-                                  PolynomialSeries, QuadratureError,
-                                  QuadratureSpec, SeriesDivergenceError,
-                                  SpecfunDomainError,
+                                  QuadratureError, QuadratureSpec,
+                                  SeriesDivergenceError, SpecfunDomainError,
                                   confluent_hypergeometric,
                                   integrate_interval, integrate_semi_infinite,
                                   laguerre, laguerre_associated, laguerre_row)
@@ -39,12 +38,6 @@ def test_confluent_terminating_explicit_quadratic():
     for u in (0.0, 0.5, 1.0, 3.0, 10.0):
         assert confluent_hypergeometric(-2.0, 1.0, u) == pytest.approx(
             1.0 - 2.0 * u + 0.5 * u * u, rel=1e-14, abs=1e-14)
-
-
-def test_polynomial_series_confluent_coefficients_exact():
-    series = PolynomialSeries.confluent(-2.0, 1.0)
-    assert series.degree == 2
-    assert series.coefficients == (1.0, -2.0, 0.5)
 
 
 def test_confluent_cross_oracle_laguerre_recurrence():
@@ -90,13 +83,15 @@ def test_laguerre_row_is_the_recurrence_bit_for_bit():
 
 
 def test_laguerre_against_polynomial_series():
-    # monomial evaluation cancels heavily at larger n, u; compare against
-    # the summed-term scale rather than the (small) value
+    # L_n(u) = F(-n, 1, u) = sum_k (-1)^k C(n, k) u^k / k!; the terms cancel
+    # heavily at larger n, u, so compare against the summed-term scale
+    # rather than the (small) value
     for n in (2, 3, 7, 12):
-        poly = PolynomialSeries.laguerre(n)
         for u in (0.3, 1.0, 4.5, 9.0):
-            scale = sum(abs(t) for t in poly.terms(u)) + 1.0
-            assert abs(laguerre(n, u) - poly(u)) < 1e-13 * scale
+            scale = sum(math.comb(n, k) * u ** k / math.factorial(k)
+                        for k in range(n + 1)) + 1.0
+            poly = confluent_hypergeometric(-float(n), 1.0, u)
+            assert abs(laguerre(n, u) - poly) < 1e-13 * scale
 
 
 def test_laguerre_associated_matches_binomial_sum():
@@ -171,8 +166,10 @@ def test_nonterminating_beyond_guard_raises():
 
 def test_terminating_series_immune_to_guard():
     # a polynomial evaluates anywhere, far beyond the series guard
-    val = confluent_hypergeometric(-3.0, 1.0, 100.0)
-    assert val == pytest.approx(PolynomialSeries.laguerre(3)(100.0), rel=1e-12)
+    u = 100.0
+    val = confluent_hypergeometric(-3.0, 1.0, u)
+    assert val == pytest.approx(1.0 - 3.0 * u + 1.5 * u ** 2 - u ** 3 / 6.0,
+                                rel=1e-12)
 
 
 def test_quadrature_spec_validation_and_scaling():
@@ -208,11 +205,3 @@ def test_quadrature_error_carries_best_estimate():
     err = excinfo.value
     assert isinstance(err.best_estimate, float)
     assert err.error_estimate > 0.0
-
-
-def test_polynomial_series_terms_sum_to_value():
-    poly = PolynomialSeries.laguerre(6)
-    u = 2.25
-    assert sum(poly.terms(u)) == pytest.approx(poly(u), rel=1e-12, abs=1e-12)
-    ratios = poly.term_ratios(u)
-    assert len(ratios) == poly.degree
