@@ -201,6 +201,7 @@ def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
 # ------------------------------------------------------------- propagate
 
 def _model_from_scenario(scn: Scenario, seed=None, units=Units()):
+    """(model, the seed its matrix was drawn with: None if it draws none)."""
     width = scn.get_float("well_width", 1.0)
     n_basis = scn.get_int("n_basis", 32)
     kind = scn.get_str("perturbation",
@@ -211,7 +212,7 @@ def _model_from_scenario(scn: Scenario, seed=None, units=Units()):
     window = (t_start, t_end)
     energies = propagation.box_energies(width, n_basis, units)
     if kind == "none":
-        return propagation.HamiltonianModel(energies, [], window)
+        return propagation.HamiltonianModel(energies, [], window), None
     amplitude = scn.get_float("amplitude", 1.0)
     if kind == "random-hermitian":
         if seed is None:
@@ -221,11 +222,11 @@ def _model_from_scenario(scn: Scenario, seed=None, units=Units()):
             + 1j * rng.standard_normal((n_basis, n_basis))
         h = 0.5 * (m + m.conj().T) * amplitude
         return propagation.HamiltonianModel(energies, [(lambda t: 1.0, h)],
-                                            window)
+                                            window), seed
     ramp_time = scn.get_float("ramp_time", 0.5)
     profile = "ramp" if kind == "dipole-ramp" else "step"
     return propagation.box_dipole_model(width, n_basis, amplitude, ramp_time,
-                                        window, units, profile)
+                                        window, units, profile), None
 
 
 def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
@@ -234,16 +235,21 @@ def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
     units = Units(scn.get_float("hbar", 1.0))
     n_slices = scn.get_int("n_slices", 1000)
     tracked = scn.get_int("tracked", 8)
+    if tracked < 0:
+        raise ScenarioError(scn.origin, None,
+                            f"key 'tracked' must be at least 0, got {tracked}")
     s = scn.get_int("initial_index", 1)
-    model = _model_from_scenario(scn, seed, units)
+    model, seed = _model_from_scenario(scn, seed, units)
     if s < 1 or s > model.dim:
         raise ScenarioError(scn.origin, None,
                             f"initial_index {s} outside the basis")
     c0 = np.zeros(model.dim, dtype=complex)
     c0[s - 1] = 1.0
 
+    # the audit reads every column of the Euler run; the CSVs read `tracked`
     euler = propagation.euler_propagate(c0, model, n_slices, units)
-    cayley = propagation.unitary_propagate(c0, model, n_slices, units)
+    cayley = propagation.unitary_propagate(c0, model, n_slices, units,
+                                           tracked=tracked)
     audit = propagation.norm_audit(euler, model, units)
 
     # refinement study: mean per-step growth should scale like dt^2
@@ -251,7 +257,7 @@ def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
     growth = []
     for k in (1, 2, 4):
         traj = euler if k == 1 else propagation.euler_propagate(
-            c0, model, n_slices * k, units)
+            c0, model, n_slices * k, units, tracked=0)
         growth.append((traj.norms[-1] - 1.0) / (n_slices * k))
     for g1, g2 in zip(growth, growth[1:]):
         exponents.append(math.log2(g1 / g2) if g2 > 0.0 else float("nan"))
@@ -504,10 +510,10 @@ def _golden_problem(claim, golden) -> str:
 def _long_run_max_dev(scn: Scenario, n_steps: int) -> float:
     """max |norm^2 - 1| of an n_steps-slice Cayley run of a propagate scenario."""
     units = Units(scn.get_float("hbar", 1.0))
-    model = _model_from_scenario(scn, units=units)
+    model, _ = _model_from_scenario(scn, units=units)
     s = scn.get_int("initial_index", 1)
     c0 = np.eye(model.dim, dtype=complex)[s - 1]
-    traj = propagation.unitary_propagate(c0, model, n_steps, units)
+    traj = propagation.unitary_propagate(c0, model, n_steps, units, tracked=0)
     return float(np.max(np.abs(traj.norms - 1.0)))
 
 

@@ -14,6 +14,13 @@ identity, it steps in the eigenbasis of X: the Cayley factor is diagonal
 there and the free evolution between midpoints is one constant unitary, so a
 step is one diagonal scale and one matrix-vector product. Other models take
 one linear solve per step.
+
+Both steppers fill their rows in blocks of _CHUNK_ENTRIES (2^11) entries and
+hand each block to one collector, which records every row's norm sum_k
+|C_k|^2 from the full block and keeps the leading `tracked` columns in the
+returned Trajectory. tracked=None keeps every column, and the steppers then
+write straight into the returned states; tracked=0 keeps norms only, so a
+10^5-step run holds its norms and one 32 KB block instead of every state.
 """
 
 from __future__ import annotations
@@ -123,14 +130,25 @@ def bohr_frequencies(model: HamiltonianModel, units: Units = Units()) -> np.ndar
     return (e[:, None] - e[None, :]) / units.hbar
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """sum_k |C_k|^2 of each row of a block of coefficient rows."""
+    return np.einsum("ij,ij->i", rows, rows.conj()).real
+
+
 @dataclass
 class Trajectory:
-    """Times, coefficient vectors, and their norms for one propagation run."""
+    """Times, coefficient vectors, and their norms for one propagation run.
+
+    `dim` is the dimension the run propagated. `states` may keep only its
+    leading columns (a streamed run, see the module docstring); the norms
+    always cover every column.
+    """
 
     times: np.ndarray
     states: np.ndarray
     method: str
     norms: np.ndarray = field(default=None)
+    dim: int | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -139,6 +157,12 @@ class Trajectory:
             raise PropagationContractError("states must be one row per time")
         if np.any(np.diff(self.times) <= 0.0):
             raise PropagationContractError("time grid must be strictly increasing")
+        if self.dim is None:
+            self.dim = self.states.shape[1]
+        elif self.states.shape[1] > self.dim:
+            raise PropagationContractError(
+                f"{self.states.shape[1]} state columns exceed dimension "
+                f"{self.dim}")
         if self.norms is None:
             self.norms = self.compute_norms()
         else:
@@ -147,17 +171,59 @@ class Trajectory:
                 raise PropagationContractError("norms must align with times")
 
     def compute_norms(self) -> np.ndarray:
+        if self.states.shape[1] < self.dim:
+            raise PropagationContractError(
+                "a trajectory with truncated rows needs its recorded norms")
         # 2^11-row chunks keep the conjugate copy small on long runs
         norms = np.empty(self.times.size)
         for lo in range(0, norms.size, 2 ** 11):
-            rows = self.states[lo:lo + 2 ** 11]
-            norms[lo:lo + 2 ** 11] = np.einsum("ij,ij->i", rows,
-                                               rows.conj()).real
+            norms[lo:lo + 2 ** 11] = _row_norms(self.states[lo:lo + 2 ** 11])
         return norms
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
+
+class _Collector:
+    """Takes a stepper's rows block by block; keeps norms and leading columns.
+
+    Row 0 is the initial state. blocks() hands out rows 1..n_slices in
+    blocks of _CHUNK_ENTRIES entries for the stepper to fill, and takes
+    each block (its norms, and its leading `tracked` columns) when the
+    stepper asks for the next one. With every column kept a block is a
+    view of the returned states, so nothing is copied; otherwise one
+    buffer is reused, and its rows are overwritten block after block.
+    """
+
+    def __init__(self, times: np.ndarray, c0: np.ndarray, tracked, method):
+        if tracked is not None and tracked < 0:
+            raise PropagationContractError(
+                f"tracked column count must be at least 0, got {tracked}")
+        dim = c0.size
+        self.keep = dim if tracked is None else min(tracked, dim)
+        self.times, self.method, self.dim = times, method, dim
+        self.norms = np.empty(times.size)
+        self.states = np.empty((times.size, self.keep), dtype=complex)
+        self.norms[0] = _row_norms(c0[None, :])[0]
+        self.states[0] = c0[:self.keep]
+
+    def _take(self, lo: int, block: np.ndarray):
+        self.norms[lo:lo + len(block)] = _row_norms(block)
+        if self.keep < self.dim:
+            self.states[lo:lo + len(block)] = block[:, :self.keep]
+
+    def blocks(self):
+        """(step index of the first row, rows to fill) for rows 1..n_slices."""
+        n, rows = self.times.size, max(1, _CHUNK_ENTRIES // self.dim)
+        buffer = None
+        if self.keep < self.dim:
+            buffer = np.empty((min(rows, n - 1), self.dim), dtype=complex)
+        for lo in range(1, n, rows):
+            hi = min(lo + rows, n)
+            block = self.states[lo:hi] if buffer is None else buffer[:hi - lo]
+            yield lo - 1, block
+            self._take(lo, block)
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(self.times, self.states, self.method, self.norms,
+                          self.dim)
 
 
 def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
@@ -186,7 +252,8 @@ def rhs(c, t: float, model: HamiltonianModel, units: Units = Units()) -> np.ndar
 
 
 def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
-                    units: Units = Units()) -> Trajectory:
+                    units: Units = Units(), tracked: int | None = None
+                    ) -> Trajectory:
     """First-order explicit slicing with left-endpoint rotating-frame phases.
 
     C_k(t_{i+1}) = C_k(t_i) - (i/hbar) sum_{k'} C_{k'}(t_i) (H1)_{kk'}
@@ -198,26 +265,27 @@ def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
     in as a_{ij}, and exp(i w_{nl} t) = d_n(t) conj(d_l(t)) with d(t) =
     exp(i eps t / hbar), built in row chunks. A step is C_{i+1} = C_i + d *
     sum_j a_{ij} X_j (conj(d) * C_i). Every left endpoint lies inside the
-    window, so h1's window rule never zeroes a step.
+    window, so h1's window rule never zeroes a step. The returned states
+    keep the leading `tracked` columns (all when None); the norms cover all.
     """
     c, times, dt, _ = _prepare(c0, model, n_slices, units)
-    states = np.empty((n_slices + 1, model.dim), dtype=complex)
-    states[0] = c
+    out = _Collector(times, c, tracked, "euler")
     left = times[:-1]
     a = np.array([[profile(t) for profile, _ in model.terms] for t in left],
                  dtype=complex) * (-1j * dt / units.hbar)
     xs = np.array([m for _, m in model.terms],
                   dtype=complex).reshape(-1, model.dim)
     freq = model.energies / units.hbar
-    rows = max(1, _CHUNK_ENTRIES // model.dim)
-    for lo in range(0, n_slices, rows):
-        d = np.exp(1j * np.outer(left[lo:lo + rows], freq))
-        for i, (dn, dl) in enumerate(zip(d, d.conj()), lo):
-            z = np.dot(a[i], (xs @ (dl * c)).reshape(-1, model.dim))
-            c = states[i + 1]
-            np.multiply(dn, z, out=c)
-            c += states[i]
-    return Trajectory(times, states, "euler")
+    for lo, block in out.blocks():
+        hi = lo + len(block)
+        d = np.exp(1j * np.outer(left[lo:hi], freq))
+        for dn, dl, ai, row in zip(d, d.conj(), a[lo:hi], block):
+            z = np.dot(ai, (xs @ (dl * c)).reshape(-1, model.dim))
+            np.multiply(dn, z, out=z)
+            # row may be the buffer row that holds c (one row per block)
+            np.add(z, c, out=row)
+            c = row
+    return out.trajectory()
 
 
 _POLAR_SWEEPS = 3
@@ -249,7 +317,8 @@ def _polar(u: np.ndarray) -> np.ndarray:
 
 
 def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
-                      units: Units = Units()) -> Trajectory:
+                      units: Units = Units(), tracked: int | None = None
+                      ) -> Trajectory:
     """Cayley (Crank-Nicolson) stepping at the midpoint time.
 
     (I + i dt/2hbar Htilde) C_{i+1} = (I - i dt/2hbar Htilde) C_i with
@@ -267,20 +336,22 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     norm drift at round-off over long runs. The coefficients are rebuilt as
     C_{i+1} = D(t_m,i) V (r_i * w_i) in row chunks. Any other model,
     including one without terms, is stepped with one linear solve per step.
+    The returned states keep the leading `tracked` columns (all when None);
+    the norms cover all.
     """
     c, times, dt, omega = _prepare(c0, model, n_slices, units)
-    states = np.empty((n_slices + 1, model.dim), dtype=complex)
-    states[0] = c
+    out = _Collector(times, c, tracked, "cayley")
     half = 0.5j * dt / units.hbar
     tm = times[:-1] + 0.5 * dt
     general, scalar = _split_terms(model)
     if len(general) != 1:
         eye = np.eye(model.dim, dtype=complex)
-        for i in range(n_slices):
-            m = model.h1(tm[i]) * np.exp(1j * omega * tm[i])
-            c = np.linalg.solve(eye + half * m, c - half * (m @ c))
-            states[i + 1] = c
-        return Trajectory(times, states, "cayley")
+        for lo, block in out.blocks():
+            for t, row in zip(tm[lo:lo + len(block)], block):
+                m = model.h1(t) * np.exp(1j * omega * t)
+                c = np.linalg.solve(eye + half * m, c - half * (m @ c))
+                row[:] = c
+        return out.trajectory()
 
     profile, x = general[0]
     lam, v = np.linalg.eigh(x)
@@ -292,16 +363,14 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     for prof, scale in scalar:
         shift += scale * np.array([prof(t) for t in tm], dtype=float)
     w = v.conj().T @ (np.exp(-1j * freq * tm[0]) * c)
-    rows = max(1, _CHUNK_ENTRIES // model.dim)
-    for a in range(0, n_slices, rows):
-        b = min(a + rows, n_slices)
+    for a, block in out.blocks():
+        b = a + len(block)
         ihz = half * (s[a:b, None] * lam + shift[a:b, None])
-        block = states[a + 1:b + 1]
-        for r, out in zip((1.0 - ihz) / (1.0 + ihz), block):
-            np.multiply(r, w, out=out)
-            w = np.dot(u, out)      # half the call overhead of @
+        for r, row in zip((1.0 - ihz) / (1.0 + ihz), block):
+            np.multiply(r, w, out=row)
+            w = np.dot(u, row)      # half the call overhead of @
         block[:] = (block @ v.T) * np.exp(1j * (tm[a:b, None] * freq))
-    return Trajectory(times, states, "cayley")
+    return out.trajectory()
 
 
 @dataclass
@@ -361,6 +430,10 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel | None = None,
         raise PropagationContractError(
             f"norm audit applies to first-order sliced trajectories, got "
             f"{trajectory.method!r}")
+    if trajectory.states.shape[1] < trajectory.dim:
+        raise PropagationContractError(
+            f"norm audit reads every coefficient, but the trajectory keeps "
+            f"{trajectory.states.shape[1]} of {trajectory.dim}")
     c0 = trajectory.states[0]
     s = int(np.argmax(np.abs(c0)))
     pure_defect = float(abs(c0[s] - 1.0) + np.sum(np.abs(np.delete(c0, s))))
@@ -452,6 +525,10 @@ def box_dipole_model(width: float, n_basis: int, amplitude: float,
 def write_trajectory_csv(trajectory: Trajectory, path, tracked: int = 8):
     """step, t, norm_sq, re/im of the first `tracked` coefficients."""
     k = min(tracked, trajectory.dim)
+    if not 0 <= k <= trajectory.states.shape[1]:
+        raise PropagationContractError(
+            f"cannot write {tracked} coefficients: the trajectory keeps "
+            f"{trajectory.states.shape[1]} of {trajectory.dim}")
     header = ["step", "t", "norm_sq"]
     for j in range(1, k + 1):
         header += [f"re_c{j}", f"im_c{j}"]

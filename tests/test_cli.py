@@ -94,6 +94,33 @@ def test_propagate_seeded_scenario_reproducible(tmp_path):
     assert man["seed"] == 123
 
 
+@pytest.mark.parametrize("name,flag,recorded", [
+    ("random_hermitian.scn", None, 7),     # the scenario's own seed key
+    ("box_dipole.scn", 5, None),           # the dipole model draws no numbers
+])
+def test_propagate_manifest_records_the_seed_the_model_used(tmp_path, name,
+                                                            flag, recorded):
+    cmd_propagate(load_scenario(SCENARIOS / name), tmp_path, seed=flag)
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["seed"] == recorded
+
+
+def test_long_run_check_keeps_no_states():
+    # the 10^5-step Cayley re-check reads only the norms; keeping every
+    # state held 51 MB of them
+    import tracemalloc
+
+    scn = load_scenario(SCENARIOS / "box_dipole.scn")
+    tracemalloc.start()
+    try:
+        dev = cli._long_run_max_dev(scn, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dev < 1e-10
+    assert peak < 8e6
+
+
 def test_gauge_jump_scenario(tmp_path):
     out = tmp_path / "out"
     code, stats = cmd_gauge(load_scenario(SCENARIOS / "gauge_step.scn"), out)
@@ -616,9 +643,11 @@ def test_main_requires_subcommand():
     (["gauge", "--scenario", "SCN", "--out", "OUT"],
      ("gauge", dict(experiment="phase-fit", fit_sizes=",", n_slices=10)),
      "key 'fit_sizes'"),
+    (["propagate", "--scenario", "SCN", "--out", "OUT"],
+     ("propagate", dict(n_basis=4, n_slices=10, tracked=-1)), "key 'tracked'"),
 ], ids=["usage", "seed-off-propagate", "directory-as-scenario", "kind-mismatch",
         "quad-check-above-n-max", "quad-check-zero", "one-fit-size",
-        "no-fit-size"])
+        "no-fit-size", "negative-tracked"])
 def test_exit_1_with_one_error_line(tmp_path, argv, keys, named):
     # usage errors, unreadable paths and scenarios the command cannot run
     # are configuration errors: exit 1, one error line, no traceback

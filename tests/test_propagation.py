@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expansionlab import propagation
 from expansionlab.gauge import GaugeJumpScenario
 from expansionlab.propagation import (HamiltonianModel,
                                       PropagationContractError, Trajectory,
@@ -299,6 +300,46 @@ def test_unitary_norm_preserved_per_step_property(seed, dim, amplitude, freq,
     assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
 
 
+@pytest.mark.parametrize("tracked", [None, 0, 1, "dim", "dim + 3"])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("stepper,terms", [(euler_propagate, 1),
+                                           (unitary_propagate, 1),
+                                           (unitary_propagate, 2)],
+                         ids=["euler", "cayley-eigenbasis", "cayley-solve"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 7),
+       n_slices=st.integers(1, 13))
+def test_streamed_rows_match_full_run_property(stepper, terms, rows, tracked,
+                                               seed, dim, n_slices):
+    # blocks of 1 row (the buffer row that held the previous state is
+    # overwritten in place), 2 and 3 rows, so the last block is often
+    # partial; two general terms send Cayley to its linear-solve path
+    rng = np.random.default_rng(seed)
+    m = HamiltonianModel(rng.uniform(0.0, 50.0, dim),
+                         [(lambda t, k=k: math.cos((k + 1) * t),
+                           random_hermitian(rng, dim)) for k in range(terms)],
+                         (0.0, 1.0))
+    c0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    keep = {"dim": dim, "dim + 3": dim + 3}.get(tracked, tracked)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "_CHUNK_ENTRIES", rows * dim)
+        full = stepper(c0, m, n_slices, UNITS)
+        kept = stepper(c0, m, n_slices, UNITS, tracked=keep)
+    assert np.array_equal(kept.norms, full.norms)
+    assert np.array_equal(full.norms, full.compute_norms())
+    assert kept.dim == full.dim == dim
+    k = dim if keep is None else min(keep, dim)
+    assert kept.states.shape == (n_slices + 1, k)
+    assert np.array_equal(kept.states, full.states[:, :k])
+
+
+def test_negative_tracked_rejected():
+    m = two_level_model(t_end=1.0)
+    for stepper in (euler_propagate, unitary_propagate):
+        with pytest.raises(PropagationContractError, match="tracked"):
+            stepper(pure_state(2), m, 10, UNITS, tracked=-1)
+
+
 def euler_oracle(c0, model, n_slices, units=UNITS):
     """Literal first-order slicing: C <- C + dt rhs(C, t_i), dim x dim phases."""
     c = np.asarray(c0, dtype=complex)
@@ -392,6 +433,12 @@ def test_trajectory_validation():
                    np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
                    "euler")
     assert np.allclose(t.norms, [1.0, 1.0])
+    # more columns than the propagated dimension; truncated rows without
+    # the norms their stepper recorded
+    for cols in (3, 1):
+        with pytest.raises(PropagationContractError):
+            Trajectory(np.array([0.0, 1.0]),
+                       np.zeros((2, cols), dtype=complex), "euler", dim=2)
 
 
 def test_audit_zero_coupling_equality_throughout():
@@ -451,6 +498,22 @@ def test_audit_rejects_non_euler_and_impure():
     traj = euler_propagate(mixed, m, 10, UNITS)
     with pytest.raises(PropagationContractError):
         norm_audit(traj, m, UNITS)
+
+
+def test_audit_and_csv_reject_truncated_rows(tmp_path):
+    # a streamed run keeps fewer columns than it propagated: the audit's
+    # off-diagonal weight and a CSV of the dropped columns would be wrong
+    m = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    cut = euler_propagate(pure_state(6), m, 20, UNITS, tracked=5)
+    assert (cut.dim, cut.states.shape[1]) == (6, 5)
+    with pytest.raises(PropagationContractError, match="keeps 5 of 6"):
+        norm_audit(cut, m, UNITS)
+    with pytest.raises(PropagationContractError, match="keeps 5 of 6"):
+        norm_audit(cut)
+    with pytest.raises(PropagationContractError):
+        write_trajectory_csv(cut, tmp_path / "cut.csv", tracked=6)
+    assert norm_audit(euler_propagate(pure_state(6), m, 20, UNITS), m,
+                      UNITS).passed
 
 
 def test_single_slice_degenerate_grid_runs():
