@@ -32,7 +32,8 @@ from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     PhysicalConsistencyError, ReferenceUnavailableError,
                     _along_x, zero_gauge_function)
 from .propagation import Units
-from .scenario import RunManifest, Scenario, ScenarioError, load_scenario
+from .scenario import (INT, INTS, REAL, REQUIRED, RunManifest, Scenario,
+                       ScenarioError, load_scenario)
 from .specfun import NonConvergenceError, QuadratureSpec, integrate_interval
 
 
@@ -68,17 +69,83 @@ def _manifest(scn: Scenario, command: str, tolerance_scale: float,
     man.write(out_dir / "manifest.json")
 
 
+# --------------------------------------------------------- scenario keys
+
+def _positive(v, _):
+    return "" if v > 0 else f"must be positive, got {v!r}"
+
+
+def _in_1_to(bound):
+    """The constraint 1 <= value <= the value of key `bound`."""
+    return lambda v, values: "" if 1 <= v <= values[bound] else (
+        f"must lie in 1..{bound} = {values[bound]}, got {v}")
+
+
+# Every key a scenario may set, (section, key, type, default, constraint) as
+# Scenario.read takes them; rows are read, and their errors raised, in order.
+# The gauge defaults are the fields of the experiment classes.
+_J, _F = GaugeJumpScenario, PhaseFitScenario
+_KEYS = (
+    ("expand/landau", "magnetic_length", REAL, 1.0, None),
+    ("expand/landau", "n_max", INT, 200, None),
+    ("expand/landau", "quad_check_max", INT, 20, _in_1_to("n_max")),
+    ("expand/box", "width", REAL, 1.0, _positive),
+    ("expand/box", "n_max", INT, 50, None),
+    ("expand/box", "target", {"eigenstate", "gaussian"}, REQUIRED, None),
+    ("expand/box", "target_n", INT, 1, None),
+    ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0, _positive),
+    ("expand/box", "center", REAL, lambda v: v["width"] / 2.0, None),
+    ("propagate", "hbar", REAL, Units.hbar, None),
+    ("propagate", "n_slices", INT, 1000, None),
+    ("propagate", "tracked", INT, 8,
+     lambda v, _: "" if v >= 0 else f"must be at least 0, got {v}"),
+    ("propagate", "well_width", REAL, 1.0, None),
+    ("propagate", "n_basis", INT, 32, None),
+    ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
+    ("propagate", "perturbation", {"none", "dipole-ramp", "dipole-step",
+                                   "random-hermitian"}, REQUIRED, None),
+    ("propagate", "t_start", REAL, 0.0, None),
+    ("propagate", "t_end", REAL, 1.0, None),
+    ("propagate", "amplitude", REAL, 1.0, None),
+    ("propagate", "seed", INT, 0, None),
+    ("propagate", "ramp_time", REAL, 0.5, None),
+    ("gauge/jump", "well_width", REAL, _J.width, _positive),
+    ("gauge/jump", "n_basis", INT, _J.n_basis, None),
+    ("gauge/jump", "initial_index", INT, _J.initial_index, None),
+    ("gauge/jump", "amplitude", REAL, _J.amplitude, None),
+    ("gauge/jump", "switch", {"step", "ramp"}, _J.switch, None),
+    ("gauge/jump", "ramp_time", REAL, _J.ramp_time, None),
+    ("gauge/jump", "t_end", REAL, _J.t_end, _positive),
+    ("gauge/jump", "n_slices", INT, _J.n_slices, _positive),
+    ("gauge/jump", "observe_stride", INT, _J.observe_stride, _positive),
+    ("gauge/jump", "second_gauge", {"transformed", "identity", "mismatched"},
+     _J.second_gauge, None),
+    ("gauge/jump", "mismatch_factor", REAL, _J.mismatch_factor, None),
+    ("gauge/jump", "hbar", REAL, Units.hbar, None),
+    ("gauge/phase-fit", "well_width", REAL, _F.width, _positive),
+    ("gauge/phase-fit", "n_reference", INT, _F.n_reference, None),
+    ("gauge/phase-fit", "initial_index", INT, _F.initial_index, None),
+    ("gauge/phase-fit", "amplitude", REAL, _F.amplitude, None),
+    ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, None),
+    ("gauge/phase-fit", "t_end", REAL, _F.t_end, None),
+    ("gauge/phase-fit", "n_slices", INT, _F.n_slices, None),
+    ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
+     lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
+     f"at least two increasing sizes for the plateau verdict, got {list(v)}"),
+    ("gauge/phase-fit", "n_grid", INT, _F.n_grid, _positive),
+    ("gauge/phase-fit", "fit_stride", INT, _F.fit_stride, _positive),
+    ("gauge/phase-fit", "hbar", REAL, Units.hbar, None),
+    ("gauge/phase-fit", "phase_strength", REAL, 0.8, None),
+    ("gauge/phase-fit", "phase_ramp_time", REAL, lambda v: v["ramp_time"],
+     None),
+)
+
+
 # ---------------------------------------------------------------- expand
 
-def _expand_landau(scn: Scenario, scale: float):
-    a = scn.get_float("magnetic_length", 1.0)
-    n_max = scn.get_int("n_max", 200)
-    quad_max = scn.get_int("quad_check_max", 20)
+def _expand_landau(name: str, v: dict, scale: float):
+    a, n_max, quad_max = v["magnetic_length"], v["n_max"], v["quad_check_max"]
     family = LandauUniformField(a)
-    if not 1 <= quad_max <= n_max:
-        raise ScenarioError(scn.origin, None,
-                            f"key 'quad_check_max' must lie in 1..n_max = "
-                            f"{n_max}, got {quad_max}")
     spec = QuadratureSpec(upper_cutoff=40.0 * a).scaled(scale)
 
     closed = [expansion.landau_plane_wave_coefficient(n, a)
@@ -91,7 +158,7 @@ def _expand_landau(scn: Scenario, scale: float):
         family, [(LandauIndex(n), c, 0.0, expansion.FLAG_OK)
                  for n, c in enumerate(closed)])
 
-    lines = [f"scenario: {scn.name}", "",
+    lines = [f"scenario: {name}", "",
              "closed-form route vs quadrature route (l=0 radial overlap):",
              "n,closed,quadrature,err_estimate,abs_diff,ok"]
     worst_diff = 0.0
@@ -120,25 +187,19 @@ def _expand_landau(scn: Scenario, scale: float):
     return code, stats, series, lines, report
 
 
-def _expand_box(scn: Scenario, scale: float):
-    width = scn.get_float("width", 1.0)
-    n_max = scn.get_int("n_max", 50)
-    target_kind = scn.get_str("target", choices={"eigenstate", "gaussian"})
+def _expand_box(name: str, v: dict, scale: float):
+    width, n_max = v["width"], v["n_max"]
     family = Box1D(width)
     spec = QuadratureSpec().scaled(scale)
 
     norm_flag = ""
-    if target_kind == "eigenstate":
-        n0 = scn.get_int("target_n", 1)
+    if v["target"] == "eigenstate":
+        n0 = v["target_n"]
 
         def target(p: SpacePoint):
             return complex(basis.box_eigenfunction(n0, p.x, width))
     else:
-        sigma = scn.get_float("sigma", width / 10.0)
-        if not sigma > 0.0:
-            raise ScenarioError(scn.origin, None,
-                                f"key 'sigma' must be positive, got {sigma!r}")
-        center = scn.get_float("center", width / 2.0)
+        sigma, center = v["sigma"], v["center"]
         raw = lambda x: math.exp(-0.5 * ((x - center) / sigma) ** 2)
         # an unconverged norm keeps its best estimate and flags the run, as
         # an unconverged coefficient does
@@ -163,7 +224,7 @@ def _expand_box(scn: Scenario, scale: float):
     round_trip = max(abs(value - target(SpacePoint.cartesian(x)))
                      for value, x in zip(synthesis, xs))
 
-    lines = [f"scenario: {scn.name}",
+    lines = [f"scenario: {name}",
              f"parseval defect at N={n_max}: {defect!r}",
              f"max pointwise round-trip error (201-point grid): {round_trip!r}"]
     if norm_flag:
@@ -180,10 +241,10 @@ def _expand_box(scn: Scenario, scale: float):
 
 
 def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
-    family = scn.get_str("family", choices={"landau", "box"})
+    v = scn.read(_KEYS)
     out_dir.mkdir(parents=True, exist_ok=True)
-    expand = _expand_landau if family == "landau" else _expand_box
-    code, stats, series, lines, report = expand(scn, tolerance_scale)
+    expand = _expand_landau if v["family"] == "landau" else _expand_box
+    code, stats, series, lines, report = expand(scn.name, v, tolerance_scale)
 
     csv_path = out_dir / "coefficients.csv"
     expansion.write_coefficient_csv(series, csv_path)
@@ -200,51 +261,36 @@ def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
 
 # ------------------------------------------------------------- propagate
 
-def _model_from_scenario(scn: Scenario, seed=None, units=Units()):
+def _model(v: dict, units: Units, seed=None):
     """(model, the seed its matrix was drawn with: None if it draws none)."""
-    width = scn.get_float("well_width", 1.0)
-    n_basis = scn.get_int("n_basis", 32)
-    kind = scn.get_str("perturbation",
-                       choices={"none", "dipole-ramp", "dipole-step",
-                                "random-hermitian"})
-    t_end = scn.get_float("t_end", 1.0)
-    t_start = scn.get_float("t_start", 0.0)
-    window = (t_start, t_end)
+    width, n_basis, amplitude = v["well_width"], v["n_basis"], v["amplitude"]
+    kind, window = v["perturbation"], (v["t_start"], v["t_end"])
     energies = propagation.box_energies(width, n_basis, units)
     if kind == "none":
         return propagation.HamiltonianModel(energies, [], window), None
-    amplitude = scn.get_float("amplitude", 1.0)
     if kind == "random-hermitian":
-        if seed is None:
-            seed = scn.get_int("seed", 0)
+        seed = v["seed"] if seed is None else seed
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((n_basis, n_basis)) \
             + 1j * rng.standard_normal((n_basis, n_basis))
         h = 0.5 * (m + m.conj().T) * amplitude
         return propagation.HamiltonianModel(energies, [(lambda t: 1.0, h)],
                                             window), seed
-    ramp_time = scn.get_float("ramp_time", 0.5)
     profile = "ramp" if kind == "dipole-ramp" else "step"
-    return propagation.box_dipole_model(width, n_basis, amplitude, ramp_time,
-                                        window, units, profile), None
+    return propagation.box_dipole_model(width, n_basis, amplitude,
+                                        v["ramp_time"], window, units,
+                                        profile), None
 
 
 def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
                   seed=None):
+    v = scn.read(_KEYS)
+    units = Units(v["hbar"])
+    n_slices, tracked = v["n_slices"], v["tracked"]
+    model, seed = _model(v, units, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    units = Units(scn.get_float("hbar", 1.0))
-    n_slices = scn.get_int("n_slices", 1000)
-    tracked = scn.get_int("tracked", 8)
-    if tracked < 0:
-        raise ScenarioError(scn.origin, None,
-                            f"key 'tracked' must be at least 0, got {tracked}")
-    s = scn.get_int("initial_index", 1)
-    model, seed = _model_from_scenario(scn, seed, units)
-    if s < 1 or s > model.dim:
-        raise ScenarioError(scn.origin, None,
-                            f"initial_index {s} outside the basis")
     c0 = np.zeros(model.dim, dtype=complex)
-    c0[s - 1] = 1.0
+    c0[v["initial_index"] - 1] = 1.0
 
     # the audit reads every column of the Euler run; the CSVs read `tracked`
     euler = propagation.euler_propagate(c0, model, n_slices, units)
@@ -292,54 +338,30 @@ def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
 
 # ----------------------------------------------------------------- gauge
 
-def _gauge_jump_scenario(scn: Scenario) -> GaugeJumpScenario:
-    return GaugeJumpScenario(
-        width=scn.get_float("well_width", 1.0),
-        n_basis=scn.get_int("n_basis", 24),
-        initial_index=scn.get_int("initial_index", 1),
-        amplitude=scn.get_float("amplitude", 0.2),
-        switch=scn.get_str("switch", "step", choices={"step", "ramp"}),
-        ramp_time=scn.get_float("ramp_time", 0.5),
-        t_end=scn.get_float("t_end", 2e-5),
-        n_slices=scn.get_int("n_slices", 200),
-        observe_stride=scn.get_int("observe_stride", 4),
-        second_gauge=scn.get_str("second_gauge", "transformed",
-                                 choices={"transformed", "identity",
-                                          "mismatched"}),
-        mismatch_factor=scn.get_float("mismatch_factor", 1.5),
-        units=Units(scn.get_float("hbar", 1.0)))
+def _experiment(cls, v: dict):
+    """cls from its section's values; well_width and hbar set width, units."""
+    names = {f.name for f in dataclasses.fields(cls)} - {"width", "units"}
+    return cls(width=v["well_width"], units=Units(v["hbar"]),
+               **{name: v[name] for name in names})
 
 
-def _phase_fit_inputs(scn: Scenario):
-    fit = PhaseFitScenario(
-        width=scn.get_float("well_width", 1.0),
-        n_reference=scn.get_int("n_reference", 64),
-        initial_index=scn.get_int("initial_index", 1),
-        amplitude=scn.get_float("amplitude", 12.0),
-        ramp_time=scn.get_float("ramp_time", 0.3),
-        t_end=scn.get_float("t_end", 1.2),
-        n_slices=scn.get_int("n_slices", 1200),
-        fit_sizes=tuple(scn.get_int_list("fit_sizes",
-                                         [2, 4, 8, 12, 16, 24, 32, 48])),
-        n_grid=scn.get_int("n_grid", 1200),
-        fit_stride=scn.get_int("fit_stride", 200),
-        units=Units(scn.get_float("hbar", 1.0)))
-    strength = scn.get_float("phase_strength", 0.8)
-    tau = scn.get_float("phase_ramp_time", fit.ramp_time)
-    g = GaugeFunction(
+def _phase_gauge(v: dict) -> GaugeFunction:
+    """The phase-fit experiment's gauge function f = strength ramp(t) x."""
+    strength, tau = v["phase_strength"], v["phase_ramp_time"]
+    return GaugeFunction(
         f=lambda t, r: strength * propagation.smooth_ramp(t, tau) * r[0],
         grad_f=lambda t, r: _along_x(
             strength * propagation.smooth_ramp(t, tau), r),
         dt_f=lambda t, r: strength * propagation.smooth_ramp_dt(t, tau) * r[0])
-    return fit, g
 
 
 def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
+    v = scn.read(_KEYS)
+    jump = v["experiment"] == "jump"
+    setup = _experiment(GaugeJumpScenario if jump else PhaseFitScenario, v)
     out_dir.mkdir(parents=True, exist_ok=True)
-    experiment = scn.get_str("experiment", choices={"jump", "phase-fit"})
-    if experiment == "jump":
-        jump_scn = _gauge_jump_scenario(scn)
-        result = gauge.gauge_jump_experiment(jump_scn)
+    if jump:
+        result = gauge.gauge_jump_experiment(setup)
         csv_path = out_dir / "observables.csv"
         gauge.write_observable_csv(csv_path,
                                    [result.report_gauge1, result.report_gauge2])
@@ -356,7 +378,7 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
         _manifest(scn, "gauge", tolerance_scale, None, out_dir, outputs)
         stats = {
             "kind": "gauge-jump",
-            "amplitude": jump_scn.amplitude,
+            "amplitude": setup.amplitude,
             "jump_metric": result.report_gauge1.jump_metric,
             "jump_metric_gauge2": result.report_gauge2.jump_metric,
             "max_naive_discrepancy": float(np.max(result.naive_discrepancy)),
@@ -366,9 +388,8 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
         }
         return 0, stats
 
-    fit_scn, g = _phase_fit_inputs(scn)
-    report = gauge.phase_factored_expansion_test(fit_scn, g)
-    control_scn = dataclasses.replace(fit_scn, amplitude=0.0)
+    report = gauge.phase_factored_expansion_test(setup, _phase_gauge(v))
+    control_scn = dataclasses.replace(setup, amplitude=0.0)
     control = gauge.phase_factored_expansion_test(control_scn,
                                                   zero_gauge_function())
     control_max = float(np.max(control.residuals))
@@ -509,10 +530,10 @@ def _golden_problem(claim, golden) -> str:
 
 def _long_run_max_dev(scn: Scenario, n_steps: int) -> float:
     """max |norm^2 - 1| of an n_steps-slice Cayley run of a propagate scenario."""
-    units = Units(scn.get_float("hbar", 1.0))
-    model, _ = _model_from_scenario(scn, units=units)
-    s = scn.get_int("initial_index", 1)
-    c0 = np.eye(model.dim, dtype=complex)[s - 1]
+    v = scn.read(_KEYS)
+    units = Units(v["hbar"])
+    model, _ = _model(v, units)
+    c0 = np.eye(model.dim, dtype=complex)[v["initial_index"] - 1]
     traj = propagation.unitary_propagate(c0, model, n_steps, units, tracked=0)
     return float(np.max(np.abs(traj.norms - 1.0)))
 
@@ -540,6 +561,8 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
 
     scenarios = {c["scenario"]: load_scenario(by_name[c["scenario"]])
                  for c in claims}
+    for scn in scenarios.values():   # a bad key or value exits 1 first
+        scn.read(_KEYS)
     results = {name: _dispatch(scenarios[name], out_root / Path(name).stem,
                                tolerance_scale)
                for name in scenarios}

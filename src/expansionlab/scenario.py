@@ -1,17 +1,20 @@
 """Flat key-value scenario files and the reproducibility manifest.
 
 A scenario file is a version header line followed by `key = value` pairs;
-'#' starts a comment. Values stay strings until a typed getter converts them,
-so parse errors can point at the exact line.
+'#' starts a comment. Values stay strings until Scenario.read types them
+against the keys a section declares, so errors can point at the exact line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 HEADER = "expansionlab-scenario v1"
+# the key whose value picks the section of a kind that has several
+SELECTORS = {"expand": "family", "gauge": "experiment"}
 
 
 class ScenarioError(ValueError):
@@ -24,12 +27,27 @@ class ScenarioError(ValueError):
         self.line = line
 
 
-_REQUIRED = object()
+REQUIRED = object()   # the default of a key that must be given
+
+
+def _real(s: str) -> float:
+    if not math.isfinite(x := float(s)):
+        raise ValueError(s)
+    return x
+
+
+# key types, (conversion, what an error says a value must be); a set of
+# strings is a choice. int() takes neither '4.5' nor '1e3'.
+REAL = (_real, "a finite real number")
+INT = (int, "an integer")
+INTS = (lambda s: [int(p) for p in s.split(",") if p.strip()],
+        "a comma-separated integer list")
+TEXT = (str, "a string")
 
 
 @dataclass
 class Scenario:
-    """Parsed scenario: kind, name, and typed access to the raw keys."""
+    """Parsed scenario: kind, name, and the raw keys that read() types."""
 
     origin: str
     kind: str
@@ -37,52 +55,53 @@ class Scenario:
     raw: dict = field(default_factory=dict)   # key -> (value string, line)
     text: str = ""
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
+    def read(self, table) -> dict:
+        """The typed value of every key of this scenario's section.
 
-    def get_str(self, key: str, default=_REQUIRED, choices=None) -> str:
-        value = self._typed(key, default, str, "a string")
-        if choices is not None and value not in choices:
-            line = self.raw[key][1] if key in self.raw else None
-            raise ScenarioError(self.origin, line,
-                                f"key '{key}' must be one of {sorted(choices)}, "
-                                f"got {value!r}")
-        return value
+        table rows are (section, key, type, default, constraint); a section
+        is a kind, or kind/choice where SELECTORS names the choosing key. A
+        default may be a function of the values before it; a constraint
+        maps (value, values) to what is wrong, or ''. An undeclared key is
+        an error at its line, before any row is read.
+        """
+        section, values = self.kind, {}
+        selector = SELECTORS.get(self.kind)
+        if selector:
+            values[selector] = self._value(selector, {
+                r[0].split("/")[1] for r in table
+                if r[0].startswith(section + "/")})
+            section += "/" + values[selector]
+        rows = [r[1:] for r in table if r[0] == section]
+        declared = {"kind", "name", *values, *(r[0] for r in rows)}
+        for key, (_, line) in self.raw.items():
+            if key not in declared:
+                raise ScenarioError(self.origin, line, f"unknown key '{key}'")
+        for key, kind, default, constraint in rows:
+            values[key] = self._value(key, kind, default, values)
+            problem = constraint and constraint(values[key], values)
+            if problem:
+                raise ScenarioError(self.origin,
+                                    self.raw.get(key, (None, None))[1],
+                                    f"key '{key}' {problem}")
+        return values
 
-    def get_float(self, key: str, default=_REQUIRED) -> float:
-        return self._typed(key, default, float, "a real number")
-
-    def get_int(self, key: str, default=_REQUIRED) -> int:
-        return self._typed(key, default, _strict_int, "an integer")
-
-    def get_int_list(self, key: str, default=_REQUIRED) -> list:
-        def conv(s):
-            return [_strict_int(p.strip()) for p in s.split(",") if p.strip()]
-
-        return self._typed(key, default, conv, "a comma-separated integer list")
-
-    def _typed(self, key, default, convert, description):
+    def _value(self, key, kind, default=REQUIRED, values=None):
         if key not in self.raw:
-            if default is not _REQUIRED:
-                return default
-            raise ScenarioError(self.origin, None,
-                                f"missing required key '{key}'")
-        value, line = self.raw[key]
+            if default is REQUIRED:
+                raise ScenarioError(self.origin, None,
+                                    f"missing required key '{key}'")
+            return default(values) if callable(default) else default
+        text, line = self.raw[key]
+        if isinstance(kind, set):   # a choice: the text must be an option
+            kind = ({c: c for c in kind}.__getitem__, f"one of {sorted(kind)}")
         try:
-            return convert(value)
-        except (TypeError, ValueError):
-            raise ScenarioError(self.origin, line,
-                                f"key '{key}' must be {description}, "
-                                f"got {value!r}") from None
+            return kind[0](text)
+        except (KeyError, ValueError):
+            raise ScenarioError(self.origin, line, f"key '{key}' must be "
+                                f"{kind[1]}, got {text!r}") from None
 
     def sha256(self) -> str:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-
-
-def _strict_int(s: str) -> int:
-    if isinstance(s, str) and ("." in s or "e" in s.lower()):
-        raise ValueError(s)
-    return int(s)
 
 
 def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
@@ -113,8 +132,8 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
     if not header_seen:
         raise ScenarioError(origin, None, f"missing '{HEADER}' header")
     scn = Scenario(origin, "", "", raw, text)
-    scn.kind = scn.get_str("kind", choices={"expand", "propagate", "gauge"})
-    scn.name = scn.get_str("name")
+    scn.kind = scn._value("kind", {"expand", "propagate", "gauge"})
+    scn.name = scn._value("name", TEXT)
     return scn
 
 

@@ -1,17 +1,23 @@
 """CLI exit-code contract, artifact schemas, and reproducibility."""
 
+import contextlib
 import copy
+import importlib.util
 import inspect
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expansionlab
 from expansionlab import (basis, cli, gauge, propagation, scenario, specfun,
@@ -21,8 +27,10 @@ from expansionlab.cli import (_check_claim, cmd_expand, cmd_gauge,
 from expansionlab.gauge import GaugeFunction, GaugeJumpScenario, LineState
 from expansionlab.scenario import load_scenario
 
-SCENARIOS = Path(resources.files("expansionlab") / "data" / "scenarios")
-GOLDEN = Path(resources.files("expansionlab") / "data" / "golden")
+DATA = Path(resources.files("expansionlab") / "data")
+SCENARIOS = DATA / "scenarios"
+GOLDEN = DATA / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, env_extra=None):
@@ -522,8 +530,10 @@ def test_exit_1_on_constructor_errors(tmp_path, command, keys, message):
     ("gauge", dict(experiment="jump", well_width=0.0), "well_width"),
     ("gauge", dict(experiment="jump", observe_stride=0), "observe_stride"),
     ("expand", dict(family="box", target="gaussian", sigma=0.0), "sigma"),
+    # width sets sigma's default, so it is checked first
+    ("expand", dict(family="box", target="eigenstate", width=0.0), "width"),
 ], ids=["phase-fit-n_grid", "phase-fit-fit_stride", "phase-fit-well_width",
-        "jump-well_width", "jump-observe_stride", "box-sigma"])
+        "jump-well_width", "jump-observe_stride", "box-sigma", "box-width"])
 def test_exit_1_on_out_of_range_scenario_values(tmp_path, command, keys, key):
     path = write_scenario(tmp_path / "bad.scn", command, **keys)
     r = run_cli(command, "--scenario", str(path),
@@ -662,3 +672,113 @@ def test_exit_1_with_one_error_line(tmp_path, argv, keys, named):
     errors = [line for line in r.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert errors[0].startswith("error:") and named in errors[0]
+
+
+# ------------------------------------------------------------ scenario keys
+
+def _with_keys(tmp_path, name, *lines):
+    """A copy of bundled scenario `name` with `lines` appended, and the
+    1-based line number of the first of them."""
+    text = (SCENARIOS / name).read_text()
+    path = tmp_path / name
+    path.write_text(text + "".join(f"{line}\n" for line in lines))
+    return path, len(text.splitlines()) + 1
+
+
+def test_misspelt_keys_exit_1_naming_the_first_and_its_line(tmp_path):
+    # a misspelt key must not leave the default it meant to replace in force
+    path, line = _with_keys(tmp_path, "box_dipole.scn", "n_slice = 5",
+                            "amplitde = 50")
+    out = tmp_path / "out"
+    r = run_cli("propagate", "--scenario", str(path), "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {path}:{line}: unknown key 'n_slice'\n"
+    assert not out.exists()
+
+
+BUNDLED = sorted(p.name for p in SCENARIOS.glob("*.scn"))
+_DECLARED = {"kind", "name", *scenario.SELECTORS.values(),
+             *(row[1] for row in cli._KEYS)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(BUNDLED),
+       key=st.from_regex(r"[a-z_][a-z0-9_]{0,15}", fullmatch=True).filter(
+           lambda k: k not in _DECLARED),
+       value=st.sampled_from(["1", "0.5", "ramp", "2, 4"]))
+def test_bundled_scenario_with_an_undeclared_key_exits_1(name, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, line = _with_keys(Path(tmp), name, f"{key} = {value}")
+        kind = load_scenario(SCENARIOS / name).kind
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([kind, "--scenario", str(path), "--out", str(out)])
+        assert code == 1
+        assert err.getvalue() == \
+            f"error: {path}:{line}: unknown key '{key}'\n"
+        assert not out.exists()
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundled_scenarios_and_bench_ops_declare_every_key():
+    # the section rule rejects none of the scenarios the program ships or
+    # the benchmark generates
+    workloads = _bench_workloads()
+    texts = {p.name: p.read_text() for p in SCENARIOS.glob("*.scn")}
+    for seed in (3, 7, 99):
+        for workload in workloads.WORKLOADS:
+            texts.update((f"{workload}:{seed}:{op.label}", op.text)
+                         for op in workloads.build(workload, seed, DATA)
+                         if op.text is not None)
+    assert len(texts) == 171
+    for origin, text in texts.items():
+        scenario.parse_scenario_text(text, origin).read(cli._KEYS)
+
+
+@pytest.mark.parametrize("command,keys,key", [
+    ("gauge", dict(experiment="jump", amplitude="nan"), "amplitude"),
+    ("propagate", dict(perturbation="dipole-ramp", t_end="inf"), "t_end"),
+    ("expand", dict(family="landau", magnetic_length="inf"),
+     "magnetic_length"),
+], ids=["jump-amplitude-nan", "propagate-t_end-inf",
+        "landau-magnetic_length-inf"])
+def test_non_finite_number_exits_1_at_its_line(tmp_path, capsys, command,
+                                               keys, key):
+    # a non-finite value is a configuration error, not a run that fails or
+    # reports nan later
+    path = write_scenario(tmp_path / "bad.scn", command, **keys)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}:5: key '{key}' must be a finite real "
+                   f"number, got '{keys[key]}'\n")
+    assert not out.exists()
+
+
+def test_reproduce_all_checks_every_key_before_running(tmp_path, monkeypatch,
+                                                       capsys):
+    # the misspelt key sits in the last claim scenario, so a check made as
+    # each scenario runs would already have run the others
+    scn_dir = tmp_path / "scenarios"
+    shutil.copytree(SCENARIOS, scn_dir)
+    path = scn_dir / CLAIMS[-1]["scenario"]
+    text = path.read_text()
+    path.write_text(text + "fit_size = 2, 4\n")
+    ran = []
+    monkeypatch.setattr(cli, "_dispatch", lambda *args: ran.append(args))
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--scenario-dir", str(scn_dir),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    line = len(text.splitlines()) + 1
+    assert err == f"error: {path}:{line}: unknown key 'fit_size'\n"
+    assert ran == [] and not out.exists()

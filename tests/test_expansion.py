@@ -14,7 +14,7 @@ from expansionlab.basis import (Box1D, BoxIndex, LandauIndex,
                                 box_eigenfunction, default_quadrature,
                                 landau_eigenfunction, plane_wave,
                                 principal_number)
-from expansionlab.cli import cmd_expand
+from expansionlab.cli import _KEYS, cmd_expand
 from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
                                     CoefficientSeries, convergence_scan,
                                     landau_plane_wave_coefficient,
@@ -236,15 +236,15 @@ def test_projection_linearity(alpha, beta, sigma, center):
 def test_expand_box_round_trip_matches_reconstruct(tmp_path, name):
     scn = load_scenario(SCENARIOS / name)
     _, stats = cmd_expand(scn, tmp_path)
-    width = scn.get_float("width")
-    if scn.get_str("target") == "gaussian":
-        target = gaussian_target(width, scn.get_float("sigma"),
-                                 scn.get_float("center"))
+    v = scn.read(_KEYS)
+    width = v["width"]
+    if v["target"] == "gaussian":
+        target = gaussian_target(width, v["sigma"], v["center"])
     else:
-        n0 = scn.get_int("target_n")
+        n0 = v["target_n"]
         target = lambda p: complex(box_eigenfunction(n0, p.x, width))
     series = project(target, Box1D(width),
-                     [BoxIndex(n) for n in range(1, scn.get_int("n_max") + 1)],
+                     [BoxIndex(n) for n in range(1, v["n_max"] + 1)],
                      QuadratureSpec())
     worst = max(abs(reconstruct(series, SpacePoint.cartesian(x))
                     - target(SpacePoint.cartesian(x)))

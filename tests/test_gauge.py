@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansionlab.basis import box_eigenfunction, box_eigenfunction_dx
-from expansionlab.cli import _gauge_jump_scenario, _phase_fit_inputs
+from expansionlab.cli import _KEYS, _experiment, _phase_gauge
 from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 GaugeFunction, GaugeJumpScenario, LineState,
                                 NormalizationError, PhaseFitScenario,
@@ -475,7 +475,7 @@ def bundled_fields():
         pots=transform_potentials(free_potentials(), nonuniform_gauge()))
     scn = load_scenario(resources.files("expansionlab") / "data"
                         / "scenarios" / "phase_fit.scn")
-    add("phase-fit", g=_phase_fit_inputs(scn)[1])
+    add("phase-fit", g=_phase_gauge(scn.read(_KEYS)))
     return fields
 
 
@@ -565,7 +565,8 @@ def reference_observable_csv(reports):
 def test_observable_csv_bytes_match_reference_formatter(tmp_path):
     scn = load_scenario(resources.files("expansionlab") / "data"
                         / "scenarios" / "gauge_step.scn")
-    res = gauge_jump_experiment(_gauge_jump_scenario(scn))
+    res = gauge_jump_experiment(_experiment(GaugeJumpScenario,
+                                            scn.read(_KEYS)))
     reports = [res.report_gauge1, res.report_gauge2]
     path = tmp_path / "observables.csv"
     write_observable_csv(path, reports)

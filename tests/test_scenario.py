@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansionlab.scenario import (HEADER, RunManifest, ScenarioError,
-                                   file_sha256, load_scenario,
-                                   parse_scenario_text)
+from expansionlab.scenario import (HEADER, INT, INTS, REAL, REQUIRED, TEXT,
+                                   RunManifest, ScenarioError, file_sha256,
+                                   load_scenario, parse_scenario_text)
 
 GOOD = """expansionlab-scenario v1
 # comment line
@@ -22,31 +22,85 @@ label = ramp
 """
 
 
+ROWS = (("well_width", REAL, REQUIRED, None),
+        ("n_slices", INT, REQUIRED, None),
+        ("fit_sizes", INTS, REQUIRED, None),
+        ("label", {"ramp", "step"}, REQUIRED, None))
+
+
+def _table(rows, section="propagate"):
+    return [(section, *row) for row in rows]
+
+
+def _read(text, rows, origin="t.scn"):
+    return parse_scenario_text(text, origin).read(_table(rows))
+
+
 def test_parse_round_trip():
     scn = parse_scenario_text(GOOD, origin="demo.scn")
     assert scn.kind == "propagate"
     assert scn.name == "demo"
-    assert scn.get_float("well_width") == 1.0
-    assert scn.get_int("n_slices") == 500
-    assert scn.get_int_list("fit_sizes") == [2, 4, 8]
-    assert scn.get_str("label", choices={"ramp", "step"}) == "ramp"
-    assert scn.has("label")
-    assert not scn.has("absent")
+    assert scn.read(_table(ROWS)) == {"well_width": 1.0, "n_slices": 500,
+                                      "fit_sizes": [2, 4, 8], "label": "ramp"}
 
 
 def test_defaults_for_optional_keys():
-    scn = parse_scenario_text(GOOD, origin="demo.scn")
-    assert scn.get_float("missing", 2.5) == 2.5
-    assert scn.get_int("missing", 7) == 7
-    assert scn.get_str("missing", "fallback") == "fallback"
+    rows = ROWS + (
+        ("amplitude", REAL, 2.5, None), ("count", INT, 7, None),
+        ("profile", {"fallback", "other"}, "fallback", None),
+        ("half_width", REAL, lambda v: v["well_width"] / 2.0, None))
+    values = _read(GOOD, rows, "demo.scn")
+    assert (values["amplitude"], values["count"], values["profile"],
+            values["half_width"]) == (2.5, 7, "fallback", 0.5)
 
 
 def test_missing_required_key_names_the_key():
-    scn = parse_scenario_text(GOOD, origin="demo.scn")
+    rows = ROWS + (("amplitude", REAL, REQUIRED, None),)
     with pytest.raises(ScenarioError) as excinfo:
-        scn.get_float("amplitude")
-    assert "amplitude" in str(excinfo.value)
+        _read(GOOD, rows, "demo.scn")
+    assert "missing required key 'amplitude'" in str(excinfo.value)
     assert excinfo.value.origin == "demo.scn"
+
+
+def test_unknown_key_is_an_error_at_its_line():
+    # a key no row of the section declares fails before any row is read,
+    # even a row that would fail itself
+    rows = ROWS[1:] + (("absent", REAL, REQUIRED, None),)
+    with pytest.raises(ScenarioError) as excinfo:
+        _read(GOOD, rows, "demo.scn")
+    assert excinfo.value.line == 5
+    assert str(excinfo.value) == "demo.scn:5: unknown key 'well_width'"
+
+
+def test_rows_of_other_sections_are_not_declared():
+    table = _table(ROWS) + _table([("amplitude", REAL, 1.0, None)], "gauge")
+    scn = parse_scenario_text(GOOD + "amplitude = 2.0\n", "demo.scn")
+    with pytest.raises(ScenarioError) as excinfo:
+        scn.read(table)
+    assert str(excinfo.value) == "demo.scn:9: unknown key 'amplitude'"
+
+
+def test_constraint_error_names_the_key_and_its_line():
+    rows = [("n_max", INT, 10, None),
+            ("quad", INT, 3, lambda v, values: "" if v <= values["n_max"]
+             else f"must not exceed {values['n_max']}")]
+    text = HEADER + "\nkind = propagate\nname = x\nquad = 12\n"
+    with pytest.raises(ScenarioError) as excinfo:
+        _read(text, rows)
+    assert str(excinfo.value) == "t.scn:4: key 'quad' must not exceed 10"
+    # a default that breaks its constraint has no line to point at
+    with pytest.raises(ScenarioError) as excinfo:
+        _read(HEADER + "\nkind = propagate\nname = x\nn_max = 2\n", rows)
+    assert str(excinfo.value) == "t.scn: key 'quad' must not exceed 2"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_reals_are_line_precise_errors(value):
+    text = HEADER + f"\nkind = propagate\nname = x\nwidth = {value}\n"
+    with pytest.raises(ScenarioError) as excinfo:
+        _read(text, [("width", REAL, 1.0, None)])
+    assert excinfo.value.line == 4
+    assert "key 'width' must be a finite real number" in str(excinfo.value)
 
 
 def test_header_is_enforced():
@@ -79,25 +133,43 @@ def test_unknown_kind_rejected():
 
 
 def test_type_errors_are_line_precise():
-    text = HEADER + "\nkind = expand\nname = x\nn_max = 4.5\n"
-    scn = parse_scenario_text(text, "t.scn")
+    text = HEADER + "\nkind = propagate\nname = x\nn_max = 4.5\n"
     with pytest.raises(ScenarioError) as excinfo:
-        scn.get_int("n_max")
+        _read(text, [("n_max", INT, 50, None)])
+    assert excinfo.value.line == 4
+    assert "key 'n_max' must be an integer, got '4.5'" in str(excinfo.value)
+
+    text = HEADER + "\nkind = propagate\nname = x\nwidth = wide\n"
+    with pytest.raises(ScenarioError) as excinfo:
+        _read(text, [("width", REAL, 1.0, None)])
     assert excinfo.value.line == 4
 
-    text = HEADER + "\nkind = expand\nname = x\nwidth = wide\n"
-    scn = parse_scenario_text(text, "t.scn")
-    with pytest.raises(ScenarioError):
-        scn.get_float("width")
+    text = HEADER + "\nkind = propagate\nname = x\nsizes = 2, 1e3\n"
+    with pytest.raises(ScenarioError) as excinfo:
+        _read(text, [("sizes", INTS, (2, 4), None)])
+    assert excinfo.value.line == 4
 
 
 def test_choice_violations_name_the_options():
+    # an expand scenario's family picks its section: the options are the
+    # sections the table declares
+    table = [("expand/landau", "n_max", INT, 200, None),
+             ("expand/box", "n_max", INT, 50, None)]
     text = HEADER + "\nkind = expand\nname = x\nfamily = ring\n"
-    scn = parse_scenario_text(text, "c.scn")
     with pytest.raises(ScenarioError) as excinfo:
-        scn.get_str("family", choices={"landau", "box"})
+        parse_scenario_text(text, "c.scn").read(table)
     msg = str(excinfo.value)
-    assert "ring" in msg and "landau" in msg
+    assert "ring" in msg and "['box', 'landau']" in msg
+    assert excinfo.value.line == 4
+    text = HEADER + "\nkind = expand\nname = x\nfamily = box\n"
+    assert parse_scenario_text(text, "c.scn").read(table) == {
+        "family": "box", "n_max": 50}
+
+    text = HEADER + "\nkind = propagate\nname = x\ntarget = ring\n"
+    with pytest.raises(ScenarioError) as excinfo:
+        _read(text, [("target", {"eigenstate", "gaussian"}, REQUIRED, None)])
+    msg = str(excinfo.value)
+    assert "ring" in msg and "eigenstate" in msg
 
 
 def test_load_scenario_and_sha(tmp_path):
@@ -139,7 +211,7 @@ _scenario_dicts = st.dictionaries(_keys, _values, max_size=8)
 
 def _scenario_lines(keys, values, blanks):
     """Header, kind, name and the pairs, with comments and blanks interleaved."""
-    pairs = [("kind", "expand"), ("name", "demo")] + list(zip(keys, values))
+    pairs = [("kind", "propagate"), ("name", "demo")] + list(zip(keys, values))
     lines = ["# generated", HEADER]
     for (k, v), gap in zip(pairs, blanks):
         lines += ["", "# note"][:gap]
@@ -154,10 +226,10 @@ def test_generated_scenario_parses_back(data, blanks):
     lines = _scenario_lines(list(data), list(data.values()), blanks)
     scn = parse_scenario_text("\n".join(lines) + "\n", "gen.scn")
     assert {k: v for k, (v, _) in scn.raw.items()} \
-        == {"kind": "expand", "name": "demo", **data}
+        == {"kind": "propagate", "name": "demo", **data}
     for key, (value, line) in scn.raw.items():
         assert lines[line - 1] == f"{key} = {value}"
-    assert all(scn.get_str(k) == v for k, v in data.items())
+    assert scn.read(_table((k, TEXT, REQUIRED, None) for k in data)) == data
 
 
 @settings(max_examples=50, deadline=None)
@@ -175,11 +247,11 @@ def test_malformed_scenario_error_starts_with_origin_and_line(data, blanks,
         lines[bad] = "expansionlab-scenario v0"
     else:
         if defect == "duplicate":
-            start = lines.index("kind = expand") + 1
+            start = lines.index("kind = propagate") + 1
         bad = start + where % (len(lines) - start + 1)
         lines.insert(bad, {"no-equals": "just-a-token",
                            "empty-key": " = value",
-                           "duplicate": "kind = expand"}[defect])
+                           "duplicate": "kind = propagate"}[defect])
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario_text("\n".join(lines) + "\n", "gen.scn")
     assert excinfo.value.line == bad + 1
