@@ -30,10 +30,10 @@ from .basis import Box1D, BoxIndex, LandauIndex, LandauUniformField, SpacePoint
 from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     GaugeJumpScenario, PhaseFitScenario,
                     PhysicalConsistencyError, ReferenceUnavailableError,
-                    _along_x, zero_gauge_function)
+                    zero_gauge_function)
 from .propagation import Units
 from .scenario import (INT, INTS, REAL, REQUIRED, RunManifest, Scenario,
-                       ScenarioError, load_scenario)
+                       load_scenario)
 from .specfun import NonConvergenceError, QuadratureSpec, integrate_interval
 
 
@@ -241,7 +241,7 @@ def _expand_box(name: str, v: dict, scale: float):
 
 
 def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
-    v = scn.read(_KEYS)
+    v = scn.read(_KEYS, "expand")
     out_dir.mkdir(parents=True, exist_ok=True)
     expand = _expand_landau if v["family"] == "landau" else _expand_box
     code, stats, series, lines, report = expand(scn.name, v, tolerance_scale)
@@ -274,7 +274,7 @@ def _model(v: dict, units: Units, seed=None):
         m = rng.standard_normal((n_basis, n_basis)) \
             + 1j * rng.standard_normal((n_basis, n_basis))
         h = 0.5 * (m + m.conj().T) * amplitude
-        return propagation.HamiltonianModel(energies, [(lambda t: 1.0, h)],
+        return propagation.HamiltonianModel(energies, [(np.ones_like, h)],
                                             window), seed
     profile = "ramp" if kind == "dipole-ramp" else "step"
     return propagation.box_dipole_model(width, n_basis, amplitude,
@@ -284,7 +284,7 @@ def _model(v: dict, units: Units, seed=None):
 
 def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
                   seed=None):
-    v = scn.read(_KEYS)
+    v = scn.read(_KEYS, "propagate")
     units = Units(v["hbar"])
     n_slices, tracked = v["n_slices"], v["tracked"]
     model, seed = _model(v, units, seed)
@@ -347,16 +347,12 @@ def _experiment(cls, v: dict):
 
 def _phase_gauge(v: dict) -> GaugeFunction:
     """The phase-fit experiment's gauge function f = strength ramp(t) x."""
-    strength, tau = v["phase_strength"], v["phase_ramp_time"]
-    return GaugeFunction(
-        f=lambda t, r: strength * propagation.smooth_ramp(t, tau) * r[0],
-        grad_f=lambda t, r: _along_x(
-            strength * propagation.smooth_ramp(t, tau), r),
-        dt_f=lambda t, r: strength * propagation.smooth_ramp_dt(t, tau) * r[0])
+    return gauge.linear_gauge_function(*propagation.switch_profile(
+        "ramp", v["phase_ramp_time"], v["phase_strength"]))
 
 
 def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
-    v = scn.read(_KEYS)
+    v = scn.read(_KEYS, "gauge")
     jump = v["experiment"] == "jump"
     setup = _experiment(GaugeJumpScenario if jump else PhaseFitScenario, v)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -419,10 +415,13 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
 
 # ---------------------------------------------------------- reproduce-all
 
-def _dispatch(scn: Scenario, out_dir: Path, tolerance_scale: float, seed=None):
-    if scn.kind == "expand":
+def _dispatch(scn: Scenario, out_dir: Path, tolerance_scale: float, seed=None,
+              command=None):
+    """Run scn under command, by default the command of its own kind."""
+    command = command or scn.kind
+    if command == "expand":
         return cmd_expand(scn, out_dir, tolerance_scale)
-    if scn.kind == "propagate":
+    if command == "propagate":
         return cmd_propagate(scn, out_dir, tolerance_scale, seed)
     return cmd_gauge(scn, out_dir, tolerance_scale)
 
@@ -530,7 +529,7 @@ def _golden_problem(claim, golden) -> str:
 
 def _long_run_max_dev(scn: Scenario, n_steps: int) -> float:
     """max |norm^2 - 1| of an n_steps-slice Cayley run of a propagate scenario."""
-    v = scn.read(_KEYS)
+    v = scn.read(_KEYS, "propagate")
     units = Units(v["hbar"])
     model, _ = _model(v, units)
     c0 = np.eye(model.dim, dtype=complex)[v["initial_index"] - 1]
@@ -627,12 +626,9 @@ def main(argv=None) -> int:
                 else _bundled_scenario_dir()
             return cmd_reproduce_all(scenario_dir, Path(args.out),
                                      args.tolerance_scale)
-        scn = load_scenario(args.scenario)
-        if scn.kind != args.command:
-            raise ScenarioError(scn.origin, None, f"scenario kind '{scn.kind}' "
-                                f"cannot run under command '{args.command}'")
-        code, _ = _dispatch(scn, Path(args.out), args.tolerance_scale,
-                            getattr(args, "seed", None))
+        code, _ = _dispatch(load_scenario(args.scenario), Path(args.out),
+                            args.tolerance_scale, getattr(args, "seed", None),
+                            args.command)
         return code
     except NonConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)

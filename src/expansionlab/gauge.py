@@ -16,7 +16,8 @@ single point r of shape (3,) gives a scalar or a (3,) vector. Fields are
 never asked to guess which axis holds the points, so N = 3 is unambiguous; a
 uniform vector is broadcast over the points by _along_x. The observables
 take states and times with leading time axes and call each field once per
-time with every node at once.
+time with every node at once; the derivative checks call it once per time
+and difference step with every shifted point at once.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import propagation
 from .basis import box_modes
-from .propagation import (HamiltonianModel, Units, box_energies, hard_step,
-                          momentum_matrix_elements_box, smooth_ramp,
-                          smooth_ramp_dt, unitary_propagate)
+from .propagation import (HamiltonianModel, Units, box_energies,
+                          momentum_matrix_elements_box, switch_profile,
+                          unitary_propagate)
 from .specfun import QuadratureError
 
 DIFF_STEP = 1e-5     # central-difference step of consistency_defect
@@ -93,13 +94,9 @@ class GaugeFunction:
             fd_t = _richardson(lambda h: self.f(t + h, r) - self.f(t - h, r),
                                ht)
             worst = max(worst, _rel(fd_t, self.dt_f(t, r)))
-            grad = self.grad_f(t, r)
-            for j in range(3):
-                unit = _unit(r, j)
-                fd_j = _richardson(
-                    lambda h: self.f(t, r + h * unit) - self.f(t, r - h * unit),
-                    DIFF_STEP)
-                worst = max(worst, _rel(fd_j, grad[j]))
+            fd_r = _richardson(lambda h: _differences(self.f, t, r, h),
+                               DIFF_STEP)
+            worst = max(worst, _rel(fd_r, self.grad_f(t, r)))
         return worst
 
 
@@ -112,16 +109,22 @@ def _richardson(diff: Callable, h: float) -> float:
     return (4.0 * diff(0.5 * h) / h - diff(h) / (2.0 * h)) / 3.0
 
 
+# the unit shifts of _differences: [coordinate, sign, axis j, point]
+_SHIFTS = np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
+
+
+def _differences(field: Callable, t: float, r: np.ndarray, h: float):
+    """field(t, r + h e_j) - field(t, r - h e_j), every axis j in one call."""
+    pts = r.reshape(3, 1, 1, -1) + h * _SHIFTS
+    values = np.asarray(field(t, pts.reshape(3, -1)))
+    values = values.reshape(values.shape[:-1] + (2, 3, -1))
+    diff = (values[..., 0, :, :] - values[..., 1, :, :]).swapaxes(0, -2)
+    return diff.reshape(diff.shape[:-1] + r.shape[1:])
+
+
 def _rel(measured, stated) -> float:
     return float(np.max(np.abs(measured - stated)
                         / np.maximum(1.0, np.abs(stated))))
-
-
-def _unit(r: np.ndarray, j: int) -> np.ndarray:
-    """The unit vector along coordinate j at every point of r."""
-    unit = np.zeros_like(r)
-    unit[j] = 1.0
-    return unit
 
 
 def _along_x(a: float, r) -> np.ndarray:
@@ -141,6 +144,13 @@ def _zero_vector(t: float, r) -> np.ndarray:
 
 def zero_gauge_function() -> GaugeFunction:
     return GaugeFunction(_zero_scalar, _zero_vector, _zero_scalar)
+
+
+def linear_gauge_function(a: Callable, da_dt: Callable) -> GaugeFunction:
+    """f(t, r) = a(t) x for a profile a(t) with derivative da_dt(t)."""
+    return GaugeFunction(f=lambda t, r: a(t) * r[0],
+                         grad_f=lambda t, r: _along_x(a(t), r),
+                         dt_f=lambda t, r: da_dt(t) * r[0])
 
 
 @dataclass(frozen=True)
@@ -165,25 +175,16 @@ def electric_field(p: Potentials, t: float, r, t_step: float = 1e-6) -> np.ndarr
     """E = -grad Phi - dA/dt by central differences, shaped like r."""
     r = np.asarray(r, dtype=float)
     da = (p.vector(t + t_step, r) - p.vector(t - t_step, r)) / (2.0 * t_step)
-    e = np.empty_like(r)
-    for j in range(3):
-        shift = X_STEP * _unit(r, j)
-        dphi = (p.scalar(t, r + shift) - p.scalar(t, r - shift)) / (2.0 * X_STEP)
-        e[j] = -dphi - da[j]
-    return e
+    return -_differences(p.scalar, t, r, X_STEP) / (2.0 * X_STEP) - da
 
 
 def magnetic_field(p: Potentials, t: float, r) -> np.ndarray:
     """B = curl A by central differences, shaped like r."""
     r = np.asarray(r, dtype=float)
-    jac = np.empty((3,) + r.shape)
-    for j in range(3):
-        shift = X_STEP * _unit(r, j)
-        jac[:, j] = (p.vector(t, r + shift) - p.vector(t, r - shift)) \
-            / (2.0 * X_STEP)
-    return np.array([jac[2, 1] - jac[1, 2],
-                     jac[0, 2] - jac[2, 0],
-                     jac[1, 0] - jac[0, 1]])
+    jac = _differences(p.vector, t, r, X_STEP) / (2.0 * X_STEP)   # dA_i/dx_j
+    return np.array([jac[1, 2] - jac[2, 1],
+                     jac[2, 0] - jac[0, 2],
+                     jac[0, 1] - jac[1, 0]])
 
 
 def field_mismatch(p1: Potentials, p2: Potentials, times, points,
@@ -274,6 +275,11 @@ def velocity_and_momentum(state: LineState, A, t, units: Units = Units()):
     t is a time or an array of times matching the state's leading axes; the
     results have shape (..., 3), and every row must be unit-normalized.
     """
+    return _velocity_and_momentum(state, _on_line(A, t, state.x), units)
+
+
+def _velocity_and_momentum(state: LineState, a: np.ndarray, units: Units):
+    """velocity_and_momentum with A sampled on the nodes, a (..., 3, N)."""
     density = np.abs(state.value) ** 2
     norm = density @ state.w
     bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
@@ -282,7 +288,6 @@ def velocity_and_momentum(state: LineState, A, t, units: Units = Units()):
         raise NormalizationError(
             f"state norm {worst!r} deviates from 1 beyond {NORM_TOL!r}", worst)
     p_density = (state.value.conjugate() * (-1j * units.hbar * state.dx)).real
-    a = _on_line(A, t, state.x)
 
     # v_x as a single integrand: when the state is co-transformed with the
     # potentials, the grad-f terms cancel node by node, so the two gauges sum
@@ -359,27 +364,19 @@ class GaugeJumpScenario:
         if self.initial_index < 1 or self.initial_index > self.n_basis:
             raise ValueError("initial index must select a basis state")
 
-    def amplitude_of_t(self, t: float) -> float:
-        if self.switch == "step":
-            return self.amplitude * hard_step(t)
-        return self.amplitude * smooth_ramp(t, self.ramp_time)
-
-    def amplitude_dt(self, t: float) -> float:
-        if self.switch == "step":
-            return 0.0  # away from the switch instant
-        return self.amplitude * smooth_ramp_dt(t, self.ramp_time)
+    def _drive(self, scale: float = 1.0):
+        """(A, dA/dt) of the drive times scale, as profiles."""
+        return switch_profile(self.switch, self.ramp_time,
+                              scale * self.amplitude)
 
     def drive_potentials(self) -> Potentials:
-        return Potentials(lambda t, r: _along_x(self.amplitude_of_t(t), r),
-                          _zero_scalar)
+        a, _ = self._drive()
+        return Potentials(lambda t, r: _along_x(a(t), r), _zero_scalar)
 
     def gauge_function(self) -> GaugeFunction:
         if self.second_gauge == "identity":
             return zero_gauge_function()
-        return GaugeFunction(
-            f=lambda t, r: -self.amplitude_of_t(t) * r[0],
-            grad_f=lambda t, r: _along_x(-self.amplitude_of_t(t), r),
-            dt_f=lambda t, r: -self.amplitude_dt(t) * r[0])
+        return linear_gauge_function(*self._drive(-1.0))
 
     def second_potentials(self) -> Potentials:
         if self.second_gauge == "identity":
@@ -388,9 +385,9 @@ class GaugeJumpScenario:
             # claims to be a gauge partner of the drive but scales the
             # amplitude, so its electric field differs wherever A varies; the
             # experiment's field check must reject it
+            a, _ = self._drive()
             return Potentials(
-                lambda t, r: _along_x(
-                    self.amplitude_of_t(t) * self.mismatch_factor, r),
+                lambda t, r: _along_x(a(t) * self.mismatch_factor, r),
                 _zero_scalar)
         g = self.gauge_function()
         return transform_potentials(self.drive_potentials(), g)
@@ -398,10 +395,10 @@ class GaugeJumpScenario:
     def hamiltonian(self) -> HamiltonianModel:
         p = momentum_matrix_elements_box(self.width, self.n_basis, self.units)
         eye = np.eye(self.n_basis, dtype=complex)
+        a, _ = self._drive()
         return HamiltonianModel(
             box_energies(self.width, self.n_basis, self.units),
-            [(lambda t: -self.amplitude_of_t(t), p),
-             (lambda t: 0.5 * self.amplitude_of_t(t) ** 2, eye)],
+            [(lambda t: -a(t), p), (lambda t: 0.5 * a(t) ** 2, eye)],
             (0.0, self.t_end))
 
 
@@ -481,10 +478,10 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
         """
         psi1 = box_line_state(scenario.width, amps)
         psi2 = phase_transform(psi1, g, t)
+        a2 = _on_line(pot2.vector, t, psi1.x)    # one sampling for both rows
         return np.stack([*velocity_and_momentum(psi1, pot1.vector, t, units),
-                         velocity_and_momentum(psi1, pot2.vector, t, units)[0],
-                         *velocity_and_momentum(psi2, pot2.vector, t, units)],
-                        axis=-2)
+                         _velocity_and_momentum(psi1, a2, units)[0],
+                         *_velocity_and_momentum(psi2, a2, units)], axis=-2)
 
     # pre-switch reference: stationary bound state, potentials still off
     v_pre, _ = velocity_and_momentum(box_line_state(scenario.width, c0),

@@ -9,11 +9,16 @@ the profiles once per run and factors each phase as exp(i w_{nl} t) =
 d_n(t) conj(d_l(t)), d(t) = exp(i eps t / hbar), so a step is one
 matrix-vector product per term; rhs() keeps the literal dim x dim form. The
 Cayley (Crank-Nicolson) stepper is the norm-preserving contrast oracle. When
-the perturbation is one matrix X with a scalar profile plus multiples of the
+the perturbation is one matrix X times a profile, plus multiples of the
 identity, it steps in the eigenbasis of X: the Cayley factor is diagonal
 there and the free evolution between midpoints is one constant unitary, so a
 step is one diagonal scale and one matrix-vector product. Other models take
 one linear solve per step.
+
+Profile contract. A term's profile is called with an array of times and
+returns a real array of the same shape (a float time gives a 0-d result); a
+model checks this on its window's endpoints, and each stepper samples each
+term with one call on its step times.
 
 Both steppers fill their rows in blocks of _CHUNK_ENTRIES (2^11) entries and
 hand each block to one collector, which records every row's norm sum_k
@@ -46,33 +51,52 @@ class Units:
             raise PropagationContractError("hbar must be positive")
 
 
-def smooth_ramp(t: float, tau: float) -> float:
+def _where(cond, yes, no):
+    """np.where(cond, yes, no), picking without arrays for a scalar cond.
+
+    The gauge fields call their profile once per float time, hundreds of
+    times a run, where np.where's three 0-d arrays cost more than the form.
+    """
+    if isinstance(cond, (bool, np.bool_)):
+        return yes if cond else no
+    return np.where(cond, yes, no)
+
+
+def smooth_ramp(t, tau: float):
     """sin^2(pi t / 2 tau) switch-on: 0 before t=0, 1 after t=tau."""
-    if t <= 0.0:
-        return 0.0
-    if t >= tau:
-        return 1.0
-    s = math.sin(0.5 * math.pi * t / tau)
-    return s * s
+    s = np.sin(0.5 * math.pi * t / tau)
+    return _where(t <= 0.0, 0.0, _where(t >= tau, 1.0, s * s))
 
 
-def smooth_ramp_dt(t: float, tau: float) -> float:
-    if t <= 0.0 or t >= tau:
-        return 0.0
-    return 0.5 * math.pi / tau * math.sin(math.pi * t / tau)
+def smooth_ramp_dt(t, tau: float):
+    return _where((t <= 0.0) | (t >= tau), 0.0,
+                  0.5 * math.pi / tau * np.sin(math.pi * t / tau))
 
 
-def hard_step(t: float) -> float:
+def hard_step(t):
     """Unit step switched at t = 0 (inclusive)."""
-    return 1.0 if t >= 0.0 else 0.0
+    return _where(t >= 0.0, 1.0, 0.0)
+
+
+def switch_profile(kind: str, tau: float, scale: float = 1.0):
+    """(s, ds/dt) profiles of scale times a "step" or a "ramp" over tau > 0."""
+    if kind == "ramp":
+        if not tau > 0.0:   # the forms divide by tau
+            raise PropagationContractError(
+                f"ramp time must be positive, got {tau!r}")
+        return (lambda t: scale * smooth_ramp(t, tau),
+                lambda t: scale * smooth_ramp_dt(t, tau))
+    if kind == "step":      # ds/dt is zero away from the switch instant
+        return lambda t: scale * hard_step(t), lambda t: np.zeros(np.shape(t))
+    raise PropagationContractError(f"unknown switch profile {kind!r}")
 
 
 @dataclass
 class HamiltonianModel:
     """Eigenenergies plus a time-dependent perturbation H1(t) = sum_j h_j(t) X_j.
 
-    Each term is a (profile, matrix) pair with a real scalar profile and a
-    constant Hermitian matrix, which keeps Hermiticity checkable by
+    Each term is a (profile, matrix) pair with a real array-valued profile
+    and a constant Hermitian matrix, which keeps Hermiticity checkable by
     construction. H1 vanishes outside the switching window.
     """
 
@@ -92,7 +116,17 @@ class HamiltonianModel:
         self.window = (float(t0), float(t1))
         dim = self.energies.size
         checked = []
-        for profile, matrix in self.terms:
+        for j, (profile, matrix) in enumerate(self.terms):
+            try:
+                ends = np.asarray(profile(np.array(self.window)))
+                ok = ends.shape == (2,) and ends.dtype.kind in "iuf" \
+                    and np.all(np.isfinite(ends))
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise PropagationContractError(
+                    f"profile of term {j} must map an array of times to a "
+                    f"real finite array of the same shape")
             m = np.asarray(matrix, dtype=complex)
             if m.shape != (dim, dim):
                 raise PropagationContractError(
@@ -240,6 +274,13 @@ def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
     return c, times, dt, omega
 
 
+def _sample(model: HamiltonianModel, times: np.ndarray):
+    """(times, terms) table of profiles, one call per term; the matrices."""
+    return (np.reshape([p(times) for p, _ in model.terms], (-1, times.size)).T,
+            np.array([m for _, m in model.terms],
+                     dtype=complex).reshape(-1, model.dim, model.dim))
+
+
 def rhs(c, t: float, model: HamiltonianModel, units: Units = Units()) -> np.ndarray:
     """dC_n/dt = -(i/hbar) sum_l C_l (H1)_{nl} exp(i w_{nl} t)."""
     c = np.asarray(c, dtype=complex)
@@ -271,16 +312,14 @@ def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
     c, times, dt, _ = _prepare(c0, model, n_slices, units)
     out = _Collector(times, c, tracked, "euler")
     left = times[:-1]
-    a = np.array([[profile(t) for profile, _ in model.terms] for t in left],
-                 dtype=complex) * (-1j * dt / units.hbar)
-    xs = np.array([m for _, m in model.terms],
-                  dtype=complex).reshape(-1, model.dim)
+    a, xs = _sample(model, left)
+    a = a * (-1j * dt / units.hbar)
     freq = model.energies / units.hbar
     for lo, block in out.blocks():
         hi = lo + len(block)
         d = np.exp(1j * np.outer(left[lo:hi], freq))
         for dn, dl, ai, row in zip(d, d.conj(), a[lo:hi], block):
-            z = np.dot(ai, (xs @ (dl * c)).reshape(-1, model.dim))
+            z = np.dot(ai, xs @ (dl * c))
             np.multiply(dn, z, out=z)
             # row may be the buffer row that holds c (one row per block)
             np.add(z, c, out=row)
@@ -345,10 +384,13 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     tm = times[:-1] + 0.5 * dt
     general, scalar = _split_terms(model)
     if len(general) != 1:
+        values, xs = _sample(model, tm)
         eye = np.eye(model.dim, dtype=complex)
         for lo, block in out.blocks():
-            for t, row in zip(tm[lo:lo + len(block)], block):
-                m = model.h1(t) * np.exp(1j * omega * t)
+            hi = lo + len(block)
+            h1s = np.tensordot(values[lo:hi], xs, 1)    # H1 at each midpoint
+            for t, h1, row in zip(tm[lo:hi], h1s, block):
+                m = h1 * np.exp(1j * omega * t)
                 c = np.linalg.solve(eye + half * m, c - half * (m @ c))
                 row[:] = c
         return out.trajectory()
@@ -358,10 +400,10 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     v = _polar(v)
     freq = model.energies / units.hbar
     u = _polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
-    s = np.array([profile(t) for t in tm], dtype=float)
+    s = profile(tm)
     shift = np.zeros(n_slices)
     for prof, scale in scalar:
-        shift += scale * np.array([prof(t) for t in tm], dtype=float)
+        shift += scale * prof(tm)
     w = v.conj().T @ (np.exp(-1j * freq * tm[0]) * c)
     for a, block in out.blocks():
         b = a + len(block)
@@ -512,12 +554,7 @@ def box_dipole_model(width: float, n_basis: int, amplitude: float,
                      profile: str = "ramp") -> HamiltonianModel:
     """H1(t) = amplitude * switch(t) * x on the box basis."""
     x = dipole_matrix_elements_box(width, n_basis)
-    if profile == "ramp":
-        switch = lambda t: amplitude * smooth_ramp(t, ramp_time)
-    elif profile == "step":
-        switch = lambda t: amplitude * hard_step(t)
-    else:
-        raise PropagationContractError(f"unknown switch profile {profile!r}")
+    switch, _ = switch_profile(profile, ramp_time, amplitude)
     return HamiltonianModel(box_energies(width, n_basis, units), [(switch, x)],
                             window)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 HEADER = "expansionlab-scenario v1"
 # the key whose value picks the section of a kind that has several
@@ -55,15 +55,20 @@ class Scenario:
     raw: dict = field(default_factory=dict)   # key -> (value string, line)
     text: str = ""
 
-    def read(self, table) -> dict:
+    def read(self, table, command=None) -> dict:
         """The typed value of every key of this scenario's section.
 
         table rows are (section, key, type, default, constraint); a section
         is a kind, or kind/choice where SELECTORS names the choosing key. A
         default may be a function of the values before it; a constraint
         maps (value, values) to what is wrong, or ''. An undeclared key is
-        an error at its line, before any row is read.
+        an error at its line, before any row is read. A command, when one
+        is named, must be the scenario's kind.
         """
+        if command not in (None, self.kind):
+            raise ScenarioError(self.origin, None, f"scenario kind "
+                                f"'{self.kind}' cannot run under command "
+                                f"'{command}'")
         section, values = self.kind, {}
         selector = SELECTORS.get(self.kind)
         if selector:
@@ -168,14 +173,6 @@ class RunManifest:
                              "sha256": file_sha256(path)})
 
     def write(self, path):
-        payload = {
-            "scenario_sha256": self.scenario_sha256,
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "tolerance_scale": self.tolerance_scale,
-            "seed": self.seed,
-            "outputs": self.outputs,
-        }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -83,7 +83,7 @@ def test_criterion_3_one_step_arithmetic():
                         (0.8, 0.02, 2.0)):
         units = Units(hbar)
         m = HamiltonianModel((0.0, 1.0),
-                             [(lambda t: 1.0,
+                             [(np.ones_like,
                                np.diag([h, 0.0]).astype(complex))],
                              (0.0, dt))
         traj = euler_propagate(pure_state(2), m, 1, units)

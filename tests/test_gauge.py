@@ -20,10 +20,12 @@ from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 field_mismatch, free_potentials,
                                 gauge_jump_experiment, magnetic_field,
                                 phase_factored_expansion_test, phase_transform,
-                                transform_potentials, velocity_and_momentum,
-                                write_observable_csv, zero_gauge_function)
+                                linear_gauge_function, transform_potentials,
+                                velocity_and_momentum, write_observable_csv,
+                                zero_gauge_function)
 from expansionlab.gauge import _along_x
-from expansionlab.propagation import Units, smooth_ramp, smooth_ramp_dt
+from expansionlab.propagation import (Units, smooth_ramp, smooth_ramp_dt,
+                                      switch_profile)
 from expansionlab.scenario import load_scenario
 from expansionlab.specfun import QuadratureError
 
@@ -143,6 +145,51 @@ def test_gauge_function_consistency_defect():
         grad_f=lambda t, r: _along_x(2.6, r),  # wrong on purpose
         dt_f=lambda t, r: 0.0 * r[0])
     assert broken.consistency_defect(times, points) > 0.1
+
+
+@pytest.mark.parametrize("kind", ["step", "ramp"])
+def test_linear_gauge_function_derivatives_are_consistent(kind):
+    # f = a(t) x from the switch profiles, probed on both sides of the step
+    # instant and the ramp's end but more than the 1e-5 time step from them
+    g = linear_gauge_function(*switch_profile(kind, 0.4, -0.3))
+    times = [-0.3, -2e-5, 2e-5, 0.05, 0.2, 0.39, 0.41, 0.8]
+    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
+    assert g.consistency_defect(times, points) < 1e-6
+    a = -0.3 * (1.0 if kind == "step" else smooth_ramp(0.2, 0.4))
+    assert np.array_equal(g.f(0.2, points), a * points[0])
+
+
+def test_fields_of_uniform_e_and_b():
+    # A = B x r / 2 - t E0 and Phi = -E1 . r give B and E = E0 + E1 with
+    # every component nonzero, so a swapped curl index or probe sign shows
+    bv, e0, e1 = np.array([0.7, -0.2, 0.5]), np.array([0.3, -0.4, 0.6]), \
+        np.array([1.3, 0.1, -0.8])
+    pots = Potentials(
+        lambda t, r: 0.5 * np.cross(bv, r, axis=0) - t * e0[:, None],
+        lambda t, r: -(e1 @ r))
+    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
+    b = magnetic_field(pots, 0.3, points)
+    e = electric_field(pots, 0.3, points, 1e-6)
+    assert np.allclose(b, bv[:, None], atol=1e-8)
+    assert np.allclose(e, (e0 + e1)[:, None], atol=1e-8)
+
+
+def test_field_probes_match_pointwise_evaluation():
+    # the derivative checks evaluate every shifted point in one field call;
+    # a batch of points gives the bits each point gives on its own
+    tau = 0.4
+    pots = transform_potentials(
+        Potentials(lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
+                   uniform_scalar(lambda t: 0.0)),
+        oscillating_gauge())
+    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
+    for field in (electric_field, magnetic_field):
+        batch = field(pots, 0.2, points)
+        assert batch.shape == (3, 3)
+        for k in range(3):
+            alone = field(pots, 0.2, points[:, k])
+            assert alone.shape == (3,)
+            assert np.array_equal(alone, batch[:, k])
 
 
 def oscillating_gauge(error=0.0):

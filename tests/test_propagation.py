@@ -31,7 +31,7 @@ GOLDEN_X12 = -0.18012654869748937                  # = -16 / (9 pi^2), L = 1
 
 def two_level_model(v=0.3, t_end=10.0):
     h1 = np.array([[0.0, v], [v, 0.0]], dtype=complex)
-    return HamiltonianModel((0.0, 1.0), [(lambda t: 1.0, h1)], (0.0, t_end))
+    return HamiltonianModel((0.0, 1.0), [(np.ones_like, h1)], (0.0, t_end))
 
 
 def pure_state(dim, s=0):
@@ -70,6 +70,88 @@ def test_ramp_profiles():
     assert hard_step(0.0) == 1.0
 
 
+def ramp_reference(t, tau):
+    if t <= 0.0:
+        return 0.0
+    if t >= tau:
+        return 1.0
+    s = math.sin(0.5 * math.pi * t / tau)
+    return s * s
+
+
+def ramp_dt_reference(t, tau):
+    if t <= 0.0 or t >= tau:
+        return 0.0
+    return 0.5 * math.pi / tau * math.sin(math.pi * t / tau)
+
+
+def step_reference(t, tau):
+    return 1.0 if t >= 0.0 else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.floats(1e-6, 1e3),
+       extra=st.lists(st.floats(-1e4, 1e4), max_size=30))
+def test_profiles_match_scalar_references_bit_for_bit(tau, extra):
+    # the array forms against the branchy math forms they replace, at the
+    # switch instant, around tau and at signed tiny times; the float (0-d)
+    # call must give the same bits as the matching array element
+    inside = np.nextafter(tau, 0.0)
+    t = np.array([0.0, -0.0, 1e-300, -1e-300, tau, inside,
+                  np.nextafter(inside, 0.0), 0.5 * tau,
+                  np.nextafter(tau, np.inf), 2.0 * tau, -tau] + extra)
+    for form, reference in ((smooth_ramp, ramp_reference),
+                            (smooth_ramp_dt, ramp_dt_reference),
+                            (lambda t, tau: hard_step(t), step_reference)):
+        got = form(t, tau)
+        assert got.shape == t.shape and got.dtype == np.float64
+        want = np.array([reference(x, tau) for x in t.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for x, element in zip(t.tolist(), got):
+            zero_d = form(x, tau)
+            assert np.shape(zero_d) == ()
+            assert np.float64(zero_d).view(np.uint64) == \
+                element.view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["step", "ramp"])
+def test_switch_profile_scales_the_forms(kind):
+    t = np.linspace(-0.5, 1.0, 31)
+    s, ds = propagation.switch_profile(kind, 0.4, -2.5)
+    base = hard_step(t) if kind == "step" else smooth_ramp(t, 0.4)
+    rate = 0.0 * t if kind == "step" else smooth_ramp_dt(t, 0.4)
+    assert np.array_equal(s(t), -2.5 * base)
+    assert np.array_equal(ds(t), -2.5 * rate)
+    assert np.shape(s(0.3)) == np.shape(ds(0.3)) == ()
+
+
+def test_unknown_switch_kind_raises():
+    with pytest.raises(PropagationContractError, match="'linear'"):
+        propagation.switch_profile("linear", 0.4)
+    with pytest.raises(PropagationContractError, match="ramp time"):
+        propagation.switch_profile("ramp", 0.0)
+    propagation.switch_profile("step", 0.0)     # a step has no ramp time
+    with pytest.raises(PropagationContractError, match="'linear'"):
+        box_dipole_model(1.0, 4, 1.0, 0.5, (0.0, 1.0), UNITS, "linear")
+    # the gauge experiment used to run any switch but "step" as a ramp
+    with pytest.raises(PropagationContractError, match="'linear'"):
+        GaugeJumpScenario(switch="linear").hamiltonian()
+
+
+@pytest.mark.parametrize("profile", [
+    lambda t: 1.0,                          # a float for every time
+    math.cos,                               # refuses an array of times
+    lambda t: np.ones(3),                   # the wrong shape
+    lambda t: np.exp(1j * t),               # complex
+    lambda t: np.where(t > 0.5, np.inf, 0.0),   # not finite
+], ids=["constant-float", "math-cos", "shape", "complex", "infinite"])
+def test_profile_contract_checked_when_the_model_is_built(profile):
+    eye = np.eye(2)
+    with pytest.raises(PropagationContractError, match="profile of term 1"):
+        HamiltonianModel((0.0, 1.0), [(np.ones_like, eye), (profile, eye)],
+                         (0.0, 1.0))
+
+
 def test_bohr_frequencies_examples():
     m = HamiltonianModel((1.0, 1.0), [], (0.0, 1.0))
     assert np.all(bohr_frequencies(m) == 0.0)
@@ -93,12 +175,12 @@ def test_model_window_and_validation():
         HamiltonianModel((0.0, 1.0), [], (1.0, 1.0))
     with pytest.raises(PropagationContractError):
         HamiltonianModel((0.0, 1.0),
-                         [(lambda t: 1.0, np.array([[0.0, 1.0],
+                         [(np.ones_like, np.array([[0.0, 1.0],
                                                     [0.0, 0.0]]))],
                          (0.0, 1.0))
     with pytest.raises(PropagationContractError):
         HamiltonianModel((0.0, 1.0),
-                         [(lambda t: 1.0, np.eye(3))], (0.0, 1.0))
+                         [(np.ones_like, np.eye(3))], (0.0, 1.0))
 
 
 def test_rhs_zero_and_diagonal_cases():
@@ -107,7 +189,7 @@ def test_rhs_zero_and_diagonal_cases():
 
     h = 0.7
     md = HamiltonianModel((0.0, 1.0),
-                          [(lambda t: 1.0,
+                          [(np.ones_like,
                             np.diag([h, 0.0]).astype(complex))],
                           (0.0, 1.0))
     out = rhs(pure_state(2), 0.5, md, UNITS)
@@ -120,7 +202,7 @@ def test_rhs_norm_derivative_vanishes_for_hermitian_coupling():
     rng = np.random.default_rng(11)
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h1 = 0.5 * (raw + raw.conj().T)
-    m = HamiltonianModel(rng.standard_normal(4), [(lambda t: 1.0, h1)],
+    m = HamiltonianModel(rng.standard_normal(4), [(np.ones_like, h1)],
                          (0.0, 1.0))
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     c /= np.linalg.norm(c)
@@ -139,7 +221,7 @@ def test_one_step_diagonal_closed_form(h, dt):
     # one Euler step from a pure state with diagonal real coupling:
     # C_s(t1) = 1 - i h dt / hbar, so |C_s|^2 = 1 + (h dt / hbar)^2
     m = HamiltonianModel((0.0, 1.0),
-                         [(lambda t: 1.0, np.diag([h, 0.0]).astype(complex))],
+                         [(np.ones_like, np.diag([h, 0.0]).astype(complex))],
                          (0.0, dt))
     traj = euler_propagate(pure_state(2), m, 1, UNITS)
     c1 = traj.states[1, 0]
@@ -154,7 +236,7 @@ def test_one_step_general_hermitian_closed_form():
     raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h1 = 0.5 * (raw + raw.conj().T)
     dt = 0.02
-    m = HamiltonianModel(rng.standard_normal(5), [(lambda t: 1.0, h1)],
+    m = HamiltonianModel(rng.standard_normal(5), [(np.ones_like, h1)],
                          (0.0, dt))
     traj = euler_propagate(pure_state(5, s=2), m, 1, UNITS)
     expected = 1.0 + dt ** 2 * float(np.sum(np.abs(h1[:, 2]) ** 2))
@@ -164,7 +246,7 @@ def test_one_step_general_hermitian_closed_form():
     h1z = h1.copy()
     h1z[:, 2] = 0.0
     h1z[2, :] = 0.0
-    mz = HamiltonianModel(rng.standard_normal(5), [(lambda t: 1.0, h1z)],
+    mz = HamiltonianModel(rng.standard_normal(5), [(np.ones_like, h1z)],
                           (0.0, dt))
     traj = euler_propagate(pure_state(5, s=2), mz, 1, UNITS)
     assert traj.norms[1] == pytest.approx(1.0, abs=1e-15)
@@ -215,7 +297,7 @@ def test_unitary_norm_preserved_per_step():
     raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h1 = 0.5 * (raw + raw.conj().T)
     m = HamiltonianModel(rng.standard_normal(6),
-                         [(lambda t: math.cos(3.0 * t), h1)], (0.0, 2.0))
+                         [(lambda t: np.cos(3.0 * t), h1)], (0.0, 2.0))
     traj = unitary_propagate(pure_state(6), m, 500, UNITS)
     assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
 
@@ -252,7 +334,7 @@ def test_unitary_matches_solve_oracle_box_dipole():
 def test_unitary_matches_solve_oracle_random_hermitian():
     rng = np.random.default_rng(21)
     m = HamiltonianModel(np.sort(rng.uniform(0.0, 40.0, 16)),
-                         [(lambda t: math.sin(2.0 * t),
+                         [(lambda t: np.sin(2.0 * t),
                            random_hermitian(rng, 16))], (0.0, 3.0))
     c0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     c0 /= np.linalg.norm(c0)
@@ -276,7 +358,7 @@ def test_unitary_non_commuting_terms_match_solve_oracle():
     a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
     assert np.max(np.abs(a @ b - b @ a)) > 1e-3
     m = HamiltonianModel(rng.standard_normal(6),
-                         [(lambda t: math.cos(3.0 * t), a),
+                         [(lambda t: np.cos(3.0 * t), a),
                           (lambda t: t * t, b)], (0.0, 2.0))
     traj = unitary_propagate(pure_state(6, 2), m, 400, UNITS)
     oracle = cayley_oracle(pure_state(6, 2), m, 400)
@@ -292,7 +374,7 @@ def test_unitary_norm_preserved_per_step_property(seed, dim, amplitude, freq,
                                                   n_slices):
     rng = np.random.default_rng(seed)
     m = HamiltonianModel(rng.uniform(0.0, 100.0, dim),
-                         [(lambda t: amplitude * math.cos(freq * t),
+                         [(lambda t: amplitude * np.cos(freq * t),
                            random_hermitian(rng, dim))], (0.0, 1.0))
     c0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     c0 /= np.linalg.norm(c0)
@@ -316,7 +398,7 @@ def test_streamed_rows_match_full_run_property(stepper, terms, rows, tracked,
     # partial; two general terms send Cayley to its linear-solve path
     rng = np.random.default_rng(seed)
     m = HamiltonianModel(rng.uniform(0.0, 50.0, dim),
-                         [(lambda t, k=k: math.cos((k + 1) * t),
+                         [(lambda t, k=k: np.cos((k + 1) * t),
                            random_hermitian(rng, dim)) for k in range(terms)],
                          (0.0, 1.0))
     c0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -378,7 +460,7 @@ def test_euler_matches_rhs_oracle_dipole_step():
 def test_euler_matches_rhs_oracle_random_hermitian():
     rng = np.random.default_rng(21)
     m = HamiltonianModel(np.sort(rng.uniform(0.0, 40.0, 16)),
-                         [(lambda t: math.sin(2.0 * t),
+                         [(lambda t: np.sin(2.0 * t),
                            random_hermitian(rng, 16))], (0.0, 3.0))
     assert_euler_matches_oracle(pure_state(16, 3), m, 1500)
 
@@ -393,7 +475,7 @@ def test_euler_matches_rhs_oracle_non_commuting_terms():
     rng = np.random.default_rng(8)
     a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
     m = HamiltonianModel(rng.standard_normal(6),
-                         [(lambda t: math.cos(3.0 * t), a),
+                         [(lambda t: np.cos(3.0 * t), a),
                           (lambda t: t * t, b),
                           (lambda t: 0.5 + t, 2.0 * np.eye(6))], (0.0, 2.0))
     assert_euler_matches_oracle(pure_state(6, 2), m, 400)
@@ -412,7 +494,7 @@ def test_euler_norm_never_falls_and_step1_closed_form_property(
         seed, dim, amplitude, freq, n_slices, s):
     rng = np.random.default_rng(seed)
     m = HamiltonianModel(rng.uniform(0.0, 100.0, dim),
-                         [(lambda t: amplitude * math.cos(freq * t),
+                         [(lambda t: amplitude * np.cos(freq * t),
                            random_hermitian(rng, dim))], (0.0, 1.0))
     traj = euler_propagate(pure_state(dim, s % dim), m, n_slices, UNITS)
     assert np.all(np.diff(traj.norms) >= -1e-15 * traj.norms[:-1])
@@ -454,7 +536,7 @@ def test_audit_zero_coupling_equality_throughout():
 def test_audit_diagonal_growth_per_step_exact():
     h, dt, n = 0.8, 0.01, 40
     m = HamiltonianModel((0.0, 1.0),
-                         [(lambda t: 1.0, np.diag([h, 0.0]).astype(complex))],
+                         [(np.ones_like, np.diag([h, 0.0]).astype(complex))],
                          (0.0, n * dt))
     traj = euler_propagate(pure_state(2), m, n, UNITS)
     report = norm_audit(traj, m, UNITS)

@@ -198,6 +198,13 @@ def test_manifest_is_deterministic(tmp_path):
     assert data["scenario_sha256"] == "f" * 64
     assert data["outputs"][0]["path"] == "artifact.csv"
     assert len(data["outputs"][0]["sha256"]) == 64
+    # every field once, sorted, indented by two, with a trailing newline
+    assert p1.read_text() == "\n".join([
+        '{', '  "command": "expand",', '  "outputs": [', '    {',
+        '      "path": "artifact.csv",',
+        f'      "sha256": "{file_sha256(out)}"', '    }', '  ],',
+        f'  "scenario_sha256": "{"f" * 64}",', '  "seed": null,',
+        '  "tolerance_scale": 1.0,', '  "tool_version": "0.1.0"', '}', ''])
 
 
 # keys are identifiers; values may hold spaces and '=' but never '#', which
