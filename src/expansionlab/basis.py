@@ -176,7 +176,8 @@ def box_modes(width: float, n_modes: int, x: np.ndarray):
 
 
 def box_eigenfunction_dx(n: int, x: float, width: float) -> float:
-    # spatial derivative, needed for momentum quadratures
+    # d/dx of box_eigenfunction at one point: the reference the derivative
+    # table of gauge.box_line_state is tested against
     if n < 1:
         raise BasisIndexError("box quantum number must be a positive integer")
     if x < 0.0 or x > width:

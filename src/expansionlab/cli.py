@@ -75,6 +75,15 @@ def _positive(v, _):
     return "" if v > 0 else f"must be positive, got {v!r}"
 
 
+def _at_least(n):
+    return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
+
+
+def _positive_if(uses_ramp):
+    """_positive where uses_ramp(the values read so far) says a ramp runs."""
+    return lambda v, values: _positive(v, values) if uses_ramp(values) else ""
+
+
 def _in_1_to(bound):
     """The constraint 1 <= value <= the value of key `bound`."""
     return lambda v, values: "" if 1 <= v <= values[bound] else (
@@ -86,19 +95,18 @@ def _in_1_to(bound):
 # The gauge defaults are the fields of the experiment classes.
 _J, _F = GaugeJumpScenario, PhaseFitScenario
 _KEYS = (
-    ("expand/landau", "magnetic_length", REAL, 1.0, None),
+    ("expand/landau", "magnetic_length", REAL, 1.0, _positive),
     ("expand/landau", "n_max", INT, 200, None),
     ("expand/landau", "quad_check_max", INT, 20, _in_1_to("n_max")),
     ("expand/box", "width", REAL, 1.0, _positive),
-    ("expand/box", "n_max", INT, 50, None),
+    ("expand/box", "n_max", INT, 50, _at_least(1)),
     ("expand/box", "target", {"eigenstate", "gaussian"}, REQUIRED, None),
-    ("expand/box", "target_n", INT, 1, None),
+    ("expand/box", "target_n", INT, 1, _at_least(1)),
     ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0, _positive),
     ("expand/box", "center", REAL, lambda v: v["width"] / 2.0, None),
     ("propagate", "hbar", REAL, Units.hbar, None),
-    ("propagate", "n_slices", INT, 1000, None),
-    ("propagate", "tracked", INT, 8,
-     lambda v, _: "" if v >= 0 else f"must be at least 0, got {v}"),
+    ("propagate", "n_slices", INT, 1000, _at_least(1)),
+    ("propagate", "tracked", INT, 8, _at_least(0)),
     ("propagate", "well_width", REAL, 1.0, None),
     ("propagate", "n_basis", INT, 32, None),
     ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
@@ -108,13 +116,16 @@ _KEYS = (
     ("propagate", "t_end", REAL, 1.0, None),
     ("propagate", "amplitude", REAL, 1.0, None),
     ("propagate", "seed", INT, 0, None),
-    ("propagate", "ramp_time", REAL, 0.5, None),
+    ("propagate", "ramp_time", REAL, 0.5,
+     _positive_if(lambda v: v["perturbation"] == "dipole-ramp")),
     ("gauge/jump", "well_width", REAL, _J.width, _positive),
-    ("gauge/jump", "n_basis", INT, _J.n_basis, None),
-    ("gauge/jump", "initial_index", INT, _J.initial_index, None),
+    ("gauge/jump", "n_basis", INT, _J.n_basis, _at_least(2)),
+    ("gauge/jump", "initial_index", INT, _J.initial_index,
+     _in_1_to("n_basis")),
     ("gauge/jump", "amplitude", REAL, _J.amplitude, None),
     ("gauge/jump", "switch", {"step", "ramp"}, _J.switch, None),
-    ("gauge/jump", "ramp_time", REAL, _J.ramp_time, None),
+    ("gauge/jump", "ramp_time", REAL, _J.ramp_time,
+     _positive_if(lambda v: v["switch"] == "ramp")),
     ("gauge/jump", "t_end", REAL, _J.t_end, _positive),
     ("gauge/jump", "n_slices", INT, _J.n_slices, _positive),
     ("gauge/jump", "observe_stride", INT, _J.observe_stride, _positive),
@@ -123,21 +134,23 @@ _KEYS = (
     ("gauge/jump", "mismatch_factor", REAL, _J.mismatch_factor, None),
     ("gauge/jump", "hbar", REAL, Units.hbar, None),
     ("gauge/phase-fit", "well_width", REAL, _F.width, _positive),
-    ("gauge/phase-fit", "n_reference", INT, _F.n_reference, None),
     ("gauge/phase-fit", "initial_index", INT, _F.initial_index, None),
     ("gauge/phase-fit", "amplitude", REAL, _F.amplitude, None),
-    ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, None),
+    ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, _positive),
     ("gauge/phase-fit", "t_end", REAL, _F.t_end, None),
     ("gauge/phase-fit", "n_slices", INT, _F.n_slices, None),
     ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
      lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
      f"at least two increasing sizes for the plateau verdict, got {list(v)}"),
+    ("gauge/phase-fit", "n_reference", INT, _F.n_reference,
+     lambda v, values: "" if v >= values["fit_sizes"][-1] else "must cover "
+     f"the largest fit size, {values['fit_sizes'][-1]}, got {v}"),
     ("gauge/phase-fit", "n_grid", INT, _F.n_grid, _positive),
     ("gauge/phase-fit", "fit_stride", INT, _F.fit_stride, _positive),
     ("gauge/phase-fit", "hbar", REAL, Units.hbar, None),
     ("gauge/phase-fit", "phase_strength", REAL, 0.8, None),
     ("gauge/phase-fit", "phase_ramp_time", REAL, lambda v: v["ramp_time"],
-     None),
+     _positive),
 )
 
 

@@ -10,14 +10,14 @@ nodes for N sine terms; the jump experiment re-checks its last time on twice
 the nodes and raises QuadratureError if a value moves beyond round-off.
 
 Field contract. A field (potential, gauge function or derivative) is called
-as field(t, r) with a float time t and points r as a (3, N) array, axis 0
-the coordinate. A scalar field returns shape (N,), a vector field (3, N); a
-single point r of shape (3,) gives a scalar or a (3,) vector. Fields are
-never asked to guess which axis holds the points, so N = 3 is unambiguous; a
-uniform vector is broadcast over the points by _along_x. The observables
-take states and times with leading time axes and call each field once per
-time with every node at once; the derivative checks call it once per time
-and difference step with every shifted point at once.
+as field(t, r) with points r as a (3, N) array, axis 0 the coordinate, and a
+time t that is a float or an array of shape (..., 1) broadcasting against
+r[0]. A scalar field returns the broadcast shape (..., N) and a vector field
+(3, ..., N). Every field returns the full shape, so no caller guesses an
+axis; _along_x, _zero_scalar and _zero_vector broadcast over t. The
+observables and the phase fit call each field once on their whole time grid,
+and the derivative checks once per difference step, with every sample time
+and shifted point at once.
 """
 
 from __future__ import annotations
@@ -87,20 +87,24 @@ class GaugeFunction:
 
     def consistency_defect(self, times, points) -> float:
         """Largest relative derivative defect over the times and points (3, N)."""
-        r = np.asarray(points, dtype=float)
-        worst = 0.0
-        for t in times:
-            ht = DIFF_STEP if t == 0.0 else min(DIFF_STEP, abs(t) / 2.0)
-            fd_t = _richardson(lambda h: self.f(t + h, r) - self.f(t - h, r),
-                               ht)
-            worst = max(worst, _rel(fd_t, self.dt_f(t, r)))
-            fd_r = _richardson(lambda h: _differences(self.f, t, r, h),
-                               DIFF_STEP)
-            worst = max(worst, _rel(fd_r, self.grad_f(t, r)))
-        return worst
+        t, ht, r = _grid(times, points, DIFF_STEP)
+        fd_t = _richardson(lambda h: self.f(t + h, r) - self.f(t - h, r), ht)
+        fd_r = _richardson(lambda h: _differences(self.f, t, r, h), DIFF_STEP)
+        return max(_rel(fd_t, self.dt_f(t, r)), _rel(fd_r, self.grad_f(t, r)))
 
 
-def _richardson(diff: Callable, h: float) -> float:
+def _grid(times, points, cap: float):
+    """The times as a (T, 1) column, their time steps and the points (3, N).
+
+    A step is cap, or |t|/2 off t = 0 where that is smaller, so a central
+    difference never straddles the switch instant t = 0.
+    """
+    t = np.asarray(times, dtype=float).reshape(-1, 1)
+    return (t, np.where(t == 0.0, cap, np.minimum(cap, np.abs(t) / 2.0)),
+            np.asarray(points, dtype=float))
+
+
+def _richardson(diff: Callable, h):
     """(4 D(h/2) - D(h)) / 3 with D(h) = diff(h) / 2h, the central difference.
 
     Cancels the O(h^2 f''') truncation error of D, which alone reads a
@@ -113,13 +117,12 @@ def _richardson(diff: Callable, h: float) -> float:
 _SHIFTS = np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
 
 
-def _differences(field: Callable, t: float, r: np.ndarray, h: float):
-    """field(t, r + h e_j) - field(t, r - h e_j), every axis j in one call."""
-    pts = r.reshape(3, 1, 1, -1) + h * _SHIFTS
-    values = np.asarray(field(t, pts.reshape(3, -1)))
+def _differences(field: Callable, t, r: np.ndarray, h: float):
+    """field(t, r + h e_j) - field(t, r - h e_j) in one call, axis j first."""
+    pts = r[:, None, None, :] + h * _SHIFTS
+    values = field(t, pts.reshape(3, -1))
     values = values.reshape(values.shape[:-1] + (2, 3, -1))
-    diff = (values[..., 0, :, :] - values[..., 1, :, :]).swapaxes(0, -2)
-    return diff.reshape(diff.shape[:-1] + r.shape[1:])
+    return np.moveaxis(values[..., 0, :, :] - values[..., 1, :, :], -2, 0)
 
 
 def _rel(measured, stated) -> float:
@@ -127,19 +130,24 @@ def _rel(measured, stated) -> float:
                         / np.maximum(1.0, np.abs(stated))))
 
 
-def _along_x(a: float, r) -> np.ndarray:
-    """The uniform vector (a, 0, 0) at every point of r, shaped like r."""
-    out = np.zeros(np.shape(r))
+def _scalar_shape(t, r) -> tuple:
+    """The shape of a scalar field at times t and points r (3, N)."""
+    return np.broadcast_shapes(np.shape(t), np.shape(r)[1:])
+
+
+def _along_x(a, r) -> np.ndarray:
+    """The vector (a, 0, 0) at every time and point; a broadcasts on r[0]."""
+    out = np.zeros((3,) + _scalar_shape(a, r))
     out[0] = a
     return out
 
 
-def _zero_scalar(t: float, r) -> np.ndarray:
-    return np.zeros(np.shape(r)[1:])
+def _zero_scalar(t, r) -> np.ndarray:
+    return np.zeros(_scalar_shape(t, r))
 
 
-def _zero_vector(t: float, r) -> np.ndarray:
-    return np.zeros(np.shape(r))
+def _zero_vector(t, r) -> np.ndarray:
+    return np.zeros((3,) + _scalar_shape(t, r))
 
 
 def zero_gauge_function() -> GaugeFunction:
@@ -171,15 +179,15 @@ def transform_potentials(p: Potentials, g: GaugeFunction) -> Potentials:
                       lambda t, r: p.scalar(t, r) - g.dt_f(t, r))
 
 
-def electric_field(p: Potentials, t: float, r, t_step: float = 1e-6) -> np.ndarray:
-    """E = -grad Phi - dA/dt by central differences, shaped like r."""
+def electric_field(p: Potentials, t, r, t_step=1e-6) -> np.ndarray:
+    """E = -grad Phi - dA/dt by central differences; t_step broadcasts on t."""
     r = np.asarray(r, dtype=float)
     da = (p.vector(t + t_step, r) - p.vector(t - t_step, r)) / (2.0 * t_step)
     return -_differences(p.scalar, t, r, X_STEP) / (2.0 * X_STEP) - da
 
 
-def magnetic_field(p: Potentials, t: float, r) -> np.ndarray:
-    """B = curl A by central differences, shaped like r."""
+def magnetic_field(p: Potentials, t, r) -> np.ndarray:
+    """B = curl A by central differences, a vector field."""
     r = np.asarray(r, dtype=float)
     jac = _differences(p.vector, t, r, X_STEP) / (2.0 * X_STEP)   # dA_i/dx_j
     return np.array([jac[1, 2] - jac[2, 1],
@@ -195,20 +203,11 @@ def field_mismatch(p1: Potentials, p2: Potentials, times, points,
     callers should still sample away from the switch itself, where a stepped
     field is distributional.
     """
-    r = np.asarray(points, dtype=float)
-    defect = 0.0
-    scale = 0.0
-    for t in times:
-        ht = t_step if t == 0.0 else min(t_step, abs(t) / 2.0)
-        e1 = electric_field(p1, t, r, ht)
-        e2 = electric_field(p2, t, r, ht)
-        b1 = magnetic_field(p1, t, r)
-        b2 = magnetic_field(p2, t, r)
-        defect = max(defect, float(np.max(np.abs(e1 - e2))),
-                     float(np.max(np.abs(b1 - b2))))
-        scale = max(scale, float(np.max(np.abs(e1))),
-                    float(np.max(np.abs(b1))))
-    return defect, scale
+    t, ht, r = _grid(times, points, t_step)
+    e1, e2 = (electric_field(p, t, r, ht) for p in (p1, p2))
+    b1, b2 = (magnetic_field(p, t, r) for p in (p1, p2))
+    return (max(float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(b1 - b2)))),
+            max(float(np.max(np.abs(e1))), float(np.max(np.abs(b1)))))
 
 
 @dataclass(frozen=True)
@@ -225,12 +224,11 @@ class LineState:
 
 
 def _on_line(field: Callable, t, x: np.ndarray) -> np.ndarray:
-    """A field at every r = (x, 0, 0), one call per time; t's axes lead."""
+    """A field at times t and every r = (x, 0, 0) in one call: a scalar
+    field gives shape t.shape + (N,), a vector field (3,) + t.shape + (N,)."""
     zero = np.zeros_like(x)
-    r = np.stack([x, zero, zero])
-    t = np.asarray(t, dtype=float)
-    values = [field(float(s), r) for s in t.flat]
-    return np.reshape(values, t.shape + np.shape(values[0]))
+    return field(np.asarray(t, dtype=float)[..., None],
+                 np.stack([x, zero, zero]))
 
 
 _gauss_legendre = functools.lru_cache(maxsize=None)(
@@ -264,7 +262,7 @@ def phase_transform(state: LineState, g: GaugeFunction, t) -> LineState:
     through g.grad_f.
     """
     phase = np.exp(1j * _on_line(g.f, t, state.x))
-    gx = _on_line(g.grad_f, t, state.x)[..., 0, :]
+    gx = _on_line(g.grad_f, t, state.x)[0]
     return LineState(state.x, state.w, phase * state.value,
                      phase * (1j * gx * state.value + state.dx))
 
@@ -279,7 +277,7 @@ def velocity_and_momentum(state: LineState, A, t, units: Units = Units()):
 
 
 def _velocity_and_momentum(state: LineState, a: np.ndarray, units: Units):
-    """velocity_and_momentum with A sampled on the nodes, a (..., 3, N)."""
+    """velocity_and_momentum with A sampled on the nodes, a (3, ..., N)."""
     density = np.abs(state.value) ** 2
     norm = density @ state.w
     bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
@@ -292,11 +290,11 @@ def _velocity_and_momentum(state: LineState, a: np.ndarray, units: Units):
     # v_x as a single integrand: when the state is co-transformed with the
     # potentials, the grad-f terms cancel node by node, so the two gauges sum
     # the same numbers instead of cancelling across two separate sums
-    vx = (p_density - a[..., 0, :] * density) @ state.w
+    vx = (p_density - a[0] * density) @ state.w
     # p_y = p_z = 0 on a line state, so those components are plain -<A_j>
-    a_perp = (a[..., 1:, :] @ (state.w * density)[..., None])[..., 0]
+    a_perp = np.moveaxis(a[1:], 0, -2) @ (state.w * density)[..., None]
     zero = np.zeros_like(vx)
-    return (np.stack([vx, -a_perp[..., 0], -a_perp[..., 1]], axis=-1),
+    return (np.stack([vx, -a_perp[..., 0, 0], -a_perp[..., 1, 0]], axis=-1),
             np.stack([p_density @ state.w, zero, zero], axis=-1))
 
 
@@ -453,7 +451,7 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
                         for t in sample_times]
     sample_points = np.zeros((3, 3))
     sample_points[0] = np.array([0.2, 0.5, 0.8]) * scenario.width
-    g_defect = float(g.consistency_defect(sample_times, sample_points))
+    g_defect = g.consistency_defect(sample_times, sample_points)
     if g_defect > 1e-6:
         raise GaugeConsistencyError(
             f"gauge function derivatives disagree with finite differences "
@@ -607,8 +605,8 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
     amps = traj.states[fit_idx] \
         * np.exp(-1j * np.outer(fit_times, model.energies) / units.hbar)
     rows = []
-    for t, a in zip(fit_times, amps):
-        target = np.exp(-1j * _on_line(g.f, t, xs)) * (a @ sines_ref)
+    for phase, a in zip(np.exp(-1j * _on_line(g.f, fit_times, xs)), amps):
+        target = phase * (a @ sines_ref)
         coefs = sines_fit @ (w * target)
         rows.append([math.sqrt(float(np.sum(
             w * np.abs(target - coefs[:n] @ sines_fit[:n]) ** 2)))

@@ -15,10 +15,11 @@ there and the free evolution between midpoints is one constant unitary, so a
 step is one diagonal scale and one matrix-vector product. Other models take
 one linear solve per step.
 
-Profile contract. A term's profile is called with an array of times and
-returns a real array of the same shape (a float time gives a 0-d result); a
-model checks this on its window's endpoints, and each stepper samples each
-term with one call on its step times.
+Profile contract. A term's profile is called with a float or an array of
+times and returns a real array of the same shape, 0-d for a float; the
+step and ramp are np.where forms. A model checks this on its window's
+endpoints, and each stepper, like each gauge field, samples a profile with
+one call on its whole time grid.
 
 Both steppers fill their rows in blocks of _CHUNK_ENTRIES (2^11) entries and
 hand each block to one collector, which records every row's norm sum_k
@@ -51,31 +52,20 @@ class Units:
             raise PropagationContractError("hbar must be positive")
 
 
-def _where(cond, yes, no):
-    """np.where(cond, yes, no), picking without arrays for a scalar cond.
-
-    The gauge fields call their profile once per float time, hundreds of
-    times a run, where np.where's three 0-d arrays cost more than the form.
-    """
-    if isinstance(cond, (bool, np.bool_)):
-        return yes if cond else no
-    return np.where(cond, yes, no)
-
-
 def smooth_ramp(t, tau: float):
     """sin^2(pi t / 2 tau) switch-on: 0 before t=0, 1 after t=tau."""
     s = np.sin(0.5 * math.pi * t / tau)
-    return _where(t <= 0.0, 0.0, _where(t >= tau, 1.0, s * s))
+    return np.where(t <= 0.0, 0.0, np.where(t >= tau, 1.0, s * s))
 
 
 def smooth_ramp_dt(t, tau: float):
-    return _where((t <= 0.0) | (t >= tau), 0.0,
-                  0.5 * math.pi / tau * np.sin(math.pi * t / tau))
+    return np.where((t <= 0.0) | (t >= tau), 0.0,
+                    0.5 * math.pi / tau * np.sin(math.pi * t / tau))
 
 
 def hard_step(t):
     """Unit step switched at t = 0 (inclusive)."""
-    return _where(t >= 0.0, 1.0, 0.0)
+    return np.where(t >= 0.0, 1.0, 0.0)
 
 
 def switch_profile(kind: str, tau: float, scale: float = 1.0):

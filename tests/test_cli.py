@@ -528,32 +528,62 @@ def write_scenario(path, kind, **keys):
     return path
 
 
-@pytest.mark.parametrize("command,keys,message", [
+@pytest.mark.parametrize("command,keys,named", [
     ("gauge", dict(experiment="jump", n_basis=24, initial_index=30),
-     "initial index"),
+     "initial_index"),
     ("expand", dict(family="landau", magnetic_length=-1, n_max=5,
-                    quad_check_max=2), "magnetic length"),
+                    quad_check_max=2), "magnetic_length"),
     ("propagate", dict(perturbation="dipole-ramp", n_basis=1, n_slices=10),
-     "n_basis"),
+     "dipole matrix needs n_basis >= 2"),
     ("gauge", dict(experiment="phase-fit", n_reference=16,
-                   fit_sizes="2, 4, 32", n_slices=10), "reference basis"),
+                   fit_sizes="2, 4, 32", n_slices=10), "n_reference"),
     # a ramp over no time divides by zero; the step ignores its ramp_time
     ("gauge", dict(experiment="jump", switch="ramp", ramp_time=0.0),
-     "ramp time must be positive"),
+     "ramp_time"),
     ("gauge", dict(experiment="phase-fit", phase_ramp_time=0.0, n_slices=10),
-     "ramp time must be positive"),
+     "phase_ramp_time"),
     ("propagate", dict(perturbation="dipole-ramp", ramp_time=-0.5,
-                       n_basis=4, n_slices=10), "ramp time must be positive"),
+                       n_basis=4, n_slices=10), "ramp_time"),
+    ("propagate", dict(perturbation="none", n_basis=4, n_slices=0),
+     "n_slices"),
+    ("gauge", dict(experiment="jump", n_basis=1, initial_index=1), "n_basis"),
+    ("gauge", dict(experiment="jump", initial_index=0), "initial_index"),
+    ("gauge", dict(experiment="phase-fit", ramp_time=-0.3,
+                   phase_ramp_time=0.3, n_slices=10), "ramp_time"),
+    ("expand", dict(family="box", target="eigenstate", n_max=0), "n_max"),
+    ("expand", dict(family="box", target="eigenstate", target_n=0),
+     "target_n"),
 ], ids=["initial-index", "magnetic-length", "dipole-basis",
         "phase-fit-basis", "jump-ramp-time", "phase-ramp-time",
-        "dipole-ramp-time"])
-def test_exit_1_on_constructor_errors(tmp_path, command, keys, message):
+        "dipole-ramp-time", "propagate-n_slices", "jump-n_basis",
+        "jump-initial-index-zero", "phase-fit-ramp-time", "box-n_max",
+        "box-target_n"])
+def test_exit_1_on_constructor_errors(tmp_path, command, keys, named):
+    # the key table rejects these values before a constructor sees them,
+    # naming the key at its line, and nothing is written; the dipole basis
+    # size is left to the model's own check
     path = write_scenario(tmp_path / "bad.scn", command, **keys)
     r = run_cli(command, "--scenario", str(path),
                 "--out", str(tmp_path / "out"))
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error:") and message in r.stderr
+    assert not (tmp_path / "out").exists()
+    if named in keys:
+        line = 4 + list(keys).index(named)   # after header, kind and name
+        assert r.stderr.startswith(f"error: {path}:{line}: key '{named}'")
+    else:
+        assert r.stderr.startswith("error:") and named in r.stderr
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("gauge", dict(experiment="jump", switch="step", ramp_time=0.0)),
+    ("propagate", dict(perturbation="dipole-step", ramp_time=-1.0)),
+    ("propagate", dict(perturbation="none", ramp_time=0.0)),
+], ids=["jump-step", "dipole-step", "no-perturbation"])
+def test_ramp_time_is_bounded_only_where_a_ramp_runs(tmp_path, command,
+                                                     keys):
+    scn = load_scenario(write_scenario(tmp_path / "ok.scn", command, **keys))
+    assert scn.read(cli._KEYS)["ramp_time"] == keys["ramp_time"]
 
 
 @pytest.mark.parametrize("command,keys,key", [

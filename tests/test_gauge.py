@@ -23,7 +23,7 @@ from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 linear_gauge_function, transform_potentials,
                                 velocity_and_momentum, write_observable_csv,
                                 zero_gauge_function)
-from expansionlab.gauge import _along_x
+from expansionlab.gauge import _along_x, _scalar_shape
 from expansionlab.propagation import (Units, smooth_ramp, smooth_ramp_dt,
                                       switch_profile)
 from expansionlab.scenario import load_scenario
@@ -47,17 +47,17 @@ def eigenstate_line(n=1, width=1.0):
 
 
 def no_potential(t, r):
-    return np.zeros(np.shape(r))
+    return np.zeros((3,) + _scalar_shape(t, r))
 
 
 def uniform_scalar(value):
     """The field equal to value(t) at every point."""
-    return lambda t, r: np.full(np.shape(r)[1:], value(t))
+    return lambda t, r: np.full(_scalar_shape(t, r), value(t))
 
 
 def uniform_vector(a):
-    """The constant vector a at every point of r (3, N)."""
-    return lambda t, r: np.outer(a, np.ones(r.shape[1]))
+    """The constant vector a at every time and point."""
+    return lambda t, r: np.multiply.outer(a, np.ones(_scalar_shape(t, r)))
 
 
 def line_points(*xs):
@@ -127,9 +127,9 @@ def test_field_reconstruction_uniform_vector_potential():
     pots = Potentials(
         lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
         uniform_scalar(lambda t: 0.0))
-    r = np.array([0.5, 0.0, 0.0])
+    r = line_points(0.5)
     e = electric_field(pots, 0.2, r, 1e-6)
-    assert e[0] == pytest.approx(-0.2 * smooth_ramp_dt(0.2, tau), rel=1e-6)
+    assert e[0, 0] == pytest.approx(-0.2 * smooth_ramp_dt(0.2, tau), rel=1e-6)
     b = magnetic_field(pots, 0.2, r)
     assert np.max(np.abs(b)) < 1e-9
 
@@ -187,19 +187,18 @@ def test_field_probes_match_pointwise_evaluation():
         batch = field(pots, 0.2, points)
         assert batch.shape == (3, 3)
         for k in range(3):
-            alone = field(pots, 0.2, points[:, k])
-            assert alone.shape == (3,)
-            assert np.array_equal(alone, batch[:, k])
+            alone = field(pots, 0.2, points[:, k:k + 1])
+            assert alone.shape == (3, 1)
+            assert np.array_equal(alone[:, 0], batch[:, k])
 
 
 def oscillating_gauge(error=0.0):
     """f = 0.01 sin(300 x), exact when error = 0; |f'''| reaches 2.7e5."""
     return GaugeFunction(
-        f=lambda t, r: 0.01 * np.sin(300.0 * r[0]),
-        grad_f=lambda t, r: np.stack([3.0 * (1.0 + error)
-                                      * np.cos(300.0 * r[0]),
-                                      0.0 * r[1], 0.0 * r[2]]),
-        dt_f=lambda t, r: 0.0 * r[0])
+        f=lambda t, r: 0.01 * np.sin(300.0 * r[0]) + 0.0 * t,
+        grad_f=lambda t, r: _along_x(3.0 * (1.0 + error)
+                                     * np.cos(300.0 * r[0]) + 0.0 * t, r),
+        dt_f=lambda t, r: 0.0 * t * r[0])
 
 
 def test_consistency_defect_accepts_fast_exact_gauge():
@@ -398,10 +397,9 @@ def test_jump_node_doubling_flags_unresolved_gauge(monkeypatch):
     # a time-independent gauge leaves E and B alone and its derivatives are
     # consistent, but 80 nodes cannot resolve grad f = 0.3 cos(300 x)
     wiggle = GaugeFunction(
-        f=lambda t, r: 0.001 * np.sin(300.0 * r[0]),
-        grad_f=lambda t, r: np.stack([0.3 * np.cos(300.0 * r[0]),
-                                      0.0 * r[1], 0.0 * r[2]]),
-        dt_f=lambda t, r: 0.0 * r[0])
+        f=lambda t, r: 0.001 * np.sin(300.0 * r[0]) + 0.0 * t,
+        grad_f=lambda t, r: _along_x(0.3 * np.cos(300.0 * r[0]) + 0.0 * t, r),
+        dt_f=lambda t, r: 0.0 * t * r[0])
     monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
                         lambda self: wiggle)
     with pytest.raises(QuadratureError) as excinfo:
@@ -491,9 +489,10 @@ def test_free_potentials_are_zero():
 def nonuniform_gauge():
     """f = x y + t z: every component of grad f differs between points."""
     return GaugeFunction(f=lambda t, r: r[0] * r[1] + t * r[2],
-                         grad_f=lambda t, r: np.stack([r[1], r[0],
+                         grad_f=lambda t, r: np.stack([r[1] + 0.0 * t,
+                                                       r[0] + 0.0 * t,
                                                        t + 0.0 * r[2]]),
-                         dt_f=lambda t, r: r[2])
+                         dt_f=lambda t, r: r[2] + 0.0 * t)
 
 
 def bundled_fields():
@@ -529,6 +528,27 @@ def bundled_fields():
 BUNDLED_FIELDS = bundled_fields()
 
 
+def contract_times():
+    """0, -0.0, each bundled ramp time with its neighbouring floats, and
+    random times on both sides of the switch."""
+    tau_fit = load_scenario(resources.files("expansionlab") / "data"
+                            / "scenarios" / "phase_fit.scn"
+                            ).read(_KEYS)["phase_ramp_time"]
+    times = [0.0, -0.0]
+    for tau in (0.4, tau_fit):
+        times += [np.nextafter(tau, -1.0), tau, np.nextafter(tau, 2.0)]
+    times += list(np.random.default_rng(11).uniform(-0.5, 1.5, 8))
+    return np.array(times)
+
+
+CONTRACT_TIMES = contract_times()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n_points", [1, 3, 5])
 @pytest.mark.parametrize("label,fld,is_vector", BUNDLED_FIELDS,
                          ids=[f[0] for f in BUNDLED_FIELDS])
@@ -536,12 +556,38 @@ def test_field_contract_shapes(label, fld, is_vector, n_points):
     # distinct coordinates everywhere, so a field that mixes up the point
     # axis and the coordinate axis cannot pass at N = 3
     r = np.random.default_rng(n_points).uniform(0.1, 0.9, (3, n_points))
-    t = 0.2
-    out = fld(t, r)
-    assert np.shape(out) == ((3, n_points) if is_vector else (n_points,))
-    per_point = np.array([fld(t, r[:, i]) for i in range(n_points)])
-    assert per_point.shape == ((n_points, 3) if is_vector else (n_points,))
-    assert np.array_equal(out, per_point.T)
+    lead = (3,) if is_vector else ()
+    out = fld(0.2, r)
+    assert np.shape(out) == lead + (n_points,)
+    per_point = [fld(0.2, r[:, i:i + 1]) for i in range(n_points)]
+    assert same_bits(out, np.concatenate(per_point, axis=-1))
+    # a column of times gives, in one call, the bits of each time alone
+    batch = fld(CONTRACT_TIMES[:, None], r)
+    assert batch.shape == lead + (CONTRACT_TIMES.size, n_points)
+    per_time = np.stack([fld(float(t), r) for t in CONTRACT_TIMES], axis=-2)
+    assert same_bits(batch, per_time)
+
+
+def test_derivative_checks_match_a_per_time_loop():
+    # the checks sample every time in one call per difference step; each
+    # time checked alone gives the same defect and scale, bit for bit
+    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
+    times = [-0.5, -2e-5, 0.0, 2e-5, 0.1, 0.39, 0.41, 1.3]
+    for switch in ("step", "ramp"):
+        scn = GaugeJumpScenario(switch=switch, ramp_time=0.4, t_end=1.0,
+                                second_gauge="mismatched")
+        for g in (scn.gauge_function(), nonuniform_gauge(),
+                  oscillating_gauge(1e-3)):
+            assert g.consistency_defect(times, points) == max(
+                g.consistency_defect([t], points) for t in times)
+        pairs = [(scn.drive_potentials(), scn.second_potentials()),
+                 (free_potentials(),
+                  transform_potentials(free_potentials(), nonuniform_gauge()))]
+        for p1, p2 in pairs:
+            looped = [field_mismatch(p1, p2, [t], points, 1e-6)
+                      for t in times]
+            assert field_mismatch(p1, p2, times, points, 1e-6) == (
+                max(d for d, _ in looped), max(s for _, s in looped))
 
 
 def observe_oracle(amps, t, g, A, width=1.0):
