@@ -104,14 +104,16 @@ _KEYS = (
     ("expand/box", "target_n", INT, 1, _at_least(1)),
     ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0, _positive),
     ("expand/box", "center", REAL, lambda v: v["width"] / 2.0, None),
-    ("propagate", "hbar", REAL, Units.hbar, None),
+    ("propagate", "hbar", REAL, Units.hbar, _positive),
     ("propagate", "n_slices", INT, 1000, _at_least(1)),
     ("propagate", "tracked", INT, 8, _at_least(0)),
-    ("propagate", "well_width", REAL, 1.0, None),
-    ("propagate", "n_basis", INT, 32, None),
-    ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
+    ("propagate", "well_width", REAL, 1.0, _positive),
     ("propagate", "perturbation", {"none", "dipole-ramp", "dipole-step",
                                    "random-hermitian"}, REQUIRED, None),
+    # a dipole matrix couples states of opposite parity, so it needs two
+    ("propagate", "n_basis", INT, 32, lambda v, values: _at_least(
+        2 if values["perturbation"].startswith("dipole") else 1)(v, values)),
+    ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
     ("propagate", "t_start", REAL, 0.0, None),
     ("propagate", "t_end", REAL, 1.0, None),
     ("propagate", "amplitude", REAL, 1.0, None),
@@ -132,9 +134,8 @@ _KEYS = (
     ("gauge/jump", "second_gauge", {"transformed", "identity", "mismatched"},
      _J.second_gauge, None),
     ("gauge/jump", "mismatch_factor", REAL, _J.mismatch_factor, None),
-    ("gauge/jump", "hbar", REAL, Units.hbar, None),
+    ("gauge/jump", "hbar", REAL, Units.hbar, _positive),
     ("gauge/phase-fit", "well_width", REAL, _F.width, _positive),
-    ("gauge/phase-fit", "initial_index", INT, _F.initial_index, None),
     ("gauge/phase-fit", "amplitude", REAL, _F.amplitude, None),
     ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, _positive),
     ("gauge/phase-fit", "t_end", REAL, _F.t_end, None),
@@ -142,12 +143,15 @@ _KEYS = (
     ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
      lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
      f"at least two increasing sizes for the plateau verdict, got {list(v)}"),
+    ("gauge/phase-fit", "initial_index", INT, _F.initial_index,
+     lambda v, values: "" if 1 <= v <= values["fit_sizes"][0] else "must lie "
+     f"in 1..fit_sizes[0] = {values['fit_sizes'][0]}, got {v}"),
     ("gauge/phase-fit", "n_reference", INT, _F.n_reference,
      lambda v, values: "" if v >= values["fit_sizes"][-1] else "must cover "
      f"the largest fit size, {values['fit_sizes'][-1]}, got {v}"),
     ("gauge/phase-fit", "n_grid", INT, _F.n_grid, _positive),
     ("gauge/phase-fit", "fit_stride", INT, _F.fit_stride, _positive),
-    ("gauge/phase-fit", "hbar", REAL, Units.hbar, None),
+    ("gauge/phase-fit", "hbar", REAL, Units.hbar, _positive),
     ("gauge/phase-fit", "phase_strength", REAL, 0.8, None),
     ("gauge/phase-fit", "phase_ramp_time", REAL, lambda v: v["ramp_time"],
      _positive),

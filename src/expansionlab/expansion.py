@@ -7,10 +7,13 @@ delta-function factor from the z direction dropped and the proportionality
 constant set to 1 (only ratios and convergence verdicts matter here). The
 Gaussian and the polynomial argument share the single magnetic length a.
 
-The quadrature route is one QUADPACK call per n (per coefficient in
-project), and the calls of one tower share their node values: QUADPACK meets
-the same nodes for every n, so each node's Laguerre row, or target value, is
-computed once per call of landau_plane_wave_overlaps or project.
+The quadrature route is one QUADPACK call per n (per real and imaginary
+part of each coefficient in project), and the calls of one tower share their
+node values, since QUADPACK keeps meeting the same nodes: project evaluates
+the target once per distinct node, and landau_plane_wave_overlaps holds L_n
+at every node it has met and steps them all one order between its calls.
+Each integrand is one Python function per node value and returns the value
+of the literal one-coefficient route bit for bit.
 
 A CoefficientSeries is one table of (index, coefficient, error, flag)
 entries, and each entry is one row of coefficients.csv.
@@ -25,8 +28,8 @@ import numpy as np
 
 from . import basis
 from .basis import Box1D, LandauUniformField, SpacePoint
-from .specfun import (QuadratureError, QuadratureSpec, integrate_interval,
-                      integrate_semi_infinite, laguerre, laguerre_row)
+from .specfun import (QuadratureError, QuadratureSpec, _laguerre_step,
+                      integrate_interval, integrate_semi_infinite, laguerre)
 
 FLAG_OK = ""
 FLAG_NO_CONVERGENCE = "no-convergence"
@@ -110,22 +113,45 @@ def _angular_average(target, rho: float, l: int) -> tuple[complex, bool]:
     return prev, False
 
 
-def _complex_quad(integrand, runner):
-    re, re_err = runner(lambda t: integrand(t).real)
-    im, im_err = runner(lambda t: integrand(t).imag)
-    return complex(re, im), math.hypot(re_err, im_err)
+def _complex_quad(runner, real, imag):
+    """(value, error, flag) of runner over the real and imaginary integrands.
+
+    Each part keeps its own value, or its best estimate when it fails to
+    converge; the error is their hypot and either failure flags the whole.
+    """
+    re, re_err, re_flag = _flagged(lambda: runner(real))
+    im, im_err, im_flag = _flagged(lambda: runner(imag))
+    return complex(re, im), math.hypot(re_err, im_err), re_flag or im_flag
 
 
-def _memo(fn):
-    """fn with its values kept per argument, as long as the result lives."""
-    values = {}
+class _Memo(dict):
+    """fn's values by argument, each computed when its key is first read."""
 
-    def at(key):
-        value = values.get(key)
-        if value is None:
-            value = values[key] = fn(key)
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
-    return at
+
+
+def _box_parts(n: int, width: float, on_axis):
+    """The real and imaginary integrands of the box coefficient C_n.
+
+    Each is a part of box_eigenfunction(n, x, width) * on_axis[x], in that
+    function's own order of operations: the same bits, up to the sign of a
+    zero value. Quadrature nodes lie inside the well, so its zero branch
+    never applies.
+    """
+    norm, npi = math.sqrt(2.0 / width), n * math.pi
+
+    def real(x):
+        return norm * math.sin(npi * x / width) * on_axis[x].real
+
+    def imag(x):
+        return norm * math.sin(npi * x / width) * on_axis[x].imag
+    return real, imag
 
 
 def project(target, family, indices, quadrature: QuadratureSpec | None = None) -> CoefficientSeries:
@@ -133,21 +159,22 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
 
     target is a callable of SpacePoint. Landau projections run on the fixed
     transverse slice z = 0 (angular integral by periodic trapezoid, radial by
-    adaptive quadrature); box projections integrate over [0, L]. A coefficient
-    whose quadrature fails to converge, or whose angular average is still
-    moving at 1024 points, keeps its best estimate and is flagged; the series
-    is still returned.
+    adaptive quadrature); box projections integrate over [0, L]. Each
+    coefficient is one QUADPACK call per real and imaginary part. A part
+    whose quadrature fails to converge keeps its best estimate, the other
+    part its own value, and the coefficient is flagged, as it is when its
+    angular average is still moving at 1024 points; the series is still
+    returned.
 
-    Each coefficient is one QUADPACK call per real and imaginary part; the
-    target is evaluated once per distinct quadrature node (an angular average
-    once per node and l) and shared across the indices.
+    The target is evaluated once per distinct quadrature node (an angular
+    average once per node and l) and shared across the indices.
     """
     entries = []
     if isinstance(family, LandauUniformField):
         a = family.magnetic_length
         spec = quadrature or basis.default_quadrature(family)
         runner = lambda f: integrate_semi_infinite(f, spec)
-        average = _memo(lambda key: _angular_average(target, *key))
+        average = _Memo(lambda key: _angular_average(target, *key))
         for ix in indices:
             unsettled = []
 
@@ -155,13 +182,14 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
                 if rho == 0.0 and _ix.l != 0:
                     return 0.0 + 0.0j
                 r = basis.landau_radial(_ix.n, _ix.l, rho, a)
-                avg, converged = average((rho, _ix.l))
+                avg, converged = average[(rho, _ix.l)]
                 if not converged:
                     unsettled.append(rho)
                 return math.sqrt(2.0 * math.pi) * r * rho * avg
 
-            value, err, flag = _flagged(
-                lambda: _complex_quad(radial_integrand, runner))
+            value, err, flag = _complex_quad(
+                runner, lambda rho: radial_integrand(rho).real,
+                lambda rho: radial_integrand(rho).imag)
             if unsettled:
                 flag = FLAG_NO_CONVERGENCE
             entries.append((ix, value, err, flag))
@@ -169,13 +197,10 @@ def project(target, family, indices, quadrature: QuadratureSpec | None = None) -
         width = family.width
         spec = quadrature or QuadratureSpec()
         runner = lambda f: integrate_interval(f, 0.0, width, spec)
-        on_axis = _memo(lambda x: target(SpacePoint.cartesian(x, 0.0, 0.0)))
+        on_axis = _Memo(lambda x: target(SpacePoint.cartesian(x, 0.0, 0.0)))
         for ix in indices:
-            def integrand(x, _ix=ix):
-                return basis.box_eigenfunction(_ix.n, x, width) * on_axis(x)
-
-            entries.append((ix, *_flagged(
-                lambda: _complex_quad(integrand, runner))))
+            entries.append((ix, *_complex_quad(
+                runner, *_box_parts(ix.n, width, on_axis))))
     else:
         raise basis.BasisIndexError(
             f"projection is not defined for {type(family).__name__}")
@@ -231,23 +256,64 @@ def landau_plane_wave_overlaps(n_max: int, a: float = 1.0,
 
     One QUADPACK call per n, each with the integrand of
     landau_plane_wave_overlap bit for bit; the calls share their node values:
-    each distinct rho gets its Gaussian and the whole row
-    L_0(u) .. L_n_max(u) once. A non-converged n keeps its best estimate and
-    is flagged 'no-convergence'.
+    each distinct rho gets its Gaussian once, and its L_n is stepped up one
+    order between calls (_LaguerreTower). A non-converged n keeps its best
+    estimate and is flagged 'no-convergence'.
     """
     if not a > 0.0:
         raise basis.BasisDomainError("magnetic length must be positive")
     spec = quadrature or QuadratureSpec(upper_cutoff=40.0 * a)
-    node = _memo(lambda rho: (math.exp(-0.25 * rho * rho / (a * a)),
-                              laguerre_row(n_max, rho * rho / (2.0 * a * a))))
+    tower = _LaguerreTower(a)
+    gauss, cur = tower.gauss, tower.cur
+
+    def integrand(rho):
+        slot = tower[rho]
+        return gauss[slot] * cur[slot] * rho
+
     out = []
     for n in range(n_max + 1):
-        def integrand(rho, _n=n):
-            gauss, row = node(rho)
-            return gauss * row[_n] * rho
-
+        if n:
+            tower.advance()
         out.append(_flagged(lambda: integrate_semi_infinite(integrand, spec)))
     return out
+
+
+class _LaguerreTower(dict):
+    """rho -> slot of every quadrature node the tower has met.
+
+    At the tower's order n, column i of cols holds node i's u, L_{n-1}(u)
+    and L_n(u), and the lists gauss and cur its Gaussian and L_n, which the
+    integrand reads in place. advance() steps every column from n to
+    n + 1 in one array expression. A node first met at order n is brought up
+    to it by the same step on floats, once, and joins cols at the next
+    advance(). Either way each L_n is laguerre_row's, bit for bit.
+    """
+
+    def __init__(self, a: float):
+        super().__init__()
+        self.a, self.n, self.fresh = a, 0, []
+        self.cols = np.empty((3, 0))
+        self.gauss, self.cur = [], []
+
+    def __missing__(self, rho):
+        u = rho * rho / (2.0 * self.a * self.a)
+        prev, cur = 0.0, 1.0
+        for k in range(self.n):
+            prev, cur = cur, _laguerre_step(k, u, prev, cur)
+        self.gauss.append(math.exp(-0.25 * rho * rho / (self.a * self.a)))
+        self.cur.append(cur)
+        self.fresh.append((u, prev, cur))
+        slot = self[rho] = len(self.cur) - 1
+        return slot
+
+    def advance(self):
+        if self.fresh:
+            self.cols = np.hstack((self.cols, np.array(self.fresh).T))
+            self.fresh = []
+        u, prev, cur = self.cols
+        self.cols = np.array([u, cur, _laguerre_step(self.n, u, prev, cur)])
+        self.cur[:] = self.cols[2].tolist()
+        self.n += 1
 
 
 def parseval_defect(series: CoefficientSeries) -> float:

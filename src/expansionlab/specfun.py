@@ -12,8 +12,10 @@ test suite.
 The quadrature oracle is one QUADPACK call per integral, so a tower of
 coefficients is one call per n. QUADPACK bisects a given interval the same
 dyadic way for every integrand, so those calls keep meeting the same 21-point
-Kronrod nodes; callers share node values across them (laguerre_row gives
-every order at one node) without changing a single integrand value.
+Kronrod nodes; callers share node values across them without changing a
+single integrand value. One three-term step, _laguerre_step, serves both
+laguerre_row, which climbs the orders at one node, and the Landau tower in
+expansion, which steps a whole column of nodes up one order at a time.
 """
 
 from __future__ import annotations
@@ -138,20 +140,26 @@ def laguerre(n: int, u: float) -> float:
 def laguerre_row(n_max: int, u: float) -> array:
     """L_0(u) .. L_n_max(u) by the stable three-term recurrence.
 
-    One recurrence serves a whole tower of orders at one node; the row is an
-    array('d') because callers keep one per quadrature node.
+    The row is an array('d'); L_1 is the first step from L_{-1} = 0.
     """
     if n_max < 0:
         raise SpecfunDomainError("Laguerre order must be non-negative")
     row = array("d", [1.0])
-    if n_max == 0:
-        return row
-    prev, cur = 1.0, 1.0 - u
-    row.append(cur)
-    for k in range(1, n_max):
-        prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+    prev, cur = 0.0, 1.0
+    for k in range(n_max):
+        prev, cur = cur, _laguerre_step(k, u, prev, cur)
         row.append(cur)
     return row
+
+
+def _laguerre_step(k: int, u, prev, cur):
+    """L_{k+1}(u) from L_{k-1}(u) = prev and L_k(u) = cur.
+
+    u, prev and cur are floats, or arrays of the same shape: numpy's +, -,
+    * and / round as the float operations do, so a column of nodes stepped
+    at once holds each node's laguerre_row entries bit for bit.
+    """
+    return ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
 
 
 def laguerre_associated(n: int, alpha: float, u: float) -> float:

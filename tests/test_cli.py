@@ -534,7 +534,7 @@ def write_scenario(path, kind, **keys):
     ("expand", dict(family="landau", magnetic_length=-1, n_max=5,
                     quad_check_max=2), "magnetic_length"),
     ("propagate", dict(perturbation="dipole-ramp", n_basis=1, n_slices=10),
-     "dipole matrix needs n_basis >= 2"),
+     "n_basis"),
     ("gauge", dict(experiment="phase-fit", n_reference=16,
                    fit_sizes="2, 4, 32", n_slices=10), "n_reference"),
     # a ramp over no time divides by zero; the step ignores its ramp_time
@@ -553,15 +553,30 @@ def write_scenario(path, kind, **keys):
     ("expand", dict(family="box", target="eigenstate", n_max=0), "n_max"),
     ("expand", dict(family="box", target="eigenstate", target_n=0),
      "target_n"),
+    # a zero width divides by zero in the box energies
+    ("propagate", dict(perturbation="none", well_width=0.0, n_slices=10),
+     "well_width"),
+    ("propagate", dict(perturbation="none", hbar=0.0), "hbar"),
+    ("gauge", dict(experiment="jump", hbar=-1.0), "hbar"),
+    ("gauge", dict(experiment="phase-fit", hbar=0.0), "hbar"),
+    ("propagate", dict(perturbation="random-hermitian", n_basis=0),
+     "n_basis"),
+    ("propagate", dict(perturbation="dipole-step", n_basis=1), "n_basis"),
+    ("gauge", dict(experiment="phase-fit", fit_sizes="2, 4", n_reference=4,
+                   initial_index=3), "initial_index"),
+    ("gauge", dict(experiment="phase-fit", initial_index=0),
+     "initial_index"),
 ], ids=["initial-index", "magnetic-length", "dipole-basis",
         "phase-fit-basis", "jump-ramp-time", "phase-ramp-time",
         "dipole-ramp-time", "propagate-n_slices", "jump-n_basis",
         "jump-initial-index-zero", "phase-fit-ramp-time", "box-n_max",
-        "box-target_n"])
+        "box-target_n", "propagate-well_width", "propagate-hbar",
+        "jump-hbar", "phase-fit-hbar", "propagate-n_basis",
+        "dipole-step-basis", "phase-fit-initial-index",
+        "phase-fit-initial-index-zero"])
 def test_exit_1_on_constructor_errors(tmp_path, command, keys, named):
     # the key table rejects these values before a constructor sees them,
-    # naming the key at its line, and nothing is written; the dipole basis
-    # size is left to the model's own check
+    # naming the key at its line, and nothing is written
     path = write_scenario(tmp_path / "bad.scn", command, **keys)
     r = run_cli(command, "--scenario", str(path),
                 "--out", str(tmp_path / "out"))

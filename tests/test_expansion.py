@@ -14,6 +14,7 @@ from expansionlab.basis import (Box1D, BoxIndex, LandauIndex,
                                 box_eigenfunction, default_quadrature,
                                 landau_eigenfunction, plane_wave,
                                 principal_number)
+from expansionlab import expansion
 from expansionlab.cli import _KEYS, cmd_expand
 from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
                                     CoefficientSeries, convergence_scan,
@@ -74,8 +75,9 @@ def test_magnitude_recurrence_quadrature_route():
 
 def test_sign_pattern_reported_by_both_routes():
     # both routes alternate in n; pinned without deciding the convention
+    # (read through the module, so that a patched closed form is seen)
     for n in range(0, 12):
-        closed = landau_plane_wave_coefficient(n, 1.0)
+        closed = expansion.landau_plane_wave_coefficient(n, 1.0)
         quad, _ = landau_plane_wave_overlap(n, 1.0)
         assert math.copysign(1.0, closed) == (-1.0) ** n
         assert math.copysign(1.0, quad) == (-1.0) ** n
@@ -108,23 +110,46 @@ def test_landau_overlaps_match_one_n_route_bit_for_bit(a, scale):
         == {FLAG_OK if scale == 1.0 else FLAG_NO_CONVERGENCE}
 
 
+def test_tower_catches_up_each_node_once(monkeypatch):
+    # a node is brought up to the tower's order by floats once, when it is
+    # first met; after that only the column step moves it
+    met = []
+    catch_up = expansion._LaguerreTower.__missing__
+
+    def counted(self, rho):
+        met.append((rho, self.n))
+        return catch_up(self, rho)
+
+    monkeypatch.setattr(expansion._LaguerreTower, "__missing__", counted)
+    landau_plane_wave_overlaps(70, 1.0)
+    rhos = [rho for rho, _ in met]
+    assert len(rhos) == len(set(rhos))
+    assert max(n for _, n in met) > 0   # some nodes join a running tower
+
+
+def literal_part(f, width, spec):
+    """(value, error, flag) of one part, its best estimate if unconverged."""
+    try:
+        return (*integrate_interval(f, 0.0, width, spec), FLAG_OK)
+    except QuadratureError as exc:
+        return exc.best_estimate, exc.error_estimate, FLAG_NO_CONVERGENCE
+
+
 def literal_box_projection(target, width, ns, spec):
-    """One QUADPACK call per part per n, the target evaluated at every node."""
+    """One QUADPACK call per part per n, the target evaluated at every node.
+
+    Each part keeps its own value or best estimate; either failing flags
+    the coefficient.
+    """
     out = []
     for n in ns:
         def f(x):
             return box_eigenfunction(n, x, width) \
                 * target(SpacePoint.cartesian(x, 0.0, 0.0))
-        try:
-            re, re_err = integrate_interval(lambda x: f(x).real, 0.0, width,
-                                            spec)
-            im, im_err = integrate_interval(lambda x: f(x).imag, 0.0, width,
-                                            spec)
-            out.append((complex(re, im), math.hypot(re_err, im_err),
-                        FLAG_OK))
-        except QuadratureError as exc:
-            out.append((complex(exc.best_estimate), exc.error_estimate,
-                        FLAG_NO_CONVERGENCE))
+        re, re_err, re_flag = literal_part(lambda x: f(x).real, width, spec)
+        im, im_err, im_flag = literal_part(lambda x: f(x).imag, width, spec)
+        out.append((complex(re, im), math.hypot(re_err, im_err),
+                    re_flag or im_flag))
     return out
 
 
@@ -138,6 +163,55 @@ def test_project_box_matches_literal_quadrature_loop(target, width, spec):
     series = project(target, Box1D(width), [BoxIndex(n) for n in ns], spec)
     assert [(c, err, flag) for _, c, err, flag in series.entries] \
         == literal_box_projection(target, width, ns, spec)
+
+
+def repr_entries(entries):
+    # repr tells -0.0 from 0.0, as the CSV does; == would not
+    return [(repr(c), repr(err), flag) for c, err, flag in entries]
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.floats(0.2, 5.0), sigma=st.floats(0.04, 0.3),
+       center=st.floats(0.2, 0.8), wave=st.floats(-40.0, 40.0),
+       tilt=st.floats(0.1, 2.0), imaginary=st.booleans(),
+       spec=st.sampled_from([QuadratureSpec(),
+                             QuadratureSpec(max_subdivisions=2)]))
+def test_project_box_is_the_literal_route_in_repr(width, sigma, center, wave,
+                                                   tilt, imaginary, spec):
+    # a Gaussian packet in width units, real or with a non-zero imaginary
+    # part; the starved spec flags some coefficients in one part or both
+    def target(p):
+        s = (p.x / width - center) / sigma
+        z = complex(math.exp(-0.5 * s * s))
+        if imaginary:
+            z *= complex(math.cos(wave * p.x), math.sin(wave * p.x) + tilt)
+        return z
+
+    ns = range(1, 13)
+    series = project(target, Box1D(width), [BoxIndex(n) for n in ns], spec)
+    assert repr_entries([e[1:] for e in series.entries]) \
+        == repr_entries(literal_box_projection(target, width, ns, spec))
+
+
+def test_unconverged_imaginary_part_keeps_the_real_part():
+    # sqrt(2) sin(pi x) projects to 1 on n = 1; i sin(400 x) cannot converge
+    # on two subintervals, and its best estimate must not replace the real
+    # part
+    def target(p):
+        return complex(math.sqrt(2.0) * math.sin(math.pi * p.x),
+                       math.sin(400.0 * p.x))
+
+    spec = QuadratureSpec(max_subdivisions=2)
+    [(_, c, err, flag)] = project(target, Box1D(1.0), [BoxIndex(1)],
+                                  spec).entries
+    assert flag == FLAG_NO_CONVERGENCE
+    assert c.real == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(QuadratureError) as exc:
+        integrate_interval(
+            lambda x: box_eigenfunction(1, x, 1.0) * math.sin(400.0 * x),
+            0.0, 1.0, spec)
+    assert c.imag == exc.value.best_estimate
+    assert err >= exc.value.error_estimate
 
 
 def test_project_box_evaluates_target_once_per_node():

@@ -9,6 +9,7 @@ its rows fails against the golden table; a test kills it when it raises.
 """
 
 import __future__
+import functools
 import inspect
 import json
 import textwrap
@@ -17,13 +18,18 @@ from pathlib import Path
 
 import pytest
 
-from expansionlab import cli, gauge
+from expansionlab import cli, expansion, gauge
 from expansionlab.scenario import load_scenario
 
+import test_expansion
 import test_gauge
 
 DATA = Path(resources.files("expansionlab") / "data")
 
+
+_tower_bits = functools.partial(
+    test_expansion.test_landau_overlaps_match_one_n_route_bit_for_bit,
+    1.0, 1.0)
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
 MUTANTS = [
@@ -45,6 +51,23 @@ MUTANTS = [
      "np.full(np.shape(t), np.ravel(t)[0])[..., None]",
      ["phase-factored-fit"],
      [test_gauge.test_batched_observables_match_per_time_oracle]),
+    # the Landau tower's own binding of the shared Laguerre step: the
+    # one-n route keeps the true step
+    ("tower-step-over-k", expansion, "_laguerre_step",
+     "/ (k + 1)", "/ k",
+     ["equal-magnitude-recurrence"], [_tower_bits]),
+    ("tower-reads-previous-order", expansion, "_LaguerreTower",
+     "self.cols[2].tolist()", "self.cols[1].tolist()",
+     ["equal-magnitude-recurrence"], [_tower_bits]),
+    # reproduce-all is blind: no claim projects onto the box, and the swap
+    # keeps every |C_n|^2
+    ("box-parts-swapped", expansion, "_box_parts",
+     "return real, imag", "return imag, real",
+     [], [test_expansion.test_unconverged_imaginary_part_keeps_the_real_part]),
+    ("landau-closed-form-sign", expansion, "landau_plane_wave_coefficient",
+     "return 2.0 * a * a", "return -2.0 * a * a",
+     ["equal-magnitude-recurrence"],
+     [test_expansion.test_sign_pattern_reported_by_both_routes]),
 ]
 
 
@@ -75,6 +98,9 @@ def claim_fails(claim_id, out_dir) -> bool:
     return code != 0 or not ok
 
 
+# a mutant may divide by zero on arrays; numpy warns, and the claim or test
+# still has to fail
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("row", MUTANTS, ids=[m[0] for m in MUTANTS])
 def test_mutant_is_killed(tmp_path, monkeypatch, row):
     _, module, name, snippet, replacement, claims, tests = row

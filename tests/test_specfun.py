@@ -3,12 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from expansionlab.specfun import (CONVERGENCE_GUARD, DEFAULT_QUADRATURE,
                                   QuadratureError, QuadratureSpec,
                                   SeriesDivergenceError, SpecfunDomainError,
-                                  confluent_hypergeometric,
+                                  _laguerre_step, confluent_hypergeometric,
                                   integrate_interval, integrate_semi_infinite,
                                   laguerre, laguerre_associated, laguerre_row)
 
@@ -80,6 +81,21 @@ def test_laguerre_row_is_the_recurrence_bit_for_bit():
     assert list(laguerre_row(0, 3.0)) == [1.0]
     with pytest.raises(SpecfunDomainError):
         laguerre_row(-1, 1.0)
+
+
+def test_laguerre_step_on_a_column_is_the_row_bit_for_bit():
+    # the Landau tower steps a column of nodes with numpy; its +, -, * and /
+    # must round as the floats of laguerre_row do, -0.0 included
+    us = np.concatenate([[0.0, 0.37, 1.0, 3.0, 12.5, 400.0],
+                         np.random.default_rng(5).uniform(0.0, 1600.0, 200)])
+    prev, cur = np.zeros_like(us), np.ones_like(us)
+    columns = [cur]
+    for k in range(70):
+        prev, cur = cur, _laguerre_step(k, us, prev, cur)
+        columns.append(cur)
+    for u, column in zip(us.tolist(), np.array(columns).T.tolist()):
+        assert [repr(x) for x in column] \
+            == [repr(x) for x in laguerre_row(70, u)]
 
 
 def test_laguerre_against_polynomial_series():
