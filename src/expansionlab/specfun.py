@@ -9,27 +9,43 @@ cancellation near n = 50, u = 50. The recurrence evaluators below are the fast
 float path used inside integrands; the two routes are cross-certified in the
 test suite.
 
-The quadrature oracle is one QUADPACK call per integral, so a tower of
+The quadrature oracle is one QUADPACK qagse call per integral, so a tower of
 coefficients is one call per n. QUADPACK bisects a given interval the same
 dyadic way for every integrand, so those calls keep meeting the same 21-point
 Kronrod nodes; callers share node values across them without changing a
-single integrand value. One three-term step, _laguerre_step, serves both
-laguerre_row, which climbs the orders at one node, and the Landau tower in
-expansion, which steps a whole column of nodes up one order at a time.
+single integrand value. qagse is reached in scipy's QUADPACK extension,
+loaded on its own so that the scipy.integrate package is never imported,
+and each call returns what scipy.integrate.quad returns bit for bit: it
+runs in a workspace of FIRST_LIMIT subintervals and reruns at the full
+limit only when that could matter, and an integrand that is zero at every
+node of QUADPACK's first rule gets no call at all (see _run_quad). One
+three-term step, _laguerre_step, serves both laguerre_row, which climbs the
+orders at one node, and the Landau tower in expansion, which steps a whole
+column of nodes up one order at a time.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from typing import Callable
 
 # Non-terminating series are only trusted on a modest argument range; beyond
 # this the float partial sums are not reliable and callers get an error.
 CONVERGENCE_GUARD = 60.0
 _MAX_SERIES_TERMS = 500
+
+# scipy's QUADPACK extension, and the subintervals of a first qagse run
+_QUADPACK = "scipy.integrate._quadpack"
+FIRST_LIMIT = 128
 
 
 class SpecfunDomainError(ValueError):
@@ -72,10 +88,13 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise SpecfunDomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise SpecfunDomainError("max_subdivisions must be at least 1")
-        if not self.upper_cutoff > 0.0:
-            raise SpecfunDomainError("upper_cutoff must be positive")
+        if not (isinstance(self.max_subdivisions, int)
+                and self.max_subdivisions >= 1):
+            raise SpecfunDomainError(
+                "max_subdivisions must be an integer of at least 1")
+        if not 0.0 < self.upper_cutoff < math.inf:
+            raise SpecfunDomainError(
+                "upper_cutoff must be positive and finite")
 
     def scaled(self, factor: float) -> "QuadratureSpec":
         """A copy with both tolerances multiplied by factor."""
@@ -178,20 +197,125 @@ def laguerre_associated(n: int, alpha: float, u: float) -> float:
     return cur
 
 
+# scipy.integrate.quad's text for each code qagse returns on failure
+_QUADPACK_MESSAGES = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+       "If increasing the limit yields no improvement it is advised to "
+       "analyze \n  the integrand in order to determine the difficulties.  "
+       "If the position of a \n  local difficulty can be determined "
+       "(singularity, discontinuity) one will \n  probably gain from "
+       "splitting up the interval and calling the integrator \n  on the "
+       "subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+       "the requested tolerance from being achieved.  "
+       "The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  "
+       "integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+       "in the extrapolation table.  It is assumed that the requested "
+       "tolerance\n  cannot be achieved, and that the returned result "
+       "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+}
+
+
+def _quadpack_file() -> str | None:
+    """The file of scipy's QUADPACK extension, found without importing it."""
+    scipy = importlib.util.find_spec("scipy")
+    for folder in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "integrate", "_quadpack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@cache
+def _qagse():
+    """QUADPACK's qagse, without importing the scipy.integrate package.
+
+    That package costs 0.7 s of start-up (2-CPU Xeon host). The extension is
+    loaded from its file and registered in sys.modules under its real name,
+    so a later import of scipy.integrate uses this very module. Without the
+    file it is imported by name.
+    """
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        path = _quadpack_file()
+        if path is None:
+            module = importlib.import_module(_QUADPACK)
+        else:
+            loader = importlib.machinery.ExtensionFileLoader(_QUADPACK, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_QUADPACK, path,
+                                                       loader=loader))
+            loader.exec_module(module)
+            sys.modules[_QUADPACK] = module
+    return module._qagse
+
+
+@lru_cache(maxsize=32)
+def _first_rule(lo: float, hi: float) -> tuple:
+    """The 21 nodes of QUADPACK's first Kronrod rule on [lo, hi].
+
+    Recorded from one qagse call on a zero integrand, in the order QUADPACK
+    evaluates them, the centre first.
+    """
+    nodes = []
+    _qagse()(lambda x: nodes.append(x) or 0.0, lo, hi, (), 0, 1.0, 1.0, 1)
+    return tuple(nodes)
+
+
+def _zero_on_first_rule(integrand, lo: float, hi: float):
+    """qagse's value for an integrand zero on the first rule, else None.
+
+    QUADPACK stops after its first rule when that rule's error is 0, with the
+    rule's weighted sum as the value: -0.0 when all 21 values are -0.0, else
+    0.0. The nodes are evaluated in QUADPACK's order, so an integrand that is
+    not zero at the centre costs one evaluation here; copysign refuses a
+    value that is not real, as QUADPACK does.
+    """
+    negative = True
+    for x in _first_rule(lo, hi):
+        y = integrand(x)
+        if y != 0.0:
+            return None
+        negative = math.copysign(1.0, y) < 0.0 and negative
+    return -0.0 if negative else 0.0
+
+
 def _run_quad(integrand: Callable[[float], float], lo: float, hi: float,
               spec: QuadratureSpec):
-    # imported here: only projections and the Landau overlap integrate, and
-    # scipy.integrate costs most of the package's import time
-    from scipy.integrate import quad
+    """(value, error) of qagse at limit spec.max_subdivisions.
 
-    res = quad(integrand, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-               limit=spec.max_subdivisions, full_output=1)
-    if len(res) > 3:
-        value, err = res[0], res[1]
+    Non-convergence raises QuadratureError with quad's message. Value, error
+    and failure are bit for bit scipy.integrate.quad's, through two shortcuts:
+    - QUADPACK reads its limit only in the stop at last == limit and in
+      jupbnd = limit + 3 - last, the range it re-sorts its error list over
+      once last > limit/2 + 2. A first run in FIRST_LIMIT subintervals that
+      ends at or below that mark made the full run's operations; any other
+      is rerun at the full limit. The default workspace of 2^16 made a call
+      on a zero integrand cost 36 us instead of 9 us (2-CPU Xeon host), and
+      expansionlab's own integrands need at most a few dozen subintervals.
+    - An integrand that is zero on the first rule gets no call. At a limit
+      of 1 QUADPACK reports even that as not converged, so it gets the call.
+    """
+    qagse = _qagse()
+    if spec.max_subdivisions > 1:
+        zero = _zero_on_first_rule(integrand, lo, hi)
+        if zero is not None:
+            return zero, 0.0
+    limit = min(spec.max_subdivisions, FIRST_LIMIT)
+    value, err, info, ier = qagse(integrand, lo, hi, (), 1, spec.abs_tol,
+                                  spec.rel_tol, limit)
+    if limit < spec.max_subdivisions and info["last"] > limit // 2 + 2:
+        value, err, info, ier = qagse(integrand, lo, hi, (), 1, spec.abs_tol,
+                                      spec.rel_tol, spec.max_subdivisions)
+    if ier:
+        message = _QUADPACK_MESSAGES[ier].format(limit=spec.max_subdivisions)
         raise QuadratureError(
-            f"quadrature on [{lo!r}, {hi!r}] did not converge: {res[3].strip()}",
+            f"quadrature on [{lo!r}, {hi!r}] did not converge: {message}",
             value, err)
-    value, err = res[0], res[1]
     return value, err
 
 
@@ -212,6 +336,8 @@ def integrate_interval(integrand: Callable[[float], float], lo: float, hi: float
                        spec: QuadratureSpec | None = None):
     """Adaptive quadrature over a finite interval, same error discipline."""
     spec = spec or DEFAULT_QUADRATURE
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SpecfunDomainError("integration bounds must be finite")
     if not hi > lo:
         raise SpecfunDomainError("integration interval must have hi > lo")
     return _run_quad(integrand, lo, hi, spec)

@@ -43,6 +43,22 @@ def run_cli(*args, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+def test_commands_never_import_scipy_integrate(tmp_path):
+    # QUADPACK is reached in scipy's extension module alone: the
+    # scipy.integrate package around it would cost most of the start-up
+    for args in (["expand", "--scenario", str(SCENARIOS / "box_gaussian.scn")],
+                 ["reproduce-all"]):
+        r = run_cli(*args, "--out", str(tmp_path / args[0]),
+                    env_extra={"PYTHONPROFILEIMPORTTIME": "1"})
+        assert r.returncode == 0, r.stderr
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in r.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "expansionlab.specfun" in imported
+        assert not [name for name in imported
+                    if name.split(".")[:2] == ["scipy", "integrate"]]
+
+
 def test_expand_box_scenario_writes_artifacts(tmp_path):
     out = tmp_path / "out"
     code, stats = cmd_expand(load_scenario(SCENARIOS / "box_roundtrip.scn"),

@@ -18,11 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from expansionlab import cli, expansion, gauge
+from expansionlab import cli, expansion, gauge, specfun
 from expansionlab.scenario import load_scenario
 
 import test_expansion
 import test_gauge
+import test_specfun
 
 DATA = Path(resources.files("expansionlab") / "data")
 
@@ -30,6 +31,9 @@ DATA = Path(resources.files("expansionlab") / "data")
 _tower_bits = functools.partial(
     test_expansion.test_landau_overlaps_match_one_n_route_bit_for_bit,
     1.0, 1.0)
+_negative_zero = functools.partial(
+    test_specfun.test_zero_integrand_is_quad_on_the_first_rule,
+    "negative-zero", 2 ** 16)
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
 MUTANTS = [
@@ -68,6 +72,22 @@ MUTANTS = [
      "return 2.0 * a * a", "return -2.0 * a * a",
      ["equal-magnitude-recurrence"],
      [test_expansion.test_sign_pattern_reported_by_both_routes]),
+    # reproduce-all is blind: no claim's integral needs more subintervals
+    # than the first run's mark, so none is rerun
+    ("rerun-past-the-limit", specfun, "_run_quad",
+     "limit // 2 + 2", "limit",
+     [], [test_specfun.test_first_workspace_reruns_past_its_mark]),
+    # reproduce-all is blind: no claim integrates a function that is -0.0
+    # at every node of the first rule
+    ("zero-shortcut-unsigned", specfun, "_zero_on_first_rule",
+     "-0.0 if negative else 0.0", "0.0",
+     [], [_negative_zero]),
+    # reproduce-all is blind: the Landau claims read the tower's own binding
+    # of the step, and laguerre_row serves only the one-n route
+    ("laguerre-step-plus-k", specfun, "_laguerre_step",
+     "- k * prev", "+ k * prev",
+     [], [test_specfun.test_laguerre_row_is_the_recurrence_bit_for_bit,
+          test_specfun.test_confluent_cross_oracle_laguerre_recurrence]),
 ]
 
 

@@ -1,11 +1,17 @@
 """Special functions: terminating/non-terminating series and the quadrature oracle."""
 
+import importlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from expansionlab import specfun
 from expansionlab.specfun import (CONVERGENCE_GUARD, DEFAULT_QUADRATURE,
                                   QuadratureError, QuadratureSpec,
                                   SeriesDivergenceError, SpecfunDomainError,
@@ -76,8 +82,18 @@ def test_laguerre_degenerate_and_linear():
 
 
 def test_laguerre_row_is_the_recurrence_bit_for_bit():
+    # the three-term recurrence written out here, bit for bit, and the
+    # terminating series as an independent route
     for u in (0.0, 0.37, 1.0, 12.5, 400.0):
-        assert list(laguerre_row(70, u)) == [laguerre(n, u) for n in range(71)]
+        prev, cur, expected = 0.0, 1.0, [1.0]
+        for k in range(70):
+            prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+            expected.append(cur)
+        row = laguerre_row(70, u)
+        assert [repr(x) for x in row] == [repr(x) for x in expected]
+        for n in range(0, 71, 7):
+            series = confluent_hypergeometric(float(-n), 1.0, u)
+            assert abs(row[n] - series) <= 1e-12 * max(1.0, abs(series))
     assert list(laguerre_row(0, 3.0)) == [1.0]
     with pytest.raises(SpecfunDomainError):
         laguerre_row(-1, 1.0)
@@ -195,6 +211,14 @@ def test_quadrature_spec_validation_and_scaling():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(upper_cutoff=-5.0)
+    for cutoff in (math.inf, math.nan):
+        with pytest.raises(SpecfunDomainError, match="finite"):
+            QuadratureSpec(upper_cutoff=cutoff)
+    # a non-integer limit: QUADPACK's first run in 128 subintervals would
+    # hide it where quad raised TypeError
+    for limit in (0, 2.5, 300.5):
+        with pytest.raises(SpecfunDomainError, match="max_subdivisions"):
+            QuadratureSpec(max_subdivisions=limit)
     spec = DEFAULT_QUADRATURE.scaled(0.01)
     assert spec.abs_tol == pytest.approx(DEFAULT_QUADRATURE.abs_tol * 0.01)
     assert spec.rel_tol == pytest.approx(DEFAULT_QUADRATURE.rel_tol * 0.01)
@@ -221,3 +245,172 @@ def test_quadrature_error_carries_best_estimate():
     err = excinfo.value
     assert isinstance(err.best_estimate, float)
     assert err.error_estimate > 0.0
+
+
+def test_integrate_interval_rejects_non_finite_bounds():
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                   (0.0, math.nan)):
+        with pytest.raises(SpecfunDomainError, match="bounds must be finite"):
+            integrate_interval(lambda x: 1.0, lo, hi)
+    for lo, hi in ((1.0, 0.0), (2.0, 2.0)):
+        with pytest.raises(SpecfunDomainError, match="hi > lo"):
+            integrate_interval(lambda x: 1.0, lo, hi)
+
+
+# _run_quad against its oracle, scipy.integrate.quad at the full limit.
+# Outcomes are compared as reprs, so -0.0 and every last bit count.
+
+def quad_outcome(f, lo, hi, spec):
+    """(outcome, last) of scipy.integrate.quad: what _run_quad must give."""
+    res = quad(f, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+               limit=spec.max_subdivisions, full_output=1)
+    if len(res) > 3:
+        return (("raise", repr(res[0]), repr(res[1]),
+                 f"quadrature on [{lo!r}, {hi!r}] did not converge: "
+                 f"{res[3].strip()}"), res[2]["last"])
+    return ("return", repr(res[0]), repr(res[1])), res[2]["last"]
+
+
+def run_quad_outcome(f, lo, hi, spec):
+    try:
+        value, err = specfun._run_quad(f, lo, hi, spec)
+    except QuadratureError as exc:
+        return ("raise", repr(exc.best_estimate), repr(exc.error_estimate),
+                str(exc))
+    return ("return", repr(value), repr(err))
+
+
+def unit_integrand(family, p, lo, hi):
+    """A test integrand on [lo, hi], shaped in t = (x - lo) / (hi - lo).
+
+    The oscillatory and near-singular ones need from 1 to about 1 000
+    subintervals as p goes from 0 to 1.
+    """
+    width = hi - lo
+    mid = 0.5 * (lo + hi)       # the centre of QUADPACK's first rule
+    if family == "oscillatory":
+        return lambda x: math.cos(7000.0 * p * (x - lo) / width + 0.3)
+    if family == "near-singular":
+        k = 20.0 * math.pi * p
+        return lambda x: 1.0 / math.sqrt(
+            abs(math.sin(k * (x - lo) / width + 0.7)) + 1e-12)
+    if family == "inverse-sine":
+        eps = 10.0 ** (-4.0 * p)
+        return lambda x: math.sin(1.0 / ((x - lo) / width + eps))
+    if family == "zero-at-centre":
+        return lambda x: (x - mid) * math.exp((x - lo) / width)
+    if family == "zero":
+        return lambda x: 0.0 * (x - lo)
+    if family == "negative-zero":
+        return lambda x: -0.0 * (1.0 + (x - lo) ** 2)
+    if family == "mixed-zero":
+        return lambda x: math.copysign(0.0, math.sin(40.0 * (x - lo) / width))
+    raise ValueError(family)
+
+
+FAMILIES = ("oscillatory", "near-singular", "inverse-sine", "zero-at-centre",
+            "zero", "negative-zero", "mixed-zero")
+LIMITS = (1, 2, 127, 128, 129, 2 ** 16)
+TOLERANCES = ((1e-12, 1e-10), (1e-8, 1e-8), (1e-15, 1e-14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES),
+       p=st.integers(0, 100).map(lambda k: k / 100),
+       lo=st.floats(-3.0, 3.0), width=st.floats(0.01, 50.0),
+       limit=st.sampled_from(LIMITS), tolerances=st.sampled_from(TOLERANCES))
+@example(family="oscillatory", p=0.1, lo=0.0, width=1.0, limit=2 ** 16,
+         tolerances=TOLERANCES[0])
+@example(family="oscillatory", p=0.6, lo=0.0, width=1.0, limit=2 ** 16,
+         tolerances=TOLERANCES[0])
+@example(family="near-singular", p=1.0, lo=0.0, width=1.0, limit=129,
+         tolerances=TOLERANCES[0])
+def test_run_quad_is_quad_bit_for_bit(family, p, lo, width, limit,
+                                      tolerances):
+    hi = lo + width
+    spec = QuadratureSpec(*tolerances, max_subdivisions=limit)
+    f = unit_integrand(family, p, lo, hi)
+    expected, _ = quad_outcome(f, lo, hi, spec)
+    assert run_quad_outcome(f, lo, hi, spec) == expected
+
+
+def test_first_workspace_reruns_past_its_mark():
+    # cos(w t) needs about 16, 100 and 200 subintervals at the full limit:
+    # below the mark of a first run in 128, between the mark and 128, and
+    # beyond 128, where the first run stops at its limit
+    mark = specfun.FIRST_LIMIT // 2 + 2
+    spec = QuadratureSpec()
+    for w, (low, high) in ((100.0, (1, mark)),
+                           (700.0, (mark + 1, specfun.FIRST_LIMIT)),
+                           (1400.0, (specfun.FIRST_LIMIT + 1, 2 ** 16))):
+        f = lambda x, w=w: math.cos(w * x)
+        expected, last = quad_outcome(f, 0.0, 1.0, spec)
+        assert low <= last <= high, (w, last)
+        assert run_quad_outcome(f, 0.0, 1.0, spec) == expected
+
+
+FAILURES = [
+    (1, lambda x: math.cos(1400.0 * x), TOLERANCES[0], 129),
+    (2, lambda x: abs(math.log(x)) ** 0.1 if x else 0.0, TOLERANCES[2],
+     2 ** 16),
+    (3, unit_integrand("near-singular", 0.1, 0.0, 1.0), TOLERANCES[0],
+     2 ** 16),
+    (4, lambda x: abs(math.log(x)) ** 0.05 if x else 0.0, TOLERANCES[2],
+     2 ** 16),
+    (5, lambda x: x ** -1.5 if x else 0.0, TOLERANCES[0], 2 ** 16),
+]
+
+
+@pytest.mark.parametrize("code, f, tolerances, limit", FAILURES,
+                         ids=[str(row[0]) for row in FAILURES])
+def test_each_failure_code_reads_as_quad(code, f, tolerances, limit):
+    spec = QuadratureSpec(*tolerances, max_subdivisions=limit)
+    assert specfun._qagse()(f, 0.0, 1.0, (), 0, *tolerances, limit)[2] == code
+    expected, _ = quad_outcome(f, 0.0, 1.0, spec)
+    assert expected[0] == "raise"
+    assert run_quad_outcome(f, 0.0, 1.0, spec) == expected
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+@pytest.mark.parametrize("family", ["zero", "negative-zero", "mixed-zero"])
+def test_zero_integrand_is_quad_on_the_first_rule(family, limit):
+    spec = QuadratureSpec(max_subdivisions=limit)
+    f = unit_integrand(family, 0.5, 0.0, 2.0)
+    first_rule = []
+    expected, last = quad_outcome(lambda x: first_rule.append(x) or f(x),
+                                  0.0, 2.0, spec)
+    assert last == 1 and len(first_rule) == 21
+    called = []
+    got = run_quad_outcome(lambda x: called.append(x) or f(x), 0.0, 2.0, spec)
+    assert got == expected
+    if limit > 1:
+        # the shortcut: the first rule's nodes in QUADPACK's order, no other
+        assert called == first_rule
+    assert expected[1] == ("-0.0" if family == "negative-zero" else "0.0")
+
+
+def test_complex_zero_is_refused_as_by_quad():
+    values = iter([0.0, 0.0, 0j])
+    with pytest.raises(TypeError) as got:
+        specfun._run_quad(lambda x: next(values, 0.0), 0.0, 1.0,
+                          DEFAULT_QUADRATURE)
+    values = iter([0.0, 0.0, 0j])
+    with pytest.raises(TypeError) as expected:
+        quad(lambda x: next(values, 0.0), 0.0, 1.0)
+    assert str(got.value) == str(expected.value)
+
+
+def test_named_import_gives_the_same_qagse(monkeypatch):
+    loaded = specfun._qagse()
+    named = []
+    by_name = importlib.import_module
+
+    def import_module(name):
+        named.append(name)
+        return by_name(name)
+
+    monkeypatch.setattr(specfun, "_quadpack_file", lambda: None)
+    monkeypatch.setattr(specfun.importlib, "import_module", import_module)
+    monkeypatch.delitem(sys.modules, specfun._QUADPACK)
+    assert specfun._qagse.__wrapped__() is loaded
+    assert named == [specfun._QUADPACK]
