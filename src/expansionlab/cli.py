@@ -163,7 +163,7 @@ _KEYS = (
 def _expand_landau(name: str, v: dict, scale: float):
     a, n_max, quad_max = v["magnetic_length"], v["n_max"], v["quad_check_max"]
     family = LandauUniformField(a)
-    spec = QuadratureSpec(upper_cutoff=40.0 * a).scaled(scale)
+    spec = basis.default_quadrature(family).scaled(scale)
 
     closed = [expansion.landau_plane_wave_coefficient(n, a)
               for n in range(n_max + 1)]

@@ -1,4 +1,4 @@
-"""Projection onto basis families, Parseval and convergence diagnostics.
+"""Projection onto the box family, Parseval and convergence diagnostics.
 
 Includes the closed-form and quadrature routes for the Landau l=0 overlap
 with a transverse plane-wave slice: both evaluate the radial integral
@@ -91,28 +91,6 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _angular_average(target, rho: float, l: int) -> tuple[complex, bool]:
-    """(1/2pi) int e^(-i l phi) target(rho, phi, 0) dphi by doubling trapezoid.
-
-    The periodic trapezoid rule is spectrally accurate, so band-limited
-    targets converge after one doubling, to a relative 1e-12. Returns
-    (average, converged); when 1024 points do not settle it, the last
-    estimate comes back unconverged.
-    """
-    m = 16
-    prev = None
-    while m <= 1024:
-        phis = np.arange(m) * (2.0 * math.pi / m)
-        vals = np.array([target(SpacePoint.cylindrical(rho, p, 0.0))
-                         for p in phis], dtype=complex)
-        avg = complex(np.mean(vals * np.exp(-1j * l * phis)))
-        if prev is not None and abs(avg - prev) <= max(1e-14, 1e-12 * abs(avg)):
-            return avg, True
-        prev = avg
-        m *= 2
-    return prev, False
-
-
 def _complex_quad(runner, real, imag):
     """(value, error, flag) of runner over the real and imaginary integrands.
 
@@ -155,55 +133,28 @@ def _box_parts(n: int, width: float, on_axis):
 
 
 def project(target, family, indices, quadrature: QuadratureSpec | None = None) -> CoefficientSeries:
-    """Coefficients C_n = <psi_n | target> by the quadrature oracle.
+    """Box1D coefficients C_n = <psi_n | target> by the quadrature oracle.
 
-    target is a callable of SpacePoint. Landau projections run on the fixed
-    transverse slice z = 0 (angular integral by periodic trapezoid, radial by
-    adaptive quadrature); box projections integrate over [0, L]. Each
-    coefficient is one QUADPACK call per real and imaginary part. A part
+    target is a callable of SpacePoint, integrated over [0, L] on the x axis.
+    Each coefficient is one QUADPACK call per real and imaginary part. A part
     whose quadrature fails to converge keeps its best estimate, the other
-    part its own value, and the coefficient is flagged, as it is when its
-    angular average is still moving at 1024 points; the series is still
-    returned.
+    part its own value, and the coefficient is flagged; the series is still
+    returned. Any other family raises BasisIndexError.
 
-    The target is evaluated once per distinct quadrature node (an angular
-    average once per node and l) and shared across the indices.
+    The target is evaluated once per distinct quadrature node and shared
+    across the indices.
     """
-    entries = []
-    if isinstance(family, LandauUniformField):
-        a = family.magnetic_length
-        spec = quadrature or basis.default_quadrature(family)
-        runner = lambda f: integrate_semi_infinite(f, spec)
-        average = _Memo(lambda key: _angular_average(target, *key))
-        for ix in indices:
-            unsettled = []
-
-            def radial_integrand(rho, _ix=ix):
-                if rho == 0.0 and _ix.l != 0:
-                    return 0.0 + 0.0j
-                r = basis.landau_radial(_ix.n, _ix.l, rho, a)
-                avg, converged = average[(rho, _ix.l)]
-                if not converged:
-                    unsettled.append(rho)
-                return math.sqrt(2.0 * math.pi) * r * rho * avg
-
-            value, err, flag = _complex_quad(
-                runner, lambda rho: radial_integrand(rho).real,
-                lambda rho: radial_integrand(rho).imag)
-            if unsettled:
-                flag = FLAG_NO_CONVERGENCE
-            entries.append((ix, value, err, flag))
-    elif isinstance(family, Box1D):
-        width = family.width
-        spec = quadrature or QuadratureSpec()
-        runner = lambda f: integrate_interval(f, 0.0, width, spec)
-        on_axis = _Memo(lambda x: target(SpacePoint.cartesian(x, 0.0, 0.0)))
-        for ix in indices:
-            entries.append((ix, *_complex_quad(
-                runner, *_box_parts(ix.n, width, on_axis))))
-    else:
+    if not isinstance(family, Box1D):
         raise basis.BasisIndexError(
             f"projection is not defined for {type(family).__name__}")
+    width = family.width
+    spec = quadrature or QuadratureSpec()
+    runner = lambda f: integrate_interval(f, 0.0, width, spec)
+    on_axis = _Memo(lambda x: target(SpacePoint.cartesian(x, 0.0, 0.0)))
+    entries = []
+    for ix in indices:
+        entries.append((ix, *_complex_quad(
+            runner, *_box_parts(ix.n, width, on_axis))))
     return CoefficientSeries(family, entries)
 
 
@@ -241,7 +192,7 @@ def landau_plane_wave_overlap(n: int, a: float = 1.0,
     """
     if not a > 0.0:
         raise basis.BasisDomainError("magnetic length must be positive")
-    spec = quadrature or QuadratureSpec(upper_cutoff=40.0 * a)
+    spec = quadrature or basis.default_quadrature(LandauUniformField(a))
 
     def integrand(rho):
         u = rho * rho / (2.0 * a * a)
@@ -262,7 +213,7 @@ def landau_plane_wave_overlaps(n_max: int, a: float = 1.0,
     """
     if not a > 0.0:
         raise basis.BasisDomainError("magnetic length must be positive")
-    spec = quadrature or QuadratureSpec(upper_cutoff=40.0 * a)
+    spec = quadrature or basis.default_quadrature(LandauUniformField(a))
     tower = _LaguerreTower(a)
     gauss, cur = tower.gauss, tower.cur
 

@@ -551,7 +551,7 @@ class PhaseFitReport:
     def to_text(self) -> str:
         lines = ["basis_size residual(final time)"]
         for n, r in zip(self.fit_sizes, self.final_residuals()):
-            lines.append(f"{n:10d} {r!r}")
+            lines.append(f"{n:10d} {float(r)!r}")
         lines.append(f"plateaued above {PLATEAU_TOL!r}: {self.plateaued}")
         return "\n".join(lines)
 

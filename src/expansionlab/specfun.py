@@ -17,11 +17,10 @@ single integrand value. qagse is reached in scipy's QUADPACK extension,
 loaded on its own so that the scipy.integrate package is never imported,
 and each call returns what scipy.integrate.quad returns bit for bit: it
 runs in a workspace of FIRST_LIMIT subintervals and reruns at the full
-limit only when that could matter, and an integrand that is zero at every
-node of QUADPACK's first rule gets no call at all (see _run_quad). One
-three-term step, _laguerre_step, serves both laguerre_row, which climbs the
-orders at one node, and the Landau tower in expansion, which steps a whole
-column of nodes up one order at a time.
+limit only when that could matter (see _run_quad). One three-term step,
+_laguerre_step, serves both laguerre_row, which climbs the orders at one
+node, and the Landau tower in expansion, which steps a whole column of nodes
+up one order at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable
 
 # Non-terminating series are only trusted on a modest argument range; beyond
@@ -254,57 +253,21 @@ def _qagse():
     return module._qagse
 
 
-@lru_cache(maxsize=32)
-def _first_rule(lo: float, hi: float) -> tuple:
-    """The 21 nodes of QUADPACK's first Kronrod rule on [lo, hi].
-
-    Recorded from one qagse call on a zero integrand, in the order QUADPACK
-    evaluates them, the centre first.
-    """
-    nodes = []
-    _qagse()(lambda x: nodes.append(x) or 0.0, lo, hi, (), 0, 1.0, 1.0, 1)
-    return tuple(nodes)
-
-
-def _zero_on_first_rule(integrand, lo: float, hi: float):
-    """qagse's value for an integrand zero on the first rule, else None.
-
-    QUADPACK stops after its first rule when that rule's error is 0, with the
-    rule's weighted sum as the value: -0.0 when all 21 values are -0.0, else
-    0.0. The nodes are evaluated in QUADPACK's order, so an integrand that is
-    not zero at the centre costs one evaluation here; copysign refuses a
-    value that is not real, as QUADPACK does.
-    """
-    negative = True
-    for x in _first_rule(lo, hi):
-        y = integrand(x)
-        if y != 0.0:
-            return None
-        negative = math.copysign(1.0, y) < 0.0 and negative
-    return -0.0 if negative else 0.0
-
-
 def _run_quad(integrand: Callable[[float], float], lo: float, hi: float,
               spec: QuadratureSpec):
     """(value, error) of qagse at limit spec.max_subdivisions.
 
     Non-convergence raises QuadratureError with quad's message. Value, error
-    and failure are bit for bit scipy.integrate.quad's, through two shortcuts:
-    - QUADPACK reads its limit only in the stop at last == limit and in
-      jupbnd = limit + 3 - last, the range it re-sorts its error list over
-      once last > limit/2 + 2. A first run in FIRST_LIMIT subintervals that
-      ends at or below that mark made the full run's operations; any other
-      is rerun at the full limit. The default workspace of 2^16 made a call
-      on a zero integrand cost 36 us instead of 9 us (2-CPU Xeon host), and
-      expansionlab's own integrands need at most a few dozen subintervals.
-    - An integrand that is zero on the first rule gets no call. At a limit
-      of 1 QUADPACK reports even that as not converged, so it gets the call.
+    and failure are bit for bit scipy.integrate.quad's. QUADPACK reads its
+    limit only in the stop at last == limit and in jupbnd = limit + 3 - last,
+    the range it re-sorts its error list over once last > limit/2 + 2. A
+    first run in FIRST_LIMIT subintervals that ends at or below that mark
+    made the full run's operations; any other is rerun at the full limit.
+    The default workspace of 2^16 made a call on a zero integrand cost 36 us
+    instead of 9 us (2-CPU Xeon host), and expansionlab's own integrands
+    need at most a few dozen subintervals.
     """
     qagse = _qagse()
-    if spec.max_subdivisions > 1:
-        zero = _zero_on_first_rule(integrand, lo, hi)
-        if zero is not None:
-            return zero, 0.0
     limit = min(spec.max_subdivisions, FIRST_LIMIT)
     value, err, info, ier = qagse(integrand, lo, hi, (), 1, spec.abs_tol,
                                   spec.rel_tol, limit)

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansionlab.basis import (Box1D, BoxIndex, LandauIndex,
-                                LandauUniformField, SpacePoint,
-                                box_eigenfunction, default_quadrature,
-                                landau_eigenfunction, plane_wave,
-                                principal_number)
+from expansionlab.basis import (BasisIndexError, Box1D, BoxIndex,
+                                LandauIndex, LandauUniformField, SpacePoint,
+                                box_eigenfunction, principal_number)
 from expansionlab import expansion
 from expansionlab.cli import _KEYS, cmd_expand
 from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
@@ -226,15 +224,10 @@ def test_project_box_evaluates_target_once_per_node():
     assert len(calls) == len(set(calls))
 
 
-def test_project_landau_eigenstate_round_trip():
-    fam = LandauUniformField(1.0)
-    target = lambda p: landau_eigenfunction(LandauIndex(2), p, 1.0)
-    series = project(target, fam, [LandauIndex(n) for n in range(5)],
-                     default_quadrature(fam))
-    coef = {ix.n: c for ix, c, _, _ in series.entries}
-    assert abs(coef[2] - 1.0) < 1e-8
-    for n in (0, 1, 3, 4):
-        assert abs(coef[n]) < 1e-8
+def test_project_refuses_the_landau_family():
+    with pytest.raises(BasisIndexError, match="LandauUniformField"):
+        project(gaussian_target(), LandauUniformField(1.0),
+                [LandauIndex(n) for n in range(3)])
 
 
 def test_project_box_eigenstate_is_delta():
@@ -245,22 +238,6 @@ def test_project_box_eigenstate_is_delta():
     coef = {ix.n: c for ix, c, _, _ in series.entries}
     assert abs(coef[1] - 1.0) < 1e-12
     assert parseval_defect(series) < 1e-12
-
-
-def test_project_plane_wave_on_landau_l0_matches_golden_route():
-    # the full projection (with angular average) reproduces the radial
-    # integral values up to the common proportionality convention
-    fam = LandauUniformField(1.0)
-    kz = 0.7
-    target = lambda p: plane_wave((0.0, 0.0, kz), p)
-    series = project(target, fam,
-                     [LandauIndex(n, 0, kz) for n in range(6)],
-                     default_quadrature(fam))
-    coef = series.coefficients()
-    base = landau_plane_wave_coefficient(0, 1.0)
-    for n, c in enumerate(coef):
-        want = landau_plane_wave_coefficient(n, 1.0) / base
-        assert abs(c / coef[0] - want) < 1e-9
 
 
 def test_gaussian_packet_parseval_defect_matches_golden():
@@ -400,22 +377,6 @@ def test_flagged_coefficients_survive_with_best_estimate():
     assert series.flagged()
     assert any(flag == FLAG_NO_CONVERGENCE for *_, flag in series.entries)
     assert all(np.isfinite(c) for c in series.coefficients())
-
-
-def test_unsettled_angular_average_flags_landau_coefficient():
-    # a sawtooth in phi (jump at phi = 0) moves the doubling trapezoid by
-    # pi/2m at every doubling, so 1024 points never settle it; the second
-    # index reads the averages the first one computed and is flagged too
-    def target(p):
-        return complex(math.exp(-0.25 * p.rho ** 2) * p.phi)
-
-    series = project(target, LandauUniformField(1.0),
-                     [LandauIndex(0), LandauIndex(1)],
-                     QuadratureSpec(upper_cutoff=12.0))
-    assert [flag for *_, flag in series.entries] \
-        == [FLAG_NO_CONVERGENCE, FLAG_NO_CONVERGENCE]
-    assert series.flagged()
-    assert np.all(np.isfinite(series.coefficients()))
 
 
 def test_coefficient_csv_schema(tmp_path):

@@ -479,6 +479,17 @@ def test_phase_fit_report_text_and_csv(tmp_path):
     assert len(lines) == 1 + len(report.fit_sizes)
 
 
+def test_phase_fit_report_text_prints_plain_floats():
+    # every residual line reads `int float`, whatever the numpy version's
+    # repr of its own scalars
+    scn = PhaseFitScenario(amplitude=0.0, n_slices=100, fit_sizes=(2, 4),
+                           fit_stride=50)
+    report = phase_factored_expansion_test(scn, zero_gauge_function())
+    rows = [line.split() for line in report.to_text().splitlines()[1:-1]]
+    assert [int(n) for n, _ in rows] == list(report.fit_sizes)
+    assert [float(r) for _, r in rows] == report.final_residuals().tolist()
+
+
 def test_free_potentials_are_zero():
     pots = free_potentials()
     r = np.array([[0.3, 0.5], [0.1, 0.0], [-0.2, 0.4]])

@@ -18,11 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from expansionlab import cli, expansion, gauge, specfun
+from expansionlab import cli, expansion, gauge, propagation, specfun
 from expansionlab.scenario import load_scenario
 
 import test_expansion
 import test_gauge
+import test_propagation
 import test_specfun
 
 DATA = Path(resources.files("expansionlab") / "data")
@@ -31,9 +32,8 @@ DATA = Path(resources.files("expansionlab") / "data")
 _tower_bits = functools.partial(
     test_expansion.test_landau_overlaps_match_one_n_route_bit_for_bit,
     1.0, 1.0)
-_negative_zero = functools.partial(
-    test_specfun.test_zero_integrand_is_quad_on_the_first_rule,
-    "negative-zero", 2 ** 16)
+_unitary_step = functools.partial(
+    test_propagation.test_polar_sweeps_bring_the_step_to_unitarity, 32, 1e-5)
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
 MUTANTS = [
@@ -77,11 +77,15 @@ MUTANTS = [
     ("rerun-past-the-limit", specfun, "_run_quad",
      "limit // 2 + 2", "limit",
      [], [test_specfun.test_first_workspace_reruns_past_its_mark]),
-    # reproduce-all is blind: no claim integrates a function that is -0.0
-    # at every node of the first rule
-    ("zero-shortcut-unsigned", specfun, "_zero_on_first_rule",
-     "-0.0 if negative else 0.0", "0.0",
-     [], [_negative_zero]),
+    # reproduce-all is blind: unpolished, the 10^5-step Cayley drift rises
+    # from 5.1e-12 to 7.1e-11, still inside the long-run bound of 1e-10
+    ("no-polar-polish", propagation, "_polar",
+     "range(_POLAR_SWEEPS)", "range(0)",
+     [], [_unitary_step]),
+    # reproduce-all is blind: no claim's Euler run ever loses norm
+    ("loose-monotone-check", propagation, "norm_audit",
+     "1e-15 * max", "1e-3 * max",
+     [], [test_propagation.test_audit_fails_a_norm_that_falls_by_1e_13]),
     # reproduce-all is blind: the Landau claims read the tower's own binding
     # of the step, and laguerre_row serves only the one-n route
     ("laguerre-step-plus-k", specfun, "_laguerre_step",

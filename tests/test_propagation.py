@@ -501,6 +501,20 @@ def test_euler_norm_never_falls_and_step1_closed_form_property(
     assert norm_audit(traj, m, UNITS).closed_form_defect <= 1e-12
 
 
+@pytest.mark.parametrize("dt", [1e-5, 1e-3])
+@pytest.mark.parametrize("dim", [8, 32, 64])
+def test_polar_sweeps_bring_the_step_to_unitarity(dim, dt):
+    # the eigenbasis stepper's V and U = V^H diag(exp(-i eps dt/hbar)) V,
+    # built as unitary_propagate builds them; unpolished, U^H U misses I by
+    # 1.8e-15 or more at every size and dt here
+    x = dipole_matrix_elements_box(1.0, dim)
+    freq = box_energies(1.0, dim, UNITS) / UNITS.hbar
+    v = propagation._polar(np.linalg.eigh(x)[1])
+    u = propagation._polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
+    for m in (v, u):
+        assert np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= 1e-15
+
+
 def test_unitary_zero_coupling_constant():
     m = HamiltonianModel((0.5, 1.5), [], (0.0, 1.0))
     traj = unitary_propagate(pure_state(2), m, 50, UNITS)
@@ -580,6 +594,21 @@ def test_audit_rejects_non_euler_and_impure():
     traj = euler_propagate(mixed, m, 10, UNITS)
     with pytest.raises(PropagationContractError):
         norm_audit(traj, m, UNITS)
+
+
+def test_audit_fails_a_norm_that_falls_by_1e_13():
+    m = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    traj = euler_propagate(pure_state(8), m, 200, UNITS)
+    assert norm_audit(traj, m, UNITS).passed
+    states, norms = traj.states.copy(), traj.norms
+    states[-1] *= math.sqrt((norms[-2] - 1e-13) / norms[-1])
+    fallen = Trajectory(traj.times, states, "euler")
+    assert fallen.norms[-2] - fallen.norms[-1] == pytest.approx(1e-13,
+                                                               rel=1e-2)
+    # read through the module, where a patched norm_audit lands
+    report = propagation.norm_audit(fallen, m, UNITS)
+    assert not report.monotone
+    assert not report.passed
 
 
 def test_audit_and_csv_reject_truncated_rows(tmp_path):

@@ -383,9 +383,7 @@ def test_zero_integrand_is_quad_on_the_first_rule(family, limit):
     called = []
     got = run_quad_outcome(lambda x: called.append(x) or f(x), 0.0, 2.0, spec)
     assert got == expected
-    if limit > 1:
-        # the shortcut: the first rule's nodes in QUADPACK's order, no other
-        assert called == first_rule
+    assert called == first_rule
     assert expected[1] == ("-0.0" if family == "negative-zero" else "0.0")
 
 
