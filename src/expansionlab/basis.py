@@ -1,9 +1,12 @@
-"""Eigenfunction families: Landau levels, a 1-D box, and the free plane wave.
+"""Eigenfunctions: Landau levels, the 1-D box, and the free plane wave.
 
 Natural units m = Q = c = 1 throughout; hbar lives in propagation.Units.
-Landau states are handled on a fixed-k_z transverse slice, with the z factor
-treated as a delta-normalized spectator. Stationary time factors, where they
-appear elsewhere in the package, follow the convention exp(-i eps t / hbar).
+Each eigenfunction is a plain function of its quantum numbers and a point:
+box modes of an integer n >= 1 and a float x, Landau states of n >= 0 (with
+l and k_z) and a SpacePoint. Landau states are handled on a fixed-k_z
+transverse slice, with the z factor treated as a delta-normalized
+spectator. Stationary time factors, where they appear elsewhere in the
+package, follow the convention exp(-i eps t / hbar).
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ _LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
 
 
 class BasisDomainError(ValueError):
-    """Family or evaluation arguments outside the supported domain."""
+    """Lengths or evaluation points outside the supported domain."""
 
 
 class BasisIndexError(ValueError):
-    """Quantum numbers invalid for, or mismatched with, a family."""
+    """Quantum numbers outside an eigenfunction's range."""
 
 
 @dataclass(frozen=True)
@@ -53,48 +56,6 @@ class SpacePoint:
     @property
     def phi(self) -> float:
         return math.atan2(self.y, self.x) % (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class LandauUniformField:
-    """Landau family for a uniform magnetic field; a is the magnetic length."""
-
-    magnetic_length: float
-
-    def __post_init__(self):
-        if not self.magnetic_length > 0.0:
-            raise BasisDomainError("magnetic length must be positive")
-
-
-@dataclass(frozen=True)
-class Box1D:
-    """Infinite well on [0, L], the concrete mechanical well used in scenarios."""
-
-    width: float
-
-    def __post_init__(self):
-        if not self.width > 0.0:
-            raise BasisDomainError("well width must be positive")
-
-
-@dataclass(frozen=True)
-class LandauIndex:
-    n: int
-    l: int = 0
-    k_z: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise BasisIndexError("Landau n must be non-negative")
-
-
-@dataclass(frozen=True)
-class BoxIndex:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise BasisIndexError("box quantum number must be a positive integer")
 
 
 def landau_normalization(n: int, l: int) -> float:
@@ -138,13 +99,14 @@ def landau_radial(n: int, l: int, rho: float, a: float) -> float:
             * math.exp(-0.5 * u) * confluent)
 
 
-def landau_eigenfunction(index: LandauIndex, point: SpacePoint, a: float) -> complex:
+def landau_eigenfunction(n: int, point: SpacePoint, a: float, l: int = 0,
+                         k_z: float = 0.0) -> complex:
     """Psi_{n,l,k_z} = (2 pi)^(-1/2) R_{n,l}(rho) e^(i l phi) e^(i k_z z)."""
-    if not isinstance(index, LandauIndex):
-        raise BasisIndexError(f"expected a LandauIndex, got {type(index).__name__}")
-    radial = landau_radial(index.n, index.l, point.rho, a)
-    phase = index.l * point.phi + index.k_z * point.z
-    return radial / math.sqrt(2.0 * math.pi) * cmath.exp(1j * phase)
+    if n < 0:
+        raise BasisIndexError("Landau n must be non-negative")
+    radial = landau_radial(n, l, point.rho, a)
+    return radial / math.sqrt(2.0 * math.pi) * cmath.exp(
+        1j * (l * point.phi + k_z * point.z))
 
 
 def plane_wave(k, point: SpacePoint) -> complex:
@@ -186,31 +148,6 @@ def box_eigenfunction_dx(n: int, x: float, width: float) -> float:
         * math.cos(n * math.pi * x / width)
 
 
-def evaluate(family, index, point: SpacePoint) -> complex:
-    """Evaluate the family's eigenfunction for the given index at a point."""
-    if isinstance(family, LandauUniformField):
-        if not isinstance(index, LandauIndex):
-            raise BasisIndexError(
-                f"Landau family cannot evaluate a {type(index).__name__}")
-        return landau_eigenfunction(index, point, family.magnetic_length)
-    if isinstance(family, Box1D):
-        if not isinstance(index, BoxIndex):
-            raise BasisIndexError(
-                f"box family cannot evaluate a {type(index).__name__}")
-        return complex(box_eigenfunction(index.n, point.x, family.width))
-    raise BasisIndexError(f"unknown basis family {type(family).__name__}")
-
-
-def principal_number(index) -> int:
-    """The principal quantum number used for ordering coefficient series."""
-    if isinstance(index, (LandauIndex, BoxIndex)):
-        return index.n
-    raise BasisIndexError(
-        f"{type(index).__name__} has no discrete principal quantum number")
-
-
-def default_quadrature(family) -> QuadratureSpec:
-    """Family-appropriate quadrature defaults (radial cutoff 40 a for Landau)."""
-    if isinstance(family, LandauUniformField):
-        return QuadratureSpec(upper_cutoff=40.0 * family.magnetic_length)
-    return QuadratureSpec()
+def landau_quadrature(a: float) -> QuadratureSpec:
+    """Quadrature defaults for a Landau radial integral: cutoff 40 a."""
+    return QuadratureSpec(upper_cutoff=40.0 * a)

@@ -15,6 +15,7 @@ quantity; it exits 3 if a row fails, else 2 if a scenario did not converge.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, basis, expansion, gauge, propagation, svgplot
-from .basis import Box1D, BoxIndex, LandauIndex, LandauUniformField, SpacePoint
 from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     GaugeJumpScenario, PhaseFitScenario,
                     PhysicalConsistencyError, ReferenceUnavailableError,
@@ -52,6 +52,20 @@ def _load_golden(name: str) -> dict:
     path = _golden_dir() / name
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load_claims() -> list:
+    """The claims of claims.json; a malformed file is a ValueError."""
+    doc = _load_golden("claims.json")
+    claims = doc.get("claims") if isinstance(doc, dict) else None
+    if not (isinstance(claims, list) and claims and all(
+            isinstance(c, dict) and all(isinstance(c.get(k), str) for k in
+                                        ("id", "scenario", "golden"))
+            for c in claims)):
+        raise ValueError(f"{_golden_dir() / 'claims.json'} must hold "
+                         f"'claims', a non-empty list of objects with string "
+                         f"id, scenario and golden")
+    return claims
 
 
 def _write_text(path: Path, text: str):
@@ -162,8 +176,7 @@ _KEYS = (
 
 def _expand_landau(name: str, v: dict, scale: float):
     a, n_max, quad_max = v["magnetic_length"], v["n_max"], v["quad_check_max"]
-    family = LandauUniformField(a)
-    spec = basis.default_quadrature(family).scaled(scale)
+    spec = basis.landau_quadrature(a).scaled(scale)
 
     closed = [expansion.landau_plane_wave_coefficient(n, a)
               for n in range(n_max + 1)]
@@ -172,8 +185,7 @@ def _expand_landau(name: str, v: dict, scale: float):
 
     report = expansion.convergence_scan(closed.__getitem__, n_max)
     series = expansion.CoefficientSeries(
-        family, [(LandauIndex(n), c, 0.0, expansion.FLAG_OK)
-                 for n, c in enumerate(closed)])
+        [(n, complex(c), 0.0, expansion.FLAG_OK) for n, c in enumerate(closed)])
 
     lines = [f"scenario: {name}", "",
              "closed-form route vs quadrature route (l=0 radial overlap):",
@@ -206,15 +218,12 @@ def _expand_landau(name: str, v: dict, scale: float):
 
 def _expand_box(name: str, v: dict, scale: float):
     width, n_max = v["width"], v["n_max"]
-    family = Box1D(width)
     spec = QuadratureSpec().scaled(scale)
 
     norm_flag = ""
     if v["target"] == "eigenstate":
         n0 = v["target_n"]
-
-        def target(p: SpacePoint):
-            return complex(basis.box_eigenfunction(n0, p.x, width))
+        target = lambda x: complex(basis.box_eigenfunction(n0, x, width))
     else:
         sigma, center = v["sigma"], v["center"]
         raw = lambda x: math.exp(-0.5 * ((x - center) / sigma) ** 2)
@@ -224,12 +233,9 @@ def _expand_box(name: str, v: dict, scale: float):
             lambda: integrate_interval(lambda x: raw(x) ** 2, 0.0, width,
                                        spec))
         const = 1.0 / math.sqrt(nrm_sq)
+        target = lambda x: complex(const * raw(x))
 
-        def target(p: SpacePoint):
-            return complex(const * raw(p.x))
-
-    indices = [BoxIndex(n) for n in range(1, n_max + 1)]
-    series = expansion.project(target, family, indices, spec)
+    series = expansion.project(target, width, n_max, spec)
     defect = expansion.parseval_defect(series)
     coefs = series.coefficients()
     report = expansion.convergence_scan(lambda n: coefs[n - 1], n_max,
@@ -238,8 +244,8 @@ def _expand_box(name: str, v: dict, scale: float):
     xs = np.linspace(0.0, width, 201)
     _, modes = basis.box_modes(width, n_max, xs)
     synthesis = (coefs @ modes).tolist()
-    round_trip = max(abs(value - target(SpacePoint.cartesian(x)))
-                     for value, x in zip(synthesis, xs))
+    round_trip = max(abs(value - target(x))
+                     for value, x in zip(synthesis, xs.tolist()))
 
     lines = [f"scenario: {name}",
              f"parseval defect at N={n_max}: {defect!r}",
@@ -526,6 +532,8 @@ _SHAPES = {
 
 def _golden_problem(claim, golden) -> str:
     """Why claim cannot be checked against golden, or '' if it can."""
+    if not isinstance(golden, dict):
+        return f"golden {claim['golden']} is not a JSON object"
     rows = [row for row in _CLAIM_ROWS if row[0] == claim["id"]]
     if not rows:
         return f"claim '{claim['id']}' has no checker"
@@ -560,7 +568,7 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
     if not scn_files:
         print(f"error: no scenario files in {scenario_dir}", file=sys.stderr)
         return 1
-    claims = _load_golden("claims.json")["claims"]
+    claims = _load_claims()
     by_name = {p.name: p for p in scn_files}
     for claim in claims:
         if claim["scenario"] not in by_name:
@@ -615,6 +623,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _tolerance_scale(text: str) -> float:
+    """--tolerance-scale's value: a finite positive real, else a usage error."""
+    with contextlib.suppress(ValueError):
+        if 0.0 < (value := float(text)) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(
+        f"must be a finite positive real number, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="expansionlab",
                      description="eigenfunction-expansion audit bench")
@@ -623,7 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a {name} scenario")
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--tolerance-scale", type=float, default=1.0)
+        p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0)
         if name == "propagate":
             p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("reproduce-all",
@@ -631,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario-dir", default=None,
                    help="directory of .scn files (default: bundled)")
     p.add_argument("--out", default="reproduce-out", help="output root")
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
+    p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0)
     return parser
 
 

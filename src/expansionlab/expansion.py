@@ -15,8 +15,8 @@ at every node it has met and steps them all one order between its calls.
 Each integrand is one Python function per node value and returns the value
 of the literal one-coefficient route bit for bit.
 
-A CoefficientSeries is one table of (index, coefficient, error, flag)
-entries, and each entry is one row of coefficients.csv.
+A CoefficientSeries is one table of (n, coefficient, error, flag) entries
+in increasing n, and each entry is one row of coefficients.csv.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .basis import Box1D, LandauUniformField, SpacePoint
 from .specfun import (QuadratureError, QuadratureSpec, _laguerre_step,
                       integrate_interval, integrate_semi_infinite, laguerre)
 
@@ -42,22 +41,11 @@ SCAN_REFERENCE_N = 10
 
 @dataclass
 class CoefficientSeries:
-    """Projection coefficients over a basis family, ordered by principal number.
+    """entries: one (n, coefficient, error, flag) per coefficient, in
+    increasing n, with the complex coefficient's quadrature error estimate
+    and flag ('' or 'no-convergence'); closed-form entries carry 0.0, ''."""
 
-    entries holds one (index, coefficient, error, flag) per coefficient: the
-    quadrature error estimate of the coefficient and its flag ('' or
-    'no-convergence'); closed-form entries carry error 0.0 and flag ''.
-    """
-
-    family: object
     entries: list
-
-    def __post_init__(self):
-        self.entries = sorted(
-            ((ix, complex(c), err, flag) for ix, c, err, flag in self.entries),
-            key=lambda entry: basis.principal_number(entry[0]))
-        if len({entry[0] for entry in self.entries}) != len(self.entries):
-            raise ValueError("coefficient entries must have distinct indices")
 
     def coefficients(self) -> np.ndarray:
         return np.array([entry[1] for entry in self.entries], dtype=complex)
@@ -132,30 +120,27 @@ def _box_parts(n: int, width: float, on_axis):
     return real, imag
 
 
-def project(target, family, indices, quadrature: QuadratureSpec | None = None) -> CoefficientSeries:
-    """Box1D coefficients C_n = <psi_n | target> by the quadrature oracle.
+def project(target, width: float, n_max: int,
+            quadrature: QuadratureSpec | None = None) -> CoefficientSeries:
+    """Box coefficients C_n = <psi_n | target> for n = 1..n_max.
 
-    target is a callable of SpacePoint, integrated over [0, L] on the x axis.
-    Each coefficient is one QUADPACK call per real and imaginary part. A part
-    whose quadrature fails to converge keeps its best estimate, the other
-    part its own value, and the coefficient is flagged; the series is still
-    returned. Any other family raises BasisIndexError.
+    target is a complex function of a float x, integrated over the well
+    [0, width]. Each coefficient is one QUADPACK call per real and imaginary
+    part. A part whose quadrature fails to converge keeps its best estimate,
+    the other part its own value, and the coefficient is flagged; the series
+    is still returned.
 
     The target is evaluated once per distinct quadrature node and shared
-    across the indices.
+    across the coefficients.
     """
-    if not isinstance(family, Box1D):
-        raise basis.BasisIndexError(
-            f"projection is not defined for {type(family).__name__}")
-    width = family.width
+    if not width > 0.0:
+        raise basis.BasisDomainError("well width must be positive")
     spec = quadrature or QuadratureSpec()
     runner = lambda f: integrate_interval(f, 0.0, width, spec)
-    on_axis = _Memo(lambda x: target(SpacePoint.cartesian(x, 0.0, 0.0)))
-    entries = []
-    for ix in indices:
-        entries.append((ix, *_complex_quad(
-            runner, *_box_parts(ix.n, width, on_axis))))
-    return CoefficientSeries(family, entries)
+    on_axis = _Memo(target)
+    return CoefficientSeries([
+        (n, *_complex_quad(runner, *_box_parts(n, width, on_axis)))
+        for n in range(1, n_max + 1)])
 
 
 def _flagged(integrate):
@@ -192,7 +177,7 @@ def landau_plane_wave_overlap(n: int, a: float = 1.0,
     """
     if not a > 0.0:
         raise basis.BasisDomainError("magnetic length must be positive")
-    spec = quadrature or basis.default_quadrature(LandauUniformField(a))
+    spec = quadrature or basis.landau_quadrature(a)
 
     def integrand(rho):
         u = rho * rho / (2.0 * a * a)
@@ -213,7 +198,7 @@ def landau_plane_wave_overlaps(n_max: int, a: float = 1.0,
     """
     if not a > 0.0:
         raise basis.BasisDomainError("magnetic length must be positive")
-    spec = quadrature or basis.default_quadrature(LandauUniformField(a))
+    spec = quadrature or basis.landau_quadrature(a)
     tower = _LaguerreTower(a)
     gauss, cur = tower.gauss, tower.cur
 
@@ -309,12 +294,9 @@ def convergence_scan(coefficient_fn, n_max: int, *,
                              first_converged)
 
 
-def reconstruct(series: CoefficientSeries, point: SpacePoint) -> complex:
-    """Truncated synthesis sum_n C_n psi_n(point)."""
-    total = 0.0 + 0.0j
-    for ix, c, _, _ in series.entries:
-        total += c * basis.evaluate(series.family, ix, point)
-    return total
+def reconstruct(series: CoefficientSeries, mode) -> complex:
+    """Truncated synthesis sum_n C_n mode(n), mode(n) psi_n at one point."""
+    return sum((c * mode(n) for n, c, _, _ in series.entries), 0.0 + 0.0j)
 
 
 def write_coefficient_csv(series: CoefficientSeries, path):
@@ -322,10 +304,10 @@ def write_coefficient_csv(series: CoefficientSeries, path):
     partial = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,re,im,abs,abs_sq,partial_sum,quad_err\n")
-        for ix, c, err, flag in series.entries:
+        for n, c, err, flag in series.entries:
             mag_sq = (c * c.conjugate()).real
             partial += mag_sq
             fh.write(",".join([
-                str(basis.principal_number(ix)), repr(c.real), repr(c.imag),
+                str(n), repr(c.real), repr(c.imag),
                 repr(abs(c)), repr(mag_sq), repr(partial),
                 f"{err!r}:{flag}" if flag else repr(err)]) + "\n")

@@ -85,8 +85,9 @@ class QuadratureSpec:
     upper_cutoff: float = 40.0
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise SpecfunDomainError("quadrature tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise SpecfunDomainError(
+                "quadrature tolerances must be positive and finite")
         if not (isinstance(self.max_subdivisions, int)
                 and self.max_subdivisions >= 1):
             raise SpecfunDomainError(

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from acceptance_report import record
-from expansionlab.basis import (Box1D, BoxIndex, box_eigenfunction,
-                                default_quadrature, landau_radial,
-                                LandauUniformField)
+from expansionlab.basis import (box_eigenfunction, landau_quadrature,
+                                landau_radial)
 from expansionlab.expansion import (convergence_scan,
                                     landau_plane_wave_coefficient,
                                     landau_plane_wave_overlap, project)
@@ -191,8 +190,7 @@ def test_criterion_8_property_suites():
     cross_ok = worst < 1e-12
 
     # Landau orthonormality, m, n <= 10, tolerance 1e-8
-    fam = LandauUniformField(1.0)
-    spec = default_quadrature(fam)
+    spec = landau_quadrature(1.0)
     ortho_dev = 0.0
     for m in range(11):
         for n in range(m, 11):
@@ -207,15 +205,13 @@ def test_criterion_8_property_suites():
     rng = np.random.default_rng(14)
     alpha = complex(*rng.standard_normal(2))
     beta = complex(*rng.standard_normal(2))
-    box = Box1D(1.0)
     qspec = QuadratureSpec()
-    f = lambda p: complex(box_eigenfunction(2, p.x, 1.0))
-    gg = lambda p: complex(box_eigenfunction(5, p.x, 1.0) * 0.6
-                           + box_eigenfunction(1, p.x, 1.0) * 0.8)
-    idx = [BoxIndex(n) for n in range(1, 9)]
-    cf = project(f, box, idx, qspec).coefficients()
-    cg = project(gg, box, idx, qspec).coefficients()
-    cc = project(lambda p: alpha * f(p) + beta * gg(p), box, idx,
+    f = lambda x: complex(box_eigenfunction(2, x, 1.0))
+    gg = lambda x: complex(box_eigenfunction(5, x, 1.0) * 0.6
+                           + box_eigenfunction(1, x, 1.0) * 0.8)
+    cf = project(f, 1.0, 8, qspec).coefficients()
+    cg = project(gg, 1.0, 8, qspec).coefficients()
+    cc = project(lambda x: alpha * f(x) + beta * gg(x), 1.0, 8,
                  qspec).coefficients()
     lin_dev = float(np.max(np.abs(cc - (alpha * cf + beta * cg))))
     lin_ok = lin_dev < 1e-10

@@ -1,19 +1,18 @@
-"""Basis families: Landau radial tower, plane waves, and the 1-D well."""
+"""Eigenfunctions: Landau radial tower, plane waves, and the 1-D well."""
 
 import cmath
 import math
 
 import pytest
 
-from expansionlab.basis import (BasisDomainError, BasisIndexError, Box1D,
-                                BoxIndex, LandauIndex, LandauUniformField,
+from expansionlab.basis import (BasisDomainError, BasisIndexError,
                                 SpacePoint, box_eigenfunction,
-                                box_eigenfunction_dx, default_quadrature,
-                                evaluate, landau_eigenfunction,
-                                landau_normalization, landau_radial,
-                                plane_wave, principal_number)
-from expansionlab.specfun import (QuadratureSpec, integrate_interval,
-                                  integrate_semi_infinite)
+                                box_eigenfunction_dx, landau_eigenfunction,
+                                landau_normalization, landau_quadrature,
+                                landau_radial, plane_wave)
+from expansionlab.expansion import project
+from expansionlab.specfun import (QuadratureSpec, SpecfunDomainError,
+                                  integrate_interval, integrate_semi_infinite)
 
 
 def test_space_point_cylindrical_round_trip():
@@ -31,14 +30,17 @@ def test_space_point_rejects_negative_radius():
 
 
 def test_family_and_index_validation():
-    with pytest.raises(ValueError):
-        LandauUniformField(0.0)
-    with pytest.raises(ValueError):
-        Box1D(-2.0)
-    with pytest.raises(ValueError):
-        LandauIndex(-1)
-    with pytest.raises(ValueError):
-        BoxIndex(0)
+    for a in (0.0, math.nan):
+        with pytest.raises(SpecfunDomainError):
+            landau_quadrature(a)
+    target = lambda x: complex(box_eigenfunction(1, x, 1.0))
+    for width in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            project(target, width, 3)
+    with pytest.raises(BasisIndexError):
+        landau_eigenfunction(-1, SpacePoint.cartesian(0.5), 1.0)
+    with pytest.raises(BasisIndexError):
+        box_eigenfunction(0, 0.5, 1.0)
 
 
 def test_landau_normalization_known_values():
@@ -70,7 +72,7 @@ def test_landau_radial_orthonormality_per_l_sector():
                     val, _ = integrate_semi_infinite(
                         lambda rho: landau_radial(m, l, rho, a)
                         * landau_radial(n, l, rho, a) * rho,
-                        default_quadrature(LandauUniformField(a)))
+                        landau_quadrature(a))
                     if m == n:
                         assert val == pytest.approx(1.0, abs=1e-10)
                     else:
@@ -80,20 +82,18 @@ def test_landau_radial_orthonormality_per_l_sector():
 def test_landau_orthonormality_full_eigenfunction_l0():
     # spec'd property: m, n <= 10 at 1e-8 on the l=0 slice; the phi and z
     # factors contribute exactly 2 pi x 1 for matching l, k_z
-    fam = LandauUniformField(1.0)
     for m in range(0, 11, 2):
         for n in range(m, 11, 2):
             def integrand(rho, _m=m, _n=n):
-                a = landau_eigenfunction(LandauIndex(_m),
+                a = landau_eigenfunction(_m,
                                          SpacePoint.cylindrical(rho, 0.3, 0.0),
                                          1.0)
-                b = landau_eigenfunction(LandauIndex(_n),
+                b = landau_eigenfunction(_n,
                                          SpacePoint.cylindrical(rho, 0.3, 0.0),
                                          1.0)
                 return (a.conjugate() * b).real * rho * 2.0 * math.pi
 
-            val, _ = integrate_semi_infinite(integrand,
-                                             default_quadrature(fam))
+            val, _ = integrate_semi_infinite(integrand, landau_quadrature(1.0))
             assert val == pytest.approx(1.0 if m == n else 0.0, abs=1e-8)
 
 
@@ -147,38 +147,21 @@ def test_box_eigenfunction_dx_is_the_derivative():
     assert box_eigenfunction_dx(n, x, L) == pytest.approx(fd, rel=1e-8)
 
 
-def test_evaluate_dispatch_and_mismatch():
-    p = SpacePoint.cartesian(0.4, 0.0, 0.0)
-    val = evaluate(Box1D(1.0), BoxIndex(2), p)
-    assert val == pytest.approx(box_eigenfunction(2, 0.4, 1.0), rel=1e-14)
-    with pytest.raises(BasisIndexError):
-        evaluate(Box1D(1.0), LandauIndex(1), p)
-    with pytest.raises(BasisIndexError):
-        evaluate(LandauUniformField(1.0), BoxIndex(1), p)
-
-
-def test_principal_numbers():
-    assert principal_number(LandauIndex(5, 2)) == 5
-    assert principal_number(BoxIndex(3)) == 3
-
-
 def test_box_completeness_eigenstate_roundtrip():
     # expanding phi_3 over the first 50 well states returns it pointwise;
     # trapezoid-free route, straight quadrature projections
-    from expansionlab.expansion import project, reconstruct
+    from expansionlab.expansion import reconstruct
 
     L = 1.0
-    fam = Box1D(L)
-    target = lambda p: complex(box_eigenfunction(3, p.x, L))
-    series = project(target, fam, [BoxIndex(n) for n in range(1, 51)],
-                     QuadratureSpec())
+    target = lambda x: complex(box_eigenfunction(3, x, L))
+    series = project(target, L, 50, QuadratureSpec())
     for x in (0.05, 0.21, 0.5, 0.77, 0.99):
-        got = reconstruct(series, SpacePoint.cartesian(x))
-        assert abs(got - target(SpacePoint.cartesian(x))) < 1e-12
+        got = reconstruct(series, lambda n: box_eigenfunction(n, x, L))
+        assert abs(got - target(x)) < 1e-12
 
 
-def test_default_quadrature_scales_with_magnetic_length():
-    spec = default_quadrature(LandauUniformField(2.0))
+def test_landau_quadrature_scales_with_magnetic_length():
+    spec = landau_quadrature(2.0)
     assert spec.upper_cutoff == pytest.approx(80.0)
-    spec = default_quadrature(Box1D(5.0))
+    spec = QuadratureSpec()
     assert spec.upper_cutoff >= 5.0

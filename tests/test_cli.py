@@ -305,6 +305,100 @@ def test_reproduce_all_exit_1_on_bad_golden_before_running(tmp_path, tamper,
     assert not out.exists()
 
 
+_CLAIMS_SHAPE = ("claims.json must hold 'claims', a non-empty list of objects "
+                 "with string id, scenario and golden")
+
+
+def _claims_doc(doc):
+    def tamper(golden_dir):
+        (golden_dir / "claims.json").write_text(json.dumps(doc))
+    return tamper
+
+
+def _claim_without(key):
+    def tamper(golden_dir):
+        path = golden_dir / "claims.json"
+        doc = json.loads(path.read_text())
+        del doc["claims"][-1][key]
+        path.write_text(json.dumps(doc))
+    return tamper
+
+
+def _golden_as(value):
+    def tamper(golden_dir):
+        (golden_dir / "gauge_jump.json").write_text(json.dumps(value))
+    return tamper
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_claims_doc({}), _CLAIMS_SHAPE),
+    (_claims_doc([1]), _CLAIMS_SHAPE),
+    (_claims_doc({"claims": []}), _CLAIMS_SHAPE),
+    (_claims_doc({"claims": [1]}), _CLAIMS_SHAPE),
+    (_claim_without("golden"), _CLAIMS_SHAPE),
+    (_claim_without("scenario"), _CLAIMS_SHAPE),
+    (_golden_as(3), "golden gauge_jump.json is not a JSON object"),
+    (_golden_as("amplitude jump_tol covariant_tol"),
+     "golden gauge_jump.json is not a JSON object"),
+], ids=["empty-object", "list", "no-claims", "claim-not-object",
+        "claim-without-golden", "claim-without-scenario", "golden-number",
+        "golden-string"])
+def test_reproduce_all_exit_1_on_malformed_claims_before_running(
+        tmp_path, monkeypatch, capsys, tamper, message):
+    bad = tmp_path / "golden"
+    shutil.copytree(GOLDEN, bad)
+    tamper(bad)
+    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
+    ran = []
+    monkeypatch.setattr(cli, "_dispatch", lambda *args: ran.append(args))
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+    assert ran == [] and not out.exists()
+
+
+TOLERANCE_RUNS = [("expand", "box_roundtrip.scn"),
+                  ("propagate", "random_hermitian.scn"),
+                  ("gauge", "gauge_step.scn"), ("reproduce-all", None)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5", "x"])
+@pytest.mark.parametrize("command,name", TOLERANCE_RUNS,
+                         ids=[c for c, _ in TOLERANCE_RUNS])
+def test_bad_tolerance_scale_is_a_usage_error(tmp_path, capsys, command, name,
+                                              value):
+    # a manifest would record NaN or Infinity, which is not JSON, and an
+    # infinite tolerance accepts any quadrature
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), f"--tolerance-scale={value}"]
+    if name:
+        argv += ["--scenario", str(SCENARIOS / name)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == [f"error: argument --tolerance-scale: must be a finite "
+                      f"positive real number, got {value!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,name", TOLERANCE_RUNS[:3],
+                         ids=[c for c, _ in TOLERANCE_RUNS[:3]])
+def test_small_tolerance_scale_still_runs(tmp_path, command, name):
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(SCENARIOS / name), "--out",
+                 str(out), "--tolerance-scale", "1e-6"])
+    assert code in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerance_scale"] == 1e-6
+    args = cli._build_parser().parse_args(
+        ["reproduce-all", "--tolerance-scale", "1e-6"])
+    assert args.tolerance_scale == 1e-6
+
+
 CLAIMS = json.loads((GOLDEN / "claims.json").read_text())["claims"]
 GOLDEN_OF = {c["id"]: c["golden"] for c in CLAIMS}
 ROWS = cli._CLAIM_ROWS
@@ -590,20 +684,22 @@ def write_scenario(path, kind, **keys):
         "jump-hbar", "phase-fit-hbar", "propagate-n_basis",
         "dipole-step-basis", "phase-fit-initial-index",
         "phase-fit-initial-index-zero"])
-def test_exit_1_on_constructor_errors(tmp_path, command, keys, named):
+def test_exit_1_on_constructor_errors(tmp_path, capsys, command, keys,
+                                      named):
     # the key table rejects these values before a constructor sees them,
     # naming the key at its line, and nothing is written
     path = write_scenario(tmp_path / "bad.scn", command, **keys)
-    r = run_cli(command, "--scenario", str(path),
-                "--out", str(tmp_path / "out"))
-    assert r.returncode == 1
-    assert "Traceback" not in r.stderr
+    code = main([command, "--scenario", str(path),
+                 "--out", str(tmp_path / "out")])
+    stderr = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in stderr
     assert not (tmp_path / "out").exists()
     if named in keys:
         line = 4 + list(keys).index(named)   # after header, kind and name
-        assert r.stderr.startswith(f"error: {path}:{line}: key '{named}'")
+        assert stderr.startswith(f"error: {path}:{line}: key '{named}'")
     else:
-        assert r.stderr.startswith("error:") and named in r.stderr
+        assert stderr.startswith("error:") and named in stderr
 
 
 @pytest.mark.parametrize("command,keys", [
@@ -628,15 +724,18 @@ def test_ramp_time_is_bounded_only_where_a_ramp_runs(tmp_path, command,
     ("expand", dict(family="box", target="eigenstate", width=0.0), "width"),
 ], ids=["phase-fit-n_grid", "phase-fit-fit_stride", "phase-fit-well_width",
         "jump-well_width", "jump-observe_stride", "box-sigma", "box-width"])
-def test_exit_1_on_out_of_range_scenario_values(tmp_path, command, keys, key):
+def test_exit_1_on_out_of_range_scenario_values(tmp_path, capsys, command,
+                                                keys, key):
     path = write_scenario(tmp_path / "bad.scn", command, **keys)
-    r = run_cli(command, "--scenario", str(path),
-                "--out", str(tmp_path / "out"))
-    assert r.returncode == 1
-    assert "Traceback" not in r.stderr
-    lines = r.stderr.splitlines()
+    code = main([command, "--scenario", str(path),
+                 "--out", str(tmp_path / "out")])
+    stderr = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and f"key '{key}'" in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def _sign_flipped_gauge(self):

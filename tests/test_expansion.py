@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansionlab.basis import (BasisIndexError, Box1D, BoxIndex,
-                                LandauIndex, LandauUniformField, SpacePoint,
-                                box_eigenfunction, principal_number)
+from expansionlab.basis import (SpacePoint, box_eigenfunction,
+                                landau_eigenfunction)
 from expansionlab import expansion
 from expansionlab.cli import _KEYS, cmd_expand
 from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
@@ -38,8 +37,8 @@ GOLDEN_GAUSSIAN_NORM_CONST = 2.375267529245124
 def gaussian_target(width=1.0, sigma=0.1, center=0.5):
     const = GOLDEN_GAUSSIAN_NORM_CONST
 
-    def target(p):
-        return complex(const * math.exp(-0.5 * ((p.x - center) / sigma) ** 2))
+    def target(x):
+        return complex(const * math.exp(-0.5 * ((x - center) / sigma) ** 2))
 
     return target
 
@@ -142,8 +141,7 @@ def literal_box_projection(target, width, ns, spec):
     out = []
     for n in ns:
         def f(x):
-            return box_eigenfunction(n, x, width) \
-                * target(SpacePoint.cartesian(x, 0.0, 0.0))
+            return box_eigenfunction(n, x, width) * target(x)
         re, re_err, re_flag = literal_part(lambda x: f(x).real, width, spec)
         im, im_err, im_flag = literal_part(lambda x: f(x).imag, width, spec)
         out.append((complex(re, im), math.hypot(re_err, im_err),
@@ -153,12 +151,12 @@ def literal_box_projection(target, width, ns, spec):
 
 @pytest.mark.parametrize("target,width,spec", [
     (gaussian_target(), 1.0, QuadratureSpec()),
-    (lambda p: complex(box_eigenfunction(4, p.x, 1.3)), 1.3, QuadratureSpec()),
+    (lambda x: complex(box_eigenfunction(4, x, 1.3)), 1.3, QuadratureSpec()),
     (gaussian_target(), 1.0, QuadratureSpec(max_subdivisions=1)),
 ], ids=["gaussian", "eigenstate", "gaussian-starved"])
 def test_project_box_matches_literal_quadrature_loop(target, width, spec):
     ns = range(1, 51)
-    series = project(target, Box1D(width), [BoxIndex(n) for n in ns], spec)
+    series = project(target, width, 50, spec)
     assert [(c, err, flag) for _, c, err, flag in series.entries] \
         == literal_box_projection(target, width, ns, spec)
 
@@ -178,15 +176,15 @@ def test_project_box_is_the_literal_route_in_repr(width, sigma, center, wave,
                                                    tilt, imaginary, spec):
     # a Gaussian packet in width units, real or with a non-zero imaginary
     # part; the starved spec flags some coefficients in one part or both
-    def target(p):
-        s = (p.x / width - center) / sigma
+    def target(x):
+        s = (x / width - center) / sigma
         z = complex(math.exp(-0.5 * s * s))
         if imaginary:
-            z *= complex(math.cos(wave * p.x), math.sin(wave * p.x) + tilt)
+            z *= complex(math.cos(wave * x), math.sin(wave * x) + tilt)
         return z
 
     ns = range(1, 13)
-    series = project(target, Box1D(width), [BoxIndex(n) for n in ns], spec)
+    series = project(target, width, 12, spec)
     assert repr_entries([e[1:] for e in series.entries]) \
         == repr_entries(literal_box_projection(target, width, ns, spec))
 
@@ -195,13 +193,12 @@ def test_unconverged_imaginary_part_keeps_the_real_part():
     # sqrt(2) sin(pi x) projects to 1 on n = 1; i sin(400 x) cannot converge
     # on two subintervals, and its best estimate must not replace the real
     # part
-    def target(p):
-        return complex(math.sqrt(2.0) * math.sin(math.pi * p.x),
-                       math.sin(400.0 * p.x))
+    def target(x):
+        return complex(math.sqrt(2.0) * math.sin(math.pi * x),
+                       math.sin(400.0 * x))
 
     spec = QuadratureSpec(max_subdivisions=2)
-    [(_, c, err, flag)] = project(target, Box1D(1.0), [BoxIndex(1)],
-                                  spec).entries
+    [(_, c, err, flag)] = project(target, 1.0, 1, spec).entries
     assert flag == FLAG_NO_CONVERGENCE
     assert c.real == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(QuadratureError) as exc:
@@ -215,48 +212,35 @@ def test_unconverged_imaginary_part_keeps_the_real_part():
 def test_project_box_evaluates_target_once_per_node():
     calls = []
 
-    def target(p):
-        calls.append(p.x)
-        return gaussian_target()(p)
+    def target(x):
+        calls.append(x)
+        return gaussian_target()(x)
 
-    project(target, Box1D(1.0), [BoxIndex(n) for n in range(1, 51)],
-            QuadratureSpec())
+    project(target, 1.0, 50, QuadratureSpec())
     assert len(calls) == len(set(calls))
 
 
-def test_project_refuses_the_landau_family():
-    with pytest.raises(BasisIndexError, match="LandauUniformField"):
-        project(gaussian_target(), LandauUniformField(1.0),
-                [LandauIndex(n) for n in range(3)])
-
-
 def test_project_box_eigenstate_is_delta():
-    fam = Box1D(1.0)
-    target = lambda p: complex(box_eigenfunction(1, p.x, 1.0))
-    series = project(target, fam, [BoxIndex(n) for n in range(1, 6)],
-                     QuadratureSpec())
-    coef = {ix.n: c for ix, c, _, _ in series.entries}
+    target = lambda x: complex(box_eigenfunction(1, x, 1.0))
+    series = project(target, 1.0, 5, QuadratureSpec())
+    coef = {n: c for n, c, _, _ in series.entries}
     assert abs(coef[1] - 1.0) < 1e-12
     assert parseval_defect(series) < 1e-12
 
 
 def test_gaussian_packet_parseval_defect_matches_golden():
-    fam = Box1D(1.0)
-    series = project(gaussian_target(), fam,
-                     [BoxIndex(n) for n in range(1, 51)], QuadratureSpec())
+    series = project(gaussian_target(), 1.0, 50, QuadratureSpec())
     defect = parseval_defect(series)
     assert defect < 1e-6
     assert defect == pytest.approx(GOLDEN_GAUSSIAN_PARSEVAL, abs=1e-13)
 
 
 def test_gaussian_packet_round_trip_error_matches_golden():
-    fam = Box1D(1.0)
     target = gaussian_target()
-    series = project(target, fam, [BoxIndex(n) for n in range(1, 51)],
-                     QuadratureSpec())
+    series = project(target, 1.0, 50, QuadratureSpec())
     xs = np.linspace(0.0, 1.0, 201)
-    worst = max(abs(reconstruct(series, SpacePoint.cartesian(x))
-                    - target(SpacePoint.cartesian(x))) for x in xs)
+    worst = max(abs(reconstruct(series, lambda n: box_eigenfunction(n, x, 1.0))
+                    - target(x)) for x in xs)
     assert worst < 1e-5
     assert worst == pytest.approx(GOLDEN_GAUSSIAN_ROUNDTRIP, rel=1e-6)
 
@@ -271,15 +255,13 @@ unit_interval = st.floats(-1.0, 1.0)
 def test_projection_linearity(alpha, beta, sigma, center):
     alpha = complex(*alpha)
     beta = complex(*beta)
-    fam = Box1D(1.0)
-    f = lambda p: complex(box_eigenfunction(1, p.x, 1.0))
+    f = lambda x: complex(box_eigenfunction(1, x, 1.0))
     g = gaussian_target(sigma=sigma, center=center)
-    combo = lambda p: alpha * f(p) + beta * g(p)
-    idx = [BoxIndex(n) for n in range(1, 13)]
+    combo = lambda x: alpha * f(x) + beta * g(x)
     spec = QuadratureSpec()
-    cf = project(f, fam, idx, spec).coefficients()
-    cg = project(g, fam, idx, spec).coefficients()
-    cc = project(combo, fam, idx, spec).coefficients()
+    cf = project(f, 1.0, 12, spec).coefficients()
+    cg = project(g, 1.0, 12, spec).coefficients()
+    cc = project(combo, 1.0, 12, spec).coefficients()
     assert np.max(np.abs(cc - (alpha * cf + beta * cg))) < 1e-10
 
 
@@ -293,12 +275,11 @@ def test_expand_box_round_trip_matches_reconstruct(tmp_path, name):
         target = gaussian_target(width, v["sigma"], v["center"])
     else:
         n0 = v["target_n"]
-        target = lambda p: complex(box_eigenfunction(n0, p.x, width))
-    series = project(target, Box1D(width),
-                     [BoxIndex(n) for n in range(1, v["n_max"] + 1)],
-                     QuadratureSpec())
-    worst = max(abs(reconstruct(series, SpacePoint.cartesian(x))
-                    - target(SpacePoint.cartesian(x)))
+        target = lambda x: complex(box_eigenfunction(n0, x, width))
+    series = project(target, width, v["n_max"], QuadratureSpec())
+    worst = max(abs(reconstruct(series,
+                                lambda n: box_eigenfunction(n, x, width))
+                    - target(x))
                 for x in np.linspace(0.0, width, 201))
     assert abs(stats["round_trip"] - worst) <= 1e-15
 
@@ -342,11 +323,10 @@ def test_reconstruction_gap_at_ten_magnetic_lengths():
     gaps = []
     for n_max in (10, 30, 60):
         series = CoefficientSeries(
-            LandauUniformField(a),
-            [(LandauIndex(n, 0, kz),
-              complex(landau_plane_wave_coefficient(n, a)), 0.0, FLAG_OK)
+            [(n, complex(landau_plane_wave_coefficient(n, a)), 0.0, FLAG_OK)
              for n in range(n_max + 1)])
-        val = reconstruct(series, point)
+        val = reconstruct(
+            series, lambda n: landau_eigenfunction(n, point, a, 0, kz))
         gaps.append(abs(abs(val) - target_mod) / target_mod)
     # the synthesis oscillates through the target without settling: the gap
     # at the largest truncation is O(1) and no smaller than at the start
@@ -354,35 +334,17 @@ def test_reconstruction_gap_at_ten_magnetic_lengths():
     assert gaps[-1] >= gaps[0]
 
 
-def test_coefficient_series_ordering_and_distinctness():
-    fam = Box1D(1.0)
-    series = CoefficientSeries(
-        fam, [(BoxIndex(3), 3.0, 0.3, FLAG_NO_CONVERGENCE),
-              (BoxIndex(1), 1.0 + 0j, 0.1, FLAG_OK)])
-    # sorted by principal number; each error and flag travels with its
-    # coefficient
-    assert series.entries == [(BoxIndex(1), 1.0 + 0j, 0.1, FLAG_OK),
-                              (BoxIndex(3), 3.0 + 0j, 0.3, FLAG_NO_CONVERGENCE)]
-    assert type(series.entries[1][1]) is complex
-    with pytest.raises(ValueError):
-        CoefficientSeries(fam, [(BoxIndex(1), 1.0 + 0j, 0.0, FLAG_OK),
-                                (BoxIndex(1), 2.0 + 0j, 0.0, FLAG_OK)])
-
-
 def test_flagged_coefficients_survive_with_best_estimate():
-    fam = Box1D(1.0)
     starved = QuadratureSpec(max_subdivisions=1)
     target = gaussian_target()
-    series = project(target, fam, [BoxIndex(n) for n in range(1, 4)], starved)
+    series = project(target, 1.0, 3, starved)
     assert series.flagged()
     assert any(flag == FLAG_NO_CONVERGENCE for *_, flag in series.entries)
     assert all(np.isfinite(c) for c in series.coefficients())
 
 
 def test_coefficient_csv_schema(tmp_path):
-    fam = Box1D(1.0)
-    series = project(gaussian_target(), fam,
-                     [BoxIndex(n) for n in range(1, 6)], QuadratureSpec())
+    series = project(gaussian_target(), 1.0, 5, QuadratureSpec())
     path = tmp_path / "coef.csv"
     write_coefficient_csv(series, path)
     lines = path.read_text().splitlines()
@@ -404,12 +366,12 @@ def reference_coefficient_csv(series):
     """The per-value formatter the CSV writer must match byte for byte."""
     lines = ["n,re,im,abs,abs_sq,partial_sum,quad_err\n"]
     partial = 0.0
-    for ix, c, err, flag in series.entries:
+    for n, c, err, flag in series.entries:
         mag_sq = (c * c.conjugate()).real
         partial += mag_sq
         quad_err = err if flag == FLAG_OK else f"{err!r}:{flag}"
         lines.append(",".join([
-            str(principal_number(ix)), repr(c.real), repr(c.imag), repr(abs(c)),
+            str(n), repr(c.real), repr(c.imag), repr(abs(c)),
             repr(mag_sq), repr(partial),
             quad_err if isinstance(quad_err, str) else repr(quad_err)]) + "\n")
     return "".join(lines).encode("utf-8")
@@ -418,17 +380,13 @@ def reference_coefficient_csv(series):
 def closed_form_series():
     """The Landau closed-form table as expand builds it: error 0.0, flag ''."""
     return CoefficientSeries(
-        LandauUniformField(1.3),
-        [(LandauIndex(n), landau_plane_wave_coefficient(n, 1.3), 0.0, FLAG_OK)
+        [(n, complex(landau_plane_wave_coefficient(n, 1.3)), 0.0, FLAG_OK)
          for n in range(41)])
 
 
 @pytest.mark.parametrize("build,flagged", [
-    (lambda: project(gaussian_target(), Box1D(1.0),
-                     [BoxIndex(n) for n in range(1, 21)], QuadratureSpec()),
-     False),
-    (lambda: project(gaussian_target(), Box1D(1.0),
-                     [BoxIndex(n) for n in range(1, 21)],
+    (lambda: project(gaussian_target(), 1.0, 20, QuadratureSpec()), False),
+    (lambda: project(gaussian_target(), 1.0, 20,
                      QuadratureSpec(max_subdivisions=1)), True),
     (closed_form_series, False),
 ], ids=["converged", "flagged", "closed-form"])

@@ -3,15 +3,17 @@
 Each row names a function, one snippet of its source and its replacement,
 and the reproduce-all claims and tier-1 tests expected to kill the mutant.
 The mutant is compiled from the edited source into the function's own
-module and patched in for one row; it runs in-process on the claim's
-scenario only. A claim kills a mutant when its scenario raises or one of
-its rows fails against the golden table; a test kills it when it raises.
+module and patched in for one row (mutate says which bindings it
+replaces); it runs in-process on the claim's scenario only. A claim kills a
+mutant when its scenario raises or one of its rows fails against the golden
+table; a test kills it when it raises.
 """
 
 import __future__
 import functools
 import inspect
 import json
+import sys
 import textwrap
 from importlib import resources
 from pathlib import Path
@@ -34,6 +36,9 @@ _tower_bits = functools.partial(
     1.0, 1.0)
 _unitary_step = functools.partial(
     test_propagation.test_polar_sweeps_bring_the_step_to_unitarity, 32, 1e-5)
+_identity_term_step = functools.partial(
+    test_propagation.test_unitary_matches_solve_oracle_with_identity_term,
+    "step")
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
 MUTANTS = [
@@ -86,18 +91,54 @@ MUTANTS = [
     ("loose-monotone-check", propagation, "norm_audit",
      "1e-15 * max", "1e-3 * max",
      [], [test_propagation.test_audit_fails_a_norm_that_falls_by_1e_13]),
-    # reproduce-all is blind: the Landau claims read the tower's own binding
-    # of the step, and laguerre_row serves only the one-n route
+    ("euler-at-midpoints", propagation, "euler_propagate",
+     "left = times[:-1]", "left = times[:-1] + 0.5 * dt",
+     ["euler-norm-growth"],
+     [test_propagation.test_two_level_euler_matches_frozen_golden]),
+    ("cayley-at-left-endpoints", propagation, "unitary_propagate",
+     "tm = times[:-1] + 0.5 * dt", "tm = times[:-1]",
+     ["phase-factored-fit"],
+     [test_propagation.test_unitary_matches_exact_with_second_order_convergence]),
+    ("cayley-factor-exp", propagation, "unitary_propagate",
+     "(1.0 - ihz) / (1.0 + ihz)", "np.exp(-2.0 * ihz)",
+     ["phase-factored-fit"],
+     [test_propagation.test_unitary_matches_solve_oracle_box_dipole]),
+    ("cayley-quarter-step", propagation, "unitary_propagate",
+     "half = 0.5j * dt", "half = 0.25j * dt",
+     ["phase-factored-fit"],
+     [test_propagation.test_unitary_matches_exact_with_second_order_convergence]),
+    # reproduce-all is blind: a term that is a multiple of the identity only
+    # turns the global phase, which no claim reads
+    ("scalar-shift-dropped", propagation, "unitary_propagate",
+     "shift += scale * prof(tm)", "shift += 0.0 * prof(tm)",
+     [], [_identity_term_step]),
+    ("dipole-sign-flipped", propagation, "dipole_matrix_elements_box",
+     "-8.0 * width", "8.0 * width",
+     ["phase-factored-fit"],
+     [test_propagation.test_dipole_matrix_elements_against_quadrature]),
+    ("refinement-at-k-3", cli, "cmd_propagate",
+     "(1, 2, 4)", "(1, 2, 3)",
+     ["euler-norm-growth"], []),
+    # the tower and the one-n route share the step, so the tower's bit check
+    # is blind to it; the closed form is not
     ("laguerre-step-plus-k", specfun, "_laguerre_step",
      "- k * prev", "+ k * prev",
-     [], [test_specfun.test_laguerre_row_is_the_recurrence_bit_for_bit,
-          test_specfun.test_confluent_cross_oracle_laguerre_recurrence]),
+     ["equal-magnitude-recurrence"],
+     [test_specfun.test_laguerre_row_is_the_recurrence_bit_for_bit,
+      test_specfun.test_confluent_cross_oracle_laguerre_recurrence]),
 ]
 
 
-def mutate(monkeypatch, module, name, snippet, replacement):
-    """Patch module.name with its source edited at the one `snippet`."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def mutate(monkeypatch, module, name, snippet, replacement, tests=()):
+    """Patch module.name with its source edited at the one `snippet`.
+
+    When module is the function's own, the mutant replaces the original
+    wherever the package or a killing test's module imported it by name, as
+    an edit of the source file would. A row that names an importing module
+    mutates that module's binding alone.
+    """
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
     assert source.count(snippet) == 1, f"{name} no longer holds {snippet!r}"
     code = compile(source.replace(snippet, replacement),
                    inspect.getsourcefile(module), "exec",
@@ -105,7 +146,15 @@ def mutate(monkeypatch, module, name, snippet, replacement):
                    dont_inherit=True)
     defined = {}
     exec(code, vars(module), defined)
-    monkeypatch.setattr(module, name, defined[name])
+    bindings = [module]
+    if original.__module__ == module.__name__:
+        bindings += [m for key, m in sys.modules.items()
+                     if key.startswith("expansionlab.")]
+        bindings += [sys.modules[getattr(t, "func", t).__module__]
+                     for t in tests]
+    for home in bindings:
+        if getattr(home, name, None) is original:
+            monkeypatch.setattr(home, name, defined[name])
 
 
 def claim_fails(claim_id, out_dir) -> bool:
@@ -129,7 +178,7 @@ def claim_fails(claim_id, out_dir) -> bool:
 def test_mutant_is_killed(tmp_path, monkeypatch, row):
     _, module, name, snippet, replacement, claims, tests = row
     assert claims or tests
-    mutate(monkeypatch, module, name, snippet, replacement)
+    mutate(monkeypatch, module, name, snippet, replacement, tests)
     for claim_id in claims:
         assert claim_fails(claim_id, tmp_path / claim_id), claim_id
     for test in tests:

@@ -225,6 +225,16 @@ def test_quadrature_spec_validation_and_scaling():
     assert spec.upper_cutoff == DEFAULT_QUADRATURE.upper_cutoff
 
 
+def test_quadrature_spec_rejects_non_finite_tolerances():
+    # an infinite tolerance accepts any estimate; scaled() must not make one
+    for bad in (math.inf, math.nan):
+        for kwargs in (dict(abs_tol=bad), dict(rel_tol=bad)):
+            with pytest.raises(SpecfunDomainError, match="finite"):
+                QuadratureSpec(**kwargs)
+        with pytest.raises(SpecfunDomainError, match="finite"):
+            DEFAULT_QUADRATURE.scaled(bad)
+
+
 def test_integrate_semi_infinite_gaussian():
     val, err = integrate_semi_infinite(lambda u: math.exp(-u * u),
                                        DEFAULT_QUADRATURE)
