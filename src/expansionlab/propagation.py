@@ -13,7 +13,9 @@ the perturbation is one matrix X times a profile, plus multiples of the
 identity, it steps in the eigenbasis of X: the Cayley factor is diagonal
 there and the free evolution between midpoints is one constant unitary, so a
 step is one diagonal scale and one matrix-vector product. Other models take
-one linear solve per step.
+one linear solve per step. euler_final_norm takes the first-order step in
+that same eigenbasis, for refinement runs that need only the final norm; it
+agrees with euler_propagate to round-off, not bit for bit.
 
 Profile contract. A term's profile is called with a float or an array of
 times and returns a real array of the same shape, 0-d for a float; the
@@ -345,6 +347,28 @@ def _polar(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _eigenbasis(model: HamiltonianModel, general, scalar, c: np.ndarray,
+                times: np.ndarray, dt: float, units: Units):
+    """Set-up of a step in the eigenbasis of the one general term's X.
+
+    Returns Lambda and V of X = V Lambda V^H, the free step U = V^H
+    diag(exp(-i eps dt / hbar)) V, eps / hbar, the profile s and the
+    identity shift sampled at `times`, and w = V^H D(times[0])^H c. V and
+    U are polished by Newton-Schulz polar sweeps.
+    """
+    profile, x = general[0]
+    lam, v = np.linalg.eigh(x)
+    v = _polar(v)
+    freq = model.energies / units.hbar
+    u = _polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
+    s = profile(times)
+    shift = np.zeros(times.size)
+    for prof, scale in scalar:
+        shift += scale * prof(times)
+    w = v.conj().T @ (np.exp(-1j * freq * times[0]) * c)
+    return lam, v, u, freq, s, shift, w
+
+
 def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
                       units: Units = Units(), tracked: int | None = None
                       ) -> Trajectory:
@@ -385,16 +409,8 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
                 row[:] = c
         return out.trajectory()
 
-    profile, x = general[0]
-    lam, v = np.linalg.eigh(x)
-    v = _polar(v)
-    freq = model.energies / units.hbar
-    u = _polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
-    s = profile(tm)
-    shift = np.zeros(n_slices)
-    for prof, scale in scalar:
-        shift += scale * prof(tm)
-    w = v.conj().T @ (np.exp(-1j * freq * tm[0]) * c)
+    lam, v, u, freq, s, shift, w = _eigenbasis(model, general, scalar, c,
+                                               tm, dt, units)
     for a, block in out.blocks():
         b = a + len(block)
         ihz = half * (s[a:b, None] * lam + shift[a:b, None])
@@ -403,6 +419,34 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
             w = np.dot(u, row)      # half the call overhead of @
         block[:] = (block @ v.T) * np.exp(1j * (tm[a:b, None] * freq))
     return out.trajectory()
+
+
+def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
+                     units: Units = Units()) -> float:
+    """sum_k |C_k|^2 after euler_propagate's n_slices steps, norm only.
+
+    For H1(t) = s(t) X + c(t) I the first-order step is taken in the
+    eigenbasis of X, as unitary_propagate takes its Cayley step: w_{i+1} =
+    U (r_i * w_i) with r_i = 1 - i (dt/hbar) (s(t_i) Lambda + c(t_i)) at
+    the left endpoints t_i. D and V are unitary, so |w_N|^2 = |C_N|^2; it
+    agrees with the literal run to round-off, not bit for bit. Any other
+    model is run literally with no columns kept.
+    """
+    general, scalar = _split_terms(model)
+    if len(general) != 1:
+        return float(euler_propagate(c0, model, n_slices, units,
+                                     tracked=0).norms[-1])
+    c, times, dt, _ = _prepare(c0, model, n_slices, units)
+    left = times[:-1]
+    lam, _, u, _, s, shift, w = _eigenbasis(model, general, scalar, c, left,
+                                            dt, units)
+    idt = 1j * dt / units.hbar
+    rows = max(1, _CHUNK_ENTRIES // model.dim)
+    for a in range(0, n_slices, rows):
+        b = a + rows
+        for r in 1.0 - idt * (s[a:b, None] * lam + shift[a:b, None]):
+            w = np.dot(u, r * w)
+    return float(_row_norms(w[None, :])[0])
 
 
 @dataclass

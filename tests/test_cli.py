@@ -851,7 +851,7 @@ def test_main_requires_subcommand():
 ], ids=["usage", "seed-off-propagate", "directory-as-scenario", "kind-mismatch",
         "quad-check-above-n-max", "quad-check-zero", "one-fit-size",
         "no-fit-size", "negative-tracked"])
-def test_exit_1_with_one_error_line(tmp_path, argv, keys, named):
+def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     # usage errors, unreadable paths and scenarios the command cannot run
     # are configuration errors: exit 1, one error line, no traceback
     scn = tmp_path / "bad.scn"
@@ -859,10 +859,14 @@ def test_exit_1_with_one_error_line(tmp_path, argv, keys, named):
         write_scenario(scn, keys[0], **keys[1])
     subs = {"OUT": str(tmp_path / "out"), "TMP": str(tmp_path),
             "SCN": str(scn)}
-    r = run_cli(*(subs.get(a, a) for a in argv))
-    assert r.returncode == 1
-    assert "Traceback" not in r.stderr
-    errors = [line for line in r.stderr.splitlines() if "error:" in line]
+    try:
+        code = main([subs.get(a, a) for a in argv])
+    except SystemExit as exc:   # argparse ends a usage error by raising
+        code = exc.code
+    stderr = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert errors[0].startswith("error:") and named in errors[0]
 

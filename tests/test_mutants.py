@@ -107,10 +107,19 @@ MUTANTS = [
      "half = 0.5j * dt", "half = 0.25j * dt",
      ["phase-factored-fit"],
      [test_propagation.test_unitary_matches_exact_with_second_order_convergence]),
+    # first-order slicing at the midpoints, its norm put back at every step
+    ("cayley-renormalised-first-order", propagation, "unitary_propagate",
+     "zip((1.0 - ihz) / (1.0 + ihz), block):\n"
+     "            np.multiply(r, w, out=row)",
+     "zip(1.0 - 2.0 * ihz, block):\n"
+     "            np.multiply(r, w * (np.linalg.norm(w)"
+     " / np.linalg.norm(r * w)), out=row)",
+     ["phase-factored-fit"],
+     [test_propagation.test_unitary_matches_solve_oracle_box_dipole]),
     # reproduce-all is blind: a term that is a multiple of the identity only
     # turns the global phase, which no claim reads
-    ("scalar-shift-dropped", propagation, "unitary_propagate",
-     "shift += scale * prof(tm)", "shift += 0.0 * prof(tm)",
+    ("scalar-shift-dropped", propagation, "_eigenbasis",
+     "shift += scale * prof(times)", "shift += 0.0 * prof(times)",
      [], [_identity_term_step]),
     ("dipole-sign-flipped", propagation, "dipole_matrix_elements_box",
      "-8.0 * width", "8.0 * width",
@@ -119,6 +128,11 @@ MUTANTS = [
     ("refinement-at-k-3", cli, "cmd_propagate",
      "(1, 2, 4)", "(1, 2, 3)",
      ["euler-norm-growth"], []),
+    # reproduce-all is blind: the exponents read [1.999, 2.0], inside their
+    # range; the final norm at 2 000 slices moves by 3.5e-8
+    ("refinement-at-midpoints", propagation, "euler_final_norm",
+     "left = times[:-1]", "left = times[:-1] + 0.5 * dt",
+     [], [test_propagation.test_euler_final_norm_matches_literal_box_dipole]),
     # the tower and the one-n route share the step, so the tower's bit check
     # is blind to it; the closed form is not
     ("laguerre-step-plus-k", specfun, "_laguerre_step",

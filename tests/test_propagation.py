@@ -13,7 +13,8 @@ from expansionlab.propagation import (HamiltonianModel,
                                       Units, bohr_frequencies,
                                       box_dipole_model, box_energies,
                                       dipole_matrix_elements_box,
-                                      euler_propagate, hard_step,
+                                      euler_final_norm, euler_propagate,
+                                      hard_step,
                                       momentum_matrix_elements_box, norm_audit,
                                       rhs, smooth_ramp, smooth_ramp_dt,
                                       unitary_propagate, write_trajectory_csv)
@@ -499,6 +500,59 @@ def test_euler_norm_never_falls_and_step1_closed_form_property(
     traj = euler_propagate(pure_state(dim, s % dim), m, n_slices, UNITS)
     assert np.all(np.diff(traj.norms) >= -1e-15 * traj.norms[:-1])
     assert norm_audit(traj, m, UNITS).closed_form_defect <= 1e-12
+
+
+def assert_final_norm_matches_literal(c0, model, n_slices, units=UNITS):
+    # the eigenbasis steps round differently from the literal ones; over 120
+    # random models of one_term_model (dim 2-64, 10-6 000 slices, final
+    # norms up to 1.03) the largest gap was 2.1e-16 per step, so the bound
+    # is about 5x that
+    literal = euler_propagate(c0, model, n_slices, units, tracked=0).norms[-1]
+    gap = abs(euler_final_norm(c0, model, n_slices, units) - literal)
+    assert gap <= 1e-15 * n_slices
+
+
+def test_euler_final_norm_matches_literal_box_dipole():
+    # box_dipole.scn's 2n refinement run
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    assert_final_norm_matches_literal(pure_state(32), m, 2000)
+
+
+def one_term_model(seed, dim, kind, identity, amplitude):
+    """A ramp or step dipole, or a random Hermitian term of spectral norm
+    `amplitude`, plus amplitude (1/2 + t^2) I when `identity` is set."""
+    if kind == "random-hermitian":
+        h = random_hermitian(np.random.default_rng(seed), dim)
+        h *= amplitude / np.max(np.abs(np.linalg.eigvalsh(h)))
+        terms = [(np.ones_like, h)]
+    else:
+        terms = box_dipole_model(1.0, dim, amplitude, 0.3, (0.0, 1.0), UNITS,
+                                 kind).terms
+    if identity:    # c(t) I, as the gauge jump's A^2/2 term
+        terms = terms + [(lambda t: amplitude * (0.5 + t * t), np.eye(dim))]
+    return HamiltonianModel(box_energies(1.0, dim, UNITS), terms, (0.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 64),
+       kind=st.sampled_from(["ramp", "step", "random-hermitian"]),
+       identity=st.booleans(), amplitude=st.floats(0.01, 1.0),
+       n_slices=st.integers(10, 600))
+def test_euler_final_norm_matches_literal_property(seed, dim, kind, identity,
+                                                   amplitude, n_slices):
+    m = one_term_model(seed, dim, kind, identity, amplitude)
+    assert_final_norm_matches_literal(pure_state(dim, seed % dim), m,
+                                      n_slices)
+
+
+def test_euler_final_norm_without_one_general_term_is_literal():
+    rng = np.random.default_rng(8)
+    a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+    for terms in ([], [(lambda t: np.cos(3.0 * t), a), (lambda t: t * t, b)]):
+        m = HamiltonianModel(rng.standard_normal(6), terms, (0.0, 2.0))
+        literal = euler_propagate(pure_state(6, 2), m, 400, UNITS)
+        assert euler_final_norm(pure_state(6, 2), m, 400, UNITS) \
+            == literal.norms[-1]
 
 
 @pytest.mark.parametrize("dt", [1e-5, 1e-3])
