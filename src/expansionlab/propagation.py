@@ -14,8 +14,10 @@ identity, it steps in the eigenbasis of X: the Cayley factor is diagonal
 there and the free evolution between midpoints is one constant unitary, so a
 step is one diagonal scale and one matrix-vector product. Other models take
 one linear solve per step. euler_final_norm takes the first-order step in
-that same eigenbasis, for refinement runs that need only the final norm; it
-agrees with euler_propagate to round-off, not bit for bit.
+that same eigenbasis, for refinement runs that need only the final norm.
+There a run of m equal steps (the profile and the identity shift repeat
+exactly, as on a step or a plateau) is one matrix power, O(dim^3 log m);
+the result agrees with euler_propagate to round-off, not bit for bit.
 
 Profile contract. A term's profile is called with a float or an array of
 times and returns a real array of the same shape, 0-d for a float; the
@@ -428,9 +430,12 @@ def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
     For H1(t) = s(t) X + c(t) I the first-order step is taken in the
     eigenbasis of X, as unitary_propagate takes its Cayley step: w_{i+1} =
     U (r_i * w_i) with r_i = 1 - i (dt/hbar) (s(t_i) Lambda + c(t_i)) at
-    the left endpoints t_i. D and V are unitary, so |w_N|^2 = |C_N|^2; it
-    agrees with the literal run to round-off, not bit for bit. Any other
-    model is run literally with no columns kept.
+    the left endpoints t_i. D and V are unitary, so |w_N|^2 = |C_N|^2.
+    r_i depends on (s(t_i), c(t_i)) alone: a run of m >= 2 steps on which
+    that pair repeats exactly is one matrix power (U diag(r))^m, and the
+    other steps are taken one by one. The result agrees with the literal
+    run to round-off, not bit for bit. Any other model is run literally
+    with no columns kept.
     """
     general, scalar = _split_terms(model)
     if len(general) != 1:
@@ -442,11 +447,26 @@ def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
                                             dt, units)
     idt = 1j * dt / units.hbar
     rows = max(1, _CHUNK_ENTRIES // model.dim)
-    for a in range(0, n_slices, rows):
-        b = a + rows
-        for r in 1.0 - idt * (s[a:b, None] * lam + shift[a:b, None]):
-            w = np.dot(u, r * w)
-    return float(_row_norms(w[None, :])[0])
+
+    def steps(w, lo, hi):
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            for r in 1.0 - idt * (s[a:b, None] * lam + shift[a:b, None]):
+                w = np.dot(u, r * w)
+        return w
+
+    # repeats[i] marks step i as a repeat of step i - 1; each rise and fall
+    # of it bounds one run [a, b) of equal steps
+    repeats = np.zeros(n_slices + 1, dtype=np.int8)
+    repeats[1:-1] = (s[1:] == s[:-1]) & (shift[1:] == shift[:-1])
+    lo = 0
+    for a, b in np.flatnonzero(np.diff(repeats)).reshape(-1, 2) + (0, 1):
+        w = steps(w, lo, a)
+        m = b - a
+        r = 1.0 - idt * (s[a] * lam + shift[a])
+        w = np.linalg.matrix_power(u * r, m) @ w
+        lo = b
+    return float(_row_norms(steps(w, lo, n_slices)[None, :])[0])
 
 
 @dataclass

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -80,13 +82,13 @@ def line_chart(path, title: str, x_label: str, y_label: str, series,
 
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = []
-        for x, y in zip(xs, ys):
-            yy = ty(float(y))
-            if math.isnan(yy):
-                continue
-            pts.append(f"{_fmt(px(float(x)))},{_fmt(py(yy))}")
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+        # px and py on whole arrays round as they do per point
+        yy = np.array([ty(float(y)) for y in ys])
+        keep = ~np.isnan(yy)
+        xx = np.asarray(xs, dtype=float)[keep]
+        pts = " ".join(map("{:.6g},{:.6g}".format, px(xx).tolist(),
+                           py(yy[keep]).tolist()))
+        parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         lx, ly = ml + pw - 150, mt + 16 + 16 * i
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '

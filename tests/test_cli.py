@@ -249,13 +249,17 @@ def test_exit_3_on_mismatched_gauge_pair(tmp_path):
     assert "field-difference norm" in r.stderr
 
 
-def test_reproduce_all_exit_1_on_empty_scenario_dir(tmp_path):
+def test_reproduce_all_exit_1_on_empty_scenario_dir(tmp_path, capsys):
     empty = tmp_path / "scn"
     empty.mkdir()
-    r = run_cli("reproduce-all", "--scenario-dir", str(empty),
-                "--out", str(tmp_path / "out"))
-    assert r.returncode == 1
-    assert "no scenario files" in r.stderr
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--scenario-dir", str(empty),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no scenario files" in err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_reproduce_all_exit_3_on_tampered_golden(tmp_path):
@@ -290,18 +294,18 @@ def _golden_without_key(golden_dir):
     (_unknown_claim, "claim 'no-such-claim' has no checker"),
     (_golden_without_key, "gauge_jump.json lacks covariant_tol"),
 ], ids=["unknown-claim", "missing-key"])
-def test_reproduce_all_exit_1_on_bad_golden_before_running(tmp_path, tamper,
-                                                           message):
+def test_reproduce_all_exit_1_on_bad_golden_before_running(
+        tmp_path, monkeypatch, capsys, tamper, message):
     bad = tmp_path / "golden"
     shutil.copytree(GOLDEN, bad)
     tamper(bad)
+    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
     out = tmp_path / "out"
-    r = run_cli("reproduce-all", "--out", str(out),
-                env_extra={"EXPANSIONLAB_GOLDEN_DIR": str(bad)})
-    assert r.returncode == 1
-    assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error:") and message in r.stderr
-    assert len(r.stderr.splitlines()) == 1
+    assert main(["reproduce-all", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -39,6 +39,12 @@ _unitary_step = functools.partial(
 _identity_term_step = functools.partial(
     test_propagation.test_unitary_matches_solve_oracle_with_identity_term,
     "step")
+_single_run = functools.partial(
+    test_propagation.test_euler_final_norm_single_run_matches_literal,
+    "random-hermitian", False, 23, 1237)
+_shift_split = functools.partial(
+    test_propagation.test_euler_final_norm_splits_runs_on_the_shift,
+    test_propagation.switched_at_0_4)
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
 MUTANTS = [
@@ -133,6 +139,17 @@ MUTANTS = [
     ("refinement-at-midpoints", propagation, "euler_final_norm",
      "left = times[:-1]", "left = times[:-1] + 0.5 * dt",
      [], [test_propagation.test_euler_final_norm_matches_literal_box_dipole]),
+    # reproduce-all is blind: no claim's refinement run has an identity
+    # term
+    ("run-split-ignores-shift", propagation, "euler_final_norm",
+     "(s[1:] == s[:-1]) & (shift[1:] == shift[:-1])", "(s[1:] == s[:-1])",
+     [], [_shift_split]),
+    # reproduce-all is blind: the exponents read [2.0006, 1.9992], inside
+    # their range
+    ("run-power-one-short", propagation, "euler_final_norm",
+     "matrix_power(u * r, m)", "matrix_power(u * r, m - 1)",
+     [], [_single_run,
+          test_propagation.test_euler_final_norm_matches_literal_box_dipole]),
     # the tower and the one-n route share the step, so the tower's bit check
     # is blind to it; the closed form is not
     ("laguerre-step-plus-k", specfun, "_laguerre_step",

@@ -518,9 +518,10 @@ def test_euler_final_norm_matches_literal_box_dipole():
     assert_final_norm_matches_literal(pure_state(32), m, 2000)
 
 
-def one_term_model(seed, dim, kind, identity, amplitude):
+def one_term_model(seed, dim, kind, identity, amplitude,
+                   shift=lambda t: 0.5 + t * t):
     """A ramp or step dipole, or a random Hermitian term of spectral norm
-    `amplitude`, plus amplitude (1/2 + t^2) I when `identity` is set."""
+    `amplitude`, plus amplitude shift(t) I when `identity` is set."""
     if kind == "random-hermitian":
         h = random_hermitian(np.random.default_rng(seed), dim)
         h *= amplitude / np.max(np.abs(np.linalg.eigvalsh(h)))
@@ -529,7 +530,7 @@ def one_term_model(seed, dim, kind, identity, amplitude):
         terms = box_dipole_model(1.0, dim, amplitude, 0.3, (0.0, 1.0), UNITS,
                                  kind).terms
     if identity:    # c(t) I, as the gauge jump's A^2/2 term
-        terms = terms + [(lambda t: amplitude * (0.5 + t * t), np.eye(dim))]
+        terms = terms + [(lambda t: amplitude * shift(t), np.eye(dim))]
     return HamiltonianModel(box_energies(1.0, dim, UNITS), terms, (0.0, 1.0))
 
 
@@ -543,6 +544,70 @@ def test_euler_final_norm_matches_literal_property(seed, dim, kind, identity,
     m = one_term_model(seed, dim, kind, identity, amplitude)
     assert_final_norm_matches_literal(pure_state(dim, seed % dim), m,
                                       n_slices)
+
+
+def left_profiles(model, n_slices):
+    """Each term's profile on the left endpoints, one row per term."""
+    t0, t1 = model.window
+    left = t0 + (t1 - t0) / n_slices * np.arange(n_slices)
+    return np.array([p(left) for p, _ in model.terms])
+
+
+@pytest.mark.parametrize("dim,n_slices", [(2, 6000), (23, 1237), (64, 6000)])
+@pytest.mark.parametrize("identity", [False, True])
+@pytest.mark.parametrize("kind", ["step", "random-hermitian"])
+def test_euler_final_norm_single_run_matches_literal(kind, identity, dim,
+                                                     n_slices):
+    # every profile is constant on the grid, so the whole run is one power
+    m = one_term_model(17, dim, kind, identity, 0.9,
+                       shift=lambda t: np.full(np.shape(t), 0.5))
+    assert np.ptp(left_profiles(m, n_slices), axis=1).max() == 0.0
+    assert_final_norm_matches_literal(pure_state(dim, 1), m, n_slices)
+
+
+def one_step_final_norm(c0, model, n_slices, units=UNITS):
+    """euler_final_norm's eigenbasis loop with every step taken one by one."""
+    general, scalar = propagation._split_terms(model)
+    c, times, dt, _ = propagation._prepare(c0, model, n_slices, units)
+    lam, _, u, _, s, shift, w = propagation._eigenbasis(
+        model, general, scalar, c, times[:-1], dt, units)
+    idt = 1j * dt / units.hbar
+    rows = max(1, propagation._CHUNK_ENTRIES // model.dim)
+    for a in range(0, n_slices, rows):
+        b = a + rows
+        for r in 1.0 - idt * (s[a:b, None] * lam + shift[a:b, None]):
+            w = np.dot(u, r * w)
+    return float(propagation._row_norms(w[None, :])[0])
+
+
+@pytest.mark.parametrize("model,n_slices", [
+    (HamiltonianModel(box_energies(1.0, 16, UNITS),
+                      [(lambda t: np.cos(3.0 * t),
+                        random_hermitian(np.random.default_rng(3), 16))],
+                      (0.0, 2.0)), 1500),
+    (one_term_model(0, 32, "ramp", True, 1.0), 2000),
+], ids=["cos-3t", "ramp-and-varying-identity"])
+def test_euler_final_norm_changing_profile_keeps_one_step_bits(model,
+                                                               n_slices):
+    # no two neighbouring steps share their (s, c) pair: no run to power
+    values = left_profiles(model, n_slices)
+    assert np.all(np.any(np.diff(values, axis=1) != 0.0, axis=0))
+    c0 = pure_state(model.dim, 1)
+    assert euler_final_norm(c0, model, n_slices, UNITS) \
+        == one_step_final_norm(c0, model, n_slices)
+
+
+def switched_at_0_4(t):
+    return hard_step(t - 0.4)
+
+
+@pytest.mark.parametrize("shift", [switched_at_0_4, lambda t: 0.5 + t * t],
+                         ids=["switched", "varying"])
+def test_euler_final_norm_splits_runs_on_the_shift(shift):
+    # the step dipole is constant over the window; the identity term is not
+    m = one_term_model(5, 24, "step", True, 0.8, shift=shift)
+    assert np.ptp(left_profiles(m, 1500)[0]) == 0.0
+    assert_final_norm_matches_literal(pure_state(24, 1), m, 1500)
 
 
 def test_euler_final_norm_without_one_general_term_is_literal():
