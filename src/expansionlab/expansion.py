@@ -10,10 +10,11 @@ Gaussian and the polynomial argument share the single magnetic length a.
 The quadrature route is one QUADPACK call per n (per real and imaginary
 part of each coefficient in project), and the calls of one tower share their
 node values, since QUADPACK keeps meeting the same nodes: project evaluates
-the target once per distinct node, and landau_plane_wave_overlaps holds L_n
-at every node it has met and steps them all one order between its calls.
-Each integrand is one Python function per node value and returns the value
-of the literal one-coefficient route bit for bit.
+the target once per distinct node, and landau_plane_wave_overlaps keeps the
+integrand's value at every node it has met in a dict that QUADPACK reads by
+lookup, and steps them all one order between its calls. Each box part is one
+Python function per node value; every integrand returns the value of the
+literal one-coefficient route bit for bit.
 
 A CoefficientSeries is one table of (n, coefficient, error, flag) entries
 in increasing n, and each entry is one row of coefficients.csv.
@@ -200,55 +201,51 @@ def landau_plane_wave_overlaps(n_max: int, a: float = 1.0,
         raise basis.BasisDomainError("magnetic length must be positive")
     spec = quadrature or basis.landau_quadrature(a)
     tower = _LaguerreTower(a)
-    gauss, cur = tower.gauss, tower.cur
-
-    def integrand(rho):
-        slot = tower[rho]
-        return gauss[slot] * cur[slot] * rho
-
     out = []
     for n in range(n_max + 1):
         if n:
             tower.advance()
-        out.append(_flagged(lambda: integrate_semi_infinite(integrand, spec)))
+        out.append(_flagged(
+            lambda: integrate_semi_infinite(tower.__getitem__, spec)))
     return out
 
 
 class _LaguerreTower(dict):
-    """rho -> slot of every quadrature node the tower has met.
+    """rho -> gauss(rho) * L_n(u) * rho at the tower's order n for every
+    node met so far: the integrand, which QUADPACK reads by dict lookup.
 
-    At the tower's order n, column i of cols holds node i's u, L_{n-1}(u)
-    and L_n(u), and the lists gauss and cur its Gaussian and L_n, which the
-    integrand reads in place. advance() steps every column from n to
-    n + 1 in one array expression. A node first met at order n is brought up
-    to it by the same step on floats, once, and joins cols at the next
-    advance(). Either way each L_n is laguerre_row's, bit for bit.
+    cols holds each node's rho, Gaussian, u, L_{n-1} and L_n, in the order
+    of rhos. advance() steps them all one order with _laguerre_step and
+    rewrites every value with one update. A node first met at order n is
+    brought up to it once, by the same step written inline on floats, and
+    joins cols at the next advance(). Either way each value is
+    landau_plane_wave_overlap's integrand, bit for bit.
     """
 
     def __init__(self, a: float):
         super().__init__()
-        self.a, self.n, self.fresh = a, 0, []
-        self.cols = np.empty((3, 0))
-        self.gauss, self.cur = [], []
+        self.a, self.n, self.rhos, self.fresh = a, 0, [], []
+        self.cols = np.empty((5, 0))
 
     def __missing__(self, rho):
-        u = rho * rho / (2.0 * self.a * self.a)
-        prev, cur = 0.0, 1.0
+        a, prev, cur = self.a, 0.0, 1.0
+        u = rho * rho / (2.0 * a * a)
         for k in range(self.n):
-            prev, cur = cur, _laguerre_step(k, u, prev, cur)
-        self.gauss.append(math.exp(-0.25 * rho * rho / (self.a * self.a)))
-        self.cur.append(cur)
-        self.fresh.append((u, prev, cur))
-        slot = self[rho] = len(self.cur) - 1
-        return slot
+            prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+        gauss = math.exp(-0.25 * rho * rho / (a * a))
+        self.rhos.append(rho)
+        self.fresh.append((rho, gauss, u, prev, cur))
+        value = self[rho] = gauss * cur * rho
+        return value
 
     def advance(self):
         if self.fresh:
             self.cols = np.hstack((self.cols, np.array(self.fresh).T))
             self.fresh = []
-        u, prev, cur = self.cols
-        self.cols = np.array([u, cur, _laguerre_step(self.n, u, prev, cur)])
-        self.cur[:] = self.cols[2].tolist()
+        rho, gauss, u, prev, cur = self.cols
+        step = _laguerre_step(self.n, u, prev, cur)
+        self.cols = np.array([rho, gauss, u, cur, step])
+        self.update(zip(self.rhos, (gauss * step * rho).tolist()))
         self.n += 1
 
 
@@ -273,12 +270,10 @@ def convergence_scan(coefficient_fn, n_max: int, *,
     inc = np.array([abs(coefficient_fn(n)) ** 2 for n in ns], dtype=float)
     sums = np.cumsum(inc)
 
-    first_converged = None
-    for i in range(len(ns)):
-        tail = inc[i:]
-        if np.all(tail <= SCAN_INCREMENT_TOL * max(1.0, sums[-1])):
-            first_converged = ns[i]
-            break
+    # negligible from just after the last increment that is not (NaN is not)
+    big = np.flatnonzero(~(inc <= SCAN_INCREMENT_TOL * max(1.0, sums[-1])))
+    start = int(big[-1]) + 1 if big.size else 0
+    first_converged = ns[start] if start < len(ns) else None
 
     ref_pos = min(max(SCAN_REFERENCE_N - n_start, 0), len(ns) - 1)
     slope = float(np.polyfit(ns, sums, 1)[0]) if len(ns) > 1 else 0.0

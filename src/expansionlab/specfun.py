@@ -18,9 +18,11 @@ loaded on its own so that the scipy.integrate package is never imported,
 and each call returns what scipy.integrate.quad returns bit for bit: it
 runs in a workspace of FIRST_LIMIT subintervals and reruns at the full
 limit only when that could matter (see _run_quad). One three-term step,
-_laguerre_step, serves both laguerre_row, which climbs the orders at one
-node, and the Landau tower in expansion, which steps a whole column of nodes
-up one order at a time.
+_laguerre_step, serves laguerre_row, which climbs the orders at one node,
+and the Landau tower's advance() in expansion, which steps an array of nodes
+up one order at a time. The tower's catch-up of a new node writes the step
+inline, since a call per step costs about a tenth of a scan; a mutant row
+in tests/test_mutants.py guards that copy.
 """
 
 from __future__ import annotations

@@ -26,18 +26,24 @@ def line_chart(path, title: str, x_label: str, y_label: str, series,
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
 
-    def ty(v):
-        if log_y:
-            return math.log10(v) if v > 0.0 else float("nan")
-        return v
+    def ty(ys):
+        ys = np.asarray(ys, dtype=float)
+        if not log_y:
+            return ys
+        # math.log10 per point: numpy's log10 need not round the same way
+        return np.array([math.log10(v) if v > 0.0 else math.nan
+                         for v in ys.tolist()])
 
-    xs_all = [float(x) for _, xs, _ in series for x in xs]
-    ys_all = [ty(float(y)) for _, _, ys in series for y in ys]
-    ys_all = [y for y in ys_all if not math.isnan(y)]
-    if not xs_all or not ys_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    # each series' x and transformed y, once for the range and the polyline
+    lines = [(label, np.asarray(xs, dtype=float), ty(ys))
+             for label, xs, ys in series]
+    xs_all = np.concatenate([np.empty(0)] + [xx for _, xx, _ in lines])
+    ys_all = np.concatenate([np.empty(0)] + [yy for _, _, yy in lines])
+    ys_all = ys_all[~np.isnan(ys_all)]
+    if not xs_all.size or not ys_all.size:
+        xs_all, ys_all = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -80,13 +86,11 @@ def line_chart(path, title: str, x_label: str, y_label: str, series,
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {mt + ph / 2})">{y_label}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, xx, yy) in enumerate(lines):
         color = _COLORS[i % len(_COLORS)]
         # px and py on whole arrays round as they do per point
-        yy = np.array([ty(float(y)) for y in ys])
         keep = ~np.isnan(yy)
-        xx = np.asarray(xs, dtype=float)[keep]
-        pts = " ".join(map("{:.6g},{:.6g}".format, px(xx).tolist(),
+        pts = " ".join(map("{:.6g},{:.6g}".format, px(xx[keep]).tolist(),
                            py(yy[keep]).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')

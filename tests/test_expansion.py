@@ -22,7 +22,7 @@ from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
                                     write_coefficient_csv)
 from expansionlab.scenario import load_scenario
 from expansionlab.specfun import (QuadratureError, QuadratureSpec,
-                                  integrate_interval)
+                                  integrate_interval, laguerre)
 
 SCENARIOS = Path(resources.files("expansionlab") / "data" / "scenarios")
 
@@ -122,6 +122,29 @@ def test_tower_catches_up_each_node_once(monkeypatch):
     rhos = [rho for rho, _ in met]
     assert len(rhos) == len(set(rhos))
     assert max(n for _, n in met) > 0   # some nodes join a running tower
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.3, 3.0),
+       reads=st.lists(st.tuples(st.integers(0, 30),
+                                st.one_of(st.just(0.0),
+                                          st.floats(0.0, 120.0))),
+                      min_size=1, max_size=30))
+def test_tower_values_are_the_literal_integrand_after_every_advance(a, reads):
+    # nodes are first read at random orders, some more than once; every
+    # stored value must be the one-n route's integrand at the tower's order
+    tower = expansion._LaguerreTower(a)
+    for n in range(max(order for order, _ in reads) + 1):
+        if n:
+            tower.advance()
+        for order, rho in reads:
+            if order == n:
+                tower[rho]
+        assert tower.n == n
+        for rho, value in tower.items():
+            literal = (math.exp(-0.25 * rho * rho / (a * a))
+                       * laguerre(n, rho * rho / (2 * a * a)) * rho)
+            assert repr(value) == repr(literal), (rho, n)
 
 
 def literal_part(f, width, spec):
@@ -310,6 +333,34 @@ def test_convergence_scan_landau_plane_wave_is_divergent():
 def test_convergence_scan_slow_decay_is_inconclusive():
     report = convergence_scan(lambda n: 1.0 / (n + 1.0), 200)
     assert report.verdict == "inconclusive"
+
+
+def first_converged_by_tail_loop(ns, inc):
+    """convergence_scan's first_converged_n, one np.all per tail."""
+    tol = expansion.SCAN_INCREMENT_TOL * max(1.0, np.cumsum(inc)[-1])
+    for i in range(len(ns)):
+        if np.all(inc[i:] <= tol):
+            return ns[i]
+    return None
+
+
+# 1e-6 squared is 1e-12 exactly: an increment at the tolerance of a sum <= 1
+scan_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-6, -1e-6, math.nextafter(1e-6, 1.0),
+                     1e-7, 3e-4, 0.5, 1.0, math.nan]),
+    st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=1e-5))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(scan_values, min_size=1, max_size=40),
+       n_start=st.integers(0, 12))
+def test_convergence_scan_first_converged_matches_tail_loop(values, n_start):
+    report = convergence_scan(lambda n: values[n - n_start],
+                              n_start + len(values) - 1, n_start=n_start)
+    inc = np.array([abs(v) ** 2 for v in values], dtype=float)
+    assert report.first_converged_n == first_converged_by_tail_loop(
+        report.ns, inc)
 
 
 def test_reconstruction_gap_at_ten_magnetic_lengths():

@@ -72,7 +72,12 @@ MUTANTS = [
      "/ (k + 1)", "/ k",
      ["equal-magnitude-recurrence"], [_tower_bits]),
     ("tower-reads-previous-order", expansion, "_LaguerreTower",
-     "self.cols[2].tolist()", "self.cols[1].tolist()",
+     "(gauss * step * rho)", "(gauss * cur * rho)",
+     ["equal-magnitude-recurrence"], [_tower_bits]),
+    # the catch-up's inline copy of the step, which no mutant of
+    # _laguerre_step reaches
+    ("catch-up-step-plus-k", expansion, "_LaguerreTower",
+     "- k * prev", "+ k * prev",
      ["equal-magnitude-recurrence"], [_tower_bits]),
     # reproduce-all is blind: no claim projects onto the box, and the swap
     # keeps every |C_n|^2
