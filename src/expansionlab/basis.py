@@ -92,7 +92,7 @@ def landau_radial(n: int, l: int, rho: float, a: float) -> float:
         raise BasisDomainError("magnetic length must be positive")
     al = abs(l)
     u = rho * rho / (2.0 * a * a)
-    confluent = specfun.laguerre_associated(n, float(al), u)
+    confluent = specfun.laguerre_row(n, u, float(al))[n]
     if al:
         confluent /= math.comb(n + al, n)
     return (landau_normalization(n, l) * (rho / a) ** al / a

@@ -5,11 +5,11 @@ plot, and a manifest with checksums into the output directory, and returns a
 contract exit code: 0 success, 1 configuration or usage error, 2 numerical
 non-convergence, 3 physical-consistency failure. Exceptions map to a code
 by class: specfun.NonConvergenceError to 2, gauge.PhysicalConsistencyError to
-3, and ValueError, OSError and ReferenceUnavailableError to 1; the three
-families are disjoint. reproduce-all runs the bundled claim scenarios
-and holds each fresh result to its golden table (EXPANSIONLAB_GOLDEN_DIR
-overrides their location) through _CLAIM_ROWS, one row per compared
-quantity; it exits 3 if a row fails, else 2 if a scenario did not converge.
+3, and ValueError and OSError to 1; the three families are disjoint.
+reproduce-all runs the bundled claim scenarios and holds each fresh result
+to its golden table (EXPANSIONLAB_GOLDEN_DIR overrides their location)
+through _CLAIM_ROWS, one row per compared quantity; it exits 3 if a row
+fails, else 2 if a scenario did not converge.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 from . import __version__, basis, expansion, gauge, propagation, svgplot
 from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     GaugeJumpScenario, PhaseFitScenario,
-                    PhysicalConsistencyError, ReferenceUnavailableError,
-                    zero_gauge_function)
+                    PhysicalConsistencyError, zero_gauge_function)
 from .propagation import Units
 from .scenario import (INT, INTS, REAL, REQUIRED, RunManifest, Scenario,
                        load_scenario)
@@ -673,7 +672,7 @@ def main(argv=None) -> int:
         if isinstance(exc, GaugeFieldMismatchError):
             print(f"field-difference norm: {exc.defect!r}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, ReferenceUnavailableError) as exc:
+    except (ValueError, OSError) as exc:
         # scenario, path and constructor argument errors; the three handlers
         # catch disjoint classes, so their order is immaterial
         print(f"error: {exc}", file=sys.stderr)

@@ -66,10 +66,6 @@ class NormalizationError(PhysicalConsistencyError):
         self.measured_norm = measured_norm
 
 
-class ReferenceUnavailableError(RuntimeError):
-    """The reference propagation cannot serve the requested fit."""
-
-
 @dataclass(frozen=True)
 class GaugeFunction:
     """A differentiable gauge function f(t, r) with its analytic derivatives.
@@ -534,6 +530,10 @@ class PhaseFitScenario:
         self.fit_sizes = tuple(int(n) for n in self.fit_sizes)
         if self.initial_index < 1 or self.initial_index > min(self.fit_sizes):
             raise ValueError("initial index must sit inside every fit basis")
+        if self.n_reference < max(self.fit_sizes):
+            raise ValueError(
+                f"reference basis ({self.n_reference}) must dominate the "
+                f"largest fit size ({max(self.fit_sizes)})")
 
 
 @dataclass
@@ -576,10 +576,6 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
     for the sine products involved, so the stationary control sits at
     rounding level.
     """
-    if scenario.n_reference < max(scenario.fit_sizes):
-        raise ReferenceUnavailableError(
-            f"reference basis ({scenario.n_reference}) must dominate the "
-            f"largest fit size ({max(scenario.fit_sizes)})")
     units = scenario.units
     width = scenario.width
     model = propagation.box_dipole_model(width, scenario.n_reference,

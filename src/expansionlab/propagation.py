@@ -25,12 +25,12 @@ step and ramp are np.where forms. A model checks this on its window's
 endpoints, and each stepper, like each gauge field, samples a profile with
 one call on its whole time grid.
 
-Both steppers fill their rows in blocks of _CHUNK_ENTRIES (2^11) entries and
-hand each block to one collector, which records every row's norm sum_k
-|C_k|^2 from the full block and keeps the leading `tracked` columns in the
-returned Trajectory. tracked=None keeps every column, and the steppers then
-write straight into the returned states; tracked=0 keeps norms only, so a
-10^5-step run holds its norms and one 32 KB block instead of every state.
+Both steppers fill their rows in blocks of _CHUNK_ENTRIES (2^11) entries of
+one reused buffer and hand each block to one collector, which records every
+row's norm sum_k |C_k|^2 from the full block and copies the leading
+`tracked` columns (all when None) into the returned Trajectory; tracked=0
+keeps norms only, so a 10^5-step run holds its norms and one 32 KB block
+instead of every state.
 """
 
 from __future__ import annotations
@@ -202,22 +202,17 @@ class Trajectory:
         if self.states.shape[1] < self.dim:
             raise PropagationContractError(
                 "a trajectory with truncated rows needs its recorded norms")
-        # 2^11-row chunks keep the conjugate copy small on long runs
-        norms = np.empty(self.times.size)
-        for lo in range(0, norms.size, 2 ** 11):
-            norms[lo:lo + 2 ** 11] = _row_norms(self.states[lo:lo + 2 ** 11])
-        return norms
+        return _row_norms(self.states)
 
 
 class _Collector:
     """Takes a stepper's rows block by block; keeps norms and leading columns.
 
     Row 0 is the initial state. blocks() hands out rows 1..n_slices in
-    blocks of _CHUNK_ENTRIES entries for the stepper to fill, and takes
-    each block (its norms, and its leading `tracked` columns) when the
-    stepper asks for the next one. With every column kept a block is a
-    view of the returned states, so nothing is copied; otherwise one
-    buffer is reused, and its rows are overwritten block after block.
+    blocks of _CHUNK_ENTRIES entries of one reused buffer for the stepper to
+    fill, and takes each block (its norms, and a copy of its leading
+    `tracked` columns) when the stepper asks for the next one; the buffer's
+    rows are then overwritten.
     """
 
     def __init__(self, times: np.ndarray, c0: np.ndarray, tracked, method):
@@ -232,22 +227,16 @@ class _Collector:
         self.norms[0] = _row_norms(c0[None, :])[0]
         self.states[0] = c0[:self.keep]
 
-    def _take(self, lo: int, block: np.ndarray):
-        self.norms[lo:lo + len(block)] = _row_norms(block)
-        if self.keep < self.dim:
-            self.states[lo:lo + len(block)] = block[:, :self.keep]
-
     def blocks(self):
         """(step index of the first row, rows to fill) for rows 1..n_slices."""
         n, rows = self.times.size, max(1, _CHUNK_ENTRIES // self.dim)
-        buffer = None
-        if self.keep < self.dim:
-            buffer = np.empty((min(rows, n - 1), self.dim), dtype=complex)
+        buffer = np.empty((min(rows, n - 1), self.dim), dtype=complex)
         for lo in range(1, n, rows):
             hi = min(lo + rows, n)
-            block = self.states[lo:hi] if buffer is None else buffer[:hi - lo]
+            block = buffer[:hi - lo]
             yield lo - 1, block
-            self._take(lo, block)
+            self.norms[lo:hi] = _row_norms(block)
+            self.states[lo:hi] = block[:, :self.keep]
 
     def trajectory(self) -> Trajectory:
         return Trajectory(self.times, self.states, self.method, self.norms,
@@ -264,8 +253,7 @@ def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
     t0, t1 = model.window
     dt = (t1 - t0) / n_slices
     times = t0 + dt * np.arange(n_slices + 1)
-    omega = bohr_frequencies(model, units)
-    return c, times, dt, omega
+    return c, times, dt
 
 
 def _sample(model: HamiltonianModel, times: np.ndarray):
@@ -303,7 +291,7 @@ def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
     window, so h1's window rule never zeroes a step. The returned states
     keep the leading `tracked` columns (all when None); the norms cover all.
     """
-    c, times, dt, _ = _prepare(c0, model, n_slices, units)
+    c, times, dt = _prepare(c0, model, n_slices, units)
     out = _Collector(times, c, tracked, "euler")
     left = times[:-1]
     a, xs = _sample(model, left)
@@ -394,13 +382,14 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     The returned states keep the leading `tracked` columns (all when None);
     the norms cover all.
     """
-    c, times, dt, omega = _prepare(c0, model, n_slices, units)
+    c, times, dt = _prepare(c0, model, n_slices, units)
     out = _Collector(times, c, tracked, "cayley")
     half = 0.5j * dt / units.hbar
     tm = times[:-1] + 0.5 * dt
     general, scalar = _split_terms(model)
     if len(general) != 1:
         values, xs = _sample(model, tm)
+        omega = bohr_frequencies(model, units)
         eye = np.eye(model.dim, dtype=complex)
         for lo, block in out.blocks():
             hi = lo + len(block)
@@ -441,7 +430,7 @@ def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
     if len(general) != 1:
         return float(euler_propagate(c0, model, n_slices, units,
                                      tracked=0).norms[-1])
-    c, times, dt, _ = _prepare(c0, model, n_slices, units)
+    c, times, dt = _prepare(c0, model, n_slices, units)
     left = times[:-1]
     lam, _, u, _, s, shift, w = _eigenbasis(model, general, scalar, c, left,
                                             dt, units)
@@ -480,7 +469,7 @@ class NormAuditReport:
     monotone: bool
     max_decrease: float
     first_strict_step: int | None
-    closed_form_defect: float | None
+    closed_form_defect: float
     passed: bool
 
     def to_text(self) -> str:
@@ -503,23 +492,22 @@ class NormAuditReport:
         else:
             lines.append(f"strict growth first appears at step "
                          f"{self.first_strict_step}")
-        if self.closed_form_defect is not None:
-            lines.append(f"one-step closed form defect: "
-                         f"{self.closed_form_defect!r}: "
-                         f"{mark(self.closed_form_defect < 1e-12)}")
+        lines.append(f"one-step closed form defect: "
+                     f"{self.closed_form_defect!r}: "
+                     f"{mark(self.closed_form_defect < 1e-12)}")
         lines.append(f"audit: {mark(self.passed)}")
         return "\n".join(lines)
 
 
-def norm_audit(trajectory: Trajectory, model: HamiltonianModel | None = None,
+def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
                units: Units = Units()) -> NormAuditReport:
     """Audit the norm chain of a first-order sliced run from a pure state.
 
     Checks |C_s(t1)|^2 >= 1 via the total, the non-negative off-diagonal
     weight, monotone growth of the norms, and reports the first step with a
     strict increase over 1. The chain is specific to the explicit first-order
-    update; trajectories from other integrators are rejected. When the model
-    is supplied, the one-step norm is also compared against the closed form
+    update; trajectories from other integrators are rejected. The one-step
+    norm is also compared against the model's closed form
     1 + (dt/hbar)^2 sum_k |(H1)_{ks}|^2.
     """
     if trajectory.method != "euler":
@@ -547,16 +535,13 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel | None = None,
     strict = np.nonzero(norms > 1.0)[0]
     first_strict = int(strict[0]) if strict.size else None
 
-    closed_defect = None
-    if model is not None:
-        dt = float(trajectory.times[1] - trajectory.times[0])
-        h0 = model.h1(float(trajectory.times[0]))
-        column = h0[:, s]
-        predicted = 1.0 + (dt / units.hbar) ** 2 * float(np.sum(np.abs(column) ** 2))
-        closed_defect = float(abs(step1 - predicted))
+    dt = float(trajectory.times[1] - trajectory.times[0])
+    column = model.h1(float(trajectory.times[0]))[:, s]
+    predicted = 1.0 + (dt / units.hbar) ** 2 * float(np.sum(np.abs(column) ** 2))
+    closed_defect = float(abs(step1 - predicted))
 
     passed = (step1 >= 1.0 and off_diag >= 0.0 and monotone
-              and (closed_defect is None or closed_defect < 1e-12))
+              and closed_defect < 1e-12)
     return NormAuditReport(s, pure_defect, float(step1), off_diag, monotone,
                            max_decrease, first_strict, closed_defect, passed)
 

@@ -18,11 +18,12 @@ loaded on its own so that the scipy.integrate package is never imported,
 and each call returns what scipy.integrate.quad returns bit for bit: it
 runs in a workspace of FIRST_LIMIT subintervals and reruns at the full
 limit only when that could matter (see _run_quad). One three-term step,
-_laguerre_step, serves laguerre_row, which climbs the orders at one node,
-and the Landau tower's advance() in expansion, which steps an array of nodes
-up one order at a time. The tower's catch-up of a new node writes the step
-inline, since a call per step costs about a tenth of a scan; a mutant row
-in tests/test_mutants.py guards that copy.
+_laguerre_step, serves laguerre_row, which climbs the orders of L_n^(alpha)
+at one node (alpha = 0 for laguerre, |l| for basis.landau_radial), and the
+Landau tower's advance() in expansion, which steps an array of nodes up one
+order at a time. The tower's catch-up of a new node writes the step inline,
+since a call per step costs about a tenth of a scan; a mutant row in
+tests/test_mutants.py guards that copy.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def laguerre(n: int, u: float) -> float:
     return laguerre_row(n, u)[n]
 
 
-def laguerre_row(n_max: int, u: float) -> array:
-    """L_0(u) .. L_n_max(u) by the stable three-term recurrence.
+def laguerre_row(n_max: int, u: float, alpha=0) -> array:
+    """L_0^(alpha)(u) .. L_n_max^(alpha)(u) by the stable three-term recurrence.
 
     The row is an array('d'); L_1 is the first step from L_{-1} = 0.
     """
@@ -168,35 +169,19 @@ def laguerre_row(n_max: int, u: float) -> array:
     row = array("d", [1.0])
     prev, cur = 0.0, 1.0
     for k in range(n_max):
-        prev, cur = cur, _laguerre_step(k, u, prev, cur)
+        prev, cur = cur, _laguerre_step(k, u, prev, cur, alpha)
         row.append(cur)
     return row
 
 
-def _laguerre_step(k: int, u, prev, cur):
-    """L_{k+1}(u) from L_{k-1}(u) = prev and L_k(u) = cur.
+def _laguerre_step(k: int, u, prev, cur, alpha=0):
+    """L_{k+1}(u) of order alpha from L_{k-1}(u) = prev and L_k(u) = cur.
 
     u, prev and cur are floats, or arrays of the same shape: numpy's +, -,
     * and / round as the float operations do, so a column of nodes stepped
     at once holds each node's laguerre_row entries bit for bit.
     """
-    return ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
-
-
-def laguerre_associated(n: int, alpha: float, u: float) -> float:
-    """Generalized Laguerre L_n^(alpha)(u), three-term recurrence.
-
-    Fast float evaluator for use inside quadrature integrands;
-    F(-n, alpha+1, u) = L_n^(alpha)(u) / C(n+alpha, n) for integer alpha >= 0.
-    """
-    if n < 0:
-        raise SpecfunDomainError("Laguerre order must be non-negative")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - u
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - u) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
+    return ((2 * k + 1 + alpha - u) * cur - (k + alpha) * prev) / (k + 1)
 
 
 # scipy.integrate.quad's text for each code qagse returns on failure

@@ -1,0 +1,117 @@
+"""Digest every manifest the commands write, to compare two checkouts.
+
+Runs expansionlab.cli.main in-process on:
+- every bundled scenario under its own kind, at --tolerance-scale 1 and 1e-6;
+- reproduce-all;
+- a generated `perturbation = none` propagate (the linear-solve Cayley path)
+  and a generated `second_gauge = identity` gauge pair;
+- with --bench-seed N (repeatable), every operation of
+  bench/workloads.build(workload, N, data) for each workload.
+
+It prints one line per manifest written, `label exit-code manifest-path
+sha256`, and `label exit-code - -` for a run that wrote none. A manifest
+holds the sha256 of each artifact, so equal lines mean equal artifact bytes.
+Run each checkout's copy, which imports that checkout's src/, and diff:
+
+    python tests/artifact_digests.py --bench-seed 3 --bench-seed 7 > a.txt
+
+It needs only the standard library and the package; bench/ is imported,
+never written (no bytecode is cached). Not a test module: the suite does
+not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.dont_write_bytecode = True
+
+from expansionlab import cli  # noqa: E402
+from expansionlab.scenario import load_scenario  # noqa: E402
+
+DATA = ROOT / "src" / "expansionlab" / "data"
+
+GENERATED = {
+    "none-propagate": ("propagate", """expansionlab-scenario v1
+kind = propagate
+name = no-perturbation
+perturbation = none
+n_basis = 8
+initial_index = 2
+n_slices = 300
+"""),
+    "identity-gauge": ("gauge", """expansionlab-scenario v1
+kind = gauge
+name = identity-pair
+experiment = jump
+n_basis = 8
+amplitude = 0.3
+switch = ramp
+ramp_time = 0.4
+t_end = 1.0
+n_slices = 100
+observe_stride = 5
+second_gauge = identity
+"""),
+}
+
+
+def run(label: str, argv: list, out_dir: Path):
+    """Run cli.main(argv + --out out_dir) quietly; print a line per manifest."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--out", str(out_dir)])
+    manifests = sorted(out_dir.rglob("manifest.json"))
+    for path in manifests:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(label, code, path.relative_to(out_dir).as_posix(), digest)
+    if not manifests:
+        print(label, code, "-", "-")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--bench-seed", type=int, action="append", default=[],
+                        help="also run the benchmark's operations at seed N")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
+        tmp = Path(tmp)
+        for path in sorted((DATA / "scenarios").glob("*.scn")):
+            for scale in ("1", "1e-6"):
+                label = f"bundled/{path.stem}@{scale}"
+                run(label, [load_scenario(path).kind, "--scenario", str(path),
+                            "--tolerance-scale", scale], tmp / label)
+        run("reproduce-all", ["reproduce-all"], tmp / "reproduce-all")
+        for name, (command, text) in GENERATED.items():
+            path = tmp / f"{name}.scn"
+            path.write_text(text, encoding="utf-8")
+            run(f"generated/{name}", [command, "--scenario", str(path)],
+                tmp / "generated" / name)
+        if args.bench_seed:
+            sys.path.insert(0, str(ROOT / "bench"))
+            import workloads
+            for seed in args.bench_seed:
+                for workload in workloads.WORKLOADS:
+                    for op in workloads.build(workload, seed, DATA):
+                        label = f"bench/{workload}/{seed}/{op.label}"
+                        if op.text is None:
+                            run(label, [op.command], tmp / label)
+                            continue
+                        path = tmp / "inputs" / label
+                        path.parent.mkdir(parents=True, exist_ok=True)
+                        path.write_text(op.text, encoding="utf-8")
+                        run(label, [op.command, "--scenario", str(path)],
+                            tmp / label)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

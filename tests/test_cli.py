@@ -788,7 +788,6 @@ EXIT_CODES = [
     (basis.BasisIndexError("malformed"), 1),
     (propagation.PropagationContractError("malformed"), 1),
     (specfun.SpecfunDomainError("malformed"), 1),
-    (gauge.ReferenceUnavailableError("malformed"), 1),
 ]
 
 
@@ -819,7 +818,7 @@ def test_exit_code_of_every_package_exception(tmp_path, monkeypatch, capsys,
 def test_exit_code_families_are_disjoint_and_cover_the_package():
     assert {type(e) for e, _ in EXIT_CODES} == _package_exception_classes()
     families = [specfun.NonConvergenceError, gauge.PhysicalConsistencyError,
-                (ValueError, OSError, gauge.ReferenceUnavailableError)]
+                (ValueError, OSError)]
     for exc, _ in EXIT_CODES:
         assert sum(isinstance(exc, f) for f in families) == 1, type(exc)
 

@@ -15,8 +15,7 @@ from expansionlab.cli import _KEYS, _experiment, _phase_gauge
 from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 GaugeFunction, GaugeJumpScenario, LineState,
                                 NormalizationError, PhaseFitScenario,
-                                Potentials, ReferenceUnavailableError,
-                                box_line_state, electric_field,
+                                Potentials, box_line_state, electric_field,
                                 field_mismatch, free_potentials,
                                 gauge_jump_experiment, magnetic_field,
                                 phase_factored_expansion_test, phase_transform,
@@ -460,10 +459,9 @@ def test_phase_fit_driven_matches_frozen_curve():
 
 
 def test_phase_fit_reference_must_cover_fit_sizes():
-    scn = PhaseFitScenario(n_reference=16, fit_sizes=(2, 4, 32),
-                           n_slices=100)
-    with pytest.raises(ReferenceUnavailableError):
-        phase_factored_expansion_test(scn, zero_gauge_function())
+    with pytest.raises(ValueError, match=r"reference basis \(16\) must "
+                       r"dominate the largest fit size \(32\)"):
+        PhaseFitScenario(n_reference=16, fit_sizes=(2, 4, 32), n_slices=100)
 
 
 def test_phase_fit_report_text_and_csv(tmp_path):

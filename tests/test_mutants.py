@@ -45,6 +45,11 @@ _single_run = functools.partial(
 _shift_split = functools.partial(
     test_propagation.test_euler_final_norm_splits_runs_on_the_shift,
     test_propagation.switched_at_0_4)
+# a fixed failing example of the first-time sampler: a fresh Hypothesis
+# failure would be shrunk, which took seconds
+_two_times = functools.partial(
+    test_gauge.test_batched_observables_match_per_time_oracle.hypothesis
+    .inner_test, 4, 0, [0.1, 0.9], 1.0)
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
 MUTANTS = [
@@ -64,8 +69,7 @@ MUTANTS = [
     ("every-time-at-t0", gauge, "_on_line",
      "np.asarray(t, dtype=float)[..., None]",
      "np.full(np.shape(t), np.ravel(t)[0])[..., None]",
-     ["phase-factored-fit"],
-     [test_gauge.test_batched_observables_match_per_time_oracle]),
+     ["phase-factored-fit"], [_two_times]),
     # the Landau tower's own binding of the shared Laguerre step: the
     # one-n route keeps the true step
     ("tower-step-over-k", expansion, "_laguerre_step",
@@ -158,10 +162,14 @@ MUTANTS = [
     # the tower and the one-n route share the step, so the tower's bit check
     # is blind to it; the closed form is not
     ("laguerre-step-plus-k", specfun, "_laguerre_step",
-     "- k * prev", "+ k * prev",
+     "- (k + alpha) * prev", "+ (k + alpha) * prev",
      ["equal-magnitude-recurrence"],
      [test_specfun.test_laguerre_row_is_the_recurrence_bit_for_bit,
       test_specfun.test_confluent_cross_oracle_laguerre_recurrence]),
+    # reproduce-all is blind: every claim runs at l = 0, where alpha is 0
+    ("laguerre-step-alpha-dropped", specfun, "_laguerre_step",
+     "- (k + alpha) * prev", "- k * prev",
+     [], [test_specfun.test_laguerre_associated_matches_binomial_sum]),
 ]
 
 
@@ -226,3 +234,7 @@ def test_mutant_is_killed(tmp_path, monkeypatch, row):
                                              for c in m[5]}))
 def test_killing_claims_pass_unmutated(tmp_path, claim_id):
     assert not claim_fails(claim_id, tmp_path)
+
+
+def test_fixed_example_of_the_first_time_sampler_passes_unmutated():
+    _two_times()

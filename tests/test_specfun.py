@@ -17,7 +17,7 @@ from expansionlab.specfun import (CONVERGENCE_GUARD, DEFAULT_QUADRATURE,
                                   SeriesDivergenceError, SpecfunDomainError,
                                   _laguerre_step, confluent_hypergeometric,
                                   integrate_interval, integrate_semi_infinite,
-                                  laguerre, laguerre_associated, laguerre_row)
+                                  laguerre, laguerre_row)
 
 # The e^{-u} weight decays far more slowly than the Gaussian weights this
 # package meets elsewhere: e^{-u} L_m L_n still contributes percent-level
@@ -134,8 +134,31 @@ def test_laguerre_associated_matches_binomial_sum():
     for n in (0, 1, 2, 5):
         for alpha in (0, 1, 3):
             for u in (0.2, 1.0, 6.0):
-                assert laguerre_associated(n, alpha, u) == pytest.approx(
+                assert laguerre_row(n, u, alpha)[n] == pytest.approx(
                     explicit(n, alpha, u), rel=1e-12, abs=1e-12)
+
+
+def associated_loop(n, alpha, u):
+    """L_n^(alpha)(u) by the recurrence started at L_1 = 1 + alpha - u."""
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 + alpha - u
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - u) * cur
+                          - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 80), alpha=st.integers(0, 12).map(float),
+       u=st.floats(0.0, 100.0))
+@example(n=80, alpha=12.0, u=0.0)
+@example(n=1, alpha=3.0, u=4.0)
+def test_associated_row_is_the_associated_loop_bit_for_bit(n, alpha, u):
+    # the row's first step from L_{-1} = 0 is the loop's L_1 = 1 + alpha - u
+    got, want = laguerre_row(n, u, alpha)[n], associated_loop(n, alpha, u)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_laguerre_orthogonality_under_exponential_weight():
