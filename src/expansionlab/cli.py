@@ -32,7 +32,7 @@ from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     PhysicalConsistencyError, zero_gauge_function)
 from .propagation import Units
 from .scenario import (INT, INTS, REAL, REQUIRED, RunManifest, Scenario,
-                       load_scenario)
+                       load_scenario, write_artifact)
 from .specfun import NonConvergenceError, QuadratureSpec, integrate_interval
 
 
@@ -67,19 +67,11 @@ def _load_claims() -> list:
     return claims
 
 
-def _write_text(path: Path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-
-
 def _manifest(scn: Scenario, command: str, tolerance_scale: float,
               seed, out_dir: Path, outputs):
-    man = RunManifest(scn.sha256(), __version__, command, tolerance_scale, seed)
-    for p in outputs:
-        man.add_output(p)
-    man.write(out_dir / "manifest.json")
+    """Write out_dir/manifest.json; outputs are the artifacts' entries."""
+    RunManifest(scn.sha256(), __version__, command, tolerance_scale, seed,
+                outputs).write(out_dir / "manifest.json")
 
 
 # --------------------------------------------------------- scenario keys
@@ -268,16 +260,15 @@ def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
     expand = _expand_landau if v["family"] == "landau" else _expand_box
     code, stats, series, lines, report = expand(scn.name, v, tolerance_scale)
 
-    csv_path = out_dir / "coefficients.csv"
-    expansion.write_coefficient_csv(series, csv_path)
-    report_path = out_dir / "convergence_report.txt"
-    _write_text(report_path, "\n".join(lines + ["", report.to_text()]))
-    svg_path = out_dir / "partial_sums.svg"
-    svgplot.line_chart(svg_path, "partial sums of |C_n|^2", "N",
-                       "sum_{n<=N} |C_n|^2",
-                       [("partial sums", report.ns, report.partial_sums)])
-    _manifest(scn, "expand", tolerance_scale, None, out_dir,
-              [csv_path, report_path, svg_path])
+    outputs = [
+        expansion.write_coefficient_csv(series, out_dir / "coefficients.csv"),
+        write_artifact(out_dir / "convergence_report.txt",
+                       [*lines, "", report.to_text()]),
+        svgplot.line_chart(out_dir / "partial_sums.svg",
+                           "partial sums of |C_n|^2", "N",
+                           "sum_{n<=N} |C_n|^2",
+                           [("partial sums", report.ns, report.partial_sums)])]
+    _manifest(scn, "expand", tolerance_scale, None, out_dir, outputs)
     return code, stats
 
 
@@ -333,16 +324,15 @@ def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
 
     euler_csv = out_dir / "euler_trajectory.csv"
     cayley_csv = out_dir / "unitary_trajectory.csv"
-    propagation.write_trajectory_csv(euler, euler_csv, tracked)
-    propagation.write_trajectory_csv(cayley, cayley_csv, tracked)
-    audit_path = out_dir / "norm_audit.txt"
-    _write_text(audit_path, audit.to_text())
-    svg_path = out_dir / "norms.svg"
-    svgplot.line_chart(svg_path, "norm audit: first-order slicing vs Cayley",
-                       "t", "sum_k |C_k|^2",
-                       [("first-order", euler.times, euler.norms),
-                        ("cayley", cayley.times, cayley.norms)])
-    outputs = [euler_csv, cayley_csv, audit_path, svg_path]
+    outputs = [
+        propagation.write_trajectory_csv(euler, euler_csv, tracked),
+        propagation.write_trajectory_csv(cayley, cayley_csv, tracked),
+        write_artifact(out_dir / "norm_audit.txt", [audit.to_text()]),
+        svgplot.line_chart(out_dir / "norms.svg",
+                           "norm audit: first-order slicing vs Cayley",
+                           "t", "sum_k |C_k|^2",
+                           [("first-order", euler.times, euler.norms),
+                            ("cayley", cayley.times, cayley.norms)])]
     _manifest(scn, "propagate", tolerance_scale, seed, out_dir, outputs)
 
     stats = {
@@ -382,18 +372,18 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
     if jump:
         result = gauge.gauge_jump_experiment(setup)
         csv_path = out_dir / "observables.csv"
-        gauge.write_observable_csv(csv_path,
-                                   [result.report_gauge1, result.report_gauge2])
-        summary_path = out_dir / "summary.txt"
-        _write_text(summary_path, result.summary_text())
         svg_path = out_dir / "velocity.svg"
         t = result.report_gauge1.times
-        svgplot.line_chart(svg_path, "velocity expectation across the gauge pair",
-                           "t", "<v_x>",
-                           [("gauge 1", t, result.report_gauge1.v_series[:, 0]),
-                            ("gauge 2 (co-transformed)", t,
-                             result.report_gauge2.v_series[:, 0])])
-        outputs = [csv_path, summary_path, svg_path]
+        outputs = [
+            gauge.write_observable_csv(
+                csv_path, [result.report_gauge1, result.report_gauge2]),
+            write_artifact(out_dir / "summary.txt", [result.summary_text()]),
+            svgplot.line_chart(
+                svg_path, "velocity expectation across the gauge pair",
+                "t", "<v_x>",
+                [("gauge 1", t, result.report_gauge1.v_series[:, 0]),
+                 ("gauge 2 (co-transformed)", t,
+                  result.report_gauge2.v_series[:, 0])])]
         _manifest(scn, "gauge", tolerance_scale, None, out_dir, outputs)
         stats = {
             "kind": "gauge-jump",
@@ -413,18 +403,17 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
                                                   zero_gauge_function())
     control_max = float(np.max(control.residuals))
 
-    csv_path = out_dir / "residuals.csv"
-    report.write_csv(csv_path)
-    summary_path = out_dir / "summary.txt"
-    _write_text(summary_path, "\n".join([
-        report.to_text(),
-        f"stationary control max residual: {control_max!r}"]))
     svg_path = out_dir / "residuals.svg"
-    svgplot.line_chart(svg_path, "phase-factored fit residual vs basis size",
-                       "basis size", "log10 residual",
-                       [("final time", list(report.fit_sizes),
-                         list(report.final_residuals()))], log_y=True)
-    outputs = [csv_path, summary_path, svg_path]
+    outputs = [
+        report.write_csv(out_dir / "residuals.csv"),
+        write_artifact(out_dir / "summary.txt", [
+            report.to_text(),
+            f"stationary control max residual: {control_max!r}"]),
+        svgplot.line_chart(svg_path,
+                           "phase-factored fit residual vs basis size",
+                           "basis size", "log10 residual",
+                           [("final time", list(report.fit_sizes),
+                             list(report.final_residuals()))], log_y=True)]
     _manifest(scn, "gauge", tolerance_scale, None, out_dir, outputs)
     stats = {
         "kind": "gauge-phase-fit",

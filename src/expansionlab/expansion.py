@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
+from .scenario import write_artifact
 from .specfun import (QuadratureError, QuadratureSpec, _laguerre_step,
                       integrate_interval, integrate_semi_infinite, laguerre)
 
@@ -294,15 +295,15 @@ def reconstruct(series: CoefficientSeries, mode) -> complex:
     return sum((c * mode(n) for n, c, _, _ in series.entries), 0.0 + 0.0j)
 
 
-def write_coefficient_csv(series: CoefficientSeries, path):
+def write_coefficient_csv(series: CoefficientSeries, path) -> dict:
     """One row per entry, floats via repr; a flagged quad_err reads err:flag."""
+    lines = ["n,re,im,abs,abs_sq,partial_sum,quad_err"]
     partial = 0.0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,re,im,abs,abs_sq,partial_sum,quad_err\n")
-        for n, c, err, flag in series.entries:
-            mag_sq = (c * c.conjugate()).real
-            partial += mag_sq
-            fh.write(",".join([
-                str(n), repr(c.real), repr(c.imag),
-                repr(abs(c)), repr(mag_sq), repr(partial),
-                f"{err!r}:{flag}" if flag else repr(err)]) + "\n")
+    for n, c, err, flag in series.entries:
+        mag_sq = (c * c.conjugate()).real
+        partial += mag_sq
+        lines.append(",".join([
+            str(n), repr(c.real), repr(c.imag),
+            repr(abs(c)), repr(mag_sq), repr(partial),
+            f"{err!r}:{flag}" if flag else repr(err)]))
+    return write_artifact(path, lines)

@@ -34,6 +34,7 @@ from .basis import box_modes
 from .propagation import (HamiltonianModel, Units, box_energies,
                           momentum_matrix_elements_box, switch_profile,
                           unitary_propagate)
+from .scenario import write_artifact
 from .specfun import QuadratureError
 
 DIFF_STEP = 1e-5     # central-difference step of consistency_defect
@@ -320,15 +321,13 @@ class ObservableReport:
         return float(np.linalg.norm(self.v_series[1] - self.pre_switch_v))
 
 
-def write_observable_csv(path, reports):
+def write_observable_csv(path, reports) -> dict:
     """One row per report and time; floats via repr for byte determinism."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,gauge_label,vx,vy,vz,px,py,pz\n")
-        for rep in reports:
-            for t, v, p in zip(rep.times.tolist(), rep.v_series.tolist(),
-                               rep.p_series.tolist()):
-                fh.write(",".join([repr(t), rep.gauge_label, *map(repr, v),
-                                   *map(repr, p)]) + "\n")
+    return write_artifact(path, ["t,gauge_label,vx,vy,vz,px,py,pz"] + [
+        ",".join([repr(t), rep.gauge_label, *map(repr, v), *map(repr, p)])
+        for rep in reports
+        for t, v, p in zip(rep.times.tolist(), rep.v_series.tolist(),
+                           rep.p_series.tolist())])
 
 
 @dataclass
@@ -555,14 +554,20 @@ class PhaseFitReport:
         lines.append(f"plateaued above {PLATEAU_TOL!r}: {self.plateaued}")
         return "\n".join(lines)
 
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("basis_size," + ",".join(
-                f"residual_t{repr(float(t))}" for t in self.fit_times) + "\n")
-            for j, n in enumerate(self.fit_sizes):
-                row = [str(n)] + [repr(float(self.residuals[i, j]))
-                                  for i in range(len(self.fit_times))]
-                fh.write(",".join(row) + "\n")
+    def write_csv(self, path) -> dict:
+        """One row per basis size, one residual column per fit time."""
+        header = "basis_size," + ",".join(
+            f"residual_t{repr(float(t))}" for t in self.fit_times)
+        return write_artifact(path, [header] + [
+            ",".join([str(n)] + [repr(float(self.residuals[i, j]))
+                                 for i in range(len(self.fit_times))])
+            for j, n in enumerate(self.fit_sizes)])
+
+
+def _by_real_parts(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m, complex a by real m, as two real products: OpenBLAS splits a
+    complex product's sums by thread, so its rounding follows the count."""
+    return a.real @ m + 1j * (a.imag @ m)
 
 
 def phase_factored_expansion_test(scenario: PhaseFitScenario,
@@ -602,10 +607,10 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
         * np.exp(-1j * np.outer(fit_times, model.energies) / units.hbar)
     rows = []
     for phase, a in zip(np.exp(-1j * _on_line(g.f, fit_times, xs)), amps):
-        target = phase * (a @ sines_ref)
+        target = phase * _by_real_parts(a, sines_ref)
         coefs = sines_fit @ (w * target)
-        rows.append([math.sqrt(float(np.sum(
-            w * np.abs(target - coefs[:n] @ sines_fit[:n]) ** 2)))
+        rows.append([math.sqrt(float(np.sum(w * np.abs(
+            target - _by_real_parts(coefs[:n], sines_fit[:n])) ** 2)))
             for n in scenario.fit_sizes])
 
     residuals = np.array(rows)

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scenario import write_artifact
+
 
 class PropagationContractError(ValueError):
     """Inputs violate an operation's contract (dimensions, trajectory kind)."""
@@ -598,7 +600,8 @@ def box_dipole_model(width: float, n_basis: int, amplitude: float,
                             window)
 
 
-def write_trajectory_csv(trajectory: Trajectory, path, tracked: int = 8):
+def write_trajectory_csv(trajectory: Trajectory, path,
+                         tracked: int = 8) -> dict:
     """step, t, norm_sq, re/im of the first `tracked` coefficients."""
     k = min(tracked, trajectory.dim)
     if not 0 <= k <= trajectory.states.shape[1]:
@@ -610,10 +613,8 @@ def write_trajectory_csv(trajectory: Trajectory, path, tracked: int = 8):
         header += [f"re_c{j}", f"im_c{j}"]
     # a complex row viewed as floats interleaves re and im per coefficient
     parts = np.ascontiguousarray(trajectory.states[:, :k]).view(float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    return write_artifact(path, [",".join(header)] + [
+        ",".join([str(i), repr(t), repr(norm), *map(repr, values)])
         for i, (t, norm, values) in enumerate(zip(
-                trajectory.times.tolist(), trajectory.norms.tolist(),
-                parts.tolist())):
-            fh.write(",".join([str(i), repr(t), repr(norm),
-                               *map(repr, values)]) + "\n")
+            trajectory.times.tolist(), trajectory.norms.tolist(),
+            parts.tolist()))])

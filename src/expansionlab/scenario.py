@@ -1,8 +1,11 @@
-"""Flat key-value scenario files and the reproducibility manifest.
+"""Flat key-value scenario files, the artifact writer and the run manifest.
 
 A scenario file is a version header line followed by `key = value` pairs;
 '#' starts a comment. Values stay strings until Scenario.read types them
 against the keys a section declares, so errors can point at the exact line.
+
+Every artifact a command writes goes through write_artifact, which returns
+the manifest entry of the bytes it wrote, so no artifact is read back.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 HEADER = "expansionlab-scenario v1"
@@ -148,12 +152,14 @@ def load_scenario(path) -> Scenario:
     return parse_scenario_text(text, origin=str(path))
 
 
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def write_artifact(path, lines) -> dict:
+    """Write each line, then an LF, as UTF-8; return the manifest entry
+    {"path": the file name, "sha256": the digest of the bytes written}."""
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return {"path": os.path.basename(path),
+            "sha256": hashlib.sha256(data).hexdigest()}
 
 
 @dataclass
@@ -165,14 +171,8 @@ class RunManifest:
     command: str
     tolerance_scale: float = 1.0
     seed: int | None = None
-    outputs: list = field(default_factory=list)
-
-    def add_output(self, path):
-        self.outputs.append({"path": str(path.name if hasattr(path, "name")
-                                         else path),
-                             "sha256": file_sha256(path)})
+    outputs: list = field(default_factory=list)   # write_artifact entries
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_artifact(path, [json.dumps(asdict(self), indent=2,
+                                         sort_keys=True)])

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from .scenario import write_artifact
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -21,7 +23,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def line_chart(path, title: str, x_label: str, y_label: str, series,
-               log_y: bool = False, width: int = 720, height: int = 460):
+               log_y: bool = False, width: int = 720,
+               height: int = 460) -> dict:
     """Write a line chart; series is a list of (label, xs, ys)."""
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
@@ -101,5 +104,4 @@ def line_chart(path, title: str, x_label: str, y_label: str, series,
                      f'font-size="11">{label}</text>')
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return write_artifact(path, parts)

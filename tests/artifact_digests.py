@@ -1,4 +1,4 @@
-"""Digest every manifest the commands write, to compare two checkouts.
+"""Digest every file the commands write, to compare two checkouts.
 
 Runs expansionlab.cli.main in-process on:
 - every bundled scenario under its own kind, at --tolerance-scale 1 and 1e-6;
@@ -8,12 +8,22 @@ Runs expansionlab.cli.main in-process on:
 - with --bench-seed N (repeatable), every operation of
   bench/workloads.build(workload, N, data) for each workload.
 
-It prints one line per manifest written, `label exit-code manifest-path
-sha256`, and `label exit-code - -` for a run that wrote none. A manifest
-holds the sha256 of each artifact, so equal lines mean equal artifact bytes.
-Run each checkout's copy, which imports that checkout's src/, and diff:
+It prints one line per file written, `label exit-code path sha256`, and
+`label exit-code - -` for a run that wrote none. Every file is hashed as it
+lies on disk, not taken from its manifest: a manifest records the digest of
+the bytes its writer meant to write, so only a hash read back checks the
+writer. Run each checkout's copy, which imports that checkout's src/, and
+diff:
 
     python tests/artifact_digests.py --bench-seed 3 --bench-seed 7 > a.txt
+
+Reruns must not depend on the BLAS thread count; to check, diff the output
+of one checkout at several counts:
+
+    for n in 1 2 4; do
+        OPENBLAS_NUM_THREADS=$n python tests/artifact_digests.py \
+            --bench-seed 3 --bench-seed 7 --bench-seed 99 > threads-$n.txt
+    done
 
 It needs only the standard library and the package; bench/ is imported,
 never written (no bytecode is cached). Not a test module: the suite does
@@ -65,15 +75,15 @@ second_gauge = identity
 
 
 def run(label: str, argv: list, out_dir: Path):
-    """Run cli.main(argv + --out out_dir) quietly; print a line per manifest."""
+    """Run cli.main(argv + --out out_dir) quietly; print a line per file."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv + ["--out", str(out_dir)])
-    manifests = sorted(out_dir.rglob("manifest.json"))
-    for path in manifests:
+    files = sorted(p for p in out_dir.rglob("*") if p.is_file())
+    for path in files:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(label, code, path.relative_to(out_dir).as_posix(), digest)
-    if not manifests:
+    if not files:
         print(label, code, "-", "-")
 
 

@@ -105,6 +105,30 @@ def test_propagate_scenario_and_audit_artifacts(tmp_path):
     assert (out / "norms.svg").exists()
 
 
+def test_propagate_without_perturbation_keeps_the_initial_state(tmp_path):
+    # no perturbation runs the linear-solve Cayley path and the literal
+    # refinement runs; with nothing to couple the states, neither stepper
+    # may move a coefficient, and the refinement study has no growth to fit
+    path = write_scenario(tmp_path / "none.scn", "propagate",
+                          perturbation="none", n_basis=8, initial_index=2,
+                          n_slices=300)
+    out = tmp_path / "out"
+    code, stats = cmd_propagate(load_scenario(path), out)
+    assert code == 0
+    initial = [0.0] * 16
+    initial[2] = 1.0     # re_c2
+    for name in ("euler_trajectory.csv", "unitary_trajectory.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert len(rows) == 301
+        for row in rows:
+            assert [float(v) for v in row.split(",")[2:]] == [1.0, *initial]
+    assert "strict growth: never" in (out / "norm_audit.txt").read_text()
+    assert stats["cayley_max_dev"] == 0.0
+    assert stats["euler_final_norm"] == 1.0
+    assert len(stats["growth_exponents"]) == 2
+    assert all(math.isnan(e) for e in stats["growth_exponents"])
+
+
 def test_propagate_seeded_scenario_reproducible(tmp_path):
     scn = load_scenario(SCENARIOS / "random_hermitian.scn")
     _, s1 = cmd_propagate(scn, tmp_path / "a", seed=123)
@@ -192,6 +216,20 @@ def test_rerun_artifacts_are_byte_identical(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_phase_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the fit's complex-by-real products once rounded by the BLAS thread
+    # count; a manifest holds every artifact's digest
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        r = run_cli("gauge", "--scenario", str(SCENARIOS / "phase_fit.scn"),
+                    "--out", str(out),
+                    env_extra={"OPENBLAS_NUM_THREADS": threads})
+        assert r.returncode == 0, r.stderr
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 def test_exit_1_on_missing_scenario_file(tmp_path):
     r = run_cli("expand", "--scenario", str(tmp_path / "nope.scn"),
                 "--out", str(tmp_path / "out"))
@@ -259,6 +297,24 @@ def test_reproduce_all_exit_1_on_empty_scenario_dir(tmp_path, capsys):
     assert "no scenario files" in err
     assert "Traceback" not in err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_reproduce_all_exit_1_on_claim_scenario_not_in_dir(tmp_path, capsys):
+    # every bundled scenario but the first claim's: the run stops before any
+    # scenario runs, naming the claim and the scenario it needs
+    claim = cli._load_claims()[0]
+    scn_dir = tmp_path / "scn"
+    scn_dir.mkdir()
+    for path in SCENARIOS.glob("*.scn"):
+        if path.name != claim["scenario"]:
+            shutil.copy(path, scn_dir)
+    out = tmp_path / "out"
+    assert main(["reproduce-all", "--scenario-dir", str(scn_dir),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: claim '{claim['id']}' needs scenario "
+                   f"{claim['scenario']}, not found in {scn_dir}\n")
     assert not out.exists()
 
 
@@ -851,14 +907,19 @@ def test_main_requires_subcommand():
      "key 'fit_sizes'"),
     (["propagate", "--scenario", "SCN", "--out", "OUT"],
      ("propagate", dict(n_basis=4, n_slices=10, tracked=-1)), "key 'tracked'"),
+    (["expand", "--scenario", "SCN", "--out", "OUT"],
+     "# a comment\n\n   # and another\n",
+     "missing 'expansionlab-scenario v1' header"),
 ], ids=["usage", "seed-off-propagate", "directory-as-scenario", "kind-mismatch",
         "quad-check-above-n-max", "quad-check-zero", "one-fit-size",
-        "no-fit-size", "negative-tracked"])
+        "no-fit-size", "negative-tracked", "comments-without-header"])
 def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     # usage errors, unreadable paths and scenarios the command cannot run
     # are configuration errors: exit 1, one error line, no traceback
     scn = tmp_path / "bad.scn"
-    if keys:
+    if isinstance(keys, str):   # the scenario's whole text
+        scn.write_text(keys)
+    elif keys:
         write_scenario(scn, keys[0], **keys[1])
     subs = {"OUT": str(tmp_path / "out"), "TMP": str(tmp_path),
             "SCN": str(scn)}

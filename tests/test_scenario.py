@@ -1,5 +1,6 @@
 """Scenario file parsing, line-precise errors, and run manifests."""
 
+import hashlib
 import json
 import string
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansionlab.scenario import (HEADER, INT, INTS, REAL, REQUIRED, TEXT,
-                                   RunManifest, ScenarioError, file_sha256,
-                                   load_scenario, parse_scenario_text)
+                                   RunManifest, ScenarioError, load_scenario,
+                                   parse_scenario_text, write_artifact)
 
 GOOD = """expansionlab-scenario v1
 # comment line
@@ -177,17 +178,28 @@ def test_load_scenario_and_sha(tmp_path):
     path.write_text(GOOD)
     scn = load_scenario(path)
     assert scn.name == "demo"
-    assert scn.sha256() == file_sha256(path)
+    assert scn.sha256() == hashlib.sha256(path.read_bytes()).hexdigest()
     assert len(scn.sha256()) == 64
+
+
+def test_write_artifact_entry_is_the_digest_of_the_file(tmp_path):
+    # UTF-8 for any line, each ended by one LF, whatever the platform
+    path = tmp_path / "summary.txt"
+    entry = write_artifact(path, ["⟨v⟩ = 0.5", "", "b,c"])
+    data = path.read_bytes()
+    assert data == "⟨v⟩ = 0.5\n\nb,c\n".encode("utf-8")
+    assert entry == {"path": "summary.txt",
+                     "sha256": hashlib.sha256(data).hexdigest()}
+    assert write_artifact(path, [])["sha256"] == hashlib.sha256().hexdigest()
+    assert path.read_bytes() == b""
 
 
 def test_manifest_is_deterministic(tmp_path):
     out = tmp_path / "artifact.csv"
-    out.write_text("a,b\n1,2\n")
+    entry = write_artifact(out, ["a,b", "1,2"])
 
     def build(path):
-        man = RunManifest("f" * 64, "0.1.0", "expand", 1.0, None)
-        man.add_output(out)
+        man = RunManifest("f" * 64, "0.1.0", "expand", 1.0, None, [entry])
         man.write(path)
 
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -202,7 +214,8 @@ def test_manifest_is_deterministic(tmp_path):
     assert p1.read_text() == "\n".join([
         '{', '  "command": "expand",', '  "outputs": [', '    {',
         '      "path": "artifact.csv",',
-        f'      "sha256": "{file_sha256(out)}"', '    }', '  ],',
+        f'      "sha256": "{hashlib.sha256(out.read_bytes()).hexdigest()}"',
+        '    }', '  ],',
         f'  "scenario_sha256": "{"f" * 64}",', '  "seed": null,',
         '  "tolerance_scale": 1.0,', '  "tool_version": "0.1.0"', '}', ''])
 
