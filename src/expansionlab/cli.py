@@ -5,9 +5,9 @@ plot, and a manifest with checksums into the output directory, and returns a
 contract exit code: 0 success, 1 configuration or usage error, 2 numerical
 non-convergence, 3 physical-consistency failure. Exceptions map to a code
 by class: specfun.NonConvergenceError to 2, gauge.PhysicalConsistencyError to
-3, and ValueError and OSError to 1; the three families are disjoint.
-reproduce-all runs the bundled claim scenarios and holds each fresh result
-to its golden table (EXPANSIONLAB_GOLDEN_DIR overrides their location)
+3, and ValueError, OSError and ArithmeticError to 1; the three families are
+disjoint. reproduce-all runs the bundled claim scenarios and holds each fresh
+result to its golden table (EXPANSIONLAB_GOLDEN_DIR overrides their location)
 through _CLAIM_ROWS, one row per compared quantity; it exits 3 if a row
 fails, else 2 if a scenario did not converge.
 """
@@ -223,6 +223,10 @@ def _expand_box(name: str, v: dict, scale: float):
         nrm_sq, nrm_err, norm_flag = expansion._flagged(
             lambda: integrate_interval(lambda x: raw(x) ** 2, 0.0, width,
                                        spec))
+        if not 0.0 < nrm_sq < math.inf:
+            raise ValueError(f"the Gaussian of sigma = {sigma!r}, center = "
+                             f"{center!r} has no positive finite norm on the "
+                             f"well of width = {width!r}")
         const = 1.0 / math.sqrt(nrm_sq)
         target = lambda x: complex(const * raw(x))
 
@@ -661,10 +665,11 @@ def main(argv=None) -> int:
         if isinstance(exc, GaugeFieldMismatchError):
             print(f"field-difference norm: {exc.defect!r}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        # scenario, path and constructor argument errors; the three handlers
-        # catch disjoint classes, so their order is immaterial
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # bad input, paths, and values beyond float range; the three
+        # handlers catch disjoint classes, so their order is immaterial
+        beyond = "beyond float range: " * isinstance(exc, ArithmeticError)
+        print(f"error: {beyond}{exc}", file=sys.stderr)
         return 1
 
 

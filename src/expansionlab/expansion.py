@@ -66,11 +66,6 @@ class ConvergenceReport:
     slope: float
     first_converged_n: int | None = None
 
-    def __post_init__(self):
-        diffs = np.diff(np.asarray(self.partial_sums, dtype=float))
-        if len(diffs) and diffs.min() < -1e-15:
-            raise ValueError("partial sums must be non-decreasing")
-
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}",
                  f"fitted slope: {self.slope!r}",

@@ -305,19 +305,9 @@ class ObservableReport:
     p_series: np.ndarray
     pre_switch_v: np.ndarray
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.v_series = np.asarray(self.v_series, dtype=float)
-        self.p_series = np.asarray(self.p_series, dtype=float)
-        n = self.times.size
-        if self.v_series.shape != (n, 3) or self.p_series.shape != (n, 3):
-            raise ValueError("observable series must align with the time grid")
-
     @property
     def jump_metric(self) -> float:
         """|<v>(t0 + dt) - <v>(0-)|, the step-1 velocity jump."""
-        if self.times.size < 2:
-            return 0.0
         return float(np.linalg.norm(self.v_series[1] - self.pre_switch_v))
 
 

@@ -151,7 +151,7 @@ class HamiltonianModel:
 
     def hermiticity_defect(self, t: float) -> float:
         h = self.h1(t)
-        return float(np.max(np.abs(h - h.conj().T))) if self.dim else 0.0
+        return float(np.max(np.abs(h - h.conj().T)))
 
 
 def bohr_frequencies(model: HamiltonianModel, units: Units = Units()) -> np.ndarray:
@@ -528,11 +528,10 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
             f"audit requires a pure initial state; defect {pure_defect!r}")
 
     norms = trajectory.norms
-    step1 = norms[1] if norms.size > 1 else norms[0]
-    off_diag = float(np.sum(np.abs(np.delete(trajectory.states[1], s)) ** 2)) \
-        if norms.size > 1 else 0.0
+    step1 = norms[1]
+    off_diag = float(np.sum(np.abs(np.delete(trajectory.states[1], s)) ** 2))
     diffs = np.diff(norms)
-    max_decrease = float(-diffs.min()) if diffs.size else 0.0
+    max_decrease = float(-diffs.min())
     monotone = bool(max_decrease <= 1e-15 * max(1.0, norms.max()))
     strict = np.nonzero(norms > 1.0)[0]
     first_strict = int(strict[0]) if strict.size else None

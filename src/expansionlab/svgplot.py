@@ -16,17 +16,14 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float):
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def line_chart(path, title: str, x_label: str, y_label: str, series,
-               log_y: bool = False, width: int = 720,
-               height: int = 460) -> dict:
-    """Write a line chart; series is a list of (label, xs, ys)."""
-    ml, mr, mt, mb = 70, 20, 40, 55
+               log_y: bool = False) -> dict:
+    """Write a 720 x 460 line chart; series is a list of (label, xs, ys)."""
+    width, height, ml, mr, mt, mb = 720, 460, 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
 
     def ty(ys):

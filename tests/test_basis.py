@@ -165,3 +165,27 @@ def test_landau_quadrature_scales_with_magnetic_length():
     assert spec.upper_cutoff == pytest.approx(80.0)
     spec = QuadratureSpec()
     assert spec.upper_cutoff >= 5.0
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: landau_normalization(-1, 0), BasisIndexError,
+     "Landau n must be non-negative"),
+    (lambda: landau_radial(0, 0, -1.0, 1.0), BasisDomainError,
+     "rho must be non-negative"),
+    (lambda: landau_radial(0, 0, 1.0, 0.0), BasisDomainError,
+     "magnetic length must be positive"),
+    (lambda: box_eigenfunction(1, 0.5, 0.0), BasisDomainError,
+     "well width must be positive"),
+    (lambda: box_eigenfunction_dx(0, 0.5, 1.0), BasisIndexError,
+     "box quantum number must be a positive integer"),
+], ids=["normalization-n", "radial-rho", "radial-length", "box-width",
+        "box-dx-n"])
+def test_basis_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_box_derivative_vanishes_outside_the_well():
+    for x in (-0.1, 1.1):
+        assert box_eigenfunction_dx(2, x, 1.0) == 0.0
+    assert box_eigenfunction_dx(2, 0.0, 1.0) == 2.0 * math.sqrt(2.0) * math.pi

@@ -230,6 +230,24 @@ def test_phase_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
+    # the digest tool's runs without benchmark operations: every bundled
+    # scenario at two tolerance scales, reproduce-all and the generated
+    # scenarios, one line per file written; both runs at once
+    import os
+
+    runs = [subprocess.Popen(
+        [sys.executable, str(ROOT / "tests" / "artifact_digests.py")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        for threads in ("1", "2")]
+    outputs = [run.communicate() for run in runs]
+    for run, (_, stderr) in zip(runs, outputs):
+        assert run.returncode == 0, stderr
+    assert len(outputs[0][0].splitlines()) == 96
+    assert outputs[0][0] == outputs[1][0]
+
+
 def test_exit_1_on_missing_scenario_file(tmp_path):
     r = run_cli("expand", "--scenario", str(tmp_path / "nope.scn"),
                 "--out", str(tmp_path / "out"))
@@ -874,8 +892,9 @@ def test_exit_code_of_every_package_exception(tmp_path, monkeypatch, capsys,
 def test_exit_code_families_are_disjoint_and_cover_the_package():
     assert {type(e) for e, _ in EXIT_CODES} == _package_exception_classes()
     families = [specfun.NonConvergenceError, gauge.PhysicalConsistencyError,
-                (ValueError, OSError)]
-    for exc, _ in EXIT_CODES:
+                (ValueError, OSError, ArithmeticError)]
+    for exc in [e for e, _ in EXIT_CODES] + [OverflowError(),
+                                             ZeroDivisionError()]:
         assert sum(isinstance(exc, f) for f in families) == 1, type(exc)
 
 
@@ -927,6 +946,39 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
         code = main([subs.get(a, a) for a in argv])
     except SystemExit as exc:   # argparse ends a usage error by raising
         code = exc.code
+    stderr = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("error:") and named in errors[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,keys,named", [
+    ("expand", dict(family="box", target="gaussian", center=1e9),
+     "center = 1000000000.0"),
+    ("expand", dict(family="box", target="gaussian", sigma=1e-9),
+     "sigma = 1e-09"),
+    ("expand", dict(family="box", target="gaussian", sigma=1e-200),
+     "beyond float range"),
+    ("expand", dict(family="landau", magnetic_length=1e-200),
+     "beyond float range"),
+    ("propagate", dict(perturbation="dipole-ramp", t_end=1e200),
+     "beyond float range"),
+    ("propagate", dict(perturbation="dipole-step", hbar=1e-200),
+     "beyond float range"),
+], ids=["gaussian-off-the-well", "gaussian-between-nodes",
+        "gaussian-overflow", "landau-length-underflow", "ramp-t_end-overflow",
+        "step-hbar-underflow"])
+def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
+                                                   keys, named):
+    # values every key accepts, whose arithmetic leaves float range: a
+    # Gaussian with no positive finite norm on the well, or an overflow or
+    # a division by an underflowed product, is a configuration error
+    path = write_scenario(tmp_path / "far.scn", command, **keys)
+    code = main([command, "--scenario", str(path),
+                 "--out", str(tmp_path / "out")])
     stderr = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in stderr

@@ -450,3 +450,21 @@ def test_coefficient_csv_bytes_match_reference_formatter(tmp_path, build,
     data = path.read_bytes()
     assert data == reference_coefficient_csv(series)
     assert (f":{FLAG_NO_CONVERGENCE}\n".encode() in data) == flagged
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: landau_plane_wave_coefficient(-1), "Landau n must be "
+     "non-negative"),
+    (lambda: landau_plane_wave_coefficient(0, 0.0), "magnetic length must be "
+     "positive"),
+    (lambda: landau_plane_wave_overlap(0, -1.0), "magnetic length must be "
+     "positive"),
+    (lambda: landau_plane_wave_overlaps(3, math.nan), "magnetic length must "
+     "be positive"),
+    (lambda: convergence_scan(lambda n: 1.0, 2, n_start=3), "n_max must be at "
+     "least n_start"),
+], ids=["coefficient-n", "coefficient-length", "overlap-length",
+        "overlaps-length", "scan-range"])
+def test_expansion_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

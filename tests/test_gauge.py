@@ -673,3 +673,17 @@ def test_observable_csv_bytes_match_reference_formatter(tmp_path):
     path = tmp_path / "observables.csv"
     write_observable_csv(path, reports)
     assert path.read_bytes() == reference_observable_csv(reports)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: GaugeJumpScenario(n_basis=4, initial_index=0),
+     "initial index must select a basis state"),
+    (lambda: GaugeJumpScenario(n_basis=4, initial_index=5),
+     "initial index must select a basis state"),
+    (lambda: PhaseFitScenario(fit_sizes=(2, 4), n_reference=4,
+                              initial_index=3),
+     "initial index must sit inside every fit basis"),
+], ids=["jump-index-zero", "jump-index-past-basis", "fit-index-past-basis"])
+def test_experiment_argument_checks(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

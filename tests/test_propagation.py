@@ -854,3 +854,35 @@ def test_trajectory_csv_bytes_match_reference_formatter(tmp_path, stepper,
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path, tracked)
     assert path.read_bytes() == reference_trajectory_csv(traj, tracked)
+
+
+def _two_level_model():
+    return HamiltonianModel([1.0, 4.0], [], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: HamiltonianModel([], [], (0.0, 1.0)),
+     "energies must be a non-empty vector"),
+    (lambda: HamiltonianModel([[1.0, 2.0]], [], (0.0, 1.0)),
+     "energies must be a non-empty vector"),
+    (lambda: HamiltonianModel([1.0, math.inf], [], (0.0, 1.0)),
+     "energies must be finite"),
+    (lambda: Trajectory([0.0, 1.0], np.zeros((3, 2)), "euler"),
+     "states must be one row per time"),
+    (lambda: Trajectory([0.0, 1.0], np.zeros((2, 2)), "euler", [1.0]),
+     "norms must align with times"),
+    (lambda: euler_propagate(np.ones(3), _two_level_model(), 4),
+     r"initial coefficients have shape \(3,\), expected \(2,\)"),
+    (lambda: unitary_propagate(np.ones(2), _two_level_model(), 0),
+     "slice count must be at least 1"),
+    (lambda: box_energies(1.0, 0), "n_basis must be at least 1"),
+    (lambda: dipole_matrix_elements_box(1.0, 1),
+     "dipole matrix needs n_basis >= 2"),
+    (lambda: momentum_matrix_elements_box(1.0, 1),
+     "momentum matrix needs n_basis >= 2"),
+], ids=["no-energies", "energy-matrix", "infinite-energy", "rows-per-time",
+        "norms-per-time", "initial-shape", "no-slices", "box-no-basis",
+        "dipole-one-state", "momentum-one-state"])
+def test_propagation_argument_checks(call, message):
+    with pytest.raises(PropagationContractError, match=message):
+        call()

@@ -445,3 +445,12 @@ def test_named_import_gives_the_same_qagse(monkeypatch):
     monkeypatch.delitem(sys.modules, specfun._QUADPACK)
     assert specfun._qagse.__wrapped__() is loaded
     assert named == [specfun._QUADPACK]
+
+
+@pytest.mark.parametrize("args,message", [
+    # |u| is inside the guard, but the terms overflow near k = 200
+    ((3000.5, 1.0, -60.0), "series did not settle within 500 terms"),
+], ids=["unsettled-series"])
+def test_confluent_series_argument_checks(args, message):
+    with pytest.raises(SeriesDivergenceError, match=message):
+        confluent_hypergeometric(*args)
