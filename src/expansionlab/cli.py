@@ -260,9 +260,9 @@ def _expand_box(name: str, v: dict, scale: float):
 
 def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
     v = scn.read(_KEYS, "expand")
-    out_dir.mkdir(parents=True, exist_ok=True)
     expand = _expand_landau if v["family"] == "landau" else _expand_box
     code, stats, series, lines, report = expand(scn.name, v, tolerance_scale)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = [
         expansion.write_coefficient_csv(series, out_dir / "coefficients.csv"),
@@ -305,27 +305,29 @@ def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
     units = Units(v["hbar"])
     n_slices, tracked = v["n_slices"], v["tracked"]
     model, seed = _model(v, units, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     c0 = np.zeros(model.dim, dtype=complex)
     c0[v["initial_index"] - 1] = 1.0
 
-    # the audit reads every column of the Euler run; the CSVs read `tracked`
-    euler = propagation.euler_propagate(c0, model, n_slices, units)
-    cayley = propagation.unitary_propagate(c0, model, n_slices, units,
-                                           tracked=tracked)
-    audit = propagation.norm_audit(euler, model, units)
+    # the first overflow ends the run, as an ArithmeticError (exit 1)
+    with np.errstate(over="raise", invalid="raise"):
+        # the audit reads all the Euler run's columns; the CSVs read `tracked`
+        euler = propagation.euler_propagate(c0, model, n_slices, units)
+        cayley = propagation.unitary_propagate(c0, model, n_slices, units,
+                                               tracked=tracked)
+        audit = propagation.norm_audit(euler, model, units)
 
-    # refinement study: mean per-step growth should scale like dt^2; the
-    # finer runs need their final norm alone
+        # refinement study: mean per-step growth should scale like dt^2;
+        # the finer runs need their final norm alone
+        growth = []
+        for k in (1, 2, 4):
+            final = euler.norms[-1] if k == 1 else \
+                propagation.euler_final_norm(c0, model, n_slices * k, units)
+            growth.append((final - 1.0) / (n_slices * k))
     exponents = []
-    growth = []
-    for k in (1, 2, 4):
-        final = euler.norms[-1] if k == 1 else propagation.euler_final_norm(
-            c0, model, n_slices * k, units)
-        growth.append((final - 1.0) / (n_slices * k))
     for g1, g2 in zip(growth, growth[1:]):
         exponents.append(math.log2(g1 / g2) if g2 > 0.0 else float("nan"))
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     euler_csv = out_dir / "euler_trajectory.csv"
     cayley_csv = out_dir / "unitary_trajectory.csv"
     outputs = [
@@ -372,9 +374,9 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
     v = scn.read(_KEYS, "gauge")
     jump = v["experiment"] == "jump"
     setup = _experiment(GaugeJumpScenario if jump else PhaseFitScenario, v)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if jump:
         result = gauge.gauge_jump_experiment(setup)
+        out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "observables.csv"
         svg_path = out_dir / "velocity.svg"
         t = result.report_gauge1.times
@@ -407,6 +409,7 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
                                                   zero_gauge_function())
     control_max = float(np.max(control.residuals))
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     svg_path = out_dir / "residuals.svg"
     outputs = [
         report.write_csv(out_dir / "residuals.csv"),
@@ -559,22 +562,19 @@ def cmd_reproduce_all(scenario_dir: Path, out_root: Path,
                       tolerance_scale: float = 1.0) -> int:
     scn_files = sorted(scenario_dir.glob("*.scn"))
     if not scn_files:
-        print(f"error: no scenario files in {scenario_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no scenario files in {scenario_dir}")
     claims = _load_claims()
     by_name = {p.name: p for p in scn_files}
     for claim in claims:
         if claim["scenario"] not in by_name:
-            print(f"error: claim '{claim['id']}' needs scenario "
-                  f"{claim['scenario']}, not found in {scenario_dir}",
-                  file=sys.stderr)
-            return 1
+            raise ValueError(f"claim '{claim['id']}' needs scenario "
+                             f"{claim['scenario']}, not found in "
+                             f"{scenario_dir}")
     goldens = [_load_golden(claim["golden"]) for claim in claims]
     for claim, golden in zip(claims, goldens):
         problem = _golden_problem(claim, golden)
         if problem:
-            print(f"error: {problem}", file=sys.stderr)
-            return 1
+            raise ValueError(problem)
 
     scenarios = {c["scenario"]: load_scenario(by_name[c["scenario"]])
                  for c in claims}
@@ -671,7 +671,3 @@ def main(argv=None) -> int:
         beyond = "beyond float range: " * isinstance(exc, ArithmeticError)
         print(f"error: {beyond}{exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -91,7 +91,6 @@ class _Memo(dict):
     """fn's values by argument, each computed when its key is first read."""
 
     def __init__(self, fn):
-        super().__init__()
         self.fn = fn
 
     def __missing__(self, key):
@@ -219,7 +218,6 @@ class _LaguerreTower(dict):
     """
 
     def __init__(self, a: float):
-        super().__init__()
         self.a, self.n, self.rhos, self.fresh = a, 0, [], []
         self.cols = np.empty((5, 0))
 

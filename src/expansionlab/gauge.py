@@ -178,14 +178,12 @@ def transform_potentials(p: Potentials, g: GaugeFunction) -> Potentials:
 
 def electric_field(p: Potentials, t, r, t_step=1e-6) -> np.ndarray:
     """E = -grad Phi - dA/dt by central differences; t_step broadcasts on t."""
-    r = np.asarray(r, dtype=float)
     da = (p.vector(t + t_step, r) - p.vector(t - t_step, r)) / (2.0 * t_step)
     return -_differences(p.scalar, t, r, X_STEP) / (2.0 * X_STEP) - da
 
 
 def magnetic_field(p: Potentials, t, r) -> np.ndarray:
     """B = curl A by central differences, a vector field."""
-    r = np.asarray(r, dtype=float)
     jac = _differences(p.vector, t, r, X_STEP) / (2.0 * X_STEP)   # dA_i/dx_j
     return np.array([jac[1, 2] - jac[2, 1],
                      jac[2, 0] - jac[0, 2],
@@ -362,8 +360,6 @@ class GaugeJumpScenario:
         return linear_gauge_function(*self._drive(-1.0))
 
     def second_potentials(self) -> Potentials:
-        if self.second_gauge == "identity":
-            return self.drive_potentials()
         if self.second_gauge == "mismatched":
             # claims to be a gauge partner of the drive but scales the
             # amplitude, so its electric field differs wherever A varies; the
@@ -516,7 +512,6 @@ class PhaseFitScenario:
     units: Units = field(default_factory=Units)
 
     def __post_init__(self):
-        self.fit_sizes = tuple(int(n) for n in self.fit_sizes)
         if self.initial_index < 1 or self.initial_index > min(self.fit_sizes):
             raise ValueError("initial index must sit inside every fit basis")
         if self.n_reference < max(self.fit_sizes):

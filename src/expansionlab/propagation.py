@@ -109,7 +109,6 @@ class HamiltonianModel:
         t0, t1 = self.window
         if not t1 > t0:
             raise PropagationContractError("window must satisfy t1 > t0")
-        self.window = (float(t0), float(t1))
         dim = self.energies.size
         checked = []
         for j, (profile, matrix) in enumerate(self.terms):
@@ -182,7 +181,6 @@ class Trajectory:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=complex)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise PropagationContractError("states must be one row per time")
         if np.any(np.diff(self.times) <= 0.0):
@@ -311,6 +309,7 @@ def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
     return out.trajectory()
 
 
+CLOSED_FORM_TOL = 1e-12     # largest one-step defect norm_audit passes
 _POLAR_SWEEPS = 3
 _CHUNK_ENTRIES = 2 ** 11    # complex entries per temporary: 32 KB
 
@@ -496,7 +495,7 @@ class NormAuditReport:
                          f"{self.first_strict_step}")
         lines.append(f"one-step closed form defect: "
                      f"{self.closed_form_defect!r}: "
-                     f"{mark(self.closed_form_defect < 1e-12)}")
+                     f"{mark(self.closed_form_defect < CLOSED_FORM_TOL)}")
         lines.append(f"audit: {mark(self.passed)}")
         return "\n".join(lines)
 
@@ -542,7 +541,7 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
     closed_defect = float(abs(step1 - predicted))
 
     passed = (step1 >= 1.0 and off_diag >= 0.0 and monotone
-              and closed_defect < 1e-12)
+              and closed_defect < CLOSED_FORM_TOL)
     return NormAuditReport(s, pure_defect, float(step1), off_diag, monotone,
                            max_decrease, first_strict, closed_defect, passed)
 

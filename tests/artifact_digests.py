@@ -9,9 +9,12 @@ Runs expansionlab.cli.main in-process on:
   bench/workloads.build(workload, N, data) for each workload.
 
 It prints one line per file written, `label exit-code path sha256`, and
-`label exit-code - -` for a run that wrote none. Every file is hashed as it
-lies on disk, not taken from its manifest: a manifest records the digest of
-the bytes its writer meant to write, so only a hash read back checks the
+`label exit-code - -` for a run that wrote none, then the run's printed
+output as `label exit-code <stdout> sha256` and `label exit-code <stderr>
+sha256`, hashed after the temporary directory and the repository root in it
+are replaced by `<tmp>` and `<root>`. Every file is hashed as it lies on
+disk, not taken from its manifest: a manifest records the digest of the
+bytes its writer meant to write, so only a hash read back checks the
 writer. Run each checkout's copy, which imports that checkout's src/, and
 diff:
 
@@ -74,10 +77,12 @@ second_gauge = identity
 }
 
 
-def run(label: str, argv: list, out_dir: Path):
-    """Run cli.main(argv + --out out_dir) quietly; print a line per file."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+def run(label: str, argv: list, out_dir: Path, tmp: Path):
+    """Run cli.main(argv + --out out_dir) quietly; print a line per file and
+    one each for its stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         code = cli.main(argv + ["--out", str(out_dir)])
     files = sorted(p for p in out_dir.rglob("*") if p.is_file())
     for path in files:
@@ -85,6 +90,11 @@ def run(label: str, argv: list, out_dir: Path):
         print(label, code, path.relative_to(out_dir).as_posix(), digest)
     if not files:
         print(label, code, "-", "-")
+    for name, stream in (("<stdout>", stdout), ("<stderr>", stderr)):
+        text = stream.getvalue().replace(str(tmp), "<tmp>").replace(
+            str(ROOT), "<root>")
+        print(label, code, name,
+              hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 def main(argv=None) -> int:
@@ -98,13 +108,13 @@ def main(argv=None) -> int:
             for scale in ("1", "1e-6"):
                 label = f"bundled/{path.stem}@{scale}"
                 run(label, [load_scenario(path).kind, "--scenario", str(path),
-                            "--tolerance-scale", scale], tmp / label)
-        run("reproduce-all", ["reproduce-all"], tmp / "reproduce-all")
+                            "--tolerance-scale", scale], tmp / label, tmp)
+        run("reproduce-all", ["reproduce-all"], tmp / "reproduce-all", tmp)
         for name, (command, text) in GENERATED.items():
             path = tmp / f"{name}.scn"
             path.write_text(text, encoding="utf-8")
             run(f"generated/{name}", [command, "--scenario", str(path)],
-                tmp / "generated" / name)
+                tmp / "generated" / name, tmp)
         if args.bench_seed:
             sys.path.insert(0, str(ROOT / "bench"))
             import workloads
@@ -113,13 +123,13 @@ def main(argv=None) -> int:
                     for op in workloads.build(workload, seed, DATA):
                         label = f"bench/{workload}/{seed}/{op.label}"
                         if op.text is None:
-                            run(label, [op.command], tmp / label)
+                            run(label, [op.command], tmp / label, tmp)
                             continue
                         path = tmp / "inputs" / label
                         path.parent.mkdir(parents=True, exist_ok=True)
                         path.write_text(op.text, encoding="utf-8")
                         run(label, [op.command, "--scenario", str(path)],
-                            tmp / label)
+                            tmp / label, tmp)
     return 0
 
 

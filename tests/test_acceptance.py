@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from acceptance_report import record
+from bounds import (COVARIANT_TOL, CURVE_TOL, EXPONENT_RANGE, JUMP_TOL,
+                    MAGNITUDE_TOL, MAX_NORM_DEV, ONE_STEP_TOL, STATIONARY_TOL)
 from expansionlab.basis import (box_eigenfunction, landau_quadrature,
                                 landau_radial)
 from expansionlab.expansion import (convergence_scan,
@@ -51,11 +53,11 @@ def test_criterion_1_equal_magnitude_recurrence():
         abs(landau_plane_wave_coefficient(n, 1.0) - vals[n])
         - (10.0 * errs[n] + 1e-12) for n in range(21))
     elapsed = time.perf_counter() - t0
-    ok = ratio_defect < 1e-9 and route_defect <= 0.0 and elapsed < 5.0
+    ok = ratio_defect < MAGNITUDE_TOL and route_defect <= 0.0 and elapsed < 5.0
     record("1 magnitude recurrence",
            ok, f"max | |C(n+1)|/|C(n)| - 1 | = {ratio_defect:.3e} "
-               f"(tol 1e-9), routes agree, {elapsed:.2f}s (< 5s)")
-    assert ratio_defect < 1e-9
+               f"(tol {MAGNITUDE_TOL:g}), routes agree, {elapsed:.2f}s (< 5s)")
+    assert ratio_defect < MAGNITUDE_TOL
     assert route_defect <= 0.0
     assert elapsed < 5.0
 
@@ -87,10 +89,10 @@ def test_criterion_3_one_step_arithmetic():
                              (0.0, dt))
         traj = euler_propagate(pure_state(2), m, 1, units)
         worst = max(worst, abs(traj.norms[1] - (1.0 + (h * dt / hbar) ** 2)))
-    ok = worst < 1e-12
+    ok = worst < ONE_STEP_TOL
     record("3 one-step arithmetic",
-           ok, f"max closed-form defect {worst:.3e} (tol 1e-12)")
-    assert worst < 1e-12
+           ok, f"max closed-form defect {worst:.3e} (tol {ONE_STEP_TOL:g})")
+    assert worst < ONE_STEP_TOL
 
 
 def test_criterion_4_norm_growth_audit():
@@ -104,14 +106,15 @@ def test_criterion_4_norm_growth_audit():
                                                    UNITS)
         per_step.append((t.norms[-1] - 1.0) / n)
     exponents = [math.log2(a / b) for a, b in zip(per_step, per_step[1:])]
-    expo_ok = all(1.9 <= e <= 2.1 for e in exponents)
+    lo, hi = EXPONENT_RANGE
+    expo_ok = all(lo <= e <= hi for e in exponents)
     elapsed = time.perf_counter() - t0
     ok = (report.monotone and report.first_strict_step is not None
           and report.passed and expo_ok and elapsed < 2.0)
     record("4 norm-growth audit",
            ok, f"monotone, strict from step {report.first_strict_step}, "
                f"refinement exponents {[round(e, 4) for e in exponents]} "
-               f"(within [1.9, 2.1]), {elapsed:.2f}s (< 2s)")
+               f"(within {EXPONENT_RANGE}), {elapsed:.2f}s (< 2s)")
     assert report.monotone
     assert report.first_strict_step is not None
     assert report.passed
@@ -125,11 +128,11 @@ def test_criterion_5_unitary_contrast():
     traj = unitary_propagate(pure_state(32), m, 100_000, UNITS)
     dev = float(np.max(np.abs(traj.norms - 1.0)))
     elapsed = time.perf_counter() - t0
-    ok = dev < 1e-10 and elapsed < 5.0
+    ok = dev < MAX_NORM_DEV and elapsed < 5.0
     record("5 unitary contrast",
            ok, f"max |norm^2 - 1| = {dev:.3e} over 1e5 Cayley steps "
-               f"(tol 1e-10), {elapsed:.2f}s (< 5s)")
-    assert dev < 1e-10
+               f"(tol {MAX_NORM_DEV:g}), {elapsed:.2f}s (< 5s)")
+    assert dev < MAX_NORM_DEV
     assert elapsed < 5.0
 
 
@@ -140,12 +143,13 @@ def test_criterion_6_velocity_jump_and_covariance():
     jump_defect = abs(res.report_gauge1.jump_metric - scn.amplitude)
     covar = float(np.max(res.covariant_discrepancy))
     elapsed = time.perf_counter() - t0
-    ok = jump_defect < 1e-8 and covar < 1e-10 and elapsed < 1.0
+    ok = jump_defect < JUMP_TOL and covar < COVARIANT_TOL and elapsed < 1.0
     record("6 velocity jump",
-           ok, f"|jump - A0| = {jump_defect:.3e} (tol 1e-8), covariant "
-               f"discrepancy {covar:.3e} (tol 1e-10), {elapsed:.2f}s (< 1s)")
-    assert jump_defect < 1e-8
-    assert covar < 1e-10
+           ok, f"|jump - A0| = {jump_defect:.3e} (tol {JUMP_TOL:g}), "
+               f"covariant discrepancy {covar:.3e} (tol {COVARIANT_TOL:g}), "
+               f"{elapsed:.2f}s (< 1s)")
+    assert jump_defect < JUMP_TOL
+    assert covar < COVARIANT_TOL
     assert elapsed < 1.0
 
 
@@ -168,13 +172,13 @@ def test_criterion_7_phase_factored_residuals():
     control = phase_factored_expansion_test(control_scn,
                                             zero_gauge_function())
     control_max = float(np.max(control.residuals))
-    ok = curve_dev < 1e-8 and control_max < 1e-10
+    ok = curve_dev < CURVE_TOL and control_max < STATIONARY_TOL
     record("7 phase-factored fit",
            ok, f"curve deviation from frozen golden {curve_dev:.3e} "
-               f"(tol 1e-8), stationary control {control_max:.3e} "
-               f"(tol 1e-10)")
-    assert curve_dev < 1e-8
-    assert control_max < 1e-10
+               f"(tol {CURVE_TOL:g}), stationary control {control_max:.3e} "
+               f"(tol {STATIONARY_TOL:g})")
+    assert curve_dev < CURVE_TOL
+    assert control_max < STATIONARY_TOL
 
 
 def test_criterion_8_property_suites():
@@ -243,3 +247,38 @@ def test_reproduce_all_runs_clean_under_budget(tmp_path):
            f"exit {rc}, {elapsed:.1f}s (< 120s)")
     assert rc == 0
     assert elapsed < 120.0
+
+
+def test_each_bound_has_one_value():
+    # every bound stated here or in the CLI tests equals its golden value,
+    # the program's constant and the benchmark's; bench/ is read, not
+    # imported, so nothing there is compiled or written
+    import ast
+    from pathlib import Path
+
+    import bounds
+    from expansionlab import propagation
+
+    workloads = Path(__file__).resolve().parent.parent / "bench" / \
+        "workloads.py"
+    bench = {node.targets[0].id: ast.literal_eval(node.value)
+             for node in ast.parse(workloads.read_text()).body
+             if isinstance(node, ast.Assign)
+             and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id.endswith("_TOL")}
+    assert bench == {"CLOSED_FORM_TOL": propagation.CLOSED_FORM_TOL,
+                     "ROUNDTRIP_TOL": bounds.ROUNDTRIP_TOL,
+                     "GAUSSIAN_PARSEVAL_TOL": bounds.GAUSSIAN_PARSEVAL_TOL,
+                     "GAUSSIAN_ROUNDTRIP_TOL": bounds.GAUSSIAN_ROUNDTRIP_TOL}
+    assert propagation.CLOSED_FORM_TOL == bounds.ONE_STEP_TOL
+
+    golden_dir = resources.files("expansionlab") / "data" / "golden"
+    for name, keys in {
+            "landau_planewave.json": ["magnitude_tol"],
+            "box_dipole_audit.json": ["exponent_range"],
+            "unitary_contrast.json": ["max_norm_dev"],
+            "gauge_jump.json": ["jump_tol", "covariant_tol"],
+            "phase_fit.json": ["curve_tol", "stationary_tol"]}.items():
+        golden = json.loads((golden_dir / name).read_text())
+        for key in keys:
+            assert golden[key] == getattr(bounds, key.upper()), (name, key)

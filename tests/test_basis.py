@@ -51,6 +51,10 @@ def test_landau_normalization_known_values():
         0.5 * math.sqrt(1.5), rel=1e-13)
     assert landau_normalization(0, 3) == pytest.approx(
         math.sqrt(math.factorial(3) / 2.0 ** 3) / math.factorial(3), rel=1e-13)
+    # up to n + |l| = 20 the factorials are exact, so these hold to the last
+    # bit, which the log-gamma route misses
+    assert landau_normalization(1, -1) == 1.0
+    assert landau_normalization(0, 2) == math.sqrt(0.5) / 2.0
 
 
 def test_landau_normalization_large_arguments_use_log_route():

@@ -19,6 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bounds import (GAUSSIAN_PARSEVAL_TOL, GAUSSIAN_ROUNDTRIP_TOL,
+                    ROUNDTRIP_TOL)
+
 import expansionlab
 from expansionlab import (basis, cli, gauge, propagation, scenario, specfun,
                           svgplot)
@@ -64,7 +67,7 @@ def test_expand_box_scenario_writes_artifacts(tmp_path):
     code, stats = cmd_expand(load_scenario(SCENARIOS / "box_roundtrip.scn"),
                              out)
     assert code == 0
-    assert stats["parseval_defect"] < 1e-10
+    assert stats["parseval_defect"] < ROUNDTRIP_TOL
     assert stats["verdict"] == "convergent"
     for name in ("coefficients.csv", "convergence_report.txt",
                  "partial_sums.svg", "manifest.json"):
@@ -84,8 +87,8 @@ def test_expand_gaussian_scenario(tmp_path):
     code, stats = cmd_expand(load_scenario(SCENARIOS / "box_gaussian.scn"),
                              tmp_path / "out")
     assert code == 0
-    assert stats["parseval_defect"] < 1e-6
-    assert stats["round_trip"] < 1e-5
+    assert stats["parseval_defect"] < GAUSSIAN_PARSEVAL_TOL
+    assert stats["round_trip"] < GAUSSIAN_ROUNDTRIP_TOL
     assert stats["verdict"] == "convergent"
 
 
@@ -144,11 +147,14 @@ def test_propagate_seeded_scenario_reproducible(tmp_path):
 
 @pytest.mark.parametrize("name,flag,recorded", [
     ("random_hermitian.scn", None, 7),     # the scenario's own seed key
+    ("random_hermitian.scn", 123, 123),    # --seed overrides the key
     ("box_dipole.scn", 5, None),           # the dipole model draws no numbers
 ])
 def test_propagate_manifest_records_the_seed_the_model_used(tmp_path, name,
                                                             flag, recorded):
-    cmd_propagate(load_scenario(SCENARIOS / name), tmp_path, seed=flag)
+    argv = ["propagate", "--scenario", str(SCENARIOS / name),
+            "--out", str(tmp_path)]
+    assert main(argv + ([] if flag is None else ["--seed", str(flag)])) == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["seed"] == recorded
 
@@ -233,7 +239,8 @@ def test_phase_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
     # the digest tool's runs without benchmark operations: every bundled
     # scenario at two tolerance scales, reproduce-all and the generated
-    # scenarios, one line per file written; both runs at once
+    # scenarios, one line per file written and two per run for its stdout
+    # and stderr; both runs at once
     import os
 
     runs = [subprocess.Popen(
@@ -244,7 +251,7 @@ def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
     outputs = [run.communicate() for run in runs]
     for run, (_, stderr) in zip(runs, outputs):
         assert run.returncode == 0, stderr
-    assert len(outputs[0][0].splitlines()) == 96
+    assert len(outputs[0][0].splitlines()) == 96 + 2 * 21
     assert outputs[0][0] == outputs[1][0]
 
 
@@ -303,6 +310,7 @@ def test_exit_3_on_mismatched_gauge_pair(tmp_path):
                 "--out", str(tmp_path / "out"))
     assert r.returncode == 3
     assert "field-difference norm" in r.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_all_exit_1_on_empty_scenario_dir(tmp_path, capsys):
@@ -456,10 +464,11 @@ def test_bad_tolerance_scale_is_a_usage_error(tmp_path, capsys, command, name,
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 1
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if "error:" in line]
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == [f"error: argument --tolerance-scale: must be a finite "
                       f"positive real number, got {value!r}"]
+    assert err.startswith(f"usage: expansionlab {command} [-h]")
     assert not out.exists()
 
 
@@ -904,6 +913,14 @@ def test_main_requires_subcommand():
     assert excinfo.value.code == 1
 
 
+def test_star_import_gives_the_modules_and_the_version():
+    # the package's __all__: a star import gives __version__ too
+    namespace = {}
+    exec("from expansionlab import *", namespace)
+    assert {"basis", "expansion", "gauge", "propagation", "specfun",
+            "__version__"} <= namespace.keys()
+
+
 @pytest.mark.parametrize("argv,keys,named", [
     (["expand", "--out", "OUT"], None, "--scenario"),
     (["gauge", "--scenario", "SCN", "--out", "OUT", "--seed", "3"], None,
@@ -954,7 +971,7 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     assert errors[0].startswith("error:") and named in errors[0]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,keys,named", [
     ("expand", dict(family="box", target="gaussian", center=1e9),
      "center = 1000000000.0"),
@@ -975,16 +992,17 @@ def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
                                                    keys, named):
     # values every key accepts, whose arithmetic leaves float range: a
     # Gaussian with no positive finite norm on the well, or an overflow or
-    # a division by an underflowed product, is a configuration error
+    # a division by an underflowed product, is a configuration error; the
+    # first overflow stops the run, which writes nothing
     path = write_scenario(tmp_path / "far.scn", command, **keys)
     code = main([command, "--scenario", str(path),
                  "--out", str(tmp_path / "out")])
     stderr = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in stderr
-    errors = [line for line in stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1
-    assert errors[0].startswith("error:") and named in errors[0]
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error:") and named in stderr
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------ scenario keys

@@ -266,6 +266,7 @@ def test_velocity_rejects_unnormalized_state():
     with pytest.raises(NormalizationError) as excinfo:
         velocity_and_momentum(doubled, no_potential, 0.0, UNITS)
     assert excinfo.value.measured_norm == pytest.approx(4.0, rel=1e-10)
+    assert str(excinfo.value).startswith("state norm 4.0")
 
 
 def test_state_norm_of_eigenstate():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -454,3 +455,16 @@ def test_named_import_gives_the_same_qagse(monkeypatch):
 def test_confluent_series_argument_checks(args, message):
     with pytest.raises(SeriesDivergenceError, match=message):
         confluent_hypergeometric(*args)
+
+
+def test_quadpack_loaded_from_its_file_is_the_module_scipy_imports():
+    # in a fresh interpreter, which has not imported scipy.integrate: the
+    # extension _qagse loads is registered under its real name
+    code = ("import sys\n"
+            "from expansionlab import specfun\n"
+            "qagse = specfun._qagse()\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "assert sys.modules[specfun._QUADPACK]._qagse is qagse\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
