@@ -671,3 +671,7 @@ def main(argv=None) -> int:
         beyond = "beyond float range: " * isinstance(exc, ArithmeticError)
         print(f"error: {beyond}{exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

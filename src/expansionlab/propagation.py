@@ -181,6 +181,7 @@ class Trajectory:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        self.states = np.asarray(self.states, dtype=complex)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise PropagationContractError("states must be one row per time")
         if np.any(np.diff(self.times) <= 0.0):

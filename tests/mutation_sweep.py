@@ -7,34 +7,31 @@ are swept), imports, `raise`, `pass` and an `if` guard whose body ends in
 `raise` are not mutated.
 
 Mutants are made in copies of the repository (src/, tests/, bench/) under a
-temporary directory, never in the checkout. Each one goes through three
-stages, and a stage sees only the survivors of the last:
+temporary directory, never in the checkout. Each one goes through two
+stages, and the second sees only the survivors of the first:
 1. the copy's tests/artifact_digests.py, every file, stdout and stderr of
-   the bundled commands, compared with the unmutated copy's output;
-2. the same with --bench-seed 3 --bench-seed 7 --bench-seed 99;
-3. tier-1 (pytest -x, the mutated module's test file first), one mutant at
+   the bundled commands, compared with the unmutated copy's output (two
+   workers);
+2. tier-1 (pytest -x, the mutated module's test file first), one mutant at
    a time: the acceptance criteria assert wall-time budgets, so two suites
    side by side can fail on time alone. A kill counts only if the failing
    test fails again when it runs alone.
 A stage kills a mutant that changes its output, exits otherwise than the
 unmutated run, or runs ten times as long plus 10 s.
 
-Every mutant that stages 1 and 2 leave alive is a survivor, written to the
-record with its class: "killed by tier-1" or "killed by a new test" (one
-added with the record), with the test; or "input check", "error path",
-"tests-only API" or "equivalent", with the reason. The classes come from
-the record the sweep rewrites, matched by file, enclosing function and
-statement text: a survivor of stage 3 without one is written as
-"unclassified", and the sweep exits 1. The record's "deleted" list, the
-statements a sweep found inert and that were then deleted, is carried over.
+Every mutant that stage 1 leaves alive is a survivor, written to the record
+with its class: "killed by tier-1" or "killed by a new test" (one added with
+the record), with the test; or "input check", "error path", "tests-only API"
+or "equivalent", with the reason. The classes come from the record the
+sweep rewrites, matched by file, enclosing function and statement text: a
+survivor of stage 2 without one is written as "unclassified", and the sweep
+exits 1. The record's "deleted" list, the statements a sweep found inert and
+that were then deleted, is carried over.
 
-It needs the standard library and what tier-1 needs; at most two workers
-run stages 1 and 2. Not a test module: the suite does not collect it. Run
-it from anywhere; it rewrites the newest MUTANTS_<n>.json at the repository
-root unless --record names another file:
+It needs the standard library and what tier-1 needs. Not a test module: the
+suite does not collect it. Run it from anywhere; it rewrites RECORD:
 
     python3 tests/mutation_sweep.py
-    python3 tests/mutation_sweep.py --files gauge.py --record gauge.json
 """
 
 from __future__ import annotations
@@ -56,7 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = Path("src") / "expansionlab"
-SEEDS = ["--bench-seed", "3", "--bench-seed", "7", "--bench-seed", "99"]
+RECORD = ROOT / "MUTANTS_24.json"
+WORKERS = 2         # runs of stage 1 at once
 KILLED = ("killed by tier-1", "killed by a new test")
 REASONS = ("input check", "error path", "tests-only API", "equivalent")
 MEMORY = 4 << 30    # address space of each run, in bytes
@@ -108,8 +106,8 @@ class Mutant:
         self.text = source.split(b"\n")[node.lineno - 1].decode().strip()
         self.source = mutant(source, node)
         self.at = f"{path.as_posix()}:{node.lineno}"
-        self.killed_by = None     # stage 1, 2 or 3
-        self.test = None          # the test that killed it in stage 3
+        self.killed_by = None     # stage 1 or 2
+        self.test = None          # the test that killed it in stage 2
 
 
 class Copies:
@@ -159,18 +157,19 @@ def _timed(copies: Copies, argv: list, **kw):
     return result, 10.0 * (time.perf_counter() - t0) + 10.0
 
 
-def digest_stage(copies, workers, mutants, stage, argv):
+def digest_stage(copies, mutants):
     """Mark the mutants whose digests differ from the unmutated copy's."""
+    argv = ["tests/artifact_digests.py"]
     want, timeout = _timed(copies, argv)
     if want[0] != 0:
-        sys.exit(f"the unmutated copy's {' '.join(argv)} exited {want[0]}")
-    with ThreadPoolExecutor(workers) as pool:
+        sys.exit(f"the unmutated copy's digests exited {want[0]}")
+    with ThreadPoolExecutor(WORKERS) as pool:
         got = pool.map(lambda m: copies.run(m, argv, timeout), mutants)
         for i, (m, result) in enumerate(zip(mutants, got), 1):
             if result != want:
-                m.killed_by = stage
+                m.killed_by = 1
             if i % 50 == 0 or i == len(mutants):
-                print(f"stage {stage}: {i}/{len(mutants)}", file=sys.stderr)
+                print(f"stage 1: {i}/{len(mutants)}", file=sys.stderr)
     return [m for m in mutants if m.killed_by is None]
 
 
@@ -194,15 +193,15 @@ def tier1_stage(copies, mutants):
         code, out = copies.run(m, tier1 + ["-x", *order, "tests"], timeout,
                                blas_threads=False)
         if code is None:
-            m.killed_by, m.test = 3, "a timeout"
+            m.killed_by, m.test = 2, "a timeout"
         elif code != 0:
             test = _first_failure(out)
             if test is None:
-                m.killed_by, m.test = 3, f"pytest exit {code}"
+                m.killed_by, m.test = 2, f"pytest exit {code}"
             elif copies.run(m, tier1 + [test], timeout,
                             blas_threads=False)[0] != 0:
-                m.killed_by, m.test = 3, test
-        print(f"stage 3: {i}/{len(mutants)} {m.at} "
+                m.killed_by, m.test = 2, test
+        print(f"stage 2: {i}/{len(mutants)} {m.at} "
               f"{'killed by ' + m.test if m.test else 'survives'}",
               file=sys.stderr)
 
@@ -222,47 +221,25 @@ def _keys(mutants_or_entries):
     return keys
 
 
-def _newest_record() -> Path | None:
-    found = [(int(p.stem[8:]), p) for p in ROOT.glob("MUTANTS_*.json")
-             if p.stem[8:].isdigit()]
-    return max(found)[1] if found else None
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--record", type=Path, default=_newest_record(),
-                        help="the record to read classes from and rewrite "
-                             "(default: the newest MUTANTS_<n>.json)")
-    parser.add_argument("--files", nargs="*", default=None,
-                        help="sweep only these files of src/expansionlab")
-    parser.add_argument("--workers", type=int, default=2, choices=(1, 2))
-    args = parser.parse_args(argv)
-    if args.record is None:
-        parser.error("no MUTANTS_<n>.json at the repository root: "
-                     "name the record with --record")
-    old = json.loads(args.record.read_text()) if args.record.exists() else {}
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    old = json.loads(RECORD.read_text()) if RECORD.exists() else {}
     known = dict(zip(_keys(old.get("survivors", [])),
                      old.get("survivors", [])))
 
     mutants = []
     for path in sorted((ROOT / PKG).glob("*.py")):
-        if args.files is not None and path.name not in args.files:
-            continue
         source = path.read_bytes()
         for node, scope in statements(source.decode()):
             mutants.append(Mutant(PKG / path.name, node, scope, source))
     started = time.perf_counter()
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        copies = Copies(Path(tmp), args.workers)
-        alive = digest_stage(copies, args.workers, mutants, 1,
-                             ["tests/artifact_digests.py"])
-        alive = digest_stage(copies, args.workers, alive, 2,
-                             ["tests/artifact_digests.py", *SEEDS])
-        tier1_stage(copies, alive)
+        copies = Copies(Path(tmp), WORKERS)
+        tier1_stage(copies, digest_stage(copies, mutants))
 
     survivors, unclassified = [], 0
-    alive = [m for m in mutants if m.killed_by not in (1, 2)]
+    alive = [m for m in mutants if m.killed_by != 1]
     for m, key in zip(alive, _keys(alive)):
         entry = {"at": m.at, "scope": m.scope, "statement": m.text}
         was = known.get(key, {})
@@ -277,8 +254,6 @@ def main(argv=None) -> int:
         survivors.append(entry)
     counts = {"statements": len(mutants),
               "killed by the digests": sum(m.killed_by == 1 for m in mutants),
-              "killed by the bench-seed digests":
-                  sum(m.killed_by == 2 for m in mutants),
               "survivors": len(survivors)}
     by_class = {}
     for entry in survivors:
@@ -287,8 +262,8 @@ def main(argv=None) -> int:
                        "see tests/mutation_sweep.py",
               "counts": counts, "survivors by class": by_class,
               "survivors": survivors, "deleted": old.get("deleted", [])}
-    args.record.write_text(json.dumps(record, indent=1, ensure_ascii=False)
-                           + "\n", encoding="utf-8")
+    RECORD.write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
 
     for name, n in [*counts.items(), *by_class.items()]:
         print(f"{name:<34} {n:>5}")

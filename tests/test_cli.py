@@ -913,6 +913,16 @@ def test_main_requires_subcommand():
     assert excinfo.value.code == 1
 
 
+def test_cli_module_runs_as_a_script(tmp_path):
+    # `python -m expansionlab.cli` runs main, as `python -m expansionlab` does
+    out = tmp_path / "out"
+    r = subprocess.run([sys.executable, "-m", "expansionlab.cli", "expand",
+                        "--scenario", str(SCENARIOS / "box_roundtrip.scn"),
+                        "--out", str(out)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert (out / "manifest.json").is_file()
+
+
 def test_star_import_gives_the_modules_and_the_version():
     # the package's __all__: a star import gives __version__ too
     namespace = {}

@@ -656,6 +656,14 @@ def test_trajectory_validation():
                        np.zeros((2, cols), dtype=complex), "euler", dim=2)
 
 
+def test_trajectory_states_are_a_complex_array():
+    # a list of rows, or a real array, is stored as a complex array
+    for states in ([[1.0, 0.0], [0.0, 1.0]], np.eye(2)):
+        t = Trajectory(np.array([0.0, 1.0]), states, "euler")
+        assert t.states.dtype == complex
+        assert np.array_equal(t.states, np.eye(2))
+
+
 def test_audit_zero_coupling_equality_throughout():
     m = HamiltonianModel((0.0, 1.0), [], (0.0, 1.0))
     traj = euler_propagate(pure_state(2), m, 50, UNITS)
