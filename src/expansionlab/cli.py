@@ -80,6 +80,14 @@ def _positive(v, _):
     return "" if v > 0 else f"must be positive, got {v!r}"
 
 
+def _normal_square(v, _):
+    """_positive, and a square that is a normal float: a Landau run divides
+    by a^2, and a Gaussian's exponent grows as 1 / sigma^2."""
+    return _positive(v, _) or (
+        "" if sys.float_info.min <= v * v <= sys.float_info.max else
+        f"must have a square that is a normal float, got {v!r}")
+
+
 def _at_least(n):
     return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
 
@@ -100,14 +108,15 @@ def _in_1_to(bound):
 # The gauge defaults are the fields of the experiment classes.
 _J, _F = GaugeJumpScenario, PhaseFitScenario
 _KEYS = (
-    ("expand/landau", "magnetic_length", REAL, 1.0, _positive),
+    ("expand/landau", "magnetic_length", REAL, 1.0, _normal_square),
     ("expand/landau", "n_max", INT, 200, None),
     ("expand/landau", "quad_check_max", INT, 20, _in_1_to("n_max")),
     ("expand/box", "width", REAL, 1.0, _positive),
     ("expand/box", "n_max", INT, 50, _at_least(1)),
     ("expand/box", "target", {"eigenstate", "gaussian"}, REQUIRED, None),
     ("expand/box", "target_n", INT, 1, _at_least(1)),
-    ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0, _positive),
+    ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0,
+     _normal_square),
     ("expand/box", "center", REAL, lambda v: v["width"] / 2.0, None),
     ("propagate", "hbar", REAL, Units.hbar, _positive),
     ("propagate", "n_slices", INT, 1000, _at_least(1)),

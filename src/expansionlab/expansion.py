@@ -214,18 +214,20 @@ class _LaguerreTower(dict):
     rewrites every value with one update. A node first met at order n is
     brought up to it once, by the same step written inline on floats, and
     joins cols at the next advance(). Either way each value is
-    landau_plane_wave_overlap's integrand, bit for bit.
+    landau_plane_wave_overlap's integrand, bit for bit. The inline step
+    reads the floats (2k + 1, k, k + 1) of each order k below n from
+    orders, which advance() extends.
     """
 
     def __init__(self, a: float):
-        self.a, self.n, self.rhos, self.fresh = a, 0, [], []
+        self.a, self.n, self.rhos, self.fresh, self.orders = a, 0, [], [], []
         self.cols = np.empty((5, 0))
 
     def __missing__(self, rho):
         a, prev, cur = self.a, 0.0, 1.0
         u = rho * rho / (2.0 * a * a)
-        for k in range(self.n):
-            prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+        for odd, k, k1 in self.orders:
+            prev, cur = cur, ((odd - u) * cur - k * prev) / k1
         gauss = math.exp(-0.25 * rho * rho / (a * a))
         self.rhos.append(rho)
         self.fresh.append((rho, gauss, u, prev, cur))
@@ -240,6 +242,7 @@ class _LaguerreTower(dict):
         step = _laguerre_step(self.n, u, prev, cur)
         self.cols = np.array([rho, gauss, u, cur, step])
         self.update(zip(self.rhos, (gauss * step * rho).tolist()))
+        self.orders.append((2 * self.n + 1.0, float(self.n), self.n + 1.0))
         self.n += 1
 
 

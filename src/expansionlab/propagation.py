@@ -404,13 +404,18 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
 
     lam, v, u, freq, s, shift, w = _eigenbasis(model, general, scalar, c,
                                                tm, dt, units)
+    # bound once: a step writes row = r * w, then w = U row, in place
+    step, scale = u.dot, np.multiply
     for a, block in out.blocks():
         b = a + len(block)
         ihz = half * (s[a:b, None] * lam + shift[a:b, None])
-        for r, row in zip((1.0 - ihz) / (1.0 + ihz), block):
-            np.multiply(r, w, out=row)
-            w = np.dot(u, row)      # half the call overhead of @
-        block[:] = (block @ v.T) * np.exp(1j * (tm[a:b, None] * freq))
+        # the Cayley factors (1 - ihz) / (1 + ihz), formed in ihz
+        factors = np.divide(1.0 - ihz, np.add(1.0, ihz, out=ihz), out=ihz)
+        for r, row in zip(factors, block):
+            scale(r, w, out=row)
+            step(row, out=w)
+        np.multiply(block @ v.T, np.exp(1j * (tm[a:b, None] * freq)),
+                    out=block)
     return out.trajectory()
 
 
@@ -438,12 +443,13 @@ def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
                                             dt, units)
     idt = 1j * dt / units.hbar
     rows = max(1, _CHUNK_ENTRIES // model.dim)
+    step = u.dot
 
     def steps(w, lo, hi):
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             for r in 1.0 - idt * (s[a:b, None] * lam + shift[a:b, None]):
-                w = np.dot(u, r * w)
+                w = step(r * w)
         return w
 
     # repeats[i] marks step i as a repeat of step i - 1; each rise and fall

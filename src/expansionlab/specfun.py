@@ -22,8 +22,10 @@ _laguerre_step, serves laguerre_row, which climbs the orders of L_n^(alpha)
 at one node (alpha = 0 for laguerre, |l| for basis.landau_radial), and the
 Landau tower's advance() in expansion, which steps an array of nodes up one
 order at a time. The tower's catch-up of a new node writes the step inline,
-since a call per step costs about a tenth of a scan; a mutant row in
-tests/test_mutants.py guards that copy.
+since a call per step costs about a tenth of a scan. It reads each order's
+floats (2k + 1, k, k + 1) from a list that advance() extends rather than
+forming them from int k at every step, which halves the cost of a step; a
+mutant row in tests/test_mutants.py guards that copy.
 """
 
 from __future__ import annotations

@@ -988,9 +988,11 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     ("expand", dict(family="box", target="gaussian", sigma=1e-9),
      "sigma = 1e-09"),
     ("expand", dict(family="box", target="gaussian", sigma=1e-200),
-     "beyond float range"),
+     "far.scn:6: key 'sigma' must have a square that is a normal float, "
+     "got 1e-200"),
     ("expand", dict(family="landau", magnetic_length=1e-200),
-     "beyond float range"),
+     "far.scn:5: key 'magnetic_length' must have a square that is a normal "
+     "float, got 1e-200"),
     ("propagate", dict(perturbation="dipole-ramp", t_end=1e200),
      "beyond float range"),
     ("propagate", dict(perturbation="dipole-step", hbar=1e-200),
@@ -1000,10 +1002,11 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
         "step-hbar-underflow"])
 def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
                                                    keys, named):
-    # values every key accepts, whose arithmetic leaves float range: a
-    # Gaussian with no positive finite norm on the well, or an overflow or
-    # a division by an underflowed product, is a configuration error; the
-    # first overflow stops the run, which writes nothing
+    # values whose arithmetic leaves float range: a Gaussian with no
+    # positive finite norm on the well, or an overflow or a division by an
+    # underflowed product, is a configuration error; the first overflow
+    # stops the run, which writes nothing. A length whose square is not a
+    # normal float is refused at its key's line before the run.
     path = write_scenario(tmp_path / "far.scn", command, **keys)
     code = main([command, "--scenario", str(path),
                  "--out", str(tmp_path / "out")])

@@ -115,7 +115,8 @@ MUTANTS = [
      ["phase-factored-fit"],
      [test_propagation.test_unitary_matches_exact_with_second_order_convergence]),
     ("cayley-factor-exp", propagation, "unitary_propagate",
-     "(1.0 - ihz) / (1.0 + ihz)", "np.exp(-2.0 * ihz)",
+     "np.divide(1.0 - ihz, np.add(1.0, ihz, out=ihz), out=ihz)",
+     "np.exp(-2.0 * ihz)",
      ["phase-factored-fit"],
      [test_propagation.test_unitary_matches_solve_oracle_box_dipole]),
     ("cayley-quarter-step", propagation, "unitary_propagate",
@@ -124,10 +125,12 @@ MUTANTS = [
      [test_propagation.test_unitary_matches_exact_with_second_order_convergence]),
     # first-order slicing at the midpoints, its norm put back at every step
     ("cayley-renormalised-first-order", propagation, "unitary_propagate",
-     "zip((1.0 - ihz) / (1.0 + ihz), block):\n"
-     "            np.multiply(r, w, out=row)",
-     "zip(1.0 - 2.0 * ihz, block):\n"
-     "            np.multiply(r, w * (np.linalg.norm(w)"
+     "np.divide(1.0 - ihz, np.add(1.0, ihz, out=ihz), out=ihz)\n"
+     "        for r, row in zip(factors, block):\n"
+     "            scale(r, w, out=row)",
+     "1.0 - 2.0 * ihz\n"
+     "        for r, row in zip(factors, block):\n"
+     "            scale(r, w * (np.linalg.norm(w)"
      " / np.linalg.norm(r * w)), out=row)",
      ["phase-factored-fit"],
      [test_propagation.test_unitary_matches_solve_oracle_box_dipole]),

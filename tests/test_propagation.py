@@ -416,6 +416,57 @@ def test_streamed_rows_match_full_run_property(stepper, terms, rows, tracked,
     assert np.array_equal(kept.states, full.states[:, :k])
 
 
+def plain_eigenbasis_cayley(c0, model, n_slices, units=UNITS):
+    """unitary_propagate's eigenbasis steps written plainly from _eigenbasis:
+    a new w per step and a new rebuilt block, in the collector's blocks.
+    Returns every state and every norm."""
+    general, scalar = propagation._split_terms(model)
+    c, times, dt = propagation._prepare(c0, model, n_slices, units)
+    half = 0.5j * dt / units.hbar
+    tm = times[:-1] + 0.5 * dt
+    lam, v, u, freq, s, shift, w = propagation._eigenbasis(
+        model, general, scalar, c, tm, dt, units)
+    rows = max(1, propagation._CHUNK_ENTRIES // model.dim)
+    states, norms = [c[None, :]], [propagation._row_norms(c[None, :])]
+    for a in range(0, n_slices, rows):
+        b = min(a + rows, n_slices)
+        block = np.empty((b - a, model.dim), dtype=complex)
+        ihz = half * (s[a:b, None] * lam + shift[a:b, None])
+        for r, row in zip((1.0 - ihz) / (1.0 + ihz), block):
+            np.multiply(r, w, out=row)
+            w = np.dot(u, row)
+        block = (block @ v.T) * np.exp(1j * (tm[a:b, None] * freq))
+        states.append(block)
+        norms.append(propagation._row_norms(block))
+    return np.concatenate(states), np.concatenate(norms)
+
+
+@pytest.mark.parametrize("tracked", [None, 0, 8])
+@pytest.mark.parametrize("rows", [1, 2, 3, None], ids=["1", "2", "3",
+                                                       "default"])
+@pytest.mark.parametrize("identity", [False, True],
+                         ids=["no-identity", "identity"])
+@pytest.mark.parametrize("kind", ["ramp", "random-hermitian"])
+def test_eigenbasis_cayley_is_the_plain_loop_bit_for_bit(kind, identity,
+                                                         rows, tracked):
+    # the stepper writes each product into its own w and the rebuild into
+    # the collector's block; every state and norm must keep the plain
+    # loop's bits, since the unitary-contrast claim measures its round-off
+    dim = 12
+    m = one_term_model(5, dim, kind, identity, 0.8)
+    assert len(propagation._split_terms(m)[0]) == 1
+    n_slices = 17 if rows else 400     # 400 is 2 full default blocks + 60
+    c0 = pure_state(dim, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:
+            mp.setattr(propagation, "_CHUNK_ENTRIES", rows * dim)
+        states, norms = plain_eigenbasis_cayley(c0, m, n_slices)
+        traj = unitary_propagate(c0, m, n_slices, UNITS, tracked=tracked)
+    k = dim if tracked is None else min(tracked, dim)
+    assert np.array_equal(traj.norms, norms)
+    assert np.array_equal(traj.states, states[:, :k])
+
+
 def test_negative_tracked_rejected():
     m = two_level_model(t_end=1.0)
     for stepper in (euler_propagate, unitary_propagate):
