@@ -1,9 +1,9 @@
-"""Eigenfunctions: Landau levels, the 1-D box, and the free plane wave.
+"""Eigenfunctions: the Landau radial factor and the 1-D box.
 
 Natural units m = Q = c = 1 throughout; hbar lives in propagation.Units.
 Each eigenfunction is a plain function of its quantum numbers and a point:
-box modes of an integer n >= 1 and a float x, Landau states of n >= 0 (with
-l and k_z) and a SpacePoint. Landau states are handled on a fixed-k_z
+box modes of an integer n >= 1 and a float x, Landau radial factors of
+n >= 0 and l at a radius rho. Landau states are handled on a fixed-k_z
 transverse slice, with the z factor treated as a delta-normalized
 spectator. Stationary time factors, where they appear elsewhere in the
 package, follow the convention exp(-i eps t / hbar).
@@ -11,9 +11,7 @@ package, follow the convention exp(-i eps t / hbar).
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,33 +27,6 @@ class BasisDomainError(ValueError):
 
 class BasisIndexError(ValueError):
     """Quantum numbers outside an eigenfunction's range."""
-
-
-@dataclass(frozen=True)
-class SpacePoint:
-    """A point in 3-space, stored Cartesian, convertible to cylindrical."""
-
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def cartesian(cls, x: float, y: float = 0.0, z: float = 0.0) -> "SpacePoint":
-        return cls(float(x), float(y), float(z))
-
-    @classmethod
-    def cylindrical(cls, rho: float, phi: float, z: float = 0.0) -> "SpacePoint":
-        if rho < 0.0:
-            raise BasisDomainError("rho must be non-negative")
-        return cls(rho * math.cos(phi), rho * math.sin(phi), float(z))
-
-    @property
-    def rho(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    @property
-    def phi(self) -> float:
-        return math.atan2(self.y, self.x) % (2.0 * math.pi)
 
 
 def landau_normalization(n: int, l: int) -> float:
@@ -99,23 +70,6 @@ def landau_radial(n: int, l: int, rho: float, a: float) -> float:
             * math.exp(-0.5 * u) * confluent)
 
 
-def landau_eigenfunction(n: int, point: SpacePoint, a: float, l: int = 0,
-                         k_z: float = 0.0) -> complex:
-    """Psi_{n,l,k_z} = (2 pi)^(-1/2) R_{n,l}(rho) e^(i l phi) e^(i k_z z)."""
-    if n < 0:
-        raise BasisIndexError("Landau n must be non-negative")
-    radial = landau_radial(n, l, point.rho, a)
-    return radial / math.sqrt(2.0 * math.pi) * cmath.exp(
-        1j * (l * point.phi + k_z * point.z))
-
-
-def plane_wave(k, point: SpacePoint) -> complex:
-    """(8 pi^3)^(-1/2) exp(i k . r), delta-normalized over k."""
-    kx, ky, kz = k
-    phase = kx * point.x + ky * point.y + kz * point.z
-    return cmath.exp(1j * phase) / math.sqrt(8.0 * math.pi ** 3)
-
-
 def box_eigenfunction(n: int, x: float, width: float) -> float:
     """(2/L)^(1/2) sin(n pi x / L) inside the well, zero outside."""
     if n < 1:
@@ -135,17 +89,6 @@ def box_modes(width: float, n_modes: int, x: np.ndarray):
     """
     k = np.arange(1, n_modes + 1) * math.pi / width
     return k, math.sqrt(2.0 / width) * np.sin(np.outer(k, x))
-
-
-def box_eigenfunction_dx(n: int, x: float, width: float) -> float:
-    # d/dx of box_eigenfunction at one point: the reference the derivative
-    # table of gauge.box_line_state is tested against
-    if n < 1:
-        raise BasisIndexError("box quantum number must be a positive integer")
-    if x < 0.0 or x > width:
-        return 0.0
-    return math.sqrt(2.0 / width) * (n * math.pi / width) \
-        * math.cos(n * math.pi * x / width)
 
 
 def landau_quadrature(a: float) -> QuadratureSpec:

@@ -67,8 +67,8 @@ def _load_claims() -> list:
     return claims
 
 
-def _manifest(scn: Scenario, command: str, tolerance_scale: float,
-              seed, out_dir: Path, outputs):
+def _manifest(scn: Scenario, command: str, out_dir: Path, outputs,
+              tolerance_scale: float = 1.0, seed=None):
     """Write out_dir/manifest.json; outputs are the artifacts' entries."""
     RunManifest(scn.sha256(), __version__, command, tolerance_scale, seed,
                 outputs).write(out_dir / "manifest.json")
@@ -82,19 +82,42 @@ def _positive(v, _):
 
 def _normal_square(v, _):
     """_positive, and a square that is a normal float: a Landau run divides
-    by a^2, and a Gaussian's exponent grows as 1 / sigma^2."""
+    by a^2, a box mode by its width, a ramp by its time, and a Gaussian's
+    exponent grows as 1 / sigma^2."""
     return _positive(v, _) or (
         "" if sys.float_info.min <= v * v <= sys.float_info.max else
         f"must have a square that is a normal float, got {v!r}")
+
+
+def _landau_length(v, values):
+    """_normal_square, and finite partial sums of |2 a^2|^2 up to n_max in
+    the scan, times its divergence factor."""
+    c = 2.0 * v * v
+    return _normal_square(v, values) or (
+        "" if expansion.SCAN_DIVERGENCE_FACTOR * c * c * (values["n_max"] + 1)
+        <= sys.float_info.max else
+        f"must keep the scan's partial sums of (2 a^2)^2 up to n_max = "
+        f"{values['n_max']} finite, got {v!r}")
+
+
+def _gaussian_sigma(v, values):
+    """_normal_square, and an exponent ((x - center) / sigma)^2 that is
+    finite at both walls of the well."""
+    far = max(abs(values["center"]), abs(values["width"] - values["center"]))
+    return _normal_square(v, values) or (
+        "" if far / v * (far / v) <= sys.float_info.max else
+        f"must keep ((x - center) / sigma)^2 finite on the well of width = "
+        f"{values['width']!r} about center = {values['center']!r}, got {v!r}")
 
 
 def _at_least(n):
     return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
 
 
-def _positive_if(uses_ramp):
-    """_positive where uses_ramp(the values read so far) says a ramp runs."""
-    return lambda v, values: _positive(v, values) if uses_ramp(values) else ""
+def _when(applies, constraint):
+    """constraint where applies(the values read so far) says the run reads
+    the key."""
+    return lambda v, values: constraint(v, values) if applies(values) else ""
 
 
 def _in_1_to(bound):
@@ -108,16 +131,16 @@ def _in_1_to(bound):
 # The gauge defaults are the fields of the experiment classes.
 _J, _F = GaugeJumpScenario, PhaseFitScenario
 _KEYS = (
-    ("expand/landau", "magnetic_length", REAL, 1.0, _normal_square),
     ("expand/landau", "n_max", INT, 200, None),
+    ("expand/landau", "magnetic_length", REAL, 1.0, _landau_length),
     ("expand/landau", "quad_check_max", INT, 20, _in_1_to("n_max")),
-    ("expand/box", "width", REAL, 1.0, _positive),
+    ("expand/box", "width", REAL, 1.0, _normal_square),
     ("expand/box", "n_max", INT, 50, _at_least(1)),
     ("expand/box", "target", {"eigenstate", "gaussian"}, REQUIRED, None),
     ("expand/box", "target_n", INT, 1, _at_least(1)),
-    ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0,
-     _normal_square),
     ("expand/box", "center", REAL, lambda v: v["width"] / 2.0, None),
+    ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0,
+     _when(lambda v: v["target"] == "gaussian", _gaussian_sigma)),
     ("propagate", "hbar", REAL, Units.hbar, _positive),
     ("propagate", "n_slices", INT, 1000, _at_least(1)),
     ("propagate", "tracked", INT, 8, _at_least(0)),
@@ -129,31 +152,41 @@ _KEYS = (
         2 if values["perturbation"].startswith("dipole") else 1)(v, values)),
     ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
     ("propagate", "t_start", REAL, 0.0, None),
-    ("propagate", "t_end", REAL, 1.0, None),
+    ("propagate", "t_end", REAL, 1.0,
+     lambda v, values: "" if v > values["t_start"] else
+     f"must exceed t_start = {values['t_start']!r}, got {v!r}"),
     ("propagate", "amplitude", REAL, 1.0, None),
     ("propagate", "seed", INT, 0, None),
     ("propagate", "ramp_time", REAL, 0.5,
-     _positive_if(lambda v: v["perturbation"] == "dipole-ramp")),
+     _when(lambda v: v["perturbation"] == "dipole-ramp", _normal_square)),
     ("gauge/jump", "well_width", REAL, _J.width, _positive),
     ("gauge/jump", "n_basis", INT, _J.n_basis, _at_least(2)),
     ("gauge/jump", "initial_index", INT, _J.initial_index,
      _in_1_to("n_basis")),
-    ("gauge/jump", "amplitude", REAL, _J.amplitude, None),
+    # the jump's Hamiltonian holds A(t)^2 / 2
+    ("gauge/jump", "amplitude", REAL, _J.amplitude,
+     lambda v, _: "" if v * v <= sys.float_info.max else
+     f"must have a finite square, got {v!r}"),
     ("gauge/jump", "switch", {"step", "ramp"}, _J.switch, None),
     ("gauge/jump", "ramp_time", REAL, _J.ramp_time,
-     _positive_if(lambda v: v["switch"] == "ramp")),
+     _when(lambda v: v["switch"] == "ramp", _normal_square)),
     ("gauge/jump", "t_end", REAL, _J.t_end, _positive),
     ("gauge/jump", "n_slices", INT, _J.n_slices, _positive),
     ("gauge/jump", "observe_stride", INT, _J.observe_stride, _positive),
+    # the field check samples away from t = 0, where a stepped A(t) is
+    # constant in either gauge, so only a ramp lets it see a mismatch
     ("gauge/jump", "second_gauge", {"transformed", "identity", "mismatched"},
-     _J.second_gauge, None),
+     _J.second_gauge, lambda v, values: "" if v != "mismatched"
+     or values["switch"] == "ramp" else
+     f"must not be {v!r} unless switch = ramp, got switch = "
+     f"{values['switch']!r}"),
     ("gauge/jump", "mismatch_factor", REAL, _J.mismatch_factor, None),
     ("gauge/jump", "hbar", REAL, Units.hbar, _positive),
     ("gauge/phase-fit", "well_width", REAL, _F.width, _positive),
     ("gauge/phase-fit", "amplitude", REAL, _F.amplitude, None),
-    ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, _positive),
-    ("gauge/phase-fit", "t_end", REAL, _F.t_end, None),
-    ("gauge/phase-fit", "n_slices", INT, _F.n_slices, None),
+    ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, _normal_square),
+    ("gauge/phase-fit", "t_end", REAL, _F.t_end, _positive),
+    ("gauge/phase-fit", "n_slices", INT, _F.n_slices, _positive),
     ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
      lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
      f"at least two increasing sizes for the plateau verdict, got {list(v)}"),
@@ -168,7 +201,7 @@ _KEYS = (
     ("gauge/phase-fit", "hbar", REAL, Units.hbar, _positive),
     ("gauge/phase-fit", "phase_strength", REAL, 0.8, None),
     ("gauge/phase-fit", "phase_ramp_time", REAL, lambda v: v["ramp_time"],
-     _positive),
+     _normal_square),
 )
 
 
@@ -281,7 +314,7 @@ def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
                            "partial sums of |C_n|^2", "N",
                            "sum_{n<=N} |C_n|^2",
                            [("partial sums", report.ns, report.partial_sums)])]
-    _manifest(scn, "expand", tolerance_scale, None, out_dir, outputs)
+    _manifest(scn, "expand", out_dir, outputs, tolerance_scale)
     return code, stats
 
 
@@ -308,8 +341,7 @@ def _model(v: dict, units: Units, seed=None):
                                         profile), None
 
 
-def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
-                  seed=None):
+def cmd_propagate(scn: Scenario, out_dir: Path, seed=None):
     v = scn.read(_KEYS, "propagate")
     units = Units(v["hbar"])
     n_slices, tracked = v["n_slices"], v["tracked"]
@@ -348,7 +380,7 @@ def cmd_propagate(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0,
                            "t", "sum_k |C_k|^2",
                            [("first-order", euler.times, euler.norms),
                             ("cayley", cayley.times, cayley.norms)])]
-    _manifest(scn, "propagate", tolerance_scale, seed, out_dir, outputs)
+    _manifest(scn, "propagate", out_dir, outputs, seed=seed)
 
     stats = {
         "kind": "propagate",
@@ -379,7 +411,7 @@ def _phase_gauge(v: dict) -> GaugeFunction:
         "ramp", v["phase_ramp_time"], v["phase_strength"]))
 
 
-def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
+def cmd_gauge(scn: Scenario, out_dir: Path):
     v = scn.read(_KEYS, "gauge")
     jump = v["experiment"] == "jump"
     setup = _experiment(GaugeJumpScenario if jump else PhaseFitScenario, v)
@@ -399,7 +431,7 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
                 [("gauge 1", t, result.report_gauge1.v_series[:, 0]),
                  ("gauge 2 (co-transformed)", t,
                   result.report_gauge2.v_series[:, 0])])]
-        _manifest(scn, "gauge", tolerance_scale, None, out_dir, outputs)
+        _manifest(scn, "gauge", out_dir, outputs)
         stats = {
             "kind": "gauge-jump",
             "amplitude": setup.amplitude,
@@ -430,7 +462,7 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
                            "basis size", "log10 residual",
                            [("final time", list(report.fit_sizes),
                              list(report.final_residuals()))], log_y=True)]
-    _manifest(scn, "gauge", tolerance_scale, None, out_dir, outputs)
+    _manifest(scn, "gauge", out_dir, outputs)
     stats = {
         "kind": "gauge-phase-fit",
         "fit_sizes": list(report.fit_sizes),
@@ -445,13 +477,14 @@ def cmd_gauge(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
 
 def _dispatch(scn: Scenario, out_dir: Path, tolerance_scale: float, seed=None,
               command=None):
-    """Run scn under command, by default the command of its own kind."""
+    """Run scn under command, by default the command of its own kind; the
+    tolerance scale applies to expand's quadrature, the only one it scales."""
     command = command or scn.kind
     if command == "expand":
         return cmd_expand(scn, out_dir, tolerance_scale)
     if command == "propagate":
-        return cmd_propagate(scn, out_dir, tolerance_scale, seed)
-    return cmd_gauge(scn, out_dir, tolerance_scale)
+        return cmd_propagate(scn, out_dir, seed)
+    return cmd_gauge(scn, out_dir)
 
 
 # One row per compared quantity; a claim passes when all its rows do, and its
@@ -642,7 +675,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a {name} scenario")
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0)
+        if name == "expand":
+            p.add_argument("--tolerance-scale", type=_tolerance_scale,
+                           default=1.0)
         if name == "propagate":
             p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("reproduce-all",
@@ -663,8 +698,8 @@ def main(argv=None) -> int:
             return cmd_reproduce_all(scenario_dir, Path(args.out),
                                      args.tolerance_scale)
         code, _ = _dispatch(load_scenario(args.scenario), Path(args.out),
-                            args.tolerance_scale, getattr(args, "seed", None),
-                            args.command)
+                            getattr(args, "tolerance_scale", 1.0),
+                            getattr(args, "seed", None), args.command)
         return code
     except NonConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)

@@ -286,11 +286,6 @@ def convergence_scan(coefficient_fn, n_max: int, *,
                              first_converged)
 
 
-def reconstruct(series: CoefficientSeries, mode) -> complex:
-    """Truncated synthesis sum_n C_n mode(n), mode(n) psi_n at one point."""
-    return sum((c * mode(n) for n, c, _, _ in series.entries), 0.0 + 0.0j)
-
-
 def write_coefficient_csv(series: CoefficientSeries, path) -> dict:
     """One row per entry, floats via repr; a flagged quad_err reads err:flag."""
     lines = ["n,re,im,abs,abs_sq,partial_sum,quad_err"]

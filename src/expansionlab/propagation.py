@@ -7,7 +7,7 @@ with left-endpoint phases exactly as written, kept deliberately naive: its
 norm growth is a reported outcome, not a defect to be patched. It samples
 the profiles once per run and factors each phase as exp(i w_{nl} t) =
 d_n(t) conj(d_l(t)), d(t) = exp(i eps t / hbar), so a step is one
-matrix-vector product per term; rhs() keeps the literal dim x dim form. The
+matrix-vector product per term, not the literal dim x dim form. The
 Cayley (Crank-Nicolson) stepper is the norm-preserving contrast oracle. When
 the perturbation is one matrix X times a profile, plus multiples of the
 identity, it steps in the eigenbasis of X: the Cayley factor is diagonal
@@ -264,17 +264,6 @@ def _sample(model: HamiltonianModel, times: np.ndarray):
                      dtype=complex).reshape(-1, model.dim, model.dim))
 
 
-def rhs(c, t: float, model: HamiltonianModel, units: Units = Units()) -> np.ndarray:
-    """dC_n/dt = -(i/hbar) sum_l C_l (H1)_{nl} exp(i w_{nl} t)."""
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (model.dim,):
-        raise PropagationContractError(
-            f"coefficient vector has shape {c.shape}, expected ({model.dim},)")
-    omega = bohr_frequencies(model, units)
-    m = model.h1(t) * np.exp(1j * omega * t)
-    return -1j / units.hbar * (m @ c)
-
-
 def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
                     units: Units = Units(), tracked: int | None = None
                     ) -> Trajectory:
@@ -511,9 +500,11 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
                units: Units = Units()) -> NormAuditReport:
     """Audit the norm chain of a first-order sliced run from a pure state.
 
-    Checks |C_s(t1)|^2 >= 1 via the total, the non-negative off-diagonal
-    weight, monotone growth of the norms, and reports the first step with a
-    strict increase over 1. The chain is specific to the explicit first-order
+    Checks |C_s(t1)|^2 >= 1 via the total and monotone growth of the norms,
+    and reports the off-diagonal weight at t1 and the first step with a
+    strict increase over 1. The weight is a sum of squares, so only a NaN
+    entry could make it negative, and that entry already makes the total
+    NaN, which fails. The chain is specific to the explicit first-order
     update; trajectories from other integrators are rejected. The one-step
     norm is also compared against the model's closed form
     1 + (dt/hbar)^2 sum_k |(H1)_{ks}|^2.
@@ -547,8 +538,7 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
     predicted = 1.0 + (dt / units.hbar) ** 2 * float(np.sum(np.abs(column) ** 2))
     closed_defect = float(abs(step1 - predicted))
 
-    passed = (step1 >= 1.0 and off_diag >= 0.0 and monotone
-              and closed_defect < CLOSED_FORM_TOL)
+    passed = step1 >= 1.0 and monotone and closed_defect < CLOSED_FORM_TOL
     return NormAuditReport(s, pure_defect, float(step1), off_diag, monotone,
                            max_decrease, first_strict, closed_defect, passed)
 

@@ -5,8 +5,8 @@ this process:
 - tier-1, `pytest.main` on tests/, with PYTHONPATH=src exported so that the
   subprocess tests find the package (their own lines are not traced);
 - the commands, `artifact_digests.main(["--bench-seed", "3"])`: every
-  bundled scenario at two tolerance scales, reproduce-all, the generated
-  scenarios and every operation of the benchmark at seed 3.
+  bundled scenario (an expand one at two tolerance scales), reproduce-all,
+  the generated scenarios and every operation of the benchmark at seed 3.
 
 A statement is reached when a line of it runs; for a compound statement
 (def, if, for, with, try, an except clause) only its header counts, and a

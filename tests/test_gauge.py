@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansionlab.basis import box_eigenfunction, box_eigenfunction_dx
+from expansionlab.basis import box_eigenfunction
 from expansionlab.cli import _KEYS, _experiment, _phase_gauge
 from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 GaugeFunction, GaugeJumpScenario, LineState,
@@ -27,6 +27,8 @@ from expansionlab.propagation import (Units, smooth_ramp, smooth_ramp_dt,
                                       switch_profile)
 from expansionlab.scenario import load_scenario
 from expansionlab.specfun import QuadratureError
+
+from oracles import box_eigenfunction_dx
 
 UNITS = Units()
 

@@ -16,9 +16,11 @@ from expansionlab.propagation import (HamiltonianModel,
                                       euler_final_norm, euler_propagate,
                                       hard_step,
                                       momentum_matrix_elements_box, norm_audit,
-                                      rhs, smooth_ramp, smooth_ramp_dt,
+                                      smooth_ramp, smooth_ramp_dt,
                                       unitary_propagate, write_trajectory_csv)
 from expansionlab.specfun import QuadratureSpec, integrate_interval
+
+from oracles import rhs
 
 UNITS = Units()
 
@@ -787,6 +789,21 @@ def test_audit_fails_a_norm_that_falls_by_1e_13():
     report = propagation.norm_audit(fallen, m, UNITS)
     assert not report.monotone
     assert not report.passed
+
+
+def test_audit_fails_a_nan_in_row_1():
+    # the off-diagonal weight at t1 is a sum of squares, negative only
+    # through a NaN, which also makes that row's norm NaN
+    m = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    traj = euler_propagate(pure_state(8), m, 200, UNITS)
+    states = traj.states.copy()
+    states[1, 3] = complex(math.nan, 0.0)
+    report = propagation.norm_audit(Trajectory(traj.times, states, "euler"),
+                                    m, UNITS)
+    assert math.isnan(report.step1_off_diagonal)
+    assert math.isnan(report.step1_total)
+    assert not report.passed
+    assert "audit: FAIL" in report.to_text()
 
 
 def test_audit_and_csv_reject_truncated_rows(tmp_path):
