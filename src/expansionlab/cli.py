@@ -110,6 +110,19 @@ def _gaussian_sigma(v, values):
         f"{values['width']!r} about center = {values['center']!r}, got {v!r}")
 
 
+def _ramp_phase(tau_key):
+    """The ramp's phase pi t / tau finite at every t of the window up to
+    t_end (from t_start, where the section has one): the constraint of
+    whichever of the ramp time `tau_key` and t_end the section reads later."""
+    def constraint(_, values):
+        tau, far = values[tau_key], max(abs(values["t_end"]),
+                                        abs(values.get("t_start", 0.0)))
+        return "" if math.pi * far / tau <= sys.float_info.max else (
+            f"must keep the ramp phase pi t / {tau_key} finite up to "
+            f"|t| = {far!r}, got {tau_key} = {tau!r}")
+    return constraint
+
+
 def _at_least(n):
     return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
 
@@ -118,6 +131,12 @@ def _when(applies, constraint):
     """constraint where applies(the values read so far) says the run reads
     the key."""
     return lambda v, values: constraint(v, values) if applies(values) else ""
+
+
+def _all(*constraints):
+    """The first problem that one of constraints finds, in order, or ''."""
+    return lambda v, values: next(
+        filter(None, (c(v, values) for c in constraints)), "")
 
 
 def _in_1_to(bound):
@@ -158,7 +177,8 @@ _KEYS = (
     ("propagate", "amplitude", REAL, 1.0, None),
     ("propagate", "seed", INT, 0, None),
     ("propagate", "ramp_time", REAL, 0.5,
-     _when(lambda v: v["perturbation"] == "dipole-ramp", _normal_square)),
+     _when(lambda v: v["perturbation"] == "dipole-ramp", _all(
+         _normal_square, _ramp_phase("ramp_time")))),
     ("gauge/jump", "well_width", REAL, _J.width, _positive),
     ("gauge/jump", "n_basis", INT, _J.n_basis, _at_least(2)),
     ("gauge/jump", "initial_index", INT, _J.initial_index,
@@ -170,7 +190,8 @@ _KEYS = (
     ("gauge/jump", "switch", {"step", "ramp"}, _J.switch, None),
     ("gauge/jump", "ramp_time", REAL, _J.ramp_time,
      _when(lambda v: v["switch"] == "ramp", _normal_square)),
-    ("gauge/jump", "t_end", REAL, _J.t_end, _positive),
+    ("gauge/jump", "t_end", REAL, _J.t_end, _all(_positive, _when(
+        lambda v: v["switch"] == "ramp", _ramp_phase("ramp_time")))),
     ("gauge/jump", "n_slices", INT, _J.n_slices, _positive),
     ("gauge/jump", "observe_stride", INT, _J.observe_stride, _positive),
     # the field check samples away from t = 0, where a stepped A(t) is
@@ -185,7 +206,8 @@ _KEYS = (
     ("gauge/phase-fit", "well_width", REAL, _F.width, _positive),
     ("gauge/phase-fit", "amplitude", REAL, _F.amplitude, None),
     ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, _normal_square),
-    ("gauge/phase-fit", "t_end", REAL, _F.t_end, _positive),
+    ("gauge/phase-fit", "t_end", REAL, _F.t_end,
+     _all(_positive, _ramp_phase("ramp_time"))),
     ("gauge/phase-fit", "n_slices", INT, _F.n_slices, _positive),
     ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
      lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
@@ -201,7 +223,7 @@ _KEYS = (
     ("gauge/phase-fit", "hbar", REAL, Units.hbar, _positive),
     ("gauge/phase-fit", "phase_strength", REAL, 0.8, None),
     ("gauge/phase-fit", "phase_ramp_time", REAL, lambda v: v["ramp_time"],
-     _normal_square),
+     _all(_normal_square, _ramp_phase("phase_ramp_time"))),
 )
 
 

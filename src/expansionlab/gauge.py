@@ -23,6 +23,7 @@ and shifted point at once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -311,11 +312,12 @@ class ObservableReport:
 
 def write_observable_csv(path, reports) -> dict:
     """One row per report and time; floats via repr for byte determinism."""
-    return write_artifact(path, ["t,gauge_label,vx,vy,vz,px,py,pz"] + [
-        ",".join([repr(t), rep.gauge_label, *map(repr, v), *map(repr, p)])
-        for rep in reports
-        for t, v, p in zip(rep.times.tolist(), rep.v_series.tolist(),
-                           rep.p_series.tolist())])
+    return write_artifact(path, itertools.chain(
+        ["t,gauge_label,vx,vy,vz,px,py,pz"],
+        (",".join([repr(t), rep.gauge_label, *map(repr, v), *map(repr, p)])
+         for rep in reports
+         for t, v, p in zip(rep.times.tolist(), rep.v_series.tolist(),
+                            rep.p_series.tolist()))))
 
 
 @dataclass

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import write_artifact
+from .scenario import _CHUNK_LINES, write_artifact
 
 
 class PropagationContractError(ValueError):
@@ -597,7 +597,13 @@ def box_dipole_model(width: float, n_basis: int, amplitude: float,
 
 def write_trajectory_csv(trajectory: Trajectory, path,
                          tracked: int = 8) -> dict:
-    """step, t, norm_sq, re/im of the first `tracked` coefficients."""
+    """step, t, norm_sq, re/im of the first `tracked` coefficients.
+
+    The rows stream to write_artifact in blocks of _CHUNK_LINES, each block
+    formatted from its own contiguous copy and tolist(), so no artifact is
+    held whole; the column check runs before the file opens, so a refused
+    write creates no file.
+    """
     k = min(tracked, trajectory.dim)
     if not 0 <= k <= trajectory.states.shape[1]:
         raise PropagationContractError(
@@ -606,10 +612,19 @@ def write_trajectory_csv(trajectory: Trajectory, path,
     header = ["step", "t", "norm_sq"]
     for j in range(1, k + 1):
         header += [f"re_c{j}", f"im_c{j}"]
-    # a complex row viewed as floats interleaves re and im per coefficient
-    parts = np.ascontiguousarray(trajectory.states[:, :k]).view(float)
-    return write_artifact(path, [",".join(header)] + [
-        ",".join([str(i), repr(t), repr(norm), *map(repr, values)])
-        for i, (t, norm, values) in enumerate(zip(
-            trajectory.times.tolist(), trajectory.norms.tolist(),
-            parts.tolist()))])
+
+    def lines():
+        yield ",".join(header)
+        for start in range(0, trajectory.times.size, _CHUNK_LINES):
+            block = slice(start, start + _CHUNK_LINES)
+            # a complex row viewed as floats interleaves re and im per
+            # coefficient
+            parts = np.ascontiguousarray(
+                trajectory.states[block, :k]).view(float)
+            for i, (t, norm, values) in enumerate(zip(
+                    trajectory.times[block].tolist(),
+                    trajectory.norms[block].tolist(), parts.tolist()), start):
+                yield ",".join([str(i), repr(t), repr(norm),
+                                *map(repr, values)])
+
+    return write_artifact(path, lines())

@@ -5,12 +5,17 @@ A scenario file is a version header line followed by `key = value` pairs;
 against the keys a section declares, so errors can point at the exact line.
 
 Every artifact a command writes goes through write_artifact, which returns
-the manifest entry of the bytes it wrote, so no artifact is read back.
+the manifest entry of the bytes it wrote, so no artifact is read back. It
+takes any iterable of lines, a generator included, and encodes, hashes and
+writes it in chunks of _CHUNK_LINES lines, so no artifact is held whole as
+text or as bytes. A writer checks its input before it calls write_artifact,
+which opens the file: a refused write creates no file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -152,14 +157,23 @@ def load_scenario(path) -> Scenario:
     return parse_scenario_text(text, origin=str(path))
 
 
+# lines encoded, hashed and written at once by write_artifact
+_CHUNK_LINES = 256
+
+
 def write_artifact(path, lines) -> dict:
     """Write each line, then an LF, as UTF-8; return the manifest entry
-    {"path": the file name, "sha256": the digest of the bytes written}."""
-    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    {"path": the file name, "sha256": the digest of the bytes written}.
+
+    lines is any iterable of strings, read _CHUNK_LINES lines at a time."""
+    digest = hashlib.sha256()
+    lines = iter(lines)
     with open(path, "wb") as fh:
-        fh.write(data)
-    return {"path": os.path.basename(path),
-            "sha256": hashlib.sha256(data).hexdigest()}
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            data = "".join(line + "\n" for line in chunk).encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return {"path": os.path.basename(path), "sha256": digest.hexdigest()}
 
 
 @dataclass

@@ -1072,10 +1072,30 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
      "far.scn:7: key 'sigma' must keep ((x - center) / sigma)^2 finite on "
      "the well of width = 10000000000.0 about center = 5000000000.0, got "
      "1e-150"),
+    # a ramp time whose square is normal, but whose phase pi t / ramp_time
+    # overflows before the window ends: the later of the two keys names it
+    ("gauge", dict(experiment="jump", switch="ramp", ramp_time=2e-154,
+                   t_end=1e160),
+     "far.scn:7: key 't_end' must keep the ramp phase pi t / ramp_time "
+     "finite up to |t| = 1e+160, got ramp_time = 2e-154"),
+    ("gauge", dict(experiment="phase-fit", ramp_time=2e-154, t_end=1e160),
+     "far.scn:6: key 't_end' must keep the ramp phase pi t / ramp_time "
+     "finite up to |t| = 1e+160, got ramp_time = 2e-154"),
+    ("gauge", dict(experiment="phase-fit", t_end=1e160,
+                   phase_ramp_time=2e-154),
+     "far.scn:6: key 'phase_ramp_time' must keep the ramp phase pi t / "
+     "phase_ramp_time finite up to |t| = 1e+160, got phase_ramp_time = "
+     "2e-154"),
+    ("propagate", dict(perturbation="dipole-ramp", t_end=1e160,
+                       ramp_time=2e-154),
+     "far.scn:6: key 'ramp_time' must keep the ramp phase pi t / ramp_time "
+     "finite up to |t| = 1e+160, got ramp_time = 2e-154"),
 ], ids=["gaussian-off-the-well", "gaussian-between-nodes",
         "gaussian-overflow", "landau-length-underflow", "ramp-t_end-overflow",
         "step-hbar-underflow", "landau-scan-overflow",
-        "gaussian-exponent-overflow"])
+        "gaussian-exponent-overflow", "jump-ramp-phase-overflow",
+        "phase-fit-ramp-phase-overflow", "phase-ramp-phase-overflow",
+        "propagate-ramp-phase-overflow"])
 def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
                                                    keys, named):
     # values whose arithmetic leaves float range: a Gaussian with no

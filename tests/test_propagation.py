@@ -1,6 +1,7 @@
 """Coefficient ODEs, first-order slicing, its norm audit, and the Cayley contrast."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from expansionlab import propagation
 from expansionlab.gauge import GaugeJumpScenario
+from expansionlab.scenario import _CHUNK_LINES
 from expansionlab.propagation import (HamiltonianModel,
                                       PropagationContractError, Trajectory,
                                       Units, bohr_frequencies,
@@ -816,6 +818,8 @@ def test_audit_and_csv_reject_truncated_rows(tmp_path):
         norm_audit(cut, m, UNITS)
     with pytest.raises(PropagationContractError):
         write_trajectory_csv(cut, tmp_path / "cut.csv", tracked=6)
+    # the check runs before the file opens, not inside the row generator
+    assert not (tmp_path / "cut.csv").exists()
     assert norm_audit(euler_propagate(pure_state(6), m, 20, UNITS), m,
                       UNITS).passed
 
@@ -930,6 +934,39 @@ def test_trajectory_csv_bytes_match_reference_formatter(tmp_path, stepper,
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path, tracked)
     assert path.read_bytes() == reference_trajectory_csv(traj, tracked)
+
+
+@pytest.mark.parametrize("rows", [2, _CHUNK_LINES - 1, _CHUNK_LINES,
+                                  _CHUNK_LINES + 1])
+@pytest.mark.parametrize("stepper,tracked", [(euler_propagate, None),
+                                             (unitary_propagate, 3)],
+                         ids=["euler-all", "cayley-tracked"])
+def test_trajectory_csv_bytes_at_chunk_edges(tmp_path, stepper, tracked,
+                                             rows):
+    # the writer streams rows in blocks of _CHUNK_LINES: one row, and a
+    # trajectory ending just before, at and just after a block edge
+    model = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    traj = stepper(pure_state(6, 1), model, rows - 1, UNITS, tracked=tracked)
+    k = traj.states.shape[1]
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path, k)
+    assert path.read_bytes() == reference_trajectory_csv(traj, k)
+
+
+def test_trajectory_csv_write_holds_one_block(tmp_path):
+    # a 20 001-row, 8-column CSV is about 8 MB; holding it whole as lines,
+    # text and bytes peaked at about 26 MB of Python heap. tracemalloc counts
+    # Python allocations, so the bound does not depend on the host
+    model = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    traj = euler_propagate(pure_state(8), model, 20000, UNITS)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv", 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trajectory.csv").stat().st_size > 7e6
+    assert peak < 2e6
 
 
 def _two_level_model():

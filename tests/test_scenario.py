@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansionlab.scenario import (HEADER, INT, INTS, REAL, REQUIRED, TEXT,
-                                   RunManifest, ScenarioError, load_scenario,
-                                   parse_scenario_text, write_artifact)
+from expansionlab.scenario import (_CHUNK_LINES, HEADER, INT, INTS, REAL,
+                                   REQUIRED, TEXT, RunManifest, ScenarioError,
+                                   load_scenario, parse_scenario_text,
+                                   write_artifact)
 
 GOOD = """expansionlab-scenario v1
 # comment line
@@ -191,6 +192,16 @@ def test_write_artifact_entry_is_the_digest_of_the_file(tmp_path):
     assert entry == {"path": "summary.txt",
                      "sha256": hashlib.sha256(data).hexdigest()}
     assert write_artifact(path, [])["sha256"] == hashlib.sha256().hexdigest()
+    assert path.read_bytes() == b""
+    # a generator is written in chunks: the bytes and digest do not depend
+    # on where the chunks end, and an empty one writes an empty file
+    lines = [f"{i},{i / 7!r},ä" for i in range(5 * _CHUNK_LINES + 3)]
+    entry = write_artifact(path, (line for line in lines))
+    data = path.read_bytes()
+    assert data == "".join(line + "\n" for line in lines).encode("utf-8")
+    assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    assert write_artifact(path, (line for line in []))["sha256"] \
+        == hashlib.sha256().hexdigest()
     assert path.read_bytes() == b""
 
 
