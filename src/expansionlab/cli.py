@@ -127,6 +127,10 @@ def _at_least(n):
     return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
 
 
+def _at_most(n):
+    return lambda v, _: "" if v <= n else f"must be at most {n}, got {v}"
+
+
 def _when(applies, constraint):
     """constraint where applies(the values read so far) says the run reads
     the key."""
@@ -150,7 +154,9 @@ def _in_1_to(bound):
 # The gauge defaults are the fields of the experiment classes.
 _J, _F = GaugeJumpScenario, PhaseFitScenario
 _KEYS = (
-    ("expand/landau", "n_max", INT, 200, None),
+    # a ceiling on the scan: 10^5 orders take under a second and a 5 MB
+    # coefficient CSV, and _landau_length reads n_max + 1 as a float
+    ("expand/landau", "n_max", INT, 200, _at_most(10 ** 5)),
     ("expand/landau", "magnetic_length", REAL, 1.0, _landau_length),
     ("expand/landau", "quad_check_max", INT, 20, _in_1_to("n_max")),
     ("expand/box", "width", REAL, 1.0, _normal_square),
@@ -618,8 +624,10 @@ def _long_run_max_dev(scn: Scenario, n_steps: int) -> float:
     units = Units(v["hbar"])
     model, _ = _model(v, units)
     c0 = np.eye(model.dim, dtype=complex)[v["initial_index"] - 1]
-    traj = propagation.unitary_propagate(c0, model, n_steps, units, tracked=0)
-    return float(np.max(np.abs(traj.norms - 1.0)))
+    norms = propagation.unitary_propagate(c0, model, n_steps, units,
+                                          tracked=0).norms
+    norms -= 1.0
+    return float(np.max(np.abs(norms, out=norms)))
 
 
 def cmd_reproduce_all(scenario_dir: Path, out_root: Path,

@@ -22,15 +22,18 @@ the result agrees with euler_propagate to round-off, not bit for bit.
 Profile contract. A term's profile is called with a float or an array of
 times and returns a real array of the same shape, 0-d for a float; the
 step and ramp are np.where forms. A model checks this on its window's
-endpoints, and each stepper, like each gauge field, samples a profile with
-one call on its whole time grid.
+endpoints. euler_propagate and the linear-solve path sample a profile with
+one call on the whole time grid, the eigenbasis set-up in chunks of
+_CHUNK_ENTRIES samples, so each value may depend on its own time alone.
 
 Both steppers fill their rows in blocks of _CHUNK_ENTRIES (2^11) entries of
 one reused buffer and hand each block to one collector, which records every
 row's norm sum_k |C_k|^2 from the full block and copies the leading
 `tracked` columns (all when None) into the returned Trajectory; tracked=0
-keeps norms only, so a 10^5-step run holds its norms and one 32 KB block
-instead of every state.
+keeps norms only, so a 10^5-step eigenbasis Cayley run holds five per-step
+tables (times, midpoints, profile, identity shift, norms) and one 32 KB
+block instead of every state, and only the times and norms once it
+returns.
 """
 
 from __future__ import annotations
@@ -253,7 +256,9 @@ def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
         raise PropagationContractError("slice count must be at least 1")
     t0, t1 = model.window
     dt = (t1 - t0) / n_slices
-    times = t0 + dt * np.arange(n_slices + 1)
+    times = np.arange(n_slices + 1, dtype=float)
+    times *= dt
+    times += t0
     return c, times, dt
 
 
@@ -329,25 +334,31 @@ def _polar(u: np.ndarray) -> np.ndarray:
 
 
 def _eigenbasis(model: HamiltonianModel, general, scalar, c: np.ndarray,
-                times: np.ndarray, dt: float, units: Units):
+                grid: np.ndarray, dt: float, units: Units):
     """Set-up of a step in the eigenbasis of the one general term's X.
 
     Returns Lambda and V of X = V Lambda V^H, the free step U = V^H
     diag(exp(-i eps dt / hbar)) V, eps / hbar, the profile s and the
-    identity shift sampled at `times`, and w = V^H D(times[0])^H c. V and
-    U are polished by Newton-Schulz polar sweeps.
+    identity shift sampled at `grid`, and w = V^H D(grid[0])^H c. V and U
+    are polished by Newton-Schulz polar sweeps. s and the shift are each
+    one table, filled _CHUNK_ENTRIES samples at a time, so no temporary of
+    a profile outgrows one chunk; elementwise forms round on a slice as on
+    the whole grid, so every sample keeps its bits.
     """
     profile, x = general[0]
     lam, v = np.linalg.eigh(x)
     v = _polar(v)
     freq = model.energies / units.hbar
     u = _polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
-    s = profile(times)
-    shift = np.zeros(times.size)
-    for prof, scale in scalar:
-        shift += scale * prof(times)
-    w = v.conj().T @ (np.exp(-1j * freq * times[0]) * c)
-    return lam, v, u, freq, s, shift, w
+    w = v.conj().T @ (np.exp(-1j * freq * grid[0]) * c)
+    s, shifts = np.empty(grid.size), np.zeros(grid.size)
+    for lo in range(0, grid.size, _CHUNK_ENTRIES):
+        chunk = slice(lo, lo + _CHUNK_ENTRIES)
+        times, shift = grid[chunk], shifts[chunk]
+        s[chunk] = profile(times)
+        for prof, scale in scalar:
+            shift += scale * prof(times)
+    return lam, v, u, freq, s, shifts, w
 
 
 def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
@@ -405,6 +416,7 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
             step(row, out=w)
         np.multiply(block @ v.T, np.exp(1j * (tm[a:b, None] * freq)),
                     out=block)
+    del tm, s, shift    # so they do not add to the Trajectory's np.diff peak
     return out.trajectory()
 
 

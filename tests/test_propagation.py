@@ -421,15 +421,20 @@ def test_streamed_rows_match_full_run_property(stepper, terms, rows, tracked,
 
 
 def plain_eigenbasis_cayley(c0, model, n_slices, units=UNITS):
-    """unitary_propagate's eigenbasis steps written plainly from _eigenbasis:
-    a new w per step and a new rebuilt block, in the collector's blocks.
-    Returns every state and every norm."""
+    """unitary_propagate's eigenbasis steps written plainly from _eigenbasis's
+    factors: a new w per step and a new rebuilt block, in the collector's
+    blocks, with the profile and identity shift sampled here in one call
+    each on the whole grid. Returns every state and every norm."""
     general, scalar = propagation._split_terms(model)
     c, times, dt = propagation._prepare(c0, model, n_slices, units)
     half = 0.5j * dt / units.hbar
     tm = times[:-1] + 0.5 * dt
-    lam, v, u, freq, s, shift, w = propagation._eigenbasis(
+    lam, v, u, freq, _, _, w = propagation._eigenbasis(
         model, general, scalar, c, tm, dt, units)
+    s = general[0][0](tm)
+    shift = np.zeros(tm.size)
+    for prof, scale in scalar:
+        shift += scale * prof(tm)
     rows = max(1, propagation._CHUNK_ENTRIES // model.dim)
     states, norms = [c[None, :]], [propagation._row_norms(c[None, :])]
     for a in range(0, n_slices, rows):
@@ -454,12 +459,15 @@ def plain_eigenbasis_cayley(c0, model, n_slices, units=UNITS):
 def test_eigenbasis_cayley_is_the_plain_loop_bit_for_bit(kind, identity,
                                                          rows, tracked):
     # the stepper writes each product into its own w and the rebuild into
-    # the collector's block; every state and norm must keep the plain
-    # loop's bits, since the unitary-contrast claim measures its round-off
+    # the collector's block, and samples the profiles in chunks of as many
+    # entries; every state and norm must keep the plain loop's bits, since
+    # the unitary-contrast claim measures its round-off
     dim = 12
     m = one_term_model(5, dim, kind, identity, 0.8)
     assert len(propagation._split_terms(m)[0]) == 1
-    n_slices = 17 if rows else 400     # 400 is 2 full default blocks + 60
+    # 41 samples cross a chunk edge at 1, 2 and 3 rows of 12; 400 is 2
+    # full default blocks + 60
+    n_slices = 41 if rows else 400
     c0 = pure_state(dim, 3)
     with pytest.MonkeyPatch.context() as mp:
         if rows:
