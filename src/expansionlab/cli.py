@@ -123,6 +123,28 @@ def _ramp_phase(tau_key):
     return constraint
 
 
+def _increasing_grid(refine):
+    """The window's time grid at refine * n_slices slices strictly
+    increasing: the constraint of whichever of t_end and n_slices the
+    section reads later. Take a step dt = (t_end - t_start) / slices above 4
+    ulp of far, the largest of |t_start|, |t_end| and t_end - t_start: i * dt
+    and t_start + i * dt each round by at most one ulp of far (the spacing
+    doubles just past a power of two), so neighbouring times stay more than
+    one spacing apart and never coincide."""
+    def constraint(_, values):
+        t0, t1 = values.get("t_start", 0.0), values["t_end"]
+        slices = refine * values["n_slices"]
+        # past 2^53 slices dt is below one ulp, and the count may be beyond
+        # float range
+        dt = (t1 - t0) / min(slices, 2 ** 53)
+        far = max(abs(t0), abs(t1), t1 - t0)
+        return "" if dt > 4.0 * math.ulp(far) else (
+            f"must keep the {slices}-slice time grid strictly increasing, "
+            f"its step above 4 ulp({far!r}) = {4.0 * math.ulp(far)!r}, got "
+            f"dt = {dt!r}")
+    return constraint
+
+
 def _at_least(n):
     return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
 
@@ -177,9 +199,11 @@ _KEYS = (
         2 if values["perturbation"].startswith("dipole") else 1)(v, values)),
     ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
     ("propagate", "t_start", REAL, 0.0, None),
-    ("propagate", "t_end", REAL, 1.0,
-     lambda v, values: "" if v > values["t_start"] else
-     f"must exceed t_start = {values['t_start']!r}, got {v!r}"),
+    # the refinement study runs the window at 4 n_slices, its finest grid
+    ("propagate", "t_end", REAL, 1.0, _all(
+        lambda v, values: "" if v > values["t_start"] else
+        f"must exceed t_start = {values['t_start']!r}, got {v!r}",
+        _increasing_grid(4))),
     ("propagate", "amplitude", REAL, 1.0, None),
     ("propagate", "seed", INT, 0, None),
     ("propagate", "ramp_time", REAL, 0.5,
@@ -198,7 +222,8 @@ _KEYS = (
      _when(lambda v: v["switch"] == "ramp", _normal_square)),
     ("gauge/jump", "t_end", REAL, _J.t_end, _all(_positive, _when(
         lambda v: v["switch"] == "ramp", _ramp_phase("ramp_time")))),
-    ("gauge/jump", "n_slices", INT, _J.n_slices, _positive),
+    ("gauge/jump", "n_slices", INT, _J.n_slices,
+     _all(_positive, _increasing_grid(1))),
     ("gauge/jump", "observe_stride", INT, _J.observe_stride, _positive),
     # the field check samples away from t = 0, where a stepped A(t) is
     # constant in either gauge, so only a ramp lets it see a mismatch
@@ -214,7 +239,8 @@ _KEYS = (
     ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, _normal_square),
     ("gauge/phase-fit", "t_end", REAL, _F.t_end,
      _all(_positive, _ramp_phase("ramp_time"))),
-    ("gauge/phase-fit", "n_slices", INT, _F.n_slices, _positive),
+    ("gauge/phase-fit", "n_slices", INT, _F.n_slices,
+     _all(_positive, _increasing_grid(1))),
     ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
      lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
      f"at least two increasing sizes for the plateau verdict, got {list(v)}"),

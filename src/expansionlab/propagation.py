@@ -26,13 +26,14 @@ endpoints. euler_propagate and the linear-solve path sample a profile with
 one call on the whole time grid, the eigenbasis set-up in chunks of
 _CHUNK_ENTRIES samples, so each value may depend on its own time alone.
 
-Both steppers fill their rows in blocks of _CHUNK_ENTRIES (2^11) entries of
-one reused buffer and hand each block to one collector, which records every
-row's norm sum_k |C_k|^2 from the full block and copies the leading
-`tracked` columns (all when None) into the returned Trajectory; tracked=0
-keeps norms only, so a 10^5-step eigenbasis Cayley run holds five per-step
-tables (times, midpoints, profile, identity shift, norms) and one 32 KB
-block instead of every state, and only the times and norms once it
+Both steppers make the Trajectory they return before their first step, so
+its time grid is checked before any profile is sampled. They fill its rows
+in blocks of _CHUNK_ENTRIES (2^11) entries of one reused buffer; each
+block's rows give their norms sum_k |C_k|^2 from all columns and their
+leading `tracked` columns (all when None) to the Trajectory. tracked=0
+keeps norms only, so a 10^5-step eigenbasis Cayley run holds its times and
+norms, the midpoints, profile and identity shift it steps with, and one
+32 KB block instead of every state, and only the times and norms once it
 returns.
 """
 
@@ -209,42 +210,37 @@ class Trajectory:
         return _row_norms(self.states)
 
 
-class _Collector:
-    """Takes a stepper's rows block by block; keeps norms and leading columns.
+def _start(times: np.ndarray, c0: np.ndarray, tracked, method) -> Trajectory:
+    """A stepper's Trajectory, checked before its first step: row 0 is c0,
+    the other rows and norms are left for _blocks to fill."""
+    if tracked is not None and tracked < 0:
+        raise PropagationContractError(
+            f"tracked column count must be at least 0, got {tracked}")
+    keep = c0.size if tracked is None else min(tracked, c0.size)
+    out = Trajectory(times, np.empty((times.size, keep), dtype=complex),
+                     method, np.empty(times.size), c0.size)
+    out.norms[0] = _row_norms(c0[None, :])[0]
+    out.states[0] = c0[:keep]
+    return out
 
-    Row 0 is the initial state. blocks() hands out rows 1..n_slices in
-    blocks of _CHUNK_ENTRIES entries of one reused buffer for the stepper to
-    fill, and takes each block (its norms, and a copy of its leading
-    `tracked` columns) when the stepper asks for the next one; the buffer's
-    rows are then overwritten.
+
+def _blocks(out: Trajectory):
+    """(step index of the first row, rows to fill) for rows 1..n_slices.
+
+    Hands out the rows in blocks of _CHUNK_ENTRIES entries of one reused
+    buffer for the stepper to fill, and takes each block into out (its
+    norms, and a copy of its kept columns) when the stepper asks for the
+    next one; the buffer's rows are then overwritten.
     """
-
-    def __init__(self, times: np.ndarray, c0: np.ndarray, tracked, method):
-        if tracked is not None and tracked < 0:
-            raise PropagationContractError(
-                f"tracked column count must be at least 0, got {tracked}")
-        dim = c0.size
-        self.keep = dim if tracked is None else min(tracked, dim)
-        self.times, self.method, self.dim = times, method, dim
-        self.norms = np.empty(times.size)
-        self.states = np.empty((times.size, self.keep), dtype=complex)
-        self.norms[0] = _row_norms(c0[None, :])[0]
-        self.states[0] = c0[:self.keep]
-
-    def blocks(self):
-        """(step index of the first row, rows to fill) for rows 1..n_slices."""
-        n, rows = self.times.size, max(1, _CHUNK_ENTRIES // self.dim)
-        buffer = np.empty((min(rows, n - 1), self.dim), dtype=complex)
-        for lo in range(1, n, rows):
-            hi = min(lo + rows, n)
-            block = buffer[:hi - lo]
-            yield lo - 1, block
-            self.norms[lo:hi] = _row_norms(block)
-            self.states[lo:hi] = block[:, :self.keep]
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(self.times, self.states, self.method, self.norms,
-                          self.dim)
+    n, dim, keep = out.times.size, out.dim, out.states.shape[1]
+    rows = max(1, _CHUNK_ENTRIES // dim)
+    buffer = np.empty((min(rows, n - 1), dim), dtype=complex)
+    for lo in range(1, n, rows):
+        hi = min(lo + rows, n)
+        block = buffer[:hi - lo]
+        yield lo - 1, block
+        out.norms[lo:hi] = _row_norms(block)
+        out.states[lo:hi] = block[:, :keep]
 
 
 def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
@@ -287,12 +283,12 @@ def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
     keep the leading `tracked` columns (all when None); the norms cover all.
     """
     c, times, dt = _prepare(c0, model, n_slices, units)
-    out = _Collector(times, c, tracked, "euler")
+    out = _start(times, c, tracked, "euler")
     left = times[:-1]
     a, xs = _sample(model, left)
     a = a * (-1j * dt / units.hbar)
     freq = model.energies / units.hbar
-    for lo, block in out.blocks():
+    for lo, block in _blocks(out):
         hi = lo + len(block)
         d = np.exp(1j * np.outer(left[lo:hi], freq))
         for dn, dl, ai, row in zip(d, d.conj(), a[lo:hi], block):
@@ -301,7 +297,7 @@ def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
             # row may be the buffer row that holds c (one row per block)
             np.add(z, c, out=row)
             c = row
-    return out.trajectory()
+    return out
 
 
 CLOSED_FORM_TOL = 1e-12     # largest one-step defect norm_audit passes
@@ -385,7 +381,7 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     the norms cover all.
     """
     c, times, dt = _prepare(c0, model, n_slices, units)
-    out = _Collector(times, c, tracked, "cayley")
+    out = _start(times, c, tracked, "cayley")
     half = 0.5j * dt / units.hbar
     tm = times[:-1] + 0.5 * dt
     general, scalar = _split_terms(model)
@@ -393,20 +389,20 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
         values, xs = _sample(model, tm)
         omega = bohr_frequencies(model, units)
         eye = np.eye(model.dim, dtype=complex)
-        for lo, block in out.blocks():
+        for lo, block in _blocks(out):
             hi = lo + len(block)
             h1s = np.tensordot(values[lo:hi], xs, 1)    # H1 at each midpoint
             for t, h1, row in zip(tm[lo:hi], h1s, block):
                 m = h1 * np.exp(1j * omega * t)
                 c = np.linalg.solve(eye + half * m, c - half * (m @ c))
                 row[:] = c
-        return out.trajectory()
+        return out
 
     lam, v, u, freq, s, shift, w = _eigenbasis(model, general, scalar, c,
                                                tm, dt, units)
     # bound once: a step writes row = r * w, then w = U row, in place
     step, scale = u.dot, np.multiply
-    for a, block in out.blocks():
+    for a, block in _blocks(out):
         b = a + len(block)
         ihz = half * (s[a:b, None] * lam + shift[a:b, None])
         # the Cayley factors (1 - ihz) / (1 + ihz), formed in ihz
@@ -416,8 +412,7 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
             step(row, out=w)
         np.multiply(block @ v.T, np.exp(1j * (tm[a:b, None] * freq)),
                     out=block)
-    del tm, s, shift    # so they do not add to the Trajectory's np.diff peak
-    return out.trajectory()
+    return out
 
 
 def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,

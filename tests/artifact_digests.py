@@ -6,6 +6,10 @@ Runs expansionlab.cli.main in-process on:
 - reproduce-all;
 - a generated `perturbation = none` propagate (the linear-solve Cayley path)
   and a generated `second_gauge = identity` gauge pair;
+- two generated windows refused at their key, exit 1 with nothing written:
+  a gauge jump whose step underflows to 0, and a propagate window whose
+  n_slices grid is strictly increasing but whose 4 n_slices refinement grid
+  repeats its times;
 - with --bench-seed N (repeatable), every operation of
   bench/workloads.build(workload, N, data) for each workload.
 
@@ -74,6 +78,23 @@ t_end = 1.0
 n_slices = 100
 observe_stride = 5
 second_gauge = identity
+"""),
+    "underflowing-jump-window": ("gauge", """expansionlab-scenario v1
+kind = gauge
+name = underflowing-step
+experiment = jump
+t_end = 1e-320
+n_slices = 10000
+"""),
+    "refinement-only-window": ("propagate", """expansionlab-scenario v1
+kind = propagate
+name = repeated-refinement-times
+perturbation = dipole-ramp
+t_start = 1e16
+t_end = 1.0000000000004e16
+n_slices = 1000
+ramp_time = 2000
+amplitude = 1e-6
 """),
 }
 

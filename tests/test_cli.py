@@ -244,8 +244,9 @@ def test_phase_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
     # the digest tool's runs without benchmark operations: every bundled
     # scenario (an expand one at two tolerance scales), reproduce-all and
-    # the generated scenarios, one line per file written and two per run
-    # for its stdout and stderr; both runs at once
+    # the generated scenarios, one line per file written, `- -` for each of
+    # the two refused windows, which write none, and two per run for its
+    # stdout and stderr; both runs at once
     import os
 
     runs = [subprocess.Popen(
@@ -256,7 +257,7 @@ def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
     outputs = [run.communicate() for run in runs]
     for run, (_, stderr) in zip(runs, outputs):
         assert run.returncode == 0, stderr
-    assert len(outputs[0][0].splitlines()) == 73 + 2 * 15
+    assert len(outputs[0][0].splitlines()) == 73 + 2 + 2 * 17
     assert outputs[0][0] == outputs[1][0]
 
 
@@ -1097,12 +1098,35 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     # int() takes any size; the scan reads n_max + 1 as a float
     ("expand", dict(family="landau", n_max=10 ** 400),
      f"far.scn:5: key 'n_max' must be at most 100000, got {10 ** 400}"),
+    # a step below the float spacing of the window's times: the grid would
+    # repeat a time, at the 4 n_slices of propagate's finest refinement run
+    # even where its own n_slices grid does not
+    ("propagate", dict(perturbation="dipole-step", t_start=1e16,
+                       t_end=1.0000000000000004e16, n_slices=1000),
+     "far.scn:6: key 't_end' must keep the 4000-slice time grid strictly "
+     "increasing, its step above 4 ulp(1.0000000000000004e+16) = 8.0, got "
+     "dt = 0.001"),
+    ("gauge", dict(experiment="jump", t_end=1e-320, n_slices=10000),
+     "far.scn:6: key 'n_slices' must keep the 10000-slice time grid strictly "
+     "increasing, its step above 4 ulp(1e-320) = 2e-323, got dt = 0.0"),
+    ("gauge", dict(experiment="phase-fit", t_end=1e-320, ramp_time=1e-150,
+                   phase_ramp_time=1e-150, n_slices=10000),
+     "far.scn:8: key 'n_slices' must keep the 10000-slice time grid strictly "
+     "increasing, its step above 4 ulp(1e-320) = 2e-323, got dt = 0.0"),
+    ("propagate", dict(perturbation="dipole-ramp", t_start=1e16,
+                       t_end=1.0000000000004e16, n_slices=1000,
+                       ramp_time=2000, amplitude=1e-6),
+     "far.scn:6: key 't_end' must keep the 4000-slice time grid strictly "
+     "increasing, its step above 4 ulp(1.0000000000004e+16) = 8.0, got "
+     "dt = 1.0"),
 ], ids=["gaussian-off-the-well", "gaussian-between-nodes",
         "gaussian-overflow", "landau-length-underflow", "ramp-t_end-overflow",
         "step-hbar-underflow", "landau-scan-overflow",
         "gaussian-exponent-overflow", "jump-ramp-phase-overflow",
         "phase-fit-ramp-phase-overflow", "phase-ramp-phase-overflow",
-        "propagate-ramp-phase-overflow", "landau-n_max-beyond-float"])
+        "propagate-ramp-phase-overflow", "landau-n_max-beyond-float",
+        "propagate-repeated-times", "jump-dt-underflow",
+        "phase-fit-dt-underflow", "refinement-repeated-times"])
 def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
                                                    keys, named):
     # values whose arithmetic leaves float range: a Gaussian with no
@@ -1201,6 +1225,45 @@ def test_bundled_scenarios_and_bench_ops_declare_every_key():
     assert len(texts) == 171
     for origin, text in texts.items():
         scenario.parse_scenario_text(text, origin).read(cli._KEYS)
+
+
+# m 2^e with e down to the subnormals, and windows of r ulps per slice, so
+# both sides of the time grid's constraint are drawn
+_TIMES = st.builds(math.ldexp, st.integers(-2 ** 20, 2 ** 20),
+                   st.integers(-1074, -1000) | st.integers(-1074, 900))
+
+
+@settings(max_examples=150, deadline=None)
+@given(section=st.sampled_from(["propagate", "jump", "phase-fit"]),
+       t=_TIMES, r=st.sampled_from(range(1, 33)), n=st.integers(1, 10 ** 4))
+def test_an_accepted_window_has_strictly_increasing_grids(section, t, r, n):
+    # every grid a read window is run on is strictly increasing: n slices,
+    # and 2n and 4n for propagate's refinement runs; a refused window is
+    # named at the key read last, t_end for propagate, else n_slices. A
+    # propagate window starts at t, a gauge window at 0.
+    t0 = t if section == "propagate" else 0.0
+    end = t0 + n * r * math.ulp(t)
+    if section == "propagate":
+        key, slices = "t_end", (n, 2 * n, 4 * n)
+        body = ["kind = propagate", "perturbation = none", f"n_slices = {n}",
+                f"t_start = {t!r}", f"t_end = {end!r}"]
+    else:
+        key, slices = "n_slices", (n,)
+        body = ["kind = gauge", f"experiment = {section}", f"t_end = {end!r}",
+                f"n_slices = {n}"]
+    lines = ["expansionlab-scenario v1", "name = w", *body]
+    scn = scenario.parse_scenario_text("\n".join(lines) + "\n", "w.scn")
+    try:
+        scn.read(cli._KEYS)
+    except scenario.ScenarioError as exc:
+        assert str(exc).startswith(f"w.scn:{len(lines)}: key '{key}' must "
+                                   f"keep the {slices[-1]}-slice time grid")
+        return
+    model = propagation.HamiltonianModel([1.0], [], (t0, end))
+    for k in slices:
+        times = propagation._prepare(np.ones(1), model, k,
+                                     propagation.Units())[1]
+        assert np.all(np.diff(times) > 0.0)
 
 
 @pytest.mark.parametrize("command,keys,key", [

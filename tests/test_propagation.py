@@ -486,6 +486,28 @@ def test_negative_tracked_rejected():
             stepper(pure_state(2), m, 10, UNITS, tracked=-1)
 
 
+@pytest.mark.parametrize("stepper,terms", [
+    (euler_propagate, 1), (unitary_propagate, 1), (unitary_propagate, 2)],
+    ids=["euler", "cayley-eigenbasis", "cayley-solve"])
+def test_repeated_grid_times_refused_before_the_first_step(stepper, terms):
+    # 1000 slices of a window 4 wide at t = 1e16, where one ulp is 2, repeat
+    # their times; the run is refused before any profile is sampled, so the
+    # profile sees only the model's own check of the window's endpoints
+    calls = []
+
+    def profile(t):
+        calls.append(np.shape(t))
+        return np.ones(np.shape(t))
+
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y = np.array([[0.0, -1j], [1j, 0.0]])
+    m = HamiltonianModel((0.5, 1.5), [(profile, x), (profile, y)][:terms],
+                         (1e16, 1e16 + 4.0))
+    with pytest.raises(PropagationContractError, match="strictly increasing"):
+        stepper(pure_state(2), m, 1000, UNITS)
+    assert calls == [(2,)] * terms
+
+
 def euler_oracle(c0, model, n_slices, units=UNITS):
     """Literal first-order slicing: C <- C + dt rhs(C, t_i), dim x dim phases."""
     c = np.asarray(c0, dtype=complex)
