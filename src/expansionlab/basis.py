@@ -88,7 +88,10 @@ def box_modes(width: float, n_modes: int, x: np.ndarray):
     round-off (the argument is (n pi / L) x rather than n pi x / L).
     """
     k = np.arange(1, n_modes + 1) * math.pi / width
-    return k, math.sqrt(2.0 / width) * np.sin(np.outer(k, x))
+    table = np.outer(k, x)      # filled in place: no table-sized temporary
+    np.sin(table, out=table)
+    table *= math.sqrt(2.0 / width)
+    return k, table
 
 
 def landau_quadrature(a: float) -> QuadratureSpec:

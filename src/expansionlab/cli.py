@@ -405,8 +405,10 @@ def cmd_propagate(scn: Scenario, out_dir: Path, seed=None):
 
     # the first overflow ends the run, as an ArithmeticError (exit 1)
     with np.errstate(over="raise", invalid="raise"):
-        # the audit reads all the Euler run's columns; the CSVs read `tracked`
-        euler = propagation.euler_propagate(c0, model, n_slices, units)
+        # the CSVs read `tracked` columns; the audit reads rows 0 and 1 in
+        # full from the copies the stepper keeps of them
+        euler = propagation.euler_propagate(c0, model, n_slices, units,
+                                            tracked=tracked)
         cayley = propagation.unitary_propagate(c0, model, n_slices, units,
                                                tracked=tracked)
         audit = propagation.norm_audit(euler, model, units)

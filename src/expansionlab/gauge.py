@@ -577,6 +577,13 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
     c0 = np.zeros(scenario.n_reference, dtype=complex)
     c0[scenario.initial_index - 1] = 1.0
     traj = unitary_propagate(c0, model, scenario.n_slices, units)
+    fit_idx = sorted(set(list(range(0, scenario.n_slices + 1,
+                                    scenario.fit_stride))
+                         + [scenario.n_slices]))
+    fit_times = traj.times[fit_idx]
+    amps = traj.states[fit_idx] \
+        * np.exp(-1j * np.outer(fit_times, model.energies) / units.hbar)
+    del traj    # the fit reads its sampled rows alone
 
     xs = np.linspace(0.0, width, scenario.n_grid + 1)
     w = np.full(xs.size, width / scenario.n_grid)
@@ -586,12 +593,6 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
     _, sines_ref = box_modes(width, scenario.n_reference, xs)
     sines_fit = sines_ref[:n_max]
 
-    fit_idx = sorted(set(list(range(0, scenario.n_slices + 1,
-                                    scenario.fit_stride))
-                         + [scenario.n_slices]))
-    fit_times = traj.times[fit_idx]
-    amps = traj.states[fit_idx] \
-        * np.exp(-1j * np.outer(fit_times, model.energies) / units.hbar)
     rows = []
     for phase, a in zip(np.exp(-1j * _on_line(g.f, fit_times, xs)), amps):
         target = phase * _by_real_parts(a, sines_ref)

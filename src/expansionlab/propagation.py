@@ -23,18 +23,19 @@ Profile contract. A term's profile is called with a float or an array of
 times and returns a real array of the same shape, 0-d for a float; the
 step and ramp are np.where forms. A model checks this on its window's
 endpoints. euler_propagate and the linear-solve path sample a profile with
-one call on the whole time grid, the eigenbasis set-up in chunks of
+one call on the whole time grid, the eigenbasis steppers in chunks of
 _CHUNK_ENTRIES samples, so each value may depend on its own time alone.
 
-Both steppers make the Trajectory they return before their first step, so
-its time grid is checked before any profile is sampled. They fill its rows
-in blocks of _CHUNK_ENTRIES (2^11) entries of one reused buffer; each
-block's rows give their norms sum_k |C_k|^2 from all columns and their
-leading `tracked` columns (all when None) to the Trajectory. tracked=0
-keeps norms only, so a 10^5-step eigenbasis Cayley run holds its times and
-norms, the midpoints, profile and identity shift it steps with, and one
-32 KB block instead of every state, and only the times and norms once it
-returns.
+Both steppers check the time grid before any profile is sampled and make
+the Trajectory they return before their first step. They fill its rows in
+blocks of _CHUNK_ENTRIES (2^11) entries of one reused buffer; each block's
+rows give their norms sum_k |C_k|^2 from all columns and their leading
+`tracked` columns (all when None) to the Trajectory, which also keeps full
+copies of rows 0 and 1 for norm_audit. tracked=0 keeps norms only. The
+eigenbasis Cayley stepper forms the midpoints, profile and identity shift
+of one chunk of steps at a time, so a 10^5-step run holds its times and
+norms, one 32 KB block and one chunk's tables instead of every state, and
+only the times and norms once it returns.
 """
 
 from __future__ import annotations
@@ -182,14 +183,16 @@ class Trajectory:
     method: str
     norms: np.ndarray = field(default=None)
     dim: int | None = None
+    # rows 0 and 1 with every column, kept by the steppers for norm_audit
+    _head: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=complex)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise PropagationContractError("states must be one row per time")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise PropagationContractError("time grid must be strictly increasing")
+        _check_grid(self.times)
         if self.dim is None:
             self.dim = self.states.shape[1]
         elif self.states.shape[1] > self.dim:
@@ -210,6 +213,13 @@ class Trajectory:
         return _row_norms(self.states)
 
 
+def _check_grid(times: np.ndarray):
+    """Refuse a grid unless each time lies above the one before it (a NaN
+    does not); comparing neighbours makes no temporary but a bool table."""
+    if not np.all(times[1:] > times[:-1]):
+        raise PropagationContractError("time grid must be strictly increasing")
+
+
 def _start(times: np.ndarray, c0: np.ndarray, tracked, method) -> Trajectory:
     """A stepper's Trajectory, checked before its first step: row 0 is c0,
     the other rows and norms are left for _blocks to fill."""
@@ -221,6 +231,8 @@ def _start(times: np.ndarray, c0: np.ndarray, tracked, method) -> Trajectory:
                      method, np.empty(times.size), c0.size)
     out.norms[0] = _row_norms(c0[None, :])[0]
     out.states[0] = c0[:keep]
+    out._head = np.empty((2, c0.size), dtype=complex)
+    out._head[0] = c0
     return out
 
 
@@ -230,7 +242,8 @@ def _blocks(out: Trajectory):
     Hands out the rows in blocks of _CHUNK_ENTRIES entries of one reused
     buffer for the stepper to fill, and takes each block into out (its
     norms, and a copy of its kept columns) when the stepper asks for the
-    next one; the buffer's rows are then overwritten.
+    next one; the buffer's rows are then overwritten. Row 1, the first
+    buffer row, is also copied in full into out's head.
     """
     n, dim, keep = out.times.size, out.dim, out.states.shape[1]
     rows = max(1, _CHUNK_ENTRIES // dim)
@@ -241,6 +254,8 @@ def _blocks(out: Trajectory):
         yield lo - 1, block
         out.norms[lo:hi] = _row_norms(block)
         out.states[lo:hi] = block[:, :keep]
+        if lo == 1:
+            out._head[1] = block[0]
 
 
 def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
@@ -255,6 +270,7 @@ def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
     times = np.arange(n_slices + 1, dtype=float)
     times *= dt
     times += t0
+    _check_grid(times)
     return c, times, dt
 
 
@@ -329,24 +345,29 @@ def _polar(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _eigenbasis(model: HamiltonianModel, general, scalar, c: np.ndarray,
-                grid: np.ndarray, dt: float, units: Units):
+def _eigenbasis(model: HamiltonianModel, x: np.ndarray, c: np.ndarray,
+                t: float, dt: float, units: Units):
     """Set-up of a step in the eigenbasis of the one general term's X.
 
     Returns Lambda and V of X = V Lambda V^H, the free step U = V^H
-    diag(exp(-i eps dt / hbar)) V, eps / hbar, the profile s and the
-    identity shift sampled at `grid`, and w = V^H D(grid[0])^H c. V and U
-    are polished by Newton-Schulz polar sweeps. s and the shift are each
-    one table, filled _CHUNK_ENTRIES samples at a time, so no temporary of
-    a profile outgrows one chunk; elementwise forms round on a slice as on
-    the whole grid, so every sample keeps its bits.
+    diag(exp(-i eps dt / hbar)) V, eps / hbar and w = V^H D(t)^H c, for the
+    first step's time t. V and U are polished by Newton-Schulz polar sweeps.
     """
-    profile, x = general[0]
     lam, v = np.linalg.eigh(x)
     v = _polar(v)
     freq = model.energies / units.hbar
     u = _polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
-    w = v.conj().T @ (np.exp(-1j * freq * grid[0]) * c)
+    w = v.conj().T @ (np.exp(-1j * freq * t) * c)
+    return lam, v, u, freq, w
+
+
+def _switches(profile, scalar, grid: np.ndarray):
+    """The general term's profile s and the identity shift at `grid`.
+
+    Each is one table, filled _CHUNK_ENTRIES samples at a time, so no
+    temporary of a profile outgrows one chunk; elementwise forms round on
+    a slice as on the whole grid, so every sample keeps its bits.
+    """
     s, shifts = np.empty(grid.size), np.zeros(grid.size)
     for lo in range(0, grid.size, _CHUNK_ENTRIES):
         chunk = slice(lo, lo + _CHUNK_ENTRIES)
@@ -354,7 +375,7 @@ def _eigenbasis(model: HamiltonianModel, general, scalar, c: np.ndarray,
         s[chunk] = profile(times)
         for prof, scale in scalar:
             shift += scale * prof(times)
-    return lam, v, u, freq, s, shifts, w
+    return s, shifts
 
 
 def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
@@ -375,17 +396,18 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     z = s(t_m,i) Lambda + c(t_m,i), h = dt / 2hbar. V and U are refined
     toward exact unitarity by Newton-Schulz polar sweeps, which keeps the
     norm drift at round-off over long runs. The coefficients are rebuilt as
-    C_{i+1} = D(t_m,i) V (r_i * w_i) in row chunks. Any other model,
-    including one without terms, is stepped with one linear solve per step.
-    The returned states keep the leading `tracked` columns (all when None);
-    the norms cover all.
+    C_{i+1} = D(t_m,i) V (r_i * w_i) in row chunks. The midpoints, s and c
+    are formed _CHUNK_ENTRIES steps at a time, each block reading its slice
+    of the current chunk. Any other model, including one without terms, is
+    stepped with one linear solve per step. The returned states keep the
+    leading `tracked` columns (all when None); the norms cover all.
     """
     c, times, dt = _prepare(c0, model, n_slices, units)
     out = _start(times, c, tracked, "cayley")
     half = 0.5j * dt / units.hbar
-    tm = times[:-1] + 0.5 * dt
     general, scalar = _split_terms(model)
     if len(general) != 1:
+        tm = times[:-1] + 0.5 * dt
         values, xs = _sample(model, tm)
         omega = bohr_frequencies(model, units)
         eye = np.eye(model.dim, dtype=complex)
@@ -398,19 +420,28 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
                 row[:] = c
         return out
 
-    lam, v, u, freq, s, shift, w = _eigenbasis(model, general, scalar, c,
-                                               tm, dt, units)
+    (profile, x), = general
+    lam, v, u, freq, w = _eigenbasis(model, x, c, times[0] + 0.5 * dt, dt,
+                                     units)
     # bound once: a step writes row = r * w, then w = U row, in place
     step, scale = u.dot, np.multiply
+    lo = hi = 0
     for a, block in _blocks(out):
         b = a + len(block)
-        ihz = half * (s[a:b, None] * lam + shift[a:b, None])
+        if b > hi:
+            # the midpoints, profile and shift of _CHUNK_ENTRIES steps from
+            # this block on; blocks never outgrow a chunk
+            lo, hi = a, min(a + _CHUNK_ENTRIES, n_slices)
+            tm = times[lo:hi] + 0.5 * dt
+            s, shift = _switches(profile, scalar, tm)
+        k = slice(a - lo, b - lo)
+        ihz = half * (s[k, None] * lam + shift[k, None])
         # the Cayley factors (1 - ihz) / (1 + ihz), formed in ihz
         factors = np.divide(1.0 - ihz, np.add(1.0, ihz, out=ihz), out=ihz)
         for r, row in zip(factors, block):
             scale(r, w, out=row)
             step(row, out=w)
-        np.multiply(block @ v.T, np.exp(1j * (tm[a:b, None] * freq)),
+        np.multiply(block @ v.T, np.exp(1j * (tm[k, None] * freq)),
                     out=block)
     return out
 
@@ -435,8 +466,10 @@ def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
                                      tracked=0).norms[-1])
     c, times, dt = _prepare(c0, model, n_slices, units)
     left = times[:-1]
-    lam, _, u, _, s, shift, w = _eigenbasis(model, general, scalar, c, left,
-                                            dt, units)
+    (profile, x), = general
+    lam, _, u, _, w = _eigenbasis(model, x, c, left[0], dt, units)
+    # the run-of-equal-steps search below reads s and the shift whole
+    s, shift = _switches(profile, scalar, left)
     idt = 1j * dt / units.hbar
     rows = max(1, _CHUNK_ENTRIES // model.dim)
     step = u.dot
@@ -515,16 +548,24 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
     update; trajectories from other integrators are rejected. The one-step
     norm is also compared against the model's closed form
     1 + (dt/hbar)^2 sum_k |(H1)_{ks}|^2.
+
+    Rows 0 and 1 are read in full, after them only the norms: a stepper's
+    run keeps full copies of both rows, so it may keep any number of
+    columns; a trajectory built from its states must keep every column.
     """
     if trajectory.method != "euler":
         raise PropagationContractError(
             f"norm audit applies to first-order sliced trajectories, got "
             f"{trajectory.method!r}")
-    if trajectory.states.shape[1] < trajectory.dim:
-        raise PropagationContractError(
-            f"norm audit reads every coefficient, but the trajectory keeps "
-            f"{trajectory.states.shape[1]} of {trajectory.dim}")
-    c0 = trajectory.states[0]
+    head = trajectory.states[:2]
+    if head.shape[1] < trajectory.dim:
+        if trajectory._head is None:
+            raise PropagationContractError(
+                f"norm audit reads every coefficient of rows 0 and 1, but "
+                f"the trajectory keeps {head.shape[1]} of {trajectory.dim} "
+                f"and no full copy of them")
+        head = trajectory._head
+    c0 = head[0]
     s = int(np.argmax(np.abs(c0)))
     pure_defect = float(abs(c0[s] - 1.0) + np.sum(np.abs(np.delete(c0, s))))
     if pure_defect > 1e-9:
@@ -533,7 +574,7 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
 
     norms = trajectory.norms
     step1 = norms[1]
-    off_diag = float(np.sum(np.abs(np.delete(trajectory.states[1], s)) ** 2))
+    off_diag = float(np.sum(np.abs(np.delete(head[1], s)) ** 2))
     diffs = np.diff(norms)
     max_decrease = float(-diffs.min())
     monotone = bool(max_decrease <= 1e-15 * max(1.0, norms.max()))

@@ -185,24 +185,50 @@ def test_long_run_check_rejects_another_kind():
         cli._long_run_max_dev(load_scenario(SCENARIOS / "gauge_step.scn"), 10)
 
 
-def test_long_run_check_keeps_no_states():
-    # the 10^5-step Cayley re-check reads only the norms; keeping every
-    # state held 51 MB of them. With the profile sampled in chunks and the
-    # per-step tables released before the Trajectory is built, the traced
-    # peak is 4.26 MB: five 0.8 MB tables (times, midpoints, profile,
-    # shift, norms) and one block's temporaries; sampling in one call
-    # peaked at 5.07 MB
+def traced_peak(run):
+    """(run's result, the peak of traced heap while it ran, in bytes)."""
     import tracemalloc
 
-    scn = load_scenario(SCENARIOS / "box_dipole.scn")
     tracemalloc.start()
     try:
-        dev = cli._long_run_max_dev(scn, 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_long_run_check_keeps_no_states():
+    # the 10^5-step Cayley re-check reads only the norms; keeping every
+    # state held 51 MB of them. With the midpoints, profile and shift formed
+    # one chunk of steps at a time, the traced peak is 1.91 MB: the times
+    # and norms (0.8 MB each) and one block's temporaries; full tables of
+    # the three peaked at 4.26 MB, sampling them in one call at 5.07 MB
+    scn = load_scenario(SCENARIOS / "box_dipole.scn")
+    dev, peak = traced_peak(lambda: cli._long_run_max_dev(scn, 100_000))
     assert dev < 1e-10
-    assert peak < 4.6e6, peak
+    assert peak < 2.3e6, peak
+
+
+def test_phase_fit_releases_its_reference(tmp_path):
+    # the fit reads 7 of the reference run's 1 201 rows: it takes them and
+    # lets the run go before it builds its mode tables, which it fills in
+    # place. The traced peak is 1.82 MB; holding the run through the fit
+    # peaked at 3.07 MB
+    scn = load_scenario(SCENARIOS / "phase_fit.scn")
+    (code, _), peak = traced_peak(lambda: cmd_gauge(scn, tmp_path / "out"))
+    assert code == 0
+    assert peak < 2.3e6, peak
+
+
+def test_propagate_audits_a_tracked_euler_run(tmp_path):
+    # the audited first-order run keeps the 8 columns its CSV writes and
+    # full copies of rows 0 and 1, which the audit reads. The traced peak
+    # is 0.91 MB; keeping all 32 columns peaked at 1.33 MB
+    scn = load_scenario(SCENARIOS / "box_dipole.scn")
+    (code, stats), peak = traced_peak(
+        lambda: cmd_propagate(scn, tmp_path / "out"))
+    assert code == 0 and stats["audit_passed"]
+    assert peak < 1.15e6, peak
 
 
 def test_gauge_jump_scenario(tmp_path):

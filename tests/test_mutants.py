@@ -45,6 +45,11 @@ _single_run = functools.partial(
 _shift_split = functools.partial(
     test_propagation.test_euler_final_norm_splits_runs_on_the_shift,
     test_propagation.switched_at_0_4)
+# the plain loop at 1, 2 and 3 rows of 12 per chunk: its 41 slices span
+# several chunks, where the default chunk holds a short run whole
+_chunked_cayley = [functools.partial(
+    test_propagation.test_eigenbasis_cayley_is_the_plain_loop_bit_for_bit,
+    "ramp", False, rows, None) for rows in (1, 2, 3)]
 # a fixed failing example of the first-time sampler: a fresh Hypothesis
 # failure would be shrunk, which took seconds
 _two_times = functools.partial(
@@ -111,7 +116,7 @@ MUTANTS = [
      ["euler-norm-growth"],
      [test_propagation.test_two_level_euler_matches_frozen_golden]),
     ("cayley-at-left-endpoints", propagation, "unitary_propagate",
-     "tm = times[:-1] + 0.5 * dt", "tm = times[:-1]",
+     "tm = times[lo:hi] + 0.5 * dt", "tm = times[lo:hi]",
      ["phase-factored-fit"],
      [test_propagation.test_unitary_matches_exact_with_second_order_convergence]),
     ("cayley-factor-exp", propagation, "unitary_propagate",
@@ -123,6 +128,12 @@ MUTANTS = [
      "half = 0.5j * dt", "half = 0.25j * dt",
      ["phase-factored-fit"],
      [test_propagation.test_unitary_matches_exact_with_second_order_convergence]),
+    # every chunk sampled at the first chunk's times. reproduce-all is
+    # blind: the Cayley factors stay unitary, and only the 10^5-step run
+    # spans more than one default chunk
+    ("chunk-at-wrong-offset", propagation, "unitary_propagate",
+     "times[lo:hi]", "times[:hi - lo]",
+     [], _chunked_cayley),
     # first-order slicing at the midpoints, its norm put back at every step
     ("cayley-renormalised-first-order", propagation, "unitary_propagate",
      "np.divide(1.0 - ihz, np.add(1.0, ihz, out=ihz), out=ihz)\n"
@@ -136,7 +147,7 @@ MUTANTS = [
      [test_propagation.test_unitary_matches_solve_oracle_box_dipole]),
     # reproduce-all is blind: a term that is a multiple of the identity only
     # turns the global phase, which no claim reads
-    ("scalar-shift-dropped", propagation, "_eigenbasis",
+    ("scalar-shift-dropped", propagation, "_switches",
      "shift += scale * prof(times)", "shift += 0.0 * prof(times)",
      [], [_identity_term_step]),
     ("dipole-sign-flipped", propagation, "dipole_matrix_elements_box",

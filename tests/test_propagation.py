@@ -429,8 +429,8 @@ def plain_eigenbasis_cayley(c0, model, n_slices, units=UNITS):
     c, times, dt = propagation._prepare(c0, model, n_slices, units)
     half = 0.5j * dt / units.hbar
     tm = times[:-1] + 0.5 * dt
-    lam, v, u, freq, _, _, w = propagation._eigenbasis(
-        model, general, scalar, c, tm, dt, units)
+    lam, v, u, freq, w = propagation._eigenbasis(
+        model, general[0][1], c, tm[0], dt, units)
     s = general[0][0](tm)
     shift = np.zeros(tm.size)
     for prof, scale in scalar:
@@ -651,11 +651,16 @@ def test_euler_final_norm_single_run_matches_literal(kind, identity, dim,
 
 
 def one_step_final_norm(c0, model, n_slices, units=UNITS):
-    """euler_final_norm's eigenbasis loop with every step taken one by one."""
+    """euler_final_norm's eigenbasis loop with every step taken one by one,
+    the profile and identity shift sampled here in one call each."""
     general, scalar = propagation._split_terms(model)
     c, times, dt = propagation._prepare(c0, model, n_slices, units)
-    lam, _, u, _, s, shift, w = propagation._eigenbasis(
-        model, general, scalar, c, times[:-1], dt, units)
+    lam, _, u, _, w = propagation._eigenbasis(
+        model, general[0][1], c, times[0], dt, units)
+    s = general[0][0](times[:-1])
+    shift = np.zeros(n_slices)
+    for prof, scale in scalar:
+        shift += scale * prof(times[:-1])
     idt = 1j * dt / units.hbar
     rows = max(1, propagation._CHUNK_ENTRIES // model.dim)
     for a in range(0, n_slices, rows):
@@ -839,10 +844,12 @@ def test_audit_fails_a_nan_in_row_1():
 
 
 def test_audit_and_csv_reject_truncated_rows(tmp_path):
-    # a streamed run keeps fewer columns than it propagated: the audit's
-    # off-diagonal weight and a CSV of the dropped columns would be wrong
+    # a trajectory that keeps fewer columns than it propagated, and no full
+    # copy of rows 0 and 1: the audit's off-diagonal weight and a CSV of the
+    # dropped columns would be wrong
     m = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    cut = euler_propagate(pure_state(6), m, 20, UNITS, tracked=5)
+    run = euler_propagate(pure_state(6), m, 20, UNITS, tracked=5)
+    cut = Trajectory(run.times, run.states, "euler", run.norms, 6)
     assert (cut.dim, cut.states.shape[1]) == (6, 5)
     with pytest.raises(PropagationContractError, match="keeps 5 of 6"):
         norm_audit(cut, m, UNITS)
@@ -852,6 +859,33 @@ def test_audit_and_csv_reject_truncated_rows(tmp_path):
     assert not (tmp_path / "cut.csv").exists()
     assert norm_audit(euler_propagate(pure_state(6), m, 20, UNITS), m,
                       UNITS).passed
+
+
+@pytest.mark.parametrize("n_slices,rows", [(1, None), (300, None), (40, 1)])
+@pytest.mark.parametrize("tracked", [0, 1, 8, "dim"])
+@pytest.mark.parametrize("kind", ["ramp", "random-hermitian"])
+def test_tracked_euler_run_audits_as_the_full_run(tmp_path, kind, tracked,
+                                                   n_slices, rows):
+    # the audit reads rows 0 and 1 in full from the stepper's copies of
+    # them, row 1 the first buffer row (a one-row block is overwritten by
+    # the next step), and the norms after that
+    dim = 12
+    m = one_term_model(7, dim, kind, False, 0.8)
+    k = dim if tracked == "dim" else tracked
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:
+            mp.setattr(propagation, "_CHUNK_ENTRIES", rows * dim)
+        full = euler_propagate(pure_state(dim, 2), m, n_slices, UNITS)
+        kept = euler_propagate(pure_state(dim, 2), m, n_slices, UNITS,
+                               tracked=k)
+    assert kept.states.shape == (n_slices + 1, min(k, dim))
+    report, expected = norm_audit(kept, m, UNITS), norm_audit(full, m, UNITS)
+    assert vars(report) == vars(expected)
+    assert report.to_text() == expected.to_text()
+    write_trajectory_csv(kept, tmp_path / "kept.csv", k)
+    write_trajectory_csv(full, tmp_path / "full.csv", k)
+    assert (tmp_path / "kept.csv").read_bytes() \
+        == (tmp_path / "full.csv").read_bytes()
 
 
 def test_single_slice_degenerate_grid_runs():
@@ -1014,6 +1048,15 @@ def _two_level_model():
      "states must be one row per time"),
     (lambda: Trajectory([0.0, 1.0], np.zeros((2, 2)), "euler", [1.0]),
      "norms must align with times"),
+    (lambda: Trajectory([0.0, math.inf, math.inf], np.zeros((3, 2)),
+                        "euler"),
+     "strictly increasing"),
+    (lambda: Trajectory([0.0, math.nan, 1.0], np.zeros((3, 2)), "euler"),
+     "strictly increasing"),
+    # 2 000 of the 4 001 times repeat, one ulp at 1e16 being 2
+    (lambda: euler_final_norm(pure_state(32), box_dipole_model(
+        1.0, 32, 1e-6, 2000.0, (1e16, 1.0000000000004e16)), 4000),
+     "strictly increasing"),
     (lambda: euler_propagate(np.ones(3), _two_level_model(), 4),
      r"initial coefficients have shape \(3,\), expected \(2,\)"),
     (lambda: unitary_propagate(np.ones(2), _two_level_model(), 0),
@@ -1024,7 +1067,9 @@ def _two_level_model():
     (lambda: momentum_matrix_elements_box(1.0, 1),
      "momentum matrix needs n_basis >= 2"),
 ], ids=["no-energies", "energy-matrix", "infinite-energy", "rows-per-time",
-        "norms-per-time", "initial-shape", "no-slices", "box-no-basis",
+        "norms-per-time", "repeated-infinite-time", "nan-time",
+        "refinement-repeated-times", "initial-shape", "no-slices",
+        "box-no-basis",
         "dipole-one-state", "momentum-one-state"])
 def test_propagation_argument_checks(call, message):
     with pytest.raises(PropagationContractError, match=message):
