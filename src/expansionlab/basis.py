@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from . import specfun
+from .scenario import _positive
 from .specfun import QuadratureSpec
 
 _LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
@@ -59,8 +60,8 @@ def landau_radial(n: int, l: int, rho: float, a: float) -> float:
     """
     if rho < 0.0:
         raise BasisDomainError("rho must be non-negative")
-    if not a > 0.0:
-        raise BasisDomainError("magnetic length must be positive")
+    if problem := _positive(a, None):
+        raise BasisDomainError(f"magnetic length {problem}")
     al = abs(l)
     u = rho * rho / (2.0 * a * a)
     confluent = specfun.laguerre_row(n, u, float(al))[n]
@@ -74,8 +75,8 @@ def box_eigenfunction(n: int, x: float, width: float) -> float:
     """(2/L)^(1/2) sin(n pi x / L) inside the well, zero outside."""
     if n < 1:
         raise BasisIndexError("box quantum number must be a positive integer")
-    if not width > 0.0:
-        raise BasisDomainError("well width must be positive")
+    if problem := _positive(width, None):
+        raise BasisDomainError(f"well width {problem}")
     if x < 0.0 or x > width:
         return 0.0
     return math.sqrt(2.0 / width) * math.sin(n * math.pi * x / width)

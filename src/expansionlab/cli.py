@@ -32,6 +32,7 @@ from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     PhysicalConsistencyError, zero_gauge_function)
 from .propagation import Units
 from .scenario import (INT, INTS, REAL, REQUIRED, RunManifest, Scenario,
+                       _at_least, _at_most, _in_1_to, _positive,
                        load_scenario, write_artifact)
 from .specfun import NonConvergenceError, QuadratureSpec, integrate_interval
 
@@ -76,10 +77,6 @@ def _manifest(scn: Scenario, command: str, out_dir: Path, outputs,
 
 # --------------------------------------------------------- scenario keys
 
-def _positive(v, _):
-    return "" if v > 0 else f"must be positive, got {v!r}"
-
-
 def _normal_square(v, _):
     """_positive, and a square that is a normal float: a Landau run divides
     by a^2, a box mode by its width, a ramp by its time, and a Gaussian's
@@ -123,34 +120,12 @@ def _ramp_phase(tau_key):
     return constraint
 
 
-def _increasing_grid(refine):
-    """The window's time grid at refine * n_slices slices strictly
-    increasing: the constraint of whichever of t_end and n_slices the
-    section reads later. Take a step dt = (t_end - t_start) / slices above 4
-    ulp of far, the largest of |t_start|, |t_end| and t_end - t_start: i * dt
-    and t_start + i * dt each round by at most one ulp of far (the spacing
-    doubles just past a power of two), so neighbouring times stay more than
-    one spacing apart and never coincide."""
-    def constraint(_, values):
-        t0, t1 = values.get("t_start", 0.0), values["t_end"]
-        slices = refine * values["n_slices"]
-        # past 2^53 slices dt is below one ulp, and the count may be beyond
-        # float range
-        dt = (t1 - t0) / min(slices, 2 ** 53)
-        far = max(abs(t0), abs(t1), t1 - t0)
-        return "" if dt > 4.0 * math.ulp(far) else (
-            f"must keep the {slices}-slice time grid strictly increasing, "
-            f"its step above 4 ulp({far!r}) = {4.0 * math.ulp(far)!r}, got "
-            f"dt = {dt!r}")
-    return constraint
-
-
-def _at_least(n):
-    return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
-
-
-def _at_most(n):
-    return lambda v, _: "" if v <= n else f"must be at most {n}, got {v}"
+def _grid(refine):
+    """propagation._increasing_grid at refine * n_slices slices: the
+    constraint of whichever of t_end and n_slices the section reads later."""
+    return lambda _, values: propagation._increasing_grid(
+        values.get("t_start", 0.0), values["t_end"],
+        refine * values["n_slices"])
 
 
 def _when(applies, constraint):
@@ -165,16 +140,13 @@ def _all(*constraints):
         filter(None, (c(v, values) for c in constraints)), "")
 
 
-def _in_1_to(bound):
-    """The constraint 1 <= value <= the value of key `bound`."""
-    return lambda v, values: "" if 1 <= v <= values[bound] else (
-        f"must lie in 1..{bound} = {values[bound]}, got {v}")
-
-
 # Every key a scenario may set, (section, key, type, default, constraint) as
 # Scenario.read takes them; rows are read, and their errors raised, in order.
 # The gauge defaults are the fields of the experiment classes.
 _J, _F = GaugeJumpScenario, PhaseFitScenario
+# a ceiling on each slice count: bundled scenarios take up to 1 200 and the
+# benchmark 2 000; at 10^12 _prepare's np.arange alone would need 7.28 TiB
+_SLICES = _at_most(10 ** 6)
 _KEYS = (
     # a ceiling on the scan: 10^5 orders take under a second and a 5 MB
     # coefficient CSV, and _landau_length reads n_max + 1 as a float
@@ -189,7 +161,7 @@ _KEYS = (
     ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0,
      _when(lambda v: v["target"] == "gaussian", _gaussian_sigma)),
     ("propagate", "hbar", REAL, Units.hbar, _positive),
-    ("propagate", "n_slices", INT, 1000, _at_least(1)),
+    ("propagate", "n_slices", INT, 1000, _all(_at_least(1), _SLICES)),
     ("propagate", "tracked", INT, 8, _at_least(0)),
     ("propagate", "well_width", REAL, 1.0, _positive),
     ("propagate", "perturbation", {"none", "dipole-ramp", "dipole-step",
@@ -200,10 +172,7 @@ _KEYS = (
     ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
     ("propagate", "t_start", REAL, 0.0, None),
     # the refinement study runs the window at 4 n_slices, its finest grid
-    ("propagate", "t_end", REAL, 1.0, _all(
-        lambda v, values: "" if v > values["t_start"] else
-        f"must exceed t_start = {values['t_start']!r}, got {v!r}",
-        _increasing_grid(4))),
+    ("propagate", "t_end", REAL, 1.0, _grid(4)),
     ("propagate", "amplitude", REAL, 1.0, None),
     ("propagate", "seed", INT, 0, None),
     ("propagate", "ramp_time", REAL, 0.5,
@@ -223,7 +192,7 @@ _KEYS = (
     ("gauge/jump", "t_end", REAL, _J.t_end, _all(_positive, _when(
         lambda v: v["switch"] == "ramp", _ramp_phase("ramp_time")))),
     ("gauge/jump", "n_slices", INT, _J.n_slices,
-     _all(_positive, _increasing_grid(1))),
+     _all(_positive, _SLICES, _grid(1))),
     ("gauge/jump", "observe_stride", INT, _J.observe_stride, _positive),
     # the field check samples away from t = 0, where a stepped A(t) is
     # constant in either gauge, so only a ramp lets it see a mismatch
@@ -240,16 +209,14 @@ _KEYS = (
     ("gauge/phase-fit", "t_end", REAL, _F.t_end,
      _all(_positive, _ramp_phase("ramp_time"))),
     ("gauge/phase-fit", "n_slices", INT, _F.n_slices,
-     _all(_positive, _increasing_grid(1))),
+     _all(_positive, _SLICES, _grid(1))),
     ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
      lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
      f"at least two increasing sizes for the plateau verdict, got {list(v)}"),
     ("gauge/phase-fit", "initial_index", INT, _F.initial_index,
-     lambda v, values: "" if 1 <= v <= values["fit_sizes"][0] else "must lie "
-     f"in 1..fit_sizes[0] = {values['fit_sizes'][0]}, got {v}"),
+     gauge._fit_index),
     ("gauge/phase-fit", "n_reference", INT, _F.n_reference,
-     lambda v, values: "" if v >= values["fit_sizes"][-1] else "must cover "
-     f"the largest fit size, {values['fit_sizes'][-1]}, got {v}"),
+     gauge._reference_size),
     ("gauge/phase-fit", "n_grid", INT, _F.n_grid, _positive),
     ("gauge/phase-fit", "fit_stride", INT, _F.fit_stride, _positive),
     ("gauge/phase-fit", "hbar", REAL, Units.hbar, _positive),

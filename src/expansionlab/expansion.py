@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .scenario import write_artifact
+from .scenario import _positive, write_artifact
 from .specfun import (QuadratureError, QuadratureSpec, _laguerre_step,
                       integrate_interval, integrate_semi_infinite, laguerre)
 
@@ -129,8 +129,8 @@ def project(target, width: float, n_max: int,
     The target is evaluated once per distinct quadrature node and shared
     across the coefficients.
     """
-    if not width > 0.0:
-        raise basis.BasisDomainError("well width must be positive")
+    if problem := _positive(width, None):
+        raise basis.BasisDomainError(f"well width {problem}")
     spec = quadrature or QuadratureSpec()
     runner = lambda f: integrate_interval(f, 0.0, width, spec)
     on_axis = _Memo(target)
@@ -159,8 +159,8 @@ def landau_plane_wave_coefficient(n: int, a: float = 1.0) -> float:
     """
     if n < 0:
         raise basis.BasisIndexError("Landau n must be non-negative")
-    if not a > 0.0:
-        raise basis.BasisDomainError("magnetic length must be positive")
+    if problem := _positive(a, None):
+        raise basis.BasisDomainError(f"magnetic length {problem}")
     return 2.0 * a * a * (1.0 if n % 2 == 0 else -1.0)
 
 
@@ -171,8 +171,8 @@ def landau_plane_wave_overlap(n: int, a: float = 1.0,
     The literal one-n route; landau_plane_wave_overlaps runs the whole tower
     and is checked against this one bit for bit.
     """
-    if not a > 0.0:
-        raise basis.BasisDomainError("magnetic length must be positive")
+    if problem := _positive(a, None):
+        raise basis.BasisDomainError(f"magnetic length {problem}")
     spec = quadrature or basis.landau_quadrature(a)
 
     def integrand(rho):
@@ -192,8 +192,8 @@ def landau_plane_wave_overlaps(n_max: int, a: float = 1.0,
     order between calls (_LaguerreTower). A non-converged n keeps its best
     estimate and is flagged 'no-convergence'.
     """
-    if not a > 0.0:
-        raise basis.BasisDomainError("magnetic length must be positive")
+    if problem := _positive(a, None):
+        raise basis.BasisDomainError(f"magnetic length {problem}")
     spec = quadrature or basis.landau_quadrature(a)
     tower = _LaguerreTower(a)
     out = []

@@ -35,7 +35,7 @@ from .basis import box_modes
 from .propagation import (HamiltonianModel, Units, box_energies,
                           momentum_matrix_elements_box, switch_profile,
                           unitary_propagate)
-from .scenario import write_artifact
+from .scenario import _in_1_to, write_artifact
 from .specfun import QuadratureError
 
 DIFF_STEP = 1e-5     # central-difference step of consistency_defect
@@ -326,8 +326,9 @@ class GaugeJumpScenario:
 
     Gauge 1 keeps the drive in the vector potential; gauge 2 is its image
     under f(t, r) = -A(t) x (or an identity / deliberately broken pair, for
-    the control and error paths). cli._KEYS checks the range of each field
-    and __post_init__ how fields relate; PhaseFitScenario splits the same way.
+    the control and error paths). cli._KEYS checks each field's range, and
+    __post_init__ the fields that relate, through their keys' constraints;
+    PhaseFitScenario splits the same way.
     """
 
     width: float = 1.0
@@ -344,8 +345,8 @@ class GaugeJumpScenario:
     units: Units = field(default_factory=Units)
 
     def __post_init__(self):
-        if self.initial_index < 1 or self.initial_index > self.n_basis:
-            raise ValueError("initial index must select a basis state")
+        if problem := _in_1_to("n_basis")(self.initial_index, vars(self)):
+            raise ValueError(f"initial_index {problem}")
 
     def _drive(self, scale: float = 1.0):
         """(A, dA/dt) of the drive times scale, as profiles."""
@@ -497,6 +498,17 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
                            float(defect), float(scale), float(g_defect), v_pre)
 
 
+def _fit_index(v, values):
+    """1 <= v <= the smallest fit size, fit_sizes[0] once they increase."""
+    return "" if 1 <= v <= min(values["fit_sizes"]) else (
+        f"must lie in 1..fit_sizes[0] = {min(values['fit_sizes'])}, got {v}")
+
+
+def _reference_size(v, values):
+    return "" if v >= max(values["fit_sizes"]) else (
+        f"must cover the largest fit size, {max(values['fit_sizes'])}, got {v}")
+
+
 @dataclass
 class PhaseFitScenario:
     """Driven box run fitted by phase-factored truncated expansions."""
@@ -514,12 +526,10 @@ class PhaseFitScenario:
     units: Units = field(default_factory=Units)
 
     def __post_init__(self):
-        if self.initial_index < 1 or self.initial_index > min(self.fit_sizes):
-            raise ValueError("initial index must sit inside every fit basis")
-        if self.n_reference < max(self.fit_sizes):
-            raise ValueError(
-                f"reference basis ({self.n_reference}) must dominate the "
-                f"largest fit size ({max(self.fit_sizes)})")
+        for key, constraint in (("initial_index", _fit_index),
+                                ("n_reference", _reference_size)):
+            if problem := constraint(getattr(self, key), vars(self)):
+                raise ValueError(f"{key} {problem}")
 
 
 @dataclass

@@ -26,8 +26,9 @@ endpoints. euler_propagate and the linear-solve path sample a profile with
 one call on the whole time grid, the eigenbasis steppers in chunks of
 _CHUNK_ENTRIES samples, so each value may depend on its own time alone.
 
-Both steppers check the time grid before any profile is sampled and make
-the Trajectory they return before their first step. They fill its rows in
+_prepare refuses a window through _increasing_grid, as cli._KEYS does,
+before any grid is built or profile sampled; both steppers make the
+Trajectory they return before their first step. They fill its rows in
 blocks of _CHUNK_ENTRIES (2^11) entries of one reused buffer; each block's
 rows give their norms sum_k |C_k|^2 from all columns and their leading
 `tracked` columns (all when None) to the Trajectory, which also keeps full
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import _CHUNK_LINES, write_artifact
+from .scenario import _CHUNK_LINES, _at_least, _positive, write_artifact
 
 
 class PropagationContractError(ValueError):
@@ -59,8 +60,8 @@ class Units:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0.0:
-            raise PropagationContractError("hbar must be positive")
+        if problem := _positive(self.hbar, None):
+            raise PropagationContractError(f"hbar {problem}")
 
 
 def smooth_ramp(t, tau: float):
@@ -82,14 +83,33 @@ def hard_step(t):
 def switch_profile(kind: str, tau: float, scale: float = 1.0):
     """(s, ds/dt) profiles of scale times a "step" or a "ramp" over tau > 0."""
     if kind == "ramp":
-        if not tau > 0.0:   # the forms divide by tau
-            raise PropagationContractError(
-                f"ramp time must be positive, got {tau!r}")
+        if problem := _positive(tau, None):   # the forms divide by tau
+            raise PropagationContractError(f"ramp time {problem}")
         return (lambda t: scale * smooth_ramp(t, tau),
                 lambda t: scale * smooth_ramp_dt(t, tau))
     if kind == "step":      # ds/dt is zero away from the switch instant
         return lambda t: scale * hard_step(t), lambda t: np.zeros(np.shape(t))
     raise PropagationContractError(f"unknown switch profile {kind!r}")
+
+
+def _window_order(t0, t1) -> str:
+    return "" if t1 > t0 else f"must exceed t_start = {t0!r}, got {t1!r}"
+
+
+def _increasing_grid(t0, t1, slices) -> str:
+    """Why _prepare's grid t0 + i dt, dt = (t1 - t0) / slices, may not
+    increase strictly, or '', with no grid built: dt must exceed 4 ulp of
+    far, the largest of |t0|, |t1| and t1 - t0, as i * dt and t0 + i * dt
+    each round by at most one ulp of far (the spacing doubles just past a
+    power of two), so neighbouring times never coincide."""
+    # past 2^53 slices dt is below one ulp, and the count may be beyond
+    # float range
+    dt = (t1 - t0) / min(slices, 2 ** 53)
+    far = max(abs(t0), abs(t1), t1 - t0)
+    least = 4.0 * math.ulp(far)
+    return _window_order(t0, t1) or ("" if dt > least else (
+        f"must keep the {slices}-slice time grid strictly increasing, its "
+        f"step above 4 ulp({far!r}) = {least!r}, got dt = {dt!r}"))
 
 
 @dataclass
@@ -112,8 +132,8 @@ class HamiltonianModel:
         if not np.all(np.isfinite(self.energies)):
             raise PropagationContractError("energies must be finite")
         t0, t1 = self.window
-        if not t1 > t0:
-            raise PropagationContractError("window must satisfy t1 > t0")
+        if problem := _window_order(t0, t1):
+            raise PropagationContractError(f"window end {problem}")
         dim = self.energies.size
         checked = []
         for j, (profile, matrix) in enumerate(self.terms):
@@ -192,7 +212,10 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=complex)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise PropagationContractError("states must be one row per time")
-        _check_grid(self.times)
+        # a NaN time fails the comparison too
+        if not np.all(self.times[1:] > self.times[:-1]):
+            raise PropagationContractError(
+                "time grid must be strictly increasing")
         if self.dim is None:
             self.dim = self.states.shape[1]
         elif self.states.shape[1] > self.dim:
@@ -213,19 +236,11 @@ class Trajectory:
         return _row_norms(self.states)
 
 
-def _check_grid(times: np.ndarray):
-    """Refuse a grid unless each time lies above the one before it (a NaN
-    does not); comparing neighbours makes no temporary but a bool table."""
-    if not np.all(times[1:] > times[:-1]):
-        raise PropagationContractError("time grid must be strictly increasing")
-
-
 def _start(times: np.ndarray, c0: np.ndarray, tracked, method) -> Trajectory:
     """A stepper's Trajectory, checked before its first step: row 0 is c0,
     the other rows and norms are left for _blocks to fill."""
-    if tracked is not None and tracked < 0:
-        raise PropagationContractError(
-            f"tracked column count must be at least 0, got {tracked}")
+    if tracked is not None and (problem := _at_least(0)(tracked, None)):
+        raise PropagationContractError(f"tracked column count {problem}")
     keep = c0.size if tracked is None else min(tracked, c0.size)
     out = Trajectory(times, np.empty((times.size, keep), dtype=complex),
                      method, np.empty(times.size), c0.size)
@@ -263,14 +278,15 @@ def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
     if c.shape != (model.dim,):
         raise PropagationContractError(
             f"initial coefficients have shape {c.shape}, expected ({model.dim},)")
-    if n_slices < 1:
-        raise PropagationContractError("slice count must be at least 1")
+    if problem := _at_least(1)(n_slices, None):
+        raise PropagationContractError(f"slice count {problem}")
     t0, t1 = model.window
+    if problem := _increasing_grid(t0, t1, n_slices):
+        raise PropagationContractError(f"window {model.window!r} {problem}")
     dt = (t1 - t0) / n_slices
     times = np.arange(n_slices + 1, dtype=float)
     times *= dt
     times += t0
-    _check_grid(times)
     return c, times, dt
 
 
@@ -593,8 +609,8 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
 
 def box_energies(width: float, n_basis: int, units: Units = Units()) -> np.ndarray:
     """eps_n = (n pi hbar / L)^2 / 2 for n = 1..n_basis."""
-    if n_basis < 1:
-        raise PropagationContractError("n_basis must be at least 1")
+    if problem := _at_least(1)(n_basis, None):
+        raise PropagationContractError(f"n_basis {problem}")
     n = np.arange(1, n_basis + 1, dtype=float)
     return (n * math.pi * units.hbar / width) ** 2 / 2.0
 
@@ -604,8 +620,8 @@ def dipole_matrix_elements_box(width: float, n_basis: int) -> np.ndarray:
 
     x_{nm} = -8 L n m / (pi^2 (n^2 - m^2)^2) for n+m odd, 0 for same parity.
     """
-    if n_basis < 2:
-        raise PropagationContractError("dipole matrix needs n_basis >= 2")
+    if problem := _at_least(2)(n_basis, None):
+        raise PropagationContractError(f"dipole matrix n_basis {problem}")
     n = np.arange(1, n_basis + 1, dtype=float)
     x = np.zeros((n_basis, n_basis))
     np.fill_diagonal(x, width / 2.0)
@@ -621,8 +637,8 @@ def dipole_matrix_elements_box(width: float, n_basis: int) -> np.ndarray:
 def momentum_matrix_elements_box(width: float, n_basis: int,
                                  units: Units = Units()) -> np.ndarray:
     """p_{nm} = <n| -i hbar d/dx |m>: -4 i hbar n m / (L (n^2 - m^2)), n+m odd."""
-    if n_basis < 2:
-        raise PropagationContractError("momentum matrix needs n_basis >= 2")
+    if problem := _at_least(2)(n_basis, None):
+        raise PropagationContractError(f"momentum matrix n_basis {problem}")
     p = np.zeros((n_basis, n_basis), dtype=complex)
     for i in range(n_basis):
         for j in range(n_basis):

@@ -54,6 +54,25 @@ INTS = (lambda s: [int(p) for p in s.split(",") if p.strip()],
 TEXT = (str, "a string")
 
 
+# generic constraints; the library refuses its arguments through them too
+def _positive(v, _):
+    return "" if v > 0 else f"must be positive, got {v!r}"
+
+
+def _at_least(n):
+    return lambda v, _: "" if v >= n else f"must be at least {n}, got {v}"
+
+
+def _at_most(n):
+    return lambda v, _: "" if v <= n else f"must be at most {n}, got {v}"
+
+
+def _in_1_to(bound):
+    """The constraint 1 <= value <= the value of key `bound`."""
+    return lambda v, values: "" if 1 <= v <= values[bound] else (
+        f"must lie in 1..{bound} = {values[bound]}, got {v}")
+
+
 @dataclass
 class Scenario:
     """Parsed scenario: kind, name, and the raw keys that read() types."""

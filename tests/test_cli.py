@@ -1145,6 +1145,15 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
      "far.scn:6: key 't_end' must keep the 4000-slice time grid strictly "
      "increasing, its step above 4 ulp(1.0000000000004e+16) = 8.0, got "
      "dt = 1.0"),
+    # a slice count whose grid np.arange could not allocate (7.28 TiB);
+    # never 10^8, which it can: about 24 GiB
+    ("propagate", dict(perturbation="random-hermitian", n_basis=8,
+                       n_slices=10 ** 12),
+     "far.scn:6: key 'n_slices' must be at most 1000000, got 1000000000000"),
+    ("gauge", dict(experiment="jump", n_slices=10 ** 12),
+     "far.scn:5: key 'n_slices' must be at most 1000000, got 1000000000000"),
+    ("gauge", dict(experiment="phase-fit", n_slices=10 ** 12),
+     "far.scn:5: key 'n_slices' must be at most 1000000, got 1000000000000"),
 ], ids=["gaussian-off-the-well", "gaussian-between-nodes",
         "gaussian-overflow", "landau-length-underflow", "ramp-t_end-overflow",
         "step-hbar-underflow", "landau-scan-overflow",
@@ -1152,7 +1161,9 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
         "phase-fit-ramp-phase-overflow", "phase-ramp-phase-overflow",
         "propagate-ramp-phase-overflow", "landau-n_max-beyond-float",
         "propagate-repeated-times", "jump-dt-underflow",
-        "phase-fit-dt-underflow", "refinement-repeated-times"])
+        "phase-fit-dt-underflow", "refinement-repeated-times",
+        "propagate-slices-beyond-memory", "jump-slices-beyond-memory",
+        "phase-fit-slices-beyond-memory"])
 def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
                                                    keys, named):
     # values whose arithmetic leaves float range: a Gaussian with no
@@ -1173,16 +1184,50 @@ def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
 
 # ------------------------------------------------------------ scenario keys
 
-def test_readme_key_table_lists_each_section_s_keys_in_read_order():
-    # the README's "Scenario format" table, one row per section: each key
-    # is written `key` (default, ...), in the order Scenario.read takes them
+def _readme_key_table():
+    """{section: {key: the parts of its parenthesis}} of the README's
+    "Scenario format" table, one row per section, each key written `key`
+    (default, ...); parts are split at each ',' and ';' outside nested
+    parentheses."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([\w/-]+)` \| (.+) \|$",
                       text.split("\n## Scenario format\n", 1)[1], re.M)
-    table = {section: re.findall(r"`(\w+)` \(", keys) for section, keys in rows}
+    table = {}
+    for section, keys in rows:
+        table[section] = {}
+        for match in re.finditer(r"`(\w+)` \(", keys):
+            depth, parts = 1, [""]
+            for ch in keys[match.end():]:
+                depth += (ch == "(") - (ch == ")")
+                if depth == 0:
+                    break
+                if depth == 1 and ch in ",;":
+                    parts.append("")
+                else:
+                    parts[-1] += ch
+            table[section][match[1]] = [part.strip() for part in parts]
+    return table
+
+
+def test_readme_key_table_lists_each_section_s_keys_in_read_order():
+    table = {section: list(keys)
+             for section, keys in _readme_key_table().items()}
     sections = dict.fromkeys(row[0] for row in cli._KEYS)
     assert table == {section: [row[1] for row in cli._KEYS
                                if row[0] == section] for section in sections}
+
+
+def test_readme_key_table_states_each_constraint():
+    # a key with a constraint shows its range after its default; a key
+    # without one shows its default alone (a choice lists its options too)
+    table = _readme_key_table()
+    for section, key, kind, default, constraint in cli._KEYS:
+        parts = table[section][key]
+        shown = len(default) if isinstance(default, tuple) else 1
+        if constraint:
+            assert len(parts) > shown, (section, key, parts)
+        elif not isinstance(kind, set):
+            assert len(parts) == shown, (section, key, parts)
 
 
 def _with_keys(tmp_path, name, *lines):
@@ -1259,14 +1304,11 @@ _TIMES = st.builds(math.ldexp, st.integers(-2 ** 20, 2 ** 20),
                    st.integers(-1074, -1000) | st.integers(-1074, 900))
 
 
-@settings(max_examples=150, deadline=None)
-@given(section=st.sampled_from(["propagate", "jump", "phase-fit"]),
-       t=_TIMES, r=st.sampled_from(range(1, 33)), n=st.integers(1, 10 ** 4))
-def test_an_accepted_window_has_strictly_increasing_grids(section, t, r, n):
-    # every grid a read window is run on is strictly increasing: n slices,
-    # and 2n and 4n for propagate's refinement runs; a refused window is
-    # named at the key read last, t_end for propagate, else n_slices. A
-    # propagate window starts at t, a gauge window at 0.
+def _window(section, t, r, n):
+    """A scenario of section (propagate, jump or phase-fit) at n_slices = n
+    whose window spans n r ulps of t, from t for propagate, from 0 for a
+    gauge run: (scenario, its line count, window, the key read last, the
+    slice counts of the grids it is run on)."""
     t0 = t if section == "propagate" else 0.0
     end = t0 + n * r * math.ulp(t)
     if section == "propagate":
@@ -1279,17 +1321,116 @@ def test_an_accepted_window_has_strictly_increasing_grids(section, t, r, n):
                 f"n_slices = {n}"]
     lines = ["expansionlab-scenario v1", "name = w", *body]
     scn = scenario.parse_scenario_text("\n".join(lines) + "\n", "w.scn")
+    return scn, len(lines), (t0, end), key, slices
+
+
+# windows of both sections' kinds: both sides of the grid's constraint
+_WINDOWS = dict(section=st.sampled_from(["propagate", "jump", "phase-fit"]),
+                t=_TIMES, r=st.sampled_from(range(1, 33)),
+                n=st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_WINDOWS)
+def test_an_accepted_window_has_strictly_increasing_grids(section, t, r, n):
+    # every grid a read window is run on is strictly increasing: n slices,
+    # and 2n and 4n for propagate's refinement runs; a refused window is
+    # named at the key read last, t_end for propagate, else n_slices
+    scn, lines, window, key, slices = _window(section, t, r, n)
     try:
         scn.read(cli._KEYS)
     except scenario.ScenarioError as exc:
-        assert str(exc).startswith(f"w.scn:{len(lines)}: key '{key}' must "
+        assert str(exc).startswith(f"w.scn:{lines}: key '{key}' must "
                                    f"keep the {slices[-1]}-slice time grid")
         return
-    model = propagation.HamiltonianModel([1.0], [], (t0, end))
+    model = propagation.HamiltonianModel([1.0], [], window)
     for k in slices:
         times = propagation._prepare(np.ones(1), model, k,
                                      propagation.Units())[1]
         assert np.all(np.diff(times) > 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_WINDOWS)
+def test_a_window_s_key_accepts_what_the_steppers_accept(section, t, r, n):
+    # the key and propagation._prepare, which every stepper and
+    # euler_final_norm run first, accept the same windows and slice counts:
+    # the key at propagate's finest refinement grid, 4 n slices
+    scn, _, window, _, slices = _window(section, t, r, n)
+    try:
+        scn.read(cli._KEYS)
+        accepted = True
+    except scenario.ScenarioError:
+        accepted = False
+    try:
+        model = propagation.HamiltonianModel([1.0], [], window)
+        propagation._prepare(np.ones(1), model, slices[-1],
+                             propagation.Units())
+        ran = True
+    except propagation.PropagationContractError:
+        ran = False
+    assert accepted == ran
+
+
+def _one_state(dim, n_slices, window=(0.0, 1.0), **kwargs):
+    """euler_propagate from state 1 of a dim-state model with no terms."""
+    return propagation.euler_propagate(
+        np.eye(dim)[0], propagation.HamiltonianModel(np.arange(dim), [],
+                                                     window),
+        n_slices, **kwargs)
+
+
+@pytest.mark.parametrize("kind,keys,key,call", [
+    ("propagate", dict(perturbation="none", hbar=0.0), "hbar",
+     lambda: propagation.Units(0.0)),
+    ("propagate", dict(perturbation="none", t_start=1.0, t_end=1.0), "t_end",
+     lambda: _one_state(2, 10, (1.0, 1.0))),
+    ("propagate", dict(perturbation="dipole-step", n_basis=4, t_start=1e16,
+                       t_end=1.0000000000004e16, n_slices=1000), "t_end",
+     lambda: propagation.euler_final_norm(
+         np.eye(4)[0], propagation.box_dipole_model(
+             1.0, 4, 1.0, 0.5, (1e16, 1.0000000000004e16), profile="step"),
+         4000)),
+    ("gauge", dict(experiment="jump", t_end=1e-320, n_slices=10000),
+     "n_slices",
+     lambda: propagation.unitary_propagate(np.eye(24)[0], GaugeJumpScenario(
+         t_end=1e-320, n_slices=10000).hamiltonian(), 10000)),
+    ("propagate", dict(perturbation="none", n_slices=0), "n_slices",
+     lambda: _one_state(2, 0)),
+    ("propagate", dict(perturbation="none", n_basis=4, n_slices=10,
+                       tracked=-1), "tracked",
+     lambda: _one_state(4, 10, tracked=-1)),
+    ("propagate", dict(perturbation="random-hermitian", n_basis=0),
+     "n_basis", lambda: propagation.box_energies(1.0, 0)),
+    ("propagate", dict(perturbation="dipole-step", n_basis=1), "n_basis",
+     lambda: propagation.dipole_matrix_elements_box(1.0, 1)),
+    ("gauge", dict(experiment="jump", n_basis=1), "n_basis",
+     lambda: propagation.momentum_matrix_elements_box(1.0, 1)),
+    ("gauge", dict(experiment="jump", n_basis=24, initial_index=30),
+     "initial_index", lambda: GaugeJumpScenario(n_basis=24, initial_index=30)),
+    ("gauge", dict(experiment="phase-fit", fit_sizes="2, 4", n_reference=4,
+                   initial_index=3), "initial_index",
+     lambda: gauge.PhaseFitScenario(fit_sizes=(2, 4), n_reference=4,
+                                    initial_index=3)),
+    ("gauge", dict(experiment="phase-fit", fit_sizes="2, 4, 32",
+                   n_reference=16), "n_reference",
+     lambda: gauge.PhaseFitScenario(fit_sizes=(2, 4, 32), n_reference=16)),
+], ids=["hbar", "window-order", "refinement-grid", "jump-grid",
+        "slice-count", "tracked", "box-basis", "dipole-basis",
+        "momentum-basis", "jump-initial-index", "phase-fit-initial-index",
+        "reference-basis"])
+def test_a_key_and_the_library_refuse_with_one_reason(kind, keys, key, call):
+    # one predicate decides each hazard that a key and the library both
+    # guard: the library's message is a subject and the key's own reason
+    text = "\n".join(["expansionlab-scenario v1", f"kind = {kind}",
+                      "name = r", *(f"{k} = {v}" for k, v in keys.items())])
+    with pytest.raises(scenario.ScenarioError) as refused:
+        scenario.parse_scenario_text(text + "\n", "r.scn").read(cli._KEYS)
+    head, reason = str(refused.value).split(f" key '{key}' ", 1)
+    assert head == f"r.scn:{4 + list(keys).index(key)}:"
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value).endswith(" " + reason)
 
 
 @pytest.mark.parametrize("command,keys,key", [

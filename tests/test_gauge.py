@@ -462,8 +462,8 @@ def test_phase_fit_driven_matches_frozen_curve():
 
 
 def test_phase_fit_reference_must_cover_fit_sizes():
-    with pytest.raises(ValueError, match=r"reference basis \(16\) must "
-                       r"dominate the largest fit size \(32\)"):
+    with pytest.raises(ValueError, match="n_reference must cover the "
+                       "largest fit size, 32, got 16"):
         PhaseFitScenario(n_reference=16, fit_sizes=(2, 4, 32), n_slices=100)
 
 
@@ -680,13 +680,20 @@ def test_observable_csv_bytes_match_reference_formatter(tmp_path):
 
 @pytest.mark.parametrize("make,message", [
     (lambda: GaugeJumpScenario(n_basis=4, initial_index=0),
-     "initial index must select a basis state"),
+     r"initial_index must lie in 1\.\.n_basis = 4, got 0"),
     (lambda: GaugeJumpScenario(n_basis=4, initial_index=5),
-     "initial index must select a basis state"),
+     r"initial_index must lie in 1\.\.n_basis = 4, got 5"),
     (lambda: PhaseFitScenario(fit_sizes=(2, 4), n_reference=4,
                               initial_index=3),
-     "initial index must sit inside every fit basis"),
-], ids=["jump-index-zero", "jump-index-past-basis", "fit-index-past-basis"])
+     r"initial_index must lie in 1\.\.fit_sizes\[0\] = 2, got 3"),
+    # sizes out of order: the smallest and the largest still bound them
+    (lambda: PhaseFitScenario(fit_sizes=(4, 2), n_reference=4,
+                              initial_index=3),
+     r"initial_index must lie in 1\.\.fit_sizes\[0\] = 2, got 3"),
+    (lambda: PhaseFitScenario(fit_sizes=(48, 2), n_reference=32),
+     "n_reference must cover the largest fit size, 48, got 32"),
+], ids=["jump-index-zero", "jump-index-past-basis", "fit-index-past-basis",
+        "unsorted-fit-index", "unsorted-reference"])
 def test_experiment_argument_checks(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -10,11 +10,15 @@ table; a test kills it when it raises.
 """
 
 import __future__
+import contextlib
 import functools
 import inspect
+import io
 import json
 import sys
+import tempfile
 import textwrap
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +27,7 @@ import pytest
 from expansionlab import cli, expansion, gauge, propagation, specfun
 from expansionlab.scenario import load_scenario
 
+import test_cli
 import test_expansion
 import test_gauge
 import test_propagation
@@ -55,6 +60,29 @@ _chunked_cayley = [functools.partial(
 _two_times = functools.partial(
     test_gauge.test_batched_observables_match_per_time_oracle.hypothesis
     .inner_test, 4, 0, [0.1, 0.9], 1.0)
+
+
+def _row(test, row_id, *fixtures):
+    """test at its parametrized row row_id, fixtures first, as a call of
+    no arguments."""
+    mark = next(m for m in test.pytestmark if m.name == "parametrize")
+    return functools.partial(test, *fixtures,
+                             *mark.args[1][mark.kwargs["ids"].index(row_id)])
+
+
+def _cli_row(row_id):
+    """test_cli's test_accepted_values_beyond_float_range_exit_1 at row_id,
+    run in a fresh directory with stderr captured for its capsys."""
+    def run():
+        err = io.StringIO()
+        capsys = types.SimpleNamespace(
+            readouterr=lambda: types.SimpleNamespace(err=err.getvalue()))
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stderr(err):
+            _row(test_cli.test_accepted_values_beyond_float_range_exit_1,
+                 row_id, Path(tmp), capsys)()
+    return run
+
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
 MUTANTS = [
@@ -150,6 +178,13 @@ MUTANTS = [
     ("scalar-shift-dropped", propagation, "_switches",
      "shift += scale * prof(times)", "shift += 0.0 * prof(times)",
      [], [_identity_term_step]),
+    # one predicate decides the grid for the key and the library, so one
+    # edit reaches both. reproduce-all is blind: its windows are wide
+    ("grid-rule-loosened", propagation, "_increasing_grid",
+     "dt > least", "dt > 0.0",
+     [], [_row(test_propagation.test_propagation_argument_checks,
+               "refinement-repeated-times"),
+          _cli_row("refinement-repeated-times")]),
     ("dipole-sign-flipped", propagation, "dipole_matrix_elements_box",
      "-8.0 * width", "8.0 * width",
      ["phase-factored-fit"],
@@ -240,7 +275,9 @@ def test_mutant_is_killed(tmp_path, monkeypatch, row):
     for claim_id in claims:
         assert claim_fails(claim_id, tmp_path / claim_id), claim_id
     for test in tests:
-        with pytest.raises(Exception):
+        # a killing test fails by an exception or by pytest.fail, whose
+        # exception (as for pytest.raises that sees none) is no Exception
+        with pytest.raises((Exception, pytest.fail.Exception)):
             test()
 
 

@@ -1057,18 +1057,24 @@ def _two_level_model():
     (lambda: euler_final_norm(pure_state(32), box_dipole_model(
         1.0, 32, 1e-6, 2000.0, (1e16, 1.0000000000004e16)), 4000),
      "strictly increasing"),
+    # refused before np.arange is asked for 10^12 + 1 times (7.28 TiB)
+    (lambda: euler_final_norm(pure_state(32), box_dipole_model(
+        1.0, 32, 1e-6, 2000.0, (1e16, 1e16 + 4.0)), 10 ** 12),
+     r"window \(1e\+16, 1\.0000000000000004e\+16\) must keep the "
+     r"1000000000000-slice time grid strictly increasing"),
     (lambda: euler_propagate(np.ones(3), _two_level_model(), 4),
      r"initial coefficients have shape \(3,\), expected \(2,\)"),
     (lambda: unitary_propagate(np.ones(2), _two_level_model(), 0),
      "slice count must be at least 1"),
     (lambda: box_energies(1.0, 0), "n_basis must be at least 1"),
     (lambda: dipole_matrix_elements_box(1.0, 1),
-     "dipole matrix needs n_basis >= 2"),
+     "dipole matrix n_basis must be at least 2, got 1"),
     (lambda: momentum_matrix_elements_box(1.0, 1),
-     "momentum matrix needs n_basis >= 2"),
+     "momentum matrix n_basis must be at least 2, got 1"),
 ], ids=["no-energies", "energy-matrix", "infinite-energy", "rows-per-time",
         "norms-per-time", "repeated-infinite-time", "nan-time",
-        "refinement-repeated-times", "initial-shape", "no-slices",
+        "refinement-repeated-times", "refinement-beyond-memory",
+        "initial-shape", "no-slices",
         "box-no-basis",
         "dipole-one-state", "momentum-one-state"])
 def test_propagation_argument_checks(call, message):
