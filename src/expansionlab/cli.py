@@ -210,9 +210,7 @@ _KEYS = (
      _all(_positive, _ramp_phase("ramp_time"))),
     ("gauge/phase-fit", "n_slices", INT, _F.n_slices,
      _all(_positive, _SLICES, _grid(1))),
-    ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes,
-     lambda v, _: "" if len(v) >= 2 and list(v) == sorted(v) else "needs "
-     f"at least two increasing sizes for the plateau verdict, got {list(v)}"),
+    ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes, gauge._fit_sizes),
     ("gauge/phase-fit", "initial_index", INT, _F.initial_index,
      gauge._fit_index),
     ("gauge/phase-fit", "n_reference", INT, _F.n_reference,
@@ -345,21 +343,20 @@ def _model(v: dict, units: Units, seed=None):
     """(model, the seed its matrix was drawn with: None if it draws none)."""
     width, n_basis, amplitude = v["well_width"], v["n_basis"], v["amplitude"]
     kind, window = v["perturbation"], (v["t_start"], v["t_end"])
+    if kind.startswith("dipole"):   # box_dipole_model builds the energies
+        return propagation.box_dipole_model(
+            width, n_basis, amplitude, v["ramp_time"], window, units,
+            kind.removeprefix("dipole-")), None
     energies = propagation.box_energies(width, n_basis, units)
     if kind == "none":
         return propagation.HamiltonianModel(energies, [], window), None
-    if kind == "random-hermitian":
-        seed = v["seed"] if seed is None else seed
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((n_basis, n_basis)) \
-            + 1j * rng.standard_normal((n_basis, n_basis))
-        h = 0.5 * (m + m.conj().T) * amplitude
-        return propagation.HamiltonianModel(energies, [(np.ones_like, h)],
-                                            window), seed
-    profile = "ramp" if kind == "dipole-ramp" else "step"
-    return propagation.box_dipole_model(width, n_basis, amplitude,
-                                        v["ramp_time"], window, units,
-                                        profile), None
+    seed = v["seed"] if seed is None else seed
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n_basis, n_basis)) \
+        + 1j * rng.standard_normal((n_basis, n_basis))
+    h = 0.5 * (m + m.conj().T) * amplitude
+    return propagation.HamiltonianModel(energies, [(np.ones_like, h)],
+                                        window), seed
 
 
 def cmd_propagate(scn: Scenario, out_dir: Path, seed=None):

@@ -328,7 +328,7 @@ class GaugeJumpScenario:
     under f(t, r) = -A(t) x (or an identity / deliberately broken pair, for
     the control and error paths). cli._KEYS checks each field's range, and
     __post_init__ the fields that relate, through their keys' constraints;
-    PhaseFitScenario splits the same way.
+    PhaseFitScenario splits the same way, and also checks fit_sizes.
     """
 
     width: float = 1.0
@@ -498,15 +498,20 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
                            float(defect), float(scale), float(g_defect), v_pre)
 
 
+def _fit_sizes(v, _):
+    return "" if len(v) >= 2 and list(v) == sorted(v) else (
+        "needs at least two increasing sizes for the plateau verdict, got "
+        f"{list(v)}")
+
+
 def _fit_index(v, values):
-    """1 <= v <= the smallest fit size, fit_sizes[0] once they increase."""
-    return "" if 1 <= v <= min(values["fit_sizes"]) else (
-        f"must lie in 1..fit_sizes[0] = {min(values['fit_sizes'])}, got {v}")
+    return "" if 1 <= v <= values["fit_sizes"][0] else (
+        f"must lie in 1..fit_sizes[0] = {values['fit_sizes'][0]}, got {v}")
 
 
 def _reference_size(v, values):
-    return "" if v >= max(values["fit_sizes"]) else (
-        f"must cover the largest fit size, {max(values['fit_sizes'])}, got {v}")
+    return "" if v >= values["fit_sizes"][-1] else (
+        f"must cover the largest fit size, {values['fit_sizes'][-1]}, got {v}")
 
 
 @dataclass
@@ -526,7 +531,8 @@ class PhaseFitScenario:
     units: Units = field(default_factory=Units)
 
     def __post_init__(self):
-        for key, constraint in (("initial_index", _fit_index),
+        for key, constraint in (("fit_sizes", _fit_sizes),
+                                ("initial_index", _fit_index),
                                 ("n_reference", _reference_size)):
             if problem := constraint(getattr(self, key), vars(self)):
                 raise ValueError(f"{key} {problem}")

@@ -1185,16 +1185,16 @@ def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
 # ------------------------------------------------------------ scenario keys
 
 def _readme_key_table():
-    """{section: {key: the parts of its parenthesis}} of the README's
+    """{section: [(key, the parts of its parenthesis)]} of the README's
     "Scenario format" table, one row per section, each key written `key`
     (default, ...); parts are split at each ',' and ';' outside nested
-    parentheses."""
+    parentheses. A key written twice is listed twice."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([\w/-]+)` \| (.+) \|$",
                       text.split("\n## Scenario format\n", 1)[1], re.M)
     table = {}
     for section, keys in rows:
-        table[section] = {}
+        table[section] = []
         for match in re.finditer(r"`(\w+)` \(", keys):
             depth, parts = 1, [""]
             for ch in keys[match.end():]:
@@ -1205,12 +1205,13 @@ def _readme_key_table():
                     parts.append("")
                 else:
                     parts[-1] += ch
-            table[section][match[1]] = [part.strip() for part in parts]
+            table[section].append(
+                (match[1], [part.strip() for part in parts]))
     return table
 
 
 def test_readme_key_table_lists_each_section_s_keys_in_read_order():
-    table = {section: list(keys)
+    table = {section: [key for key, _ in keys]
              for section, keys in _readme_key_table().items()}
     sections = dict.fromkeys(row[0] for row in cli._KEYS)
     assert table == {section: [row[1] for row in cli._KEYS
@@ -1220,7 +1221,8 @@ def test_readme_key_table_lists_each_section_s_keys_in_read_order():
 def test_readme_key_table_states_each_constraint():
     # a key with a constraint shows its range after its default; a key
     # without one shows its default alone (a choice lists its options too)
-    table = _readme_key_table()
+    table = {section: dict(keys)
+             for section, keys in _readme_key_table().items()}
     for section, key, kind, default, constraint in cli._KEYS:
         parts = table[section][key]
         shown = len(default) if isinstance(default, tuple) else 1
@@ -1415,10 +1417,12 @@ def _one_state(dim, n_slices, window=(0.0, 1.0), **kwargs):
     ("gauge", dict(experiment="phase-fit", fit_sizes="2, 4, 32",
                    n_reference=16), "n_reference",
      lambda: gauge.PhaseFitScenario(fit_sizes=(2, 4, 32), n_reference=16)),
+    ("gauge", dict(experiment="phase-fit", fit_sizes="48, 2"), "fit_sizes",
+     lambda: gauge.PhaseFitScenario(fit_sizes=(48, 2), n_reference=48)),
 ], ids=["hbar", "window-order", "refinement-grid", "jump-grid",
         "slice-count", "tracked", "box-basis", "dipole-basis",
         "momentum-basis", "jump-initial-index", "phase-fit-initial-index",
-        "reference-basis"])
+        "reference-basis", "fit-sizes"])
 def test_a_key_and_the_library_refuse_with_one_reason(kind, keys, key, call):
     # one predicate decides each hazard that a key and the library both
     # guard: the library's message is a subject and the key's own reason

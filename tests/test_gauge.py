@@ -686,14 +686,16 @@ def test_observable_csv_bytes_match_reference_formatter(tmp_path):
     (lambda: PhaseFitScenario(fit_sizes=(2, 4), n_reference=4,
                               initial_index=3),
      r"initial_index must lie in 1\.\.fit_sizes\[0\] = 2, got 3"),
-    # sizes out of order: the smallest and the largest still bound them
-    (lambda: PhaseFitScenario(fit_sizes=(4, 2), n_reference=4,
-                              initial_index=3),
-     r"initial_index must lie in 1\.\.fit_sizes\[0\] = 2, got 3"),
-    (lambda: PhaseFitScenario(fit_sizes=(48, 2), n_reference=32),
-     "n_reference must cover the largest fit size, 48, got 32"),
+    # the plateau verdict compares the last two sizes: one size, or sizes
+    # out of order, never reach it
+    (lambda: PhaseFitScenario(fit_sizes=(4,), n_reference=8),
+     r"fit_sizes needs at least two increasing sizes for the plateau "
+     r"verdict, got \[4\]"),
+    (lambda: PhaseFitScenario(fit_sizes=(48, 2), n_reference=48),
+     r"fit_sizes needs at least two increasing sizes for the plateau "
+     r"verdict, got \[48, 2\]"),
 ], ids=["jump-index-zero", "jump-index-past-basis", "fit-index-past-basis",
-        "unsorted-fit-index", "unsorted-reference"])
+        "fit-sizes-single", "fit-sizes-unsorted"])
 def test_experiment_argument_checks(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -10,15 +10,11 @@ table; a test kills it when it raises.
 """
 
 import __future__
-import contextlib
 import functools
 import inspect
-import io
 import json
 import sys
-import tempfile
 import textwrap
-import types
 from importlib import resources
 from pathlib import Path
 
@@ -62,26 +58,11 @@ _two_times = functools.partial(
     .inner_test, 4, 0, [0.1, 0.9], 1.0)
 
 
-def _row(test, row_id, *fixtures):
-    """test at its parametrized row row_id, fixtures first, as a call of
-    no arguments."""
+def _row(test, row_id):
+    """test at its parametrized row row_id, as a call of no arguments."""
     mark = next(m for m in test.pytestmark if m.name == "parametrize")
-    return functools.partial(test, *fixtures,
+    return functools.partial(test,
                              *mark.args[1][mark.kwargs["ids"].index(row_id)])
-
-
-def _cli_row(row_id):
-    """test_cli's test_accepted_values_beyond_float_range_exit_1 at row_id,
-    run in a fresh directory with stderr captured for its capsys."""
-    def run():
-        err = io.StringIO()
-        capsys = types.SimpleNamespace(
-            readouterr=lambda: types.SimpleNamespace(err=err.getvalue()))
-        with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.redirect_stderr(err):
-            _row(test_cli.test_accepted_values_beyond_float_range_exit_1,
-                 row_id, Path(tmp), capsys)()
-    return run
 
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
@@ -179,12 +160,14 @@ MUTANTS = [
      "shift += scale * prof(times)", "shift += 0.0 * prof(times)",
      [], [_identity_term_step]),
     # one predicate decides the grid for the key and the library, so one
-    # edit reaches both. reproduce-all is blind: its windows are wide
+    # edit reaches both: the library row, and the agreement row whose key
+    # then accepts the window. reproduce-all is blind: its windows are wide
     ("grid-rule-loosened", propagation, "_increasing_grid",
      "dt > least", "dt > 0.0",
      [], [_row(test_propagation.test_propagation_argument_checks,
                "refinement-repeated-times"),
-          _cli_row("refinement-repeated-times")]),
+          _row(test_cli.test_a_key_and_the_library_refuse_with_one_reason,
+               "refinement-grid")]),
     ("dipole-sign-flipped", propagation, "dipole_matrix_elements_box",
      "-8.0 * width", "8.0 * width",
      ["phase-factored-fit"],
