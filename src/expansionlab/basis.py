@@ -1,12 +1,12 @@
 """Eigenfunctions: the Landau radial factor and the 1-D box.
 
-Natural units m = Q = c = 1 throughout; hbar lives in propagation.Units.
+Natural units m = Q = c = hbar = 1 throughout.
 Each eigenfunction is a plain function of its quantum numbers and a point:
 box modes of an integer n >= 1 and a float x, Landau radial factors of
 n >= 0 and l at a radius rho. Landau states are handled on a fixed-k_z
 transverse slice, with the z factor treated as a delta-normalized
 spectator. Stationary time factors, where they appear elsewhere in the
-package, follow the convention exp(-i eps t / hbar).
+package, follow the convention exp(-i eps t).
 """
 
 from __future__ import annotations

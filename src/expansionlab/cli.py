@@ -30,7 +30,6 @@ from . import __version__, basis, expansion, gauge, propagation, svgplot
 from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     GaugeJumpScenario, PhaseFitScenario,
                     PhysicalConsistencyError, zero_gauge_function)
-from .propagation import Units
 from .scenario import (INT, INTS, REAL, REQUIRED, RunManifest, Scenario,
                        _at_least, _at_most, _in_1_to, _positive,
                        load_scenario, write_artifact)
@@ -144,9 +143,9 @@ def _all(*constraints):
 # Scenario.read takes them; rows are read, and their errors raised, in order.
 # The gauge defaults are the fields of the experiment classes.
 _J, _F = GaugeJumpScenario, PhaseFitScenario
-# a ceiling on each slice count: bundled scenarios take up to 1 200 and the
+# a slice count, with a ceiling: bundled scenarios take up to 1 200 and the
 # benchmark 2 000; at 10^12 _prepare's np.arange alone would need 7.28 TiB
-_SLICES = _at_most(10 ** 6)
+_SLICES = _all(_at_least(1), _at_most(10 ** 6))
 _KEYS = (
     # a ceiling on the scan: 10^5 orders take under a second and a 5 MB
     # coefficient CSV, and _landau_length reads n_max + 1 as a float
@@ -160,8 +159,7 @@ _KEYS = (
     ("expand/box", "center", REAL, lambda v: v["width"] / 2.0, None),
     ("expand/box", "sigma", REAL, lambda v: v["width"] / 10.0,
      _when(lambda v: v["target"] == "gaussian", _gaussian_sigma)),
-    ("propagate", "hbar", REAL, Units.hbar, _positive),
-    ("propagate", "n_slices", INT, 1000, _all(_at_least(1), _SLICES)),
+    ("propagate", "n_slices", INT, 1000, _SLICES),
     ("propagate", "tracked", INT, 8, _at_least(0)),
     ("propagate", "well_width", REAL, 1.0, _positive),
     ("propagate", "perturbation", {"none", "dipole-ramp", "dipole-step",
@@ -191,8 +189,7 @@ _KEYS = (
      _when(lambda v: v["switch"] == "ramp", _normal_square)),
     ("gauge/jump", "t_end", REAL, _J.t_end, _all(_positive, _when(
         lambda v: v["switch"] == "ramp", _ramp_phase("ramp_time")))),
-    ("gauge/jump", "n_slices", INT, _J.n_slices,
-     _all(_positive, _SLICES, _grid(1))),
+    ("gauge/jump", "n_slices", INT, _J.n_slices, _all(_SLICES, _grid(1))),
     ("gauge/jump", "observe_stride", INT, _J.observe_stride, _positive),
     # the field check samples away from t = 0, where a stepped A(t) is
     # constant in either gauge, so only a ramp lets it see a mismatch
@@ -202,14 +199,13 @@ _KEYS = (
      f"must not be {v!r} unless switch = ramp, got switch = "
      f"{values['switch']!r}"),
     ("gauge/jump", "mismatch_factor", REAL, _J.mismatch_factor, None),
-    ("gauge/jump", "hbar", REAL, Units.hbar, _positive),
     ("gauge/phase-fit", "well_width", REAL, _F.width, _positive),
     ("gauge/phase-fit", "amplitude", REAL, _F.amplitude, None),
     ("gauge/phase-fit", "ramp_time", REAL, _F.ramp_time, _normal_square),
     ("gauge/phase-fit", "t_end", REAL, _F.t_end,
      _all(_positive, _ramp_phase("ramp_time"))),
     ("gauge/phase-fit", "n_slices", INT, _F.n_slices,
-     _all(_positive, _SLICES, _grid(1))),
+     _all(_SLICES, _grid(1))),
     ("gauge/phase-fit", "fit_sizes", INTS, _F.fit_sizes, gauge._fit_sizes),
     ("gauge/phase-fit", "initial_index", INT, _F.initial_index,
      gauge._fit_index),
@@ -217,7 +213,6 @@ _KEYS = (
      gauge._reference_size),
     ("gauge/phase-fit", "n_grid", INT, _F.n_grid, _positive),
     ("gauge/phase-fit", "fit_stride", INT, _F.fit_stride, _positive),
-    ("gauge/phase-fit", "hbar", REAL, Units.hbar, _positive),
     ("gauge/phase-fit", "phase_strength", REAL, 0.8, None),
     ("gauge/phase-fit", "phase_ramp_time", REAL, lambda v: v["ramp_time"],
      _all(_normal_square, _ramp_phase("phase_ramp_time"))),
@@ -339,15 +334,15 @@ def cmd_expand(scn: Scenario, out_dir: Path, tolerance_scale: float = 1.0):
 
 # ------------------------------------------------------------- propagate
 
-def _model(v: dict, units: Units, seed=None):
+def _model(v: dict, seed=None):
     """(model, the seed its matrix was drawn with: None if it draws none)."""
     width, n_basis, amplitude = v["well_width"], v["n_basis"], v["amplitude"]
     kind, window = v["perturbation"], (v["t_start"], v["t_end"])
     if kind.startswith("dipole"):   # box_dipole_model builds the energies
         return propagation.box_dipole_model(
-            width, n_basis, amplitude, v["ramp_time"], window, units,
+            width, n_basis, amplitude, v["ramp_time"], window,
             kind.removeprefix("dipole-")), None
-    energies = propagation.box_energies(width, n_basis, units)
+    energies = propagation.box_energies(width, n_basis)
     if kind == "none":
         return propagation.HamiltonianModel(energies, [], window), None
     seed = v["seed"] if seed is None else seed
@@ -361,9 +356,8 @@ def _model(v: dict, units: Units, seed=None):
 
 def cmd_propagate(scn: Scenario, out_dir: Path, seed=None):
     v = scn.read(_KEYS, "propagate")
-    units = Units(v["hbar"])
     n_slices, tracked = v["n_slices"], v["tracked"]
-    model, seed = _model(v, units, seed)
+    model, seed = _model(v, seed)
     c0 = np.zeros(model.dim, dtype=complex)
     c0[v["initial_index"] - 1] = 1.0
 
@@ -371,18 +365,18 @@ def cmd_propagate(scn: Scenario, out_dir: Path, seed=None):
     with np.errstate(over="raise", invalid="raise"):
         # the CSVs read `tracked` columns; the audit reads rows 0 and 1 in
         # full from the copies the stepper keeps of them
-        euler = propagation.euler_propagate(c0, model, n_slices, units,
+        euler = propagation.euler_propagate(c0, model, n_slices,
                                             tracked=tracked)
-        cayley = propagation.unitary_propagate(c0, model, n_slices, units,
+        cayley = propagation.unitary_propagate(c0, model, n_slices,
                                                tracked=tracked)
-        audit = propagation.norm_audit(euler, model, units)
+        audit = propagation.norm_audit(euler, model)
 
         # refinement study: mean per-step growth should scale like dt^2;
         # the finer runs need their final norm alone
         growth = []
         for k in (1, 2, 4):
             final = euler.norms[-1] if k == 1 else \
-                propagation.euler_final_norm(c0, model, n_slices * k, units)
+                propagation.euler_final_norm(c0, model, n_slices * k)
             growth.append((final - 1.0) / (n_slices * k))
     exponents = []
     for g1, g2 in zip(growth, growth[1:]):
@@ -419,10 +413,9 @@ def cmd_propagate(scn: Scenario, out_dir: Path, seed=None):
 # ----------------------------------------------------------------- gauge
 
 def _experiment(cls, v: dict):
-    """cls from its section's values; well_width and hbar set width, units."""
-    names = {f.name for f in dataclasses.fields(cls)} - {"width", "units"}
-    return cls(width=v["well_width"], units=Units(v["hbar"]),
-               **{name: v[name] for name in names})
+    """cls from its section's values; well_width sets width."""
+    names = {f.name for f in dataclasses.fields(cls)} - {"width"}
+    return cls(width=v["well_width"], **{name: v[name] for name in names})
 
 
 def _phase_gauge(v: dict) -> GaugeFunction:
@@ -613,10 +606,9 @@ def _golden_problem(claim, golden) -> str:
 def _long_run_max_dev(scn: Scenario, n_steps: int) -> float:
     """max |norm^2 - 1| of an n_steps-slice Cayley run of a propagate scenario."""
     v = scn.read(_KEYS, "propagate")
-    units = Units(v["hbar"])
-    model, _ = _model(v, units)
+    model, _ = _model(v)
     c0 = np.eye(model.dim, dtype=complex)[v["initial_index"] - 1]
-    norms = propagation.unitary_propagate(c0, model, n_steps, units,
+    norms = propagation.unitary_propagate(c0, model, n_steps,
                                           tracked=0).norms
     norms -= 1.0
     return float(np.max(np.abs(norms, out=norms)))

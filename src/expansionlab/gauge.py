@@ -3,11 +3,12 @@
 The covariance set transforms everything together: A' = A + grad f,
 Phi' = Phi - df/dt, the wave function picks up exp(i f), and observables are
 rebuilt from the primed potentials. The velocity operator is v = p - A with
-p = -i hbar d/dx on the well domain. Experiments run on the 1-D box embedded
-along the x axis; gauge functions remain full fields of (t, r). Observables
-are weighted sums over psi and d psi/dx sampled on 2 N + 32 Gauss-Legendre
-nodes for N sine terms; the jump experiment re-checks its last time on twice
-the nodes and raises QuadratureError if a value moves beyond round-off.
+p = -i d/dx on the well domain, in units m = Q = c = hbar = 1. Experiments run
+on the 1-D box embedded along the x axis; gauge functions remain full fields
+of (t, r). Observables are weighted sums over psi and d psi/dx sampled on
+2 N + 32 Gauss-Legendre nodes for N sine terms; the jump experiment re-checks
+its last time on twice the nodes and raises QuadratureError if a value moves
+beyond round-off.
 
 Field contract. A field (potential, gauge function or derivative) is called
 as field(t, r) with points r as a (3, N) array, axis 0 the coordinate, and a
@@ -25,14 +26,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import propagation
 from .basis import box_modes
-from .propagation import (HamiltonianModel, Units, box_energies,
+from .propagation import (HamiltonianModel, box_energies,
                           momentum_matrix_elements_box, switch_profile,
                           unitary_propagate)
 from .scenario import _in_1_to, write_artifact
@@ -263,16 +264,16 @@ def phase_transform(state: LineState, g: GaugeFunction, t) -> LineState:
                      phase * (1j * gx * state.value + state.dx))
 
 
-def velocity_and_momentum(state: LineState, A, t, units: Units = Units()):
-    """<v> = <p - A(t, r)> and <p> = <-i hbar d/dx> as sums over the nodes.
+def velocity_and_momentum(state: LineState, A, t):
+    """<v> = <p - A(t, r)> and <p> = <-i d/dx> as sums over the nodes.
 
     t is a time or an array of times matching the state's leading axes; the
     results have shape (..., 3), and every row must be unit-normalized.
     """
-    return _velocity_and_momentum(state, _on_line(A, t, state.x), units)
+    return _velocity_and_momentum(state, _on_line(A, t, state.x))
 
 
-def _velocity_and_momentum(state: LineState, a: np.ndarray, units: Units):
+def _velocity_and_momentum(state: LineState, a: np.ndarray):
     """velocity_and_momentum with A sampled on the nodes, a (3, ..., N)."""
     density = np.abs(state.value) ** 2
     norm = density @ state.w
@@ -281,7 +282,7 @@ def _velocity_and_momentum(state: LineState, a: np.ndarray, units: Units):
         worst = float(np.ravel(norm)[bad[0]])
         raise NormalizationError(
             f"state norm {worst!r} deviates from 1 beyond {NORM_TOL!r}", worst)
-    p_density = (state.value.conjugate() * (-1j * units.hbar * state.dx)).real
+    p_density = (state.value.conjugate() * (-1j * state.dx)).real
 
     # v_x as a single integrand: when the state is co-transformed with the
     # potentials, the grad-f terms cancel node by node, so the two gauges sum
@@ -342,7 +343,6 @@ class GaugeJumpScenario:
     observe_stride: int = 4
     second_gauge: str = "transformed"   # transformed | identity | mismatched
     mismatch_factor: float = 1.5
-    units: Units = field(default_factory=Units)
 
     def __post_init__(self):
         if problem := _in_1_to("n_basis")(self.initial_index, vars(self)):
@@ -375,11 +375,11 @@ class GaugeJumpScenario:
         return transform_potentials(self.drive_potentials(), g)
 
     def hamiltonian(self) -> HamiltonianModel:
-        p = momentum_matrix_elements_box(self.width, self.n_basis, self.units)
+        p = momentum_matrix_elements_box(self.width, self.n_basis)
         eye = np.eye(self.n_basis, dtype=complex)
         a, _ = self._drive()
         return HamiltonianModel(
-            box_energies(self.width, self.n_basis, self.units),
+            box_energies(self.width, self.n_basis),
             [(lambda t: -a(t), p), (lambda t: 0.5 * a(t) ** 2, eye)],
             (0.0, self.t_end))
 
@@ -420,7 +420,6 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     set is applied. A second gauge that does not reproduce the same E and B
     fields is rejected up front.
     """
-    units = scenario.units
     pot1 = scenario.drive_potentials()
     pot2 = scenario.second_potentials()
     g = scenario.gauge_function()
@@ -451,7 +450,7 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     model = scenario.hamiltonian()
     c0 = np.zeros(scenario.n_basis, dtype=complex)
     c0[scenario.initial_index - 1] = 1.0
-    traj = unitary_propagate(c0, model, scenario.n_slices, units)
+    traj = unitary_propagate(c0, model, scenario.n_slices)
 
     def observe(amps, t):
         """Rows v1, p1, naive v2 (state not co-transformed), v2, p2.
@@ -461,20 +460,19 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
         psi1 = box_line_state(scenario.width, amps)
         psi2 = phase_transform(psi1, g, t)
         a2 = _on_line(pot2.vector, t, psi1.x)    # one sampling for both rows
-        return np.stack([*velocity_and_momentum(psi1, pot1.vector, t, units),
-                         _velocity_and_momentum(psi1, a2, units)[0],
-                         *_velocity_and_momentum(psi2, a2, units)], axis=-2)
+        return np.stack([*velocity_and_momentum(psi1, pot1.vector, t),
+                         _velocity_and_momentum(psi1, a2)[0],
+                         *_velocity_and_momentum(psi2, a2)], axis=-2)
 
     # pre-switch reference: stationary bound state, potentials still off
     v_pre, _ = velocity_and_momentum(box_line_state(scenario.width, c0),
-                                     free_potentials().vector, -1.0, units)
+                                     free_potentials().vector, -1.0)
 
     idx = sorted(set([0, 1] + list(range(0, scenario.n_slices + 1,
                                          scenario.observe_stride))
                      + [scenario.n_slices]))
     times = traj.times[idx]
-    amps = traj.states[idx] \
-        * np.exp(-1j * np.outer(times, model.energies) / units.hbar)
+    amps = traj.states[idx] * np.exp(-1j * np.outer(times, model.energies))
     obs = observe(amps, times)
 
     # zero-padding to 2 n + 16 amplitudes doubles the nodes; a value that
@@ -483,8 +481,8 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     fine = observe(np.concatenate([amps[-1], np.zeros(amps.shape[1] + 16)]),
                    times[-1])
     split = float(np.max(np.abs(fine - obs[-1])))
-    if split > 1e-12 * max(1.0, float(np.max(np.abs(fine))), units.hbar
-                           * math.pi * scenario.n_basis / scenario.width):
+    if split > 1e-12 * max(1.0, float(np.max(np.abs(fine))),
+                           math.pi * scenario.n_basis / scenario.width):
         raise QuadratureError(
             f"gauge observables at t = {float(times[-1])!r} moved by "
             f"{split!r} when the quadrature nodes were doubled",
@@ -528,7 +526,6 @@ class PhaseFitScenario:
     fit_sizes: tuple = (2, 4, 8, 12, 16, 24, 32, 48)
     n_grid: int = 1200
     fit_stride: int = 200
-    units: Units = field(default_factory=Units)
 
     def __post_init__(self):
         for key, constraint in (("fit_sizes", _fit_sizes),
@@ -584,21 +581,20 @@ def phase_factored_expansion_test(scenario: PhaseFitScenario,
     for the sine products involved, so the stationary control sits at
     rounding level.
     """
-    units = scenario.units
     width = scenario.width
     model = propagation.box_dipole_model(width, scenario.n_reference,
                                          scenario.amplitude,
                                          scenario.ramp_time,
-                                         (0.0, scenario.t_end), units)
+                                         (0.0, scenario.t_end))
     c0 = np.zeros(scenario.n_reference, dtype=complex)
     c0[scenario.initial_index - 1] = 1.0
-    traj = unitary_propagate(c0, model, scenario.n_slices, units)
+    traj = unitary_propagate(c0, model, scenario.n_slices)
     fit_idx = sorted(set(list(range(0, scenario.n_slices + 1,
                                     scenario.fit_stride))
                          + [scenario.n_slices]))
     fit_times = traj.times[fit_idx]
     amps = traj.states[fit_idx] \
-        * np.exp(-1j * np.outer(fit_times, model.energies) / units.hbar)
+        * np.exp(-1j * np.outer(fit_times, model.energies))
     del traj    # the fit reads its sampled rows alone
 
     xs = np.linspace(0.0, width, scenario.n_grid + 1)

@@ -1,13 +1,14 @@
 """Coefficient propagation: first-order explicit slicing and a unitary contrast.
 
-The coefficient system is i hbar dC_n/dt = sum_l C_l (H1)_{nl} exp(i w_{nl} t)
-with Bohr frequencies w_{nl} = (eps_n - eps_l)/hbar; stationary time factors
-follow exp(-i eps t / hbar). euler_propagate applies the first-order update
-with left-endpoint phases exactly as written, kept deliberately naive: its
-norm growth is a reported outcome, not a defect to be patched. It samples
-the profiles once per run and factors each phase as exp(i w_{nl} t) =
-d_n(t) conj(d_l(t)), d(t) = exp(i eps t / hbar), so a step is one
-matrix-vector product per term, not the literal dim x dim form. The
+Units are m = Q = c = hbar = 1 throughout the package. The coefficient
+system is i dC_n/dt = sum_l C_l (H1)_{nl} exp(i w_{nl} t) with Bohr
+frequencies w_{nl} = eps_n - eps_l; stationary time factors follow
+exp(-i eps t). euler_propagate applies the first-order update with
+left-endpoint phases exactly as written, kept deliberately naive: its norm
+growth is a reported outcome, not a defect to be patched. It samples the
+profiles once per run and factors each phase as exp(i w_{nl} t) =
+d_n(t) conj(d_l(t)), d(t) = exp(i eps t), so a step is one matrix-vector
+product per term, not the literal dim x dim form. The
 Cayley (Crank-Nicolson) stepper is the norm-preserving contrast oracle. When
 the perturbation is one matrix X times a profile, plus multiples of the
 identity, it steps in the eigenbasis of X: the Cayley factor is diagonal
@@ -51,17 +52,6 @@ from .scenario import _CHUNK_LINES, _at_least, _positive, write_artifact
 
 class PropagationContractError(ValueError):
     """Inputs violate an operation's contract (dimensions, trajectory kind)."""
-
-
-@dataclass(frozen=True)
-class Units:
-    """Natural units m = Q = c = 1; hbar configurable."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if problem := _positive(self.hbar, None):
-            raise PropagationContractError(f"hbar {problem}")
 
 
 def smooth_ramp(t, tau: float):
@@ -178,10 +168,10 @@ class HamiltonianModel:
         return float(np.max(np.abs(h - h.conj().T)))
 
 
-def bohr_frequencies(model: HamiltonianModel, units: Units = Units()) -> np.ndarray:
-    """w_{nl} = (eps_n - eps_l) / hbar; antisymmetric."""
+def bohr_frequencies(model: HamiltonianModel) -> np.ndarray:
+    """w_{nl} = eps_n - eps_l; antisymmetric."""
     e = model.energies
-    return (e[:, None] - e[None, :]) / units.hbar
+    return e[:, None] - e[None, :]
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -273,7 +263,7 @@ def _blocks(out: Trajectory):
             out._head[1] = block[0]
 
 
-def _prepare(c0, model: HamiltonianModel, n_slices: int, units: Units):
+def _prepare(c0, model: HamiltonianModel, n_slices: int):
     c = np.asarray(c0, dtype=complex).copy()
     if c.shape != (model.dim,):
         raise PropagationContractError(
@@ -297,32 +287,30 @@ def _sample(model: HamiltonianModel, times: np.ndarray):
                      dtype=complex).reshape(-1, model.dim, model.dim))
 
 
-def euler_propagate(c0, model: HamiltonianModel, n_slices: int,
-                    units: Units = Units(), tracked: int | None = None
-                    ) -> Trajectory:
+def euler_propagate(c0, model: HamiltonianModel, n_slices: int, *,
+                    tracked: int | None = None) -> Trajectory:
     """First-order explicit slicing with left-endpoint rotating-frame phases.
 
-    C_k(t_{i+1}) = C_k(t_i) - (i/hbar) sum_{k'} C_{k'}(t_i) (H1)_{kk'}
+    C_k(t_{i+1}) = C_k(t_i) - i sum_{k'} C_{k'}(t_i) (H1)_{kk'}
     exp(i w_{kk'} t_i) dt. Norm growth along the way is recorded, never
     corrected.
 
     The update is evaluated without forming the dim x dim phase matrix: the
-    profiles are sampled once on the left endpoints with -i dt/hbar folded
+    profiles are sampled once on the left endpoints with -i dt folded
     in as a_{ij}, and exp(i w_{nl} t) = d_n(t) conj(d_l(t)) with d(t) =
-    exp(i eps t / hbar), built in row chunks. A step is C_{i+1} = C_i + d *
+    exp(i eps t), built in row chunks. A step is C_{i+1} = C_i + d *
     sum_j a_{ij} X_j (conj(d) * C_i). Every left endpoint lies inside the
     window, so h1's window rule never zeroes a step. The returned states
     keep the leading `tracked` columns (all when None); the norms cover all.
     """
-    c, times, dt = _prepare(c0, model, n_slices, units)
+    c, times, dt = _prepare(c0, model, n_slices)
     out = _start(times, c, tracked, "euler")
     left = times[:-1]
     a, xs = _sample(model, left)
-    a = a * (-1j * dt / units.hbar)
-    freq = model.energies / units.hbar
+    a = a * (-1j * dt)
     for lo, block in _blocks(out):
         hi = lo + len(block)
-        d = np.exp(1j * np.outer(left[lo:hi], freq))
+        d = np.exp(1j * np.outer(left[lo:hi], model.energies))
         for dn, dl, ai, row in zip(d, d.conj(), a[lo:hi], block):
             z = np.dot(ai, xs @ (dl * c))
             np.multiply(dn, z, out=z)
@@ -362,19 +350,19 @@ def _polar(u: np.ndarray) -> np.ndarray:
 
 
 def _eigenbasis(model: HamiltonianModel, x: np.ndarray, c: np.ndarray,
-                t: float, dt: float, units: Units):
+                t: float, dt: float):
     """Set-up of a step in the eigenbasis of the one general term's X.
 
     Returns Lambda and V of X = V Lambda V^H, the free step U = V^H
-    diag(exp(-i eps dt / hbar)) V, eps / hbar and w = V^H D(t)^H c, for the
+    diag(exp(-i eps dt)) V and w = V^H D(t)^H c, for the
     first step's time t. V and U are polished by Newton-Schulz polar sweeps.
     """
     lam, v = np.linalg.eigh(x)
     v = _polar(v)
-    freq = model.energies / units.hbar
-    u = _polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
-    w = v.conj().T @ (np.exp(-1j * freq * t) * c)
-    return lam, v, u, freq, w
+    eps = model.energies
+    u = _polar(v.conj().T @ (np.exp(-1j * eps * dt)[:, None] * v))
+    w = v.conj().T @ (np.exp(-1j * eps * t) * c)
+    return lam, v, u, w
 
 
 def _switches(profile, scalar, grid: np.ndarray):
@@ -394,22 +382,21 @@ def _switches(profile, scalar, grid: np.ndarray):
     return s, shifts
 
 
-def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
-                      units: Units = Units(), tracked: int | None = None
-                      ) -> Trajectory:
+def unitary_propagate(c0, model: HamiltonianModel, n_slices: int, *,
+                      tracked: int | None = None) -> Trajectory:
     """Cayley (Crank-Nicolson) stepping at the midpoint time.
 
-    (I + i dt/2hbar Htilde) C_{i+1} = (I - i dt/2hbar Htilde) C_i with
+    (I + i dt/2 Htilde) C_{i+1} = (I - i dt/2 Htilde) C_i with
     Htilde = D H1 D^H the rotating-frame matrix at t_m = t_i + dt/2 and
-    D(t) = diag(exp(i eps t / hbar)). Exactly unitary for Hermitian Htilde,
+    D(t) = diag(exp(i eps t)). Exactly unitary for Hermitian Htilde,
     so the step never meets a singular matrix for real dt.
 
     When H1(t) = s(t) X + c(t) I (one term with a general matrix X, any
     number whose matrix is exactly a multiple of I), the step is taken in
     the eigenbasis X = V Lambda V^H. There w_i = V^H D(t_m,i)^H C_i obeys
-    w_{i+1} = U (r_i * w_i), with the constant U = V^H diag(exp(-i eps dt /
-    hbar)) V and the diagonal Cayley factor r_i = (1 - ih z) / (1 + ih z),
-    z = s(t_m,i) Lambda + c(t_m,i), h = dt / 2hbar. V and U are refined
+    w_{i+1} = U (r_i * w_i), with the constant U = V^H diag(exp(-i eps dt))
+    V and the diagonal Cayley factor r_i = (1 - ih z) / (1 + ih z),
+    z = s(t_m,i) Lambda + c(t_m,i), h = dt / 2. V and U are refined
     toward exact unitarity by Newton-Schulz polar sweeps, which keeps the
     norm drift at round-off over long runs. The coefficients are rebuilt as
     C_{i+1} = D(t_m,i) V (r_i * w_i) in row chunks. The midpoints, s and c
@@ -418,14 +405,14 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
     stepped with one linear solve per step. The returned states keep the
     leading `tracked` columns (all when None); the norms cover all.
     """
-    c, times, dt = _prepare(c0, model, n_slices, units)
+    c, times, dt = _prepare(c0, model, n_slices)
     out = _start(times, c, tracked, "cayley")
-    half = 0.5j * dt / units.hbar
+    half = 0.5j * dt
     general, scalar = _split_terms(model)
     if len(general) != 1:
         tm = times[:-1] + 0.5 * dt
         values, xs = _sample(model, tm)
-        omega = bohr_frequencies(model, units)
+        omega = bohr_frequencies(model)
         eye = np.eye(model.dim, dtype=complex)
         for lo, block in _blocks(out):
             hi = lo + len(block)
@@ -437,8 +424,7 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
         return out
 
     (profile, x), = general
-    lam, v, u, freq, w = _eigenbasis(model, x, c, times[0] + 0.5 * dt, dt,
-                                     units)
+    lam, v, u, w = _eigenbasis(model, x, c, times[0] + 0.5 * dt, dt)
     # bound once: a step writes row = r * w, then w = U row, in place
     step, scale = u.dot, np.multiply
     lo = hi = 0
@@ -457,18 +443,17 @@ def unitary_propagate(c0, model: HamiltonianModel, n_slices: int,
         for r, row in zip(factors, block):
             scale(r, w, out=row)
             step(row, out=w)
-        np.multiply(block @ v.T, np.exp(1j * (tm[k, None] * freq)),
+        np.multiply(block @ v.T, np.exp(1j * (tm[k, None] * model.energies)),
                     out=block)
     return out
 
 
-def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
-                     units: Units = Units()) -> float:
+def euler_final_norm(c0, model: HamiltonianModel, n_slices: int) -> float:
     """sum_k |C_k|^2 after euler_propagate's n_slices steps, norm only.
 
     For H1(t) = s(t) X + c(t) I the first-order step is taken in the
     eigenbasis of X, as unitary_propagate takes its Cayley step: w_{i+1} =
-    U (r_i * w_i) with r_i = 1 - i (dt/hbar) (s(t_i) Lambda + c(t_i)) at
+    U (r_i * w_i) with r_i = 1 - i dt (s(t_i) Lambda + c(t_i)) at
     the left endpoints t_i. D and V are unitary, so |w_N|^2 = |C_N|^2.
     r_i depends on (s(t_i), c(t_i)) alone: a run of m >= 2 steps on which
     that pair repeats exactly is one matrix power (U diag(r))^m, and the
@@ -478,15 +463,15 @@ def euler_final_norm(c0, model: HamiltonianModel, n_slices: int,
     """
     general, scalar = _split_terms(model)
     if len(general) != 1:
-        return float(euler_propagate(c0, model, n_slices, units,
+        return float(euler_propagate(c0, model, n_slices,
                                      tracked=0).norms[-1])
-    c, times, dt = _prepare(c0, model, n_slices, units)
+    c, times, dt = _prepare(c0, model, n_slices)
     left = times[:-1]
     (profile, x), = general
-    lam, _, u, _, w = _eigenbasis(model, x, c, left[0], dt, units)
+    lam, _, u, w = _eigenbasis(model, x, c, left[0], dt)
     # the run-of-equal-steps search below reads s and the shift whole
     s, shift = _switches(profile, scalar, left)
-    idt = 1j * dt / units.hbar
+    idt = 1j * dt
     rows = max(1, _CHUNK_ENTRIES // model.dim)
     step = u.dot
 
@@ -552,8 +537,8 @@ class NormAuditReport:
         return "\n".join(lines)
 
 
-def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
-               units: Units = Units()) -> NormAuditReport:
+def norm_audit(trajectory: Trajectory, model: HamiltonianModel
+               ) -> NormAuditReport:
     """Audit the norm chain of a first-order sliced run from a pure state.
 
     Checks |C_s(t1)|^2 >= 1 via the total and monotone growth of the norms,
@@ -563,7 +548,7 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
     NaN, which fails. The chain is specific to the explicit first-order
     update; trajectories from other integrators are rejected. The one-step
     norm is also compared against the model's closed form
-    1 + (dt/hbar)^2 sum_k |(H1)_{ks}|^2.
+    1 + dt^2 sum_k |(H1)_{ks}|^2.
 
     Rows 0 and 1 are read in full, after them only the norms: a stepper's
     run keeps full copies of both rows, so it may keep any number of
@@ -599,7 +584,7 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
 
     dt = float(trajectory.times[1] - trajectory.times[0])
     column = model.h1(float(trajectory.times[0]))[:, s]
-    predicted = 1.0 + (dt / units.hbar) ** 2 * float(np.sum(np.abs(column) ** 2))
+    predicted = 1.0 + dt ** 2 * float(np.sum(np.abs(column) ** 2))
     closed_defect = float(abs(step1 - predicted))
 
     passed = step1 >= 1.0 and monotone and closed_defect < CLOSED_FORM_TOL
@@ -607,12 +592,12 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel,
                            max_decrease, first_strict, closed_defect, passed)
 
 
-def box_energies(width: float, n_basis: int, units: Units = Units()) -> np.ndarray:
-    """eps_n = (n pi hbar / L)^2 / 2 for n = 1..n_basis."""
+def box_energies(width: float, n_basis: int) -> np.ndarray:
+    """eps_n = (n pi / L)^2 / 2 for n = 1..n_basis."""
     if problem := _at_least(1)(n_basis, None):
         raise PropagationContractError(f"n_basis {problem}")
     n = np.arange(1, n_basis + 1, dtype=float)
-    return (n * math.pi * units.hbar / width) ** 2 / 2.0
+    return (n * math.pi / width) ** 2 / 2.0
 
 
 def dipole_matrix_elements_box(width: float, n_basis: int) -> np.ndarray:
@@ -634,9 +619,8 @@ def dipole_matrix_elements_box(width: float, n_basis: int) -> np.ndarray:
     return x
 
 
-def momentum_matrix_elements_box(width: float, n_basis: int,
-                                 units: Units = Units()) -> np.ndarray:
-    """p_{nm} = <n| -i hbar d/dx |m>: -4 i hbar n m / (L (n^2 - m^2)), n+m odd."""
+def momentum_matrix_elements_box(width: float, n_basis: int) -> np.ndarray:
+    """p_{nm} = <n| -i d/dx |m>: -4 i n m / (L (n^2 - m^2)), n+m odd."""
     if problem := _at_least(2)(n_basis, None):
         raise PropagationContractError(f"momentum matrix n_basis {problem}")
     p = np.zeros((n_basis, n_basis), dtype=complex)
@@ -644,18 +628,17 @@ def momentum_matrix_elements_box(width: float, n_basis: int,
         for j in range(n_basis):
             ni, nj = i + 1, j + 1
             if (ni + nj) % 2 == 1:
-                p[i, j] = -4j * units.hbar * ni * nj \
-                    / (width * (ni * ni - nj * nj))
+                p[i, j] = -4j * ni * nj / (width * (ni * ni - nj * nj))
     return p
 
 
 def box_dipole_model(width: float, n_basis: int, amplitude: float,
-                     ramp_time: float, window, units: Units = Units(),
-                     profile: str = "ramp") -> HamiltonianModel:
+                     ramp_time: float, window, profile: str = "ramp"
+                     ) -> HamiltonianModel:
     """H1(t) = amplitude * switch(t) * x on the box basis."""
     x = dipole_matrix_elements_box(width, n_basis)
     switch, _ = switch_profile(profile, ramp_time, amplitude)
-    return HamiltonianModel(box_energies(width, n_basis, units), [(switch, x)],
+    return HamiltonianModel(box_energies(width, n_basis), [(switch, x)],
                             window)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from expansionlab.basis import BasisDomainError, BasisIndexError, landau_radial
 from expansionlab.expansion import CoefficientSeries
 from expansionlab.propagation import (HamiltonianModel,
-                                      PropagationContractError, Units,
+                                      PropagationContractError,
                                       bohr_frequencies)
 
 
@@ -77,15 +77,15 @@ def box_eigenfunction_dx(n: int, x: float, width: float) -> float:
         * math.cos(n * math.pi * x / width)
 
 
-def rhs(c, t: float, model: HamiltonianModel, units: Units = Units()) -> np.ndarray:
-    """dC_n/dt = -(i/hbar) sum_l C_l (H1)_{nl} exp(i w_{nl} t)."""
+def rhs(c, t: float, model: HamiltonianModel) -> np.ndarray:
+    """dC_n/dt = -i sum_l C_l (H1)_{nl} exp(i w_{nl} t)."""
     c = np.asarray(c, dtype=complex)
     if c.shape != (model.dim,):
         raise PropagationContractError(
             f"coefficient vector has shape {c.shape}, expected ({model.dim},)")
-    omega = bohr_frequencies(model, units)
+    omega = bohr_frequencies(model)
     m = model.h1(t) * np.exp(1j * omega * t)
-    return -1j / units.hbar * (m @ c)
+    return -1j * (m @ c)
 
 
 def reconstruct(series: CoefficientSeries, mode) -> complex:

@@ -24,14 +24,12 @@ from expansionlab.gauge import (GaugeFunction, GaugeJumpScenario,
                                 PhaseFitScenario, gauge_jump_experiment,
                                 phase_factored_expansion_test,
                                 zero_gauge_function)
-from expansionlab.propagation import (HamiltonianModel, Units,
+from expansionlab.propagation import (HamiltonianModel,
                                       box_dipole_model, euler_propagate,
                                       norm_audit, unitary_propagate,
                                       smooth_ramp, smooth_ramp_dt)
 from expansionlab.specfun import (QuadratureSpec, confluent_hypergeometric,
                                   integrate_semi_infinite, laguerre)
-
-UNITS = Units()
 
 
 def pure_state(dim, s=0):
@@ -80,15 +78,13 @@ def test_criterion_2_divergence_verdict():
 
 def test_criterion_3_one_step_arithmetic():
     worst = 0.0
-    for h, dt, hbar in ((0.5, 0.01, 1.0), (2.0, 0.1, 1.0), (-1.3, 0.05, 1.0),
-                        (0.8, 0.02, 2.0)):
-        units = Units(hbar)
+    for h, dt in ((0.5, 0.01), (2.0, 0.1), (-1.3, 0.05), (0.4, 0.02)):
         m = HamiltonianModel((0.0, 1.0),
                              [(np.ones_like,
                                np.diag([h, 0.0]).astype(complex))],
                              (0.0, dt))
-        traj = euler_propagate(pure_state(2), m, 1, units)
-        worst = max(worst, abs(traj.norms[1] - (1.0 + (h * dt / hbar) ** 2)))
+        traj = euler_propagate(pure_state(2), m, 1)
+        worst = max(worst, abs(traj.norms[1] - (1.0 + (h * dt) ** 2)))
     ok = worst < ONE_STEP_TOL
     record("3 one-step arithmetic",
            ok, f"max closed-form defect {worst:.3e} (tol {ONE_STEP_TOL:g})")
@@ -97,13 +93,12 @@ def test_criterion_3_one_step_arithmetic():
 
 def test_criterion_4_norm_growth_audit():
     t0 = time.perf_counter()
-    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = euler_propagate(pure_state(32), m, 1000, UNITS)
-    report = norm_audit(traj, m, UNITS)
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = euler_propagate(pure_state(32), m, 1000)
+    report = norm_audit(traj, m)
     per_step = []
     for n in (1000, 2000, 4000):
-        t = traj if n == 1000 else euler_propagate(pure_state(32), m, n,
-                                                   UNITS)
+        t = traj if n == 1000 else euler_propagate(pure_state(32), m, n)
         per_step.append((t.norms[-1] - 1.0) / n)
     exponents = [math.log2(a / b) for a, b in zip(per_step, per_step[1:])]
     lo, hi = EXPONENT_RANGE
@@ -124,10 +119,10 @@ def test_criterion_4_norm_growth_audit():
 
 def test_criterion_5_unitary_contrast():
     t0 = time.perf_counter()
-    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), "ramp")
     # the norms alone: test_streamed_rows_match_full_run_property pins a
     # tracked=0 run's norms to the full run's bit for bit
-    traj = unitary_propagate(pure_state(32), m, 100_000, UNITS, tracked=0)
+    traj = unitary_propagate(pure_state(32), m, 100_000, tracked=0)
     dev = float(np.max(np.abs(traj.norms - 1.0)))
     elapsed = time.perf_counter() - t0
     ok = dev < MAX_NORM_DEV and elapsed < 5.0
@@ -223,7 +218,7 @@ def test_criterion_8_property_suites():
     lin_ok = lin_dev < 1e-10
 
     # Hermiticity preserved by every assembly path
-    m1 = box_dipole_model(1.0, 16, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    m1 = box_dipole_model(1.0, 16, 1.0, 0.5, (0.0, 1.0), "ramp")
     herm_dev = max(m1.hermiticity_defect(t) for t in (0.1, 0.5, 0.9))
     herm_ok = herm_dev == 0.0
 

@@ -805,9 +805,6 @@ def write_scenario(path, kind, **keys):
     # a zero width divides by zero in the box energies
     ("propagate", dict(perturbation="none", well_width=0.0, n_slices=10),
      "well_width"),
-    ("propagate", dict(perturbation="none", hbar=0.0), "hbar"),
-    ("gauge", dict(experiment="jump", hbar=-1.0), "hbar"),
-    ("gauge", dict(experiment="phase-fit", hbar=0.0), "hbar"),
     ("propagate", dict(perturbation="random-hermitian", n_basis=0),
      "n_basis"),
     ("propagate", dict(perturbation="dipole-step", n_basis=1), "n_basis"),
@@ -819,8 +816,7 @@ def write_scenario(path, kind, **keys):
         "phase-fit-basis", "jump-ramp-time", "phase-ramp-time",
         "dipole-ramp-time", "propagate-n_slices", "jump-n_basis",
         "jump-initial-index-zero", "phase-fit-ramp-time", "box-n_max",
-        "box-target_n", "propagate-well_width", "propagate-hbar",
-        "jump-hbar", "phase-fit-hbar", "propagate-n_basis",
+        "box-target_n", "propagate-well_width", "propagate-n_basis",
         "dipole-step-basis", "phase-fit-initial-index",
         "phase-fit-initial-index-zero"])
 def test_exit_1_on_constructor_errors(tmp_path, capsys, command, keys,
@@ -1014,7 +1010,7 @@ def test_star_import_gives_the_modules_and_the_version():
      "bad.scn:8: key 't_end' must exceed t_start = 1.0, got 1.0"),
     (["gauge", "--scenario", "SCN", "--out", "OUT"],
      ("gauge", dict(experiment="phase-fit", n_slices=0)),
-     "bad.scn:5: key 'n_slices' must be positive"),
+     "bad.scn:5: key 'n_slices' must be at least 1, got 0"),
     (["gauge", "--scenario", "SCN", "--out", "OUT"],
      ("gauge", dict(experiment="phase-fit", t_end=0.0)),
      "bad.scn:5: key 't_end' must be positive"),
@@ -1046,6 +1042,17 @@ def test_star_import_gives_the_modules_and_the_version():
      ("gauge", dict(experiment="jump", second_gauge="mismatched")),
      "bad.scn:5: key 'second_gauge' must not be 'mismatched' unless switch "
      "= ramp, got switch = 'step'"),
+    # hbar = 1 is a constant, so a scenario that sets it, even to 1, sets
+    # an undeclared key
+    (["propagate", "--scenario", "SCN", "--out", "OUT"],
+     ("propagate", dict(perturbation="none", hbar=1.0)),
+     "bad.scn:5: unknown key 'hbar'"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="jump", hbar=1.0)),
+     "bad.scn:5: unknown key 'hbar'"),
+    (["gauge", "--scenario", "SCN", "--out", "OUT"],
+     ("gauge", dict(experiment="phase-fit", hbar=1.0)),
+     "bad.scn:5: unknown key 'hbar'"),
 ], ids=["usage", "seed-off-propagate", "directory-as-scenario", "kind-mismatch",
         "quad-check-above-n-max", "quad-check-zero", "one-fit-size",
         "no-fit-size", "negative-tracked", "comments-without-header",
@@ -1053,7 +1060,8 @@ def test_star_import_gives_the_modules_and_the_version():
         "phase-fit-empty-window", "jump-amplitude-square-overflow",
         "jump-ramp-time-subnormal", "propagate-ramp-time-subnormal",
         "phase-fit-ramp-time-subnormal", "phase-ramp-time-subnormal",
-        "eigenstate-width-subnormal", "mismatched-step-pair"])
+        "eigenstate-width-subnormal", "mismatched-step-pair",
+        "propagate-hbar", "jump-hbar", "phase-fit-hbar"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
     # usage errors, unreadable paths and scenarios the command cannot run
@@ -1092,8 +1100,6 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
      "far.scn:5: key 'magnetic_length' must have a square that is a normal "
      "float, got 1e-200"),
     ("propagate", dict(perturbation="dipole-ramp", t_end=1e200),
-     "beyond float range"),
-    ("propagate", dict(perturbation="dipole-step", hbar=1e-200),
      "beyond float range"),
     ("expand", dict(family="landau", magnetic_length=1e150),
      "far.scn:5: key 'magnetic_length' must keep the scan's partial sums of "
@@ -1156,7 +1162,7 @@ def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
      "far.scn:5: key 'n_slices' must be at most 1000000, got 1000000000000"),
 ], ids=["gaussian-off-the-well", "gaussian-between-nodes",
         "gaussian-overflow", "landau-length-underflow", "ramp-t_end-overflow",
-        "step-hbar-underflow", "landau-scan-overflow",
+        "landau-scan-overflow",
         "gaussian-exponent-overflow", "jump-ramp-phase-overflow",
         "phase-fit-ramp-phase-overflow", "phase-ramp-phase-overflow",
         "propagate-ramp-phase-overflow", "landau-n_max-beyond-float",
@@ -1347,8 +1353,7 @@ def test_an_accepted_window_has_strictly_increasing_grids(section, t, r, n):
         return
     model = propagation.HamiltonianModel([1.0], [], window)
     for k in slices:
-        times = propagation._prepare(np.ones(1), model, k,
-                                     propagation.Units())[1]
+        times = propagation._prepare(np.ones(1), model, k)[1]
         assert np.all(np.diff(times) > 0.0)
 
 
@@ -1366,8 +1371,7 @@ def test_a_window_s_key_accepts_what_the_steppers_accept(section, t, r, n):
         accepted = False
     try:
         model = propagation.HamiltonianModel([1.0], [], window)
-        propagation._prepare(np.ones(1), model, slices[-1],
-                             propagation.Units())
+        propagation._prepare(np.ones(1), model, slices[-1])
         ran = True
     except propagation.PropagationContractError:
         ran = False
@@ -1383,8 +1387,6 @@ def _one_state(dim, n_slices, window=(0.0, 1.0), **kwargs):
 
 
 @pytest.mark.parametrize("kind,keys,key,call", [
-    ("propagate", dict(perturbation="none", hbar=0.0), "hbar",
-     lambda: propagation.Units(0.0)),
     ("propagate", dict(perturbation="none", t_start=1.0, t_end=1.0), "t_end",
      lambda: _one_state(2, 10, (1.0, 1.0))),
     ("propagate", dict(perturbation="dipole-step", n_basis=4, t_start=1e16,
@@ -1399,6 +1401,11 @@ def _one_state(dim, n_slices, window=(0.0, 1.0), **kwargs):
          t_end=1e-320, n_slices=10000).hamiltonian(), 10000)),
     ("propagate", dict(perturbation="none", n_slices=0), "n_slices",
      lambda: _one_state(2, 0)),
+    ("gauge", dict(experiment="jump", n_slices=0), "n_slices",
+     lambda: gauge.gauge_jump_experiment(GaugeJumpScenario(n_slices=0))),
+    ("gauge", dict(experiment="phase-fit", n_slices=0), "n_slices",
+     lambda: gauge.phase_factored_expansion_test(
+         gauge.PhaseFitScenario(n_slices=0), gauge.zero_gauge_function())),
     ("propagate", dict(perturbation="none", n_basis=4, n_slices=10,
                        tracked=-1), "tracked",
      lambda: _one_state(4, 10, tracked=-1)),
@@ -1419,10 +1426,10 @@ def _one_state(dim, n_slices, window=(0.0, 1.0), **kwargs):
      lambda: gauge.PhaseFitScenario(fit_sizes=(2, 4, 32), n_reference=16)),
     ("gauge", dict(experiment="phase-fit", fit_sizes="48, 2"), "fit_sizes",
      lambda: gauge.PhaseFitScenario(fit_sizes=(48, 2), n_reference=48)),
-], ids=["hbar", "window-order", "refinement-grid", "jump-grid",
-        "slice-count", "tracked", "box-basis", "dipole-basis",
-        "momentum-basis", "jump-initial-index", "phase-fit-initial-index",
-        "reference-basis", "fit-sizes"])
+], ids=["window-order", "refinement-grid", "jump-grid", "slice-count",
+        "jump-slice-count", "phase-fit-slice-count", "tracked", "box-basis",
+        "dipole-basis", "momentum-basis", "jump-initial-index",
+        "phase-fit-initial-index", "reference-basis", "fit-sizes"])
 def test_a_key_and_the_library_refuse_with_one_reason(kind, keys, key, call):
     # one predicate decides each hazard that a key and the library both
     # guard: the library's message is a subject and the key's own reason

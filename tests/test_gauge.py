@@ -23,14 +23,12 @@ from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 velocity_and_momentum, write_observable_csv,
                                 zero_gauge_function)
 from expansionlab.gauge import _along_x, _scalar_shape
-from expansionlab.propagation import (Units, smooth_ramp, smooth_ramp_dt,
+from expansionlab.propagation import (smooth_ramp, smooth_ramp_dt,
                                       switch_profile)
 from expansionlab.scenario import load_scenario
 from expansionlab.specfun import QuadratureError
 
 from oracles import box_eigenfunction_dx
-
-UNITS = Units()
 
 
 def linear_gauge(k):
@@ -234,31 +232,25 @@ def test_phase_transform_preserves_density():
 
 
 def test_phase_transform_shifts_momentum_by_hbar_k():
-    # e^{ikx} psi boosts <p> by hbar k
+    # e^{ikx} psi boosts <p> by k (hbar = 1)
     line = eigenstate_line(1)
     k = 2.7
-    _, before = velocity_and_momentum(line, no_potential, 0.0, UNITS)
+    _, before = velocity_and_momentum(line, no_potential, 0.0)
     _, after = velocity_and_momentum(
-        phase_transform(line, linear_gauge(k), 0.0), no_potential, 0.0, UNITS)
+        phase_transform(line, linear_gauge(k), 0.0), no_potential, 0.0)
     assert before[0] == pytest.approx(0.0, abs=1e-12)
-    assert after[0] - before[0] == pytest.approx(k * UNITS.hbar, rel=1e-10)
-
-    h2 = Units(2.0)
-    _, after2 = velocity_and_momentum(
-        phase_transform(line, linear_gauge(k), 0.0), no_potential, 0.0, h2)
-    assert after2[0] == pytest.approx(k * h2.hbar, rel=1e-10)
+    assert after[0] - before[0] == pytest.approx(k, rel=1e-10)
 
 
 def test_velocity_real_bound_state_no_potential_is_zero():
-    v, _ = velocity_and_momentum(eigenstate_line(3), no_potential, 0.0, UNITS)
+    v, _ = velocity_and_momentum(eigenstate_line(3), no_potential, 0.0)
     assert np.max(np.abs(v)) < 1e-12
 
 
 def test_velocity_shifts_by_minus_average_A():
     # switched-on uniform A: <v> = <p> - A with <psi_s|A|psi_s> = A
     a0 = np.array([0.2, -0.1, 0.05])
-    v, _ = velocity_and_momentum(eigenstate_line(1), uniform_vector(a0), 0.0,
-                                 UNITS)
+    v, _ = velocity_and_momentum(eigenstate_line(1), uniform_vector(a0), 0.0)
     assert np.allclose(v, -a0, atol=1e-10)
 
 
@@ -266,7 +258,7 @@ def test_velocity_rejects_unnormalized_state():
     line = eigenstate_line(1)
     doubled = LineState(line.x, line.w, 2.0 * line.value, 2.0 * line.dx)
     with pytest.raises(NormalizationError) as excinfo:
-        velocity_and_momentum(doubled, no_potential, 0.0, UNITS)
+        velocity_and_momentum(doubled, no_potential, 0.0)
     assert excinfo.value.measured_norm == pytest.approx(4.0, rel=1e-10)
     assert str(excinfo.value).startswith("state norm 4.0")
 
@@ -308,18 +300,18 @@ def test_linear_gauge_boost_and_covariance_on_nodes(n, seed, k, a_x):
 
     def observables(coefficients):
         line = box_line_state(1.0, coefficients)
-        v, p = velocity_and_momentum(line, pot.vector, 0.0, UNITS)
+        v, p = velocity_and_momentum(line, pot.vector, 0.0)
         v_k, p_k = velocity_and_momentum(phase_transform(line, g, 0.0),
-                                         pot_k.vector, 0.0, UNITS)
+                                         pot_k.vector, 0.0)
         return np.concatenate([v, p, v_k, p_k])
 
     coarse = observables(amps)
     fine = observables(padded(amps))
     # round-off grows with the largest momentum the sums carry
-    scale = UNITS.hbar * (n * math.pi + abs(k)) + abs(a_x)
+    scale = n * math.pi + abs(k) + abs(a_x)
     assert np.max(np.abs(coarse - fine)) < 1e-13 * scale
     v, p, v_k, p_k = coarse.reshape(4, 3)
-    assert abs(p_k[0] - p[0] - UNITS.hbar * k) < 1e-13 * scale
+    assert abs(p_k[0] - p[0] - k) < 1e-13 * scale
     assert np.max(np.abs(v_k - v)) < 1e-12
 
 
@@ -614,7 +606,7 @@ def observe_oracle(amps, t, g, A, width=1.0):
     phase = np.exp(1j * g.f(t, r))
     value, dx = phase * value, phase * (1j * g.grad_f(t, r)[0] * value + dx)
     density = np.abs(value) ** 2
-    p_density = (value.conjugate() * (-1j * UNITS.hbar * dx)).real
+    p_density = (value.conjugate() * (-1j * dx)).real
     a = A(t, r)
     return np.array([w @ (p_density - a[0] * density), -w @ (a[1] * density),
                      -w @ (a[2] * density), w @ p_density, 0.0, 0.0])
@@ -636,12 +628,11 @@ def test_batched_observables_match_per_time_oracle(n, seed, times,
     amps /= np.linalg.norm(amps, axis=1)[:, None]
     t = np.array(times)
     v, p = velocity_and_momentum(
-        phase_transform(box_line_state(1.0, amps), g, t), pot.vector, t,
-        UNITS)
+        phase_transform(box_line_state(1.0, amps), g, t), pot.vector, t)
     assert v.shape == p.shape == (len(times), 3)
     want = np.array([observe_oracle(a, s, g, pot.vector)
                      for a, s in zip(amps, times)])
-    scale = UNITS.hbar * n * math.pi + abs(amplitude) + 1.0
+    scale = n * math.pi + abs(amplitude) + 1.0
     assert np.max(np.abs(np.hstack([v, p]) - want)) <= 1e-14 * scale
 
 
@@ -651,7 +642,7 @@ def test_batched_observables_check_every_row_norm():
     amps[1, 0] = 1.5
     with pytest.raises(NormalizationError) as excinfo:
         velocity_and_momentum(box_line_state(1.0, amps), no_potential,
-                              np.zeros(3), UNITS)
+                              np.zeros(3))
     assert excinfo.value.measured_norm == pytest.approx(2.25, rel=1e-12)
 
 

@@ -12,7 +12,7 @@ from expansionlab.gauge import GaugeJumpScenario
 from expansionlab.scenario import _CHUNK_LINES
 from expansionlab.propagation import (HamiltonianModel,
                                       PropagationContractError, Trajectory,
-                                      Units, bohr_frequencies,
+                                      bohr_frequencies,
                                       box_dipole_model, box_energies,
                                       dipole_matrix_elements_box,
                                       euler_final_norm, euler_propagate,
@@ -23,8 +23,6 @@ from expansionlab.propagation import (HamiltonianModel,
 from expansionlab.specfun import QuadratureSpec, integrate_interval
 
 from oracles import rhs
-
-UNITS = Units()
 
 # frozen by the pre-build oracle runs
 GOLDEN_TWO_LEVEL_NORM_SQ = 1.0009004050809773      # eps=(0,1), V=0.3, T=10, N=1e4
@@ -51,14 +49,6 @@ def exact_two_level(t, v=0.3):
     w, u = np.linalg.eigh(h)
     psi = u @ (np.exp(-1j * w * t) * (u.conj().T @ np.array([1.0, 0.0])))
     return psi * np.exp(1j * np.array([0.0, 1.0]) * t)
-
-
-def test_units_validation():
-    assert Units().hbar == 1.0
-    with pytest.raises(ValueError):
-        Units(0.0)
-    with pytest.raises(ValueError):
-        Units(-1.0)
 
 
 def test_ramp_profiles():
@@ -137,7 +127,7 @@ def test_unknown_switch_kind_raises():
         propagation.switch_profile("ramp", 0.0)
     propagation.switch_profile("step", 0.0)     # a step has no ramp time
     with pytest.raises(PropagationContractError, match="'linear'"):
-        box_dipole_model(1.0, 4, 1.0, 0.5, (0.0, 1.0), UNITS, "linear")
+        box_dipole_model(1.0, 4, 1.0, 0.5, (0.0, 1.0), "linear")
     # the gauge experiment used to run any switch but "step" as a ramp
     with pytest.raises(PropagationContractError, match="'linear'"):
         GaugeJumpScenario(switch="linear").hamiltonian()
@@ -163,7 +153,6 @@ def test_bohr_frequencies_examples():
     m = HamiltonianModel((1.0, 3.0), [], (0.0, 1.0))
     w = bohr_frequencies(m)
     assert w[1, 0] == 2.0 and w[0, 1] == -2.0
-    assert bohr_frequencies(m, Units(2.0))[1, 0] == 1.0
     rng = np.random.default_rng(3)
     m = HamiltonianModel(rng.standard_normal(6), [], (0.0, 1.0))
     w = bohr_frequencies(m)
@@ -190,14 +179,14 @@ def test_model_window_and_validation():
 
 def test_rhs_zero_and_diagonal_cases():
     m = HamiltonianModel((0.0, 1.0), [], (0.0, 1.0))
-    assert np.all(rhs(pure_state(2), 0.5, m, UNITS) == 0.0)
+    assert np.all(rhs(pure_state(2), 0.5, m) == 0.0)
 
     h = 0.7
     md = HamiltonianModel((0.0, 1.0),
                           [(np.ones_like,
                             np.diag([h, 0.0]).astype(complex))],
                           (0.0, 1.0))
-    out = rhs(pure_state(2), 0.5, md, UNITS)
+    out = rhs(pure_state(2), 0.5, md)
     assert out[0] == pytest.approx(-1j * h, rel=1e-14)
     assert out[1] == 0.0
 
@@ -211,31 +200,31 @@ def test_rhs_norm_derivative_vanishes_for_hermitian_coupling():
                          (0.0, 1.0))
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     c /= np.linalg.norm(c)
-    deriv = 2.0 * np.real(np.vdot(c, rhs(c, 0.3, m, UNITS)))
+    deriv = 2.0 * np.real(np.vdot(c, rhs(c, 0.3, m)))
     assert abs(deriv) < 1e-14
 
 
 def test_rhs_dimension_mismatch():
     m = two_level_model()
     with pytest.raises(PropagationContractError):
-        rhs(pure_state(3), 0.0, m, UNITS)
+        rhs(pure_state(3), 0.0, m)
 
 
 @pytest.mark.parametrize("h,dt", [(0.5, 0.01), (2.0, 0.1), (-1.3, 0.05)])
 def test_one_step_diagonal_closed_form(h, dt):
     # one Euler step from a pure state with diagonal real coupling:
-    # C_s(t1) = 1 - i h dt / hbar, so |C_s|^2 = 1 + (h dt / hbar)^2
+    # C_s(t1) = 1 - i h dt, so |C_s|^2 = 1 + (h dt)^2
     m = HamiltonianModel((0.0, 1.0),
                          [(np.ones_like, np.diag([h, 0.0]).astype(complex))],
                          (0.0, dt))
-    traj = euler_propagate(pure_state(2), m, 1, UNITS)
+    traj = euler_propagate(pure_state(2), m, 1)
     c1 = traj.states[1, 0]
     assert c1 == pytest.approx(1.0 - 1j * h * dt, abs=1e-14)
     assert abs(traj.norms[1] - (1.0 + (h * dt) ** 2)) < 1e-12
 
 
 def test_one_step_general_hermitian_closed_form():
-    # ||C(t1)||^2 = 1 + (dt/hbar)^2 sum_k |(H1)_ks|^2, equality iff column
+    # ||C(t1)||^2 = 1 + dt^2 sum_k |(H1)_ks|^2, equality iff column
     # s vanishes
     rng = np.random.default_rng(5)
     raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -243,7 +232,7 @@ def test_one_step_general_hermitian_closed_form():
     dt = 0.02
     m = HamiltonianModel(rng.standard_normal(5), [(np.ones_like, h1)],
                          (0.0, dt))
-    traj = euler_propagate(pure_state(5, s=2), m, 1, UNITS)
+    traj = euler_propagate(pure_state(5, s=2), m, 1)
     expected = 1.0 + dt ** 2 * float(np.sum(np.abs(h1[:, 2]) ** 2))
     assert abs(traj.norms[1] - expected) < 1e-12
 
@@ -253,19 +242,19 @@ def test_one_step_general_hermitian_closed_form():
     h1z[2, :] = 0.0
     mz = HamiltonianModel(rng.standard_normal(5), [(np.ones_like, h1z)],
                           (0.0, dt))
-    traj = euler_propagate(pure_state(5, s=2), mz, 1, UNITS)
+    traj = euler_propagate(pure_state(5, s=2), mz, 1)
     assert traj.norms[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_euler_zero_coupling_is_constant():
     m = HamiltonianModel((0.3, 0.9, 2.0), [], (0.0, 1.0))
-    traj = euler_propagate(pure_state(3, 1), m, 100, UNITS)
+    traj = euler_propagate(pure_state(3, 1), m, 100)
     assert np.all(traj.states == traj.states[0])
     assert np.all(traj.norms == 1.0)
 
 
 def test_two_level_euler_matches_frozen_golden():
-    traj = euler_propagate(pure_state(2), two_level_model(), 10_000, UNITS)
+    traj = euler_propagate(pure_state(2), two_level_model(), 10_000)
     assert traj.norms[-1] == pytest.approx(GOLDEN_TWO_LEVEL_NORM_SQ,
                                            rel=1e-12)
     final = traj.states[-1]
@@ -277,8 +266,7 @@ def test_euler_first_order_convergence_to_exact():
     exact = exact_two_level(1.0)
     errs = []
     for n in (400, 800, 1600):
-        traj = euler_propagate(pure_state(2), two_level_model(t_end=1.0), n,
-                               UNITS)
+        traj = euler_propagate(pure_state(2), two_level_model(t_end=1.0), n)
         errs.append(float(np.linalg.norm(traj.states[-1] - exact)))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     for order in orders:
@@ -289,8 +277,7 @@ def test_unitary_matches_exact_with_second_order_convergence():
     exact = exact_two_level(1.0)
     errs = []
     for n in (100, 200, 400):
-        traj = unitary_propagate(pure_state(2), two_level_model(t_end=1.0), n,
-                                 UNITS)
+        traj = unitary_propagate(pure_state(2), two_level_model(t_end=1.0), n)
         errs.append(float(np.linalg.norm(traj.states[-1] - exact)))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     for order in orders:
@@ -303,18 +290,18 @@ def test_unitary_norm_preserved_per_step():
     h1 = 0.5 * (raw + raw.conj().T)
     m = HamiltonianModel(rng.standard_normal(6),
                          [(lambda t: np.cos(3.0 * t), h1)], (0.0, 2.0))
-    traj = unitary_propagate(pure_state(6), m, 500, UNITS)
+    traj = unitary_propagate(pure_state(6), m, 500)
     assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
 
 
-def cayley_oracle(c0, model, n_slices, units=UNITS):
+def cayley_oracle(c0, model, n_slices):
     """Literal Cayley stepping: one linear solve per step at the midpoint."""
     c = np.asarray(c0, dtype=complex)
     t0, t1 = model.window
     dt = (t1 - t0) / n_slices
-    omega = bohr_frequencies(model, units)
+    omega = bohr_frequencies(model)
     eye = np.eye(model.dim)
-    half = 0.5j * dt / units.hbar
+    half = 0.5j * dt
     states = [c]
     for i in range(n_slices):
         tm = t0 + dt * i + 0.5 * dt
@@ -330,8 +317,8 @@ def random_hermitian(rng, dim):
 
 
 def test_unitary_matches_solve_oracle_box_dipole():
-    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = unitary_propagate(pure_state(32), m, 2000, UNITS)
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = unitary_propagate(pure_state(32), m, 2000)
     oracle = cayley_oracle(pure_state(32), m, 2000)
     assert np.max(np.abs(traj.states - oracle)) <= 1e-11
 
@@ -343,7 +330,7 @@ def test_unitary_matches_solve_oracle_random_hermitian():
                            random_hermitian(rng, 16))], (0.0, 3.0))
     c0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     c0 /= np.linalg.norm(c0)
-    traj = unitary_propagate(c0, m, 1500, UNITS)
+    traj = unitary_propagate(c0, m, 1500)
     assert np.max(np.abs(traj.states - cayley_oracle(c0, m, 1500))) <= 1e-11
 
 
@@ -353,8 +340,8 @@ def test_unitary_matches_solve_oracle_with_identity_term(switch):
     scn = GaugeJumpScenario(switch=switch)
     m = scn.hamiltonian()
     c0 = pure_state(scn.n_basis)
-    traj = unitary_propagate(c0, m, scn.n_slices, scn.units)
-    oracle = cayley_oracle(c0, m, scn.n_slices, scn.units)
+    traj = unitary_propagate(c0, m, scn.n_slices)
+    oracle = cayley_oracle(c0, m, scn.n_slices)
     assert np.max(np.abs(traj.states - oracle)) <= 1e-11
 
 
@@ -365,7 +352,7 @@ def test_unitary_non_commuting_terms_match_solve_oracle():
     m = HamiltonianModel(rng.standard_normal(6),
                          [(lambda t: np.cos(3.0 * t), a),
                           (lambda t: t * t, b)], (0.0, 2.0))
-    traj = unitary_propagate(pure_state(6, 2), m, 400, UNITS)
+    traj = unitary_propagate(pure_state(6, 2), m, 400)
     oracle = cayley_oracle(pure_state(6, 2), m, 400)
     assert np.max(np.abs(traj.states - oracle)) <= 1e-11
     assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
@@ -383,7 +370,7 @@ def test_unitary_norm_preserved_per_step_property(seed, dim, amplitude, freq,
                            random_hermitian(rng, dim))], (0.0, 1.0))
     c0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     c0 /= np.linalg.norm(c0)
-    traj = unitary_propagate(c0, m, n_slices, UNITS)
+    traj = unitary_propagate(c0, m, n_slices)
     assert np.max(np.abs(np.diff(traj.norms))) < 1e-12
 
 
@@ -410,8 +397,8 @@ def test_streamed_rows_match_full_run_property(stepper, terms, rows, tracked,
     keep = {"dim": dim, "dim + 3": dim + 3}.get(tracked, tracked)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "_CHUNK_ENTRIES", rows * dim)
-        full = stepper(c0, m, n_slices, UNITS)
-        kept = stepper(c0, m, n_slices, UNITS, tracked=keep)
+        full = stepper(c0, m, n_slices)
+        kept = stepper(c0, m, n_slices, tracked=keep)
     assert np.array_equal(kept.norms, full.norms)
     assert np.array_equal(full.norms, full.compute_norms())
     assert kept.dim == full.dim == dim
@@ -420,17 +407,17 @@ def test_streamed_rows_match_full_run_property(stepper, terms, rows, tracked,
     assert np.array_equal(kept.states, full.states[:, :k])
 
 
-def plain_eigenbasis_cayley(c0, model, n_slices, units=UNITS):
+def plain_eigenbasis_cayley(c0, model, n_slices):
     """unitary_propagate's eigenbasis steps written plainly from _eigenbasis's
     factors: a new w per step and a new rebuilt block, in the collector's
     blocks, with the profile and identity shift sampled here in one call
     each on the whole grid. Returns every state and every norm."""
     general, scalar = propagation._split_terms(model)
-    c, times, dt = propagation._prepare(c0, model, n_slices, units)
-    half = 0.5j * dt / units.hbar
+    c, times, dt = propagation._prepare(c0, model, n_slices)
+    half = 0.5j * dt
     tm = times[:-1] + 0.5 * dt
-    lam, v, u, freq, w = propagation._eigenbasis(
-        model, general[0][1], c, tm[0], dt, units)
+    lam, v, u, w = propagation._eigenbasis(
+        model, general[0][1], c, tm[0], dt)
     s = general[0][0](tm)
     shift = np.zeros(tm.size)
     for prof, scale in scalar:
@@ -444,7 +431,7 @@ def plain_eigenbasis_cayley(c0, model, n_slices, units=UNITS):
         for r, row in zip((1.0 - ihz) / (1.0 + ihz), block):
             np.multiply(r, w, out=row)
             w = np.dot(u, row)
-        block = (block @ v.T) * np.exp(1j * (tm[a:b, None] * freq))
+        block = (block @ v.T) * np.exp(1j * (tm[a:b, None] * model.energies))
         states.append(block)
         norms.append(propagation._row_norms(block))
     return np.concatenate(states), np.concatenate(norms)
@@ -473,7 +460,7 @@ def test_eigenbasis_cayley_is_the_plain_loop_bit_for_bit(kind, identity,
         if rows:
             mp.setattr(propagation, "_CHUNK_ENTRIES", rows * dim)
         states, norms = plain_eigenbasis_cayley(c0, m, n_slices)
-        traj = unitary_propagate(c0, m, n_slices, UNITS, tracked=tracked)
+        traj = unitary_propagate(c0, m, n_slices, tracked=tracked)
     k = dim if tracked is None else min(tracked, dim)
     assert np.array_equal(traj.norms, norms)
     assert np.array_equal(traj.states, states[:, :k])
@@ -483,7 +470,17 @@ def test_negative_tracked_rejected():
     m = two_level_model(t_end=1.0)
     for stepper in (euler_propagate, unitary_propagate):
         with pytest.raises(PropagationContractError, match="tracked"):
-            stepper(pure_state(2), m, 10, UNITS, tracked=-1)
+            stepper(pure_state(2), m, 10, tracked=-1)
+
+
+@pytest.mark.parametrize("stepper", [euler_propagate, unitary_propagate],
+                         ids=["euler", "cayley"])
+def test_tracked_is_keyword_only(stepper):
+    # a fourth positional argument, such as a stale hbar, raises instead of
+    # being read as the tracked count
+    m = two_level_model(t_end=1.0)
+    with pytest.raises(TypeError, match="positional"):
+        stepper(pure_state(2), m, 10, 1)
 
 
 @pytest.mark.parametrize("stepper,terms", [
@@ -504,11 +501,11 @@ def test_repeated_grid_times_refused_before_the_first_step(stepper, terms):
     m = HamiltonianModel((0.5, 1.5), [(profile, x), (profile, y)][:terms],
                          (1e16, 1e16 + 4.0))
     with pytest.raises(PropagationContractError, match="strictly increasing"):
-        stepper(pure_state(2), m, 1000, UNITS)
+        stepper(pure_state(2), m, 1000)
     assert calls == [(2,)] * terms
 
 
-def euler_oracle(c0, model, n_slices, units=UNITS):
+def euler_oracle(c0, model, n_slices):
     """Literal first-order slicing: C <- C + dt rhs(C, t_i), dim x dim phases."""
     c = np.asarray(c0, dtype=complex)
     t0, t1 = model.window
@@ -516,30 +513,30 @@ def euler_oracle(c0, model, n_slices, units=UNITS):
     times = t0 + dt * np.arange(n_slices + 1)
     states = [c]
     for t in times[:-1]:
-        c = c + dt * rhs(c, t, model, units)
+        c = c + dt * rhs(c, t, model)
         states.append(c)
     return Trajectory(times, np.array(states), "euler")
 
 
-def assert_euler_matches_oracle(c0, model, n_slices, units=UNITS):
-    traj = euler_propagate(c0, model, n_slices, units)
-    oracle = euler_oracle(c0, model, n_slices, units)
+def assert_euler_matches_oracle(c0, model, n_slices):
+    traj = euler_propagate(c0, model, n_slices)
+    oracle = euler_oracle(c0, model, n_slices)
     assert np.max(np.abs(traj.states - oracle.states)) <= 1e-13
-    report = norm_audit(traj, model, units)
-    expected = norm_audit(oracle, model, units)
+    report = norm_audit(traj, model)
+    expected = norm_audit(oracle, model)
     assert report.first_strict_step == expected.first_strict_step
     assert report.monotone == expected.monotone
     return report
 
 
 def test_euler_matches_rhs_oracle_box_dipole_ramp():
-    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), "ramp")
     report = assert_euler_matches_oracle(pure_state(32), m, 1000)
     assert report.first_strict_step == 3
 
 
 def test_euler_matches_rhs_oracle_dipole_step():
-    m = box_dipole_model(1.0, 48, 0.5, 0.2, (0.0, 0.5), UNITS, "step")
+    m = box_dipole_model(1.0, 48, 0.5, 0.2, (0.0, 0.5), "step")
     assert_euler_matches_oracle(pure_state(48, 1), m, 420)
 
 
@@ -554,7 +551,7 @@ def test_euler_matches_rhs_oracle_random_hermitian():
 def test_euler_matches_rhs_oracle_with_identity_term():
     scn = GaugeJumpScenario(switch="step")
     assert_euler_matches_oracle(pure_state(scn.n_basis), scn.hamiltonian(),
-                                scn.n_slices, scn.units)
+                                scn.n_slices)
 
 
 def test_euler_matches_rhs_oracle_non_commuting_terms():
@@ -568,7 +565,7 @@ def test_euler_matches_rhs_oracle_non_commuting_terms():
 
 
 def test_euler_matches_rhs_oracle_shifted_window():
-    m = box_dipole_model(1.0, 16, 1.0, 0.4, (0.3, 1.2), UNITS, "ramp")
+    m = box_dipole_model(1.0, 16, 1.0, 0.4, (0.3, 1.2), "ramp")
     assert_euler_matches_oracle(pure_state(16), m, 700)
 
 
@@ -582,24 +579,24 @@ def test_euler_norm_never_falls_and_step1_closed_form_property(
     m = HamiltonianModel(rng.uniform(0.0, 100.0, dim),
                          [(lambda t: amplitude * np.cos(freq * t),
                            random_hermitian(rng, dim))], (0.0, 1.0))
-    traj = euler_propagate(pure_state(dim, s % dim), m, n_slices, UNITS)
+    traj = euler_propagate(pure_state(dim, s % dim), m, n_slices)
     assert np.all(np.diff(traj.norms) >= -1e-15 * traj.norms[:-1])
-    assert norm_audit(traj, m, UNITS).closed_form_defect <= 1e-12
+    assert norm_audit(traj, m).closed_form_defect <= 1e-12
 
 
-def assert_final_norm_matches_literal(c0, model, n_slices, units=UNITS):
+def assert_final_norm_matches_literal(c0, model, n_slices):
     # the eigenbasis steps round differently from the literal ones; over 120
     # random models of one_term_model (dim 2-64, 10-6 000 slices, final
     # norms up to 1.03) the largest gap was 2.1e-16 per step, so the bound
     # is about 5x that
-    literal = euler_propagate(c0, model, n_slices, units, tracked=0).norms[-1]
-    gap = abs(euler_final_norm(c0, model, n_slices, units) - literal)
+    literal = euler_propagate(c0, model, n_slices, tracked=0).norms[-1]
+    gap = abs(euler_final_norm(c0, model, n_slices) - literal)
     assert gap <= 1e-15 * n_slices
 
 
 def test_euler_final_norm_matches_literal_box_dipole():
     # box_dipole.scn's 2n refinement run
-    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), "ramp")
     assert_final_norm_matches_literal(pure_state(32), m, 2000)
 
 
@@ -612,11 +609,11 @@ def one_term_model(seed, dim, kind, identity, amplitude,
         h *= amplitude / np.max(np.abs(np.linalg.eigvalsh(h)))
         terms = [(np.ones_like, h)]
     else:
-        terms = box_dipole_model(1.0, dim, amplitude, 0.3, (0.0, 1.0), UNITS,
+        terms = box_dipole_model(1.0, dim, amplitude, 0.3, (0.0, 1.0),
                                  kind).terms
     if identity:    # c(t) I, as the gauge jump's A^2/2 term
         terms = terms + [(lambda t: amplitude * shift(t), np.eye(dim))]
-    return HamiltonianModel(box_energies(1.0, dim, UNITS), terms, (0.0, 1.0))
+    return HamiltonianModel(box_energies(1.0, dim), terms, (0.0, 1.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -650,18 +647,18 @@ def test_euler_final_norm_single_run_matches_literal(kind, identity, dim,
     assert_final_norm_matches_literal(pure_state(dim, 1), m, n_slices)
 
 
-def one_step_final_norm(c0, model, n_slices, units=UNITS):
+def one_step_final_norm(c0, model, n_slices):
     """euler_final_norm's eigenbasis loop with every step taken one by one,
     the profile and identity shift sampled here in one call each."""
     general, scalar = propagation._split_terms(model)
-    c, times, dt = propagation._prepare(c0, model, n_slices, units)
-    lam, _, u, _, w = propagation._eigenbasis(
-        model, general[0][1], c, times[0], dt, units)
+    c, times, dt = propagation._prepare(c0, model, n_slices)
+    lam, _, u, w = propagation._eigenbasis(
+        model, general[0][1], c, times[0], dt)
     s = general[0][0](times[:-1])
     shift = np.zeros(n_slices)
     for prof, scale in scalar:
         shift += scale * prof(times[:-1])
-    idt = 1j * dt / units.hbar
+    idt = 1j * dt
     rows = max(1, propagation._CHUNK_ENTRIES // model.dim)
     for a in range(0, n_slices, rows):
         b = a + rows
@@ -671,7 +668,7 @@ def one_step_final_norm(c0, model, n_slices, units=UNITS):
 
 
 @pytest.mark.parametrize("model,n_slices", [
-    (HamiltonianModel(box_energies(1.0, 16, UNITS),
+    (HamiltonianModel(box_energies(1.0, 16),
                       [(lambda t: np.cos(3.0 * t),
                         random_hermitian(np.random.default_rng(3), 16))],
                       (0.0, 2.0)), 1500),
@@ -683,7 +680,7 @@ def test_euler_final_norm_changing_profile_keeps_one_step_bits(model,
     values = left_profiles(model, n_slices)
     assert np.all(np.any(np.diff(values, axis=1) != 0.0, axis=0))
     c0 = pure_state(model.dim, 1)
-    assert euler_final_norm(c0, model, n_slices, UNITS) \
+    assert euler_final_norm(c0, model, n_slices) \
         == one_step_final_norm(c0, model, n_slices)
 
 
@@ -705,28 +702,28 @@ def test_euler_final_norm_without_one_general_term_is_literal():
     a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
     for terms in ([], [(lambda t: np.cos(3.0 * t), a), (lambda t: t * t, b)]):
         m = HamiltonianModel(rng.standard_normal(6), terms, (0.0, 2.0))
-        literal = euler_propagate(pure_state(6, 2), m, 400, UNITS)
-        assert euler_final_norm(pure_state(6, 2), m, 400, UNITS) \
+        literal = euler_propagate(pure_state(6, 2), m, 400)
+        assert euler_final_norm(pure_state(6, 2), m, 400) \
             == literal.norms[-1]
 
 
 @pytest.mark.parametrize("dt", [1e-5, 1e-3])
 @pytest.mark.parametrize("dim", [8, 32, 64])
 def test_polar_sweeps_bring_the_step_to_unitarity(dim, dt):
-    # the eigenbasis stepper's V and U = V^H diag(exp(-i eps dt/hbar)) V,
+    # the eigenbasis stepper's V and U = V^H diag(exp(-i eps dt)) V,
     # built as unitary_propagate builds them; unpolished, U^H U misses I by
     # 1.8e-15 or more at every size and dt here
     x = dipole_matrix_elements_box(1.0, dim)
-    freq = box_energies(1.0, dim, UNITS) / UNITS.hbar
+    eps = box_energies(1.0, dim)
     v = propagation._polar(np.linalg.eigh(x)[1])
-    u = propagation._polar(v.conj().T @ (np.exp(-1j * freq * dt)[:, None] * v))
+    u = propagation._polar(v.conj().T @ (np.exp(-1j * eps * dt)[:, None] * v))
     for m in (v, u):
         assert np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= 1e-15
 
 
 def test_unitary_zero_coupling_constant():
     m = HamiltonianModel((0.5, 1.5), [], (0.0, 1.0))
-    traj = unitary_propagate(pure_state(2), m, 50, UNITS)
+    traj = unitary_propagate(pure_state(2), m, 50)
     assert np.max(np.abs(traj.states - traj.states[0])) == 0.0
 
 
@@ -756,8 +753,8 @@ def test_trajectory_states_are_a_complex_array():
 
 def test_audit_zero_coupling_equality_throughout():
     m = HamiltonianModel((0.0, 1.0), [], (0.0, 1.0))
-    traj = euler_propagate(pure_state(2), m, 50, UNITS)
-    report = norm_audit(traj, m, UNITS)
+    traj = euler_propagate(pure_state(2), m, 50)
+    report = norm_audit(traj, m)
     assert report.monotone
     assert report.first_strict_step is None
     assert report.passed
@@ -769,8 +766,8 @@ def test_audit_diagonal_growth_per_step_exact():
     m = HamiltonianModel((0.0, 1.0),
                          [(np.ones_like, np.diag([h, 0.0]).astype(complex))],
                          (0.0, n * dt))
-    traj = euler_propagate(pure_state(2), m, n, UNITS)
-    report = norm_audit(traj, m, UNITS)
+    traj = euler_propagate(pure_state(2), m, n)
+    report = norm_audit(traj, m)
     assert report.first_strict_step == 1
     factor = 1.0 + (h * dt) ** 2
     for k in (1, 2, 5, 40):
@@ -779,9 +776,9 @@ def test_audit_diagonal_growth_per_step_exact():
 
 
 def test_audit_box_dipole_scenario_matches_golden():
-    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = euler_propagate(pure_state(32), m, 1000, UNITS)
-    report = norm_audit(traj, m, UNITS)
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = euler_propagate(pure_state(32), m, 1000)
+    report = norm_audit(traj, m)
     assert traj.norms[-1] == pytest.approx(GOLDEN_BOX_DIPOLE_NORM_SQ,
                                            rel=1e-10)
     assert report.monotone
@@ -793,10 +790,10 @@ def test_audit_box_dipole_scenario_matches_golden():
 
 
 def test_audit_growth_scales_as_dt_squared():
-    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
+    m = box_dipole_model(1.0, 32, 1.0, 0.5, (0.0, 1.0), "ramp")
     per_step = []
     for n in (1000, 2000, 4000):
-        traj = euler_propagate(pure_state(32), m, n, UNITS)
+        traj = euler_propagate(pure_state(32), m, n)
         per_step.append((traj.norms[-1] - 1.0) / n)
     for a, b in zip(per_step, per_step[1:]):
         assert 1.9 <= math.log2(a / b) <= 2.1
@@ -804,26 +801,26 @@ def test_audit_growth_scales_as_dt_squared():
 
 def test_audit_rejects_non_euler_and_impure():
     m = two_level_model(t_end=1.0)
-    cay = unitary_propagate(pure_state(2), m, 10, UNITS)
+    cay = unitary_propagate(pure_state(2), m, 10)
     with pytest.raises(PropagationContractError):
-        norm_audit(cay, m, UNITS)
+        norm_audit(cay, m)
     mixed = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    traj = euler_propagate(mixed, m, 10, UNITS)
+    traj = euler_propagate(mixed, m, 10)
     with pytest.raises(PropagationContractError):
-        norm_audit(traj, m, UNITS)
+        norm_audit(traj, m)
 
 
 def test_audit_fails_a_norm_that_falls_by_1e_13():
-    m = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = euler_propagate(pure_state(8), m, 200, UNITS)
-    assert norm_audit(traj, m, UNITS).passed
+    m = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = euler_propagate(pure_state(8), m, 200)
+    assert norm_audit(traj, m).passed
     states, norms = traj.states.copy(), traj.norms
     states[-1] *= math.sqrt((norms[-2] - 1e-13) / norms[-1])
     fallen = Trajectory(traj.times, states, "euler")
     assert fallen.norms[-2] - fallen.norms[-1] == pytest.approx(1e-13,
                                                                rel=1e-2)
     # read through the module, where a patched norm_audit lands
-    report = propagation.norm_audit(fallen, m, UNITS)
+    report = propagation.norm_audit(fallen, m)
     assert not report.monotone
     assert not report.passed
 
@@ -831,12 +828,12 @@ def test_audit_fails_a_norm_that_falls_by_1e_13():
 def test_audit_fails_a_nan_in_row_1():
     # the off-diagonal weight at t1 is a sum of squares, negative only
     # through a NaN, which also makes that row's norm NaN
-    m = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = euler_propagate(pure_state(8), m, 200, UNITS)
+    m = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = euler_propagate(pure_state(8), m, 200)
     states = traj.states.copy()
     states[1, 3] = complex(math.nan, 0.0)
     report = propagation.norm_audit(Trajectory(traj.times, states, "euler"),
-                                    m, UNITS)
+                                    m)
     assert math.isnan(report.step1_off_diagonal)
     assert math.isnan(report.step1_total)
     assert not report.passed
@@ -847,18 +844,17 @@ def test_audit_and_csv_reject_truncated_rows(tmp_path):
     # a trajectory that keeps fewer columns than it propagated, and no full
     # copy of rows 0 and 1: the audit's off-diagonal weight and a CSV of the
     # dropped columns would be wrong
-    m = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    run = euler_propagate(pure_state(6), m, 20, UNITS, tracked=5)
+    m = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), "ramp")
+    run = euler_propagate(pure_state(6), m, 20, tracked=5)
     cut = Trajectory(run.times, run.states, "euler", run.norms, 6)
     assert (cut.dim, cut.states.shape[1]) == (6, 5)
     with pytest.raises(PropagationContractError, match="keeps 5 of 6"):
-        norm_audit(cut, m, UNITS)
+        norm_audit(cut, m)
     with pytest.raises(PropagationContractError):
         write_trajectory_csv(cut, tmp_path / "cut.csv", tracked=6)
     # the check runs before the file opens, not inside the row generator
     assert not (tmp_path / "cut.csv").exists()
-    assert norm_audit(euler_propagate(pure_state(6), m, 20, UNITS), m,
-                      UNITS).passed
+    assert norm_audit(euler_propagate(pure_state(6), m, 20), m).passed
 
 
 @pytest.mark.parametrize("n_slices,rows", [(1, None), (300, None), (40, 1)])
@@ -875,11 +871,11 @@ def test_tracked_euler_run_audits_as_the_full_run(tmp_path, kind, tracked,
     with pytest.MonkeyPatch.context() as mp:
         if rows:
             mp.setattr(propagation, "_CHUNK_ENTRIES", rows * dim)
-        full = euler_propagate(pure_state(dim, 2), m, n_slices, UNITS)
-        kept = euler_propagate(pure_state(dim, 2), m, n_slices, UNITS,
+        full = euler_propagate(pure_state(dim, 2), m, n_slices)
+        kept = euler_propagate(pure_state(dim, 2), m, n_slices,
                                tracked=k)
     assert kept.states.shape == (n_slices + 1, min(k, dim))
-    report, expected = norm_audit(kept, m, UNITS), norm_audit(full, m, UNITS)
+    report, expected = norm_audit(kept, m), norm_audit(full, m)
     assert vars(report) == vars(expected)
     assert report.to_text() == expected.to_text()
     write_trajectory_csv(kept, tmp_path / "kept.csv", k)
@@ -890,19 +886,19 @@ def test_tracked_euler_run_audits_as_the_full_run(tmp_path, kind, tracked,
 
 def test_single_slice_degenerate_grid_runs():
     m = two_level_model(t_end=1.0)
-    traj = euler_propagate(pure_state(2), m, 1, UNITS)
+    traj = euler_propagate(pure_state(2), m, 1)
     assert traj.times.size == 2
-    report = norm_audit(traj, m, UNITS)
+    report = norm_audit(traj, m)
     assert report.monotone
     assert report.passed
 
 
 def test_box_energies():
-    e = box_energies(1.0, 4, UNITS)
+    e = box_energies(1.0, 4)
     assert e[0] == pytest.approx(0.5 * math.pi ** 2, rel=1e-14)
     assert e[3] / e[0] == pytest.approx(16.0, rel=1e-14)
-    e2 = box_energies(2.0, 2, Units(2.0))
-    assert e2[0] == pytest.approx(0.5 * (math.pi * 2.0 / 2.0) ** 2, rel=1e-14)
+    e2 = box_energies(2.0, 2)
+    assert e2[0] == pytest.approx(0.5 * (math.pi / 2.0) ** 2, rel=1e-14)
 
 
 def test_dipole_matrix_elements_against_quadrature():
@@ -928,13 +924,13 @@ def test_dipole_matrix_elements_against_quadrature():
 
 def test_momentum_matrix_elements_against_quadrature():
     L = 1.0
-    p = momentum_matrix_elements_box(L, 5, UNITS)
+    p = momentum_matrix_elements_box(L, 5)
     assert np.max(np.abs(p - p.conj().T)) == 0.0
     assert p[0, 0] == 0.0
     assert p[0, 2] == 0.0  # same parity
 
     def integrand_im(xx, n=1, m=2):
-        # <1| -i hbar d/dx |2>: the integrand is purely imaginary
+        # <1| -i d/dx |2>: the integrand is purely imaginary
         phi_n = math.sqrt(2.0 / L) * math.sin(n * math.pi * xx / L)
         dphi_m = math.sqrt(2.0 / L) * (m * math.pi / L) \
             * math.cos(m * math.pi * xx / L)
@@ -949,17 +945,17 @@ def test_truncation_monitored_by_doubling():
     # final coefficients of the 32-state scenario are stable against a
     # 64-state rerun at 1e-8
     kwargs = dict(width=1.0, amplitude=1.0, ramp_time=0.5,
-                  window=(0.0, 1.0), units=UNITS, profile="ramp")
+                  window=(0.0, 1.0), profile="ramp")
     m32 = box_dipole_model(n_basis=32, **kwargs)
     m64 = box_dipole_model(n_basis=64, **kwargs)
-    t32 = unitary_propagate(pure_state(32), m32, 1000, UNITS)
-    t64 = unitary_propagate(pure_state(64), m64, 1000, UNITS)
+    t32 = unitary_propagate(pure_state(32), m32, 1000)
+    t64 = unitary_propagate(pure_state(64), m64, 1000)
     assert np.max(np.abs(t64.states[-1][:32] - t32.states[-1])) < 1e-8
 
 
 def test_trajectory_csv_round_trip(tmp_path):
     m = two_level_model(t_end=1.0)
-    traj = euler_propagate(pure_state(2), m, 10, UNITS)
+    traj = euler_propagate(pure_state(2), m, 10)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path, tracked=2)
     lines = path.read_text().splitlines()
@@ -993,8 +989,8 @@ def reference_trajectory_csv(trajectory, tracked):
 def test_trajectory_csv_bytes_match_reference_formatter(tmp_path, stepper,
                                                         tracked):
     # box dipole ramp, dim 12, 1000 slices: tracked below, at and above dim
-    model = box_dipole_model(1.0, 12, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = stepper(pure_state(12, 1), model, 1000, UNITS)
+    model = box_dipole_model(1.0, 12, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = stepper(pure_state(12, 1), model, 1000)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path, tracked)
     assert path.read_bytes() == reference_trajectory_csv(traj, tracked)
@@ -1009,8 +1005,8 @@ def test_trajectory_csv_bytes_at_chunk_edges(tmp_path, stepper, tracked,
                                              rows):
     # the writer streams rows in blocks of _CHUNK_LINES: one row, and a
     # trajectory ending just before, at and just after a block edge
-    model = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = stepper(pure_state(6, 1), model, rows - 1, UNITS, tracked=tracked)
+    model = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = stepper(pure_state(6, 1), model, rows - 1, tracked=tracked)
     k = traj.states.shape[1]
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj, path, k)
@@ -1021,8 +1017,8 @@ def test_trajectory_csv_write_holds_one_block(tmp_path):
     # a 20 001-row, 8-column CSV is about 8 MB; holding it whole as lines,
     # text and bytes peaked at about 26 MB of Python heap. tracemalloc counts
     # Python allocations, so the bound does not depend on the host
-    model = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), UNITS, "ramp")
-    traj = euler_propagate(pure_state(8), model, 20000, UNITS)
+    model = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), "ramp")
+    traj = euler_propagate(pure_state(8), model, 20000)
     tracemalloc.start()
     try:
         write_trajectory_csv(traj, tmp_path / "trajectory.csv", 8)
