@@ -417,9 +417,11 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
 
     Reports the step-1 jump metric, the inter-gauge discrepancy without
     co-transforming the state, and the discrepancy when the full covariance
-    set is applied. A second gauge that does not reproduce the same E and B
-    fields is rejected up front.
+    set is applied. A second gauge that _second_gauge refuses, or that does
+    not reproduce the same E and B fields, is rejected up front.
     """
+    if problem := _second_gauge(scenario.second_gauge, vars(scenario)):
+        raise ValueError(f"second_gauge {problem}")
     pot1 = scenario.drive_potentials()
     pot2 = scenario.second_potentials()
     g = scenario.gauge_function()
@@ -494,6 +496,20 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     return GaugeJumpResult(rep1, rep2, np.linalg.norm(v2n - v1, axis=1),
                            np.linalg.norm(v2 - v1, axis=1),
                            float(defect), float(scale), float(g_defect), v_pre)
+
+
+_SECOND_GAUGES = ("transformed", "identity", "mismatched")
+
+
+def _second_gauge(v, values):
+    """One of _SECOND_GAUGES; the field check samples away from t = 0,
+    where a stepped A(t) is constant in either gauge, so only a ramp lets
+    it see a mismatch."""
+    if v not in _SECOND_GAUGES:
+        return f"must be one of {sorted(_SECOND_GAUGES)}, got {v!r}"
+    return "" if v != "mismatched" or values["switch"] == "ramp" else (
+        f"must not be {v!r} unless switch = ramp, got switch = "
+        f"{values['switch']!r}")
 
 
 def _fit_sizes(v, _):

@@ -32,8 +32,8 @@ before any grid is built or profile sampled; both steppers make the
 Trajectory they return before their first step. They fill its rows in
 blocks of _CHUNK_ENTRIES (2^11) entries of one reused buffer; each block's
 rows give their norms sum_k |C_k|^2 from all columns and their leading
-`tracked` columns (all when None) to the Trajectory, which also keeps full
-copies of rows 0 and 1 for norm_audit. tracked=0 keeps norms only. The
+`tracked` columns (all when None) to the Trajectory, whose head keeps rows
+0 and 1 with every column for norm_audit. tracked=0 keeps norms only. The
 eigenbasis Cayley stepper forms the midpoints, profile and identity shift
 of one chunk of steps at a time, so a 10^5-step run holds its times and
 norms, one 32 KB block and one chunk's tables instead of every state, and
@@ -183,19 +183,17 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Times, coefficient vectors, and their norms for one propagation run.
 
-    `dim` is the dimension the run propagated. `states` may keep only its
-    leading columns (a streamed run, see the module docstring); the norms
-    always cover every column.
+    A stepper's run may keep only the leading columns of its states (see the
+    module docstring); its norms and its head, rows 0 and 1, cover every
+    column it propagated. A trajectory built from its states has their norms
+    when none are given, and their first two rows as its head.
     """
 
     times: np.ndarray
     states: np.ndarray
     method: str
     norms: np.ndarray = field(default=None)
-    dim: int | None = None
-    # rows 0 and 1 with every column, kept by the steppers for norm_audit
-    _head: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    head: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -206,24 +204,13 @@ class Trajectory:
         if not np.all(self.times[1:] > self.times[:-1]):
             raise PropagationContractError(
                 "time grid must be strictly increasing")
-        if self.dim is None:
-            self.dim = self.states.shape[1]
-        elif self.states.shape[1] > self.dim:
-            raise PropagationContractError(
-                f"{self.states.shape[1]} state columns exceed dimension "
-                f"{self.dim}")
+        self.head = self.states[:2]
         if self.norms is None:
-            self.norms = self.compute_norms()
+            self.norms = _row_norms(self.states)
         else:
             self.norms = np.asarray(self.norms, dtype=float)
             if self.norms.shape != self.times.shape:
                 raise PropagationContractError("norms must align with times")
-
-    def compute_norms(self) -> np.ndarray:
-        if self.states.shape[1] < self.dim:
-            raise PropagationContractError(
-                "a trajectory with truncated rows needs its recorded norms")
-        return _row_norms(self.states)
 
 
 def _start(times: np.ndarray, c0: np.ndarray, tracked, method) -> Trajectory:
@@ -233,11 +220,11 @@ def _start(times: np.ndarray, c0: np.ndarray, tracked, method) -> Trajectory:
         raise PropagationContractError(f"tracked column count {problem}")
     keep = c0.size if tracked is None else min(tracked, c0.size)
     out = Trajectory(times, np.empty((times.size, keep), dtype=complex),
-                     method, np.empty(times.size), c0.size)
+                     method, np.empty(times.size))
     out.norms[0] = _row_norms(c0[None, :])[0]
     out.states[0] = c0[:keep]
-    out._head = np.empty((2, c0.size), dtype=complex)
-    out._head[0] = c0
+    out.head = np.empty((2, c0.size), dtype=complex)
+    out.head[0] = c0
     return out
 
 
@@ -248,9 +235,10 @@ def _blocks(out: Trajectory):
     buffer for the stepper to fill, and takes each block into out (its
     norms, and a copy of its kept columns) when the stepper asks for the
     next one; the buffer's rows are then overwritten. Row 1, the first
-    buffer row, is also copied in full into out's head.
+    buffer row, is also copied with every column into out.head, whose
+    width is the dimension propagated.
     """
-    n, dim, keep = out.times.size, out.dim, out.states.shape[1]
+    n, dim, keep = out.times.size, out.head.shape[1], out.states.shape[1]
     rows = max(1, _CHUNK_ENTRIES // dim)
     buffer = np.empty((min(rows, n - 1), dim), dtype=complex)
     for lo in range(1, n, rows):
@@ -260,7 +248,7 @@ def _blocks(out: Trajectory):
         out.norms[lo:hi] = _row_norms(block)
         out.states[lo:hi] = block[:, :keep]
         if lo == 1:
-            out._head[1] = block[0]
+            out.head[1] = block[0]
 
 
 def _prepare(c0, model: HamiltonianModel, n_slices: int):
@@ -550,22 +538,18 @@ def norm_audit(trajectory: Trajectory, model: HamiltonianModel
     norm is also compared against the model's closed form
     1 + dt^2 sum_k |(H1)_{ks}|^2.
 
-    Rows 0 and 1 are read in full, after them only the norms: a stepper's
-    run keeps full copies of both rows, so it may keep any number of
-    columns; a trajectory built from its states must keep every column.
+    Rows 0 and 1 are read from the trajectory's head, after them only the
+    norms; the head must hold all model.dim coefficients of each row.
     """
     if trajectory.method != "euler":
         raise PropagationContractError(
             f"norm audit applies to first-order sliced trajectories, got "
             f"{trajectory.method!r}")
-    head = trajectory.states[:2]
-    if head.shape[1] < trajectory.dim:
-        if trajectory._head is None:
-            raise PropagationContractError(
-                f"norm audit reads every coefficient of rows 0 and 1, but "
-                f"the trajectory keeps {head.shape[1]} of {trajectory.dim} "
-                f"and no full copy of them")
-        head = trajectory._head
+    head = trajectory.head
+    if head.shape[1] != model.dim:
+        raise PropagationContractError(
+            f"norm audit reads all {model.dim} coefficients of rows 0 and 1, "
+            f"but the trajectory's head holds {head.shape[1]}")
     c0 = head[0]
     s = int(np.argmax(np.abs(c0)))
     pure_defect = float(abs(c0[s] - 1.0) + np.sum(np.abs(np.delete(c0, s))))
@@ -642,22 +626,15 @@ def box_dipole_model(width: float, n_basis: int, amplitude: float,
                             window)
 
 
-def write_trajectory_csv(trajectory: Trajectory, path,
-                         tracked: int = 8) -> dict:
-    """step, t, norm_sq, re/im of the first `tracked` coefficients.
+def write_trajectory_csv(trajectory: Trajectory, path) -> dict:
+    """step, t, norm_sq, re/im of every coefficient the trajectory keeps.
 
     The rows stream to write_artifact in blocks of _CHUNK_LINES, each block
     formatted from its own contiguous copy and tolist(), so no artifact is
-    held whole; the column check runs before the file opens, so a refused
-    write creates no file.
+    held whole.
     """
-    k = min(tracked, trajectory.dim)
-    if not 0 <= k <= trajectory.states.shape[1]:
-        raise PropagationContractError(
-            f"cannot write {tracked} coefficients: the trajectory keeps "
-            f"{trajectory.states.shape[1]} of {trajectory.dim}")
     header = ["step", "t", "norm_sq"]
-    for j in range(1, k + 1):
+    for j in range(1, trajectory.states.shape[1] + 1):
         header += [f"re_c{j}", f"im_c{j}"]
 
     def lines():
@@ -666,8 +643,7 @@ def write_trajectory_csv(trajectory: Trajectory, path,
             block = slice(start, start + _CHUNK_LINES)
             # a complex row viewed as floats interleaves re and im per
             # coefficient
-            parts = np.ascontiguousarray(
-                trajectory.states[block, :k]).view(float)
+            parts = np.ascontiguousarray(trajectory.states[block]).view(float)
             for i, (t, norm, values) in enumerate(zip(
                     trajectory.times[block].tolist(),
                     trajectory.norms[block].tolist(), parts.tolist()), start):

@@ -133,6 +133,26 @@ def test_propagate_without_perturbation_keeps_the_initial_state(tmp_path):
     assert all(math.isnan(e) for e in stats["growth_exponents"])
 
 
+@pytest.mark.parametrize("tracked", [0, 40])
+def test_propagate_csvs_hold_the_tracked_columns_up_to_n_basis(tmp_path,
+                                                               tracked):
+    # the steppers keep min(tracked, n_basis) columns, and each CSV writes
+    # every column its run kept
+    path = write_scenario(tmp_path / "t.scn", "propagate",
+                          perturbation="dipole-ramp", n_basis=32,
+                          n_slices=20, tracked=tracked)
+    out = tmp_path / "out"
+    code, stats = cmd_propagate(load_scenario(path), out)
+    assert code == 0 and stats["audit_passed"]
+    header = ["step", "t", "norm_sq"]
+    for j in range(1, min(tracked, 32) + 1):
+        header += [f"re_c{j}", f"im_c{j}"]
+    for name in ("euler_trajectory.csv", "unitary_trajectory.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        assert {len(line.split(",")) for line in lines} == {len(header)}
+
+
 def test_propagate_seeded_scenario_reproducible(tmp_path):
     scn = load_scenario(SCENARIOS / "random_hermitian.scn")
     _, s1 = cmd_propagate(scn, tmp_path / "a", seed=123)
@@ -1426,10 +1446,14 @@ def _one_state(dim, n_slices, window=(0.0, 1.0), **kwargs):
      lambda: gauge.PhaseFitScenario(fit_sizes=(2, 4, 32), n_reference=16)),
     ("gauge", dict(experiment="phase-fit", fit_sizes="48, 2"), "fit_sizes",
      lambda: gauge.PhaseFitScenario(fit_sizes=(48, 2), n_reference=48)),
+    ("gauge", dict(experiment="jump", second_gauge="mismatched"),
+     "second_gauge", lambda: gauge.gauge_jump_experiment(GaugeJumpScenario(
+         second_gauge="mismatched", n_basis=8, n_slices=40))),
 ], ids=["window-order", "refinement-grid", "jump-grid", "slice-count",
         "jump-slice-count", "phase-fit-slice-count", "tracked", "box-basis",
         "dipole-basis", "momentum-basis", "jump-initial-index",
-        "phase-fit-initial-index", "reference-basis", "fit-sizes"])
+        "phase-fit-initial-index", "reference-basis", "fit-sizes",
+        "mismatched-step-pair"])
 def test_a_key_and_the_library_refuse_with_one_reason(kind, keys, key, call):
     # one predicate decides each hazard that a key and the library both
     # guard: the library's message is a subject and the key's own reason

@@ -685,8 +685,19 @@ def test_observable_csv_bytes_match_reference_formatter(tmp_path):
     (lambda: PhaseFitScenario(fit_sizes=(48, 2), n_reference=48),
      r"fit_sizes needs at least two increasing sizes for the plateau "
      r"verdict, got \[48, 2\]"),
+    # the key's choice and its step pair, refused by the experiment itself
+    # before its field check
+    (lambda: gauge_jump_experiment(GaugeJumpScenario(
+        second_gauge="typo", n_basis=8, n_slices=40)),
+     r"^second_gauge must be one of \['identity', 'mismatched', "
+     r"'transformed'\], got 'typo'$"),
+    (lambda: gauge_jump_experiment(GaugeJumpScenario(
+        second_gauge="mismatched", n_basis=8, n_slices=40)),
+     r"^second_gauge must not be 'mismatched' unless switch = ramp, got "
+     r"switch = 'step'$"),
 ], ids=["jump-index-zero", "jump-index-past-basis", "fit-index-past-basis",
-        "fit-sizes-single", "fit-sizes-unsorted"])
+        "fit-sizes-single", "fit-sizes-unsorted", "second-gauge-typo",
+        "mismatched-step-pair"])
 def test_experiment_argument_checks(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -400,8 +400,10 @@ def test_streamed_rows_match_full_run_property(stepper, terms, rows, tracked,
         full = stepper(c0, m, n_slices)
         kept = stepper(c0, m, n_slices, tracked=keep)
     assert np.array_equal(kept.norms, full.norms)
-    assert np.array_equal(full.norms, full.compute_norms())
-    assert kept.dim == full.dim == dim
+    assert np.array_equal(full.norms, propagation._row_norms(full.states))
+    # the head keeps rows 0 and 1 with every column the run propagated
+    assert kept.head.shape == full.head.shape == (2, dim)
+    assert np.array_equal(kept.head, full.states[:2])
     k = dim if keep is None else min(keep, dim)
     assert kept.states.shape == (n_slices + 1, k)
     assert np.array_equal(kept.states, full.states[:, :k])
@@ -735,12 +737,12 @@ def test_trajectory_validation():
                    np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
                    "euler")
     assert np.allclose(t.norms, [1.0, 1.0])
-    # more columns than the propagated dimension; truncated rows without
-    # the norms their stepper recorded
+    # a trajectory built from its states takes their first two rows as its
+    # head, at any width
     for cols in (3, 1):
-        with pytest.raises(PropagationContractError):
-            Trajectory(np.array([0.0, 1.0]),
-                       np.zeros((2, cols), dtype=complex), "euler", dim=2)
+        t = Trajectory(np.array([0.0, 1.0, 2.0]),
+                       np.ones((3, cols), dtype=complex), "euler")
+        assert np.array_equal(t.head, np.ones((2, cols)))
 
 
 def test_trajectory_states_are_a_complex_array():
@@ -840,21 +842,23 @@ def test_audit_fails_a_nan_in_row_1():
     assert "audit: FAIL" in report.to_text()
 
 
-def test_audit_and_csv_reject_truncated_rows(tmp_path):
-    # a trajectory that keeps fewer columns than it propagated, and no full
-    # copy of rows 0 and 1: the audit's off-diagonal weight and a CSV of the
-    # dropped columns would be wrong
-    m = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), "ramp")
-    run = euler_propagate(pure_state(6), m, 20, tracked=5)
-    cut = Trajectory(run.times, run.states, "euler", run.norms, 6)
-    assert (cut.dim, cut.states.shape[1]) == (6, 5)
-    with pytest.raises(PropagationContractError, match="keeps 5 of 6"):
-        norm_audit(cut, m)
-    with pytest.raises(PropagationContractError):
-        write_trajectory_csv(cut, tmp_path / "cut.csv", tracked=6)
-    # the check runs before the file opens, not inside the row generator
-    assert not (tmp_path / "cut.csv").exists()
-    assert norm_audit(euler_propagate(pure_state(6), m, 20), m).passed
+@pytest.mark.parametrize("n_basis", [5, 7], ids=["narrower", "wider"])
+def test_audit_refuses_rows_of_another_width_than_the_model(n_basis):
+    # the 6-state dipole-step run, its rows cut to 5 columns with its
+    # recorded norms, would pass with an off-diagonal weight at t1 that
+    # misses state 6's share; a 7-state run is not the model's either
+    m = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), "step")
+    run = euler_propagate(pure_state(6), m, 20)
+    if n_basis == 5:
+        other = Trajectory(run.times, run.states[:, :5], "euler", run.norms)
+    else:
+        other = euler_propagate(pure_state(7), box_dipole_model(
+            1.0, 7, 1.0, 0.5, (0.0, 1.0), "step"), 20)
+    with pytest.raises(PropagationContractError,
+                       match=f"reads all 6 coefficients of rows 0 and 1, "
+                             f"but the trajectory's head holds {n_basis}"):
+        norm_audit(other, m)
+    assert norm_audit(run, m).passed
 
 
 @pytest.mark.parametrize("n_slices,rows", [(1, None), (300, None), (40, 1)])
@@ -878,8 +882,10 @@ def test_tracked_euler_run_audits_as_the_full_run(tmp_path, kind, tracked,
     report, expected = norm_audit(kept, m), norm_audit(full, m)
     assert vars(report) == vars(expected)
     assert report.to_text() == expected.to_text()
-    write_trajectory_csv(kept, tmp_path / "kept.csv", k)
-    write_trajectory_csv(full, tmp_path / "full.csv", k)
+    # the kept run's CSV is the full run's rows cut to k columns
+    write_trajectory_csv(kept, tmp_path / "kept.csv")
+    write_trajectory_csv(Trajectory(full.times, full.states[:, :k], "euler",
+                                    full.norms), tmp_path / "full.csv")
     assert (tmp_path / "kept.csv").read_bytes() \
         == (tmp_path / "full.csv").read_bytes()
 
@@ -955,9 +961,9 @@ def test_truncation_monitored_by_doubling():
 
 def test_trajectory_csv_round_trip(tmp_path):
     m = two_level_model(t_end=1.0)
-    traj = euler_propagate(pure_state(2), m, 10)
+    traj = euler_propagate(pure_state(2), m, 10, tracked=2)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, tracked=2)
+    write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,t,norm_sq,re_c1,im_c1,re_c2,im_c2"
     assert len(lines) == 12
@@ -969,7 +975,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 def reference_trajectory_csv(trajectory, tracked):
     """The per-value formatter the CSV writer must match byte for byte."""
-    k = min(tracked, trajectory.dim)
+    k = min(tracked, trajectory.states.shape[1])
     header = ["step", "t", "norm_sq"]
     for j in range(1, k + 1):
         header += [f"re_c{j}", f"im_c{j}"]
@@ -988,12 +994,14 @@ def reference_trajectory_csv(trajectory, tracked):
 @pytest.mark.parametrize("tracked", [3, 8, 40])
 def test_trajectory_csv_bytes_match_reference_formatter(tmp_path, stepper,
                                                         tracked):
-    # box dipole ramp, dim 12, 1000 slices: tracked below, at and above dim
+    # box dipole ramp, dim 12, 1000 slices: tracked below, at and above dim;
+    # the tracked run's CSV is the full run's first `tracked` columns
     model = box_dipole_model(1.0, 12, 1.0, 0.5, (0.0, 1.0), "ramp")
-    traj = stepper(pure_state(12, 1), model, 1000)
+    traj = stepper(pure_state(12, 1), model, 1000, tracked=tracked)
+    full = stepper(pure_state(12, 1), model, 1000)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(traj, path, tracked)
-    assert path.read_bytes() == reference_trajectory_csv(traj, tracked)
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == reference_trajectory_csv(full, tracked)
 
 
 @pytest.mark.parametrize("rows", [2, _CHUNK_LINES - 1, _CHUNK_LINES,
@@ -1009,7 +1017,7 @@ def test_trajectory_csv_bytes_at_chunk_edges(tmp_path, stepper, tracked,
     traj = stepper(pure_state(6, 1), model, rows - 1, tracked=tracked)
     k = traj.states.shape[1]
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(traj, path, k)
+    write_trajectory_csv(traj, path)
     assert path.read_bytes() == reference_trajectory_csv(traj, k)
 
 
@@ -1021,7 +1029,7 @@ def test_trajectory_csv_write_holds_one_block(tmp_path):
     traj = euler_propagate(pure_state(8), model, 20000)
     tracemalloc.start()
     try:
-        write_trajectory_csv(traj, tmp_path / "trajectory.csv", 8)
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
