@@ -31,8 +31,8 @@ from .gauge import (GaugeFieldMismatchError, GaugeFunction,
                     GaugeJumpScenario, PhaseFitScenario,
                     PhysicalConsistencyError, zero_gauge_function)
 from .scenario import (INT, INTS, REAL, REQUIRED, RunManifest, Scenario,
-                       _at_least, _at_most, _in_1_to, _positive,
-                       load_scenario, write_artifact)
+                       ScenarioError, _at_least, _at_most, _in_1_to,
+                       _positive, load_scenario, read_text, write_artifact)
 from .specfun import NonConvergenceError, QuadratureSpec, integrate_interval
 
 
@@ -48,9 +48,14 @@ def _bundled_scenario_dir() -> Path:
 
 
 def _load_golden(name: str) -> dict:
+    """The parsed JSON of a golden file; a file that is not UTF-8 JSON is a
+    ScenarioError at its path and line."""
     path = _golden_dir() / name
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(str(path), exc.lineno, f"not JSON: {exc.msg} at "
+                            f"column {exc.colno}") from None
 
 
 def _load_claims() -> list:
@@ -146,6 +151,12 @@ _J, _F = GaugeJumpScenario, PhaseFitScenario
 # a slice count, with a ceiling: bundled scenarios take up to 1 200 and the
 # benchmark 2 000; at 10^12 _prepare's np.arange alone would need 7.28 TiB
 _SLICES = _all(_at_least(1), _at_most(10 ** 6))
+# a basis size's ceiling: bundled scenarios and the benchmark take up to 64
+# states; at 1 000 the dense matrices' O(n^3) set-up takes about 10 s on a
+# 2-CPU host, and the jump's doubled-node check holds a 0.6 GB mode table
+_BASIS = _at_most(1000)
+# default_rng draws from a non-negative seed alone
+_SEED = _at_least(0)
 _KEYS = (
     # a ceiling on the scan: 10^5 orders take under a second and a 5 MB
     # coefficient CSV, and _landau_length reads n_max + 1 as a float
@@ -153,7 +164,9 @@ _KEYS = (
     ("expand/landau", "magnetic_length", REAL, 1.0, _landau_length),
     ("expand/landau", "quad_check_max", INT, 20, _in_1_to("n_max")),
     ("expand/box", "width", REAL, 1.0, _normal_square),
-    ("expand/box", "n_max", INT, 50, _at_least(1)),
+    # a ceiling on the projection: each coefficient is a quadrature whose
+    # cost grows with n, 2.7 s for 1 000 coefficients on a 2-CPU host
+    ("expand/box", "n_max", INT, 50, _all(_at_least(1), _at_most(1000))),
     ("expand/box", "target", {"eigenstate", "gaussian"}, REQUIRED, None),
     ("expand/box", "target_n", INT, 1, _at_least(1)),
     ("expand/box", "center", REAL, lambda v: v["width"] / 2.0, None),
@@ -165,19 +178,21 @@ _KEYS = (
     ("propagate", "perturbation", {"none", "dipole-ramp", "dipole-step",
                                    "random-hermitian"}, REQUIRED, None),
     # a dipole matrix couples states of opposite parity, so it needs two
-    ("propagate", "n_basis", INT, 32, lambda v, values: _at_least(
-        2 if values["perturbation"].startswith("dipole") else 1)(v, values)),
+    ("propagate", "n_basis", INT, 32, _all(lambda v, values: _at_least(
+        2 if values["perturbation"].startswith("dipole") else 1)(v, values),
+        _BASIS)),
     ("propagate", "initial_index", INT, 1, _in_1_to("n_basis")),
     ("propagate", "t_start", REAL, 0.0, None),
     # the refinement study runs the window at 4 n_slices, its finest grid
     ("propagate", "t_end", REAL, 1.0, _grid(4)),
     ("propagate", "amplitude", REAL, 1.0, None),
-    ("propagate", "seed", INT, 0, None),
+    ("propagate", "seed", INT, 0,
+     _when(lambda v: v["perturbation"] == "random-hermitian", _SEED)),
     ("propagate", "ramp_time", REAL, 0.5,
      _when(lambda v: v["perturbation"] == "dipole-ramp", _all(
          _normal_square, _ramp_phase("ramp_time")))),
     ("gauge/jump", "well_width", REAL, _J.width, _positive),
-    ("gauge/jump", "n_basis", INT, _J.n_basis, _at_least(2)),
+    ("gauge/jump", "n_basis", INT, _J.n_basis, _all(_at_least(2), _BASIS)),
     ("gauge/jump", "initial_index", INT, _J.initial_index,
      _in_1_to("n_basis")),
     # the jump's Hamiltonian holds A(t)^2 / 2
@@ -205,8 +220,11 @@ _KEYS = (
     ("gauge/phase-fit", "initial_index", INT, _F.initial_index,
      gauge._fit_index),
     ("gauge/phase-fit", "n_reference", INT, _F.n_reference,
-     gauge._reference_size),
-    ("gauge/phase-fit", "n_grid", INT, _F.n_grid, _positive),
+     _all(gauge._reference_size, _BASIS)),
+    # the fit's mode table holds n_reference (n_grid + 1) floats: 51 MB at
+    # 64 states and 10^5 points, 0.8 GB at the basis ceiling
+    ("gauge/phase-fit", "n_grid", INT, _F.n_grid,
+     _all(_positive, _at_most(10 ** 5))),
     ("gauge/phase-fit", "fit_stride", INT, _F.fit_stride, _positive),
     ("gauge/phase-fit", "phase_strength", REAL, 0.8, None),
     ("gauge/phase-fit", "phase_ramp_time", REAL, lambda v: v["ramp_time"],
@@ -676,6 +694,17 @@ def _tolerance_scale(text: str) -> float:
         f"must be a finite positive real number, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """--seed's value: an integer that _SEED accepts, else a usage error."""
+    try:
+        problem = _SEED(value := int(text), None)
+    except ValueError:
+        problem = f"must be an integer, got {text!r}"
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="expansionlab",
                      description="eigenfunction-expansion audit bench")
@@ -688,7 +717,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tolerance-scale", type=_tolerance_scale,
                            default=1.0)
         if name == "propagate":
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_seed, default=None)
     p = sub.add_parser("reproduce-all",
                        help="run every bundled claim scenario against goldens")
     p.add_argument("--scenario-dir", default=None,

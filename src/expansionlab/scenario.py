@@ -27,7 +27,8 @@ SELECTORS = {"expand": "family", "gauge": "experiment"}
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario input; carries origin and line number."""
+    """Malformed input file, a scenario or a golden table; carries origin
+    and line number."""
 
     def __init__(self, origin: str, line: int | None, message: str):
         where = origin if line is None else f"{origin}:{line}"
@@ -170,10 +171,21 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
     return scn
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is a ScenarioError
+    at path and at the line of the byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:   # read() decoded the whole file at once
+        data = exc.object
+        raise ScenarioError(str(path), data.count(b"\n", 0, exc.start) + 1,
+                            f"not UTF-8: byte {data[exc.start]:#04x} "
+                            f"({exc.reason})") from None
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_scenario_text(text, origin=str(path))
+    return parse_scenario_text(read_text(path), origin=str(path))
 
 
 # lines encoded, hashed and written at once by write_artifact

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -307,30 +308,6 @@ def test_every_artifact_is_the_same_at_one_and_two_blas_threads():
     assert outputs[0][0] == outputs[1][0]
 
 
-def test_exit_1_on_missing_scenario_file(tmp_path):
-    r = run_cli("expand", "--scenario", str(tmp_path / "nope.scn"),
-                "--out", str(tmp_path / "out"))
-    assert r.returncode == 1
-    assert "error" in r.stderr
-
-
-def test_exit_1_on_missing_required_key(tmp_path):
-    path = tmp_path / "bad.scn"
-    path.write_text("expansionlab-scenario v1\nkind = gauge\nname = g\n")
-    r = run_cli("gauge", "--scenario", str(path),
-                "--out", str(tmp_path / "out"))
-    assert r.returncode == 1
-    assert "experiment" in r.stderr
-
-
-def test_exit_1_on_malformed_scenario(tmp_path):
-    path = tmp_path / "bad.scn"
-    path.write_text("wrong header\n")
-    r = run_cli("expand", "--scenario", str(path),
-                "--out", str(tmp_path / "out"))
-    assert r.returncode == 1
-
-
 def test_exit_2_on_forced_non_convergence(tmp_path):
     r = run_cli("expand",
                 "--scenario", str(SCENARIOS / "landau_planewave.scn"),
@@ -365,37 +342,6 @@ def test_exit_3_on_mismatched_gauge_pair(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_reproduce_all_exit_1_on_empty_scenario_dir(tmp_path, capsys):
-    empty = tmp_path / "scn"
-    empty.mkdir()
-    out = tmp_path / "out"
-    assert main(["reproduce-all", "--scenario-dir", str(empty),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "no scenario files" in err
-    assert "Traceback" not in err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert not out.exists()
-
-
-def test_reproduce_all_exit_1_on_claim_scenario_not_in_dir(tmp_path, capsys):
-    # every bundled scenario but the first claim's: the run stops before any
-    # scenario runs, naming the claim and the scenario it needs
-    claim = cli._load_claims()[0]
-    scn_dir = tmp_path / "scn"
-    scn_dir.mkdir()
-    for path in SCENARIOS.glob("*.scn"):
-        if path.name != claim["scenario"]:
-            shutil.copy(path, scn_dir)
-    out = tmp_path / "out"
-    assert main(["reproduce-all", "--scenario-dir", str(scn_dir),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == (f"error: claim '{claim['id']}' needs scenario "
-                   f"{claim['scenario']}, not found in {scn_dir}\n")
-    assert not out.exists()
-
-
 def test_reproduce_all_exit_3_on_tampered_golden(tmp_path):
     tampered = tmp_path / "golden"
     shutil.copytree(GOLDEN, tampered)
@@ -408,93 +354,6 @@ def test_reproduce_all_exit_3_on_tampered_golden(tmp_path):
     assert r.returncode == 3
     assert "FAIL" in r.stdout
     assert "velocity-jump" in r.stdout
-
-
-def _unknown_claim(golden_dir):
-    path = golden_dir / "claims.json"
-    claims = json.loads(path.read_text())
-    claims["claims"][0]["id"] = "no-such-claim"
-    path.write_text(json.dumps(claims))
-
-
-def _golden_without_key(golden_dir):
-    path = golden_dir / "gauge_jump.json"
-    g = json.loads(path.read_text())
-    del g["covariant_tol"]
-    path.write_text(json.dumps(g))
-
-
-@pytest.mark.parametrize("tamper,message", [
-    (_unknown_claim, "claim 'no-such-claim' has no checker"),
-    (_golden_without_key, "gauge_jump.json lacks covariant_tol"),
-], ids=["unknown-claim", "missing-key"])
-def test_reproduce_all_exit_1_on_bad_golden_before_running(
-        tmp_path, monkeypatch, capsys, tamper, message):
-    bad = tmp_path / "golden"
-    shutil.copytree(GOLDEN, bad)
-    tamper(bad)
-    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
-    out = tmp_path / "out"
-    assert main(["reproduce-all", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("error:") and message in err
-    assert len(err.splitlines()) == 1
-    assert not out.exists()
-
-
-_CLAIMS_SHAPE = ("claims.json must hold 'claims', a non-empty list of objects "
-                 "with string id, scenario and golden")
-
-
-def _claims_doc(doc):
-    def tamper(golden_dir):
-        (golden_dir / "claims.json").write_text(json.dumps(doc))
-    return tamper
-
-
-def _claim_without(key):
-    def tamper(golden_dir):
-        path = golden_dir / "claims.json"
-        doc = json.loads(path.read_text())
-        del doc["claims"][-1][key]
-        path.write_text(json.dumps(doc))
-    return tamper
-
-
-def _golden_as(value):
-    def tamper(golden_dir):
-        (golden_dir / "gauge_jump.json").write_text(json.dumps(value))
-    return tamper
-
-
-@pytest.mark.parametrize("tamper,message", [
-    (_claims_doc({}), _CLAIMS_SHAPE),
-    (_claims_doc([1]), _CLAIMS_SHAPE),
-    (_claims_doc({"claims": []}), _CLAIMS_SHAPE),
-    (_claims_doc({"claims": [1]}), _CLAIMS_SHAPE),
-    (_claim_without("golden"), _CLAIMS_SHAPE),
-    (_claim_without("scenario"), _CLAIMS_SHAPE),
-    (_golden_as(3), "golden gauge_jump.json is not a JSON object"),
-    (_golden_as("amplitude jump_tol covariant_tol"),
-     "golden gauge_jump.json is not a JSON object"),
-], ids=["empty-object", "list", "no-claims", "claim-not-object",
-        "claim-without-golden", "claim-without-scenario", "golden-number",
-        "golden-string"])
-def test_reproduce_all_exit_1_on_malformed_claims_before_running(
-        tmp_path, monkeypatch, capsys, tamper, message):
-    bad = tmp_path / "golden"
-    shutil.copytree(GOLDEN, bad)
-    tamper(bad)
-    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
-    ran = []
-    monkeypatch.setattr(cli, "_dispatch", lambda *args: ran.append(args))
-    out = tmp_path / "out"
-    assert main(["reproduce-all", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-    assert len(err.splitlines()) == 1
-    assert ran == [] and not out.exists()
 
 
 TOLERANCE_RUNS = [("expand", "box_roundtrip.scn"),
@@ -638,25 +497,6 @@ def test_golden_pushed_past_a_row_fails_exactly_its_claim(claim_stats, row):
         assert _failing_claims(claim_stats, goldens) == set()
 
 
-@pytest.mark.parametrize("claim_id,key", NAMED_KEYS,
-                         ids=[f"{c}:{k}" for c, k in NAMED_KEYS])
-def test_reproduce_all_exit_1_on_golden_without_a_named_key(
-        tmp_path, monkeypatch, capsys, claim_id, key):
-    bad = tmp_path / "golden"
-    shutil.copytree(GOLDEN, bad)
-    path = bad / GOLDEN_OF[claim_id]
-    g = json.loads(path.read_text())
-    del g[key]
-    path.write_text(json.dumps(g))
-    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
-    out = tmp_path / "out"
-    assert main(["reproduce-all", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == (f"error: golden {GOLDEN_OF[claim_id]} lacks {key}, "
-                   f"which claim '{claim_id}' reads\n")
-    assert not out.exists()
-
-
 # one wrong-shaped value per (role, test) of the claim table; an "==" row
 # compares any value, so its ref has no shape to get wrong
 WRONG_SHAPE = {("bound", "<="): True, ("bound", "<"): "1e-10",
@@ -667,27 +507,6 @@ MALFORMED = [(cid, key, WRONG_SHAPE[role, test])
              for cid, _, test, *keys in ROWS
              for role, key in zip(("ref", "bound"), keys)
              if key and test != "=="]
-
-
-@pytest.mark.parametrize("claim_id,key,value", MALFORMED,
-                         ids=[f"{c}:{k}" for c, k, _ in MALFORMED])
-def test_reproduce_all_exit_1_on_malformed_golden_value(
-        tmp_path, monkeypatch, capsys, claim_id, key, value):
-    # checked before any scenario runs: no output directory, one error line
-    bad = tmp_path / "golden"
-    shutil.copytree(GOLDEN, bad)
-    path = bad / GOLDEN_OF[claim_id]
-    g = json.loads(path.read_text())
-    g[key] = value
-    path.write_text(json.dumps(g))
-    monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(bad))
-    out = tmp_path / "out"
-    assert main(["reproduce-all", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: golden {GOLDEN_OF[claim_id]} has {key} = "
-                          f"{value!r}, but claim '{claim_id}' reads it as ")
-    assert len(err.splitlines()) == 1
-    assert not out.exists()
 
 
 def test_golden_shape_check_of_single_values():
@@ -790,71 +609,470 @@ def test_phase_fit_check_fails_on_truncated_golden():
     assert "final_residuals 8 fresh values against 2" in detail
 
 
-def write_scenario(path, kind, **keys):
+def scenario_text(kind, **keys):
+    """A scenario of kind named t: the header, kind and name, then keys."""
     lines = ["expansionlab-scenario v1", f"kind = {kind}", "name = t"]
-    lines += [f"{k} = {v}" for k, v in keys.items()]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
+
+
+def write_scenario(path, kind, **keys):
+    path.write_text(scenario_text(kind, **keys))
     return path
 
 
-@pytest.mark.parametrize("command,keys,named", [
-    ("gauge", dict(experiment="jump", n_basis=24, initial_index=30),
-     "initial_index"),
-    ("expand", dict(family="landau", magnetic_length=-1, n_max=5,
-                    quad_check_max=2), "magnetic_length"),
-    ("propagate", dict(perturbation="dipole-ramp", n_basis=1, n_slices=10),
-     "n_basis"),
-    ("gauge", dict(experiment="phase-fit", n_reference=16,
-                   fit_sizes="2, 4, 32", n_slices=10), "n_reference"),
-    # a ramp over no time divides by zero; the step ignores its ramp_time
-    ("gauge", dict(experiment="jump", switch="ramp", ramp_time=0.0),
-     "ramp_time"),
-    ("gauge", dict(experiment="phase-fit", phase_ramp_time=0.0, n_slices=10),
-     "phase_ramp_time"),
-    ("propagate", dict(perturbation="dipole-ramp", ramp_time=-0.5,
-                       n_basis=4, n_slices=10), "ramp_time"),
-    ("propagate", dict(perturbation="none", n_basis=4, n_slices=0),
-     "n_slices"),
-    ("gauge", dict(experiment="jump", n_basis=1, initial_index=1), "n_basis"),
-    ("gauge", dict(experiment="jump", initial_index=0), "initial_index"),
-    ("gauge", dict(experiment="phase-fit", ramp_time=-0.3,
-                   phase_ramp_time=0.3, n_slices=10), "ramp_time"),
-    ("expand", dict(family="box", target="eigenstate", n_max=0), "n_max"),
-    ("expand", dict(family="box", target="eigenstate", target_n=0),
-     "target_n"),
-    # a zero width divides by zero in the box energies
-    ("propagate", dict(perturbation="none", well_width=0.0, n_slices=10),
-     "well_width"),
-    ("propagate", dict(perturbation="random-hermitian", n_basis=0),
-     "n_basis"),
-    ("propagate", dict(perturbation="dipole-step", n_basis=1), "n_basis"),
-    ("gauge", dict(experiment="phase-fit", fit_sizes="2, 4", n_reference=4,
-                   initial_index=3), "initial_index"),
-    ("gauge", dict(experiment="phase-fit", initial_index=0),
-     "initial_index"),
-], ids=["initial-index", "magnetic-length", "dipole-basis",
-        "phase-fit-basis", "jump-ramp-time", "phase-ramp-time",
-        "dipole-ramp-time", "propagate-n_slices", "jump-n_basis",
-        "jump-initial-index-zero", "phase-fit-ramp-time", "box-n_max",
-        "box-target_n", "propagate-well_width", "propagate-n_basis",
-        "dipole-step-basis", "phase-fit-initial-index",
-        "phase-fit-initial-index-zero"])
-def test_exit_1_on_constructor_errors(tmp_path, capsys, command, keys,
-                                      named):
-    # the key table rejects these values before a constructor sees them,
-    # naming the key at its line, and nothing is written
-    path = write_scenario(tmp_path / "bad.scn", command, **keys)
-    code = main([command, "--scenario", str(path),
-                 "--out", str(tmp_path / "out")])
-    stderr = capsys.readouterr().err
-    assert code == 1
-    assert "Traceback" not in stderr
-    assert not (tmp_path / "out").exists()
-    if named in keys:
-        line = 4 + list(keys).index(named)   # after header, kind and name
-        assert stderr.startswith(f"error: {path}:{line}: key '{named}'")
+# ------------------------------------------------------ the exit-1 contract
+
+def _no_scenario_runs(scn, *_):
+    raise AssertionError(f"{scn.origin} ran before the error")
+
+
+def _exits_1(argv, expected):
+    """Hold the run of argv to the contract of a configuration error.
+
+    It exits 1, returned by main or raised by argparse, with no traceback.
+    Its stderr is one `error:` line, after argparse's usage where argparse
+    refused, and the line starts with expected (an expected text that ends
+    in a newline is the whole line). It issues no RuntimeWarning, makes no
+    --out directory, and reproduce-all runs no scenario. An argv that
+    starts with -m runs under python in a subprocess, where a warning would
+    be a further line of stderr.
+    """
+    out = Path(argv[argv.index("--out") + 1])
+    warned = []
+    if argv[0] == "-m":
+        run = subprocess.run([sys.executable, *argv], capture_output=True,
+                             text=True)
+        code, err = run.returncode, run.stderr
     else:
-        assert stderr.startswith("error:") and named in stderr
+        stderr = io.StringIO()
+        with (pytest.MonkeyPatch.context() as mp,
+              contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings(record=True) as warned):
+            warnings.simplefilter("always")
+            if argv[0] == "reproduce-all":
+                mp.setattr(cli, "_dispatch", _no_scenario_runs)
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse ends a usage error so
+                code = exc.code
+        err = stderr.getvalue()
+    *usage, error = err.splitlines(keepends=True) or [""]
+    assert code == 1 and "Traceback" not in err, err
+    assert error.startswith(expected), err
+    assert not usage or (usage[0].startswith("usage: ")
+                         and "error:" not in "".join(usage)), err
+    assert not [w for w in warned if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def _row(row_id, argv, files, expected):
+    """A row of test_configuration_error_exits_1. argv and expected name
+    paths as {tmp}, {scn}, {out}, {dir} and {golden}; files maps a path
+    under tmp to its text or bytes, to None to delete it, or to a function
+    from its JSON document to the new document."""
+    return pytest.param(argv, files, expected, id=row_id)
+
+
+def _run(command, *flags):
+    return [command, "--scenario", "{scn}", "--out", "{out}", *flags]
+
+
+def _scn(row_id, command, keys, expected):
+    """A row of command on a scenario of its own kind that sets keys."""
+    return _row(row_id, _run(command),
+                {"bad.scn": scenario_text(command, **keys)}, expected)
+
+
+def _keyed(row_id, command, keys, key, reason=""):
+    """A row whose scenario is refused at key's line for reason."""
+    line = 4 + list(keys).index(key)     # after the header, kind and name
+    return _scn(row_id, command, keys,
+                f"error: {{scn}}:{line}: key '{key}' {reason}")
+
+
+REPRODUCE = ["reproduce-all", "--scenario-dir", "{dir}", "--out", "{out}"]
+
+
+def _golden(row_id, name, change, expected):
+    """A row of reproduce-all with golden file name changed."""
+    return _row(row_id, REPRODUCE, {f"golden/{name}": change}, expected)
+
+
+def _claim_without(key):
+    return lambda doc: {"claims": [*doc["claims"][:-1], {
+        k: v for k, v in doc["claims"][-1].items() if k != key}]}
+
+
+DIPOLE = (SCENARIOS / "box_dipole.scn").read_text()
+FIRST = CLAIMS[0]                   # a claim whose scenario goes missing
+LAST = CLAIMS[-1]["scenario"]       # the claim scenario read last
+LAST_TEXT = (SCENARIOS / LAST).read_text()
+CLAIMS_SHAPE = ("error: {golden}/claims.json must hold 'claims', a non-empty "
+                "list of objects with string id, scenario and golden\n")
+NOT_AN_OBJECT = "error: golden gauge_jump.json is not a JSON object\n"
+
+EXIT_1 = [
+    # files and scenarios the command cannot read
+    _row("missing-scenario-file",
+         ["expand", "--scenario", "{tmp}/nope.scn", "--out", "{out}"], {},
+         "error: [Errno 2] No such file or directory: '{tmp}/nope.scn'\n"),
+    _row("directory-as-scenario",
+         ["gauge", "--scenario", "{tmp}", "--out", "{out}"], {},
+         "error: [Errno 21] Is a directory: '{tmp}'\n"),
+    _row("malformed-scenario", _run("expand"), {"bad.scn": "wrong header\n"},
+         "error: {scn}:1: first line must be 'expansionlab-scenario v1', got "
+         "'wrong header'\n"),
+    _row("comments-without-header", _run("expand"),
+         {"bad.scn": "# a comment\n\n   # and another\n"},
+         "error: {scn}: missing 'expansionlab-scenario v1' header\n"),
+    _row("scenario-not-utf8", _run("propagate"),
+         {"bad.scn": b"expansionlab-scenario v1\nkind = propagate\n"
+                     b"name = \xff\n"},
+         "error: {scn}:3: not UTF-8: byte 0xff (invalid start byte)\n"),
+    _row("missing-required-key", _run("gauge"),
+         {"bad.scn": "expansionlab-scenario v1\nkind = gauge\nname = g\n"},
+         "error: {scn}: missing required key 'experiment'\n"),
+    _row("kind-mismatch", _run("expand"),
+         {"bad.scn": scenario_text("gauge", experiment="jump")},
+         "error: {scn}: scenario kind 'gauge' cannot run under command "
+         "'expand'\n"),
+    # a misspelt key must not leave the default it meant to replace in
+    # force; this row runs `python -m expansionlab`, so the process's own
+    # exit code is held to the contract too
+    _row("misspelt-keys", ["-m", "expansionlab", *_run("propagate")],
+         {"bad.scn": DIPOLE + "n_slice = 5\namplitde = 50\n"},
+         f"error: {{scn}}:{len(DIPOLE.splitlines()) + 1}: unknown key "
+         f"'n_slice'\n"),
+    # hbar = 1 is a constant, so a scenario that sets it, even to 1, sets
+    # an undeclared key
+    _scn("propagate-hbar", "propagate", dict(perturbation="none", hbar=1.0),
+         "error: {scn}:5: unknown key 'hbar'\n"),
+    _scn("jump-hbar", "gauge", dict(experiment="jump", hbar=1.0),
+         "error: {scn}:5: unknown key 'hbar'\n"),
+    _scn("phase-fit-hbar", "gauge", dict(experiment="phase-fit", hbar=1.0),
+         "error: {scn}:5: unknown key 'hbar'\n"),
+    # usage errors
+    _row("usage", ["expand", "--out", "{out}"], {},
+         "error: the following arguments are required: --scenario\n"),
+    _row("seed-off-propagate", _run("gauge", "--seed", "3"), {},
+         "error: unrecognized arguments: --seed 3\n"),
+    _row("negative-seed-flag", _run("propagate", "--seed", "-5"),
+         {"bad.scn": scenario_text("propagate",
+                                   perturbation="random-hermitian")},
+         "error: argument --seed: must be at least 0, got -5\n"),
+    _row("seed-flag-not-an-integer", _run("propagate", "--seed", "x"), {},
+         "error: argument --seed: must be an integer, got 'x'\n"),
+    # values the key table refuses before a constructor sees them
+    _keyed("initial-index", "gauge",
+           dict(experiment="jump", n_basis=24, initial_index=30),
+           "initial_index"),
+    _keyed("magnetic-length", "expand",
+           dict(family="landau", magnetic_length=-1, n_max=5,
+                quad_check_max=2), "magnetic_length"),
+    _keyed("dipole-basis", "propagate",
+           dict(perturbation="dipole-ramp", n_basis=1, n_slices=10),
+           "n_basis"),
+    _keyed("phase-fit-basis", "gauge",
+           dict(experiment="phase-fit", n_reference=16, fit_sizes="2, 4, 32",
+                n_slices=10), "n_reference"),
+    # a ramp over no time divides by zero; the step ignores its ramp_time
+    _keyed("jump-ramp-time", "gauge",
+           dict(experiment="jump", switch="ramp", ramp_time=0.0), "ramp_time"),
+    _keyed("phase-ramp-time", "gauge",
+           dict(experiment="phase-fit", phase_ramp_time=0.0, n_slices=10),
+           "phase_ramp_time"),
+    _keyed("dipole-ramp-time", "propagate",
+           dict(perturbation="dipole-ramp", ramp_time=-0.5, n_basis=4,
+                n_slices=10), "ramp_time"),
+    _keyed("propagate-n_slices", "propagate",
+           dict(perturbation="none", n_basis=4, n_slices=0), "n_slices"),
+    _keyed("jump-n_basis", "gauge",
+           dict(experiment="jump", n_basis=1, initial_index=1), "n_basis"),
+    _keyed("jump-initial-index-zero", "gauge",
+           dict(experiment="jump", initial_index=0), "initial_index"),
+    _keyed("phase-fit-ramp-time", "gauge",
+           dict(experiment="phase-fit", ramp_time=-0.3, phase_ramp_time=0.3,
+                n_slices=10), "ramp_time"),
+    _keyed("box-n_max", "expand",
+           dict(family="box", target="eigenstate", n_max=0), "n_max"),
+    _keyed("box-target_n", "expand",
+           dict(family="box", target="eigenstate", target_n=0), "target_n"),
+    # a zero width divides by zero in the box energies
+    _keyed("propagate-well_width", "propagate",
+           dict(perturbation="none", well_width=0.0, n_slices=10),
+           "well_width"),
+    _keyed("propagate-n_basis", "propagate",
+           dict(perturbation="random-hermitian", n_basis=0), "n_basis"),
+    _keyed("dipole-step-basis", "propagate",
+           dict(perturbation="dipole-step", n_basis=1), "n_basis"),
+    _keyed("phase-fit-initial-index", "gauge",
+           dict(experiment="phase-fit", fit_sizes="2, 4", n_reference=4,
+                initial_index=3), "initial_index"),
+    _keyed("phase-fit-initial-index-zero", "gauge",
+           dict(experiment="phase-fit", initial_index=0), "initial_index"),
+    _keyed("phase-fit-n_grid", "gauge", dict(experiment="phase-fit", n_grid=0),
+           "n_grid"),
+    _keyed("phase-fit-fit_stride", "gauge",
+           dict(experiment="phase-fit", fit_stride=0), "fit_stride"),
+    _keyed("phase-fit-well_width", "gauge",
+           dict(experiment="phase-fit", well_width=0.0), "well_width"),
+    _keyed("jump-well_width", "gauge", dict(experiment="jump", well_width=0.0),
+           "well_width"),
+    _keyed("jump-observe_stride", "gauge",
+           dict(experiment="jump", observe_stride=0), "observe_stride"),
+    _keyed("box-sigma", "expand",
+           dict(family="box", target="gaussian", sigma=0.0), "sigma"),
+    # width sets sigma's default, so it is checked first
+    _keyed("box-width", "expand",
+           dict(family="box", target="eigenstate", width=0.0), "width"),
+    _keyed("quad-check-above-n-max", "expand",
+           dict(family="landau", n_max=5, quad_check_max=10),
+           "quad_check_max"),
+    _keyed("quad-check-zero", "expand",
+           dict(family="landau", n_max=5, quad_check_max=0), "quad_check_max"),
+    _keyed("one-fit-size", "gauge",
+           dict(experiment="phase-fit", fit_sizes=4, n_slices=10),
+           "fit_sizes"),
+    _keyed("no-fit-size", "gauge",
+           dict(experiment="phase-fit", fit_sizes=",", n_slices=10),
+           "fit_sizes"),
+    _keyed("negative-tracked", "propagate",
+           dict(n_basis=4, n_slices=10, tracked=-1), "tracked"),
+    _keyed("propagate-empty-window", "propagate",
+           dict(perturbation="none", n_basis=4, n_slices=10, t_start=1.0,
+                t_end=1.0), "t_end", "must exceed t_start = 1.0, got 1.0\n"),
+    _keyed("phase-fit-no-slices", "gauge",
+           dict(experiment="phase-fit", n_slices=0), "n_slices",
+           "must be at least 1, got 0\n"),
+    _keyed("phase-fit-empty-window", "gauge",
+           dict(experiment="phase-fit", t_end=0.0), "t_end",
+           "must be positive"),
+    _keyed("jump-amplitude-square-overflow", "gauge",
+           dict(experiment="jump", amplitude=1e200), "amplitude",
+           "must have a finite square, got 1e+200\n"),
+    # every ramp divides by its time
+    _keyed("jump-ramp-time-subnormal", "gauge",
+           dict(experiment="jump", switch="ramp", ramp_time=1e-320),
+           "ramp_time", "must have a square that is a normal float"),
+    _keyed("propagate-ramp-time-subnormal", "propagate",
+           dict(perturbation="dipole-ramp", n_basis=4, n_slices=10,
+                ramp_time=1e-320), "ramp_time",
+           "must have a square that is a normal float"),
+    _keyed("phase-fit-ramp-time-subnormal", "gauge",
+           dict(experiment="phase-fit", n_slices=10, ramp_time=1e-320),
+           "ramp_time", "must have a square that is a normal float"),
+    _keyed("phase-ramp-time-subnormal", "gauge",
+           dict(experiment="phase-fit", n_slices=10, phase_ramp_time=1e-320),
+           "phase_ramp_time", "must have a square that is a normal"),
+    # the eigenstate target reads no sigma, so only the width is checked
+    _keyed("eigenstate-width-subnormal", "expand",
+           dict(family="box", target="eigenstate", width=1e-320), "width",
+           "must have a square that is a normal float"),
+    # a stepped A(t) is constant wherever the field check samples, so a
+    # mismatched pair of steps would pass it and exit 0
+    _keyed("mismatched-step-pair", "gauge",
+           dict(experiment="jump", second_gauge="mismatched"), "second_gauge",
+           "must not be 'mismatched' unless switch = ramp, got switch = "
+           "'step'\n"),
+    # a non-finite value is refused at its line, not run to fail or report
+    # nan later
+    _keyed("jump-amplitude-nan", "gauge",
+           dict(experiment="jump", amplitude="nan"), "amplitude",
+           "must be a finite real number, got 'nan'\n"),
+    _keyed("propagate-t_end-inf", "propagate",
+           dict(perturbation="dipole-ramp", t_end="inf"), "t_end",
+           "must be a finite real number, got 'inf'\n"),
+    _keyed("landau-magnetic_length-inf", "expand",
+           dict(family="landau", magnetic_length="inf"), "magnetic_length",
+           "must be a finite real number, got 'inf'\n"),
+    # values whose arithmetic leaves float range: a Gaussian with no
+    # positive finite norm on the well, or an overflow or a division by an
+    # underflowed product; the first overflow stops the run. A length whose
+    # square is not a normal float is refused at its key's line
+    _scn("gaussian-off-the-well", "expand",
+         dict(family="box", target="gaussian", center=1e9),
+         "error: the Gaussian of sigma = 0.1, center = 1000000000.0 has no "
+         "positive finite norm on the well of width = 1.0\n"),
+    _scn("gaussian-between-nodes", "expand",
+         dict(family="box", target="gaussian", sigma=1e-9),
+         "error: the Gaussian of sigma = 1e-09, center = 0.5 has no positive "
+         "finite norm on the well of width = 1.0\n"),
+    _keyed("gaussian-overflow", "expand",
+           dict(family="box", target="gaussian", sigma=1e-200), "sigma",
+           "must have a square that is a normal float, got 1e-200\n"),
+    _keyed("landau-length-underflow", "expand",
+           dict(family="landau", magnetic_length=1e-200), "magnetic_length",
+           "must have a square that is a normal float, got 1e-200\n"),
+    _scn("ramp-t_end-overflow", "propagate",
+         dict(perturbation="dipole-ramp", t_end=1e200),
+         "error: beyond float range: "),
+    _keyed("landau-scan-overflow", "expand",
+           dict(family="landau", magnetic_length=1e150), "magnetic_length",
+           "must keep the scan's partial sums of (2 a^2)^2 up to n_max = 200 "
+           "finite, got 1e+150\n"),
+    _keyed("gaussian-exponent-overflow", "expand",
+           dict(family="box", target="gaussian", width=1e10, sigma=1e-150),
+           "sigma", "must keep ((x - center) / sigma)^2 finite on the well of "
+           "width = 10000000000.0 about center = 5000000000.0, got 1e-150\n"),
+    # a ramp time whose square is normal, but whose phase pi t / ramp_time
+    # overflows before the window ends: the later of the two keys names it
+    _keyed("jump-ramp-phase-overflow", "gauge",
+           dict(experiment="jump", switch="ramp", ramp_time=2e-154,
+                t_end=1e160), "t_end",
+           "must keep the ramp phase pi t / ramp_time finite up to |t| = "
+           "1e+160, got ramp_time = 2e-154\n"),
+    _keyed("phase-fit-ramp-phase-overflow", "gauge",
+           dict(experiment="phase-fit", ramp_time=2e-154, t_end=1e160),
+           "t_end", "must keep the ramp phase pi t / ramp_time finite up to "
+           "|t| = 1e+160, got ramp_time = 2e-154\n"),
+    _keyed("phase-ramp-phase-overflow", "gauge",
+           dict(experiment="phase-fit", t_end=1e160, phase_ramp_time=2e-154),
+           "phase_ramp_time", "must keep the ramp phase pi t / "
+           "phase_ramp_time finite up to |t| = 1e+160, got phase_ramp_time = "
+           "2e-154\n"),
+    _keyed("propagate-ramp-phase-overflow", "propagate",
+           dict(perturbation="dipole-ramp", t_end=1e160, ramp_time=2e-154),
+           "ramp_time", "must keep the ramp phase pi t / ramp_time finite up "
+           "to |t| = 1e+160, got ramp_time = 2e-154\n"),
+    # int() takes any size; the scan reads n_max + 1 as a float
+    _keyed("landau-n_max-beyond-float", "expand",
+           dict(family="landau", n_max=10 ** 400), "n_max",
+           f"must be at most 100000, got {10 ** 400}\n"),
+    # a step below the float spacing of the window's times: the grid would
+    # repeat a time, at the 4 n_slices of propagate's finest refinement run
+    # even where its own n_slices grid does not
+    _keyed("propagate-repeated-times", "propagate",
+           dict(perturbation="dipole-step", t_start=1e16,
+                t_end=1.0000000000000004e16, n_slices=1000), "t_end",
+           "must keep the 4000-slice time grid strictly increasing, its step "
+           "above 4 ulp(1.0000000000000004e+16) = 8.0, got dt = 0.001\n"),
+    _keyed("jump-dt-underflow", "gauge",
+           dict(experiment="jump", t_end=1e-320, n_slices=10000), "n_slices",
+           "must keep the 10000-slice time grid strictly increasing, its step "
+           "above 4 ulp(1e-320) = 2e-323, got dt = 0.0\n"),
+    _keyed("phase-fit-dt-underflow", "gauge",
+           dict(experiment="phase-fit", t_end=1e-320, ramp_time=1e-150,
+                phase_ramp_time=1e-150, n_slices=10000), "n_slices",
+           "must keep the 10000-slice time grid strictly increasing, its step "
+           "above 4 ulp(1e-320) = 2e-323, got dt = 0.0\n"),
+    _keyed("refinement-repeated-times", "propagate",
+           dict(perturbation="dipole-ramp", t_start=1e16,
+                t_end=1.0000000000004e16, n_slices=1000, ramp_time=2000,
+                amplitude=1e-6), "t_end",
+           "must keep the 4000-slice time grid strictly increasing, its step "
+           "above 4 ulp(1.0000000000004e+16) = 8.0, got dt = 1.0\n"),
+    # sizes whose run would not fit in memory or end: a slice count whose
+    # grid np.arange could not allocate (7.28 TiB; never 10^8, which it can,
+    # about 24 GiB), and bases and tables as large
+    _keyed("propagate-slices-beyond-memory", "propagate",
+           dict(perturbation="random-hermitian", n_basis=8,
+                n_slices=10 ** 12), "n_slices",
+           "must be at most 1000000, got 1000000000000\n"),
+    _keyed("jump-slices-beyond-memory", "gauge",
+           dict(experiment="jump", n_slices=10 ** 12), "n_slices",
+           "must be at most 1000000, got 1000000000000\n"),
+    _keyed("phase-fit-slices-beyond-memory", "gauge",
+           dict(experiment="phase-fit", n_slices=10 ** 12), "n_slices",
+           "must be at most 1000000, got 1000000000000\n"),
+    _keyed("propagate-basis-beyond-memory", "propagate",
+           dict(perturbation="dipole-step", n_basis=10 ** 8), "n_basis",
+           "must be at most 1000, got 100000000\n"),
+    _keyed("jump-basis-beyond-memory", "gauge",
+           dict(experiment="jump", n_basis=10 ** 8), "n_basis",
+           "must be at most 1000, got 100000000\n"),
+    _keyed("reference-basis-beyond-memory", "gauge",
+           dict(experiment="phase-fit", fit_sizes="2, 4", n_reference=10 ** 8),
+           "n_reference", "must be at most 1000, got 100000000\n"),
+    _keyed("phase-fit-grid-beyond-memory", "gauge",
+           dict(experiment="phase-fit", n_grid=10 ** 12), "n_grid",
+           "must be at most 100000, got 1000000000000\n"),
+    _keyed("box-projection-without-end", "expand",
+           dict(family="box", target="eigenstate", n_max=10 ** 11), "n_max",
+           "must be at most 1000, got 100000000000\n"),
+    # default_rng's own refusal named no key
+    _keyed("negative-seed", "propagate",
+           dict(perturbation="random-hermitian", seed=-1), "seed",
+           "must be at least 0, got -1\n"),
+    # reproduce-all checks its scenario directory, claims.json, every golden
+    # table and every key of every claim scenario before it runs any
+    _row("empty-scenario-dir", REPRODUCE,
+         {f"scenarios/{p.name}": None for p in SCENARIOS.glob("*.scn")},
+         "error: no scenario files in {dir}\n"),
+    _row("claim-scenario-not-in-dir", REPRODUCE,
+         {f"scenarios/{FIRST['scenario']}": None},
+         f"error: claim '{FIRST['id']}' needs scenario {FIRST['scenario']}, "
+         f"not found in {{dir}}\n"),
+    # the misspelt key sits in the last claim scenario, so a check made as
+    # each scenario runs would already have run the others
+    _row("every-key-before-running", REPRODUCE,
+         {f"scenarios/{LAST}": LAST_TEXT + "fit_size = 2, 4\n"},
+         f"error: {{dir}}/{LAST}:{len(LAST_TEXT.splitlines()) + 1}: unknown "
+         f"key 'fit_size'\n"),
+    _golden("unknown-claim", "claims.json",
+            lambda doc: {"claims": [dict(doc["claims"][0], id="no-such-claim"),
+                                    *doc["claims"][1:]]},
+            "error: claim 'no-such-claim' has no checker\n"),
+    _golden("missing-key", "gauge_jump.json",
+            lambda g: {k: v for k, v in g.items() if k != "covariant_tol"},
+            "error: golden gauge_jump.json lacks covariant_tol, which claim "
+            "'velocity-jump' reads\n"),
+    _golden("empty-object", "claims.json", lambda doc: {}, CLAIMS_SHAPE),
+    _golden("list", "claims.json", lambda doc: [1], CLAIMS_SHAPE),
+    _golden("no-claims", "claims.json", lambda doc: {"claims": []},
+            CLAIMS_SHAPE),
+    _golden("claim-not-object", "claims.json", lambda doc: {"claims": [1]},
+            CLAIMS_SHAPE),
+    _golden("claim-without-golden", "claims.json", _claim_without("golden"),
+            CLAIMS_SHAPE),
+    _golden("claim-without-scenario", "claims.json",
+            _claim_without("scenario"), CLAIMS_SHAPE),
+    _golden("golden-number", "gauge_jump.json", lambda g: 3, NOT_AN_OBJECT),
+    _golden("golden-string", "gauge_jump.json",
+            lambda g: "amplitude jump_tol covariant_tol", NOT_AN_OBJECT),
+    _golden("claims-not-json", "claims.json", '{"claims": [',
+            "error: {golden}/claims.json:1: not JSON: Expecting value at "
+            "column 13\n"),
+    _golden("golden-not-json", "gauge_jump.json", '{"amplitude": 0.2,\n',
+            "error: {golden}/gauge_jump.json:2: not JSON: "),
+    _golden("golden-not-utf8", "gauge_jump.json",
+            b'{"amplitude": 0.2,\n "jump_tol": "\xff"}',
+            "error: {golden}/gauge_jump.json:2: not UTF-8: byte 0xff "
+            "(invalid start byte)\n"),
+    *(_golden(f"golden-without-{cid}:{key}", GOLDEN_OF[cid],
+              lambda g, key=key: {k: v for k, v in g.items() if k != key},
+              f"error: golden {GOLDEN_OF[cid]} lacks {key}, which claim "
+              f"'{cid}' reads\n")
+      for cid, key in NAMED_KEYS),
+    *(_golden(f"golden-malformed-{cid}:{key}", GOLDEN_OF[cid],
+              lambda g, key=key, value=value: dict(g, **{key: value}),
+              f"error: golden {GOLDEN_OF[cid]} has {key} = {value!r}, but "
+              f"claim '{cid}' reads it as ")
+      for cid, key, value in MALFORMED),
+]
+
+
+@pytest.mark.parametrize("argv,files,expected", EXIT_1)
+def test_configuration_error_exits_1(tmp_path, monkeypatch, argv, files,
+                                     expected):
+    # usage errors, unreadable files, scenarios and golden tables a run
+    # cannot take, and values whose arithmetic leaves float range are
+    # configuration errors, each refused before any output
+    paths = dict(tmp=tmp_path, scn=tmp_path / "bad.scn", out=tmp_path / "out",
+                 dir=tmp_path / "scenarios", golden=tmp_path / "golden")
+    if "reproduce-all" in argv:     # it reads copies of the bundled data
+        shutil.copytree(SCENARIOS, paths["dir"])
+        shutil.copytree(GOLDEN, paths["golden"])
+        monkeypatch.setenv("EXPANSIONLAB_GOLDEN_DIR", str(paths["golden"]))
+    for name, content in files.items():
+        path = tmp_path / name
+        if content is None:
+            path.unlink()
+        elif callable(content):
+            path.write_text(json.dumps(content(json.loads(path.read_text()))))
+        else:
+            path.write_bytes(content if isinstance(content, bytes)
+                             else content.encode())
+    _exits_1([arg.format(**paths) for arg in argv], expected.format(**paths))
 
 
 @pytest.mark.parametrize("command,keys", [
@@ -866,31 +1084,6 @@ def test_ramp_time_is_bounded_only_where_a_ramp_runs(tmp_path, command,
                                                      keys):
     scn = load_scenario(write_scenario(tmp_path / "ok.scn", command, **keys))
     assert scn.read(cli._KEYS)["ramp_time"] == keys["ramp_time"]
-
-
-@pytest.mark.parametrize("command,keys,key", [
-    ("gauge", dict(experiment="phase-fit", n_grid=0), "n_grid"),
-    ("gauge", dict(experiment="phase-fit", fit_stride=0), "fit_stride"),
-    ("gauge", dict(experiment="phase-fit", well_width=0.0), "well_width"),
-    ("gauge", dict(experiment="jump", well_width=0.0), "well_width"),
-    ("gauge", dict(experiment="jump", observe_stride=0), "observe_stride"),
-    ("expand", dict(family="box", target="gaussian", sigma=0.0), "sigma"),
-    # width sets sigma's default, so it is checked first
-    ("expand", dict(family="box", target="eigenstate", width=0.0), "width"),
-], ids=["phase-fit-n_grid", "phase-fit-fit_stride", "phase-fit-well_width",
-        "jump-well_width", "jump-observe_stride", "box-sigma", "box-width"])
-def test_exit_1_on_out_of_range_scenario_values(tmp_path, capsys, command,
-                                                keys, key):
-    path = write_scenario(tmp_path / "bad.scn", command, **keys)
-    code = main([command, "--scenario", str(path),
-                 "--out", str(tmp_path / "out")])
-    stderr = capsys.readouterr().err
-    assert code == 1
-    assert "Traceback" not in stderr
-    lines = stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error:") and f"key '{key}'" in lines[0]
-    assert not (tmp_path / "out").exists()
 
 
 def _sign_flipped_gauge(self):
@@ -999,215 +1192,6 @@ def test_star_import_gives_the_modules_and_the_version():
             "__version__"} <= namespace.keys()
 
 
-@pytest.mark.parametrize("argv,keys,named", [
-    (["expand", "--out", "OUT"], None, "--scenario"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT", "--seed", "3"], None,
-     "--seed"),
-    (["gauge", "--scenario", "TMP", "--out", "OUT"], None, "Is a directory"),
-    (["expand", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="jump")),
-     "kind 'gauge' cannot run under command 'expand'"),
-    (["expand", "--scenario", "SCN", "--out", "OUT"],
-     ("expand", dict(family="landau", n_max=5, quad_check_max=10)),
-     "key 'quad_check_max'"),
-    (["expand", "--scenario", "SCN", "--out", "OUT"],
-     ("expand", dict(family="landau", n_max=5, quad_check_max=0)),
-     "key 'quad_check_max'"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="phase-fit", fit_sizes=4, n_slices=10)),
-     "key 'fit_sizes'"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="phase-fit", fit_sizes=",", n_slices=10)),
-     "key 'fit_sizes'"),
-    (["propagate", "--scenario", "SCN", "--out", "OUT"],
-     ("propagate", dict(n_basis=4, n_slices=10, tracked=-1)), "key 'tracked'"),
-    (["expand", "--scenario", "SCN", "--out", "OUT"],
-     "# a comment\n\n   # and another\n",
-     "missing 'expansionlab-scenario v1' header"),
-    (["propagate", "--scenario", "SCN", "--out", "OUT"],
-     ("propagate", dict(perturbation="none", n_basis=4, n_slices=10,
-                        t_start=1.0, t_end=1.0)),
-     "bad.scn:8: key 't_end' must exceed t_start = 1.0, got 1.0"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="phase-fit", n_slices=0)),
-     "bad.scn:5: key 'n_slices' must be at least 1, got 0"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="phase-fit", t_end=0.0)),
-     "bad.scn:5: key 't_end' must be positive"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="jump", amplitude=1e200)),
-     "bad.scn:5: key 'amplitude' must have a finite square, got 1e+200"),
-    # every ramp divides by its time
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="jump", switch="ramp", ramp_time=1e-320)),
-     "bad.scn:6: key 'ramp_time' must have a square that is a normal float"),
-    (["propagate", "--scenario", "SCN", "--out", "OUT"],
-     ("propagate", dict(perturbation="dipole-ramp", n_basis=4, n_slices=10,
-                        ramp_time=1e-320)),
-     "bad.scn:7: key 'ramp_time' must have a square that is a normal float"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="phase-fit", n_slices=10, ramp_time=1e-320)),
-     "bad.scn:6: key 'ramp_time' must have a square that is a normal float"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="phase-fit", n_slices=10,
-                    phase_ramp_time=1e-320)),
-     "bad.scn:6: key 'phase_ramp_time' must have a square that is a normal"),
-    # the eigenstate target reads no sigma, so only the width is checked
-    (["expand", "--scenario", "SCN", "--out", "OUT"],
-     ("expand", dict(family="box", target="eigenstate", width=1e-320)),
-     "bad.scn:6: key 'width' must have a square that is a normal float"),
-    # a stepped A(t) is constant wherever the field check samples, so a
-    # mismatched pair of steps would pass it and exit 0
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="jump", second_gauge="mismatched")),
-     "bad.scn:5: key 'second_gauge' must not be 'mismatched' unless switch "
-     "= ramp, got switch = 'step'"),
-    # hbar = 1 is a constant, so a scenario that sets it, even to 1, sets
-    # an undeclared key
-    (["propagate", "--scenario", "SCN", "--out", "OUT"],
-     ("propagate", dict(perturbation="none", hbar=1.0)),
-     "bad.scn:5: unknown key 'hbar'"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="jump", hbar=1.0)),
-     "bad.scn:5: unknown key 'hbar'"),
-    (["gauge", "--scenario", "SCN", "--out", "OUT"],
-     ("gauge", dict(experiment="phase-fit", hbar=1.0)),
-     "bad.scn:5: unknown key 'hbar'"),
-], ids=["usage", "seed-off-propagate", "directory-as-scenario", "kind-mismatch",
-        "quad-check-above-n-max", "quad-check-zero", "one-fit-size",
-        "no-fit-size", "negative-tracked", "comments-without-header",
-        "propagate-empty-window", "phase-fit-no-slices",
-        "phase-fit-empty-window", "jump-amplitude-square-overflow",
-        "jump-ramp-time-subnormal", "propagate-ramp-time-subnormal",
-        "phase-fit-ramp-time-subnormal", "phase-ramp-time-subnormal",
-        "eigenstate-width-subnormal", "mismatched-step-pair",
-        "propagate-hbar", "jump-hbar", "phase-fit-hbar"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_exit_1_with_one_error_line(tmp_path, capsys, argv, keys, named):
-    # usage errors, unreadable paths and scenarios the command cannot run
-    # are configuration errors: exit 1, one error line, no traceback and
-    # nothing written
-    scn = tmp_path / "bad.scn"
-    if isinstance(keys, str):   # the scenario's whole text
-        scn.write_text(keys)
-    elif keys:
-        write_scenario(scn, keys[0], **keys[1])
-    subs = {"OUT": str(tmp_path / "out"), "TMP": str(tmp_path),
-            "SCN": str(scn)}
-    try:
-        code = main([subs.get(a, a) for a in argv])
-    except SystemExit as exc:   # argparse ends a usage error by raising
-        code = exc.code
-    stderr = capsys.readouterr().err
-    assert code == 1
-    assert "Traceback" not in stderr
-    errors = [line for line in stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1
-    assert errors[0].startswith("error:") and named in errors[0]
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command,keys,named", [
-    ("expand", dict(family="box", target="gaussian", center=1e9),
-     "center = 1000000000.0"),
-    ("expand", dict(family="box", target="gaussian", sigma=1e-9),
-     "sigma = 1e-09"),
-    ("expand", dict(family="box", target="gaussian", sigma=1e-200),
-     "far.scn:6: key 'sigma' must have a square that is a normal float, "
-     "got 1e-200"),
-    ("expand", dict(family="landau", magnetic_length=1e-200),
-     "far.scn:5: key 'magnetic_length' must have a square that is a normal "
-     "float, got 1e-200"),
-    ("propagate", dict(perturbation="dipole-ramp", t_end=1e200),
-     "beyond float range"),
-    ("expand", dict(family="landau", magnetic_length=1e150),
-     "far.scn:5: key 'magnetic_length' must keep the scan's partial sums of "
-     "(2 a^2)^2 up to n_max = 200 finite, got 1e+150"),
-    ("expand", dict(family="box", target="gaussian", width=1e10,
-                    sigma=1e-150),
-     "far.scn:7: key 'sigma' must keep ((x - center) / sigma)^2 finite on "
-     "the well of width = 10000000000.0 about center = 5000000000.0, got "
-     "1e-150"),
-    # a ramp time whose square is normal, but whose phase pi t / ramp_time
-    # overflows before the window ends: the later of the two keys names it
-    ("gauge", dict(experiment="jump", switch="ramp", ramp_time=2e-154,
-                   t_end=1e160),
-     "far.scn:7: key 't_end' must keep the ramp phase pi t / ramp_time "
-     "finite up to |t| = 1e+160, got ramp_time = 2e-154"),
-    ("gauge", dict(experiment="phase-fit", ramp_time=2e-154, t_end=1e160),
-     "far.scn:6: key 't_end' must keep the ramp phase pi t / ramp_time "
-     "finite up to |t| = 1e+160, got ramp_time = 2e-154"),
-    ("gauge", dict(experiment="phase-fit", t_end=1e160,
-                   phase_ramp_time=2e-154),
-     "far.scn:6: key 'phase_ramp_time' must keep the ramp phase pi t / "
-     "phase_ramp_time finite up to |t| = 1e+160, got phase_ramp_time = "
-     "2e-154"),
-    ("propagate", dict(perturbation="dipole-ramp", t_end=1e160,
-                       ramp_time=2e-154),
-     "far.scn:6: key 'ramp_time' must keep the ramp phase pi t / ramp_time "
-     "finite up to |t| = 1e+160, got ramp_time = 2e-154"),
-    # int() takes any size; the scan reads n_max + 1 as a float
-    ("expand", dict(family="landau", n_max=10 ** 400),
-     f"far.scn:5: key 'n_max' must be at most 100000, got {10 ** 400}"),
-    # a step below the float spacing of the window's times: the grid would
-    # repeat a time, at the 4 n_slices of propagate's finest refinement run
-    # even where its own n_slices grid does not
-    ("propagate", dict(perturbation="dipole-step", t_start=1e16,
-                       t_end=1.0000000000000004e16, n_slices=1000),
-     "far.scn:6: key 't_end' must keep the 4000-slice time grid strictly "
-     "increasing, its step above 4 ulp(1.0000000000000004e+16) = 8.0, got "
-     "dt = 0.001"),
-    ("gauge", dict(experiment="jump", t_end=1e-320, n_slices=10000),
-     "far.scn:6: key 'n_slices' must keep the 10000-slice time grid strictly "
-     "increasing, its step above 4 ulp(1e-320) = 2e-323, got dt = 0.0"),
-    ("gauge", dict(experiment="phase-fit", t_end=1e-320, ramp_time=1e-150,
-                   phase_ramp_time=1e-150, n_slices=10000),
-     "far.scn:8: key 'n_slices' must keep the 10000-slice time grid strictly "
-     "increasing, its step above 4 ulp(1e-320) = 2e-323, got dt = 0.0"),
-    ("propagate", dict(perturbation="dipole-ramp", t_start=1e16,
-                       t_end=1.0000000000004e16, n_slices=1000,
-                       ramp_time=2000, amplitude=1e-6),
-     "far.scn:6: key 't_end' must keep the 4000-slice time grid strictly "
-     "increasing, its step above 4 ulp(1.0000000000004e+16) = 8.0, got "
-     "dt = 1.0"),
-    # a slice count whose grid np.arange could not allocate (7.28 TiB);
-    # never 10^8, which it can: about 24 GiB
-    ("propagate", dict(perturbation="random-hermitian", n_basis=8,
-                       n_slices=10 ** 12),
-     "far.scn:6: key 'n_slices' must be at most 1000000, got 1000000000000"),
-    ("gauge", dict(experiment="jump", n_slices=10 ** 12),
-     "far.scn:5: key 'n_slices' must be at most 1000000, got 1000000000000"),
-    ("gauge", dict(experiment="phase-fit", n_slices=10 ** 12),
-     "far.scn:5: key 'n_slices' must be at most 1000000, got 1000000000000"),
-], ids=["gaussian-off-the-well", "gaussian-between-nodes",
-        "gaussian-overflow", "landau-length-underflow", "ramp-t_end-overflow",
-        "landau-scan-overflow",
-        "gaussian-exponent-overflow", "jump-ramp-phase-overflow",
-        "phase-fit-ramp-phase-overflow", "phase-ramp-phase-overflow",
-        "propagate-ramp-phase-overflow", "landau-n_max-beyond-float",
-        "propagate-repeated-times", "jump-dt-underflow",
-        "phase-fit-dt-underflow", "refinement-repeated-times",
-        "propagate-slices-beyond-memory", "jump-slices-beyond-memory",
-        "phase-fit-slices-beyond-memory"])
-def test_accepted_values_beyond_float_range_exit_1(tmp_path, capsys, command,
-                                                   keys, named):
-    # values whose arithmetic leaves float range: a Gaussian with no
-    # positive finite norm on the well, or an overflow or a division by an
-    # underflowed product, is a configuration error; the first overflow
-    # stops the run, which writes nothing. A length whose square is not a
-    # normal float is refused at its key's line before the run.
-    path = write_scenario(tmp_path / "far.scn", command, **keys)
-    code = main([command, "--scenario", str(path),
-                 "--out", str(tmp_path / "out")])
-    stderr = capsys.readouterr().err
-    assert code == 1
-    assert "Traceback" not in stderr
-    assert len(stderr.splitlines()) == 1
-    assert stderr.startswith("error:") and named in stderr
-    assert not (tmp_path / "out").exists()
-
-
 # ------------------------------------------------------------ scenario keys
 
 def _readme_key_table():
@@ -1267,17 +1251,6 @@ def _with_keys(tmp_path, name, *lines):
     return path, len(text.splitlines()) + 1
 
 
-def test_misspelt_keys_exit_1_naming_the_first_and_its_line(tmp_path):
-    # a misspelt key must not leave the default it meant to replace in force
-    path, line = _with_keys(tmp_path, "box_dipole.scn", "n_slice = 5",
-                            "amplitde = 50")
-    out = tmp_path / "out"
-    r = run_cli("propagate", "--scenario", str(path), "--out", str(out))
-    assert r.returncode == 1
-    assert r.stderr == f"error: {path}:{line}: unknown key 'n_slice'\n"
-    assert not out.exists()
-
-
 BUNDLED = sorted(p.name for p in SCENARIOS.glob("*.scn"))
 _DECLARED = {"kind", "name", *scenario.SELECTORS.values(),
              *(row[1] for row in cli._KEYS)}
@@ -1292,14 +1265,8 @@ def test_bundled_scenario_with_an_undeclared_key_exits_1(name, key, value):
     with tempfile.TemporaryDirectory() as tmp:
         path, line = _with_keys(Path(tmp), name, f"{key} = {value}")
         kind = load_scenario(SCENARIOS / name).kind
-        out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([kind, "--scenario", str(path), "--out", str(out)])
-        assert code == 1
-        assert err.getvalue() == \
-            f"error: {path}:{line}: unknown key '{key}'\n"
-        assert not out.exists()
+        _exits_1([kind, "--scenario", str(path), "--out", f"{tmp}/out"],
+                 f"error: {path}:{line}: unknown key '{key}'\n")
 
 
 def _bench_workloads():
@@ -1466,43 +1433,3 @@ def test_a_key_and_the_library_refuse_with_one_reason(kind, keys, key, call):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value).endswith(" " + reason)
-
-
-@pytest.mark.parametrize("command,keys,key", [
-    ("gauge", dict(experiment="jump", amplitude="nan"), "amplitude"),
-    ("propagate", dict(perturbation="dipole-ramp", t_end="inf"), "t_end"),
-    ("expand", dict(family="landau", magnetic_length="inf"),
-     "magnetic_length"),
-], ids=["jump-amplitude-nan", "propagate-t_end-inf",
-        "landau-magnetic_length-inf"])
-def test_non_finite_number_exits_1_at_its_line(tmp_path, capsys, command,
-                                               keys, key):
-    # a non-finite value is a configuration error, not a run that fails or
-    # reports nan later
-    path = write_scenario(tmp_path / "bad.scn", command, **keys)
-    out = tmp_path / "out"
-    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == (f"error: {path}:5: key '{key}' must be a finite real "
-                   f"number, got '{keys[key]}'\n")
-    assert not out.exists()
-
-
-def test_reproduce_all_checks_every_key_before_running(tmp_path, monkeypatch,
-                                                       capsys):
-    # the misspelt key sits in the last claim scenario, so a check made as
-    # each scenario runs would already have run the others
-    scn_dir = tmp_path / "scenarios"
-    shutil.copytree(SCENARIOS, scn_dir)
-    path = scn_dir / CLAIMS[-1]["scenario"]
-    text = path.read_text()
-    path.write_text(text + "fit_size = 2, 4\n")
-    ran = []
-    monkeypatch.setattr(cli, "_dispatch", lambda *args: ran.append(args))
-    out = tmp_path / "out"
-    assert main(["reproduce-all", "--scenario-dir", str(scn_dir),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    line = len(text.splitlines()) + 1
-    assert err == f"error: {path}:{line}: unknown key 'fit_size'\n"
-    assert ran == [] and not out.exists()

@@ -10,6 +10,7 @@ table; a test kills it when it raises.
 """
 
 import __future__
+import ast
 import functools
 import inspect
 import json
@@ -30,6 +31,7 @@ import test_propagation
 import test_specfun
 
 DATA = Path(resources.files("expansionlab") / "data")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 _tower_bits = functools.partial(
@@ -272,3 +274,17 @@ def test_killing_claims_pass_unmutated(tmp_path, claim_id):
 
 def test_fixed_example_of_the_first_time_sampler_passes_unmutated():
     _two_times()
+
+
+def test_every_survivor_s_killing_test_exists():
+    # the sweep's record names the test that killed each survivor, as
+    # file::function[row] or as a file; a renamed test must be renamed there
+    record = json.loads((ROOT / "MUTANTS_24.json").read_text())
+    defined = {}
+    for survivor in record["survivors"]:
+        path, _, test = survivor.get("test", "").partition("::")
+        if path and path not in defined:
+            defined[path] = {node.name for node in ast.parse(
+                (ROOT / path).read_text()).body
+                if isinstance(node, ast.FunctionDef)}
+        assert not test or test.split("[")[0] in defined[path], test
