@@ -630,18 +630,17 @@ def _exits_1(argv, expected):
     """Hold the run of argv to the contract of a configuration error.
 
     It exits 1, returned by main or raised by argparse, with no traceback.
-    Its stderr is one `error:` line, after argparse's usage where argparse
-    refused, and the line starts with expected (an expected text that ends
-    in a newline is the whole line). It issues no RuntimeWarning, makes no
-    --out directory, and reproduce-all runs no scenario. An argv that
-    starts with -m runs under python in a subprocess, where a warning would
-    be a further line of stderr.
+    Its stderr is one `error:` line that starts with expected (an expected
+    text that ends in a newline is the whole line), after argparse's usage
+    where argparse refused and alone where main did. It issues no
+    RuntimeWarning, makes no --out directory, and reproduce-all runs no
+    scenario. An argv that starts with -m expansionlab runs in a
+    subprocess, where a warning would be a further line of stderr.
     """
     out = Path(argv[argv.index("--out") + 1])
-    warned = []
-    if argv[0] == "-m":
-        run = subprocess.run([sys.executable, *argv], capture_output=True,
-                             text=True)
+    warned, refused = [], False
+    if argv[:2] == ["-m", "expansionlab"]:
+        run = run_cli(*argv[2:])
         code, err = run.returncode, run.stderr
     else:
         stderr = io.StringIO()
@@ -654,23 +653,15 @@ def _exits_1(argv, expected):
             try:
                 code = main(argv)
             except SystemExit as exc:   # argparse ends a usage error so
-                code = exc.code
+                code, refused = exc.code, True
         err = stderr.getvalue()
     *usage, error = err.splitlines(keepends=True) or [""]
     assert code == 1 and "Traceback" not in err, err
     assert error.startswith(expected), err
-    assert not usage or (usage[0].startswith("usage: ")
-                         and "error:" not in "".join(usage)), err
+    assert (usage and usage[0].startswith("usage: ")
+            and "error:" not in "".join(usage) if refused else not usage), err
     assert not [w for w in warned if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
-
-
-def _row(row_id, argv, files, expected):
-    """A row of test_configuration_error_exits_1. argv and expected name
-    paths as {tmp}, {scn}, {out}, {dir} and {golden}; files maps a path
-    under tmp to its text or bytes, to None to delete it, or to a function
-    from its JSON document to the new document."""
-    return pytest.param(argv, files, expected, id=row_id)
 
 
 def _run(command, *flags):
@@ -679,8 +670,9 @@ def _run(command, *flags):
 
 def _scn(row_id, command, keys, expected):
     """A row of command on a scenario of its own kind that sets keys."""
-    return _row(row_id, _run(command),
-                {"bad.scn": scenario_text(command, **keys)}, expected)
+    return pytest.param(_run(command),
+                        {"bad.scn": scenario_text(command, **keys)}, expected,
+                        id=row_id)
 
 
 def _keyed(row_id, command, keys, key, reason=""):
@@ -695,7 +687,8 @@ REPRODUCE = ["reproduce-all", "--scenario-dir", "{dir}", "--out", "{out}"]
 
 def _golden(row_id, name, change, expected):
     """A row of reproduce-all with golden file name changed."""
-    return _row(row_id, REPRODUCE, {f"golden/{name}": change}, expected)
+    return pytest.param(REPRODUCE, {f"golden/{name}": change}, expected,
+                        id=row_id)
 
 
 def _claim_without(key):
@@ -711,38 +704,46 @@ CLAIMS_SHAPE = ("error: {golden}/claims.json must hold 'claims', a non-empty "
                 "list of objects with string id, scenario and golden\n")
 NOT_AN_OBJECT = "error: golden gauge_jump.json is not a JSON object\n"
 
+# The rows of test_configuration_error_exits_1: (argv, files, expected).
+# argv and expected name paths as {tmp}, {scn}, {out}, {dir} and {golden};
+# files maps a path under tmp to its text or bytes, to None to delete it, or
+# to a function from its JSON document to the new document.
 EXIT_1 = [
     # files and scenarios the command cannot read
-    _row("missing-scenario-file",
-         ["expand", "--scenario", "{tmp}/nope.scn", "--out", "{out}"], {},
-         "error: [Errno 2] No such file or directory: '{tmp}/nope.scn'\n"),
-    _row("directory-as-scenario",
-         ["gauge", "--scenario", "{tmp}", "--out", "{out}"], {},
-         "error: [Errno 21] Is a directory: '{tmp}'\n"),
-    _row("malformed-scenario", _run("expand"), {"bad.scn": "wrong header\n"},
-         "error: {scn}:1: first line must be 'expansionlab-scenario v1', got "
-         "'wrong header'\n"),
-    _row("comments-without-header", _run("expand"),
-         {"bad.scn": "# a comment\n\n   # and another\n"},
-         "error: {scn}: missing 'expansionlab-scenario v1' header\n"),
-    _row("scenario-not-utf8", _run("propagate"),
-         {"bad.scn": b"expansionlab-scenario v1\nkind = propagate\n"
-                     b"name = \xff\n"},
-         "error: {scn}:3: not UTF-8: byte 0xff (invalid start byte)\n"),
-    _row("missing-required-key", _run("gauge"),
-         {"bad.scn": "expansionlab-scenario v1\nkind = gauge\nname = g\n"},
-         "error: {scn}: missing required key 'experiment'\n"),
-    _row("kind-mismatch", _run("expand"),
-         {"bad.scn": scenario_text("gauge", experiment="jump")},
-         "error: {scn}: scenario kind 'gauge' cannot run under command "
-         "'expand'\n"),
+    pytest.param(["expand", "--scenario", "{tmp}/nope.scn", "--out", "{out}"],
+                 {}, "error: [Errno 2] No such file or directory: "
+                 "'{tmp}/nope.scn'\n", id="missing-scenario-file"),
+    pytest.param(["gauge", "--scenario", "{tmp}", "--out", "{out}"], {},
+                 "error: [Errno 21] Is a directory: '{tmp}'\n",
+                 id="directory-as-scenario"),
+    pytest.param(_run("expand"), {"bad.scn": "wrong header\n"},
+                 "error: {scn}:1: first line must be 'expansionlab-scenario "
+                 "v1', got 'wrong header'\n", id="malformed-scenario"),
+    pytest.param(_run("expand"),
+                 {"bad.scn": "# a comment\n\n   # and another\n"},
+                 "error: {scn}: missing 'expansionlab-scenario v1' header\n",
+                 id="comments-without-header"),
+    pytest.param(_run("propagate"),
+                 {"bad.scn": b"expansionlab-scenario v1\nkind = propagate\n"
+                             b"name = \xff\n"},
+                 "error: {scn}:3: not UTF-8: byte 0xff (invalid start byte)\n",
+                 id="scenario-not-utf8"),
+    pytest.param(_run("gauge"),
+                 {"bad.scn": "expansionlab-scenario v1\nkind = gauge\n"
+                             "name = g\n"},
+                 "error: {scn}: missing required key 'experiment'\n",
+                 id="missing-required-key"),
+    pytest.param(_run("expand"),
+                 {"bad.scn": scenario_text("gauge", experiment="jump")},
+                 "error: {scn}: scenario kind 'gauge' cannot run under "
+                 "command 'expand'\n", id="kind-mismatch"),
     # a misspelt key must not leave the default it meant to replace in
     # force; this row runs `python -m expansionlab`, so the process's own
     # exit code is held to the contract too
-    _row("misspelt-keys", ["-m", "expansionlab", *_run("propagate")],
-         {"bad.scn": DIPOLE + "n_slice = 5\namplitde = 50\n"},
-         f"error: {{scn}}:{len(DIPOLE.splitlines()) + 1}: unknown key "
-         f"'n_slice'\n"),
+    pytest.param(["-m", "expansionlab", *_run("propagate")],
+                 {"bad.scn": DIPOLE + "n_slice = 5\namplitde = 50\n"},
+                 f"error: {{scn}}:{len(DIPOLE.splitlines()) + 1}: unknown key "
+                 f"'n_slice'\n", id="misspelt-keys"),
     # hbar = 1 is a constant, so a scenario that sets it, even to 1, sets
     # an undeclared key
     _scn("propagate-hbar", "propagate", dict(perturbation="none", hbar=1.0),
@@ -752,16 +753,20 @@ EXIT_1 = [
     _scn("phase-fit-hbar", "gauge", dict(experiment="phase-fit", hbar=1.0),
          "error: {scn}:5: unknown key 'hbar'\n"),
     # usage errors
-    _row("usage", ["expand", "--out", "{out}"], {},
-         "error: the following arguments are required: --scenario\n"),
-    _row("seed-off-propagate", _run("gauge", "--seed", "3"), {},
-         "error: unrecognized arguments: --seed 3\n"),
-    _row("negative-seed-flag", _run("propagate", "--seed", "-5"),
-         {"bad.scn": scenario_text("propagate",
-                                   perturbation="random-hermitian")},
-         "error: argument --seed: must be at least 0, got -5\n"),
-    _row("seed-flag-not-an-integer", _run("propagate", "--seed", "x"), {},
-         "error: argument --seed: must be an integer, got 'x'\n"),
+    pytest.param(["expand", "--out", "{out}"], {},
+                 "error: the following arguments are required: --scenario\n",
+                 id="usage"),
+    pytest.param(_run("gauge", "--seed", "3"), {},
+                 "error: unrecognized arguments: --seed 3\n",
+                 id="seed-off-propagate"),
+    pytest.param(_run("propagate", "--seed", "-5"),
+                 {"bad.scn": scenario_text("propagate",
+                                           perturbation="random-hermitian")},
+                 "error: argument --seed: must be at least 0, got -5\n",
+                 id="negative-seed-flag"),
+    pytest.param(_run("propagate", "--seed", "x"), {},
+                 "error: argument --seed: must be an integer, got 'x'\n",
+                 id="seed-flag-not-an-integer"),
     # values the key table refuses before a constructor sees them
     _keyed("initial-index", "gauge",
            dict(experiment="jump", n_basis=24, initial_index=30),
@@ -995,19 +1000,20 @@ EXIT_1 = [
            "must be at least 0, got -1\n"),
     # reproduce-all checks its scenario directory, claims.json, every golden
     # table and every key of every claim scenario before it runs any
-    _row("empty-scenario-dir", REPRODUCE,
-         {f"scenarios/{p.name}": None for p in SCENARIOS.glob("*.scn")},
-         "error: no scenario files in {dir}\n"),
-    _row("claim-scenario-not-in-dir", REPRODUCE,
-         {f"scenarios/{FIRST['scenario']}": None},
-         f"error: claim '{FIRST['id']}' needs scenario {FIRST['scenario']}, "
-         f"not found in {{dir}}\n"),
+    pytest.param(REPRODUCE, {f"scenarios/{p.name}": None
+                             for p in SCENARIOS.glob("*.scn")},
+                 "error: no scenario files in {dir}\n",
+                 id="empty-scenario-dir"),
+    pytest.param(REPRODUCE, {f"scenarios/{FIRST['scenario']}": None},
+                 f"error: claim '{FIRST['id']}' needs scenario "
+                 f"{FIRST['scenario']}, not found in {{dir}}\n",
+                 id="claim-scenario-not-in-dir"),
     # the misspelt key sits in the last claim scenario, so a check made as
     # each scenario runs would already have run the others
-    _row("every-key-before-running", REPRODUCE,
-         {f"scenarios/{LAST}": LAST_TEXT + "fit_size = 2, 4\n"},
-         f"error: {{dir}}/{LAST}:{len(LAST_TEXT.splitlines()) + 1}: unknown "
-         f"key 'fit_size'\n"),
+    pytest.param(REPRODUCE,
+                 {f"scenarios/{LAST}": LAST_TEXT + "fit_size = 2, 4\n"},
+                 f"error: {{dir}}/{LAST}:{len(LAST_TEXT.splitlines()) + 1}: "
+                 f"unknown key 'fit_size'\n", id="every-key-before-running"),
     _golden("unknown-claim", "claims.json",
             lambda doc: {"claims": [dict(doc["claims"][0], id="no-such-claim"),
                                     *doc["claims"][1:]]},

@@ -10,9 +10,10 @@ table; a test kills it when it raises.
 """
 
 import __future__
-import ast
 import functools
+import importlib
 import inspect
+import itertools
 import json
 import sys
 import textwrap
@@ -276,15 +277,46 @@ def test_fixed_example_of_the_first_time_sampler_passes_unmutated():
     _two_times()
 
 
+_PARAM = type(pytest.param())     # pytest's ParameterSet
+
+
+def _value_id(name, value, index):
+    """pytest's id of one parametrized value: a scalar or a name as it
+    reads, anything else as its argument name and row index."""
+    if value is None or isinstance(value, (str, int, float)):
+        return str(value)
+    return getattr(value, "__name__", f"{name}{index}")
+
+
+def _row_ids(test):
+    """The ids pytest gives the rows of test: the ids of each parametrize
+    mark, the innermost first, joined by '-'."""
+    marks = []
+    for mark in test.pytestmark:
+        if mark.name == "parametrize":
+            names, rows = mark.args
+            if isinstance(names, str):
+                names = [n.strip() for n in names.split(",")]
+            marks.append(mark.kwargs.get("ids") or [
+                getattr(row, "id", None) or "-".join(
+                    _value_id(n, v, i) for n, v in zip(names, (
+                        row.values if isinstance(row, _PARAM) else
+                        (row,) if len(names) == 1 else row)))
+                for i, row in enumerate(rows)])
+    return {"-".join(ids) for ids in itertools.product(*marks)}
+
+
 def test_every_survivor_s_killing_test_exists():
     # the sweep's record names the test that killed each survivor, as
-    # file::function[row] or as a file; a renamed test must be renamed there
+    # file::function[row] or as a file; a renamed test or row must be
+    # renamed there
     record = json.loads((ROOT / "MUTANTS_24.json").read_text())
-    defined = {}
     for survivor in record["survivors"]:
         path, _, test = survivor.get("test", "").partition("::")
-        if path and path not in defined:
-            defined[path] = {node.name for node in ast.parse(
-                (ROOT / path).read_text()).body
-                if isinstance(node, ast.FunctionDef)}
-        assert not test or test.split("[")[0] in defined[path], test
+        assert not path or (ROOT / path).is_file(), path
+        if test:
+            function, _, row = test.removesuffix("]").partition("[")
+            module = importlib.import_module(Path(path).stem)
+            assert hasattr(module, function), test
+            assert not row or row in _row_ids(getattr(module, function)), \
+                test
