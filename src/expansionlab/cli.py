@@ -596,21 +596,22 @@ _SHAPES = {
 
 def _golden_problem(claim, golden) -> str:
     """Why claim cannot be checked against golden, or '' if it can."""
+    path = _golden_dir() / claim["golden"]
     if not isinstance(golden, dict):
-        return f"golden {claim['golden']} is not a JSON object"
+        return f"golden {path} is not a JSON object"
     rows = [row for row in _CLAIM_ROWS if row[0] == claim["id"]]
     if not rows:
         return f"claim '{claim['id']}' has no checker"
     missing = [k for k in dict.fromkeys(k for row in rows for k in row[3:])
                if k and k not in golden]
     if missing:
-        return (f"golden {claim['golden']} lacks {', '.join(missing)}, "
+        return (f"golden {path} lacks {', '.join(missing)}, "
                 f"which claim '{claim['id']}' reads")
     for _, _, test, *keys in rows:
         for role, key in zip(("ref", "bound"), keys):
             what, fits = _SHAPES.get((role, test), ("", None))
             if key and fits and not fits(golden[key]):
-                return (f"golden {claim['golden']} has {key} = "
+                return (f"golden {path} has {key} = "
                         f"{golden[key]!r}, but claim '{claim['id']}' reads "
                         f"it as {what}")
     return ""

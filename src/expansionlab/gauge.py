@@ -4,21 +4,21 @@ The covariance set transforms everything together: A' = A + grad f,
 Phi' = Phi - df/dt, the wave function picks up exp(i f), and observables are
 rebuilt from the primed potentials. The velocity operator is v = p - A with
 p = -i d/dx on the well domain, in units m = Q = c = hbar = 1. Experiments run
-on the 1-D box embedded along the x axis; gauge functions remain full fields
-of (t, r). Observables are weighted sums over psi and d psi/dx sampled on
-2 N + 32 Gauss-Legendre nodes for N sine terms; the jump experiment re-checks
-its last time on twice the nodes and raises QuadratureError if a value moves
-beyond round-off.
+on the 1-D box along the x axis, and every field depends on t and x alone.
+Observables are weighted sums over psi and d psi/dx sampled on 2 N + 32
+Gauss-Legendre nodes for N sine terms; the jump experiment re-checks its last
+time on twice the nodes and raises QuadratureError if a value moves beyond
+round-off.
 
-Field contract. A field (potential, gauge function or derivative) is called
-as field(t, r) with points r as a (3, N) array, axis 0 the coordinate, and a
-time t that is a float or an array of shape (..., 1) broadcasting against
-r[0]. A scalar field returns the broadcast shape (..., N) and a vector field
-(3, ..., N). Every field returns the full shape, so no caller guesses an
-axis; _along_x, _zero_scalar and _zero_vector broadcast over t. The
-observables and the phase fit call each field once on their whole time grid,
-and the derivative checks once per difference step, with every sample time
-and shifted point at once.
+Field contract. A field (potential, gauge function or derivative) lives on
+the line: it is called as field(t, x) with positions x of shape (N,) and a
+time t that is a float or an array of shape (..., 1), and returns the
+broadcast shape (..., N). A vector field is its x-component, so A and
+grad f are scalars here; E = -dPhi/dx - dA/dt, and B has no line form.
+Every field returns the full shape, so no caller guesses an axis; _uniform
+and _zero broadcast over t. The observables and the phase fit call each
+field once on their whole time grid, and the derivative checks once per
+difference step and sign, with every sample time at once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .scenario import _in_1_to, write_artifact
 from .specfun import QuadratureError
 
 DIFF_STEP = 1e-5     # central-difference step of consistency_defect
-X_STEP = 1e-6        # spatial step of electric_field and magnetic_field
+X_STEP = 1e-6        # spatial step of electric_field
 NORM_TOL = 1e-6      # largest |norm - 1| velocity_and_momentum accepts
 PLATEAU_TOL = 1e-10  # residual floor of the phase-factored fit
 
@@ -71,13 +71,12 @@ class NormalizationError(PhysicalConsistencyError):
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """A differentiable gauge function f(t, r) with its analytic derivatives.
+    """A differentiable gauge function f(t, x) with its analytic derivatives.
 
-    All three are fields under the module's contract: f and dt_f scalar,
-    grad_f the spatial gradient as a vector field. Keeping the derivatives
-    analytic (not finite-differenced) is what lets covariance checks reach
-    1e-10; consistency_defect certifies them against Richardson-extrapolated
-    central differences at sample points.
+    All three are fields under the module's contract, grad_f being df/dx.
+    Keeping the derivatives analytic (not finite-differenced) is what lets
+    covariance checks reach 1e-10; consistency_defect certifies them against
+    Richardson-extrapolated central differences at sample points.
     """
 
     f: Callable
@@ -85,15 +84,16 @@ class GaugeFunction:
     dt_f: Callable
 
     def consistency_defect(self, times, points) -> float:
-        """Largest relative derivative defect over the times and points (3, N)."""
-        t, ht, r = _grid(times, points, DIFF_STEP)
-        fd_t = _richardson(lambda h: self.f(t + h, r) - self.f(t - h, r), ht)
-        fd_r = _richardson(lambda h: _differences(self.f, t, r, h), DIFF_STEP)
-        return max(_rel(fd_t, self.dt_f(t, r)), _rel(fd_r, self.grad_f(t, r)))
+        """Largest relative derivative defect over times and points (N,)."""
+        t, ht, x = _grid(times, points, DIFF_STEP)
+        fd_t = _richardson(lambda h: self.f(t + h, x) - self.f(t - h, x), ht)
+        fd_x = _richardson(lambda h: self.f(t, x + h) - self.f(t, x - h),
+                           DIFF_STEP)
+        return max(_rel(fd_t, self.dt_f(t, x)), _rel(fd_x, self.grad_f(t, x)))
 
 
 def _grid(times, points, cap: float):
-    """The times as a (T, 1) column, their time steps and the points (3, N).
+    """The times as a (T, 1) column, their time steps and the points (N,).
 
     A step is cap, or |t|/2 off t = 0 where that is smaller, so a central
     difference never straddles the switch instant t = 0.
@@ -112,99 +112,71 @@ def _richardson(diff: Callable, h):
     return (4.0 * diff(0.5 * h) / h - diff(h) / (2.0 * h)) / 3.0
 
 
-# the unit shifts of _differences: [coordinate, sign, axis j, point]
-_SHIFTS = np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
-
-
-def _differences(field: Callable, t, r: np.ndarray, h: float):
-    """field(t, r + h e_j) - field(t, r - h e_j) in one call, axis j first."""
-    pts = r[:, None, None, :] + h * _SHIFTS
-    values = field(t, pts.reshape(3, -1))
-    values = values.reshape(values.shape[:-1] + (2, 3, -1))
-    return np.moveaxis(values[..., 0, :, :] - values[..., 1, :, :], -2, 0)
-
-
 def _rel(measured, stated) -> float:
     return float(np.max(np.abs(measured - stated)
                         / np.maximum(1.0, np.abs(stated))))
 
 
-def _scalar_shape(t, r) -> tuple:
-    """The shape of a scalar field at times t and points r (3, N)."""
-    return np.broadcast_shapes(np.shape(t), np.shape(r)[1:])
-
-
-def _along_x(a, r) -> np.ndarray:
-    """The vector (a, 0, 0) at every time and point; a broadcasts on r[0]."""
-    out = np.zeros((3,) + _scalar_shape(a, r))
-    out[0] = a
+def _uniform(a, x) -> np.ndarray:
+    """The value a at every point x; a broadcasts against x. Filled by
+    assignment, so a signed zero keeps its sign."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(x)))
+    out[...] = a
     return out
 
 
-def _zero_scalar(t, r) -> np.ndarray:
-    return np.zeros(_scalar_shape(t, r))
-
-
-def _zero_vector(t, r) -> np.ndarray:
-    return np.zeros((3,) + _scalar_shape(t, r))
+def _zero(t, x) -> np.ndarray:
+    return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
 
 
 def zero_gauge_function() -> GaugeFunction:
-    return GaugeFunction(_zero_scalar, _zero_vector, _zero_scalar)
+    return GaugeFunction(_zero, _zero, _zero)
 
 
 def linear_gauge_function(a: Callable, da_dt: Callable) -> GaugeFunction:
-    """f(t, r) = a(t) x for a profile a(t) with derivative da_dt(t)."""
-    return GaugeFunction(f=lambda t, r: a(t) * r[0],
-                         grad_f=lambda t, r: _along_x(a(t), r),
-                         dt_f=lambda t, r: da_dt(t) * r[0])
+    """f(t, x) = a(t) x for a profile a(t) with derivative da_dt(t)."""
+    return GaugeFunction(f=lambda t, x: a(t) * x,
+                         grad_f=lambda t, x: _uniform(a(t), x),
+                         dt_f=lambda t, x: da_dt(t) * x)
 
 
 @dataclass(frozen=True)
 class Potentials:
-    """Vector and scalar potentials as fields of (t, r)."""
+    """The potentials A (its x-component) and Phi as fields of (t, x)."""
 
     vector: Callable
     scalar: Callable
 
 
 def free_potentials() -> Potentials:
-    return Potentials(_zero_vector, _zero_scalar)
+    return Potentials(_zero, _zero)
 
 
 def transform_potentials(p: Potentials, g: GaugeFunction) -> Potentials:
     """A' = A + grad f, Phi' = Phi - df/dt, pointwise."""
-    return Potentials(lambda t, r: p.vector(t, r) + g.grad_f(t, r),
-                      lambda t, r: p.scalar(t, r) - g.dt_f(t, r))
+    return Potentials(lambda t, x: p.vector(t, x) + g.grad_f(t, x),
+                      lambda t, x: p.scalar(t, x) - g.dt_f(t, x))
 
 
-def electric_field(p: Potentials, t, r, t_step=1e-6) -> np.ndarray:
-    """E = -grad Phi - dA/dt by central differences; t_step broadcasts on t."""
-    da = (p.vector(t + t_step, r) - p.vector(t - t_step, r)) / (2.0 * t_step)
-    return -_differences(p.scalar, t, r, X_STEP) / (2.0 * X_STEP) - da
-
-
-def magnetic_field(p: Potentials, t, r) -> np.ndarray:
-    """B = curl A by central differences, a vector field."""
-    jac = _differences(p.vector, t, r, X_STEP) / (2.0 * X_STEP)   # dA_i/dx_j
-    return np.array([jac[1, 2] - jac[2, 1],
-                     jac[2, 0] - jac[0, 2],
-                     jac[0, 1] - jac[1, 0]])
+def electric_field(p: Potentials, t, x, t_step=1e-6) -> np.ndarray:
+    """E = -dPhi/dx - dA/dt by central differences; t_step broadcasts on t."""
+    da = (p.vector(t + t_step, x) - p.vector(t - t_step, x)) / (2.0 * t_step)
+    return -(p.scalar(t, x + X_STEP) - p.scalar(t, x - X_STEP)) \
+        / (2.0 * X_STEP) - da
 
 
 def field_mismatch(p1: Potentials, p2: Potentials, times, points,
                    t_step: float = 1e-6):
-    """Max |E1-E2|, |B1-B2| over the times and points (3, N), plus the scale.
+    """Max |E1-E2| over the times and points (N,), plus the scale max |E1|.
 
-    Time steps shrink near t = 0 so a switch instant is never straddled;
-    callers should still sample away from the switch itself, where a stepped
-    field is distributional.
+    On the line E is the whole field: B has no line form. Time steps shrink
+    near t = 0 so a switch instant is never straddled; callers should still
+    sample away from the switch itself, where a stepped field is
+    distributional.
     """
-    t, ht, r = _grid(times, points, t_step)
-    e1, e2 = (electric_field(p, t, r, ht) for p in (p1, p2))
-    b1, b2 = (magnetic_field(p, t, r) for p in (p1, p2))
-    return (max(float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(b1 - b2)))),
-            max(float(np.max(np.abs(e1))), float(np.max(np.abs(b1)))))
+    t, ht, x = _grid(times, points, t_step)
+    e1, e2 = (electric_field(p, t, x, ht) for p in (p1, p2))
+    return float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e1)))
 
 
 @dataclass(frozen=True)
@@ -221,11 +193,8 @@ class LineState:
 
 
 def _on_line(field: Callable, t, x: np.ndarray) -> np.ndarray:
-    """A field at times t and every r = (x, 0, 0) in one call: a scalar
-    field gives shape t.shape + (N,), a vector field (3,) + t.shape + (N,)."""
-    zero = np.zeros_like(x)
-    return field(np.asarray(t, dtype=float)[..., None],
-                 np.stack([x, zero, zero]))
+    """A field at times t and every node x in one call: t.shape + (N,)."""
+    return field(np.asarray(t, dtype=float)[..., None], x)
 
 
 _gauss_legendre = functools.lru_cache(maxsize=None)(
@@ -252,20 +221,20 @@ def box_line_state(width: float, amplitudes) -> LineState:
 
 
 def phase_transform(state: LineState, g: GaugeFunction, t) -> LineState:
-    """Multiply the state by exp(i f(t, r)); the density is untouched.
+    """Multiply the state by exp(i f(t, x)); the density is untouched.
 
     t is a time or an array of times matching the state's leading axes. The
     derivative picks up the chain-rule term i (df/dx) psi, kept analytic
     through g.grad_f.
     """
     phase = np.exp(1j * _on_line(g.f, t, state.x))
-    gx = _on_line(g.grad_f, t, state.x)[0]
+    gx = _on_line(g.grad_f, t, state.x)
     return LineState(state.x, state.w, phase * state.value,
                      phase * (1j * gx * state.value + state.dx))
 
 
 def velocity_and_momentum(state: LineState, A, t):
-    """<v> = <p - A(t, r)> and <p> = <-i d/dx> as sums over the nodes.
+    """<v> = <p - A(t, x)> and <p> = <-i d/dx> as sums over the nodes.
 
     t is a time or an array of times matching the state's leading axes; the
     results have shape (..., 3), and every row must be unit-normalized.
@@ -274,7 +243,7 @@ def velocity_and_momentum(state: LineState, A, t):
 
 
 def _velocity_and_momentum(state: LineState, a: np.ndarray):
-    """velocity_and_momentum with A sampled on the nodes, a (3, ..., N)."""
+    """velocity_and_momentum with A sampled on the nodes, a (..., N)."""
     density = np.abs(state.value) ** 2
     norm = density @ state.w
     bad = np.flatnonzero(np.abs(norm - 1.0) > NORM_TOL)
@@ -287,11 +256,11 @@ def _velocity_and_momentum(state: LineState, a: np.ndarray):
     # v_x as a single integrand: when the state is co-transformed with the
     # potentials, the grad-f terms cancel node by node, so the two gauges sum
     # the same numbers instead of cancelling across two separate sums
-    vx = (p_density - a[0] * density) @ state.w
-    # p_y = p_z = 0 on a line state, so those components are plain -<A_j>
-    a_perp = np.moveaxis(a[1:], 0, -2) @ (state.w * density)[..., None]
+    vx = (p_density - a * density) @ state.w
+    # a line state has p_y = p_z = 0 and sees no A_y or A_z, so v_y and v_z
+    # are -<0> = -0.0
     zero = np.zeros_like(vx)
-    return (np.stack([vx, -a_perp[..., 0, 0], -a_perp[..., 1, 0]], axis=-1),
+    return (np.stack([vx, -zero, -zero], axis=-1),
             np.stack([p_density @ state.w, zero, zero], axis=-1))
 
 
@@ -326,7 +295,7 @@ class GaugeJumpScenario:
     """A bound state disturbed by a uniform A(t) switched on at t = 0.
 
     Gauge 1 keeps the drive in the vector potential; gauge 2 is its image
-    under f(t, r) = -A(t) x (or an identity / deliberately broken pair, for
+    under f(t, x) = -A(t) x (or an identity / deliberately broken pair, for
     the control and error paths). cli._KEYS checks each field's range, and
     __post_init__ the fields that relate, through their keys' constraints;
     PhaseFitScenario splits the same way, and also checks fit_sizes.
@@ -355,7 +324,7 @@ class GaugeJumpScenario:
 
     def drive_potentials(self) -> Potentials:
         a, _ = self._drive()
-        return Potentials(lambda t, r: _along_x(a(t), r), _zero_scalar)
+        return Potentials(lambda t, x: _uniform(a(t), x), _zero)
 
     def gauge_function(self) -> GaugeFunction:
         if self.second_gauge == "identity":
@@ -369,8 +338,7 @@ class GaugeJumpScenario:
             # experiment's field check must reject it
             a, _ = self._drive()
             return Potentials(
-                lambda t, r: _along_x(a(t) * self.mismatch_factor, r),
-                _zero_scalar)
+                lambda t, x: _uniform(a(t) * self.mismatch_factor, x), _zero)
         g = self.gauge_function()
         return transform_potentials(self.drive_potentials(), g)
 
@@ -418,7 +386,7 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     Reports the step-1 jump metric, the inter-gauge discrepancy without
     co-transforming the state, and the discrepancy when the full covariance
     set is applied. A second gauge that _second_gauge refuses, or that does
-    not reproduce the same E and B fields, is rejected up front.
+    not reproduce the same E field, is rejected up front.
     """
     if problem := _second_gauge(scenario.second_gauge, vars(scenario)):
         raise ValueError(f"second_gauge {problem}")
@@ -434,8 +402,7 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
         sample_times = [scenario.ramp_time + 2e-5
                         if abs(t - scenario.ramp_time) <= 1e-5 else t
                         for t in sample_times]
-    sample_points = np.zeros((3, 3))
-    sample_points[0] = np.array([0.2, 0.5, 0.8]) * scenario.width
+    sample_points = np.array([0.2, 0.5, 0.8]) * scenario.width
     g_defect = g.consistency_defect(sample_times, sample_points)
     if g_defect > 1e-6:
         raise GaugeConsistencyError(
@@ -445,6 +412,8 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     defect, scale = field_mismatch(pot1, pot2, sample_times, sample_points,
                                    t_step)
     if defect > 1e-6 * max(1.0, scale):
+        # |dB| = 0 on the line; the text still names both, so the exit-3
+        # output that callers match stays stable
         raise GaugeFieldMismatchError(
             f"gauge pair reconstructs different fields "
             f"(|dE|+|dB| defect {defect!r} at scale {scale!r})", defect)

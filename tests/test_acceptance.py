@@ -157,10 +157,9 @@ def test_criterion_7_phase_factored_residuals():
     scn = PhaseFitScenario()
     strength, tau = 0.8, 0.3
     g = GaugeFunction(
-        f=lambda t, r: strength * smooth_ramp(t, tau) * r[0],
-        grad_f=lambda t, r: np.array([strength * smooth_ramp(t, tau),
-                                      0.0, 0.0]),
-        dt_f=lambda t, r: strength * smooth_ramp_dt(t, tau) * r[0])
+        f=lambda t, x: strength * smooth_ramp(t, tau) * x,
+        grad_f=lambda t, x: strength * smooth_ramp(t, tau) + 0.0 * x,
+        dt_f=lambda t, x: strength * smooth_ramp_dt(t, tau) * x)
     driven = phase_factored_expansion_test(scn, g)
     curve_dev = max(abs(got - want) for got, want in
                     zip(driven.final_residuals(), golden["residuals"]))

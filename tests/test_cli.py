@@ -702,7 +702,8 @@ LAST = CLAIMS[-1]["scenario"]       # the claim scenario read last
 LAST_TEXT = (SCENARIOS / LAST).read_text()
 CLAIMS_SHAPE = ("error: {golden}/claims.json must hold 'claims', a non-empty "
                 "list of objects with string id, scenario and golden\n")
-NOT_AN_OBJECT = "error: golden gauge_jump.json is not a JSON object\n"
+NOT_AN_OBJECT = ("error: golden {golden}/gauge_jump.json is not a JSON "
+                 "object\n")
 
 # The rows of test_configuration_error_exits_1: (argv, files, expected).
 # argv and expected name paths as {tmp}, {scn}, {out}, {dir} and {golden};
@@ -1020,8 +1021,8 @@ EXIT_1 = [
             "error: claim 'no-such-claim' has no checker\n"),
     _golden("missing-key", "gauge_jump.json",
             lambda g: {k: v for k, v in g.items() if k != "covariant_tol"},
-            "error: golden gauge_jump.json lacks covariant_tol, which claim "
-            "'velocity-jump' reads\n"),
+            "error: golden {golden}/gauge_jump.json lacks covariant_tol, "
+            "which claim 'velocity-jump' reads\n"),
     _golden("empty-object", "claims.json", lambda doc: {}, CLAIMS_SHAPE),
     _golden("list", "claims.json", lambda doc: [1], CLAIMS_SHAPE),
     _golden("no-claims", "claims.json", lambda doc: {"claims": []},
@@ -1046,13 +1047,13 @@ EXIT_1 = [
             "(invalid start byte)\n"),
     *(_golden(f"golden-without-{cid}:{key}", GOLDEN_OF[cid],
               lambda g, key=key: {k: v for k, v in g.items() if k != key},
-              f"error: golden {GOLDEN_OF[cid]} lacks {key}, which claim "
-              f"'{cid}' reads\n")
+              f"error: golden {{golden}}/{GOLDEN_OF[cid]} lacks {key}, which "
+              f"claim '{cid}' reads\n")
       for cid, key in NAMED_KEYS),
     *(_golden(f"golden-malformed-{cid}:{key}", GOLDEN_OF[cid],
               lambda g, key=key, value=value: dict(g, **{key: value}),
-              f"error: golden {GOLDEN_OF[cid]} has {key} = {value!r}, but "
-              f"claim '{cid}' reads it as ")
+              f"error: golden {{golden}}/{GOLDEN_OF[cid]} has {key} = "
+              f"{value!r}, but claim '{cid}' reads it as ")
       for cid, key, value in MALFORMED),
 ]
 
@@ -1094,9 +1095,9 @@ def test_ramp_time_is_bounded_only_where_a_ramp_runs(tmp_path, command,
 
 def _sign_flipped_gauge(self):
     return GaugeFunction(
-        f=lambda t, r: -self.amplitude * r[0],
-        grad_f=lambda t, r: gauge._along_x(self.amplitude, r),
-        dt_f=lambda t, r: 0.0 * r[0])
+        f=lambda t, x: -self.amplitude * x,
+        grad_f=lambda t, x: gauge._uniform(self.amplitude, x),
+        dt_f=lambda t, x: 0.0 * x)
 
 
 _box_line_state = gauge.box_line_state

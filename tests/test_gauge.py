@@ -17,12 +17,12 @@ from expansionlab.gauge import (GaugeConsistencyError, GaugeFieldMismatchError,
                                 NormalizationError, PhaseFitScenario,
                                 Potentials, box_line_state, electric_field,
                                 field_mismatch, free_potentials,
-                                gauge_jump_experiment, magnetic_field,
+                                gauge_jump_experiment,
                                 phase_factored_expansion_test, phase_transform,
                                 linear_gauge_function, transform_potentials,
                                 velocity_and_momentum, write_observable_csv,
                                 zero_gauge_function)
-from expansionlab.gauge import _along_x, _scalar_shape
+from expansionlab.gauge import _uniform
 from expansionlab.propagation import (smooth_ramp, smooth_ramp_dt,
                                       switch_profile)
 from expansionlab.scenario import load_scenario
@@ -32,11 +32,11 @@ from oracles import box_eigenfunction_dx
 
 
 def linear_gauge(k):
-    """f(t, r) = k x, the momentum-boost gauge function."""
+    """f(t, x) = k x, the momentum-boost gauge function."""
     return GaugeFunction(
-        f=lambda t, r: k * r[0],
-        grad_f=lambda t, r: _along_x(k, r),
-        dt_f=lambda t, r: 0.0 * r[0])
+        f=lambda t, x: k * x,
+        grad_f=lambda t, x: _uniform(k, x),
+        dt_f=lambda t, x: 0.0 * x)
 
 
 def eigenstate_line(n=1, width=1.0):
@@ -45,25 +45,20 @@ def eigenstate_line(n=1, width=1.0):
     return box_line_state(width, amps)
 
 
-def no_potential(t, r):
-    return np.zeros((3,) + _scalar_shape(t, r))
+def uniform(value):
+    """The field equal to value(t) at every time and point."""
+    return lambda t, x: np.full(np.broadcast_shapes(np.shape(t), np.shape(x)),
+                                value(t))
 
 
-def uniform_scalar(value):
-    """The field equal to value(t) at every point."""
-    return lambda t, r: np.full(_scalar_shape(t, r), value(t))
+no_potential = uniform(lambda t: 0.0)
 
 
-def uniform_vector(a):
-    """The constant vector a at every time and point."""
-    return lambda t, r: np.multiply.outer(a, np.ones(_scalar_shape(t, r)))
-
-
-def line_points(*xs):
-    """Points (x, 0, 0) as a (3, N) array."""
-    r = np.zeros((3, len(xs)))
-    r[0] = xs
-    return r
+def ramped_potentials(amplitude, tau):
+    """A = amplitude ramp(t) along x, Phi = 0."""
+    return Potentials(
+        lambda t, x: _uniform(amplitude * smooth_ramp(t, tau), x),
+        no_potential)
 
 
 def padded(amps):
@@ -77,31 +72,27 @@ def load_golden(name):
 
 
 def test_transform_potentials_shifts_by_gradients():
-    a0 = np.array([0.3, 0.0, 0.1])
-    pots = Potentials(uniform_vector(a0), uniform_scalar(lambda t: 0.5))
+    pots = Potentials(uniform(lambda t: 0.3), uniform(lambda t: 0.5))
     g = GaugeFunction(
-        f=lambda t, r: 2.0 * r[0] - 3.0 * t,
-        grad_f=lambda t, r: _along_x(2.0, r),
-        dt_f=uniform_scalar(lambda t: -3.0))
+        f=lambda t, x: 2.0 * x - 3.0 * t,
+        grad_f=lambda t, x: _uniform(2.0, x),
+        dt_f=uniform(lambda t: -3.0))
     out = transform_potentials(pots, g)
-    r = line_points(0.4, 0.7)
-    assert np.allclose(out.vector(1.0, r),
-                       (a0 + np.array([2.0, 0.0, 0.0]))[:, None])
-    assert np.allclose(out.scalar(1.0, r), 0.5 + 3.0)
+    x = np.array([0.4, 0.7])
+    assert np.allclose(out.vector(1.0, x), 0.3 + 2.0)
+    assert np.allclose(out.scalar(1.0, x), 0.5 + 3.0)
 
 
 def test_transformed_pair_has_identical_fields():
     tau = 0.4
-    pots = Potentials(
-        lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
-        uniform_scalar(lambda t: 0.0))
+    pots = ramped_potentials(0.2, tau)
     g = GaugeFunction(
-        f=lambda t, r: -0.2 * smooth_ramp(t, tau) * r[0],
-        grad_f=lambda t, r: _along_x(-0.2 * smooth_ramp(t, tau), r),
-        dt_f=lambda t, r: -0.2 * smooth_ramp_dt(t, tau) * r[0])
+        f=lambda t, x: -0.2 * smooth_ramp(t, tau) * x,
+        grad_f=lambda t, x: _uniform(-0.2 * smooth_ramp(t, tau), x),
+        dt_f=lambda t, x: -0.2 * smooth_ramp_dt(t, tau) * x)
     pair = transform_potentials(pots, g)
     times = [0.1, 0.2, 0.35]
-    points = line_points(0.25, 0.5, 0.75)
+    points = np.array([0.25, 0.5, 0.75])
     defect, scale = field_mismatch(pots, pair, times, points, 1e-6)
     assert scale > 0.0
     assert defect < 1e-6 * scale
@@ -109,40 +100,31 @@ def test_transformed_pair_has_identical_fields():
 
 def test_scaled_pair_is_detected_as_different_fields():
     tau = 0.4
-    pots = Potentials(
-        lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
-        uniform_scalar(lambda t: 0.0))
-    scaled = Potentials(
-        lambda t, r: _along_x(0.3 * smooth_ramp(t, tau), r),
-        uniform_scalar(lambda t: 0.0))
+    pots = ramped_potentials(0.2, tau)
+    scaled = ramped_potentials(0.3, tau)
     times = [0.1, 0.2, 0.35]
-    points = line_points(0.25, 0.5, 0.75)
+    points = np.array([0.25, 0.5, 0.75])
     defect, scale = field_mismatch(pots, scaled, times, points, 1e-6)
     assert defect > 0.1 * scale
 
 
 def test_field_reconstruction_uniform_vector_potential():
     tau = 0.4
-    pots = Potentials(
-        lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
-        uniform_scalar(lambda t: 0.0))
-    r = line_points(0.5)
-    e = electric_field(pots, 0.2, r, 1e-6)
-    assert e[0, 0] == pytest.approx(-0.2 * smooth_ramp_dt(0.2, tau), rel=1e-6)
-    b = magnetic_field(pots, 0.2, r)
-    assert np.max(np.abs(b)) < 1e-9
+    e = electric_field(ramped_potentials(0.2, tau), 0.2, np.array([0.5]),
+                       1e-6)
+    assert e[0] == pytest.approx(-0.2 * smooth_ramp_dt(0.2, tau), rel=1e-6)
 
 
 def test_gauge_function_consistency_defect():
     g = linear_gauge(1.3)
     times = [0.0, 0.5]
-    points = line_points(0.3)
+    points = np.array([0.3])
     assert g.consistency_defect(times, points) < 1e-8
 
     broken = GaugeFunction(
-        f=lambda t, r: 1.3 * r[0],
-        grad_f=lambda t, r: _along_x(2.6, r),  # wrong on purpose
-        dt_f=lambda t, r: 0.0 * r[0])
+        f=lambda t, x: 1.3 * x,
+        grad_f=lambda t, x: _uniform(2.6, x),  # wrong on purpose
+        dt_f=lambda t, x: 0.0 * x)
     assert broken.consistency_defect(times, points) > 0.1
 
 
@@ -152,59 +134,49 @@ def test_linear_gauge_function_derivatives_are_consistent(kind):
     # instant and the ramp's end but more than the 1e-5 time step from them
     g = linear_gauge_function(*switch_profile(kind, 0.4, -0.3))
     times = [-0.3, -2e-5, 2e-5, 0.05, 0.2, 0.39, 0.41, 0.8]
-    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
+    points = np.array([0.2, 0.5, 0.8])
     assert g.consistency_defect(times, points) < 1e-6
     a = -0.3 * (1.0 if kind == "step" else smooth_ramp(0.2, 0.4))
-    assert np.array_equal(g.f(0.2, points), a * points[0])
+    assert np.array_equal(g.f(0.2, points), a * points)
 
 
-def test_fields_of_uniform_e_and_b():
-    # A = B x r / 2 - t E0 and Phi = -E1 . r give B and E = E0 + E1 with
-    # every component nonzero, so a swapped curl index or probe sign shows
-    bv, e0, e1 = np.array([0.7, -0.2, 0.5]), np.array([0.3, -0.4, 0.6]), \
-        np.array([1.3, 0.1, -0.8])
-    pots = Potentials(
-        lambda t, r: 0.5 * np.cross(bv, r, axis=0) - t * e0[:, None],
-        lambda t, r: -(e1 @ r))
-    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
-    b = magnetic_field(pots, 0.3, points)
-    e = electric_field(pots, 0.3, points, 1e-6)
-    assert np.allclose(b, bv[:, None], atol=1e-8)
-    assert np.allclose(e, (e0 + e1)[:, None], atol=1e-8)
+def test_field_of_uniform_e():
+    # A = -t E0 and Phi = -E1 x give E = E0 + E1, so a flipped time or
+    # space probe sign shows
+    e0, e1 = 0.3, 1.3
+    pots = Potentials(lambda t, x: _uniform(-t * e0, x),
+                      lambda t, x: -e1 * x + 0.0 * t)
+    e = electric_field(pots, 0.3, np.array([0.2, 0.5, 0.8]), 1e-6)
+    assert np.allclose(e, e0 + e1, atol=1e-8)
 
 
 def test_field_probes_match_pointwise_evaluation():
-    # the derivative checks evaluate every shifted point in one field call;
-    # a batch of points gives the bits each point gives on its own
-    tau = 0.4
-    pots = transform_potentials(
-        Potentials(lambda t, r: _along_x(0.2 * smooth_ramp(t, tau), r),
-                   uniform_scalar(lambda t: 0.0)),
-        oscillating_gauge())
-    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
-    for field in (electric_field, magnetic_field):
-        batch = field(pots, 0.2, points)
-        assert batch.shape == (3, 3)
-        for k in range(3):
-            alone = field(pots, 0.2, points[:, k:k + 1])
-            assert alone.shape == (3, 1)
-            assert np.array_equal(alone[:, 0], batch[:, k])
+    # the derivative checks evaluate every point in one field call per
+    # shift; a batch of points gives the bits each point gives on its own
+    pots = transform_potentials(ramped_potentials(0.2, 0.4),
+                                oscillating_gauge())
+    points = np.array([0.2, 0.5, 0.8])
+    batch = electric_field(pots, 0.2, points)
+    assert batch.shape == (3,)
+    for k in range(3):
+        alone = electric_field(pots, 0.2, points[k:k + 1])
+        assert alone.shape == (1,)
+        assert np.array_equal(alone[0], batch[k])
 
 
 def oscillating_gauge(error=0.0):
     """f = 0.01 sin(300 x), exact when error = 0; |f'''| reaches 2.7e5."""
     return GaugeFunction(
-        f=lambda t, r: 0.01 * np.sin(300.0 * r[0]) + 0.0 * t,
-        grad_f=lambda t, r: _along_x(3.0 * (1.0 + error)
-                                     * np.cos(300.0 * r[0]) + 0.0 * t, r),
-        dt_f=lambda t, r: 0.0 * t * r[0])
+        f=lambda t, x: 0.01 * np.sin(300.0 * x) + 0.0 * t,
+        grad_f=lambda t, x: 3.0 * (1.0 + error) * np.cos(300.0 * x) + 0.0 * t,
+        dt_f=lambda t, x: 0.0 * t * x)
 
 
 def test_consistency_defect_accepts_fast_exact_gauge():
     # the jump experiment's probes and its 1e-6 bound; a plain central
     # difference reads 1.5e-6 here from its O(h^2 f''') truncation error
     times = [s * f * 2e-5 for s in (-1.0, 1.0) for f in (1.0, 0.5, 0.25)]
-    points = line_points(0.2, 0.5, 0.8)
+    points = np.array([0.2, 0.5, 0.8])
     assert oscillating_gauge().consistency_defect(times, points) < 1e-8
     assert oscillating_gauge(1e-4).consistency_defect(times, points) > 1e-6
 
@@ -249,9 +221,9 @@ def test_velocity_real_bound_state_no_potential_is_zero():
 
 def test_velocity_shifts_by_minus_average_A():
     # switched-on uniform A: <v> = <p> - A with <psi_s|A|psi_s> = A
-    a0 = np.array([0.2, -0.1, 0.05])
-    v, _ = velocity_and_momentum(eigenstate_line(1), uniform_vector(a0), 0.0)
-    assert np.allclose(v, -a0, atol=1e-10)
+    v, _ = velocity_and_momentum(eigenstate_line(1), uniform(lambda t: 0.2),
+                                 0.0)
+    assert np.allclose(v, [-0.2, 0.0, 0.0], atol=1e-10)
 
 
 def test_velocity_rejects_unnormalized_state():
@@ -294,8 +266,7 @@ def test_linear_gauge_boost_and_covariance_on_nodes(n, seed, k, a_x):
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amps /= np.linalg.norm(amps)
     g = linear_gauge(k)
-    pot = Potentials(lambda t, r: _along_x(a_x, r),
-                     uniform_scalar(lambda t: 0.0))
+    pot = Potentials(lambda t, x: _uniform(a_x, x), no_potential)
     pot_k = transform_potentials(pot, g)
 
     def observables(coefficients):
@@ -365,9 +336,9 @@ def test_jump_mismatched_fields_rejected():
 def test_jump_inconsistent_gauge_function_rejected(monkeypatch):
     scn = GaugeJumpScenario()
     broken = GaugeFunction(
-        f=lambda t, r: -scn.amplitude * r[0],
-        grad_f=lambda t, r: _along_x(scn.amplitude, r),  # sign flip
-        dt_f=lambda t, r: 0.0 * r[0])
+        f=lambda t, x: -scn.amplitude * x,
+        grad_f=lambda t, x: _uniform(scn.amplitude, x),  # sign flip
+        dt_f=lambda t, x: 0.0 * x)
     monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
                         lambda self: broken)
     with pytest.raises(GaugeConsistencyError):
@@ -391,9 +362,9 @@ def test_jump_node_doubling_flags_unresolved_gauge(monkeypatch):
     # a time-independent gauge leaves E and B alone and its derivatives are
     # consistent, but 80 nodes cannot resolve grad f = 0.3 cos(300 x)
     wiggle = GaugeFunction(
-        f=lambda t, r: 0.001 * np.sin(300.0 * r[0]) + 0.0 * t,
-        grad_f=lambda t, r: _along_x(0.3 * np.cos(300.0 * r[0]) + 0.0 * t, r),
-        dt_f=lambda t, r: 0.0 * t * r[0])
+        f=lambda t, x: 0.001 * np.sin(300.0 * x) + 0.0 * t,
+        grad_f=lambda t, x: 0.3 * np.cos(300.0 * x) + 0.0 * t,
+        dt_f=lambda t, x: 0.0 * t * x)
     monkeypatch.setattr(GaugeJumpScenario, "gauge_function",
                         lambda self: wiggle)
     with pytest.raises(QuadratureError) as excinfo:
@@ -410,9 +381,14 @@ def test_observable_csv_schema(tmp_path):
     write_observable_csv(path, [res.report_gauge1, res.report_gauge2])
     lines = path.read_text().splitlines()
     assert lines[0] == "t,gauge_label,vx,vy,vz,px,py,pz"
-    labels = {line.split(",")[1] for line in lines[1:]}
-    assert labels == {"gauge1", "gauge2"}
-    assert len(lines) == 1 + 2 * res.report_gauge1.times.size
+    rows = [line.split(",") for line in lines[1:]]
+    assert {row[1] for row in rows} == {"gauge1", "gauge2"}
+    assert len(rows) == 2 * res.report_gauge1.times.size
+    # a line state has no y or z: vy = vz = -<0> and py = pz = 0, written
+    # by construction
+    assert {(*row[3:5], *row[6:]) for row in rows} == {
+        ("-0.0", "-0.0", "0.0", "0.0")}
+    assert res.summary_text().splitlines()[0].endswith(", -0.0, -0.0]")
 
 
 def test_phase_fit_stationary_control():
@@ -429,9 +405,9 @@ def test_phase_fit_global_phase_equals_stationary():
                            fit_stride=50)
     base = phase_factored_expansion_test(scn, zero_gauge_function())
     g = GaugeFunction(
-        f=uniform_scalar(lambda t: 0.7 * t - 0.3),
+        f=uniform(lambda t: 0.7 * t - 0.3),
         grad_f=no_potential,
-        dt_f=uniform_scalar(lambda t: 0.7))
+        dt_f=uniform(lambda t: 0.7))
     shifted = phase_factored_expansion_test(scn, g)
     assert np.max(np.abs(shifted.residuals - base.residuals)) < 1e-12
 
@@ -441,9 +417,9 @@ def test_phase_fit_driven_matches_frozen_curve():
     scn = PhaseFitScenario()
     strength, tau = 0.8, 0.3
     g = GaugeFunction(
-        f=lambda t, r: strength * smooth_ramp(t, tau) * r[0],
-        grad_f=lambda t, r: _along_x(strength * smooth_ramp(t, tau), r),
-        dt_f=lambda t, r: strength * smooth_ramp_dt(t, tau) * r[0])
+        f=lambda t, x: strength * smooth_ramp(t, tau) * x,
+        grad_f=lambda t, x: _uniform(strength * smooth_ramp(t, tau), x),
+        dt_f=lambda t, x: strength * smooth_ramp_dt(t, tau) * x)
     report = phase_factored_expansion_test(scn, g)
     assert list(report.fit_sizes) == golden["fit_sizes"]
     final = report.final_residuals()
@@ -485,32 +461,29 @@ def test_phase_fit_report_text_prints_plain_floats():
 
 def test_free_potentials_are_zero():
     pots = free_potentials()
-    r = np.array([[0.3, 0.5], [0.1, 0.0], [-0.2, 0.4]])
-    assert np.max(np.abs(pots.vector(1.0, r))) == 0.0
-    assert np.max(np.abs(pots.scalar(1.0, r))) == 0.0
+    x = np.array([0.3, 0.5])
+    assert np.max(np.abs(pots.vector(1.0, x))) == 0.0
+    assert np.max(np.abs(pots.scalar(1.0, x))) == 0.0
 
 
 def nonuniform_gauge():
-    """f = x y + t z: every component of grad f differs between points."""
-    return GaugeFunction(f=lambda t, r: r[0] * r[1] + t * r[2],
-                         grad_f=lambda t, r: np.stack([r[1] + 0.0 * t,
-                                                       r[0] + 0.0 * t,
-                                                       t + 0.0 * r[2]]),
-                         dt_f=lambda t, r: r[2] + 0.0 * t)
+    """f = t x^2: grad f and df/dt differ between points and times."""
+    return GaugeFunction(f=lambda t, x: t * x * x,
+                         grad_f=lambda t, x: 2.0 * t * x,
+                         dt_f=lambda t, x: x * x + 0.0 * t)
 
 
 def bundled_fields():
-    """(label, field, is_vector) of every field the package builds."""
+    """(label, field) of every field the package builds."""
     fields = []
 
     def add(label, pots=None, g=None):
         if pots is not None:
-            fields.extend([(f"{label}.vector", pots.vector, True),
-                           (f"{label}.scalar", pots.scalar, False)])
+            fields.extend([(f"{label}.vector", pots.vector),
+                           (f"{label}.scalar", pots.scalar)])
         if g is not None:
-            fields.extend([(f"{label}.f", g.f, False),
-                           (f"{label}.grad_f", g.grad_f, True),
-                           (f"{label}.dt_f", g.dt_f, False)])
+            fields.extend([(f"{label}.f", g.f), (f"{label}.grad_f", g.grad_f),
+                           (f"{label}.dt_f", g.dt_f)])
 
     for switch in ("step", "ramp"):
         for second in ("transformed", "identity", "mismatched"):
@@ -554,28 +527,25 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("n_points", [1, 3, 5])
-@pytest.mark.parametrize("label,fld,is_vector", BUNDLED_FIELDS,
+@pytest.mark.parametrize("label,fld", BUNDLED_FIELDS,
                          ids=[f[0] for f in BUNDLED_FIELDS])
-def test_field_contract_shapes(label, fld, is_vector, n_points):
-    # distinct coordinates everywhere, so a field that mixes up the point
-    # axis and the coordinate axis cannot pass at N = 3
-    r = np.random.default_rng(n_points).uniform(0.1, 0.9, (3, n_points))
-    lead = (3,) if is_vector else ()
-    out = fld(0.2, r)
-    assert np.shape(out) == lead + (n_points,)
-    per_point = [fld(0.2, r[:, i:i + 1]) for i in range(n_points)]
-    assert same_bits(out, np.concatenate(per_point, axis=-1))
+def test_field_contract_shapes(label, fld, n_points):
+    x = np.random.default_rng(n_points).uniform(0.1, 0.9, n_points)
+    out = fld(0.2, x)
+    assert np.shape(out) == (n_points,)
+    per_point = [fld(0.2, x[i:i + 1]) for i in range(n_points)]
+    assert same_bits(out, np.concatenate(per_point))
     # a column of times gives, in one call, the bits of each time alone
-    batch = fld(CONTRACT_TIMES[:, None], r)
-    assert batch.shape == lead + (CONTRACT_TIMES.size, n_points)
-    per_time = np.stack([fld(float(t), r) for t in CONTRACT_TIMES], axis=-2)
+    batch = fld(CONTRACT_TIMES[:, None], x)
+    assert batch.shape == (CONTRACT_TIMES.size, n_points)
+    per_time = np.stack([fld(float(t), x) for t in CONTRACT_TIMES])
     assert same_bits(batch, per_time)
 
 
 def test_derivative_checks_match_a_per_time_loop():
     # the checks sample every time in one call per difference step; each
     # time checked alone gives the same defect and scale, bit for bit
-    points = np.array([[0.2, 0.5, 0.8], [0.1, 0.0, -0.3], [0.0, 0.4, 0.0]])
+    points = np.array([0.2, 0.5, 0.8])
     times = [-0.5, -2e-5, 0.0, 2e-5, 0.1, 0.39, 0.41, 1.3]
     for switch in ("step", "ramp"):
         scn = GaugeJumpScenario(switch=switch, ramp_time=0.4, t_end=1.0,
@@ -602,14 +572,12 @@ def observe_oracle(amps, t, g, A, width=1.0):
     k = np.arange(1, n + 1) * math.pi / width
     value = amps @ (math.sqrt(2.0 / width) * np.sin(np.outer(k, x)))
     dx = (k * amps) @ (math.sqrt(2.0 / width) * np.cos(np.outer(k, x)))
-    r = np.stack([x, 0.0 * x, 0.0 * x])
-    phase = np.exp(1j * g.f(t, r))
-    value, dx = phase * value, phase * (1j * g.grad_f(t, r)[0] * value + dx)
+    phase = np.exp(1j * g.f(t, x))
+    value, dx = phase * value, phase * (1j * g.grad_f(t, x) * value + dx)
     density = np.abs(value) ** 2
     p_density = (value.conjugate() * (-1j * dx)).real
-    a = A(t, r)
-    return np.array([w @ (p_density - a[0] * density), -w @ (a[1] * density),
-                     -w @ (a[2] * density), w @ p_density, 0.0, 0.0])
+    return np.array([w @ (p_density - A(t, x) * density), 0.0, 0.0,
+                     w @ p_density, 0.0, 0.0])
 
 
 @settings(max_examples=25, deadline=None)

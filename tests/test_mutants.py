@@ -76,7 +76,7 @@ MUTANTS = [
     # reproduce-all is blind: velocity-jump runs a step, whose dt_f is 0,
     # and the phase fit reads f alone
     ("ramp-dt_f-dropped", gauge, "linear_gauge_function",
-     "da_dt(t) * r[0]", "0.0 * da_dt(t) * r[0]",
+     "da_dt(t) * x", "0.0 * da_dt(t) * x",
      [], [test_gauge.test_jump_smooth_switch_is_gentle]),
     ("phase-fit-exp-plus-if", gauge, "phase_factored_expansion_test",
      "np.exp(-1j * _on_line(g.f", "np.exp(+1j * _on_line(g.f",
