@@ -412,11 +412,9 @@ def gauge_jump_experiment(scenario: GaugeJumpScenario) -> GaugeJumpResult:
     defect, scale = field_mismatch(pot1, pot2, sample_times, sample_points,
                                    t_step)
     if defect > 1e-6 * max(1.0, scale):
-        # |dB| = 0 on the line; the text still names both, so the exit-3
-        # output that callers match stays stable
         raise GaugeFieldMismatchError(
             f"gauge pair reconstructs different fields "
-            f"(|dE|+|dB| defect {defect!r} at scale {scale!r})", defect)
+            f"(max |dE| defect {defect!r} at scale {scale!r})", defect)
 
     model = scenario.hamiltonian()
     c0 = np.zeros(scenario.n_basis, dtype=complex)

@@ -32,6 +32,8 @@ from expansionlab.cli import (_check_claim, cmd_expand, cmd_gauge,
 from expansionlab.gauge import GaugeFunction, GaugeJumpScenario, LineState
 from expansionlab.scenario import load_scenario
 
+import test_refusals
+
 DATA = Path(resources.files("expansionlab") / "data")
 SCENARIOS = DATA / "scenarios"
 GOLDEN = DATA / "golden"
@@ -1372,71 +1374,59 @@ def test_a_window_s_key_accepts_what_the_steppers_accept(section, t, r, n):
     assert accepted == ran
 
 
-def _one_state(dim, n_slices, window=(0.0, 1.0), **kwargs):
-    """euler_propagate from state 1 of a dim-state model with no terms."""
-    return propagation.euler_propagate(
-        np.eye(dim)[0], propagation.HamiltonianModel(np.arange(dim), [],
-                                                     window),
-        n_slices, **kwargs)
-
-
-@pytest.mark.parametrize("kind,keys,key,call", [
+@pytest.mark.parametrize("kind,keys,key,subject,row", [
     ("propagate", dict(perturbation="none", t_start=1.0, t_end=1.0), "t_end",
-     lambda: _one_state(2, 10, (1.0, 1.0))),
+     "window end", "window-order"),
     ("propagate", dict(perturbation="dipole-step", n_basis=4, t_start=1e16,
                        t_end=1.0000000000004e16, n_slices=1000), "t_end",
-     lambda: propagation.euler_final_norm(
-         np.eye(4)[0], propagation.box_dipole_model(
-             1.0, 4, 1.0, 0.5, (1e16, 1.0000000000004e16), profile="step"),
-         4000)),
+     "window (1e+16, 1.0000000000004e+16)", "refinement-repeated-times"),
     ("gauge", dict(experiment="jump", t_end=1e-320, n_slices=10000),
-     "n_slices",
-     lambda: propagation.unitary_propagate(np.eye(24)[0], GaugeJumpScenario(
-         t_end=1e-320, n_slices=10000).hamiltonian(), 10000)),
+     "n_slices", "window (0.0, 1e-320)", "jump-grid"),
     ("propagate", dict(perturbation="none", n_slices=0), "n_slices",
-     lambda: _one_state(2, 0)),
-    ("gauge", dict(experiment="jump", n_slices=0), "n_slices",
-     lambda: gauge.gauge_jump_experiment(GaugeJumpScenario(n_slices=0))),
+     "slice count", "no-slices"),
+    ("gauge", dict(experiment="jump", n_slices=0), "n_slices", "slice count",
+     "jump-slice-count"),
     ("gauge", dict(experiment="phase-fit", n_slices=0), "n_slices",
-     lambda: gauge.phase_factored_expansion_test(
-         gauge.PhaseFitScenario(n_slices=0), gauge.zero_gauge_function())),
+     "slice count", "phase-fit-slice-count"),
     ("propagate", dict(perturbation="none", n_basis=4, n_slices=10,
-                       tracked=-1), "tracked",
-     lambda: _one_state(4, 10, tracked=-1)),
+                       tracked=-1), "tracked", "tracked column count",
+     "euler-negative-tracked"),
     ("propagate", dict(perturbation="random-hermitian", n_basis=0),
-     "n_basis", lambda: propagation.box_energies(1.0, 0)),
+     "n_basis", "n_basis", "box-no-basis"),
     ("propagate", dict(perturbation="dipole-step", n_basis=1), "n_basis",
-     lambda: propagation.dipole_matrix_elements_box(1.0, 1)),
+     "dipole matrix n_basis", "dipole-one-state"),
     ("gauge", dict(experiment="jump", n_basis=1), "n_basis",
-     lambda: propagation.momentum_matrix_elements_box(1.0, 1)),
-    ("gauge", dict(experiment="jump", n_basis=24, initial_index=30),
-     "initial_index", lambda: GaugeJumpScenario(n_basis=24, initial_index=30)),
+     "momentum matrix n_basis", "momentum-one-state"),
+    ("gauge", dict(experiment="jump", n_basis=4, initial_index=5),
+     "initial_index", "initial_index", "jump-index-past-basis"),
     ("gauge", dict(experiment="phase-fit", fit_sizes="2, 4", n_reference=4,
-                   initial_index=3), "initial_index",
-     lambda: gauge.PhaseFitScenario(fit_sizes=(2, 4), n_reference=4,
-                                    initial_index=3)),
+                   initial_index=3), "initial_index", "initial_index",
+     "fit-index-past-basis"),
     ("gauge", dict(experiment="phase-fit", fit_sizes="2, 4, 32",
-                   n_reference=16), "n_reference",
-     lambda: gauge.PhaseFitScenario(fit_sizes=(2, 4, 32), n_reference=16)),
+                   n_reference=16), "n_reference", "n_reference",
+     "fit-reference-size"),
     ("gauge", dict(experiment="phase-fit", fit_sizes="48, 2"), "fit_sizes",
-     lambda: gauge.PhaseFitScenario(fit_sizes=(48, 2), n_reference=48)),
+     "fit_sizes", "fit-sizes-unsorted"),
     ("gauge", dict(experiment="jump", second_gauge="mismatched"),
-     "second_gauge", lambda: gauge.gauge_jump_experiment(GaugeJumpScenario(
-         second_gauge="mismatched", n_basis=8, n_slices=40))),
+     "second_gauge", "second_gauge", "mismatched-step-pair"),
 ], ids=["window-order", "refinement-grid", "jump-grid", "slice-count",
         "jump-slice-count", "phase-fit-slice-count", "tracked", "box-basis",
         "dipole-basis", "momentum-basis", "jump-initial-index",
         "phase-fit-initial-index", "reference-basis", "fit-sizes",
         "mismatched-step-pair"])
-def test_a_key_and_the_library_refuse_with_one_reason(kind, keys, key, call):
+def test_a_key_and_the_library_refuse_with_one_reason(kind, keys, key,
+                                                      subject, row):
     # one predicate decides each hazard that a key and the library both
-    # guard: the library's message is a subject and the key's own reason
+    # guard: the library's message, as its REFUSALS row pins it, is a
+    # subject and the key's own reason
     text = "\n".join(["expansionlab-scenario v1", f"kind = {kind}",
                       "name = r", *(f"{k} = {v}" for k, v in keys.items())])
     with pytest.raises(scenario.ScenarioError) as refused:
         scenario.parse_scenario_text(text + "\n", "r.scn").read(cli._KEYS)
     head, reason = str(refused.value).split(f" key '{key}' ", 1)
     assert head == f"r.scn:{4 + list(keys).index(key)}:"
-    with pytest.raises(ValueError) as raised:
+    call, cls = next(r.values[:2] for r in test_refusals.REFUSALS
+                     if r.id == row)
+    with pytest.raises(cls) as raised:
         call()
-    assert str(raised.value).endswith(" " + reason)
+    assert str(raised.value) == f"{subject} {reason}"

@@ -29,6 +29,7 @@ import test_cli
 import test_expansion
 import test_gauge
 import test_propagation
+import test_refusals
 import test_specfun
 
 DATA = Path(resources.files("expansionlab") / "data")
@@ -64,8 +65,9 @@ _two_times = functools.partial(
 def _row(test, row_id):
     """test at its parametrized row row_id, as a call of no arguments."""
     mark = next(m for m in test.pytestmark if m.name == "parametrize")
-    return functools.partial(test,
-                             *mark.args[1][mark.kwargs["ids"].index(row_id)])
+    ids = mark.kwargs.get("ids") or [row.id for row in mark.args[1]]
+    row = mark.args[1][ids.index(row_id)]
+    return functools.partial(test, *getattr(row, "values", row))
 
 
 # (id, module, function, snippet, replacement, killing claims, killing tests)
@@ -167,7 +169,7 @@ MUTANTS = [
     # then accepts the window. reproduce-all is blind: its windows are wide
     ("grid-rule-loosened", propagation, "_increasing_grid",
      "dt > least", "dt > 0.0",
-     [], [_row(test_propagation.test_propagation_argument_checks,
+     [], [_row(test_refusals.test_library_refuses,
                "refinement-repeated-times"),
           _row(test_cli.test_a_key_and_the_library_refuse_with_one_reason,
                "refinement-grid")]),

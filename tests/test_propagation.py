@@ -112,39 +112,14 @@ def test_profiles_match_scalar_references_bit_for_bit(tau, extra):
 @pytest.mark.parametrize("kind", ["step", "ramp"])
 def test_switch_profile_scales_the_forms(kind):
     t = np.linspace(-0.5, 1.0, 31)
-    s, ds = propagation.switch_profile(kind, 0.4, -2.5)
+    # a step has no ramp time
+    s, ds = propagation.switch_profile(kind, 0.4 if kind == "ramp" else 0.0,
+                                       -2.5)
     base = hard_step(t) if kind == "step" else smooth_ramp(t, 0.4)
     rate = 0.0 * t if kind == "step" else smooth_ramp_dt(t, 0.4)
     assert np.array_equal(s(t), -2.5 * base)
     assert np.array_equal(ds(t), -2.5 * rate)
     assert np.shape(s(0.3)) == np.shape(ds(0.3)) == ()
-
-
-def test_unknown_switch_kind_raises():
-    with pytest.raises(PropagationContractError, match="'linear'"):
-        propagation.switch_profile("linear", 0.4)
-    with pytest.raises(PropagationContractError, match="ramp time"):
-        propagation.switch_profile("ramp", 0.0)
-    propagation.switch_profile("step", 0.0)     # a step has no ramp time
-    with pytest.raises(PropagationContractError, match="'linear'"):
-        box_dipole_model(1.0, 4, 1.0, 0.5, (0.0, 1.0), "linear")
-    # the gauge experiment used to run any switch but "step" as a ramp
-    with pytest.raises(PropagationContractError, match="'linear'"):
-        GaugeJumpScenario(switch="linear").hamiltonian()
-
-
-@pytest.mark.parametrize("profile", [
-    lambda t: 1.0,                          # a float for every time
-    math.cos,                               # refuses an array of times
-    lambda t: np.ones(3),                   # the wrong shape
-    lambda t: np.exp(1j * t),               # complex
-    lambda t: np.where(t > 0.5, np.inf, 0.0),   # not finite
-], ids=["constant-float", "math-cos", "shape", "complex", "infinite"])
-def test_profile_contract_checked_when_the_model_is_built(profile):
-    eye = np.eye(2)
-    with pytest.raises(PropagationContractError, match="profile of term 1"):
-        HamiltonianModel((0.0, 1.0), [(np.ones_like, eye), (profile, eye)],
-                         (0.0, 1.0))
 
 
 def test_bohr_frequencies_examples():
@@ -159,22 +134,12 @@ def test_bohr_frequencies_examples():
     assert np.max(np.abs(w + w.T)) == 0.0
 
 
-def test_model_window_and_validation():
+def test_model_window():
     m = two_level_model(t_end=2.0)
     assert np.max(np.abs(m.h1(-0.01))) == 0.0
     assert np.max(np.abs(m.h1(2.01))) == 0.0
     assert np.max(np.abs(m.h1(1.0))) == 0.3
     assert m.hermiticity_defect(1.0) == 0.0
-    with pytest.raises(PropagationContractError):
-        HamiltonianModel((0.0, 1.0), [], (1.0, 1.0))
-    with pytest.raises(PropagationContractError):
-        HamiltonianModel((0.0, 1.0),
-                         [(np.ones_like, np.array([[0.0, 1.0],
-                                                    [0.0, 0.0]]))],
-                         (0.0, 1.0))
-    with pytest.raises(PropagationContractError):
-        HamiltonianModel((0.0, 1.0),
-                         [(np.ones_like, np.eye(3))], (0.0, 1.0))
 
 
 def test_rhs_zero_and_diagonal_cases():
@@ -202,12 +167,6 @@ def test_rhs_norm_derivative_vanishes_for_hermitian_coupling():
     c /= np.linalg.norm(c)
     deriv = 2.0 * np.real(np.vdot(c, rhs(c, 0.3, m)))
     assert abs(deriv) < 1e-14
-
-
-def test_rhs_dimension_mismatch():
-    m = two_level_model()
-    with pytest.raises(PropagationContractError):
-        rhs(pure_state(3), 0.0, m)
 
 
 @pytest.mark.parametrize("h,dt", [(0.5, 0.01), (2.0, 0.1), (-1.3, 0.05)])
@@ -468,23 +427,6 @@ def test_eigenbasis_cayley_is_the_plain_loop_bit_for_bit(kind, identity,
     assert np.array_equal(traj.states, states[:, :k])
 
 
-def test_negative_tracked_rejected():
-    m = two_level_model(t_end=1.0)
-    for stepper in (euler_propagate, unitary_propagate):
-        with pytest.raises(PropagationContractError, match="tracked"):
-            stepper(pure_state(2), m, 10, tracked=-1)
-
-
-@pytest.mark.parametrize("stepper", [euler_propagate, unitary_propagate],
-                         ids=["euler", "cayley"])
-def test_tracked_is_keyword_only(stepper):
-    # a fourth positional argument, such as a stale hbar, raises instead of
-    # being read as the tracked count
-    m = two_level_model(t_end=1.0)
-    with pytest.raises(TypeError, match="positional"):
-        stepper(pure_state(2), m, 10, 1)
-
-
 @pytest.mark.parametrize("stepper,terms", [
     (euler_propagate, 1), (unitary_propagate, 1), (unitary_propagate, 2)],
     ids=["euler", "cayley-eigenbasis", "cayley-solve"])
@@ -502,8 +444,12 @@ def test_repeated_grid_times_refused_before_the_first_step(stepper, terms):
     y = np.array([[0.0, -1j], [1j, 0.0]])
     m = HamiltonianModel((0.5, 1.5), [(profile, x), (profile, y)][:terms],
                          (1e16, 1e16 + 4.0))
-    with pytest.raises(PropagationContractError, match="strictly increasing"):
+    with pytest.raises(PropagationContractError) as refused:
         stepper(pure_state(2), m, 1000)
+    assert str(refused.value) == (
+        "window (1e+16, 1.0000000000000004e+16) must keep the 1000-slice "
+        "time grid strictly increasing, its step above 4 "
+        "ulp(1.0000000000000004e+16) = 8.0, got dt = 0.004")
     assert calls == [(2,)] * terms
 
 
@@ -729,10 +675,7 @@ def test_unitary_zero_coupling_constant():
     assert np.max(np.abs(traj.states - traj.states[0])) == 0.0
 
 
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0, 1.0]),
-                   np.zeros((3, 2), dtype=complex), "euler")
+def test_trajectory_norms_and_head():
     t = Trajectory(np.array([0.0, 1.0]),
                    np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
                    "euler")
@@ -801,17 +744,6 @@ def test_audit_growth_scales_as_dt_squared():
         assert 1.9 <= math.log2(a / b) <= 2.1
 
 
-def test_audit_rejects_non_euler_and_impure():
-    m = two_level_model(t_end=1.0)
-    cay = unitary_propagate(pure_state(2), m, 10)
-    with pytest.raises(PropagationContractError):
-        norm_audit(cay, m)
-    mixed = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    traj = euler_propagate(mixed, m, 10)
-    with pytest.raises(PropagationContractError):
-        norm_audit(traj, m)
-
-
 def test_audit_fails_a_norm_that_falls_by_1e_13():
     m = box_dipole_model(1.0, 8, 1.0, 0.5, (0.0, 1.0), "ramp")
     traj = euler_propagate(pure_state(8), m, 200)
@@ -840,25 +772,6 @@ def test_audit_fails_a_nan_in_row_1():
     assert math.isnan(report.step1_total)
     assert not report.passed
     assert "audit: FAIL" in report.to_text()
-
-
-@pytest.mark.parametrize("n_basis", [5, 7], ids=["narrower", "wider"])
-def test_audit_refuses_rows_of_another_width_than_the_model(n_basis):
-    # the 6-state dipole-step run, its rows cut to 5 columns with its
-    # recorded norms, would pass with an off-diagonal weight at t1 that
-    # misses state 6's share; a 7-state run is not the model's either
-    m = box_dipole_model(1.0, 6, 1.0, 0.5, (0.0, 1.0), "step")
-    run = euler_propagate(pure_state(6), m, 20)
-    if n_basis == 5:
-        other = Trajectory(run.times, run.states[:, :5], "euler", run.norms)
-    else:
-        other = euler_propagate(pure_state(7), box_dipole_model(
-            1.0, 7, 1.0, 0.5, (0.0, 1.0), "step"), 20)
-    with pytest.raises(PropagationContractError,
-                       match=f"reads all 6 coefficients of rows 0 and 1, "
-                             f"but the trajectory's head holds {n_basis}"):
-        norm_audit(other, m)
-    assert norm_audit(run, m).passed
 
 
 @pytest.mark.parametrize("n_slices,rows", [(1, None), (300, None), (40, 1)])
@@ -1035,52 +948,3 @@ def test_trajectory_csv_write_holds_one_block(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "trajectory.csv").stat().st_size > 7e6
     assert peak < 2e6
-
-
-def _two_level_model():
-    return HamiltonianModel([1.0, 4.0], [], (0.0, 1.0))
-
-
-@pytest.mark.parametrize("call,message", [
-    (lambda: HamiltonianModel([], [], (0.0, 1.0)),
-     "energies must be a non-empty vector"),
-    (lambda: HamiltonianModel([[1.0, 2.0]], [], (0.0, 1.0)),
-     "energies must be a non-empty vector"),
-    (lambda: HamiltonianModel([1.0, math.inf], [], (0.0, 1.0)),
-     "energies must be finite"),
-    (lambda: Trajectory([0.0, 1.0], np.zeros((3, 2)), "euler"),
-     "states must be one row per time"),
-    (lambda: Trajectory([0.0, 1.0], np.zeros((2, 2)), "euler", [1.0]),
-     "norms must align with times"),
-    (lambda: Trajectory([0.0, math.inf, math.inf], np.zeros((3, 2)),
-                        "euler"),
-     "strictly increasing"),
-    (lambda: Trajectory([0.0, math.nan, 1.0], np.zeros((3, 2)), "euler"),
-     "strictly increasing"),
-    # 2 000 of the 4 001 times repeat, one ulp at 1e16 being 2
-    (lambda: euler_final_norm(pure_state(32), box_dipole_model(
-        1.0, 32, 1e-6, 2000.0, (1e16, 1.0000000000004e16)), 4000),
-     "strictly increasing"),
-    # refused before np.arange is asked for 10^12 + 1 times (7.28 TiB)
-    (lambda: euler_final_norm(pure_state(32), box_dipole_model(
-        1.0, 32, 1e-6, 2000.0, (1e16, 1e16 + 4.0)), 10 ** 12),
-     r"window \(1e\+16, 1\.0000000000000004e\+16\) must keep the "
-     r"1000000000000-slice time grid strictly increasing"),
-    (lambda: euler_propagate(np.ones(3), _two_level_model(), 4),
-     r"initial coefficients have shape \(3,\), expected \(2,\)"),
-    (lambda: unitary_propagate(np.ones(2), _two_level_model(), 0),
-     "slice count must be at least 1"),
-    (lambda: box_energies(1.0, 0), "n_basis must be at least 1"),
-    (lambda: dipole_matrix_elements_box(1.0, 1),
-     "dipole matrix n_basis must be at least 2, got 1"),
-    (lambda: momentum_matrix_elements_box(1.0, 1),
-     "momentum matrix n_basis must be at least 2, got 1"),
-], ids=["no-energies", "energy-matrix", "infinite-energy", "rows-per-time",
-        "norms-per-time", "repeated-infinite-time", "nan-time",
-        "refinement-repeated-times", "refinement-beyond-memory",
-        "initial-shape", "no-slices",
-        "box-no-basis",
-        "dipole-one-state", "momentum-one-state"])
-def test_propagation_argument_checks(call, message):
-    with pytest.raises(PropagationContractError, match=message):
-        call()

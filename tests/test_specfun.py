@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from expansionlab import specfun
-from expansionlab.specfun import (CONVERGENCE_GUARD, DEFAULT_QUADRATURE,
-                                  QuadratureError, QuadratureSpec,
-                                  SeriesDivergenceError, SpecfunDomainError,
-                                  _laguerre_step, confluent_hypergeometric,
+from expansionlab.specfun import (DEFAULT_QUADRATURE, QuadratureError,
+                                  QuadratureSpec, _laguerre_step,
+                                  confluent_hypergeometric,
                                   integrate_interval, integrate_semi_infinite,
                                   laguerre, laguerre_row)
 
@@ -96,8 +95,6 @@ def test_laguerre_row_is_the_recurrence_bit_for_bit():
             series = confluent_hypergeometric(float(-n), 1.0, u)
             assert abs(row[n] - series) <= 1e-12 * max(1.0, abs(series))
     assert list(laguerre_row(0, 3.0)) == [1.0]
-    with pytest.raises(SpecfunDomainError):
-        laguerre_row(-1, 1.0)
 
 
 def test_laguerre_step_on_a_column_is_the_row_bit_for_bit():
@@ -208,18 +205,6 @@ def test_confluent_nonterminating_exponential_identities(u):
         (1.0 + u) * math.exp(u), rel=1e-12)
 
 
-def test_gamma_pole_rejected():
-    for g in (0.0, -1.0, -7.0):
-        with pytest.raises(SpecfunDomainError):
-            confluent_hypergeometric(0.5, g, 1.0)
-
-
-def test_nonterminating_beyond_guard_raises():
-    assert CONVERGENCE_GUARD <= 60.0
-    with pytest.raises(SeriesDivergenceError):
-        confluent_hypergeometric(0.5, 1.5, CONVERGENCE_GUARD + 1.0)
-
-
 def test_terminating_series_immune_to_guard():
     # a polynomial evaluates anywhere, far beyond the series guard
     u = 100.0
@@ -228,35 +213,11 @@ def test_terminating_series_immune_to_guard():
                                 rel=1e-12)
 
 
-def test_quadrature_spec_validation_and_scaling():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(upper_cutoff=-5.0)
-    for cutoff in (math.inf, math.nan):
-        with pytest.raises(SpecfunDomainError, match="finite"):
-            QuadratureSpec(upper_cutoff=cutoff)
-    # a non-integer limit: QUADPACK's first run in 128 subintervals would
-    # hide it where quad raised TypeError
-    for limit in (0, 2.5, 300.5):
-        with pytest.raises(SpecfunDomainError, match="max_subdivisions"):
-            QuadratureSpec(max_subdivisions=limit)
+def test_quadrature_spec_scaling():
     spec = DEFAULT_QUADRATURE.scaled(0.01)
     assert spec.abs_tol == pytest.approx(DEFAULT_QUADRATURE.abs_tol * 0.01)
     assert spec.rel_tol == pytest.approx(DEFAULT_QUADRATURE.rel_tol * 0.01)
     assert spec.upper_cutoff == DEFAULT_QUADRATURE.upper_cutoff
-
-
-def test_quadrature_spec_rejects_non_finite_tolerances():
-    # an infinite tolerance accepts any estimate; scaled() must not make one
-    for bad in (math.inf, math.nan):
-        for kwargs in (dict(abs_tol=bad), dict(rel_tol=bad)):
-            with pytest.raises(SpecfunDomainError, match="finite"):
-                QuadratureSpec(**kwargs)
-        with pytest.raises(SpecfunDomainError, match="finite"):
-            DEFAULT_QUADRATURE.scaled(bad)
 
 
 def test_integrate_semi_infinite_gaussian():
@@ -270,25 +231,6 @@ def test_integrate_interval_polynomial_exact():
     val, _ = integrate_interval(lambda x: 3.0 * x * x, 0.0, 2.0,
                                 DEFAULT_QUADRATURE)
     assert val == pytest.approx(8.0, rel=1e-13)
-
-
-def test_quadrature_error_carries_best_estimate():
-    starved = QuadratureSpec(max_subdivisions=1)
-    with pytest.raises(QuadratureError) as excinfo:
-        integrate_semi_infinite(lambda u: math.cos(50.0 * u), starved)
-    err = excinfo.value
-    assert isinstance(err.best_estimate, float)
-    assert err.error_estimate > 0.0
-
-
-def test_integrate_interval_rejects_non_finite_bounds():
-    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
-                   (0.0, math.nan)):
-        with pytest.raises(SpecfunDomainError, match="bounds must be finite"):
-            integrate_interval(lambda x: 1.0, lo, hi)
-    for lo, hi in ((1.0, 0.0), (2.0, 2.0)):
-        with pytest.raises(SpecfunDomainError, match="hi > lo"):
-            integrate_interval(lambda x: 1.0, lo, hi)
 
 
 # _run_quad against its oracle, scipy.integrate.quad at the full limit.
@@ -446,15 +388,6 @@ def test_named_import_gives_the_same_qagse(monkeypatch):
     monkeypatch.delitem(sys.modules, specfun._QUADPACK)
     assert specfun._qagse.__wrapped__() is loaded
     assert named == [specfun._QUADPACK]
-
-
-@pytest.mark.parametrize("args,message", [
-    # |u| is inside the guard, but the terms overflow near k = 200
-    ((3000.5, 1.0, -60.0), "series did not settle within 500 terms"),
-], ids=["unsettled-series"])
-def test_confluent_series_argument_checks(args, message):
-    with pytest.raises(SeriesDivergenceError, match=message):
-        confluent_hypergeometric(*args)
 
 
 def test_quadpack_loaded_from_its_file_is_the_module_scipy_imports():
